@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from tcore._rat import QQ, is_rational, rat, rat_pow, rat_str, rational_sqrt
 from tcore.cyclo import Cyclo
@@ -238,30 +238,109 @@ class _ThetaTable:
         return self._sym[key]
 
 
-def _perm_det(entries) -> object:
-    """Determinant by signed permutation expansion (k stays small here)."""
-    k = len(entries)
-    first = entries[0][0]
-    total = None
-    for perm in permutations(range(k)):
-        inversions = sum(
-            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-        )
-        term = entries[0][perm[0]]
-        for i in range(1, k):
-            term = term * entries[i][perm[i]]
-        if inversions % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total if total is not None else first
+def _column_labels(t: int, k: int, all_tuples: bool):
+    """Column-label tuples in {1..t}^k with least label 1, with the number of
+    tuples each stands for.
+
+    An entry sees only the literal difference l_i - l_j, so the translates
+    of a tuple by 0 .. t - max(l) share its determinant.  Tuples with a
+    repeated label give a vanishing determinant and are left out unless
+    ``all_tuples`` asks for them.
+    """
+    for labels in product(range(1, t + 1), repeat=k):
+        if 1 in labels and (all_tuples or len(set(labels)) == k):
+            yield labels, t - max(labels) + 1
 
 
-def _distinct(l_tuple) -> bool:
-    return len(set(l_tuple)) == len(l_tuple)
+def _cofactor_det(rows, entry, cache: dict) -> QSeries:
+    """Determinant of the matrix of entry(*key) over a square tuple of keys.
+
+    Cofactor expansion along the first row.  A minor is cached under the
+    keys of its entries, so the minors shared by different label tuples and
+    set partitions are computed once.
+    """
+    if rows not in cache:
+        if len(rows) == 1:
+            cache[rows] = entry(*rows[0][0])
+        else:
+            total = None
+            for j, key in enumerate(rows[0]):
+                minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
+                term = entry(*key) * _cofactor_det(minor, entry, cache)
+                total = term if total is None else (total - term if j % 2 else total + term)
+            cache[rows] = total
+    return cache[rows]
 
 
-def _half_power_gap(sv: SValue, t: int) -> QQ:
-    return rat_pow(sv.sqrt_s, t) - rat_pow(sv.sqrt_s, -t)
+def _determinant_sum(
+    table: _ThetaTable, svals, numerator, normaliser: QSeries, divisor: QSeries,
+    all_tuples: bool,
+) -> QSeries:
+    """The theta-determinant sum over set partitions shared by the closed routes.
+
+    A block with product s and column labels l_i, l_j has the entry
+    numerator(s, l_i - l_j) / vartheta(s * xi_t^(l_j - l_i)).  Each set
+    partition into k blocks weighs its determinants by the block factors and
+    normaliser^(k-1); the total is divided by ``divisor`` and by
+    prod_j (s_j^(t/2) - s_j^(-t/2)).
+    """
+    t, dom, order = table.t, table.dom, table.order
+
+    # product of vartheta(xi_t^e) over e = 1..t-1, shared by every block
+    root_den = QSeries.one(dom, order)
+    for e in range(1, t):
+        root_den = root_den * vartheta(ThetaArg.scaled_root(QQ(1), t=t, e=e), order)
+
+    block_cache: dict = {}
+
+    def block_factor(sv: SValue) -> QSeries:
+        # with exponents reduced mod t, the product over a full residue
+        # cycle does not depend on the column label l_m
+        if sv.s not in block_cache:
+            num = QSeries.one(dom, order)
+            for e in range(t):
+                num = num * table.odd(sv, e)
+            block_cache[sv.s] = qdiv(num, root_den)
+        return block_cache[sv.s]
+
+    period = _DET_BRANCH_PERIOD * t
+    entry_cache: dict = {}
+
+    def det_entry(sv: SValue, diff: int) -> QSeries:
+        key = (sv.s, diff % period)
+        if key not in entry_cache:
+            denom = table.odd(sv, -diff, period)
+            if not denom.coeff(0):
+                raise ValueError(
+                    f"vartheta({rat_str(sv.s)}*xi_{t}^{-diff % t}) "
+                    "is singular in a determinant denominator"
+                )
+            entry_cache[key] = qdiv(numerator(sv, diff), denom)
+        return entry_cache[key]
+
+    det_cache: dict = {}
+
+    acc = QSeries.zero(dom, order)
+    for sp in set_partitions(len(svals)):
+        k = len(sp.blocks)
+        if not all_tuples and k > t:
+            continue
+        blocks = [_block_product(svals, b) for b in sp.blocks]
+        dets = QSeries.zero(dom, order)
+        for labels, weight in _column_labels(t, k, all_tuples):
+            rows = tuple(
+                tuple((bv, (li - lj) % period) for lj in labels) for bv, li in zip(blocks, labels)
+            )
+            d = _cofactor_det(rows, det_entry, det_cache)
+            dets = dets + (d if weight == 1 else d.map_coeffs(lambda c: c * weight))
+        for bv in blocks:
+            dets = dets * block_factor(bv)
+        for _ in range(k - 1):
+            dets = dets * normaliser
+        acc = acc + dets
+
+    pref = math.prod((rat_pow(sv.sqrt_s, t) - rat_pow(sv.sqrt_s, -t) for sv in svals), start=QQ(1))
+    return qdiv(acc, divisor).map_coeffs(lambda c: c / pref)
 
 
 def closed_Ft(
@@ -288,71 +367,15 @@ def closed_Ft(
     if n == 0:
         return QSeries.one(CycloDomain(2 * t), order)
     table = _ThetaTable(t, order)
-    dom = table.dom
-
-    # product of vartheta(xi_t^e) over e = 1..t-1, shared by every block
-    root_den = QSeries.one(dom, order)
-    for e in range(1, t):
-        arg = ThetaArg.scaled_root(QQ(1), t=t, e=e)
-        root_den = root_den * vartheta(arg, order)
-
-    block_cache: dict = {}
-
-    def block_factor(sv: SValue) -> QSeries:
-        # with exponents reduced mod t, the product over a full residue
-        # cycle does not depend on the column label l_m
-        if sv.s not in block_cache:
-            num = QSeries.one(dom, order)
-            for e in range(t):
-                num = num * table.odd(sv, e)
-            block_cache[sv.s] = qdiv(num, root_den)
-        return block_cache[sv.s]
-
     s_all = _block_product(svals, tuple(range(1, n + 1)))
-    theta_q2 = table.sym(-Q2, 0)
-    theta_q2_all = table.sym(-Q2 / s_all.s, 0)
-    entry_cache: dict = {}
-
-    period = _DET_BRANCH_PERIOD * t
-
-    def det_entry(s_block: SValue, li: int, lj: int) -> QSeries:
-        key = (s_block.s, (li - lj) % (2 * t))
-        if key not in entry_cache:
-            numer = table.sym(-Q2 / s_block.s, li - lj)
-            denom = table.odd(s_block, lj - li, period)
-            if not denom.coeff(0):
-                raise ValueError(
-                    f"vartheta({rat_str(s_block.s)}*xi_{t}^{(lj - li) % t}) "
-                    "is singular in a determinant denominator"
-                )
-            entry_cache[key] = qdiv(numer, denom)
-        return entry_cache[key]
-
-    acc = QSeries(dom, 2 * order, {})
-    inv_theta_q2 = qdiv(QSeries.one(dom, order), theta_q2)
-    for sp in set_partitions(n):
-        k = len(sp.blocks)
-        if not all_tuples and k > t:
-            continue
-        blocks = [_block_product(svals, b) for b in sp.blocks]
-        scalar_part = QSeries.one(dom, order)
-        for bv in blocks:
-            scalar_part = scalar_part * block_factor(bv)
-        for power in range(k - 1):
-            scalar_part = scalar_part * inv_theta_q2
-        for l_tuple in product(range(1, t + 1), repeat=k):
-            if not all_tuples and not _distinct(l_tuple):
-                continue
-            entries = [
-                [det_entry(blocks[i], l_tuple[i], l_tuple[j]) for j in range(k)]
-                for i in range(k)
-            ]
-            acc = acc + scalar_part * _perm_det(entries)
-
-    pref = math.prod((_half_power_gap(sv, t) for sv in svals), start=QQ(1))
-    result = qdiv(acc, theta_q2_all)
-    inv_pref = dom.one / dom.coerce(pref)
-    return result.map_coeffs(lambda c: c * inv_pref)
+    return _determinant_sum(
+        table,
+        svals,
+        lambda sv, diff: table.sym(-Q2 / sv.s, diff),
+        qdiv(QSeries.one(table.dom, order), table.sym(-Q2, 0)),
+        table.sym(-Q2 / s_all.s, 0),
+        all_tuples,
+    )
 
 
 def closed_Ft_r(
@@ -373,78 +396,25 @@ def closed_Ft_r(
         raise ValueError("r must satisfy 1 <= r < n")
     table = _ThetaTable(t, order)
     dom = table.dom
-
-    root_den = QSeries.one(dom, order)
-    for e in range(1, t):
-        arg = ThetaArg.scaled_root(QQ(1), t=t, e=e)
-        root_den = root_den * vartheta(arg, order)
-
-    block_cache: dict = {}
-
-    def block_factor(sv: SValue) -> QSeries:
-        if sv.s not in block_cache:
-            num = QSeries.one(dom, order)
-            for e in range(t):
-                num = num * table.odd(sv, e)
-            block_cache[sv.s] = qdiv(num, root_den)
-        return block_cache[sv.s]
-
     s_marked = _block_product(svals, tuple(range(1, r + 1)))
     s_rest = _block_product(svals, tuple(range(r + 1, n + 1)))
-    inv_arg = ThetaArg(
-        dom.one / dom.coerce(s_rest.s),
-        dom.one / dom.coerce(s_rest.sqrt_s),
-        dom=dom,
-    )
-    theta_rest_inv = vartheta(inv_arg, order)
+    theta_rest_inv = vartheta(ThetaArg(1 / s_rest.s, 1 / s_rest.sqrt_s, dom=dom), order)
     if not theta_rest_inv.coeff(0):
         raise ValueError("vartheta of the unmarked product inverse is singular")
-    theta_marked = table.odd(s_marked, 0)
-    inv_theta_marked = qdiv(QSeries.one(dom, order), theta_marked)
-
-    entry_cache: dict = {}
-
     period = _DET_BRANCH_PERIOD * t
 
-    def det_entry(s_block: SValue, li: int, lj: int) -> QSeries:
-        key = (s_block.s, (li - lj) % (2 * t))
-        if key not in entry_cache:
-            ratio = s_marked.s / s_block.s
-            num_arg = ThetaArg.scaled_root(ratio, t=t, e=(li - lj) % period)
-            numer = vartheta(num_arg, order)
-            denom = table.odd(s_block, lj - li, period)
-            if not denom.coeff(0):
-                raise ValueError(
-                    f"vartheta({rat_str(s_block.s)}*xi_{t}^{(lj - li) % t}) "
-                    "is singular in a determinant denominator"
-                )
-            entry_cache[key] = qdiv(numer, denom)
-        return entry_cache[key]
+    def numerator(sv: SValue, diff: int) -> QSeries:
+        arg = ThetaArg.scaled_root(s_marked.s / sv.s, t=t, e=diff % period)
+        return vartheta(arg, order)
 
-    acc = QSeries(dom, 2 * order, {})
-    for sp in set_partitions(n):
-        k = len(sp.blocks)
-        if not all_tuples and k > t:
-            continue
-        blocks = [_block_product(svals, b) for b in sp.blocks]
-        scalar_part = QSeries.one(dom, order)
-        for bv in blocks:
-            scalar_part = scalar_part * block_factor(bv)
-        for power in range(k - 1):
-            scalar_part = scalar_part * inv_theta_marked
-        for l_tuple in product(range(1, t + 1), repeat=k):
-            if not all_tuples and not _distinct(l_tuple):
-                continue
-            entries = [
-                [det_entry(blocks[i], l_tuple[i], l_tuple[j]) for j in range(k)]
-                for i in range(k)
-            ]
-            acc = acc + scalar_part * _perm_det(entries)
-
-    pref = math.prod((_half_power_gap(sv, t) for sv in svals), start=QQ(1))
-    result = qdiv(acc, theta_rest_inv)
-    inv_pref = dom.one / dom.coerce(pref)
-    return result.map_coeffs(lambda c: c * inv_pref)
+    return _determinant_sum(
+        table,
+        svals,
+        numerator,
+        qdiv(QSeries.one(dom, order), table.odd(s_marked, 0)),
+        theta_rest_inv,
+        all_tuples,
+    )
 
 
 def _rational_part(value) -> QQ:
@@ -458,6 +428,14 @@ def _rational_part(value) -> QQ:
     return QQ(value)
 
 
+def _deformation_base(q) -> QQ:
+    """The base q of the deformed routes as a rational; only q > 1 is supported."""
+    q = QQ(q)
+    if q <= 1:
+        raise ValueError(f"the deformation base must satisfy q > 1, got {rat_str(q)}")
+    return q
+
+
 def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     """The defining vertex sum of the deformed partition function.
 
@@ -465,9 +443,7 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     |mu| + |nu| <= order_total contributes the exact rational value of
     the vertex product (the half-powers of q cancel pairwise).
     """
-    q = QQ(q)
-    if abs(q) <= 1:
-        raise ValueError("the base must satisfy |q| > 1")
+    q = _deformation_base(q)
     if order_total < 0:
         raise ValueError("order must be nonnegative")
     terms: dict[tuple[int, int], QQ] = {}
@@ -490,20 +466,20 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
     """The same function as a MacMahon-type product, truncated honestly.
 
     The b-th band contributes factors whose lowest total degree is 2b - 1,
-    so bands beyond (order_total + 1) // 2 collapse to 1.
+    so bands beyond (order_total + 1) // 2 collapse to 1; its factor
+    1 - Q^b Q1^b has degree 2b and collapses once 2b > order_total.
     """
-    q = QQ(q)
-    if abs(q) <= 1:
-        raise ValueError("the base must satisfy |q| > 1")
+    q = _deformation_base(q)
     order2 = 2 * order_total
     out = macmahon(1, q, (0, 1), order_total)
     for b in range(1, (order_total + 1) // 2 + 1):
         out = out * macmahon(1, q, (b, b + 1), order_total)
         out = out * macmahon(1, q, (b, b - 1), order_total)
-        band = BiSeries.one(QQ_DOMAIN, order_total) - BiSeries.monomial(
-            QQ_DOMAIN, 1, b, b, order_total
-        )
-        out = out / band
+        if 2 * b <= order_total:
+            band = BiSeries.one(QQ_DOMAIN, order_total) - BiSeries.monomial(
+                QQ_DOMAIN, 1, b, b, order_total
+            )
+            out = out / band
         square = macmahon(1, q, (b, b), order_total)
         out = out / (square * square)
     return BiSeries(
@@ -513,9 +489,7 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
 
 def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     """The deformed average of the row-moment product, normalized."""
-    q = QQ(q)
-    if abs(q) <= 1:
-        raise ValueError("the base must satisfy |q| > 1")
+    q = _deformation_base(q)
     svals = tuple(SValue.of(v) for v in s_values)
     terms: dict[tuple[int, int], QQ] = {}
     for d_nu in range(order_total + 1):

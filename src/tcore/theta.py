@@ -141,96 +141,66 @@ def _linear_factor(dom, coeff, exp2: int, order2: int, sign: int = -1) -> QSerie
     return one + mono if sign > 0 else one - mono
 
 
-def _euler_factor_product(dom, order, power: int) -> QSeries:
-    """prod_{b>=1} (1 - Q^b)^power, truncated (power may be negative)."""
-    order2 = _as_exp2(order)
-    bmax = order2 // 2
-    num = QSeries.one(dom, order)
-    for b in range(1, bmax + 1):
-        num = num * _linear_factor(dom, dom.one, 2 * b, order2)
-    if power >= 0:
-        return num**power
-    return qdiv(QSeries.one(dom, order), num ** (-power))
+def _euler_cube(dom, order2: int) -> QSeries:
+    """prod_{b>=1} (1 - Q^b)^3 by Jacobi's sum of (-1)^n (2n+1) Q^(n(n+1)/2)."""
+    terms = {}
+    n = 0
+    while n * (n + 1) <= order2:
+        terms[n * (n + 1)] = dom.coerce((-1) ** n * (2 * n + 1))
+        n += 1
+    return QSeries(dom, order2, terms)
 
 
 def vartheta(arg: ThetaArg, order) -> QSeries:
     """The odd theta series for the given argument and branch.
 
-    With no Q-shift this is the product form: (sqrt_z - 1/sqrt_z) times
-    prod_{b<=B} (1-zQ^b)(1-z^{-1}Q^b)/(1-Q^b)^2 with B = ceil(order) + 1,
-    which is exact to the requested order because the b-th factor only
-    touches exponents >= b.  A Q-shifted argument goes through the
-    triple-product sum instead, where the shift lands in the exponents.
+    With w = z Q^k the argument, this is the triple-product quotient
+    -w^(-1/2) j(w) / prod_{b>=1} (1-Q^b)^3: the minus sign is what d/dz of
+    the (1-z) factor of j leaves behind, and the Q^(-k/2) of w^(-1/2) shifts
+    the result.  Both j and Jacobi's series for the cube are sparse.  At
+    k = 0 the quotient equals (sqrt_z - 1/sqrt_z) times
+    prod_{b>=1} (1-zQ^b)(1-z^{-1}Q^b)/(1-Q^b)^2.
     """
     if arg.sqrt_value is None:
         raise ValueError("vartheta needs the square-root branch of its argument")
     dom = arg.dom
     order2 = _as_exp2(order)
-    z = arg.value
-    sqrt_z = arg.sqrt_value
-    if arg.q_shift == 0:
-        bmax = order2 // 2
-        zi = dom.one / z
-        prod = QSeries.one(dom, order)
-        for b in range(1, bmax + 1):
-            prod = prod * _linear_factor(dom, z, 2 * b, order2)
-            prod = prod * _linear_factor(dom, zi, 2 * b, order2)
-        den = _euler_factor_product(dom, order, 2)
-        pref = sqrt_z - dom.one / sqrt_z
-        return qdiv(prod, den).map_coeffs(lambda c: c * pref)
-    # via the triple-product sum: vartheta(w) = -w^(-1/2) j(w) / prod(1-Q^b)^3,
-    # where the minus sign is what d/dz of the (1-z) factor leaves behind
-    shifted = _j_sum(dom, z, order2 + abs(arg.q_shift) * 2 + 2, arg.q_shift)
-    jprime = _euler_factor_product(dom, HalfExp(shifted.trunc2), 3)
-    pref = -(dom.one / sqrt_z)
-    series = qdiv(shifted, jprime).map_coeffs(lambda c: c * pref)
-    return series.shifted(half(-arg.q_shift)).truncated(order)
+    k = arg.q_shift
+    j = _j_sum(dom, arg.value, order2 + max(k, 0), k)
+    # a negative lowest exponent of j eats into the window of the quotient
+    cube = _euler_cube(dom, j.trunc2 - min(j._low_eff(), 0))
+    pref = -(dom.one / arg.sqrt_value)
+    series = qdiv(j, cube).map_coeffs(lambda c: c * pref)
+    return series.shifted(half(-k)).truncated(order)
+
+
+def _power_sum(dom, z, order2: int, exp2) -> QSeries:
+    """sum over all integers a of z^a Q^(exp2(a)/2), exp2 a convex quadratic.
+
+    Walks a = 0, 1, ... and a = -1, -2, ... until the exponent has passed
+    its minimum and left the window; the powers of z come one product per
+    term from z and a single inverse.
+    """
+    terms: dict[int, object] = {}
+    inv = dom.one / z
+    for a, step, power in ((0, z, dom.one), (-1, inv, inv)):
+        da = 1 if a == 0 else -1
+        prev = None
+        while True:
+            e2 = exp2(a)
+            if e2 <= order2:
+                terms[e2] = terms.get(e2, dom.zero) + power
+            elif prev is not None and e2 > prev:
+                break
+            prev = e2
+            power = power * step
+            a += da
+    return QSeries(dom, order2, terms)
 
 
 def _j_sum(dom, z, order2: int, q_shift: int) -> QSeries:
     """sum_a (-z)^a Q^((a^2-a)/2 + a*q_shift), doubled-order truncation."""
-    terms: dict[int, object] = {}
-    a = 0
-    # walk outward until the quadratic exponent leaves the window both ways
-    for a in _quadratic_support(order2, q_shift):
-        e2 = a * (a - 1) + 2 * a * q_shift
-        coeff = dom.coerce(rat_pow(QQ(-1), abs(a) % 2)) * _int_power(dom, z, a)
-        terms[e2] = terms.get(e2, dom.zero) + coeff
-    return QSeries(dom, order2, terms)
-
-
-def _quadratic_support(order2: int, q_shift: int):
-    out = []
-    a = 0
-    while True:
-        e2 = a * (a - 1) + 2 * a * q_shift
-        if e2 > order2 and a > 1 - q_shift:
-            break
-        if e2 <= order2:
-            out.append(a)
-        a += 1
-    a = -1
-    while True:
-        e2 = a * (a - 1) + 2 * a * q_shift
-        if e2 > order2 and a < -q_shift:
-            break
-        if e2 <= order2:
-            out.append(a)
-        a -= 1
-    return out
-
-
-def _int_power(dom, z, a: int):
-    if a >= 0:
-        out = dom.one
-        for _ in range(a):
-            out = out * z
-        return out
-    inv = dom.one / z
-    out = dom.one
-    for _ in range(-a):
-        out = out * inv
-    return out
+    return _power_sum(dom, -z, order2, lambda a: a * (a - 1) + 2 * a * q_shift)
 
 
 def jfunc(arg: ThetaArg, order, form: str = "sum") -> QSeries:
@@ -270,14 +240,7 @@ def theta3(arg: ThetaArg, order, form: str = "sum") -> QSeries:
     order2 = _as_exp2(order)
     if form == "sum":
         k = arg.q_shift
-        terms: dict[int, object] = {}
-        amax = math.isqrt(max(order2, 0)) + 2 * abs(k) + 2
-        for a in range(-amax, amax + 1):
-            e2 = a * a + 2 * a * k
-            if e2 <= order2:
-                coeff = _int_power(dom, arg.value, a)
-                terms[e2] = terms.get(e2, dom.zero) + coeff
-        return QSeries(dom, order2, terms)
+        return _power_sum(dom, arg.value, order2, lambda a: a * a + 2 * a * k)
     if form != "product":
         raise ValueError("form must be 'sum' or 'product'")
     if arg.q_shift != 0:

@@ -1,0 +1,17 @@
+"""The tcore command line entry point."""
+
+import json
+
+from tcore._rat import QQ, parse_rat
+from tcore.cli import main
+from tcore.npoint import brute_force_Ft
+
+
+def test_main_prints_the_route_payload(capsys):
+    assert main(["closed_Ft", "--t", "2", "--s", "4", "9/4", "--order", "4", "--q2", "5/3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "closed_Ft"
+    assert payload["s"] == ["4", "9/4"] and payload["q2"] == "5/3"
+    assert payload["order2"] == 8 and payload["elapsed_ms"] > 0
+    brute = brute_force_Ft(2, (QQ(4), QQ(9, 4)), 4)
+    assert {int(e): parse_rat(c) for e, c in payload["series"].items()} == brute.terms

@@ -197,6 +197,32 @@ def test_degenerate_column_labels_contribute_nothing():
     assert full.agrees_with(skipped, 5)
 
 
+def test_all_tuples_agree_with_translation_weights():
+    # at t = 4 a label tuple with least label 1 stands for up to four
+    # translates, so the weights of the grouped sum differ from 1
+    svec = (S4, S94, S2516)
+    brute = brute_force_Ft(4, svec, 4)
+    for route in (
+        lambda **kw: closed_Ft(4, svec, QQ(2), 4, **kw),
+        lambda **kw: closed_Ft_r(4, svec, 2, 4, **kw),
+    ):
+        skipped = route()
+        assert route(all_tuples=True) == skipped
+        assert rational_series(skipped).agrees_with(brute, 4)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_routes_are_honest_about_truncation(t, n):
+    svec = (S4, S94, S2516)[:n]
+    order = 4
+    for route in (
+        lambda N: closed_Ft(t, svec, QQ(5, 3), N),
+        lambda N: closed_Ft_r(t, svec, 1, N),
+    ):
+        assert route(order + 2).truncated(order) == route(order)
+
+
 def test_single_point_theta_quotient_form():
     # t / (s^(t/2) - s^(-t/2)) * theta(s xi_2) / theta(xi_2) is what the
     # determinant sum collapses to at n = 1, t = 2; build it directly
@@ -266,6 +292,27 @@ def test_qdeformed_sum_low_coefficients():
     assert z.coeff(0, 1) == QQ(-2)
     z32 = qdeformed_Z_sum(QQ(3, 2), 4)
     assert z32.coeff(0, 1) == QQ(-6)
+
+
+def test_qdeformed_product_at_odd_orders():
+    # the band (1 - Q^b Q1^b) with 2b > N lies outside the window and is 1
+    total = qdeformed_Z_sum(QQ(2), 8)
+    for order in (1, 3, 5, 7):
+        window = {k: c for k, c in total.terms.items() if sum(k) <= 2 * order}
+        product = qdeformed_Z_product(QQ(2), order)
+        assert product.trunc2 == 2 * order
+        assert product.terms == window, order
+
+
+@pytest.mark.parametrize("route", [
+    lambda q: qdeformed_Z_sum(q, 3),
+    lambda q: qdeformed_Zn_sum(q, (S4,), 3),
+    lambda q: qdeformed_Z_product(q, 3),
+])
+@pytest.mark.parametrize("q", [QQ(-2), QQ(1), QQ(1, 2)])
+def test_qdeformed_routes_reject_base_at_most_one(route, q):
+    with pytest.raises(ValueError, match="q > 1"):
+        route(q)
 
 
 def test_qdeformed_sum_matches_product():

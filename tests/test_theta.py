@@ -13,9 +13,11 @@ from tcore.qseries import (
     TaylorZ,
     half,
     lift_series,
+    qdiv,
 )
 from tcore.theta import (
     ThetaArg,
+    _euler_cube,
     bernoulli,
     divisor_power_sum,
     eisenstein,
@@ -28,6 +30,40 @@ from tcore.theta import (
 )
 
 RZ4 = ThetaArg(QQ(4), QQ(2))
+
+
+def vartheta_product(arg, order):
+    """The product-form oracle for vartheta at an unshifted argument.
+
+    (sqrt_z - 1/sqrt_z) prod_{b<=order} (1-zQ^b)(1-z^{-1}Q^b)/(1-Q^b)^2,
+    exact to the requested order because the b-th factor only touches
+    exponents >= b.
+    """
+    dom = arg.dom
+    one = QSeries.one(dom, order)
+    zi = dom.one / arg.value
+    num, den = one, one
+    for b in range(1, one.trunc2 // 2 + 1):
+        num = num * (one - QSeries.monomial(dom, arg.value, b, order))
+        num = num * (one - QSeries.monomial(dom, zi, b, order))
+        euler = one - QSeries.monomial(dom, dom.one, b, order)
+        den = den * euler * euler
+    pref = arg.sqrt_value - dom.one / arg.sqrt_value
+    return qdiv(num, den).map_coeffs(lambda c: c * pref)
+
+
+def _oracle_args():
+    tdom = TaylorDomain(CycloDomain(6), 2)
+    xi, xi_h = Cyclo.root(6, 2), Cyclo.root(6, 1)
+    moving = ThetaArg(
+        xi * TaylorZ.exp_of(tdom, 1), xi_h * TaylorZ.exp_of(tdom, rat(1, 2)), dom=tdom
+    )
+    args = [RZ4, ThetaArg(rat(9, 4), rat(-3, 2)), ThetaArg(rat(4, 25), rat(2, 5)),
+            ThetaArg.scaled_root(-4), moving]
+    for t in range(2, 6):
+        args += [ThetaArg.scaled_root(QQ(1), t=t, e=e) for e in range(1, t)]
+        args.append(ThetaArg.scaled_root(rat(25, 16), t=t, e=1))
+    return args
 
 
 def test_bernoulli_frozen():
@@ -83,13 +119,26 @@ def test_vartheta_first_order():
 
 
 def test_vartheta_product_matches_sum_route():
+    # every order from 0 to 12 in steps of 1/2, so a result that is not
+    # honest about its own truncation shows as well
+    for arg in _oracle_args():
+        oracle = vartheta_product(arg, 12)
+        for order2 in range(25):
+            assert vartheta(arg, half(order2)) == oracle.truncated(half(order2)), (arg, order2)
+    # a Q-shifted argument: undo vartheta(Qz) = -Q^(-1/2) z^(-1) vartheta(z)
     for arg in (RZ4, ThetaArg.scaled_root(-4), ThetaArg.scaled_root(rat(9, 4), t=3, e=2)):
-        prod_form = vartheta(arg, 6)
-        # the shifted argument takes the sum route; undo the lattice
-        # translation vartheta(Qz) = -Q^(-1/2) z^(-1) vartheta(z) and compare
         up = vartheta(ThetaArg(arg.value, arg.sqrt_value, 1, arg.dom), 8)
         recovered = up.map_coeffs(lambda c: -c * arg.value).shifted(half(1))
-        assert prod_form.agrees_with(recovered, 6), arg
+        assert vartheta_product(arg, 6).agrees_with(recovered, 6), arg
+
+
+def test_euler_cube_is_jacobi_series():
+    one = QSeries.one(QQ_DOMAIN, 30)
+    prod = one
+    for b in range(1, 31):
+        prod = prod * (one - QSeries.monomial(QQ_DOMAIN, 1, b, 30)) ** 3
+    for order2 in (0, 1, 12, 60):
+        assert _euler_cube(QQ_DOMAIN, order2) == prod.truncated(half(order2))
 
 
 def test_vartheta_lattice_translation_frozen_base():
