@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     if args.route == "closed_Ft_r" and args.r is None:
         parser.error("closed_Ft_r needs --r")
     try:
-        svals = s_vector(args.s, args.t)
+        svals = s_vector(args.s)
         start = time.perf_counter()
         if args.route == "closed_Ft":
             value = closed_Ft(args.t, svals, args.q2, args.order)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cache
 from math import gcd
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, parse_rat, rat_str
+from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, rat_str
 
 
 @cache
@@ -295,10 +295,3 @@ class Cyclo:
                 mono = f"zeta{self.m}" if j == 1 else f"zeta{self.m}^{j}"
                 bits.append(mono if c == 1 else f"{rat_str(c)}*{mono}")
         return " + ".join(bits).replace("+ -", "- ")
-
-    def to_json(self):
-        return {"m": self.m, "coeffs": [rat_str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj) -> "Cyclo":
-        return cls(obj["m"], [parse_rat(c) for c in obj["coeffs"]])

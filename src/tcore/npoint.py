@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from tcore._rat import QQ, is_rational, rat, rat_pow, rat_str, rational_sqrt
 from tcore.cyclo import Cyclo
@@ -25,9 +25,10 @@ from tcore.qseries import (
     QSeries,
     TaylorDomain,
     TaylorZ,
+    check_order,
     qdiv,
 )
-from tcore.symfunc import topological_vertex
+from tcore.symfunc import deformation_base, topological_vertex
 from tcore.theta import ThetaArg, macmahon, theta3, vartheta
 
 
@@ -57,24 +58,14 @@ class SValue:
         return cls(value, root)
 
 
-def s_vector(values, t: int) -> tuple[SValue, ...]:
-    """Coerce and screen a tuple of s-values for use at the given t.
+def s_vector(values) -> tuple[SValue, ...]:
+    """The s-values of every route, each a rational square greater than 1.
 
-    The screen rejects any nonempty sub-product equal to 1 or colliding
-    with a t-th root of unity.  A product of rationals greater than 1 can
-    do neither, so with the current SValue gate the loop never fires; it
-    stays because it is the documented contract, not a consequence of it.
+    The theta-determinant routes need no nonempty sub-product of s-values to
+    equal 1 or a root of unity; a product of rationals greater than 1 is
+    neither, so the SValue gate is the whole screen.
     """
-    svals = tuple(SValue.of(v) for v in values)
-    if len(svals) <= 10:
-        for r in range(1, len(svals) + 1):
-            for combo in combinations(svals, r):
-                prodval = math.prod((c.s for c in combo), start=QQ(1))
-                if prodval == 1:
-                    raise ValueError("a sub-product of the s-values equals 1")
-                # prod * xi_t^m = 1 would force xi_t^m rational, hence +-1,
-                # and a positive product can only collide via prod == 1
-    return svals
+    return tuple(SValue.of(v) for v in values)
 
 
 def partition_moment(sv: SValue, nu) -> QQ:
@@ -91,46 +82,40 @@ def partition_moment(sv: SValue, nu) -> QQ:
     return total + tail
 
 
-def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
-    """The defining average over t-cores, coefficient by coefficient.
+def _moment_product(svals, nu) -> QQ:
+    return math.prod((partition_moment(sv, nu) for sv in svals), start=QQ(1))
 
-    Numerator and denominator are both truncated at Q^order; since the
-    denominator starts at 1 the division is exact to that order.
+
+def _average(groups, svals, order: int) -> QSeries:
+    """The average of the row-moment product over partitions grouped by size.
+
+    ``groups`` maps each size through ``order`` to its partitions.  Numerator
+    and denominator are both truncated at Q^order; since the denominator
+    starts at 1 the division is exact to that order.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    svals = s_vector(s_values, t)
     num: dict[int, QQ] = {}
     den: dict[int, QQ] = {}
-    for size, group in enumerate_t_cores(t, order).items():
+    for size, group in groups.items():
         for nu in group:
-            weight = math.prod((partition_moment(sv, nu) for sv in svals), start=QQ(1))
-            num[2 * size] = num.get(2 * size, QQ(0)) + weight
+            num[2 * size] = num.get(2 * size, QQ(0)) + _moment_product(svals, nu)
             den[2 * size] = den.get(2 * size, QQ(0)) + 1
     order2 = 2 * order
-    return qdiv(
-        QSeries(QQ_DOMAIN, order2, num), QSeries(QQ_DOMAIN, order2, den)
-    )
+    return qdiv(QSeries(QQ_DOMAIN, order2, num), QSeries(QQ_DOMAIN, order2, den))
+
+
+def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
+    """The defining average over t-cores, coefficient by coefficient."""
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    check_order(order)
+    return _average(enumerate_t_cores(t, order), s_vector(s_values), order)
 
 
 def bloch_okounkov_F(s_values, order: int) -> QSeries:
     """The same average taken over all partitions instead of t-cores."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    svals = tuple(SValue.of(v) for v in s_values)
-    num: dict[int, QQ] = {}
-    den: dict[int, QQ] = {}
-    for size in range(order + 1):
-        for nu in partitions_of(size):
-            weight = math.prod((partition_moment(sv, nu) for sv in svals), start=QQ(1))
-            num[2 * size] = num.get(2 * size, QQ(0)) + weight
-            den[2 * size] = den.get(2 * size, QQ(0)) + 1
-    order2 = 2 * order
-    return qdiv(
-        QSeries(QQ_DOMAIN, order2, num), QSeries(QQ_DOMAIN, order2, den)
-    )
+    check_order(order)
+    groups = {size: partitions_of(size) for size in range(order + 1)}
+    return _average(groups, s_vector(s_values), order)
 
 
 @dataclass(frozen=True)
@@ -359,10 +344,11 @@ def closed_Ft(
     """
     if t < 2:
         raise ValueError("t must be at least 2")
+    check_order(order)
     Q2 = QQ(Q2)
     if Q2 == 0:
         raise ValueError("Q2 must be nonzero")
-    svals = s_vector(s_values, t)
+    svals = s_vector(s_values)
     n = len(svals)
     if n == 0:
         return QSeries.one(CycloDomain(2 * t), order)
@@ -388,7 +374,8 @@ def closed_Ft_r(
     """The Q2-free specialization marking the index subset {1..r}, r < n."""
     if t < 2:
         raise ValueError("t must be at least 2")
-    svals = s_vector(s_values, t)
+    check_order(order)
+    svals = s_vector(s_values)
     n = len(svals)
     if n < 2:
         raise ValueError("this route needs at least two s-values")
@@ -428,28 +415,20 @@ def _rational_part(value) -> QQ:
     return QQ(value)
 
 
-def _deformation_base(q) -> QQ:
-    """The base q of the deformed routes as a rational; only q > 1 is supported."""
-    q = QQ(q)
-    if q <= 1:
-        raise ValueError(f"the deformation base must satisfy q > 1, got {rat_str(q)}")
-    return q
-
-
-def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
-    """The defining vertex sum of the deformed partition function.
+def _vertex_sums(q: QQ, svals, order_total: int) -> tuple[BiSeries, BiSeries]:
+    """The vertex sum of the deformed partition function, plain and weighted
+    by the row-moment product of nu, from one pass over the vertex values.
 
     Terms are graded by |nu| in Q and |mu| in Q1; every pair with
     |mu| + |nu| <= order_total contributes the exact rational value of
     the vertex product (the half-powers of q cancel pairwise).
     """
-    q = _deformation_base(q)
-    if order_total < 0:
-        raise ValueError("order must be nonnegative")
-    terms: dict[tuple[int, int], QQ] = {}
+    plain: dict[tuple[int, int], QQ] = {}
+    weighted: dict[tuple[int, int], QQ] = {}
     for d_nu in range(order_total + 1):
         for nu in partitions_of(d_nu):
             nu_t = conjugate(nu)
+            moment = _moment_product(svals, nu)
             for d_mu in range(order_total - d_nu + 1):
                 for mu in partitions_of(d_mu):
                     value = topological_vertex((), conjugate(mu), nu, q)
@@ -458,8 +437,17 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
                     if (d_mu + d_nu) % 2:
                         coeff = -coeff
                     key = (2 * d_nu, 2 * d_mu)
-                    terms[key] = terms.get(key, QQ(0)) + coeff
-    return BiSeries(QQ_DOMAIN, 2 * order_total, terms)
+                    plain[key] = plain.get(key, QQ(0)) + coeff
+                    weighted[key] = weighted.get(key, QQ(0)) + coeff * moment
+    order2 = 2 * order_total
+    return BiSeries(QQ_DOMAIN, order2, plain), BiSeries(QQ_DOMAIN, order2, weighted)
+
+
+def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
+    """The defining vertex sum of the deformed partition function."""
+    q = deformation_base(q)
+    check_order(order_total)
+    return _vertex_sums(q, (), order_total)[0]
 
 
 def qdeformed_Z_product(q, order_total: int) -> BiSeries:
@@ -469,7 +457,8 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
     so bands beyond (order_total + 1) // 2 collapse to 1; its factor
     1 - Q^b Q1^b has degree 2b and collapses once 2b > order_total.
     """
-    q = _deformation_base(q)
+    q = deformation_base(q)
+    check_order(order_total)
     order2 = 2 * order_total
     out = macmahon(1, q, (0, 1), order_total)
     for b in range(1, (order_total + 1) // 2 + 1):
@@ -489,24 +478,11 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
 
 def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     """The deformed average of the row-moment product, normalized."""
-    q = _deformation_base(q)
-    svals = tuple(SValue.of(v) for v in s_values)
-    terms: dict[tuple[int, int], QQ] = {}
-    for d_nu in range(order_total + 1):
-        for nu in partitions_of(d_nu):
-            nu_t = conjugate(nu)
-            moment = math.prod((partition_moment(sv, nu) for sv in svals), start=QQ(1))
-            for d_mu in range(order_total - d_nu + 1):
-                for mu in partitions_of(d_mu):
-                    value = topological_vertex((), conjugate(mu), nu, q)
-                    value = value * topological_vertex((), mu, nu_t, q)
-                    coeff = _rational_part(value) * moment
-                    if (d_mu + d_nu) % 2:
-                        coeff = -coeff
-                    key = (2 * d_nu, 2 * d_mu)
-                    terms[key] = terms.get(key, QQ(0)) + coeff
-    numerator = BiSeries(QQ_DOMAIN, 2 * order_total, terms)
-    return numerator / qdeformed_Z_sum(q, order_total)
+    q = deformation_base(q)
+    svals = s_vector(s_values)
+    check_order(order_total)
+    plain, weighted = _vertex_sums(q, svals, order_total)
+    return weighted / plain
 
 
 def correlation_expansion(
@@ -522,6 +498,7 @@ def correlation_expansion(
     """
     if t < 2:
         raise ValueError("t must be at least 2")
+    check_order(q_order)
     l_orders = tuple(int(l) for l in l_orders)
     if len(l_orders) != n:
         raise ValueError("need one l-order per point")

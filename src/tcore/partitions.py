@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ._rat import QQ
-from .qseries import QQ_DOMAIN, QSeries
+from .qseries import QQ_DOMAIN, QSeries, check_order
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -304,37 +304,20 @@ def enumerate_t_cores(t: int, max_size: int, method: str = "direct") -> dict[int
 
 def t_core_size_series(t: int, order: int, method: str = "direct") -> QSeries:
     """Generating function sum Q^|core| over t-cores, by enumeration."""
+    check_order(order)
     grouped = enumerate_t_cores(t, order, method)
     terms = {2 * n: QQ(len(grouped[n])) for n in grouped}
     return QSeries(QQ_DOMAIN, 2 * order, terms)
 
 
-def t_core_product_series(t: int, order: int, exponent: str = "t") -> QSeries:
-    """prod (1 - Q^(nt))^e / (1 - Q^n) with e = t or e = n (both candidate
-    closed forms are printed in the source material; enumeration arbitrates)."""
-    if exponent not in ("t", "n"):
-        raise ValueError("exponent must be 't' or 'n'")
+def t_core_product_series(t: int, order: int) -> QSeries:
+    """prod (1 - Q^(nt))^t / (1 - Q^n), the closed form that enumeration checks."""
+    check_order(order)
     out = QSeries.one(QQ_DOMAIN, order)
     for n in range(1, order + 1):
         denom = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2 * n: QQ(-1)})
         out = out / denom
         if n * t <= order:
-            e = t if exponent == "t" else n
             num = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2 * n * t: QQ(-1)})
-            out = out * num**e
+            out = out * num**t
     return out.truncated(order)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def partition_to_json(lam) -> list[int]:
-    return list(lam)
-
-
-def enumeration_to_json(grouped: dict[int, list[tuple[int, ...]]]) -> list[dict]:
-    return [
-        {"size": n, "partitions": [list(lam) for lam in grouped[n]]}
-        for n in sorted(grouped)
-    ]

@@ -1,12 +1,10 @@
 """Truncated exact series arithmetic.
 
-Four containers live here:
+Three containers live here:
 
-* QSeries      - univariate series in Q with half-integer exponents,
-* BiSeries     - bivariate series in (Q, Q1) truncated by total degree,
-* TaylorZ      - truncated Taylor polynomials in a formal z,
-* LaurentTaylor- multivariate z-tables with an optional simple pole per
-                 variable, whose values are QSeries.
+* QSeries  - univariate series in Q with half-integer exponents,
+* BiSeries - bivariate series in (Q, Q1) truncated by total degree,
+* TaylorZ  - truncated Taylor polynomials in a formal z.
 
 Exponent convention: every Q-exponent is stored DOUBLED as a plain int
 ("exp2"), so Q^(3/2) lives at key 3 and Q^2 at key 4.  Half-integer powers
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, parse_rat, rat_str
+from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, rat_str
 from .cyclo import Cyclo
 from .quadext import SqrtExt
 
@@ -91,11 +89,31 @@ def _as_exp2(order) -> int:
     raise TypeError(f"expected int or HalfExp, got {type(order).__name__}")
 
 
+def check_order(order) -> None:
+    """Reject a negative truncation order where a public route takes it."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # coefficient domains
 
 
-class RationalDomain:
+class _Domain:
+    """A coefficient domain: ``name`` identifies it, ``zero`` and ``one`` are
+    its constants and ``coerce`` brings a scalar into it."""
+
+    def __eq__(self, other):
+        return getattr(other, "name", None) == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return self.name
+
+
+class RationalDomain(_Domain):
     name = "Q"
     zero = RAT_ZERO
     one = RAT_ONE
@@ -109,20 +127,11 @@ class RationalDomain:
             return x.rational_value()
         raise TypeError(f"cannot coerce {x!r} into Q")
 
-    def __eq__(self, other):
-        return isinstance(other, RationalDomain) or getattr(other, "name", None) == self.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return self.name
-
 
 QQ_DOMAIN = RationalDomain()
 
 
-class CycloDomain:
+class CycloDomain(_Domain):
     def __init__(self, m: int):
         self.m = m
         self.name = f"Q(zeta{m})"
@@ -138,43 +147,8 @@ class CycloDomain:
             return Cyclo.from_rat(self.m, x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
-    def __eq__(self, other):
-        return getattr(other, "name", None) == self.name
 
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return self.name
-
-
-class SqrtExtDomain:
-    def __init__(self, d):
-        self.d = QQ(d)
-        self.name = f"Q(sqrt({rat_str(self.d)}))"
-        self.zero = SqrtExt(self.d, RAT_ZERO)
-        self.one = SqrtExt(self.d, RAT_ONE)
-
-    def coerce(self, x):
-        if isinstance(x, SqrtExt):
-            if x.d != self.d:
-                raise ValueError(f"radicand mismatch: {x.d} vs {self.d}")
-            return x
-        if is_rational(x):
-            return SqrtExt(self.d, x)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    def __eq__(self, other):
-        return getattr(other, "name", None) == self.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return self.name
-
-
-class TaylorDomain:
+class TaylorDomain(_Domain):
     """Truncated polynomials in z over an inner scalar domain."""
 
     def __init__(self, inner, z_order: int):
@@ -191,15 +165,6 @@ class TaylorDomain:
             return x
         c = self.inner.coerce(x)
         return TaylorZ(self, (c,) + (self.inner.zero,) * self.z_order)
-
-    def __eq__(self, other):
-        return getattr(other, "name", None) == self.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return self.name
 
 
 class TaylorZ:
@@ -236,10 +201,6 @@ class TaylorZ:
 
     def coeff(self, k: int):
         return self.cs[k]
-
-    @property
-    def constant_term(self):
-        return self.cs[0]
 
     def _coerce(self, other):
         if isinstance(other, TaylorZ):
@@ -318,15 +279,6 @@ class TaylorZ:
         if o is None:
             return NotImplemented
         return o * self.inverse()
-
-    def mul_z_power(self, k: int) -> "TaylorZ":
-        """Multiply by z^k (k >= 0), truncating at the domain order."""
-        n = self.dom.z_order
-        zero = self.dom.inner.zero
-        out = [zero] * (n + 1)
-        for i in range(n + 1 - k):
-            out[i + k] = self.cs[i]
-        return TaylorZ(self.dom, out)
 
     def log(self) -> "TaylorZ":
         """log of a series with constant term exactly 1 (finite sum in z)."""
@@ -420,9 +372,6 @@ class QSeries:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_known_through(self, order) -> bool:
-        return self.trunc2 >= _as_exp2(order)
 
     # -- ring operations ---------------------------------------------------
 
@@ -562,21 +511,6 @@ class QSeries:
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(Q^{HalfExp(self.trunc2 + 1)!r})"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        return {
-            "trunc2": self.trunc2,
-            "terms": [
-                {"exp2": e, "coeff": encode_coeff(self.terms[e])} for e in sorted(self.terms)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj, dom) -> "QSeries":
-        terms = {t["exp2"]: decode_coeff(t["coeff"], dom) for t in obj["terms"]}
-        return cls(dom, obj["trunc2"], terms)
-
 
 def qdiv(a: QSeries, b: QSeries) -> QSeries:
     """Series division a/b; the lowest term of b must be invertible."""
@@ -641,13 +575,6 @@ def qexp(a: QSeries) -> QSeries:
         if m < mmax:
             p = p * a
     return out
-
-
-def as_rational_series(a: QSeries) -> QSeries:
-    """Project onto the rational-domain series, failing on any non-rational
-    coefficient.  Doubles as the reality/rationality assertion for values
-    computed in a cyclotomic field whose answer must be rational."""
-    return a.map_coeffs(QQ_DOMAIN.coerce, QQ_DOMAIN)
 
 
 def lift_series(a: QSeries, dom) -> QSeries:
@@ -826,91 +753,3 @@ class BiSeries:
             bits.append("*".join([f"({cs})"] + mono) if mono else cs)
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(total {HalfExp(self.trunc2 + 1)!r})"
-
-    def to_json(self):
-        return {
-            "trunc2_total": self.trunc2,
-            "terms": [
-                {"expQ2": k[0], "expQ1_2": k[1], "coeff": encode_coeff(self.terms[k])}
-                for k in sorted(self.terms)
-            ],
-        }
-
-
-# ---------------------------------------------------------------------------
-# multivariate Laurent-Taylor tables
-
-
-class LaurentTaylor:
-    """Truncated expansion in z_1..z_n whose values are QSeries.
-
-    Each variable allows exponents from min_exp (0, or -1 when the expansion
-    contains a sinh-reciprocal pole) through its truncation order.  Only the
-    structure the correlation extraction needs is implemented: construction,
-    addition, coefficient access, and division of all values by a QSeries.
-    """
-
-    __slots__ = ("nvars", "min_exps", "orders", "terms")
-
-    def __init__(self, nvars: int, min_exps, orders, terms: dict):
-        min_exps = tuple(min_exps)
-        orders = tuple(orders)
-        if len(min_exps) != nvars or len(orders) != nvars:
-            raise ValueError("per-variable bounds must match the variable count")
-        if any(m not in (-1, 0) for m in min_exps):
-            raise ValueError("minimum exponent must be 0 or -1")
-        for vec in terms:
-            if len(vec) != nvars:
-                raise ValueError("exponent vector arity mismatch")
-            for x, m, o in zip(vec, min_exps, orders):
-                if not (m <= x <= o):
-                    raise ValueError(f"exponent {x} outside [{m}, {o}]")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "min_exps", min_exps)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "terms", dict(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentTaylor is immutable")
-
-    def coeff(self, vec) -> QSeries:
-        vec = tuple(vec)
-        got = self.terms.get(vec)
-        if got is None:
-            raise KeyError(f"no term stored at z-exponents {vec}")
-        return got
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentTaylor):
-            return NotImplemented
-        if (self.nvars, self.min_exps, self.orders) != (other.nvars, other.min_exps, other.orders):
-            raise ValueError("shape mismatch")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return LaurentTaylor(self.nvars, self.min_exps, self.orders, out)
-
-    def scaled_by_inverse(self, denom: QSeries) -> "LaurentTaylor":
-        """Divide every stored QSeries by denom."""
-        out = {k: qdiv(v, denom) for k, v in self.terms.items()}
-        return LaurentTaylor(self.nvars, self.min_exps, self.orders, out)
-
-
-# ---------------------------------------------------------------------------
-# coefficient (de)serialization shared by QSeries/BiSeries
-
-
-def encode_coeff(c):
-    if is_rational(c):
-        return rat_str(c)
-    if isinstance(c, Cyclo):
-        return c.to_json()
-    raise TypeError(f"no JSON encoding for coefficient type {type(c).__name__}")
-
-
-def decode_coeff(obj, dom):
-    if isinstance(obj, str):
-        return dom.coerce(parse_rat(obj))
-    if isinstance(obj, dict) and "m" in obj:
-        return dom.coerce(Cyclo.from_json(obj))
-    raise TypeError(f"cannot decode coefficient payload {obj!r}")

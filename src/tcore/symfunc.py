@@ -1,7 +1,7 @@
 """Exact Schur function evaluation at geometric points, plus the vertex.
 
 Everything here is evaluated at points of the form x_i = q^(a_i - i + 1/2)
-for a fixed rational q with |q| > 1 and a partition shift a.  Power sums at
+for a fixed rational q > 1 and a partition shift a.  Power sums at
 such a point are a finite head plus one geometric tail, so Newton's
 identities and Jacobi-Trudi determinants keep every value inside Q(sqrt(q)).
 Values are plain rationals whenever q is a perfect square of a rational.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from tcore._rat import QQ, rat_pow
+from tcore._rat import QQ, rat_pow, rat_str
 from tcore.partitions import (
     check_partition,
     conjugate,
@@ -22,8 +22,16 @@ from tcore.partitions import (
     n_weight,
     partitions_of,
 )
-from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ
+from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_order
 from tcore.quadext import sqrt_field
+
+
+def deformation_base(q) -> QQ:
+    """The base q of the vertex and its callers as a rational; only q > 1 is supported."""
+    q = QQ(q)
+    if q <= 1:
+        raise ValueError(f"the deformation base must satisfy q > 1, got {rat_str(q)}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -38,11 +46,9 @@ class SpecPoint:
     shift: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "q", QQ(self.q))
+        object.__setattr__(self, "q", deformation_base(self.q))
         object.__setattr__(self, "shift", tuple(int(p) for p in self.shift))
         check_partition(self.shift)
-        if abs(self.q) <= 1:
-            raise ValueError("the base must satisfy |q| > 1")
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +142,7 @@ def schur_hook_eval(lam, q):
     """
     lam = tuple(lam)
     check_partition(lam)
-    q = QQ(q)
-    if abs(q) <= 1:
-        raise ValueError("the base must satisfy |q| > 1")
+    q = deformation_base(q)
     sq, lift = _sqrt_q(q)
     out = sq ** (-(2 * n_weight(lam) + sum(lam)))
     for h in hook_lengths(lam).values():
@@ -175,7 +179,7 @@ def topological_vertex(lam, mu, nu, q, eta_bound: int | None = None):
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     for p in (lam, mu, nu):
         check_partition(p)
-    q = QQ(q)
+    q = deformation_base(q)
     _, lift = _sqrt_q(q)
     lam_t = conjugate(lam)
     nu_t = conjugate(nu)
@@ -201,6 +205,7 @@ def schur_pair_sum_series(nu1, nu2, q, z_order: int) -> TaylorZ:
     plain rational and the result lives over the rational domain.
     """
     nu1, nu2 = tuple(nu1), tuple(nu2)
+    check_order(z_order)
     q = QQ(q)
     spec1 = SpecPoint(q, nu1)
     spec2 = SpecPoint(q, conjugate(nu2))
@@ -253,19 +258,16 @@ def _boxes(p):
             yield j, k
 
 
-def hook_pair_product_series(nu1, nu2, q, z_order: int, mixed: str = "row") -> TaylorZ:
+def hook_pair_product_series(nu1, nu2, q, z_order: int) -> TaylorZ:
     """Product form of the shifted dual Cauchy sum, z-truncated.
 
     The vacuum double product is corrected by one factor per box of nu1 and
     one per box of nu2.  The nu2-indexed factor pairs the box (j, k) with
-    either the j-th row length of nu2 (``mixed="row"``) or the j-th column
-    length (``mixed="column"``); only the row form matches the brute sum,
-    the column form is kept so the mismatch stays testable.
+    the j-th row length of nu2; only the row pairing matches the brute sum.
     """
-    if mixed not in ("row", "column"):
-        raise ValueError("mixed must be 'row' or 'column'")
     nu1, nu2 = tuple(nu1), tuple(nu2)
-    q = QQ(q)
+    check_order(z_order)
+    q = deformation_base(q)
     dom = TaylorDomain(QQ_DOMAIN, z_order)
     nu1t = conjugate(nu1)
     nu2t = conjugate(nu2)
@@ -274,7 +276,6 @@ def hook_pair_product_series(nu1, nu2, q, z_order: int, mixed: str = "row") -> T
         e = nu1[j - 1] + _part(nu2t, k) - j - k + 1
         out = out * _one_plus_z_times(dom, rat_pow(q, e))
     for j, k in _boxes(nu2):
-        second = nu2[j - 1] if mixed == "row" else _part(nu2t, j)
-        e = -_part(nu1t, k) - second + j + k - 1
+        e = -_part(nu1t, k) - nu2[j - 1] + j + k - 1
         out = out * _one_plus_z_times(dom, rat_pow(q, e))
     return out

@@ -21,16 +21,15 @@ from tcore.qseries import (
     CycloDomain,
     HalfExp,
     QSeries,
-    SqrtExtDomain,
     TaylorDomain,
     TaylorZ,
     _as_exp2,
+    check_order,
     half,
     lift_series,
     qdiv,
     qlog,
 )
-from tcore.quadext import SqrtExt
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +62,6 @@ def divisor_power_sum(n: int, k: int):
 def _infer_domain(value):
     if isinstance(value, Cyclo):
         return CycloDomain(value.m)
-    if isinstance(value, SqrtExt):
-        return SqrtExtDomain(value.d)
     if isinstance(value, TaylorZ):
         return value.dom
     if is_rational(value):
@@ -99,12 +96,12 @@ class ThetaArg:
                 raise ValueError("sqrt_value does not square to value")
 
     @classmethod
-    def scaled_root(cls, scale, t: int = 1, e: int = 0, conductor: int | None = None):
-        """scale * xi_t^e with its square root, in an explicit cyclotomic home.
+    def scaled_root(cls, scale, t: int = 1, e: int = 0):
+        """scale * xi_t^e with its square root, in the least cyclotomic home.
 
         |scale| must be a perfect square of a rational; the root of a
         negative scale picks up a quarter turn, which forces 4 | conductor.
-        Conductor 2 or below collapses to plain rationals.
+        Conductor 2 collapses to plain rationals.
         """
         scale = QQ(scale)
         if scale == 0:
@@ -112,12 +109,9 @@ class ThetaArg:
         sigma = rational_sqrt(abs(scale))
         if sigma is None:
             raise ValueError(f"|scale| = {abs(scale)} is not a perfect square")
-        needed = 2 * t if scale > 0 else math.lcm(2 * t, 4)
-        m = conductor if conductor is not None else needed
-        if m % needed:
-            raise ValueError(f"conductor {m} cannot hold xi_{t} roots of this sign")
+        m = 2 * t if scale > 0 else math.lcm(2 * t, 4)
         exp = (m // t) * e + (m // 2 if scale < 0 else 0)
-        if m <= 2:
+        if m == 2:
             # conductor 2 is the rationals; the root of xi_2^(2e) is (-1)^e
             sqrt_sign = QQ(1) if (exp // 2) % 2 == 0 else QQ(-1)
             return cls(scale, sigma * sqrt_sign)
@@ -130,15 +124,6 @@ class ThetaArg:
         inv = self.dom.one / self.value
         sq = None if self.sqrt_value is None else self.dom.one / self.sqrt_value
         return ThetaArg(inv, sq, -self.q_shift, self.dom)
-
-
-def _linear_factor(dom, coeff, exp2: int, order2: int, sign: int = -1) -> QSeries:
-    """1 + sign * coeff * Q^(exp2/2), collapsing to 1 past the window."""
-    one = QSeries.one(dom, HalfExp(order2))
-    if exp2 > order2:
-        return one
-    mono = QSeries.monomial(dom, coeff, HalfExp(exp2), HalfExp(order2))
-    return one + mono if sign > 0 else one - mono
 
 
 def _euler_cube(dom, order2: int) -> QSeries:
@@ -163,6 +148,7 @@ def vartheta(arg: ThetaArg, order) -> QSeries:
     """
     if arg.sqrt_value is None:
         raise ValueError("vartheta needs the square-root branch of its argument")
+    check_order(order)
     dom = arg.dom
     order2 = _as_exp2(order)
     k = arg.q_shift
@@ -203,57 +189,27 @@ def _j_sum(dom, z, order2: int, q_shift: int) -> QSeries:
     return _power_sum(dom, -z, order2, lambda a: a * (a - 1) + 2 * a * q_shift)
 
 
-def jfunc(arg: ThetaArg, order, form: str = "sum") -> QSeries:
-    """The Jacobi triple-product series, by sum or by product.
+def jfunc(arg: ThetaArg, order) -> QSeries:
+    """The Jacobi triple-product series sum_a (-z)^a Q^((a^2-a)/2).
 
-    The sum runs over the integers a with (-z)^a Q^((a^2-a)/2); the product
-    form is prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b).  Both are implemented so
-    the classical identity between them stays a checkable fact.
+    The sum equals the product prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b); the
+    tests keep that product as an oracle.
     """
-    dom = arg.dom
-    order2 = _as_exp2(order)
-    if form == "sum":
-        return _j_sum(dom, arg.value, order2, arg.q_shift)
-    if form != "product":
-        raise ValueError("form must be 'sum' or 'product'")
-    if arg.q_shift != 0:
-        raise ValueError("the product form is implemented for unshifted arguments")
-    z = arg.value
-    zi = dom.one / z
-    bmax = order2 // 2 + 1
-    out = QSeries.one(dom, HalfExp(order2))
-    for b in range(1, bmax + 1):
-        out = out * _linear_factor(dom, dom.one, 2 * b, order2)
-        out = out * _linear_factor(dom, z, 2 * (b - 1), order2)
-        out = out * _linear_factor(dom, zi, 2 * b, order2)
-    return out
+    check_order(order)
+    return _j_sum(arg.dom, arg.value, _as_exp2(order), arg.q_shift)
 
 
-def theta3(arg: ThetaArg, order, form: str = "sum") -> QSeries:
+def theta3(arg: ThetaArg, order) -> QSeries:
     """The symmetric theta series sum_a z^a Q^(a^2/2).
 
     Branch-free: only integer powers of z appear, so the argument needs no
-    square root.  The product form (an oracle, via the triple product) is
-    prod (1-Q^b)(1+zQ^(b-1/2))(1+z^{-1}Q^(b-1/2)).
+    square root.  The sum equals the triple product
+    prod (1-Q^b)(1+zQ^(b-1/2))(1+z^{-1}Q^(b-1/2)), which the tests keep as
+    an oracle.
     """
-    dom = arg.dom
-    order2 = _as_exp2(order)
-    if form == "sum":
-        k = arg.q_shift
-        return _power_sum(dom, arg.value, order2, lambda a: a * a + 2 * a * k)
-    if form != "product":
-        raise ValueError("form must be 'sum' or 'product'")
-    if arg.q_shift != 0:
-        raise ValueError("the product form is implemented for unshifted arguments")
-    z = arg.value
-    zi = dom.one / z
-    bmax = order2 // 2 + 1
-    out = QSeries.one(dom, HalfExp(order2))
-    for b in range(1, bmax + 1):
-        out = out * _linear_factor(dom, dom.one, 2 * b, order2)
-        out = out * _linear_factor(dom, z, 2 * b - 1, order2, sign=1)
-        out = out * _linear_factor(dom, zi, 2 * b - 1, order2, sign=1)
-    return out
+    check_order(order)
+    k = arg.q_shift
+    return _power_sum(arg.dom, arg.value, _as_exp2(order), lambda a: a * a + 2 * a * k)
 
 
 def _biexp(a: BiSeries) -> BiSeries:
@@ -288,6 +244,7 @@ def macmahon(z, q, weight, order) -> BiSeries:
     q = QQ(q)
     if abs(q) <= 1:
         raise ValueError("the base must satisfy |q| > 1")
+    check_order(order)
     z = QQ(z)
     order2 = _as_exp2(order)
     wq2, wq12 = _as_exp2(weight[0]), _as_exp2(weight[1])
@@ -306,28 +263,11 @@ def macmahon(z, q, weight, order) -> BiSeries:
     return _biexp(log_m)
 
 
-def macmahon_brute(z, q, weight, order, jmax: int) -> BiSeries:
-    """Direct truncated product over j <= jmax, for truncation-stability tests."""
-    q = QQ(q)
-    z = QQ(z)
-    order2 = _as_exp2(order)
-    wq, wq1 = weight
-    out = BiSeries.one(QQ_DOMAIN, HalfExp(order2))
-    for j in range(1, jmax + 1):
-        factor = BiSeries.one(QQ_DOMAIN, HalfExp(order2)) - BiSeries.monomial(
-            QQ_DOMAIN, z * rat_pow(q, -j), wq, wq1, HalfExp(order2)
-        )
-        out = out * factor**j
-        out = BiSeries(out.dom, min(out.trunc2, order2), {
-            k: c for k, c in out.terms.items() if k[0] + k[1] <= order2
-        })
-    return out
-
-
 def eisenstein(k: int, order: int) -> QSeries:
     """The weight-2k Eisenstein series, constant term -B_2k/(4k)."""
     if k < 1:
         raise ValueError("the weight parameter must be at least 1")
+    check_order(order)
     terms = {0: -bernoulli(2 * k) / (4 * k)}
     for n in range(1, order + 1):
         terms[2 * n] = divisor_power_sum(n, 2 * k - 1)
@@ -370,6 +310,7 @@ def level_series(t: int, r: int, l: int, order: int) -> QSeries:
     """
     if l < 1:
         raise ValueError("the weight index must be at least 1")
+    check_order(order)
     logratio = _log_theta_ratio(t, r, l, order)
     dom_c = CycloDomain(2 * t)
     fact = math.factorial(l)

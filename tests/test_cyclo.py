@@ -139,11 +139,6 @@ def test_embedding_value():
         assert abs(got - mpmath.mpc(0, 1)) < mpmath.mpf(2) ** (-100)
 
 
-def test_json_round_trip():
-    a = Cyclo(8, [QQ(1, 2), QQ(-3), QQ(0), QQ(7, 5)])
-    assert Cyclo.from_json(a.to_json()) == a
-
-
 # ---------------------------------------------------------------------------
 # quadratic extension
 

@@ -26,10 +26,17 @@ from tcore.npoint import (
     s_vector,
     set_partitions,
 )
-from tcore.partitions import conjugate, enumerate_t_cores, hook_lengths, partitions_of
+from tcore.partitions import (
+    conjugate,
+    enumerate_t_cores,
+    hook_lengths,
+    partitions_of,
+    t_core_product_series,
+    t_core_size_series,
+)
 from tcore.qseries import QQ_DOMAIN, QSeries, qdiv
 from tcore.symfunc import SpecPoint, skew_schur
-from tcore.theta import ThetaArg, eisenstein, macmahon, vartheta
+from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -80,7 +87,7 @@ def test_partition_moment_ignores_zero_padding(parts, root, pad):
 
 
 def test_s_vector_screen_passes_disjoint_values():
-    vec = s_vector((S4, S94, S2516), 3)
+    vec = s_vector((S4, S94, S2516))
     assert [v.s for v in vec] == [S4, S94, S2516]
 
 
@@ -144,6 +151,29 @@ def test_brute_force_t2_published_coefficients():
 def test_brute_force_empty_product_is_one():
     series = brute_force_Ft(3, (), 5)
     assert series.agrees_with(QSeries.one(QQ_DOMAIN, 5), 5)
+
+
+@pytest.mark.parametrize("route", [
+    lambda: brute_force_Ft(2, (S4,), -1),
+    lambda: bloch_okounkov_F((S4,), -1),
+    lambda: closed_Ft(2, (S4,), 1, -1),
+    lambda: closed_Ft_r(2, (S4, S94), 1, -1),
+    lambda: correlation_expansion(3, 0, (), -1),
+    lambda: qdeformed_Z_sum(2, -1),
+    lambda: qdeformed_Zn_sum(2, (S4,), -1),
+    lambda: qdeformed_Z_product(2, -1),
+    lambda: level_series(3, 1, 1, -1),
+    lambda: eisenstein(1, -1),
+    lambda: vartheta(ThetaArg(S4, QQ(2)), -1),
+    lambda: theta3(ThetaArg(S4), -1),
+    lambda: jfunc(ThetaArg(S4), -1),
+    lambda: macmahon(1, 2, (0, 1), -1),
+    lambda: t_core_product_series(3, -1),
+    lambda: t_core_size_series(3, -1),
+])
+def test_negative_order_is_rejected_at_the_boundary(route):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        route()
 
 
 def test_brute_force_rejects_bad_inputs():

@@ -167,7 +167,7 @@ def test_partition_generating_function():
 
 def test_t_core_generating_function_small():
     got = t_core_size_series(2, 15)
-    want = t_core_product_series(2, 15, exponent="t")
+    want = t_core_product_series(2, 15)
     assert got == want
 
 

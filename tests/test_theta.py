@@ -2,10 +2,11 @@
 
 import pytest
 
-from tcore._rat import QQ, rat
+from tcore._rat import QQ, rat, rat_pow
 from tcore.cyclo import Cyclo
 from tcore.qseries import (
     QQ_DOMAIN,
+    BiSeries,
     CycloDomain,
     HalfExp,
     QSeries,
@@ -24,7 +25,6 @@ from tcore.theta import (
     jfunc,
     level_series,
     macmahon,
-    macmahon_brute,
     theta3,
     vartheta,
 )
@@ -50,6 +50,57 @@ def vartheta_product(arg, order):
         den = den * euler * euler
     pref = arg.sqrt_value - dom.one / arg.sqrt_value
     return qdiv(num, den).map_coeffs(lambda c: c * pref)
+
+
+def _linear_factor(dom, coeff, exp2: int, order2: int, sign: int = -1) -> QSeries:
+    """1 + sign * coeff * Q^(exp2/2), collapsing to 1 past the window."""
+    one = QSeries.one(dom, HalfExp(order2))
+    if exp2 > order2:
+        return one
+    mono = QSeries.monomial(dom, coeff, HalfExp(exp2), HalfExp(order2))
+    return one + mono if sign > 0 else one - mono
+
+
+def jfunc_product(arg, order):
+    """The product-form oracle prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b) for jfunc."""
+    dom, z = arg.dom, arg.value
+    order2 = 2 * order
+    out = QSeries.one(dom, order)
+    for b in range(1, order + 2):
+        out = out * _linear_factor(dom, dom.one, 2 * b, order2)
+        out = out * _linear_factor(dom, z, 2 * (b - 1), order2)
+        out = out * _linear_factor(dom, dom.one / z, 2 * b, order2)
+    return out
+
+
+def theta3_product(arg, order):
+    """The product-form oracle prod (1-Q^b)(1+zQ^(b-1/2))(1+z^{-1}Q^(b-1/2))."""
+    dom, z = arg.dom, arg.value
+    order2 = 2 * order
+    out = QSeries.one(dom, order)
+    for b in range(1, order + 2):
+        out = out * _linear_factor(dom, dom.one, 2 * b, order2)
+        out = out * _linear_factor(dom, z, 2 * b - 1, order2, sign=1)
+        out = out * _linear_factor(dom, dom.one / z, 2 * b - 1, order2, sign=1)
+    return out
+
+
+def macmahon_brute(z, q, weight, order, jmax: int) -> BiSeries:
+    """The direct product over j <= jmax, the truncation oracle for macmahon."""
+    q = QQ(q)
+    z = QQ(z)
+    order2 = 2 * order
+    wq, wq1 = weight
+    out = BiSeries.one(QQ_DOMAIN, order)
+    for j in range(1, jmax + 1):
+        factor = BiSeries.one(QQ_DOMAIN, order) - BiSeries.monomial(
+            QQ_DOMAIN, z * rat_pow(q, -j), wq, wq1, order
+        )
+        out = out * factor**j
+        out = BiSeries(out.dom, min(out.trunc2, order2), {
+            k: c for k, c in out.terms.items() if k[0] + k[1] <= order2
+        })
+    return out
 
 
 def _oracle_args():
@@ -157,7 +208,7 @@ def test_theta3_half_order():
 def test_theta3_sum_equals_product():
     z = Cyclo.root(6, 2) * rat(3, 2)
     arg = ThetaArg(z)
-    assert theta3(arg, 8) == theta3(arg, 8, form="product")
+    assert theta3(arg, 8) == theta3_product(arg, 8)
 
 
 def test_theta3_lattice_translation():
@@ -180,10 +231,10 @@ def test_theta3_frozen_support():
 def test_jacobi_triple_product():
     for z in (QQ(2), rat(-3, 2)):
         arg = ThetaArg(z)
-        assert jfunc(arg, 10) == jfunc(arg, 10, form="product"), z
+        assert jfunc(arg, 10) == jfunc_product(arg, 10), z
     zc = Cyclo.root(3, 1)
     arg = ThetaArg(zc)
-    assert jfunc(arg, 10) == jfunc(arg, 10, form="product")
+    assert jfunc(arg, 10) == jfunc_product(arg, 10)
 
 
 def test_vartheta_derivative_at_one():
