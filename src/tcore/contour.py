@@ -17,6 +17,14 @@ value is split as z^(1/2) * (1 - 1/z) * (even product), the paired z^(1/2)
 factors are cancelled by hand before any evaluation happens, and what remains
 is a single-valued function of the grid point.  Square roots are taken only
 of positive reals and of the nome itself.
+
+On the grid axes of the t-core integrands the pairing goes one step
+further.  The t thetas at the arguments -w xi^a, xi^a running over the t-th
+roots of unity, multiply to a single theta at nome Q^t and argument (-w)^t,
+up to a constant that cancels between numerator and denominator.  So each
+axis costs two products at the faster-converging nome Q^t instead of 2t at
+nome Q, and its half-powers reduce to s^(t/2), which cancels against the
+integrand's constant.
 """
 
 from __future__ import annotations
@@ -66,14 +74,17 @@ def _abs_float(x) -> float:
 class _NomeContext:
     """Per-(Q, precision) state shared by the theta product evaluators.
 
-    Holds the nome powers and the z-independent normalizing products so that
-    evaluating a theta function at a new argument only costs the argument-
-    dependent factors.  Products are truncated once a factor differs from 1
-    by less than 2^-(prec + guard); the guard keeps the discarded tail below
-    the rounding floor of the requested precision.
+    Holds the nome powers, paired with the constant part of each factor pair,
+    and the z-independent normalizing products, so that evaluating a theta
+    function at a new argument only costs the argument-dependent factors.
+    Products are truncated once a factor differs from 1 by less than
+    2^-(prec + guard); the guard keeps the discarded tail below the rounding
+    floor of the requested precision.
     """
 
-    __slots__ = ("Q", "abs_Q", "sqrt_Q", "tol", "euler", "vt_norm", "_pow")
+    __slots__ = (
+        "Q", "abs_Q", "sqrt_Q", "tol", "euler", "vt_norm", "_pairs", "_half_pairs"
+    )
 
     def __init__(self, Q):
         self.Q = Q
@@ -82,24 +93,32 @@ class _NomeContext:
             raise ValueError("the nome must satisfy |Q| < 1")
         self.sqrt_Q = mp.sqrt(Q)
         self.tol = mp.mpf(2) ** (-(mp.mp.prec + _GUARD_BITS))
-        self._pow = [mp.mpf(1), Q]
+        self._pairs = [None]
+        self._half_pairs = [None]
         euler = mp.mpf(1)
         b, m = 1, self.abs_Q
         while m >= self.tol:
-            euler *= 1 - self.power(b)
+            euler *= 1 - self.pair(b)[0]
             b += 1
             m *= self.abs_Q
         self.euler = euler
         self.vt_norm = 1 / (euler * euler)
 
-    def power(self, b: int):
-        while len(self._pow) <= b:
-            self._pow.append(self._pow[-1] * self.Q)
-        return self._pow[b]
+    def pair(self, b: int):
+        """(Q^b, 1 + Q^(2b)), as (1 - z Q^b)(1 - Q^b/z) = 1 + Q^(2b) - Q^b (z + 1/z)."""
+        pairs = self._pairs
+        while len(pairs) <= b:
+            qb = self.Q if len(pairs) == 1 else pairs[-1][0] * self.Q
+            pairs.append((qb, 1 + qb * qb))
+        return pairs[b]
 
-    def half_power(self, b: int):
-        """Q^(b - 1/2), principal square root of Q."""
-        return self.sqrt_Q * self.power(b - 1)
+    def half_pair(self, b: int):
+        """(Q^(b-1/2), 1 + Q^(2b-1)), with the principal square root of Q."""
+        pairs = self._half_pairs
+        while len(pairs) <= b:
+            qh = self.sqrt_Q if len(pairs) == 1 else pairs[-1][0] * self.Q
+            pairs.append((qh, 1 + qh * qh))
+        return pairs[b]
 
 
 _nome_cache: dict = {}
@@ -120,15 +139,18 @@ def _vartheta_even(z, ctx: _NomeContext):
     """The odd theta function with its z^(1/2) stripped off.
 
     Returns (1 - 1/z) * prod_b (1 - z Q^b)(1 - Q^b/z) / (1 - Q^b)^2, so that
-    the true theta value is z^(1/2) times this.  Single-valued in z.
+    the true theta value is z^(1/2) times this.  Single-valued in z.  Each
+    factor pair is taken as 1 + Q^(2b) - Q^b (z + 1/z): one complex product
+    per b instead of two.
     """
     zinv = 1 / z
+    z_sym = z + zinv
     acc = (1 - zinv) * ctx.vt_norm
     scale = max(abs(z), abs(zinv))
     b, m = 1, scale * ctx.abs_Q
     while m >= ctx.tol:
-        qb = ctx.power(b)
-        acc *= (1 - z * qb) * (1 - zinv * qb)
+        qb, cb = ctx.pair(b)
+        acc *= cb - qb * z_sym
         b += 1
         m *= ctx.abs_Q
     return acc
@@ -140,14 +162,18 @@ def _vartheta_pos(x, ctx: _NomeContext):
 
 
 def _theta3(z, ctx: _NomeContext):
-    """Even theta value: prod_b (1 - Q^b)(1 + z Q^(b-1/2))(1 + Q^(b-1/2)/z)."""
+    """Even theta value: prod_b (1 - Q^b)(1 + z Q^(b-1/2))(1 + Q^(b-1/2)/z).
+
+    Paired like ``_vartheta_even``: 1 + Q^(2b-1) + Q^(b-1/2) (z + 1/z).
+    """
     zinv = 1 / z
+    z_sym = z + zinv
     acc = ctx.euler
     scale = max(abs(z), abs(zinv), mp.mpf(1))
     b, m = 1, scale * abs(ctx.sqrt_Q)
     while m >= ctx.tol:
-        qh = ctx.half_power(b)
-        acc *= (1 + z * qh) * (1 + zinv * qh)
+        qh, ch = ctx.half_pair(b)
+        acc *= ch + qh * z_sym
         b += 1
         m *= ctx.abs_Q
     return acc
@@ -321,27 +347,21 @@ def torus_extract(f, cfg: QuadratureConfig):
 
 
 def _check_point(s, w):
-    if not 1 <= len(s) <= _MAX_VARS:
-        raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
     if len(w) != len(s):
         raise ValueError("one grid coordinate per s value is required")
 
 
-def _roots_of_unity(t: int) -> list:
-    return [mp.expjpi(mp.mpf(2 * a) / t) for a in range(t)]
+def _axis_factor(s_t, z_t, ctx_t: _NomeContext):
+    """s^(-t/2) prod_a theta(-s w xi^a) / theta(-w xi^a), xi = exp(2 pi i/t).
 
-
-def _axis_factor(sj, half_t_power, wj, xi, ctx):
-    """prod_a theta(-s w xi^a) / theta(-w xi^a), half-powers pre-cancelled.
-
-    Each factor pair shares the root of -w xi^a, so only s^(t/2) survives
-    from the half-powers; ``half_t_power`` supplies it.
+    Over the t-th roots of unity prod_a (1 - z xi^a Q^b) = 1 - z^t Q^(tb), so
+    the t stripped thetas at nome Q collapse to one at nome Q^t, up to a
+    constant that cancels between numerator and denominator.  Hence the value
+    is theta_even(s^t z_t; Q^t) / theta_even(z_t; Q^t) with z_t = (-w)^t and
+    ``s_t`` = s^t.  The half-powers of each factor pair leave s^(t/2), which
+    cancels against the s^(-t/2) of the integrand's constant.
     """
-    acc = half_t_power
-    for root in xi:
-        z = -wj * root
-        acc *= _vartheta_even(sj * z, ctx) / _vartheta_even(z, ctx)
-    return acc
+    return _vartheta_even(s_t * z_t, ctx_t) / _vartheta_even(z_t, ctx_t)
 
 
 def _cross_factor(si, sk, u, ctx):
@@ -362,25 +382,105 @@ def _det(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _stripped_det(s_m, sqrt_s, w, q2_mp, sign, ctx):
-    """det of Theta_3(sign Q2 s_i^(-1) w_i^(-1) w_j) / theta(s_i w_i w_j^(-1)).
+class _Integrand:
+    """const * prod_j axis(j, w_j) * coupling(w), its w-free parts built once.
+
+    ``axis`` is None when the integrand has no per-circle factors.  The
+    coupling depends on the grid point only through the ratios w_i / w_k,
+    which is what lets the two-circle path tabulate it over one angle.
+    """
+
+    __slots__ = ("const", "axis", "coupling")
+
+    def __init__(self, const, axis, coupling):
+        self.const = const
+        self.axis = axis
+        self.coupling = coupling
+
+    def __call__(self, w):
+        acc = self.const * self.coupling(w)
+        if self.axis is not None:
+            for j, wj in enumerate(w):
+                acc *= self.axis(j, wj)
+        return acc
+
+
+def _setup(s, Q):
+    """The s-values as mpmath numbers and the nome context, at working precision."""
+    if not 1 <= len(s) <= _MAX_VARS:
+        raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
+    return [_as_mp(sj) for sj in s], _nome_context(_as_mp(Q))
+
+
+def _t_core_axes(t: int, s_m, ctx):
+    """The axis factors of the t-core integrands, at nome Q^t."""
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    ctx_t = _nome_context(ctx.Q**t)
+    s_t = [sj**t for sj in s_m]
+    return lambda j, wj: _axis_factor(s_t[j], (-wj) ** t, ctx_t)
+
+
+def _det_integrand(s_m, ctx, Q2, sign, axis):
+    """det Theta_3(sign Q2 / v_ij) / theta(v_ij), v_ij = s_i w_i / w_j, normalised.
 
     Matrix entries are computed without the (w_i/w_j)^(1/2) factors: those
     multiply to 1 along every permutation, so stripping them changes no
-    determinant, while the leftover s_i^(1/2) per row is divided out here.
+    determinant, while the leftover s_i^(1/2) per row joins the constant.  The
+    diagonal entries do not depend on w and are computed once.
     """
+    q2 = _as_mp(Q2)
+    if not q2:
+        raise ValueError("Q2 must be nonzero")
     n = len(s_m)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = s_m[i] * w[i] / w[j]
-            row.append(_theta3(sign * q2_mp / v, ctx) / _vartheta_even(v, ctx))
-        rows.append(row)
-    det = _det(rows)
-    for r in sqrt_s:
-        det /= r
-    return det
+    s_all = mp.mpf(1)
+    for sj in s_m:
+        s_all *= sj
+    const = 1 / (_theta3(sign * q2, ctx) ** (n - 1) * _theta3(sign * q2 / s_all, ctx))
+    for sj in s_m:
+        const /= mp.sqrt(sj)
+
+    def entry(v):
+        return _theta3(sign * q2 / v, ctx) / _vartheta_even(v, ctx)
+
+    diag = [entry(sj) for sj in s_m]
+
+    def coupling(w):
+        return _det(
+            [
+                [diag[i] if i == j else entry(s_m[i] * w[i] / w[j]) for j in range(n)]
+                for i in range(n)
+            ]
+        )
+
+    return _Integrand(const, axis, coupling)
+
+
+def _cor42(t: int, s, Q) -> _Integrand:
+    s_m, ctx = _setup(s, Q)
+    axis = _t_core_axes(t, s_m, ctx)
+    const = mp.mpf(1)
+    for sj in s_m:
+        const /= _vartheta_pos(sj, ctx)
+    pairs = list(itertools.combinations(range(len(s_m)), 2))
+
+    def coupling(w):
+        acc = mp.mpf(1)
+        for i, k in pairs:
+            acc *= _cross_factor(s_m[i], s_m[k], w[k] / w[i], ctx)
+        return acc
+
+    return _Integrand(const, axis, coupling)
+
+
+def _cor43(t: int, s, Q, Q2) -> _Integrand:
+    s_m, ctx = _setup(s, Q)
+    return _det_integrand(s_m, ctx, Q2, -1, _t_core_axes(t, s_m, ctx))
+
+
+def _bo_determinant(s, Q, Q2) -> _Integrand:
+    s_m, ctx = _setup(s, Q)
+    return _det_integrand(s_m, ctx, Q2, 1, None)
 
 
 def eval_cor42(t: int, s, Q, w):
@@ -389,21 +489,9 @@ def eval_cor42(t: int, s, Q, w):
     Includes the constant prefactor prod_j s_j^(-t/2)/theta(s_j), so the
     torus average of this function is the final value.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    integrand = _cor42(t, s, Q)
     _check_point(s, w)
-    ctx = _nome_context(_as_mp(Q))
-    s_m = [_as_mp(sj) for sj in s]
-    sqrt_s = [mp.sqrt(sj) for sj in s_m]
-    xi = _roots_of_unity(t)
-    acc = mp.mpc(1)
-    for sj, rj, wj in zip(s_m, sqrt_s, w):
-        pref = rj ** (-t) / _vartheta_pos(sj, ctx)
-        acc *= pref * _axis_factor(sj, rj**t, wj, xi, ctx)
-    for i in range(len(s_m)):
-        for k in range(i + 1, len(s_m)):
-            acc *= _cross_factor(s_m[i], s_m[k], w[k] / w[i], ctx)
-    return acc
+    return integrand(w)
 
 
 def eval_cor43(t: int, s, Q, Q2, w):
@@ -412,156 +500,94 @@ def eval_cor43(t: int, s, Q, Q2, w):
     The free parameter Q2 may be any nonzero number; the extracted constant
     mode does not depend on it.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    integrand = _cor43(t, s, Q, Q2)
     _check_point(s, w)
-    q2_mp = _as_mp(Q2)
-    if not q2_mp:
-        raise ValueError("Q2 must be nonzero")
-    ctx = _nome_context(_as_mp(Q))
-    s_m = [_as_mp(sj) for sj in s]
-    sqrt_s = [mp.sqrt(sj) for sj in s_m]
-    xi = _roots_of_unity(t)
-    s_all = mp.mpf(1)
-    for sj in s_m:
-        s_all *= sj
-    pref = 1
-    for rj in sqrt_s:
-        pref /= rj**t
-    pref /= _theta3(-q2_mp, ctx) ** (len(s_m) - 1) * _theta3(-q2_mp / s_all, ctx)
-    acc = mp.mpc(pref)
-    for sj, rj, wj in zip(s_m, sqrt_s, w):
-        acc *= _axis_factor(sj, rj**t, wj, xi, ctx)
-    return acc * _stripped_det(s_m, sqrt_s, w, q2_mp, -1, ctx)
+    return integrand(w)
 
 
 def eval_bo_determinant(s, Q, Q2, w):
     """Determinant integrand for the n-point function of all partitions."""
+    integrand = _bo_determinant(s, Q, Q2)
     _check_point(s, w)
-    q2_mp = _as_mp(Q2)
-    if not q2_mp:
-        raise ValueError("Q2 must be nonzero")
-    ctx = _nome_context(_as_mp(Q))
-    s_m = [_as_mp(sj) for sj in s]
-    sqrt_s = [mp.sqrt(sj) for sj in s_m]
-    s_all = mp.mpf(1)
-    for sj in s_m:
-        s_all *= sj
-    pref = 1 / (_theta3(q2_mp, ctx) ** (len(s_m) - 1) * _theta3(q2_mp / s_all, ctx))
-    return pref * _stripped_det(s_m, sqrt_s, w, q2_mp, 1, ctx)
+    return integrand(w)
 
 
-# -- tabulated two-variable path ---------------------------------------------
+# -- extraction ----------------------------------------------------------------
 
 
-def _pair_average(axis1, axis2, g_table, M: int):
+def _dft(values, phases):
+    """sum_k values[k] phases[j k mod M] for every j, by radix-2 splitting.
+
+    ``phases`` holds the M-th roots of unity in order; every other one of them
+    serves the half-length transforms.
+    """
+    M = len(values)
+    if M == 1:
+        return list(values)
+    roots = phases[::2]
+    even = _dft(values[::2], roots)
+    odd = _dft(values[1::2], roots)
+    half = M // 2
+    out = [None] * M
+    for j in range(half):
+        twiddled = phases[j] * odd[j]
+        out[j] = even[j] + twiddled
+        out[j + half] = even[j] - twiddled
+    return out
+
+
+def _pair_average(axis1, axis2, g_table, phases):
     """Average A1(k1) A2(k2) g(k2 - k1 mod M) over the M^2 grid.
 
     The integrands only couple the two circles through the ratio w_1^(-1)w_2,
-    so the double sum collapses to M circular correlations of the axis
-    tables; this turns an M^2-point integrand sweep into O(M) theta
-    evaluations plus M^2 multiplications.
+    so the double sum is a circular correlation.  With X^(j) the DFT of a
+    table over ``phases``, it equals (1/M) sum_j g^(j) A1^(j) A2^(-j): three
+    O(M log M) transforms and M products, reduced in a fixed order.
     """
-    total = []
-    for d in range(M):
-        prods = [axis1[k] * axis2[(k + d) % M] for k in range(M)]
-        total.append(g_table[d] * _pairwise_sum(prods))
-    return _pairwise_sum(total) / mp.mpf(M) ** 2
+    M = len(phases)
+    g_hat = _dft(g_table, phases)
+    a1_hat = _dft(axis1, phases)
+    a2_hat = _dft(axis2, phases)
+    terms = [g_hat[j] * a1_hat[j] * a2_hat[-j % M] for j in range(M)]
+    return _pairwise_sum(terms) / mp.mpf(M) ** 3
 
 
-def _two_var_tables(t, s_m, sqrt_s, cfg, ctx, phases):
-    """Axis tables for both circles at every grid angle."""
-    xi = _roots_of_unity(t)
-    tables = []
-    for sj, rj, c in zip(s_m, sqrt_s, (mp.mpf(cfg.radii[0]), mp.mpf(cfg.radii[1]))):
-        half = rj**t
-        tables.append([_axis_factor(sj, half, c * ph, xi, ctx) for ph in phases])
-    return tables
+def _extract(build, s, cfg: QuadratureConfig):
+    """Grid average of the integrand ``build()`` makes at the working precision.
+
+    One circle or three: the generic sweep.  Two circles: the axis factors are
+    tabulated per circle and the coupling over the ratio angle, so the M^2
+    grid costs O(M) integrand parts.
+    """
+    cfg.validate_region(s)
+    with mp.workprec(cfg.precision_bits):
+        f = build()
+        if cfg.n != 2:
+            return torus_extract(f, cfg)
+        phases = _phases(cfg.M)
+        c1, c2 = (mp.mpf(c) for c in cfg.radii)
+        # at k_2 - k_1 = d the ratio w_2 / w_1 is (c2 / c1) phases[d]
+        g_table = [f.coupling((c1, c2 * ph)) for ph in phases]
+        if f.axis is None:
+            return f.const * _pairwise_sum(g_table) / cfg.M
+        axis1 = [f.axis(0, c1 * ph) for ph in phases]
+        axis2 = [f.axis(1, c2 * ph) for ph in phases]
+        return f.const * _pair_average(axis1, axis2, g_table, phases)
 
 
 def extract_cor42(t: int, s, cfg: QuadratureConfig):
     """Torus extraction of the product-form integrand."""
-    cfg.validate_region(s)
-    if cfg.n != 2:
-        return torus_extract(lambda w: eval_cor42(t, s, cfg.Q, w), cfg)
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    with mp.workprec(cfg.precision_bits):
-        ctx = _nome_context(_as_mp(cfg.Q))
-        s_m = [_as_mp(sj) for sj in s]
-        sqrt_s = [mp.sqrt(sj) for sj in s_m]
-        phases = _phases(cfg.M)
-        axis1, axis2 = _two_var_tables(t, s_m, sqrt_s, cfg, ctx, phases)
-        ratio = mp.mpf(cfg.radii[1]) / mp.mpf(cfg.radii[0])
-        g_table = [
-            _cross_factor(s_m[0], s_m[1], ratio * ph, ctx) for ph in phases
-        ]
-        pref = mp.mpc(1)
-        for sj, rj in zip(s_m, sqrt_s):
-            pref *= rj ** (-t) / _vartheta_pos(sj, ctx)
-        return pref * _pair_average(axis1, axis2, g_table, cfg.M)
-
-
-def _two_var_det_table(s_m, sqrt_s, q2_mp, sign, cfg, ctx, phases):
-    """Determinant values over the ratio angle d, half-powers pre-cancelled."""
-    diag = [
-        _theta3(sign * q2_mp / sj, ctx) / _vartheta_even(sj, ctx) for sj in s_m
-    ]
-    ratio = mp.mpf(cfg.radii[0]) / mp.mpf(cfg.radii[1])
-    table = []
-    for d in range(cfg.M):
-        u = ratio / phases[d]  # w_1 / w_2 at k_2 - k_1 = d
-        b12 = _theta3(sign * q2_mp / (s_m[0] * u), ctx) / _vartheta_even(
-            s_m[0] * u, ctx
-        )
-        b21 = _theta3(sign * q2_mp * u / s_m[1], ctx) / _vartheta_even(
-            s_m[1] / u, ctx
-        )
-        table.append((diag[0] * diag[1] - b12 * b21) / (sqrt_s[0] * sqrt_s[1]))
-    return table
+    return _extract(lambda: _cor42(t, s, cfg.Q), s, cfg)
 
 
 def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig):
     """Torus extraction of the determinant-form integrand."""
-    cfg.validate_region(s)
-    if cfg.n != 2:
-        return torus_extract(lambda w: eval_cor43(t, s, cfg.Q, Q2, w), cfg)
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    with mp.workprec(cfg.precision_bits):
-        q2_mp = _as_mp(Q2)
-        if not q2_mp:
-            raise ValueError("Q2 must be nonzero")
-        ctx = _nome_context(_as_mp(cfg.Q))
-        s_m = [_as_mp(sj) for sj in s]
-        sqrt_s = [mp.sqrt(sj) for sj in s_m]
-        phases = _phases(cfg.M)
-        axis1, axis2 = _two_var_tables(t, s_m, sqrt_s, cfg, ctx, phases)
-        g_table = _two_var_det_table(s_m, sqrt_s, q2_mp, -1, cfg, ctx, phases)
-        pref = 1 / (_theta3(-q2_mp, ctx) * _theta3(-q2_mp / (s_m[0] * s_m[1]), ctx))
-        for rj in sqrt_s:
-            pref /= rj**t
-        return pref * _pair_average(axis1, axis2, g_table, cfg.M)
+    return _extract(lambda: _cor43(t, s, cfg.Q, Q2), s, cfg)
 
 
 def extract_bo_determinant(s, Q2, cfg: QuadratureConfig):
     """Torus extraction of the all-partitions determinant integrand."""
-    cfg.validate_region(s)
-    if cfg.n != 2:
-        return torus_extract(lambda w: eval_bo_determinant(s, cfg.Q, Q2, w), cfg)
-    with mp.workprec(cfg.precision_bits):
-        q2_mp = _as_mp(Q2)
-        if not q2_mp:
-            raise ValueError("Q2 must be nonzero")
-        ctx = _nome_context(_as_mp(cfg.Q))
-        s_m = [_as_mp(sj) for sj in s]
-        sqrt_s = [mp.sqrt(sj) for sj in s_m]
-        phases = _phases(cfg.M)
-        g_table = _two_var_det_table(s_m, sqrt_s, q2_mp, 1, cfg, ctx, phases)
-        pref = 1 / (_theta3(q2_mp, ctx) * _theta3(q2_mp / (s_m[0] * s_m[1]), ctx))
-        # No axis factors here, so the double grid average is a plain mean
-        # over the ratio angle.
-        return pref * _pairwise_sum(g_table) / cfg.M
+    return _extract(lambda: _bo_determinant(s, cfg.Q, Q2), s, cfg)
 
 
 # -- convergence driver --------------------------------------------------------

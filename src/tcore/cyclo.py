@@ -149,6 +149,11 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        for a, b in ((self, o), (o, self)):
+            if not any(b.coeffs[1:]):
+                # a rational-valued factor scales, as a plain rational does
+                x = b.coeffs[0]
+                return Cyclo(self.m, tuple(c * x for c in a.coeffs))
         deg = len(self.coeffs)
         raw = [RAT_ZERO] * (2 * deg - 1) if deg else []
         for i, a in enumerate(self.coeffs):

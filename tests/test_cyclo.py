@@ -54,6 +54,17 @@ def test_product_examples():
     assert xi6 * xi6 * xi6 == -1
 
 
+@pytest.mark.parametrize("m", [6, 8])
+def test_rational_valued_factor_scales(m):
+    a = Cyclo(m, [QQ(j + 2, 3 - 2 * j) for j in range(euler_phi(m))])
+    x = QQ(-7, 5)
+    r = Cyclo.from_rat(m, x)
+    zeta = Cyclo.root(m)
+    # (r + zeta) is not rational-valued, so both products take the full path
+    full = a * (r + zeta) - a * zeta
+    assert a * r == r * a == a * x == full
+
+
 def test_inverse_examples():
     xi3 = Cyclo.root(3)
     assert (1 + xi3).inverse() == -xi3
