@@ -5,8 +5,8 @@ over enumerated t-cores, a theta-determinant sum over set partitions with
 a free parameter Q2, and the specialization of that sum which eliminates
 Q2 in favor of a marked index subset.  The module also carries the
 q-deformed partition function behind those formulas (as a defining
-vertex sum and as a MacMahon-type product) and the correlation-function
-extraction with s_j = e^(z_j).
+vertex sum and as a MacMahon-type product), its deformed average in hook
+form, and the correlation-function extraction with s_j = e^(z_j).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import product
 
 from tcore._rat import QQ, is_rational, rat, rat_pow, rat_str, rational_sqrt
 from tcore.cyclo import Cyclo
-from tcore.partitions import conjugate, enumerate_t_cores, partitions_of
+from tcore.partitions import conjugate, enumerate_t_cores, hook_lengths, partitions_of
 from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
@@ -68,22 +68,42 @@ def s_vector(values) -> tuple[SValue, ...]:
     return tuple(SValue.of(v) for v in values)
 
 
+def _moment_fraction(svals, nu) -> tuple[int, int]:
+    """The product of the row moments of nu as an integer fraction (num, den).
+
+    With sqrt(s) = p/q the moment sum_i (p/q)^e_i + (p/q)^(1 - 2l) q^2/(p^2 - q^2),
+    e_i = 2 nu_i - 2i + 1, has the common denominator p^A q^B (p^2 - q^2),
+    where A and B clear the lowest and highest exponent; both depend on nu
+    only, not on s.
+    """
+    ell = len(nu)
+    lo = max(0, 2 * ell - 1)
+    hi = max(0, 2 * nu[0] - 1) if ell else 1
+    exps = [2 * part - 2 * i + 1 for i, part in enumerate(nu, start=1)]
+    tail = 1 - 2 * ell
+    num = den = 1
+    for sv in svals:
+        p, q = sv.sqrt_s.numerator, sv.sqrt_s.denominator
+        gap = p * p - q * q
+        rows = sum(p ** (e + lo) * q ** (hi - e) for e in exps)
+        num *= gap * rows + p ** (tail + lo) * q ** (hi - tail + 2)
+        den *= p**lo * q**hi * gap
+    return num, den
+
+
 def partition_moment(sv: SValue, nu) -> QQ:
     """Sum of s^(nu_i - i + 1/2) over all rows i >= 1, tail in closed form.
 
     Past the last row the summand is the geometric s^(1/2 - i), giving the
     exact tail s^(1/2 - l) / (s - 1); this is the definition of the sum for
-    s > 1, where the series converges.
+    s > 1, where the series converges.  The sum is built in integers and
+    becomes one rational at the end (see _moment_fraction).
     """
-    total = QQ(0)
-    for i, part in enumerate(nu, start=1):
-        total += rat_pow(sv.s, part - i) * sv.sqrt_s
-    tail = rat_pow(sv.s, -len(nu)) * sv.sqrt_s / (sv.s - 1)
-    return total + tail
+    return QQ(*_moment_fraction((sv,), nu))
 
 
 def _moment_product(svals, nu) -> QQ:
-    return math.prod((partition_moment(sv, nu) for sv in svals), start=QQ(1))
+    return QQ(*_moment_fraction(svals, nu))
 
 
 def _average(groups, svals, order: int) -> QSeries:
@@ -415,20 +435,19 @@ def _rational_part(value) -> QQ:
     return QQ(value)
 
 
-def _vertex_sums(q: QQ, svals, order_total: int) -> tuple[BiSeries, BiSeries]:
-    """The vertex sum of the deformed partition function, plain and weighted
-    by the row-moment product of nu, from one pass over the vertex values.
+def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
+    """The defining vertex sum of the deformed partition function.
 
     Terms are graded by |nu| in Q and |mu| in Q1; every pair with
     |mu| + |nu| <= order_total contributes the exact rational value of
     the vertex product (the half-powers of q cancel pairwise).
     """
-    plain: dict[tuple[int, int], QQ] = {}
-    weighted: dict[tuple[int, int], QQ] = {}
+    q = deformation_base(q)
+    check_order(order_total)
+    terms: dict[tuple[int, int], QQ] = {}
     for d_nu in range(order_total + 1):
         for nu in partitions_of(d_nu):
             nu_t = conjugate(nu)
-            moment = _moment_product(svals, nu)
             for d_mu in range(order_total - d_nu + 1):
                 for mu in partitions_of(d_mu):
                     value = topological_vertex((), conjugate(mu), nu, q)
@@ -437,17 +456,8 @@ def _vertex_sums(q: QQ, svals, order_total: int) -> tuple[BiSeries, BiSeries]:
                     if (d_mu + d_nu) % 2:
                         coeff = -coeff
                     key = (2 * d_nu, 2 * d_mu)
-                    plain[key] = plain.get(key, QQ(0)) + coeff
-                    weighted[key] = weighted.get(key, QQ(0)) + coeff * moment
-    order2 = 2 * order_total
-    return BiSeries(QQ_DOMAIN, order2, plain), BiSeries(QQ_DOMAIN, order2, weighted)
-
-
-def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
-    """The defining vertex sum of the deformed partition function."""
-    q = deformation_base(q)
-    check_order(order_total)
-    return _vertex_sums(q, (), order_total)[0]
+                    terms[key] = terms.get(key, QQ(0)) + coeff
+    return BiSeries(QQ_DOMAIN, 2 * order_total, terms)
 
 
 def qdeformed_Z_product(q, order_total: int) -> BiSeries:
@@ -477,12 +487,49 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
 
 
 def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
-    """The deformed average of the row-moment product, normalized."""
+    """The deformed average of the row-moment product, normalized.
+
+    At fixed nu the vertex sum over mu is MacMahon(Q1) times the hook weight
+    (Q Q1)^|nu| prod_h (1 - q^h Q1)(1 - q^h/Q1)/(1 - q^h)^2 (Nekrasov-Okounkov
+    2006; Han 2010).  The MacMahon factor cancels from the average, which is
+    the ratio of the hook sums over nu with and without the row-moment
+    product, both truncated at total degree order_total.  With q = a/b, and
+    one Q1 of (Q Q1)^|nu| given to each of the |nu| hooks, a hook contributes
+    (b^h - a^h Q1)(b^h Q1 - a^h)/(b^h - a^h)^2, so every coefficient of a
+    hook weight is one integer fraction.
+    """
     q = deformation_base(q)
     svals = s_vector(s_values)
     check_order(order_total)
-    plain, weighted = _vertex_sums(q, svals, order_total)
-    return weighted / plain
+    a, b = q.numerator, q.denominator
+    plain: dict[tuple[int, int], QQ] = {}
+    weighted: dict[tuple[int, int], QQ] = {}
+    for size in range(order_total + 1):
+        top = order_total - size  # highest power of Q1 kept beside Q^size
+        for nu in partitions_of(size):
+            poly, den = [1], 1
+            for h in hook_lengths(nu).values():
+                ah, bh = a**h, b**h
+                poly = _times_quadratic(poly, -ah * bh, ah * ah + bh * bh, top)
+                den *= (bh - ah) ** 2
+            m_num, m_den = _moment_fraction(svals, nu)
+            for e1, c in enumerate(poly):
+                if c:
+                    key = (2 * size, 2 * e1)
+                    plain[key] = plain.get(key, QQ(0)) + QQ(c, den)
+                    weighted[key] = weighted.get(key, QQ(0)) + QQ(c * m_num, den * m_den)
+    order2 = 2 * order_total
+    return BiSeries(QQ_DOMAIN, order2, weighted) / BiSeries(QQ_DOMAIN, order2, plain)
+
+
+def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list[int]:
+    """poly * (outer + middle*x + outer*x^2), dropping powers of x above top."""
+    out = [0] * min(len(poly) + 2, top + 1)
+    for k, c in enumerate(poly):
+        for j, f in ((0, outer), (1, middle), (2, outer)):
+            if k + j <= top:
+                out[k + j] += c * f
+    return out
 
 
 def correlation_expansion(

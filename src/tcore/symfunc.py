@@ -1,14 +1,18 @@
 """Exact Schur function evaluation at geometric points, plus the vertex.
 
 Everything here is evaluated at points of the form x_i = q^(a_i - i + 1/2)
-for a fixed rational q > 1 and a partition shift a.  Power sums at
-such a point are a finite head plus one geometric tail, so Newton's
-identities and Jacobi-Trudi determinants keep every value inside Q(sqrt(q)).
-Values are plain rationals whenever q is a perfect square of a rational.
+for a fixed rational q > 1 and a partition shift a.  Each x_i is sqrt(q)
+times the rational y_i = q^(a_i - i), so a symmetric function of degree m
+equals (sqrt q)^m times its value at y.  Power sums at y are a finite head
+plus one geometric tail, and Newton's identities, Jacobi-Trudi determinants,
+hook products and the vertex's eta-sum all run over plain rationals there.
+Each public value is that rational number lifted once into Q(sqrt(q)); it is
+itself a plain rational whenever q is a perfect square of a rational.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,37 +55,87 @@ class SpecPoint:
         check_partition(self.shift)
 
 
-@lru_cache(maxsize=None)
+# Fixed cache bounds.  One qdeformed_Z_sum(q, 8) stores 120 power sums and
+# 165 values of h at y, and qdeformed_Z_sum(q, 12) stores 618 and 813, so
+# neither evicts an entry.
+_SQRT_CACHE = 32
+_VALUE_CACHE = 1024
+
+
+@lru_cache(maxsize=_SQRT_CACHE)
 def _sqrt_q(q):
     return sqrt_field(q)
 
 
-@lru_cache(maxsize=None)
+def _lift(q: QQ, m: int, x):
+    """(sqrt q)^m * x for a rational x, in the exact home of sqrt(q)."""
+    root, lift = _sqrt_q(q)
+    half = x * rat_pow(q, m // 2)
+    return root * half if m % 2 else lift(half)
+
+
+@lru_cache(maxsize=_VALUE_CACHE)
+def _power_sum_y(spec: SpecPoint, k: int) -> QQ:
+    """p_k at y: the shifted head plus the geometric tail q^(-k l)/(q^k - 1)."""
+    q = spec.q
+    head = sum(
+        (rat_pow(q, k * (part - i)) for i, part in enumerate(spec.shift, start=1)), QQ(0)
+    )
+    return head + rat_pow(q, -k * len(spec.shift)) / (rat_pow(q, k) - 1)
+
+
+@lru_cache(maxsize=_VALUE_CACHE)
+def _homogeneous_y(spec: SpecPoint, r: int) -> QQ:
+    """h_r at y via Newton's identities; h_0 is 1."""
+    if r == 0:
+        return QQ(1)
+    acc = sum(
+        (_power_sum_y(spec, k) * _homogeneous_y(spec, r - k) for k in range(1, r + 1)), QQ(0)
+    )
+    return acc / r
+
+
+def _skew_schur_y(lam, eta, spec: SpecPoint) -> QQ:
+    """The Jacobi-Trudi determinant det(h_(lam_i - eta_j - i + j)) at y."""
+    if not contains(lam, eta):
+        return QQ(0)
+    n = len(lam)
+    if n == 0:
+        return QQ(1)
+    eta_pad = eta + (0,) * (n - len(eta))
+    hs = [_homogeneous_y(spec, r) for r in range(lam[0] + n)]
+    rows = []
+    for i in range(n):
+        idx = [lam[i] - eta_pad[j] - i + j for j in range(n)]
+        rows.append([hs[k] if k >= 0 else QQ(0) for k in idx])
+    return _det(rows, QQ(0), QQ(1))
+
+
+def _hook_product_y(lam, q: QQ) -> QQ:
+    """q^(-n(lam)) times the product of 1/(1 - q^(-h)) over all hooks h.
+
+    With q = a/b this is b^n(lam) a^(sum h - n(lam)) / prod (a^h - b^h), one
+    integer fraction.
+    """
+    a, b = q.numerator, q.denominator
+    hooks = hook_lengths(lam).values()
+    n = n_weight(lam)
+    den = math.prod(a**h - b**h for h in hooks)
+    return QQ(b**n * a ** (sum(hooks) - n), den)
+
+
 def power_sum(spec: SpecPoint, k: int):
     """p_k at the point: the shifted head plus the geometric tail."""
     if k < 1:
         raise ValueError("power sum index must be positive")
-    sq, lift = _sqrt_q(spec.q)
-    ell = len(spec.shift)
-    total = lift(0)
-    for i, part in enumerate(spec.shift, start=1):
-        total = total + sq ** (k * (2 * part - 2 * i + 1))
-    tail_scale = lift(1 - rat_pow(spec.q, -k))
-    return total + sq ** (-k * (2 * ell + 1)) / tail_scale
+    return _lift(spec.q, k, _power_sum_y(spec, k))
 
 
-@lru_cache(maxsize=None)
 def complete_homogeneous(spec: SpecPoint, r: int):
     """h_r at the point via Newton's identities; h_0 is 1."""
     if r < 0:
         raise ValueError("complete symmetric index must be nonnegative")
-    _, lift = _sqrt_q(spec.q)
-    if r == 0:
-        return lift(1)
-    acc = lift(0)
-    for k in range(1, r + 1):
-        acc = acc + power_sum(spec, k) * complete_homogeneous(spec, r - k)
-    return acc / lift(r)
+    return _lift(spec.q, r, _homogeneous_y(spec, r))
 
 
 def _det(rows, zero, one):
@@ -113,25 +167,8 @@ def skew_schur(lam, eta, spec: SpecPoint):
     Returns 0 when eta is not contained in lam; with eta empty this is the
     straight Schur value.
     """
-    lam, eta = tuple(lam), tuple(eta)
-    check_partition(lam)
-    check_partition(eta)
-    _, lift = _sqrt_q(QQ(spec.q))
-    if not contains(lam, eta):
-        return lift(0)
-    n = len(lam)
-    if n == 0:
-        return lift(1)
-    zero, one = lift(0), lift(1)
-    eta_pad = eta + (0,) * (n - len(eta))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            idx = lam[i] - eta_pad[j] - i + j
-            row.append(complete_homogeneous(spec, idx) if idx >= 0 else zero)
-        rows.append(row)
-    return _det(rows, zero, one)
+    lam, eta = check_partition(lam), check_partition(eta)
+    return _lift(spec.q, sum(lam) - sum(eta), _skew_schur_y(lam, eta, spec))
 
 
 def schur_hook_eval(lam, q):
@@ -140,14 +177,9 @@ def schur_hook_eval(lam, q):
     Independent of the determinant route: q^(-n(lam)-|lam|/2) times the
     product of 1/(1 - q^(-h)) over all hooks h.
     """
-    lam = tuple(lam)
-    check_partition(lam)
+    lam = check_partition(lam)
     q = deformation_base(q)
-    sq, lift = _sqrt_q(q)
-    out = sq ** (-(2 * n_weight(lam) + sum(lam)))
-    for h in hook_lengths(lam).values():
-        out = out / lift(1 - rat_pow(q, -h))
-    return out
+    return _lift(q, -sum(lam), _hook_product_y(lam, q))
 
 
 def _meet(a, b):
@@ -174,48 +206,51 @@ def topological_vertex(lam, mu, nu, q, eta_bound: int | None = None):
 
     The inner sum runs over partitions eta contained in both conj(lam) and
     mu; terms outside that intersection vanish, so the sum is exact once
-    eta_bound reaches min(|lam|, |mu|), which is the default.
+    eta_bound reaches min(|lam|, |mu|), which is the default.  The eta-term
+    has degree |lam| + |mu| - 2|eta| and the hook factor degree -|nu|, so the
+    sum runs at y with q^(-|eta|) per term and is lifted by
+    (sqrt q)^(|lam| + |mu| - |nu|) at the end.
     """
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    for p in (lam, mu, nu):
-        check_partition(p)
+    lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     q = deformation_base(q)
-    _, lift = _sqrt_q(q)
     lam_t = conjugate(lam)
     nu_t = conjugate(nu)
     if eta_bound is None:
         eta_bound = min(sum(lam), sum(mu))
     spec_nu = SpecPoint(q, nu)
     spec_nut = SpecPoint(q, nu_t)
-    total = lift(0)
+    total = QQ(0)
     for eta in _subpartitions(_meet(lam_t, mu)):
-        if sum(eta) > eta_bound:
+        size = sum(eta)
+        if size > eta_bound:
             continue
-        total = total + skew_schur(lam_t, eta, spec_nu) * skew_schur(mu, eta, spec_nut)
+        term = _skew_schur_y(lam_t, eta, spec_nu) * _skew_schur_y(mu, eta, spec_nut)
+        total += term * rat_pow(q, -size)
     half_kappa = (kappa(lam) + kappa(nu)) // 2
-    return lift(rat_pow(q, half_kappa)) * schur_hook_eval(nu_t, q) * total
+    value = rat_pow(q, half_kappa) * _hook_product_y(nu_t, q) * total
+    return _lift(q, sum(lam) + sum(mu) - sum(nu), value)
 
 
 def schur_pair_sum_series(nu1, nu2, q, z_order: int) -> TaylorZ:
     """Sum of z^|lam| s_lam(point nu1) s_conj(lam)(point conj(nu2)) .
 
     Brute truncation of the shifted dual Cauchy sum: every partition with
-    |lam| <= z_order contributes one exact product of Schur values.  The two
-    factors carry opposite half-powers of q, so each z coefficient is a
-    plain rational and the result lives over the rational domain.
+    |lam| <= z_order contributes one exact product of Schur values.  Both
+    factors have degree |lam|, so the pair is q^|lam| times its rational
+    value at y and each z coefficient is a plain rational.
     """
     nu1, nu2 = tuple(nu1), tuple(nu2)
     check_order(z_order)
-    q = QQ(q)
     spec1 = SpecPoint(q, nu1)
     spec2 = SpecPoint(q, conjugate(nu2))
-    _, lift = _sqrt_q(q)
     cs = []
     for n in range(z_order + 1):
-        acc = lift(0)
-        for lam in partitions_of(n):
-            acc = acc + skew_schur(lam, (), spec1) * skew_schur(conjugate(lam), (), spec2)
-        cs.append(QQ_DOMAIN.coerce(acc))
+        acc = sum(
+            (_skew_schur_y(lam, (), spec1) * _skew_schur_y(conjugate(lam), (), spec2)
+             for lam in partitions_of(n)),
+            QQ(0),
+        )
+        cs.append(acc * rat_pow(spec1.q, n))
     return TaylorZ(TaylorDomain(QQ_DOMAIN, z_order), cs)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from tcore.npoint import (
     NPointResult,
     SetPartition,
     SValue,
+    _moment_product,
     bloch_okounkov_F,
     brute_force_Ft,
     closed_Ft,
@@ -34,8 +38,8 @@ from tcore.partitions import (
     t_core_product_series,
     t_core_size_series,
 )
-from tcore.qseries import QQ_DOMAIN, QSeries, qdiv
-from tcore.symfunc import SpecPoint, skew_schur
+from tcore.qseries import QQ_DOMAIN, BiSeries, QSeries, qdiv
+from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
 
 S4 = QQ(4)
@@ -84,6 +88,34 @@ def test_partition_moment_ignores_zero_padding(parts, root, pad):
     sv = SValue.of(QQ(root * root))
     padded = nu + (0,) * pad
     assert partition_moment(sv, nu) == partition_moment(sv, padded)
+
+
+def moment_by_rows(sv, nu):
+    """The row moment as one Fraction step per row: the oracle for the
+    integer kernel behind partition_moment."""
+    total = QQ(0)
+    for i, part in enumerate(nu, start=1):
+        total += rat_pow(sv.s, part - i) * sv.sqrt_s
+    return total + rat_pow(sv.s, -len(nu)) * sv.sqrt_s / (sv.s - 1)
+
+
+partitions_with_padding = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=40), min_size=0, max_size=12),
+    st.integers(min_value=0, max_value=4),
+).map(lambda pair: tuple(sorted(pair[0], reverse=True)) + (0,) * pair[1])
+
+large_roots = st.tuples(
+    st.integers(min_value=1, max_value=10**12), st.integers(min_value=1, max_value=10**12)
+).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: QQ(max(pq), min(pq)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions_with_padding, st.lists(large_roots, min_size=1, max_size=3))
+def test_partition_moment_matches_fraction_loop(nu, roots):
+    svals = [SValue.of(root * root) for root in roots]
+    oracles = [moment_by_rows(sv, nu) for sv in svals]
+    assert partition_moment(svals[0], nu) == oracles[0]
+    assert _moment_product(svals, nu) == math.prod(oracles, start=QQ(1))
 
 
 def test_s_vector_screen_passes_disjoint_values():
@@ -253,6 +285,33 @@ def test_closed_routes_are_honest_about_truncation(t, n):
         assert route(order + 2).truncated(order) == route(order)
 
 
+def truncated_to(value, order):
+    """A QSeries, BiSeries or correlation table cut down to total order."""
+    if isinstance(value, dict):
+        return {key: truncated_to(series, order) for key, series in value.items()}
+    if isinstance(value, BiSeries):
+        order2 = 2 * order
+        return BiSeries(
+            value.dom, order2, {k: c for k, c in value.terms.items() if sum(k) <= order2}
+        )
+    return value.truncated(order)
+
+
+@pytest.mark.parametrize("route", [
+    lambda N: brute_force_Ft(3, (S4, S94), N),
+    lambda N: bloch_okounkov_F((S4, S94), N),
+    lambda N: correlation_expansion(3, 2, (2, 1), N),
+    lambda N: qdeformed_Z_sum(QQ(3, 2), N),
+    lambda N: qdeformed_Zn_sum(QQ(2), (S4,), N),
+    lambda N: qdeformed_Z_product(QQ(2), N),
+], ids=["brute_force_Ft", "bloch_okounkov_F", "correlation_expansion", "qdeformed_Z_sum",
+        "qdeformed_Zn_sum", "qdeformed_Z_product"])
+@pytest.mark.parametrize("order", [3, 4])
+def test_enumeration_and_deformed_routes_are_honest_about_truncation(route, order):
+    for extra in (1, 2):
+        assert truncated_to(route(order + extra), order) == route(order), extra
+
+
 def test_single_point_theta_quotient_form():
     # t / (s^(t/2) - s^(-t/2)) * theta(s xi_2) / theta(xi_2) is what the
     # determinant sum collapses to at n = 1, t = 2; build it directly
@@ -357,29 +416,81 @@ def test_qdeformed_sum_matches_product():
 def test_qdeformed_sum_matches_hook_expansion():
     # dividing out the plane-partition factor leaves a sum over partitions
     # of (Q Q1)^|nu| times hook-length products, expanded here directly
-    q = QQ(2)
-    order = 4
-    lhs = qdeformed_Z_sum(q, order) / macmahon(1, q, (0, 1), order)
-    rhs: dict[tuple[int, int], QQ] = {}
-    for size in range(order + 1):
-        for nu in partitions_of(size):
-            hooks = list(hook_lengths(nu).values())
-            denom = QQ(1)
-            poly = {0: QQ(1)}  # Q1 exponent relative to |nu|
-            for h in hooks:
-                qh = rat_pow(q, h)
-                denom = denom * (qh - 1) * (qh - 1)
-                new: dict[int, QQ] = {}
+    order = 6
+    for q in (QQ(2), QQ(3, 2)):
+        lhs = qdeformed_Z_sum(q, order) / macmahon(1, q, (0, 1), order)
+        rhs: dict[tuple[int, int], QQ] = {}
+        for size in range(order + 1):
+            for nu in partitions_of(size):
+                hooks = list(hook_lengths(nu).values())
+                denom = QQ(1)
+                poly = {0: QQ(1)}  # Q1 exponent relative to |nu|
+                for h in hooks:
+                    qh = rat_pow(q, h)
+                    denom = denom * (qh - 1) * (qh - 1)
+                    new: dict[int, QQ] = {}
+                    for e, c in poly.items():
+                        for de, dc in ((0, 1 + qh * qh), (1, -qh), (-1, -qh)):
+                            new[e + de] = new.get(e + de, QQ(0)) + c * dc
+                    poly = new
                 for e, c in poly.items():
-                    for de, dc in ((0, 1 + qh * qh), (1, -qh), (-1, -qh)):
-                        new[e + de] = new.get(e + de, QQ(0)) + c * dc
-                poly = new
-            for e, c in poly.items():
-                key = (2 * size, 2 * (size + e))
-                if key[0] + key[1] <= 2 * order:
-                    rhs[key] = rhs.get(key, QQ(0)) + c / denom
-    for key in {k for k in set(rhs) | set(lhs.terms) if sum(k) <= 2 * order}:
-        assert lhs.terms.get(key, QQ(0)) == rhs.get(key, QQ(0)), key
+                    key = (2 * size, 2 * (size + e))
+                    if key[0] + key[1] <= 2 * order:
+                        rhs[key] = rhs.get(key, QQ(0)) + c / denom
+        for key in {k for k in set(rhs) | set(lhs.terms) if sum(k) <= 2 * order}:
+            assert lhs.terms.get(key, QQ(0)) == rhs.get(key, QQ(0)), (q, key)
+
+
+@lru_cache(maxsize=None)
+def vertex_terms(q, order_total):
+    """Every signed vertex product of the deformed partition function with
+    |mu| + |nu| <= order_total, as (nu, key, coefficient)."""
+    out = []
+    for d_nu in range(order_total + 1):
+        for nu in partitions_of(d_nu):
+            for d_mu in range(order_total - d_nu + 1):
+                for mu in partitions_of(d_mu):
+                    value = topological_vertex((), conjugate(mu), nu, q)
+                    value = as_rational(value * topological_vertex((), mu, conjugate(nu), q))
+                    sign = -1 if (d_mu + d_nu) % 2 else 1
+                    out.append((nu, (2 * d_nu, 2 * d_mu), sign * value))
+    return tuple(out)
+
+
+def vertex_sum_average(q, s_values, order_total):
+    """The deformed average as the ratio of two vertex sums, one weighted by
+    the row-moment product: the oracle for the hook form of qdeformed_Zn_sum."""
+    svals = s_vector(s_values)
+    plain: dict[tuple[int, int], QQ] = {}
+    weighted: dict[tuple[int, int], QQ] = {}
+    for nu, key, coeff in vertex_terms(q, order_total):
+        moment = math.prod((moment_by_rows(sv, nu) for sv in svals), start=QQ(1))
+        plain[key] = plain.get(key, QQ(0)) + coeff
+        weighted[key] = weighted.get(key, QQ(0)) + coeff * moment
+    order2 = 2 * order_total
+    return BiSeries(QQ_DOMAIN, order2, weighted) / BiSeries(QQ_DOMAIN, order2, plain)
+
+
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2), QQ(9, 4)])
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("order", [5, 7])
+def test_qdeformed_average_hook_form_matches_vertex_sums(q, n, order):
+    # 9/4 is a perfect square, where the vertex values stay rational
+    s_values = (S4, S94)[:n]
+    assert qdeformed_Zn_sum(q, s_values, order) == vertex_sum_average(q, s_values, order)
+
+
+@pytest.mark.parametrize("s_values", [(S4,), (S4, S94)])
+def test_qdeformed_average_at_q1_one_is_bloch_okounkov(s_values):
+    # at Q1 = 1 every hook weight is 1 and the deformed average becomes the
+    # average over all partitions in Q Q1; the Q^a coefficient is a
+    # polynomial in Q1 of degree at most 2a, complete when 3a <= order
+    order = 6
+    zn = qdeformed_Zn_sum(QQ(2), s_values, order)
+    average = bloch_okounkov_F(s_values, 2)
+    for a in range(3):
+        at_one = sum((zn.coeff(a, b) for b in range(2 * a + 1)), QQ(0))
+        assert at_one == average.coeff(a), a
 
 
 def test_qdeformed_average_normalizes_to_one_at_n0():

@@ -1,12 +1,17 @@
 """Schur evaluations: power sums, Jacobi-Trudi vs hooks, vertex symmetry."""
 
+from functools import lru_cache
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcore._rat import QQ, rat
-from tcore.partitions import conjugate, partitions_of
+from tcore import symfunc
+from tcore._rat import QQ, rat, rat_pow
+from tcore.npoint import qdeformed_Z_sum
+from tcore.partitions import conjugate, contains, hook_lengths, kappa, n_weight, partitions_of
+from tcore.quadext import sqrt_field
 from tcore.symfunc import (
     SpecPoint,
     complete_homogeneous,
@@ -149,3 +154,114 @@ def test_pair_sum_matches_row_product():
         lhs = schur_pair_sum_series(nu1, nu2, QQ(2), 6)
         rhs = hook_pair_product_series(nu1, nu2, QQ(2), 6)
         assert lhs == rhs, (nu1, nu2)
+
+
+# -- the Q(sqrt q) evaluation: the oracle for the rational evaluator ------------
+
+
+def sqrt_power_sum(spec, k):
+    sq, lift = sqrt_field(spec.q)
+    total = lift(0)
+    for i, part in enumerate(spec.shift, start=1):
+        total = total + sq ** (k * (2 * part - 2 * i + 1))
+    tail_scale = lift(1 - rat_pow(spec.q, -k))
+    return total + sq ** (-k * (2 * len(spec.shift) + 1)) / tail_scale
+
+
+@lru_cache(maxsize=None)
+def sqrt_complete_homogeneous(spec, r):
+    _, lift = sqrt_field(spec.q)
+    if r == 0:
+        return lift(1)
+    acc = lift(0)
+    for k in range(1, r + 1):
+        acc = acc + sqrt_power_sum(spec, k) * sqrt_complete_homogeneous(spec, r - k)
+    return acc / lift(r)
+
+
+def sqrt_skew_schur(lam, eta, spec):
+    _, lift = sqrt_field(spec.q)
+    if not contains(lam, eta):
+        return lift(0)
+    n = len(lam)
+    if n == 0:
+        return lift(1)
+    eta_pad = eta + (0,) * (n - len(eta))
+    rows = [
+        [sqrt_complete_homogeneous(spec, lam[i] - eta_pad[j] - i + j)
+         if lam[i] - eta_pad[j] - i + j >= 0 else lift(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return symfunc._det(rows, lift(0), lift(1))
+
+
+def sqrt_schur_hook_eval(lam, q):
+    sq, lift = sqrt_field(q)
+    out = sq ** (-(2 * n_weight(lam) + sum(lam)))
+    for h in hook_lengths(lam).values():
+        out = out / lift(1 - rat_pow(q, -h))
+    return out
+
+
+def sqrt_topological_vertex(lam, mu, nu, q):
+    _, lift = sqrt_field(q)
+    lam_t, nu_t = conjugate(lam), conjugate(nu)
+    spec_nu, spec_nut = SpecPoint(q, nu), SpecPoint(q, nu_t)
+    total = lift(0)
+    for size in range(min(sum(lam), sum(mu)) + 1):
+        for eta in partitions_of(size):
+            term = sqrt_skew_schur(lam_t, eta, spec_nu) * sqrt_skew_schur(mu, eta, spec_nut)
+            total = total + term
+    half_kappa = (kappa(lam) + kappa(nu)) // 2
+    return lift(rat_pow(q, half_kappa)) * sqrt_schur_hook_eval(nu_t, q) * total
+
+
+SHIFTS = [(), (1,), (2, 1), (3, 1, 1), (2, 2)]
+NON_SQUARE_BASES = [QQ(2), QQ(3, 2)]
+
+
+@pytest.mark.parametrize("q", NON_SQUARE_BASES)
+def test_power_sums_and_h_match_the_sqrt_field_evaluation(q):
+    for shift in SHIFTS:
+        spec = SpecPoint(q, shift)
+        for k in range(1, 7):
+            assert power_sum(spec, k) == sqrt_power_sum(spec, k), (shift, k)
+        for r in range(7):
+            assert complete_homogeneous(spec, r) == sqrt_complete_homogeneous(spec, r), (shift, r)
+
+
+@pytest.mark.parametrize("q", NON_SQUARE_BASES)
+def test_schur_values_match_the_sqrt_field_evaluation(q):
+    for shift in SHIFTS:
+        spec = SpecPoint(q, shift)
+        for size in range(6):
+            for lam in partitions_of(size):
+                for eta_size in range(size + 1):
+                    for eta in partitions_of(eta_size):
+                        got = skew_schur(lam, eta, spec)
+                        assert got == sqrt_skew_schur(lam, eta, spec), (shift, lam, eta)
+    for size in range(8):
+        for lam in partitions_of(size):
+            assert schur_hook_eval(lam, q) == sqrt_schur_hook_eval(lam, q), lam
+
+
+@pytest.mark.parametrize("q", NON_SQUARE_BASES)
+def test_vertex_matches_the_sqrt_field_evaluation(q):
+    shapes = [lam for size in range(4) for lam in partitions_of(size)]
+    for lam in shapes:
+        for mu in shapes:
+            for nu in shapes:
+                got = topological_vertex(lam, mu, nu, q)
+                assert got == sqrt_topological_vertex(lam, mu, nu, q), (lam, mu, nu)
+
+
+def test_value_caches_are_bounded_and_hold_one_deformed_sum():
+    caches = (symfunc._sqrt_q, symfunc._power_sum_y, symfunc._homogeneous_y)
+    for cache in caches:
+        cache.cache_clear()
+    qdeformed_Z_sum(QQ(2), 8)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        # every miss stored one entry, so nothing was evicted
+        assert 0 < info.misses <= info.maxsize, info
