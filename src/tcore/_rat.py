@@ -61,6 +61,22 @@ def rat_pow(x, e: int):
     return (RAT_ONE / base) ** (-e)
 
 
+def power(base, n: int, one):
+    """base**n for an integer n >= 0 by square-and-multiply, starting from one.
+
+    The one square-and-multiply of the package: series and field elements
+    serve their ``__pow__`` from it.
+    """
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 def rational_sqrt(x):
     """Exact square root of a nonnegative rational, or None if irrational."""
     from math import isqrt

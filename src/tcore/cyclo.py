@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cache
 from math import gcd
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, rat_str
+from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, power, rat_str
 
 
 @cache
@@ -225,15 +225,7 @@ class Cyclo:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = Cyclo.one(self.m)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return power(self if e >= 0 else self.inverse(), abs(e), Cyclo.one(self.m))
 
     # -- structure queries -------------------------------------------------
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from tcore._rat import QQ, is_rational, rat, rat_pow, rat_str, rational_sqrt
+from tcore._rat import QQ, rat, rat_pow, rat_str, rational_sqrt
 from tcore.cyclo import Cyclo
 from tcore.partitions import conjugate, enumerate_t_cores, hook_lengths, partitions_of
 from tcore.qseries import (
@@ -424,17 +424,6 @@ def closed_Ft_r(
     )
 
 
-def _rational_part(value) -> QQ:
-    """Extract the rational value of a field element, or fail loudly."""
-    if is_rational(value):
-        return QQ(value)
-    if hasattr(value, "is_rational"):
-        if not value.is_rational():
-            raise ValueError(f"{value!r} has an irrational component")
-        return value.rational_value()
-    return QQ(value)
-
-
 def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     """The defining vertex sum of the deformed partition function.
 
@@ -452,7 +441,7 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
                 for mu in partitions_of(d_mu):
                     value = topological_vertex((), conjugate(mu), nu, q)
                     value = value * topological_vertex((), mu, nu_t, q)
-                    coeff = _rational_part(value)
+                    coeff = QQ_DOMAIN.coerce(value)
                     if (d_mu + d_nu) % 2:
                         coeff = -coeff
                     key = (2 * d_nu, 2 * d_mu)
@@ -465,11 +454,11 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
 
     The b-th band contributes factors whose lowest total degree is 2b - 1,
     so bands beyond (order_total + 1) // 2 collapse to 1; its factor
-    1 - Q^b Q1^b has degree 2b and collapses once 2b > order_total.
+    1 - Q^b Q1^b has degree 2b and collapses once 2b > order_total.  Every
+    factor has constant term 1 on that window, so the product keeps it.
     """
     q = deformation_base(q)
     check_order(order_total)
-    order2 = 2 * order_total
     out = macmahon(1, q, (0, 1), order_total)
     for b in range(1, (order_total + 1) // 2 + 1):
         out = out * macmahon(1, q, (b, b + 1), order_total)
@@ -481,9 +470,7 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
             out = out / band
         square = macmahon(1, q, (b, b), order_total)
         out = out / (square * square)
-    return BiSeries(
-        out.dom, order2, {k: c for k, c in out.terms.items() if k[0] + k[1] <= order2}
-    )
+    return out
 
 
 def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
@@ -599,7 +586,7 @@ def is_real_series(series: QSeries) -> bool:
 
 def rational_series(series: QSeries) -> QSeries:
     """Push a series with rational-valued coefficients down to the rationals."""
-    return series.map_coeffs(_rational_part, QQ_DOMAIN)
+    return series.map_coeffs(QQ_DOMAIN.coerce, QQ_DOMAIN)
 
 
 @dataclass(frozen=True)
@@ -620,11 +607,11 @@ class NPointResult:
         series = self.value
         if isinstance(series, QSeries):
             body = {
-                str(e2): rat_str(_rational_part(c)) for e2, c in sorted(series.terms.items())
+                str(e2): rat_str(QQ_DOMAIN.coerce(c)) for e2, c in sorted(series.terms.items())
             }
         elif isinstance(series, BiSeries):
             body = {
-                f"{k[0]},{k[1]}": rat_str(_rational_part(c))
+                f"{k[0]},{k[1]}": rat_str(QQ_DOMAIN.coerce(c))
                 for k, c in sorted(series.terms.items())
             }
         else:

@@ -10,7 +10,15 @@ Exponent convention: every Q-exponent is stored DOUBLED as a plain int
 ("exp2"), so Q^(3/2) lives at key 3 and Q^2 at key 4.  Half-integer powers
 are pervasive here (theta sums carry Q^(a^2/2), the n-point weights carry
 s^(1/2)), and doubling keeps the bookkeeping in integers.  Public entry
-points accept either a plain int meaning a whole power of Q, or a HalfExp.
+points accept either a plain int meaning a whole power of Q, or a HalfExp;
+internal code passes doubled ints.
+
+QSeries and BiSeries share one base, _Series, which holds the ring
+plumbing (sums, negation, scaling, powers, truncation, equality and
+hashing) and reads the degree of a key through the subclass: the key
+itself for a QSeries, the total a + b for a BiSeries.  Each keeps its own
+product loop.  One helper, _compose, sums c_m u^m for a u without a
+constant term; it serves qlog, qexp, TaylorZ.log and BiSeries.inverse.
 
 Truncation bookkeeping is honest: multiplying series known through exponents
 Ta and Tb with lowest terms la and lb yields a series known through
@@ -19,9 +27,10 @@ min(Ta + lb, Tb + la), never beyond.
 
 from __future__ import annotations
 
-from math import factorial
+import math
+import operator
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, rat_str
+from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, power, rat_str
 from .cyclo import Cyclo
 from .quadext import SqrtExt
 
@@ -119,11 +128,10 @@ class RationalDomain(_Domain):
     one = RAT_ONE
 
     def coerce(self, x):
+        """x as a rational; a field element with an irrational part is a ValueError."""
         if is_rational(x):
             return QQ(x)
-        if isinstance(x, Cyclo) and x.is_rational():
-            return x.rational_value()
-        if isinstance(x, SqrtExt) and x.is_rational():
+        if isinstance(x, (Cyclo, SqrtExt)):
             return x.rational_value()
         raise TypeError(f"cannot coerce {x!r} into Q")
 
@@ -221,7 +229,7 @@ class TaylorZ:
     __radd__ = __add__
 
     def __neg__(self):
-        return TaylorZ(self.dom, tuple(-a for a in self.cs))
+        return self.map_coeffs(lambda a: -a)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -284,15 +292,10 @@ class TaylorZ:
         """log of a series with constant term exactly 1 (finite sum in z)."""
         if self.cs[0] != self.dom.inner.one:
             raise ValueError("TaylorZ log needs constant term 1")
-        u = self - self.dom.one
-        acc = self.dom.zero
-        p = u
-        for m in range(1, self.dom.z_order + 1):
-            term = p / m
-            acc = acc + (term if m % 2 == 1 else -term)
-            if m < self.dom.z_order:
-                p = p * u
-        return acc
+        return _compose(self - self.dom.one, _log_coeff, self.dom.zero)
+
+    def map_coeffs(self, f) -> "TaylorZ":
+        return TaylorZ(self.dom, tuple(f(c) for c in self.cs))
 
     def __bool__(self):
         return any(self.cs)
@@ -317,15 +320,17 @@ class TaylorZ:
 
 
 # ---------------------------------------------------------------------------
-# univariate Q-series
+# truncated series: the plumbing QSeries and BiSeries share
 
 
-class QSeries:
-    """Series in Q, exponents doubled, exact coefficients, hard truncation.
+class _Series:
+    """Exact coefficients on sparse keys, hard-truncated by degree.
 
-    terms maps doubled exponent -> nonzero coefficient, with every key at
-    most trunc2.  Instances are immutable by convention; operations return
-    fresh objects.
+    ``terms`` maps a key to a nonzero coefficient, and every key has degree
+    at most ``trunc2`` (doubled, like every exponent here).  A subclass says
+    how to read the degree of a key (``_degree``) and which key is the
+    constant term (``_ORIGIN``); the ring plumbing here needs nothing else.
+    Instances are immutable; operations return fresh objects.
     """
 
     __slots__ = ("dom", "trunc2", "terms")
@@ -333,22 +338,168 @@ class QSeries:
     def __init__(self, dom, trunc2: int, terms: dict):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "trunc2", int(trunc2))
-        object.__setattr__(self, "terms", {e: c for e, c in terms.items() if c})
-        if any(e > self.trunc2 for e in self.terms):
-            raise ValueError("term exponent beyond the truncation order")
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        if self.terms and max(map(self._degree, self.terms)) > self.trunc2:
+            raise ValueError(self._OUTSIDE)
 
     def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
-
-    # -- constructors ------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, dom, order) -> "QSeries":
+    def zero(cls, dom, order):
         return cls(dom, _as_exp2(order), {})
 
     @classmethod
-    def one(cls, dom, order) -> "QSeries":
-        return cls(dom, _as_exp2(order), {0: dom.one})
+    def one(cls, dom, order):
+        return cls(dom, _as_exp2(order), {cls._ORIGIN: dom.one})
+
+    def _like(self, terms: dict, trunc2: int | None = None):
+        """A series of the same kind and domain, by default on the same window."""
+        return type(self)(self.dom, self.trunc2 if trunc2 is None else trunc2, terms)
+
+    def _unit(self):
+        """The series 1 on the window of self."""
+        return self._like({self._ORIGIN: self.dom.one})
+
+    def _low(self) -> int:
+        """The lowest degree present, or trunc2 + 1 for the zero series."""
+        return min(map(self._degree, self.terms), default=self.trunc2 + 1)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _check_dom(self, other):
+        if self.dom != other.dom:
+            raise ValueError(f"domain mismatch: {self.dom.name} vs {other.dom.name}")
+
+    def _scalar(self, other):
+        """other as a coefficient of the domain, or None if it is not one."""
+        try:
+            return self.dom.coerce(other)
+        except (TypeError, ValueError):
+            return None
+
+    def _scaled(self, other, op):
+        """Each coefficient v replaced by op(v, c) for the scalar c = other."""
+        c = self._scalar(other)
+        if c is None:
+            return NotImplemented
+        return self.map_coeffs(lambda v: op(v, c))
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            self._check_dom(other)
+            t2 = min(self.trunc2, other.trunc2)
+            deg = self._degree
+            out = {k: c for k, c in self.terms.items() if deg(k) <= t2}
+            for k, c in other.terms.items():
+                if deg(k) <= t2:
+                    out[k] = out.get(k, self.dom.zero) + c
+            return self._like(out, t2)
+        c = self._scalar(other)
+        if c is None:
+            return NotImplemented
+        out = dict(self.terms)
+        out[self._ORIGIN] = out.get(self._ORIGIN, self.dom.zero) + c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.map_coeffs(lambda c: -c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        return power(self, n, self._unit())
+
+    # -- reshaping ---------------------------------------------------------
+
+    def truncated(self, order):
+        """The series cut to degree at most order (an int or a HalfExp)."""
+        return self._cut(_as_exp2(order))
+
+    def _cut(self, t2: int):
+        if t2 > self.trunc2:
+            raise ValueError("cannot extend a truncated series")
+        deg = self._degree
+        return self._like({k: c for k, c in self.terms.items() if deg(k) <= t2}, t2)
+
+    def map_coeffs(self, f, dom=None):
+        return type(self)(dom or self.dom, self.trunc2, {k: f(c) for k, c in self.terms.items()})
+
+    # -- comparison ----------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dom == other.dom and self.trunc2 == other.trunc2 and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.dom.name, self.trunc2, tuple(sorted(self.terms.items()))))
+
+
+def _compose(u, coeff, acc):
+    """acc + sum_{m >= 1} coeff(m) * u^m, for u without a constant term.
+
+    u is a _Series of lowest degree L >= 1 or a TaylorZ.  Each power is cut
+    to the window T of u before the next product, so no power is carried
+    beyond T.  At most T // L powers are nonzero (z_order of them for a
+    TaylorZ, whose products stop at z^z_order), the last of them is never
+    multiplied again, and the sum ends early at an empty power.
+    """
+    if not u:
+        return acc
+    if isinstance(u, TaylorZ):
+        window, top = None, u.dom.z_order
+    else:
+        window, low = u.trunc2, u._low()
+        if low < 1:
+            raise ValueError("the inner series needs a positive lowest degree")
+        top = window // low
+    p = u
+    for m in range(1, top + 1):
+        c = coeff(m)
+        acc = acc + p.map_coeffs(lambda v: v * c)
+        if m == top:
+            break
+        p = p * u if window is None else (p * u)._cut(window)
+        if not p:
+            break
+    return acc
+
+
+def _log_coeff(m: int):
+    """(-1)^(m+1)/m, the coefficient of u^m in log(1 + u)."""
+    return QQ((-1) ** (m + 1), m)
+
+
+# ---------------------------------------------------------------------------
+# univariate Q-series
+
+
+class QSeries(_Series):
+    """Series in Q, exponents doubled, exact coefficients, hard truncation.
+
+    A key is a doubled exponent and is its own degree; keys may be negative,
+    as in a quotient by a series that starts above Q^0.
+    """
+
+    __slots__ = ()
+    _ORIGIN = 0
+    _OUTSIDE = "term exponent beyond the truncation order"
+
+    @staticmethod
+    def _degree(e: int) -> int:
+        return e
 
     @classmethod
     def monomial(cls, dom, coeff, exp, order) -> "QSeries":
@@ -360,9 +511,6 @@ class QSeries:
         """Lowest stored doubled exponent, or None for the zero series."""
         return min(self.terms) if self.terms else None
 
-    def _low_eff(self) -> int:
-        return min(self.terms) if self.terms else self.trunc2 + 1
-
     def coeff(self, exp):
         """Coefficient of Q^exp (int or HalfExp)."""
         return self.terms.get(_as_exp2(exp), self.dom.zero)
@@ -370,103 +518,30 @@ class QSeries:
     def coeff2(self, exp2: int):
         return self.terms.get(exp2, self.dom.zero)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check_dom(self, other: "QSeries"):
-        if self.dom != other.dom:
-            raise ValueError(f"domain mismatch: {self.dom.name} vs {other.dom.name}")
-
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            self._check_dom(other)
-            t2 = min(self.trunc2, other.trunc2)
-            out = {e: c for e, c in self.terms.items() if e <= t2}
-            for e, c in other.terms.items():
-                if e <= t2:
-                    out[e] = out.get(e, self.dom.zero) + c
-            return QSeries(self.dom, t2, out)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        out = dict(self.terms)
-        out[0] = out.get(0, self.dom.zero) + c
-        return QSeries(self.dom, self.trunc2, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries(self.dom, self.trunc2, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return self + (-other)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        out = dict(self.terms)
-        out[0] = out.get(0, self.dom.zero) - c
-        return QSeries(self.dom, self.trunc2, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, QSeries):
-            self._check_dom(other)
-            t2 = min(self.trunc2 + other._low_eff(), other.trunc2 + self._low_eff())
-            out = {}
-            zero = self.dom.zero
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    if e <= t2:
-                        out[e] = out.get(e, zero) + c1 * c2
-            return QSeries(self.dom, t2, out)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        if not c:
-            return QSeries.zero(self.dom, HalfExp(self.trunc2))
-        return QSeries(self.dom, self.trunc2, {e: v * c for e, v in self.terms.items()})
+        if not isinstance(other, QSeries):
+            return self._scaled(other, operator.mul)
+        self._check_dom(other)
+        t2 = min(self.trunc2 + other._low(), other.trunc2 + self._low())
+        out = {}
+        zero = self.dom.zero
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                if e <= t2:
+                    out[e] = out.get(e, zero) + c1 * c2
+        return QSeries(self.dom, t2, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             return qdiv(self, other)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return QSeries(self.dom, self.trunc2, {e: v / c for e, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = QSeries.one(self.dom, HalfExp(self.trunc2))
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return self._scaled(other, operator.truediv)
 
     # -- reshaping ---------------------------------------------------------
-
-    def truncated(self, order) -> "QSeries":
-        t2 = _as_exp2(order)
-        if t2 > self.trunc2:
-            raise ValueError("cannot extend a truncated series")
-        return QSeries(self.dom, t2, {e: c for e, c in self.terms.items() if e <= t2})
 
     def shifted(self, exp) -> "QSeries":
         """Multiply by Q^exp (exact, shifts the truncation window too)."""
@@ -477,19 +552,7 @@ class QSeries:
         """Replace Q by Q^d (d >= 1)."""
         return QSeries(self.dom, self.trunc2 * d, {e * d: c for e, c in self.terms.items()})
 
-    def map_coeffs(self, f, dom=None) -> "QSeries":
-        dom = dom or self.dom
-        return QSeries(dom, self.trunc2, {e: f(c) for e, c in self.terms.items()})
-
     # -- comparison and presentation ----------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.dom == other.dom and self.trunc2 == other.trunc2 and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dom.name, self.trunc2, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def agrees_with(self, other: "QSeries", order=None) -> bool:
         """Equality of coefficients through the given order (or the shared one)."""
@@ -520,7 +583,7 @@ def qdiv(a: QSeries, b: QSeries) -> QSeries:
         raise ZeroDivisionError("division by a series that is zero to its truncation order")
     c = b.terms[vb]
     cinv = a.dom.one / c
-    va = a._low_eff()
+    va = a._low()
     t2 = min(a.trunc2 - vb, b.trunc2 - 2 * vb + va)
     if not a.terms:
         return QSeries(a.dom, t2, {})
@@ -541,40 +604,18 @@ def qdiv(a: QSeries, b: QSeries) -> QSeries:
     return QSeries(a.dom, t2, out)
 
 
-def qlog(a: QSeries) -> QSeries:
-    """log of a series with constant term exactly 1."""
-    if a.coeff2(0) != a.dom.one:
+def qlog(a):
+    """log of a QSeries or BiSeries with constant term exactly 1."""
+    if a.terms.get(a._ORIGIN) != a.dom.one:
         raise ValueError("qlog needs constant term 1")
-    u = a - a.dom.one
-    if not u:
-        return QSeries.zero(a.dom, HalfExp(a.trunc2))
-    lu = u.low2()
-    acc = QSeries.zero(a.dom, HalfExp(a.trunc2))
-    p = u
-    mmax = a.trunc2 // lu
-    for m in range(1, mmax + 1):
-        term = p / m
-        acc = acc + (term if m % 2 == 1 else -term)
-        if m < mmax:
-            p = p * u
-    return acc
+    return _compose(a - a.dom.one, _log_coeff, a._like({}))
 
 
-def qexp(a: QSeries) -> QSeries:
-    """exp of a series with zero constant term."""
-    if a.coeff2(0):
+def qexp(a):
+    """exp of a QSeries or BiSeries with zero constant term."""
+    if a.terms.get(a._ORIGIN):
         raise ValueError("qexp needs zero constant term")
-    out = QSeries.one(a.dom, HalfExp(a.trunc2))
-    if not a:
-        return out
-    la = a.low2()
-    p = a
-    mmax = a.trunc2 // la
-    for m in range(1, mmax + 1):
-        out = out + p / factorial(m)
-        if m < mmax:
-            p = p * a
-    return out
+    return _compose(a, lambda m: QQ(1, math.factorial(m)), a._unit())
 
 
 def lift_series(a: QSeries, dom) -> QSeries:
@@ -586,33 +627,23 @@ def lift_series(a: QSeries, dom) -> QSeries:
 # bivariate (Q, Q1) series, total-degree truncation
 
 
-class BiSeries:
+class BiSeries(_Series):
     """Series in (Q, Q1) with doubled exponents and a shared total cutoff.
 
-    Keys are pairs (eQ2, eQ12); every stored key satisfies eQ2 + eQ12 <=
-    trunc2.  The two variables mix through products like Q1*Q, which is why
-    the grading is by total degree.
+    Keys are pairs (eQ2, eQ12) of nonnegative doubled exponents, and the
+    degree of a key is eQ2 + eQ12.  The two variables mix through products
+    like Q1*Q, which is why the grading is by total degree.
     """
 
-    __slots__ = ("dom", "trunc2", "terms")
+    __slots__ = ()
+    _ORIGIN = (0, 0)
+    _OUTSIDE = "bivariate term outside the truncation simplex"
 
-    def __init__(self, dom, trunc2: int, terms: dict):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "trunc2", int(trunc2))
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
-        if any(k[0] + k[1] > self.trunc2 or k[0] < 0 or k[1] < 0 for k in self.terms):
-            raise ValueError("bivariate term outside the truncation simplex")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    @classmethod
-    def zero(cls, dom, order) -> "BiSeries":
-        return cls(dom, _as_exp2(order), {})
-
-    @classmethod
-    def one(cls, dom, order) -> "BiSeries":
-        return cls(dom, _as_exp2(order), {(0, 0): dom.one})
+    @staticmethod
+    def _degree(key) -> int:
+        a, b = key
+        # a negative exponent lies outside every truncation simplex
+        return a + b if a >= 0 and b >= 0 else math.inf
 
     @classmethod
     def monomial(cls, dom, coeff, expQ, expQ1, order) -> "BiSeries":
@@ -622,123 +653,36 @@ class BiSeries:
     def coeff(self, expQ, expQ1):
         return self.terms.get((_as_exp2(expQ), _as_exp2(expQ1)), self.dom.zero)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check_dom(self, other):
-        if self.dom != other.dom:
-            raise ValueError("domain mismatch")
-
-    def __add__(self, other):
-        if isinstance(other, BiSeries):
-            self._check_dom(other)
-            t2 = min(self.trunc2, other.trunc2)
-            out = {k: c for k, c in self.terms.items() if k[0] + k[1] <= t2}
-            for k, c in other.terms.items():
-                if k[0] + k[1] <= t2:
-                    out[k] = out.get(k, self.dom.zero) + c
-            return BiSeries(self.dom, t2, out)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        out = dict(self.terms)
-        out[(0, 0)] = out.get((0, 0), self.dom.zero) + c
-        return BiSeries(self.dom, self.trunc2, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiSeries(self.dom, self.trunc2, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, BiSeries):
-            return self + (-other)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        out = dict(self.terms)
-        out[(0, 0)] = out.get((0, 0), self.dom.zero) - c
-        return BiSeries(self.dom, self.trunc2, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _min_total(self) -> int:
-        if not self.terms:
-            return self.trunc2 + 1
-        return min(k[0] + k[1] for k in self.terms)
-
     def __mul__(self, other):
-        if isinstance(other, BiSeries):
-            self._check_dom(other)
-            t2 = min(self.trunc2 + other._min_total(), other.trunc2 + self._min_total())
-            out = {}
-            zero = self.dom.zero
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    ta, tb = a1 + a2, b1 + b2
-                    if ta + tb <= t2:
-                        key = (ta, tb)
-                        out[key] = out.get(key, zero) + c1 * c2
-            return BiSeries(self.dom, t2, out)
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        if not c:
-            return BiSeries(self.dom, self.trunc2, {})
-        return BiSeries(self.dom, self.trunc2, {k: v * c for k, v in self.terms.items()})
+        if not isinstance(other, BiSeries):
+            return self._scaled(other, operator.mul)
+        self._check_dom(other)
+        t2 = min(self.trunc2 + other._low(), other.trunc2 + self._low())
+        out = {}
+        zero = self.dom.zero
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                ta, tb = a1 + a2, b1 + b2
+                if ta + tb <= t2:
+                    key = (ta, tb)
+                    out[key] = out.get(key, zero) + c1 * c2
+        return BiSeries(self.dom, t2, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = BiSeries.one(self.dom, HalfExp(self.trunc2))
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
 
     def inverse(self) -> "BiSeries":
         c0 = self.terms.get((0, 0), self.dom.zero)
         if not c0:
             raise ZeroDivisionError("BiSeries inverse needs an invertible constant term")
         c0inv = self.dom.one / c0
+        # 1/(1 + u) = sum_m (-u)^m
         u = self * c0inv - self.dom.one
-        out = BiSeries.one(self.dom, HalfExp(self.trunc2))
-        if u:
-            p = u
-            mmax = self.trunc2 // u._min_total()
-            for m in range(1, mmax + 1):
-                out = out + (p if m % 2 == 0 else -p)
-                if m < mmax:
-                    p = p * u
-        return out * c0inv
+        return _compose(u, lambda m: (-1) ** m, self._unit()) * c0inv
 
     def __truediv__(self, other):
         if isinstance(other, BiSeries):
             return self * other.inverse()
-        try:
-            c = self.dom.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return BiSeries(self.dom, self.trunc2, {k: v / c for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.dom == other.dom and self.trunc2 == other.trunc2 and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dom.name, self.trunc2, tuple(sorted(self.terms.items()))))
+        return self._scaled(other, operator.truediv)
 
     def __repr__(self):
         bits = []

@@ -9,7 +9,7 @@ canonical.
 
 from __future__ import annotations
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, rat_str, rational_sqrt
+from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, power, rat_str, rational_sqrt
 
 
 class SqrtExt:
@@ -100,16 +100,7 @@ class SqrtExt:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        out = SqrtExt(self.d, RAT_ONE)
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return power(self if e >= 0 else self.inverse(), abs(e), SqrtExt(self.d, RAT_ONE))
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -19,20 +19,26 @@ from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
     CycloDomain,
-    HalfExp,
     QSeries,
     TaylorDomain,
     TaylorZ,
     _as_exp2,
     check_order,
-    half,
     lift_series,
     qdiv,
+    qexp,
     qlog,
 )
 
 
-@lru_cache(maxsize=None)
+# Fixed cache bounds.  bernoulli(n) stores n + 1 entries, and every weight
+# in use stays far below the bound; one _log_theta_ratio entry serves one
+# (t, r, l, order) of level_series.
+_BERNOULLI_CACHE = 256
+_LOG_RATIO_CACHE = 64
+
+
+@lru_cache(maxsize=_BERNOULLI_CACHE)
 def bernoulli(n: int):
     """The n-th Bernoulli number (B_1 = -1/2), exact."""
     if n < 0:
@@ -71,16 +77,14 @@ def _infer_domain(value):
 
 @dataclass(frozen=True)
 class ThetaArg:
-    """An argument z (optionally times an integer power of Q) with a branch.
+    """An argument z with a branch of its square root.
 
     ``sqrt_value`` squares to ``value`` exactly and may be omitted for the
-    series that never look at it.  ``q_shift`` k means the argument is
-    value * Q^k, which the sum-form evaluations absorb into exponents.
+    series that never look at it.
     """
 
     value: object
     sqrt_value: object = None
-    q_shift: int = 0
     dom: object = None
 
     def __post_init__(self):
@@ -119,12 +123,6 @@ class ThetaArg:
         sqrt_value = Cyclo.root(m, exp // 2) * sigma
         return cls(value, sqrt_value)
 
-    def inverse_arg(self) -> "ThetaArg":
-        """The argument 1/z with the branch 1/sqrt(z); Q-shift negated."""
-        inv = self.dom.one / self.value
-        sq = None if self.sqrt_value is None else self.dom.one / self.sqrt_value
-        return ThetaArg(inv, sq, -self.q_shift, self.dom)
-
 
 def _euler_cube(dom, order2: int) -> QSeries:
     """prod_{b>=1} (1 - Q^b)^3 by Jacobi's sum of (-1)^n (2n+1) Q^(n(n+1)/2)."""
@@ -139,25 +137,19 @@ def _euler_cube(dom, order2: int) -> QSeries:
 def vartheta(arg: ThetaArg, order) -> QSeries:
     """The odd theta series for the given argument and branch.
 
-    With w = z Q^k the argument, this is the triple-product quotient
-    -w^(-1/2) j(w) / prod_{b>=1} (1-Q^b)^3: the minus sign is what d/dz of
-    the (1-z) factor of j leaves behind, and the Q^(-k/2) of w^(-1/2) shifts
-    the result.  Both j and Jacobi's series for the cube are sparse.  At
-    k = 0 the quotient equals (sqrt_z - 1/sqrt_z) times
-    prod_{b>=1} (1-zQ^b)(1-z^{-1}Q^b)/(1-Q^b)^2.
+    This is the triple-product quotient -z^(-1/2) j(z) / prod_{b>=1} (1-Q^b)^3:
+    the minus sign is what d/dz of the (1-z) factor of j leaves behind.
+    Both j and Jacobi's series for the cube are sparse.  The quotient equals
+    (sqrt_z - 1/sqrt_z) prod_{b>=1} (1-zQ^b)(1-z^{-1}Q^b)/(1-Q^b)^2.
     """
     if arg.sqrt_value is None:
         raise ValueError("vartheta needs the square-root branch of its argument")
     check_order(order)
     dom = arg.dom
     order2 = _as_exp2(order)
-    k = arg.q_shift
-    j = _j_sum(dom, arg.value, order2 + max(k, 0), k)
-    # a negative lowest exponent of j eats into the window of the quotient
-    cube = _euler_cube(dom, j.trunc2 - min(j._low_eff(), 0))
     pref = -(dom.one / arg.sqrt_value)
-    series = qdiv(j, cube).map_coeffs(lambda c: c * pref)
-    return series.shifted(half(-k)).truncated(order)
+    quotient = qdiv(_j_sum(dom, arg.value, order2), _euler_cube(dom, order2))
+    return quotient.map_coeffs(lambda c: c * pref)
 
 
 def _power_sum(dom, z, order2: int, exp2) -> QSeries:
@@ -184,9 +176,9 @@ def _power_sum(dom, z, order2: int, exp2) -> QSeries:
     return QSeries(dom, order2, terms)
 
 
-def _j_sum(dom, z, order2: int, q_shift: int) -> QSeries:
-    """sum_a (-z)^a Q^((a^2-a)/2 + a*q_shift), doubled-order truncation."""
-    return _power_sum(dom, -z, order2, lambda a: a * (a - 1) + 2 * a * q_shift)
+def _j_sum(dom, z, order2: int) -> QSeries:
+    """sum_a (-z)^a Q^((a^2-a)/2), doubled-order truncation."""
+    return _power_sum(dom, -z, order2, lambda a: a * (a - 1))
 
 
 def jfunc(arg: ThetaArg, order) -> QSeries:
@@ -196,7 +188,7 @@ def jfunc(arg: ThetaArg, order) -> QSeries:
     tests keep that product as an oracle.
     """
     check_order(order)
-    return _j_sum(arg.dom, arg.value, _as_exp2(order), arg.q_shift)
+    return _j_sum(arg.dom, arg.value, _as_exp2(order))
 
 
 def theta3(arg: ThetaArg, order) -> QSeries:
@@ -208,29 +200,7 @@ def theta3(arg: ThetaArg, order) -> QSeries:
     an oracle.
     """
     check_order(order)
-    k = arg.q_shift
-    return _power_sum(arg.dom, arg.value, _as_exp2(order), lambda a: a * a + 2 * a * k)
-
-
-def _biexp(a: BiSeries) -> BiSeries:
-    """exp of a bivariate series with zero constant term."""
-    if a.coeff(0, 0):
-        raise ValueError("exponentials need a vanishing constant term")
-    low = min((k[0] + k[1] for k in a.terms), default=a.trunc2 + 1)
-    out = BiSeries.one(a.dom, HalfExp(a.trunc2))
-    term = BiSeries.one(a.dom, HalfExp(a.trunc2))
-    kmax = a.trunc2 // max(low, 1) + 1
-    for k in range(1, kmax + 1):
-        term = term * a
-        term = BiSeries(
-            term.dom,
-            min(term.trunc2, a.trunc2),
-            {key: c for key, c in term.terms.items() if key[0] + key[1] <= a.trunc2},
-        )
-        out = out + term * rat(1, math.factorial(k))
-        if not term:
-            break
-    return out
+    return _power_sum(arg.dom, arg.value, _as_exp2(order), lambda a: a * a)
 
 
 def macmahon(z, q, weight, order) -> BiSeries:
@@ -251,16 +221,11 @@ def macmahon(z, q, weight, order) -> BiSeries:
     d2 = wq2 + wq12
     if d2 <= 0:
         raise ValueError("the carried monomial must have positive total degree")
-    log_m = BiSeries.zero(QQ_DOMAIN, HalfExp(order2))
-    m = 1
-    while m * d2 <= order2:
+    log_terms = {}
+    for m in range(1, order2 // d2 + 1):
         qm = rat_pow(q, -m)
-        coeff = -rat_pow(z, m) * qm / ((1 - qm) ** 2 * m)
-        log_m = log_m + BiSeries.monomial(
-            QQ_DOMAIN, coeff, HalfExp(m * wq2), HalfExp(m * wq12), HalfExp(order2)
-        )
-        m += 1
-    return _biexp(log_m)
+        log_terms[(m * wq2, m * wq12)] = -rat_pow(z, m) * qm / ((1 - qm) ** 2 * m)
+    return qexp(BiSeries(QQ_DOMAIN, order2, log_terms))
 
 
 def eisenstein(k: int, order: int) -> QSeries:
@@ -274,7 +239,7 @@ def eisenstein(k: int, order: int) -> QSeries:
     return QSeries(QQ_DOMAIN, 2 * order, terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_LOG_RATIO_CACHE)
 def _log_theta_ratio(t: int, r: int, z_order: int, order: int) -> QSeries:
     """log of vartheta(xi_t^r e^z) / vartheta(xi_t^r) as a (Q; z) series.
 
@@ -299,7 +264,7 @@ def _log_theta_ratio(t: int, r: int, z_order: int, order: int) -> QSeries:
     ratio = qdiv(num, den)
     head = ratio.coeff(0)
     unipotent = ratio.map_coeffs(lambda c: c * head.inverse())
-    return qlog(unipotent) + QSeries.monomial(tdom, head.log(), 0, HalfExp(ratio.trunc2))
+    return qlog(unipotent) + QSeries(tdom, ratio.trunc2, {0: head.log()})
 
 
 def level_series(t: int, r: int, l: int, order: int) -> QSeries:

@@ -1,5 +1,6 @@
 """The public names and the functions the benchmark traces all exist."""
 
+import importlib
 import runpy
 from pathlib import Path
 
@@ -25,3 +26,21 @@ def test_every_traced_function_exists():
     for targets in tracing["SPANS"].values():
         for modname, qualname in targets:
             assert callable(tracing["_lookup"](modname, qualname)), (modname, qualname)
+
+
+def test_traced_functions_are_their_owners_own_and_distinct():
+    # a span wrapper replaces its function wherever that object is bound, so
+    # a function inherited from a shared base, or one object behind two SPANS
+    # entries, would credit one layer's calls to another
+    tracing = runpy.run_path(str(TRACING))
+    seen = {}
+    for span, targets in tracing["SPANS"].items():
+        for modname, qualname in targets:
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = importlib.import_module(modname)
+            if owner_name:
+                owner = tracing["_lookup"](modname, owner_name)
+            assert attr in vars(owner), (modname, qualname)
+            fn = vars(owner)[attr]
+            assert id(fn) not in seen, (span, qualname, seen.get(id(fn)))
+            seen[id(fn)] = (span, qualname)

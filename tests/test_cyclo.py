@@ -74,6 +74,9 @@ def test_inverse_examples():
 
     xi5 = Cyclo.root(5)
     assert xi5.inverse() == xi5**4
+    x = Cyclo.root(8, 3) + 2
+    assert x**-3 == x.inverse() * x.inverse() * x.inverse()
+    assert x**5 == x * x * x * x * x
 
 
 def test_root_exponent_wraps():
@@ -160,6 +163,7 @@ def test_sqrtext_basics():
     assert (1 + r2) * (1 + r2) == 3 + 2 * r2
     assert (1 + r2).inverse() == -1 + r2
     assert (1 + r2) ** -2 == (3 - 2 * r2)  # inverse squared
+    assert (1 + r2) ** 5 == (1 + r2) * (1 + r2) * (1 + r2) * (1 + r2) * (1 + r2)
     assert (3 + 2 * r2).norm() == 1
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tcore._rat import QQ
 from tcore.cyclo import Cyclo
-from tcore.npoint import rational_series
+from tcore.npoint import NPointResult, SValue, rational_series
 from tcore.qseries import (
     BiSeries,
     CycloDomain,
@@ -20,6 +20,8 @@ from tcore.qseries import (
     qexp,
     qlog,
 )
+from tcore.quadext import SqrtExt
+from tcore.theta import macmahon
 
 
 def geometric(order):
@@ -95,6 +97,9 @@ def test_pow_matches_repeated_mul():
     a = QSeries(QQ_DOMAIN, 12, {0: QQ(1), 2: QQ(1), 4: QQ(2)})
     assert a**3 == a * a * a
     assert a**0 == QSeries.one(QQ_DOMAIN, 6)
+    b = BiSeries.one(QQ_DOMAIN, 4) + BiSeries.monomial(QQ_DOMAIN, 2, half(1), 1, 4)
+    assert b**5 == b * b * b * b * b
+    assert b**0 == BiSeries.one(QQ_DOMAIN, 4)
 
 
 def _random_series(draw, order, unit=False):
@@ -117,7 +122,10 @@ def test_ring_axioms(data):
     b = _random_series(data.draw, 6)
     c = _random_series(data.draw, 6)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    # a cancellation in b + c raises its lowest degree, so the left side may
+    # be known further than the right; on the right's window they are equal
+    rhs = a * b + a * c
+    assert (a * (b + c)).truncated(HalfExp(rhs.trunc2)) == rhs
     assert a * b == b * a
 
 
@@ -146,6 +154,20 @@ def test_rationality_projection():
     bad = QSeries(dom, 4, {2: xi})
     with pytest.raises(ValueError):
         rational_series(bad)
+    # Q(sqrt d) projects the same way: only an element without radical part
+    assert QQ_DOMAIN.coerce(SqrtExt(2, QQ(3, 4))) == QQ(3, 4)
+    with pytest.raises(ValueError):
+        QQ_DOMAIN.coerce(SqrtExt(2, 1, 1))
+    with pytest.raises(ValueError):
+        rational_series(QSeries(QQ_DOMAIN, 4, {2: SqrtExt(3, 0, 2)}))
+    # the JSON payload goes through the same projection
+    svals = (SValue.of(4),)
+    assert NPointResult("closed", 2, 1, svals, ok, 4).as_payload()["series"] == {"0": "1"}
+    bi = BiSeries(QQ_DOMAIN, 4, {(0, 2): SqrtExt(2, 5)})
+    assert NPointResult("deformed", None, 0, (), bi, 4).as_payload()["series"] == {"0,2": "5"}
+    for value in (bad, BiSeries(QQ_DOMAIN, 4, {(2, 0): SqrtExt(2, 0, 1)})):
+        with pytest.raises(ValueError):
+            NPointResult("closed", 2, 1, svals, value, 4).as_payload()
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +226,14 @@ def test_biseries_total_degree_cutoff():
     assert (1, 1) not in {(k[0] // 2, k[1] // 2) for k in prod.terms}
 
 
+def test_terms_outside_the_window_are_rejected():
+    with pytest.raises(ValueError):
+        QSeries(QQ_DOMAIN, 4, {5: QQ(1)})
+    for key in ((4, 1), (-2, 2), (2, -2)):
+        with pytest.raises(ValueError):
+            BiSeries(QQ_DOMAIN, 4, {key: QQ(1)})
+
+
 def test_biseries_monomial_product_extends_knowledge():
     # exact monomials known through total degree 2 multiply to something
     # known through total degree 4, so the degree-3 cross term survives
@@ -212,3 +242,70 @@ def test_biseries_monomial_product_extends_knowledge():
     prod = q * q * q1
     assert prod.coeff(2, 1) == 1
     assert prod.trunc2 == 8
+
+
+def _random_biseries(draw, order, unit=False):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.integers(0, 2 * order))
+        b = draw(st.integers(0, 2 * order - a))
+        if unit and a + b == 0:
+            continue
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
+        terms[(a, b)] = QQ(c.numerator, c.denominator)
+    if unit:
+        terms[(0, 0)] = QQ(1)
+    return BiSeries(QQ_DOMAIN, 2 * order, terms)
+
+
+def test_composition_needs_a_positive_lowest_degree():
+    # a term below Q^0 makes every power of u reach the window
+    with pytest.raises(ValueError):
+        qlog(QSeries(QQ_DOMAIN, 6, {-1: QQ(1), 0: QQ(1)}))
+    with pytest.raises(ValueError):
+        qexp(QSeries(QQ_DOMAIN, 6, {-2: QQ(3)}))
+
+
+# truncation honesty of every caller of the composition helper: a result at
+# order N equals the result at order N + 2 truncated to N
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 5))
+def test_qlog_and_qexp_are_honest_about_truncation(data, order):
+    a = _random_series(data.draw, order + 2, unit=True)
+    assert qlog(a.truncated(order)) == qlog(a).truncated(order)
+    u = a - 1
+    assert qexp(u.truncated(order)) == qexp(u).truncated(order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 5))
+def test_taylor_log_is_honest_about_truncation(data, z_order):
+    wide, narrow = TaylorDomain(QQ_DOMAIN, z_order + 2), TaylorDomain(QQ_DOMAIN, z_order)
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    cs = [QQ(1)] + [QQ(data.draw(fractions)) for _ in range(z_order + 2)]
+    assert TaylorZ(narrow, cs[: z_order + 1]).log().cs == TaylorZ(wide, cs).log().cs[: z_order + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 4))
+def test_biseries_division_log_and_exp_are_honest_about_truncation(data, order):
+    a = _random_biseries(data.draw, order + 2)
+    b = _random_biseries(data.draw, order + 2, unit=True)
+    assert a.truncated(order) / b.truncated(order) == (a / b).truncated(order)
+    assert qlog(b.truncated(order)) == qlog(b).truncated(order)
+    u = b - 1
+    assert qexp(u.truncated(order)) == qexp(u).truncated(order)
+    assert qexp(qlog(b)) == b
+    prod = b * b.inverse()
+    assert prod == BiSeries.one(QQ_DOMAIN, HalfExp(prod.trunc2))
+
+
+@pytest.mark.parametrize("weight", [(0, 1), (1, 0), (1, 1), (2, 1), (half(1), half(1))])
+def test_macmahon_is_honest_about_truncation(weight):
+    for z, q in ((1, 2), (QQ(-2, 3), QQ(3, 2))):
+        for order in (0, 1, 3, 4):
+            assert macmahon(z, q, weight, order) == macmahon(z, q, weight, order + 2).truncated(
+                order
+            ), (z, q, order)

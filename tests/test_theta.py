@@ -2,6 +2,7 @@
 
 import pytest
 
+from tcore import theta
 from tcore._rat import QQ, rat, rat_pow
 from tcore.cyclo import Cyclo
 from tcore.qseries import (
@@ -176,11 +177,6 @@ def test_vartheta_product_matches_sum_route():
         oracle = vartheta_product(arg, 12)
         for order2 in range(25):
             assert vartheta(arg, half(order2)) == oracle.truncated(half(order2)), (arg, order2)
-    # a Q-shifted argument: undo vartheta(Qz) = -Q^(-1/2) z^(-1) vartheta(z)
-    for arg in (RZ4, ThetaArg.scaled_root(-4), ThetaArg.scaled_root(rat(9, 4), t=3, e=2)):
-        up = vartheta(ThetaArg(arg.value, arg.sqrt_value, 1, arg.dom), 8)
-        recovered = up.map_coeffs(lambda c: -c * arg.value).shifted(half(1))
-        assert vartheta_product(arg, 6).agrees_with(recovered, 6), arg
 
 
 def test_euler_cube_is_jacobi_series():
@@ -190,12 +186,6 @@ def test_euler_cube_is_jacobi_series():
         prod = prod * (one - QSeries.monomial(QQ_DOMAIN, 1, b, 30)) ** 3
     for order2 in (0, 1, 12, 60):
         assert _euler_cube(QQ_DOMAIN, order2) == prod.truncated(half(order2))
-
-
-def test_vartheta_lattice_translation_frozen_base():
-    lhs = vartheta(ThetaArg(QQ(4), QQ(2), q_shift=1), 6)
-    rhs = vartheta(RZ4, 8).map_coeffs(lambda c: -c / 4).shifted(half(-1))
-    assert lhs.agrees_with(rhs, 6)
 
 
 def test_theta3_half_order():
@@ -209,13 +199,6 @@ def test_theta3_sum_equals_product():
     z = Cyclo.root(6, 2) * rat(3, 2)
     arg = ThetaArg(z)
     assert theta3(arg, 8) == theta3_product(arg, 8)
-
-
-def test_theta3_lattice_translation():
-    arg = ThetaArg(QQ(9))
-    lhs = theta3(ThetaArg(QQ(9), q_shift=1), 6)
-    rhs = theta3(arg, 8).map_coeffs(lambda c: c / 9).shifted(half(-1))
-    assert lhs.agrees_with(rhs, 6)
 
 
 def test_theta3_frozen_support():
@@ -249,7 +232,7 @@ def test_vartheta_derivative_at_one():
 
 def test_vartheta_inverse_argument_is_odd():
     arg = RZ4
-    flipped = arg.inverse_arg()
+    flipped = ThetaArg(arg.dom.one / arg.value, arg.dom.one / arg.sqrt_value, dom=arg.dom)
     a = vartheta(arg, 6)
     b = vartheta(flipped, 6)
     assert b == a.map_coeffs(lambda c: -c)
@@ -284,6 +267,20 @@ def test_macmahon_matches_brute_product():
                 if eq + eq1 <= 3:
                     gap = closed.coeff(eq, eq1) - brute.coeff(eq, eq1)
                     assert abs(gap) < tol, (weight, eq, eq1)
+
+
+def test_theta_caches_are_bounded_and_hold_one_level_series():
+    caches = (theta.bernoulli, theta._log_theta_ratio)
+    for cache in caches:
+        cache.cache_clear()
+    level_series(3, 1, 4, 8)
+    eisenstein(6, 4)  # bernoulli(12) stores B_0 .. B_12
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        # every miss stored one entry, so nothing was evicted
+        assert 0 < info.misses <= info.maxsize, info
+        assert info.currsize == info.misses, info
 
 
 def test_level_series_t2_matches_classical_combination():
