@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from tcore._rat import QQ, rat, rat_pow, rat_str, rational_sqrt
-from tcore.cyclo import Cyclo
+from tcore.modular import rational_lift
 from tcore.partitions import conjugate, enumerate_t_cores, hook_lengths, partitions_of
 from tcore.qseries import (
     QQ_DOMAIN,
@@ -165,10 +165,14 @@ class SetPartition:
         return sum(len(b) for b in self.blocks)
 
 
+# the most points set_partitions enumerates, and so the closed routes take
+_MAX_POINTS = 8
+
+
 def set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of {1..n} via restricted growth strings."""
-    if not 1 <= n <= 8:
-        raise ValueError("n must be between 1 and 8")
+    if not 1 <= n <= _MAX_POINTS:
+        raise ValueError(f"n must be between 1 and {_MAX_POINTS}")
     out: list[SetPartition] = []
     assignment = [0] * n
 
@@ -203,26 +207,26 @@ _DET_BRANCH_PERIOD = 2  # in units of t
 
 
 class _ThetaTable:
-    """Memoized constant-argument theta series over Q(xi_2t).
+    """Memoized constant-argument theta series over a domain holding xi_2t.
 
     The square-root branch of x*xi_t^e is sqrt(x)*xi_2t^e after reducing
     e mod the requested period (t or 2t); the block products are branch
     independent, the determinant entries are not.
     """
 
-    def __init__(self, t: int, order: int):
+    def __init__(self, t: int, order: int, dom):
         self.t = t
         self.m = 2 * t
         self.order = order
-        self.dom = CycloDomain(self.m)
+        self.dom = dom
         self._odd: dict = {}
         self._sym: dict = {}
 
     def root_scaled(self, scale: QQ, e: int):
-        """scale * xi_t^e as a cyclotomic number (any sign of scale)."""
+        """scale * xi_t^e in the domain (any sign of scale)."""
         e = e % self.t
         exp = 2 * e + (self.t if scale < 0 else 0)
-        return Cyclo.root(self.m, exp) * abs(QQ(scale))
+        return self.dom.root(self.m, exp) * abs(QQ(scale))
 
     def odd(self, sv: SValue, e: int, period: int | None = None) -> QSeries:
         """vartheta at sv.s * xi_t^e, branch sqrt(s)*xi_2t^(e mod period)."""
@@ -230,7 +234,7 @@ class _ThetaTable:
             period = self.t
         key = (sv.s, e % period)
         if key not in self._odd:
-            arg = ThetaArg.scaled_root(sv.s, t=self.t, e=e % period)
+            arg = ThetaArg.scaled_root(sv.s, t=self.t, e=e % period, dom=self.dom)
             self._odd[key] = vartheta(arg, self.order)
         return self._odd[key]
 
@@ -294,7 +298,7 @@ def _determinant_sum(
     # product of vartheta(xi_t^e) over e = 1..t-1, shared by every block
     root_den = QSeries.one(dom, order)
     for e in range(1, t):
-        root_den = root_den * vartheta(ThetaArg.scaled_root(QQ(1), t=t, e=e), order)
+        root_den = root_den * vartheta(ThetaArg.scaled_root(QQ(1), t=t, e=e, dom=dom), order)
 
     block_cache: dict = {}
 
@@ -345,7 +349,69 @@ def _determinant_sum(
         acc = acc + dets
 
     pref = math.prod((rat_pow(sv.sqrt_s, t) - rat_pow(sv.sqrt_s, -t) for sv in svals), start=QQ(1))
-    return qdiv(acc, divisor).map_coeffs(lambda c: c / pref)
+    scale = dom.coerce(1 / pref)
+    return qdiv(acc, divisor).map_coeffs(lambda c: c * scale)
+
+
+def _check_points(t: int, n: int) -> None:
+    """Refuse more points than the set-partition sum is built for, with its cost."""
+    if n > _MAX_POINTS:
+        dets = _bell(n) * sum(math.perm(t, k) for k in range(1, min(n, t) + 1))
+        raise ValueError(
+            f"n = {n} exceeds the {_MAX_POINTS} points the closed routes support: "
+            f"the sum would evaluate about Bell({n}) * sum_k {t}!/({t}-k)! = {dets} determinants"
+        )
+
+
+def _bell(n: int) -> int:
+    """The number of set partitions of n points, by the Bell triangle."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def _closed_series(dom, t: int, svals, order: int, all_tuples: bool, Q2=None, r=None) -> QSeries:
+    """The determinant sum of closed_Ft (given Q2) or closed_Ft_r (given r), over dom.
+
+    dom is any coefficient domain whose ``root`` hook holds xi_2t: the
+    routes pass the residue domains of ``rational_lift``, and the exact
+    CycloDomain(2t) gives the same series in Q(xi_2t).
+    """
+    table = _ThetaTable(t, order, dom)
+    n = len(svals)
+    if r is None:
+        s_all = _block_product(svals, tuple(range(1, n + 1)))
+        return _determinant_sum(
+            table,
+            svals,
+            lambda sv, diff: table.sym(-Q2 / sv.s, diff),
+            qdiv(QSeries.one(dom, order), table.sym(-Q2, 0)),
+            table.sym(-Q2 / s_all.s, 0),
+            all_tuples,
+        )
+    s_marked = _block_product(svals, tuple(range(1, r + 1)))
+    s_rest = _block_product(svals, tuple(range(r + 1, n + 1)))
+    theta_rest_inv = vartheta(ThetaArg(1 / s_rest.s, 1 / s_rest.sqrt_s, dom=dom), order)
+    if not theta_rest_inv.coeff(0):
+        raise ValueError("vartheta of the unmarked product inverse is singular")
+    period = _DET_BRANCH_PERIOD * t
+
+    def numerator(sv: SValue, diff: int) -> QSeries:
+        arg = ThetaArg.scaled_root(s_marked.s / sv.s, t=t, e=diff % period, dom=dom)
+        return vartheta(arg, order)
+
+    return _determinant_sum(
+        table,
+        svals,
+        numerator,
+        qdiv(QSeries.one(dom, order), table.odd(s_marked, 0)),
+        theta_rest_inv,
+        all_tuples,
+    )
 
 
 def closed_Ft(
@@ -360,7 +426,15 @@ def closed_Ft(
     The result does not depend on Q2 (any nonzero rational), which the
     tests exploit as an invariant.  Tuples with a repeated column label
     contribute a vanishing determinant, so they are skipped unless
-    ``all_tuples`` asks for the full sum.
+    ``all_tuples`` asks for the full sum.  At most eight s-values.
+
+    The sum runs over Z/N, for N a product of about 61-bit primes
+    p = 1 (mod 2t), with xi_2t mapped to a primitive 2t-th root of unity
+    mod N.  Each coefficient is rebuilt from its residue by rational
+    reconstruction and confirmed at a check prime that the reconstruction
+    does not see, so a wrong coefficient would pass with probability about
+    2^-61 (see tcore.modular).  The coefficients come back over Q(zeta_2t)
+    as Cyclo.from_rat elements, as the exact sum in Q(zeta_2t) gives them.
     """
     if t < 2:
         raise ValueError("t must be at least 2")
@@ -370,17 +444,11 @@ def closed_Ft(
         raise ValueError("Q2 must be nonzero")
     svals = s_vector(s_values)
     n = len(svals)
+    _check_points(t, n)
     if n == 0:
         return QSeries.one(CycloDomain(2 * t), order)
-    table = _ThetaTable(t, order)
-    s_all = _block_product(svals, tuple(range(1, n + 1)))
-    return _determinant_sum(
-        table,
-        svals,
-        lambda sv, diff: table.sym(-Q2 / sv.s, diff),
-        qdiv(QSeries.one(table.dom, order), table.sym(-Q2, 0)),
-        table.sym(-Q2 / s_all.s, 0),
-        all_tuples,
+    return rational_lift(
+        lambda dom: _closed_series(dom, t, svals, order, all_tuples, Q2=Q2), 2 * t
     )
 
 
@@ -391,7 +459,13 @@ def closed_Ft_r(
     order: int,
     all_tuples: bool = False,
 ) -> QSeries:
-    """The Q2-free specialization marking the index subset {1..r}, r < n."""
+    """The Q2-free specialization marking the index subset {1..r}, r < n.
+
+    At most eight s-values.  Computed like closed_Ft: over Z/N for a
+    product N of about 61-bit primes p = 1 (mod 2t), with each coefficient
+    rebuilt by rational reconstruction and confirmed at a check prime, so a
+    wrong coefficient would pass with probability about 2^-61.
+    """
     if t < 2:
         raise ValueError("t must be at least 2")
     check_order(order)
@@ -401,26 +475,9 @@ def closed_Ft_r(
         raise ValueError("this route needs at least two s-values")
     if not 1 <= r < n:
         raise ValueError("r must satisfy 1 <= r < n")
-    table = _ThetaTable(t, order)
-    dom = table.dom
-    s_marked = _block_product(svals, tuple(range(1, r + 1)))
-    s_rest = _block_product(svals, tuple(range(r + 1, n + 1)))
-    theta_rest_inv = vartheta(ThetaArg(1 / s_rest.s, 1 / s_rest.sqrt_s, dom=dom), order)
-    if not theta_rest_inv.coeff(0):
-        raise ValueError("vartheta of the unmarked product inverse is singular")
-    period = _DET_BRANCH_PERIOD * t
-
-    def numerator(sv: SValue, diff: int) -> QSeries:
-        arg = ThetaArg.scaled_root(s_marked.s / sv.s, t=t, e=diff % period)
-        return vartheta(arg, order)
-
-    return _determinant_sum(
-        table,
-        svals,
-        numerator,
-        qdiv(QSeries.one(dom, order), table.odd(s_marked, 0)),
-        theta_rest_inv,
-        all_tuples,
+    _check_points(t, n)
+    return rational_lift(
+        lambda dom: _closed_series(dom, t, svals, order, all_tuples, r=r), 2 * t
     )
 
 

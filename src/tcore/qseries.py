@@ -110,7 +110,8 @@ def check_order(order) -> None:
 
 class _Domain:
     """A coefficient domain: ``name`` identifies it, ``zero`` and ``one`` are
-    its constants and ``coerce`` brings a scalar into it."""
+    its constants, ``coerce`` brings a scalar into it and ``root(m, e)`` is
+    zeta_m^e in it, for the m it holds the roots of."""
 
     def __eq__(self, other):
         return getattr(other, "name", None) == self.name
@@ -135,6 +136,12 @@ class RationalDomain(_Domain):
             return x.rational_value()
         raise TypeError(f"cannot coerce {x!r} into Q")
 
+    def root(self, m: int, e: int):
+        """zeta_m^e for m = 1 or 2, the roots of unity in Q."""
+        if 2 % m:
+            raise ValueError(f"zeta{m} is not rational")
+        return RAT_ONE if (e * (2 // m)) % 2 == 0 else -RAT_ONE
+
 
 QQ_DOMAIN = RationalDomain()
 
@@ -155,6 +162,12 @@ class CycloDomain(_Domain):
             return Cyclo.from_rat(self.m, x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
+    def root(self, m: int, e: int) -> Cyclo:
+        """zeta_m^e, for m dividing the conductor."""
+        if self.m % m:
+            raise ValueError(f"zeta{m} does not lie in {self.name}")
+        return Cyclo.root(self.m, e * (self.m // m))
+
 
 class TaylorDomain(_Domain):
     """Truncated polynomials in z over an inner scalar domain."""
@@ -173,6 +186,9 @@ class TaylorDomain(_Domain):
             return x
         c = self.inner.coerce(x)
         return TaylorZ(self, (c,) + (self.inner.zero,) * self.z_order)
+
+    def root(self, m: int, e: int) -> "TaylorZ":
+        return self.coerce(self.inner.root(m, e))
 
 
 class TaylorZ:
@@ -244,9 +260,14 @@ class TaylorZ:
         return o - self
 
     def __mul__(self, other):
+        if is_rational(other):
+            return self._times_constant(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        for a, b in ((self, o), (o, self)):
+            if not any(b.cs[1:]):
+                return a._times_constant(b.cs[0])
         n = self.dom.z_order
         zero = self.dom.inner.zero
         out = [zero] * (n + 1)
@@ -260,6 +281,10 @@ class TaylorZ:
         return TaylorZ(self.dom, out)
 
     __rmul__ = __mul__
+
+    def _times_constant(self, c) -> "TaylorZ":
+        """self times a factor constant in z: one product per nonzero coefficient."""
+        return self.map_coeffs(lambda a: a * c if a else a)
 
     def inverse(self) -> "TaylorZ":
         c0 = self.cs[0]

@@ -100,12 +100,13 @@ class ThetaArg:
                 raise ValueError("sqrt_value does not square to value")
 
     @classmethod
-    def scaled_root(cls, scale, t: int = 1, e: int = 0):
+    def scaled_root(cls, scale, t: int = 1, e: int = 0, dom=None):
         """scale * xi_t^e with its square root, in the least cyclotomic home.
 
         |scale| must be a perfect square of a rational; the root of a
         negative scale picks up a quarter turn, which forces 4 | conductor.
-        Conductor 2 collapses to plain rationals.
+        Conductor 2 collapses to plain rationals.  A given ``dom`` takes the
+        roots of unity from its ``root`` hook instead.
         """
         scale = QQ(scale)
         if scale == 0:
@@ -115,13 +116,9 @@ class ThetaArg:
             raise ValueError(f"|scale| = {abs(scale)} is not a perfect square")
         m = 2 * t if scale > 0 else math.lcm(2 * t, 4)
         exp = (m // t) * e + (m // 2 if scale < 0 else 0)
-        if m == 2:
-            # conductor 2 is the rationals; the root of xi_2^(2e) is (-1)^e
-            sqrt_sign = QQ(1) if (exp // 2) % 2 == 0 else QQ(-1)
-            return cls(scale, sigma * sqrt_sign)
-        value = Cyclo.root(m, exp) * sigma * sigma
-        sqrt_value = Cyclo.root(m, exp // 2) * sigma
-        return cls(value, sqrt_value)
+        if dom is None:
+            dom = QQ_DOMAIN if m == 2 else CycloDomain(m)
+        return cls(dom.root(m, exp) * abs(scale), dom.root(m, exp // 2) * sigma, dom=dom)
 
 
 def _euler_cube(dom, order2: int) -> QSeries:
@@ -255,8 +252,8 @@ def _log_theta_ratio(t: int, r: int, z_order: int, order: int) -> QSeries:
     tdom = TaylorDomain(dom_c, z_order)
     ez = TaylorZ.exp_of(tdom, 1)
     ez_half = TaylorZ.exp_of(tdom, rat(1, 2))
-    xi = Cyclo.root(m, 2 * r)
-    xi_h = Cyclo.root(m, r)
+    xi = dom_c.root(m, 2 * r)
+    xi_h = dom_c.root(m, r)
     arg_moving = ThetaArg(xi * ez, xi_h * ez_half, dom=tdom)
     arg_fixed = ThetaArg(xi, xi_h, dom=dom_c)
     num = vartheta(arg_moving, order)

@@ -326,6 +326,23 @@ def test_single_point_theta_quotient_form():
     assert rational_series(series).agrees_with(brute, order)
 
 
+@pytest.mark.parametrize("t,n,order", [(3, 3, 20), (5, 2, 12), (5, 3, 12)])
+def test_closed_route_matches_enumeration_deep(t, n, order):
+    svec = (S4, S94, S2516)[:n]
+    closed = rational_series(closed_Ft(t, svec, QQ(5, 3), order))
+    assert closed.agrees_with(brute_force_Ft(t, svec, order), order)
+
+
+@pytest.mark.parametrize("route", [
+    lambda s: closed_Ft(3, s, QQ(2), 2),
+    lambda s: closed_Ft_r(3, s, 1, 2),
+], ids=["closed_Ft", "closed_Ft_r"])
+def test_closed_routes_refuse_more_than_eight_points_with_a_cost(route):
+    # Bell(9) = 21147 set partitions, 3 + 6 + 6 label tuples at t = 3
+    with pytest.raises(ValueError, match=r"n = 9 .* = 317205 determinants"):
+        route((S4,) * 9)
+
+
 # -- the route with the marked index subset ---------------------------------------
 
 

@@ -201,6 +201,40 @@ def test_taylor_inverse_and_shift():
     assert z2.coeff(2) == 1 and not z2.coeff(1)
 
 
+def taylor_double_loop(a: TaylorZ, b: TaylorZ) -> TaylorZ:
+    """The full truncated product, pair by pair: the oracle of TaylorZ.__mul__."""
+    n = a.dom.z_order
+    out = [a.dom.inner.zero] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a.cs[i] * b.cs[j]
+    return TaylorZ(a.dom, out)
+
+
+small_rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(small_rationals, min_size=4, max_size=4),
+    st.lists(st.lists(small_rationals, min_size=2, max_size=2), min_size=4, max_size=4),
+    small_rationals,
+)
+def test_taylor_product_by_a_z_constant_factor_matches_the_double_loop(rats, cyclos, c):
+    for dom in (TaylorDomain(QQ_DOMAIN, 3), TaylorDomain(CycloDomain(6), 3)):
+        inner = dom.inner
+        if inner == QQ_DOMAIN:
+            a = TaylorZ(dom, rats)
+        else:
+            a = TaylorZ(dom, [Cyclo(6, pair) for pair in cyclos])
+        for const in (c, inner.coerce(c), a.cs[1] if inner != QQ_DOMAIN else c):
+            b = dom.coerce(const)
+            want = taylor_double_loop(a, b)
+            assert a * b == want and b * a == want
+            assert a * const == want and const * a == want
+        assert a * a == taylor_double_loop(a, a)
+
+
 # ---------------------------------------------------------------------------
 # BiSeries
 
