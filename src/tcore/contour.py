@@ -36,6 +36,7 @@ from math import exp, log
 import mpmath as mp
 
 from tcore._rat import is_rational
+from tcore.qseries import check_t
 
 __all__ = [
     "ExtractionResult",
@@ -414,8 +415,7 @@ def _setup(s, Q):
 
 def _t_core_axes(t: int, s_m, ctx):
     """The axis factors of the t-core integrands, at nome Q^t."""
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     ctx_t = _nome_context(ctx.Q**t)
     s_t = [sj**t for sj in s_m]
     return lambda j, wj: _axis_factor(s_t[j], (-wj) ** t, ctx_t)

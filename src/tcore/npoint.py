@@ -26,6 +26,7 @@ from tcore.qseries import (
     TaylorDomain,
     TaylorZ,
     check_order,
+    check_t,
     qdiv,
 )
 from tcore.symfunc import deformation_base, topological_vertex
@@ -68,6 +69,12 @@ def s_vector(values) -> tuple[SValue, ...]:
     return tuple(SValue.of(v) for v in values)
 
 
+def _clearing_exponents(nu) -> tuple[int, int]:
+    """The powers A of p and B of q that clear the moment's lowest and highest
+    exponent of p/q (see _moment_fraction)."""
+    return max(0, 2 * len(nu) - 1), (max(0, 2 * nu[0] - 1) if nu else 1)
+
+
 def _moment_fraction(svals, nu) -> tuple[int, int]:
     """The product of the row moments of nu as an integer fraction (num, den).
 
@@ -76,11 +83,9 @@ def _moment_fraction(svals, nu) -> tuple[int, int]:
     where A and B clear the lowest and highest exponent; both depend on nu
     only, not on s.
     """
-    ell = len(nu)
-    lo = max(0, 2 * ell - 1)
-    hi = max(0, 2 * nu[0] - 1) if ell else 1
+    lo, hi = _clearing_exponents(nu)
     exps = [2 * part - 2 * i + 1 for i, part in enumerate(nu, start=1)]
-    tail = 1 - 2 * ell
+    tail = 1 - 2 * len(nu)
     num = den = 1
     for sv in svals:
         p, q = sv.sqrt_s.numerator, sv.sqrt_s.denominator
@@ -102,31 +107,67 @@ def partition_moment(sv: SValue, nu) -> QQ:
     return QQ(*_moment_fraction((sv,), nu))
 
 
-def _moment_product(svals, nu) -> QQ:
-    return QQ(*_moment_fraction(svals, nu))
+def _divide_by_counts(num, counts, den: int, order: int) -> QSeries:
+    """(sum_e num[e] Q^e / den) / (sum_k counts[k] Q^k), through Q^order.
+
+    num and counts are integer lists indexed by the power of Q.  Because
+    counts[0] == 1 (the empty partition is the only one of size 0) the
+    quotient's numerators over den stay integers:
+    out[e] = num[e] - sum_{k>=1} counts[k] out[e-k].  Each coefficient
+    becomes one rational at the end.
+    """
+    if counts[0] != 1:
+        raise ValueError("the count series must start with 1")
+    steps = [(k, c) for k, c in enumerate(counts[1:order + 1], start=1) if c]
+    out: list[int] = []
+    for e in range(order + 1):
+        acc = num[e]
+        for k, c in steps:
+            if k > e:
+                break
+            acc -= c * out[e - k]
+        out.append(acc)
+    return QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c, den) for e, c in enumerate(out) if c})
 
 
 def _average(groups, svals, order: int) -> QSeries:
     """The average of the row-moment product over partitions grouped by size.
 
-    ``groups`` maps each size through ``order`` to its partitions.  Numerator
-    and denominator are both truncated at Q^order; since the denominator
-    starts at 1 the division is exact to that order.
+    ``groups`` maps each size 0..order to its partitions, as lists or as
+    generators; each is read once.  With sqrt(s) = p/q every moment product
+    is an integer fraction whose denominator divides
+    D = prod_s p^L q^H (p^2 - q^2), for L and H the largest clearing
+    exponents over the partitions (see _moment_fraction).  So the sum at
+    each size is one integer over D, and the division by the count series
+    runs in integers (see _divide_by_counts).
     """
-    num: dict[int, QQ] = {}
-    den: dict[int, QQ] = {}
-    for size, group in groups.items():
+    groups = [list(groups[size]) for size in range(order + 1)]
+    lo, hi = map(max, zip(*(_clearing_exponents(nu) for group in groups for nu in group)))
+    common = 1
+    for sv in svals:
+        p, q = sv.sqrt_s.numerator, sv.sqrt_s.denominator
+        common *= p**lo * q**hi * (p * p - q * q)
+    scale: dict[int, int] = {}  # D // den, by den
+    sums = []
+    for group in groups:
+        total = 0
         for nu in group:
-            num[2 * size] = num.get(2 * size, QQ(0)) + _moment_product(svals, nu)
-            den[2 * size] = den.get(2 * size, QQ(0)) + 1
-    order2 = 2 * order
-    return qdiv(QSeries(QQ_DOMAIN, order2, num), QSeries(QQ_DOMAIN, order2, den))
+            num, den = _moment_fraction(svals, nu)
+            if den not in scale:
+                scale[den] = common // den
+            total += num * scale[den]
+        sums.append(total)
+    return _divide_by_counts(sums, [len(group) for group in groups], common, order)
 
 
 def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
-    """The defining average over t-cores, coefficient by coefficient."""
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    """The defining average over t-cores, coefficient by coefficient.
+
+    Every t-core of size at most order is enumerated from its charge vector;
+    the moment products are summed in integers over one common denominator
+    and divided by the t-core count series in integers (see _average).
+    """
+    check_t(t)
     check_order(order)
     return _average(enumerate_t_cores(t, order), s_vector(s_values), order)
 
@@ -436,8 +477,7 @@ def closed_Ft(
     2^-61 (see tcore.modular).  The coefficients come back over Q(zeta_2t)
     as Cyclo.from_rat elements, as the exact sum in Q(zeta_2t) gives them.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     check_order(order)
     Q2 = QQ(Q2)
     if Q2 == 0:
@@ -466,8 +506,7 @@ def closed_Ft_r(
     rebuilt by rational reconstruction and confirmed at a check prime, so a
     wrong coefficient would pass with probability about 2^-61.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     check_order(order)
     svals = s_vector(s_values)
     n = len(svals)
@@ -585,10 +624,12 @@ def correlation_expansion(
     the geometric tail contributes e^((1/2 - l)z) * z/(e^z - 1).  The
     returned table maps (l_1..l_n) to the exact q-series multiplying
     z_1^(l_1 - 1) ... z_n^(l_n - 1); separate variables never mix, so one
-    G per partition serves every slot.
+    G per partition serves every slot.  Each slot's sums over the t-cores of
+    one size are put over the lcm of their denominators and divided by the
+    t-core count series in integers (see _divide_by_counts); the slots share
+    one count list.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     check_order(q_order)
     l_orders = tuple(int(l) for l in l_orders)
     if len(l_orders) != n:
@@ -606,9 +647,9 @@ def correlation_expansion(
     zvar = TaylorZ.variable(tdom)
 
     keys = list(product(*(range(l + 1) for l in l_orders)))
-    num: dict[tuple[int, ...], dict[int, QQ]] = {key: {} for key in keys}
-    den: dict[int, QQ] = {}
-    for size, group in enumerate_t_cores(t, q_order).items():
+    groups = enumerate_t_cores(t, q_order)
+    sums = {key: [QQ(0)] * (q_order + 1) for key in keys}
+    for size, group in groups.items():
         for nu in group:
             taylor = TaylorZ(tdom, [QQ(0)] * (l_max + 1))
             for i, part in enumerate(nu, start=1):
@@ -620,14 +661,14 @@ def correlation_expansion(
             for key in keys:
                 weight = math.prod((g_coeffs[l] for l in key), start=QQ(1))
                 if weight:
-                    bucket = num[key]
-                    bucket[2 * size] = bucket.get(2 * size, QQ(0)) + weight
-            den[2 * size] = den.get(2 * size, QQ(0)) + 1
-    order2 = 2 * q_order
-    den_series = QSeries(QQ_DOMAIN, order2, den)
-    return {
-        key: qdiv(QSeries(QQ_DOMAIN, order2, num[key]), den_series) for key in keys
-    }
+                    sums[key][size] += weight
+    counts = [len(groups[size]) for size in range(q_order + 1)]
+    table = {}
+    for key, row in sums.items():
+        den = math.lcm(*(c.denominator for c in row))
+        num = [c.numerator * (den // c.denominator) for c in row]
+        table[key] = _divide_by_counts(num, counts, den, q_order)
+    return table
 
 
 def is_real_series(series: QSeries) -> bool:

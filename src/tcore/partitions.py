@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ._rat import QQ
-from .qseries import QQ_DOMAIN, QSeries, check_order
+from .qseries import QQ_DOMAIN, QSeries, check_order, check_t
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -208,8 +208,7 @@ def maya_hook_multiset(lam) -> list[int]:
 def is_t_core(lam, t: int, method: str = "all-hooks") -> bool:
     """No hook length divisible by t; the three methods must agree."""
     lam = check_partition(lam)
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     if method == "all-hooks":
         return all(h % t != 0 for h in hook_lengths(lam).values())
     if method == "hook-equals-t":
@@ -263,18 +262,27 @@ def _charge_vectors(t: int, max_size: int) -> Iterator[tuple[tuple[int, ...], in
 
 
 def t_core_from_charges(t: int, charges) -> tuple[int, ...]:
-    """The t-core whose residue track r transitions at charge c_r."""
+    """The t-core whose residue track r transitions at charge c_r.
+
+    Track r holds beads at r + k*t for every k < c_r.  Below t * min(c) every
+    position holds a bead, and those beads are the vacuum's parts of size 0
+    (the charges sum to zero), so the beads r + k*t with min(c) <= k < c_r,
+    in descending order b_1 > b_2 > ..., give the parts b_j + j while those
+    are positive.
+    """
     charges = tuple(charges)
     if len(charges) != t or sum(charges) != 0:
         raise ValueError("need t charges summing to zero")
-    reach = max((abs(c) for c in charges), default=0) + 1
-    lo, hi = -t * reach, t * reach
-    bits = []
-    for i in range(lo, hi + 1):
-        r = i % t
-        k = (i - r) // t
-        bits.append(0 if k < charges[r] else 1)
-    return partition_from_maya(MayaWindow(lo, hi, tuple(bits), True))
+    low = min(charges, default=0)
+    beads = sorted(
+        (r + k * t for r, c in enumerate(charges) for k in range(low, c)), reverse=True
+    )
+    parts = []
+    for j, b in enumerate(beads, start=1):
+        if b + j <= 0:
+            break
+        parts.append(b + j)
+    return tuple(parts)
 
 
 def enumerate_t_cores(t: int, max_size: int, method: str = "direct") -> dict[int, list[tuple[int, ...]]]:
@@ -284,8 +292,7 @@ def enumerate_t_cores(t: int, max_size: int, method: str = "direct") -> dict[int
     each size; "direct" walks charge vectors of the t residue tracks.  The
     two must agree (a standing invariant of the test suite).
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
+    check_t(t)
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     out: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(max_size + 1)}
@@ -312,6 +319,7 @@ def t_core_size_series(t: int, order: int, method: str = "direct") -> QSeries:
 
 def t_core_product_series(t: int, order: int) -> QSeries:
     """prod (1 - Q^(nt))^t / (1 - Q^n), the closed form that enumeration checks."""
+    check_t(t)
     check_order(order)
     out = QSeries.one(QQ_DOMAIN, order)
     for n in range(1, order + 1):

@@ -98,10 +98,37 @@ def _as_exp2(order) -> int:
     raise TypeError(f"expected int or HalfExp, got {type(order).__name__}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_order(order) -> None:
-    """Reject a negative truncation order where a public route takes it."""
+    """Reject a truncation order that is not a nonnegative int, where a public
+    route takes a whole power of Q."""
+    if not _is_int(order):
+        raise ValueError(f"order must be an int, not {type(order).__name__}")
     if order < 0:
         raise ValueError("order must be nonnegative")
+
+
+def check_half_order(order) -> int:
+    """The doubled truncation order of a route that also takes a HalfExp.
+
+    Anything but a nonnegative int or HalfExp is refused, as in check_order.
+    """
+    if not (_is_int(order) or isinstance(order, HalfExp)):
+        raise ValueError(f"order must be an int or a HalfExp, not {type(order).__name__}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return _as_exp2(order)
+
+
+def check_t(t) -> None:
+    """Reject a core parameter t that is not an int of at least 2."""
+    if not _is_int(t):
+        raise ValueError(f"t must be an int, not {type(t).__name__}")
+    if t < 2:
+        raise ValueError("t must be at least 2")
 
 
 # ---------------------------------------------------------------------------

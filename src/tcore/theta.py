@@ -23,7 +23,9 @@ from tcore.qseries import (
     TaylorDomain,
     TaylorZ,
     _as_exp2,
+    check_half_order,
     check_order,
+    check_t,
     lift_series,
     qdiv,
     qexp,
@@ -141,9 +143,8 @@ def vartheta(arg: ThetaArg, order) -> QSeries:
     """
     if arg.sqrt_value is None:
         raise ValueError("vartheta needs the square-root branch of its argument")
-    check_order(order)
+    order2 = check_half_order(order)
     dom = arg.dom
-    order2 = _as_exp2(order)
     pref = -(dom.one / arg.sqrt_value)
     quotient = qdiv(_j_sum(dom, arg.value, order2), _euler_cube(dom, order2))
     return quotient.map_coeffs(lambda c: c * pref)
@@ -184,8 +185,7 @@ def jfunc(arg: ThetaArg, order) -> QSeries:
     The sum equals the product prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b); the
     tests keep that product as an oracle.
     """
-    check_order(order)
-    return _j_sum(arg.dom, arg.value, _as_exp2(order))
+    return _j_sum(arg.dom, arg.value, check_half_order(order))
 
 
 def theta3(arg: ThetaArg, order) -> QSeries:
@@ -196,8 +196,7 @@ def theta3(arg: ThetaArg, order) -> QSeries:
     prod (1-Q^b)(1+zQ^(b-1/2))(1+z^{-1}Q^(b-1/2)), which the tests keep as
     an oracle.
     """
-    check_order(order)
-    return _power_sum(arg.dom, arg.value, _as_exp2(order), lambda a: a * a)
+    return _power_sum(arg.dom, arg.value, check_half_order(order), lambda a: a * a)
 
 
 def macmahon(z, q, weight, order) -> BiSeries:
@@ -211,9 +210,8 @@ def macmahon(z, q, weight, order) -> BiSeries:
     q = QQ(q)
     if abs(q) <= 1:
         raise ValueError("the base must satisfy |q| > 1")
-    check_order(order)
+    order2 = check_half_order(order)
     z = QQ(z)
-    order2 = _as_exp2(order)
     wq2, wq12 = _as_exp2(weight[0]), _as_exp2(weight[1])
     d2 = wq2 + wq12
     if d2 <= 0:
@@ -270,6 +268,7 @@ def level_series(t: int, r: int, l: int, order: int) -> QSeries:
     Defined through log(vartheta(xi_t^r e^z)/vartheta(xi_t^r)) as l! times
     its z^l coefficient.
     """
+    check_t(t)
     if l < 1:
         raise ValueError("the weight index must be at least 1")
     check_order(order)

@@ -15,7 +15,9 @@ from tcore.npoint import (
     NPointResult,
     SetPartition,
     SValue,
-    _moment_product,
+    _average,
+    _divide_by_counts,
+    _moment_fraction,
     bloch_okounkov_F,
     brute_force_Ft,
     closed_Ft,
@@ -34,11 +36,13 @@ from tcore.partitions import (
     conjugate,
     enumerate_t_cores,
     hook_lengths,
+    is_t_core,
     partitions_of,
     t_core_product_series,
     t_core_size_series,
 )
-from tcore.qseries import QQ_DOMAIN, BiSeries, QSeries, qdiv
+from tcore.contour import QuadratureConfig, extract_cor42
+from tcore.qseries import QQ_DOMAIN, BiSeries, HalfExp, QSeries, half, qdiv
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
 
@@ -109,13 +113,18 @@ large_roots = st.tuples(
 ).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: QQ(max(pq), min(pq)))
 
 
+def moment_product(svals, nu):
+    """The row-moment product over several s-values as one rational."""
+    return QQ(*_moment_fraction(svals, nu))
+
+
 @settings(max_examples=150, deadline=None)
 @given(partitions_with_padding, st.lists(large_roots, min_size=1, max_size=3))
 def test_partition_moment_matches_fraction_loop(nu, roots):
     svals = [SValue.of(root * root) for root in roots]
     oracles = [moment_by_rows(sv, nu) for sv in svals]
     assert partition_moment(svals[0], nu) == oracles[0]
-    assert _moment_product(svals, nu) == math.prod(oracles, start=QQ(1))
+    assert moment_product(svals, nu) == math.prod(oracles, start=QQ(1))
 
 
 def test_s_vector_screen_passes_disjoint_values():
@@ -185,27 +194,68 @@ def test_brute_force_empty_product_is_one():
     assert series.agrees_with(QSeries.one(QQ_DOMAIN, 5), 5)
 
 
-@pytest.mark.parametrize("route", [
-    lambda: brute_force_Ft(2, (S4,), -1),
-    lambda: bloch_okounkov_F((S4,), -1),
-    lambda: closed_Ft(2, (S4,), 1, -1),
-    lambda: closed_Ft_r(2, (S4, S94), 1, -1),
-    lambda: correlation_expansion(3, 0, (), -1),
-    lambda: qdeformed_Z_sum(2, -1),
-    lambda: qdeformed_Zn_sum(2, (S4,), -1),
-    lambda: qdeformed_Z_product(2, -1),
-    lambda: level_series(3, 1, 1, -1),
-    lambda: eisenstein(1, -1),
-    lambda: vartheta(ThetaArg(S4, QQ(2)), -1),
-    lambda: theta3(ThetaArg(S4), -1),
-    lambda: jfunc(ThetaArg(S4), -1),
-    lambda: macmahon(1, 2, (0, 1), -1),
-    lambda: t_core_product_series(3, -1),
-    lambda: t_core_size_series(3, -1),
-])
+# every public route that takes a truncation order, as a function of it;
+# the indices 10..13 are the theta series, which also take a HalfExp
+ORDER_ROUTES = [
+    lambda N: brute_force_Ft(2, (S4,), N),
+    lambda N: bloch_okounkov_F((S4,), N),
+    lambda N: closed_Ft(2, (S4,), 1, N),
+    lambda N: closed_Ft_r(2, (S4, S94), 1, N),
+    lambda N: correlation_expansion(3, 0, (), N),
+    lambda N: qdeformed_Z_sum(2, N),
+    lambda N: qdeformed_Zn_sum(2, (S4,), N),
+    lambda N: qdeformed_Z_product(2, N),
+    lambda N: level_series(3, 1, 1, N),
+    lambda N: eisenstein(1, N),
+    lambda N: vartheta(ThetaArg(S4, QQ(2)), N),
+    lambda N: theta3(ThetaArg(S4), N),
+    lambda N: jfunc(ThetaArg(S4), N),
+    lambda N: macmahon(1, 2, (0, 1), N),
+    lambda N: t_core_product_series(3, N),
+    lambda N: t_core_size_series(3, N),
+]
+HALF_ORDER_ROUTES = ORDER_ROUTES[10:14]
+
+
+@pytest.mark.parametrize("route", ORDER_ROUTES)
 def test_negative_order_is_rejected_at_the_boundary(route):
     with pytest.raises(ValueError, match="order must be nonnegative"):
-        route()
+        route(-1)
+
+
+@pytest.mark.parametrize("route", ORDER_ROUTES, ids=range(len(ORDER_ROUTES)))
+@pytest.mark.parametrize("bad", [2.0, 2.5, QQ(3), "3", True, half(5)],
+                         ids=["float", "float-half", "Fraction", "str", "bool", "HalfExp"])
+def test_an_order_of_the_wrong_type_is_rejected_at_the_boundary(route, bad):
+    if route in HALF_ORDER_ROUTES and isinstance(bad, HalfExp):
+        assert route(bad).trunc2 == 5
+        return
+    with pytest.raises(ValueError, match=f"order must be an int.*not {type(bad).__name__}$"):
+        route(bad)
+
+
+# every public route that takes the core parameter t, as a function of it
+T_ROUTES = [
+    lambda t: brute_force_Ft(t, (S4,), 3),
+    lambda t: closed_Ft(t, (S4,), 1, 3),
+    lambda t: closed_Ft_r(t, (S4, S94), 1, 3),
+    lambda t: correlation_expansion(t, 1, (1,), 3),
+    lambda t: level_series(t, 1, 2, 3),
+    lambda t: enumerate_t_cores(t, 3),
+    lambda t: is_t_core((2, 1), t),
+    lambda t: t_core_size_series(t, 3),
+    lambda t: t_core_product_series(t, 3),
+    lambda t: extract_cor42(t, (S4,), QuadratureConfig.for_region((S4,), QQ(1, 100), M=4)),
+]
+
+
+@pytest.mark.parametrize("route", T_ROUTES, ids=range(len(T_ROUTES)))
+@pytest.mark.parametrize("bad", [3.0, QQ(3), "3", True], ids=["float", "Fraction", "str", "bool"])
+def test_a_t_of_the_wrong_type_is_rejected_at_the_boundary(route, bad):
+    with pytest.raises(ValueError, match=f"t must be an int, not {type(bad).__name__}$"):
+        route(bad)
+    with pytest.raises(ValueError, match="t must be at least 2"):
+        route(1)
 
 
 def test_brute_force_rejects_bad_inputs():
@@ -561,6 +611,110 @@ def test_unrestricted_average_first_coefficients():
 def test_unrestricted_average_n0_is_one():
     series = bloch_okounkov_F((), 5)
     assert series.agrees_with(QSeries.one(QQ_DOMAIN, 5), 5)
+
+
+def theta_product(x, step: int, order: int) -> list:
+    """prod_{b>=1} (1 - x Q^(b step))(1 - Q^(b step)/x) / (1 - Q^(b step))^2,
+    its coefficients through Q^order."""
+    c = [QQ(1)] + [QQ(0)] * order
+    for k in range(step, order + 1, step):
+        for z in (x, 1 / x):
+            for i in range(order, k - 1, -1):
+                c[i] -= z * c[i - k]
+        for _ in range(2):
+            for i in range(k, order + 1):
+                c[i] += c[i - k]
+    return c
+
+
+@pytest.mark.parametrize("t, order", [(2, 100), (3, 100), (5, 80), (None, 24)],
+                         ids=["t=2", "t=3", "t=5", "all partitions"])
+def test_one_point_average_is_a_theta_quotient_deep(t, order):
+    # F (s^(1/2) - s^(-1/2)) P(s; Q) = P(s^t; Q^t) for the t-core average, and
+    # = 1 for the average over all partitions (Bloch-Okounkov), at an s of
+    # the benchmark's height
+    root = QQ(53, 37)
+    s = root * root
+    f = brute_force_Ft(t, (s,), order) if t else bloch_okounkov_F((s,), order)
+    f = [f.coeff(k) for k in range(order + 1)]
+    p = theta_product(s, 1, order)
+    gap = root - 1 / root
+    lhs = [gap * sum(f[i] * p[k - i] for i in range(k + 1)) for k in range(order + 1)]
+    rhs = theta_product(s**t, t, order) if t else [QQ(1)] + [QQ(0)] * order
+    assert lhs == rhs
+
+
+# -- the integer averaging kernel ------------------------------------------------------
+
+
+def counts_and_numerators(order_max: int = 40):
+    """An order, integer counts with constant term 1 and rational numerators."""
+    def build(order):
+        counts = st.lists(
+            st.one_of(st.just(0), st.integers(-50, 50)), min_size=order, max_size=order
+        ).map(lambda tail: [1] + tail)
+        nums = st.lists(
+            st.builds(QQ, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+            min_size=order + 1, max_size=order + 1,
+        )
+        return st.tuples(st.just(order), counts, nums)
+
+    return st.integers(0, order_max).flatmap(build)
+
+
+def divide_as_series(nums, counts, order):
+    """The same quotient by series division over Q."""
+    a = QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c) for e, c in enumerate(nums)})
+    b = QSeries(QQ_DOMAIN, 2 * order, {2 * k: QQ(c) for k, c in enumerate(counts)})
+    return qdiv(a, b)
+
+
+def divide_by_counts(nums, counts, order):
+    den = math.lcm(*(QQ(c).denominator for c in nums))
+    ints = [QQ(c).numerator * (den // QQ(c).denominator) for c in nums]
+    return _divide_by_counts(ints, counts, den, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts_and_numerators())
+def test_division_by_counts_matches_series_division(case):
+    order, counts, nums = case
+    assert divide_by_counts(nums, counts, order) == divide_as_series(nums, counts, order)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_division_by_sparse_core_counts_matches_series_division(t):
+    # at t = 2 the only cores are the staircases, so the counts are runs of
+    # zeros between single ones
+    order = 40
+    counts = [len(g) for g in enumerate_t_cores(t, order).values()]
+    nums = [QQ(k * k - 7, 3 * k + 1) for k in range(order + 1)]
+    assert divide_by_counts(nums, counts, order) == divide_as_series(nums, counts, order)
+
+
+def test_division_by_counts_needs_constant_term_one():
+    with pytest.raises(ValueError, match="start with 1"):
+        _divide_by_counts([1, 2], [2, 1], 1, 1)
+
+
+def test_average_reads_generator_groups_like_lists():
+    svals = s_vector((S4, S94))
+    order = 9
+    generators = {size: partitions_of(size) for size in range(order + 1)}
+    lists = {size: list(partitions_of(size)) for size in range(order + 1)}
+    assert _average(generators, svals, order) == _average(lists, svals, order)
+
+
+@pytest.mark.parametrize("t, order", [(2, 30), (3, 24), (4, 16)])
+def test_average_matches_the_rational_series_quotient(t, order):
+    # the sum of the rational moment products divided as series over Q
+    svals = s_vector((QQ(53, 37) ** 2, S94))
+    groups = enumerate_t_cores(t, order)
+    num = {2 * size: sum((moment_product(svals, nu) for nu in group), QQ(0))
+           for size, group in groups.items()}
+    den = {2 * size: QQ(len(group)) for size, group in groups.items()}
+    reference = qdiv(QSeries(QQ_DOMAIN, 2 * order, num), QSeries(QQ_DOMAIN, 2 * order, den))
+    assert brute_force_Ft(t, svals, order) == reference
 
 
 # -- correlation coefficients ---------------------------------------------------------

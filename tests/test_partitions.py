@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tcore.partitions import (
     MayaWindow,
+    _charge_vectors,
     check_partition,
     conjugate,
     enumerate_t_cores,
@@ -19,6 +20,7 @@ from tcore.partitions import (
     partition_count_series,
     partition_from_maya,
     partitions_of,
+    t_core_from_charges,
     t_core_product_series,
     t_core_size_series,
 )
@@ -153,6 +155,28 @@ def test_enumeration_routes_agree():
         filtered = enumerate_t_cores(t, 20, "filter")
         for n in range(21):
             assert sorted(direct[n]) == sorted(filtered[n]), (t, n)
+
+
+def core_through_maya_window(t, charges):
+    """The t-core of a charge vector read off a guaranteed 0/1 window."""
+    reach = max(abs(c) for c in charges) + 1
+    lo, hi = -t * reach, t * reach
+    bits = tuple(0 if (i - i % t) // t < charges[i % t] else 1 for i in range(lo, hi + 1))
+    return partition_from_maya(MayaWindow(lo, hi, bits, True))
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_cores_from_bead_positions_match_the_maya_window(t):
+    for charges, size in _charge_vectors(t, 40):
+        core = t_core_from_charges(t, charges)
+        assert core == core_through_maya_window(t, charges), charges
+        assert sum(core) == size, charges
+
+
+@pytest.mark.parametrize("charges", [(1, 0), (1, -1, 1), (1, -1, 0, 0), ()])
+def test_bad_charge_vectors_are_rejected(charges):
+    with pytest.raises(ValueError, match="need t charges summing to zero"):
+        t_core_from_charges(3, charges)
 
 
 def test_enumerate_size_zero():

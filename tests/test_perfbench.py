@@ -1,0 +1,19 @@
+"""One pass of the benchmark, run as the benchmark runs it, comes out clean."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_one_partition_sums_pass_has_no_problems():
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, str(ROOT / "perfbench" / "onepass.py"), "partition_sums", "7", "0", "1"]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["failures"] == []
+    assert result["problems"] == []
