@@ -22,16 +22,34 @@ On the grid axes of the t-core integrands the pairing goes one step
 further.  The t thetas at the arguments -w xi^a, xi^a running over the t-th
 roots of unity, multiply to a single theta at nome Q^t and argument (-w)^t,
 up to a constant that cancels between numerator and denominator.  So each
-axis costs two products at the faster-converging nome Q^t instead of 2t at
+axis costs two thetas at the faster-converging nome Q^t instead of 2t at
 nome Q, and its half-powers reduce to s^(t/2), which cancels against the
 integrand's constant.
+
+Every theta the integrands need on the grid sits on a geometric grid
+r x^k, x = exp(2 pi i / M), with one radius r per factor: (-c_j)^t and
+s_j^t (-c_j)^t on the axes; in the couplings c_k / c_i times 1, an s-value
+or a ratio of s-values, and for Theta_3 sign Q2 over such a radius.  Each
+such factor is tabulated once, as its triple-product Laurent
+sum with the phases read from one table of the M-th roots of unity, and the
+grid average reads products of table entries:
+
+- Axis tables are indexed by k_j, coupling tables by k_k - k_i.  (-w)^t
+  repeats with period M / gcd(t, M), so an axis table is built at that many
+  points and read at index (t / g) k.
+- The M-point grid is the even half of the 2M-point grid, and the phase
+  tables nest bit for bit, so an extraction at 2M takes the even entries of
+  every table from the extraction at M before it and computes only the odd
+  ones.  Only the last extraction's tables are kept.
+- A single point is the same sum: ``eval_*`` runs the integrand builders on
+  a one-point grid, and the integrand constants are ``_ThetaSum.at``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from math import exp, log
+from math import exp, gcd, log
 
 import mpmath as mp
 
@@ -53,6 +71,7 @@ __all__ = [
 
 _GUARD_BITS = 16
 _MAX_VARS = 3
+_LN2 = log(2)
 
 
 def _as_mp(x):
@@ -69,115 +88,86 @@ def _abs_float(x) -> float:
     return abs(complex(x))
 
 
-# -- numeric theta building blocks -----------------------------------------
+# -- theta functions as Laurent sums -------------------------------------------
 
 
-class _NomeContext:
-    """Per-(Q, precision) state shared by the theta product evaluators.
+class _ThetaSum:
+    """One theta function at one nome, as its Laurent series sum_n a_n z^n.
 
-    Holds the nome powers, paired with the constant part of each factor pair,
-    and the z-independent normalizing products, so that evaluating a theta
-    function at a new argument only costs the argument-dependent factors.
-    Products are truncated once a factor differs from 1 by less than
-    2^-(prec + guard); the guard keeps the discarded tail below the rounding
-    floor of the requested precision.
+    ``vartheta``: the odd theta with its z^(1/2) stripped off,
+    (1 - 1/z) prod_b (1 - z Q^b)(1 - Q^b/z) / (1 - Q^b)^2, which by the
+    Jacobi triple product is sum_n (-1)^n Q^(n(n+1)/2) z^n / (Q; Q)^3.
+    ``theta3``: prod_b (1 - Q^b)(1 + z Q^(b-1/2))(1 + Q^(b-1/2)/z), which is
+    sum_n Q^(n^2/2) z^n with the principal square root of Q.
+
+    Either way |a_n| is a constant times |Q|^((n^2 + shift n)/2), so at
+    |z| = r the terms fall off on both sides of the largest one.  ``terms``
+    keeps those within 2^-(prec + guard) of it; the guard keeps the discarded
+    tail below the rounding floor of the working precision.  At Q = 1/100 and
+    80 bits that is about 13 terms.
     """
 
-    __slots__ = (
-        "Q", "abs_Q", "sqrt_Q", "tol", "euler", "vt_norm", "_pairs", "_half_pairs"
-    )
+    __slots__ = ("key", "_shift", "_log_q", "_coeffs", "_coeff")
 
-    def __init__(self, Q):
-        self.Q = Q
-        self.abs_Q = abs(Q)
-        if self.abs_Q >= 1:
+    def __init__(self, kind: str, Q):
+        if abs(Q) >= 1:
             raise ValueError("the nome must satisfy |Q| < 1")
-        self.sqrt_Q = mp.sqrt(Q)
-        self.tol = mp.mpf(2) ** (-(mp.mp.prec + _GUARD_BITS))
-        self._pairs = [None]
-        self._half_pairs = [None]
-        euler = mp.mpf(1)
-        b, m = 1, self.abs_Q
-        while m >= self.tol:
-            euler *= 1 - self.pair(b)[0]
-            b += 1
-            m *= self.abs_Q
-        self.euler = euler
-        self.vt_norm = 1 / (euler * euler)
+        self.key = (kind, mp.mp.prec, Q)
+        self._log_q = log(float(abs(Q))) if Q else float("-inf")
+        self._coeffs: dict = {}
+        if kind == "vartheta":
+            euler, qb = mp.mpf(1), Q
+            tol = mp.mpf(2) ** (-(mp.mp.prec + _GUARD_BITS))
+            while abs(qb) >= tol:
+                euler *= 1 - qb
+                qb *= Q
+            norm = 1 / euler**3
+            self._shift = 1
+            self._coeff = lambda n: (-1) ** n * Q ** (n * (n + 1) // 2) * norm
+        else:
+            sqrt_q = mp.sqrt(Q)
+            self._shift = 0
+            self._coeff = lambda n: sqrt_q ** (n * n)
 
-    def pair(self, b: int):
-        """(Q^b, 1 + Q^(2b)), as (1 - z Q^b)(1 - Q^b/z) = 1 + Q^(2b) - Q^b (z + 1/z)."""
-        pairs = self._pairs
-        while len(pairs) <= b:
-            qb = self.Q if len(pairs) == 1 else pairs[-1][0] * self.Q
-            pairs.append((qb, 1 + qb * qb))
-        return pairs[b]
+    def _log_size(self, n: int, log_r: float) -> float:
+        e2 = n * n + self._shift * n
+        return n * log_r + (e2 * self._log_q / 2 if e2 else 0.0)
 
-    def half_pair(self, b: int):
-        """(Q^(b-1/2), 1 + Q^(2b-1)), with the principal square root of Q."""
-        pairs = self._half_pairs
-        while len(pairs) <= b:
-            qh = self.sqrt_Q if len(pairs) == 1 else pairs[-1][0] * self.Q
-            pairs.append((qh, 1 + qh * qh))
-        return pairs[b]
+    def terms(self, r) -> list:
+        """[(n, a_n r^n)] over the n whose terms reach 2^-(prec + guard) of the largest."""
+        log_r = float(mp.log(abs(r)))
+        peak = round(-log_r / self._log_q - self._shift / 2)
+        cutoff = self._log_size(peak, log_r) - (mp.mp.prec + _GUARD_BITS) * _LN2
+        lo = hi = peak
+        while self._log_size(lo - 1, log_r) >= cutoff:
+            lo -= 1
+        while self._log_size(hi + 1, log_r) >= cutoff:
+            hi += 1
+        coeffs = self._coeffs
+        out = []
+        for n in range(lo, hi + 1):
+            a = coeffs.get(n)
+            if a is None:
+                a = coeffs[n] = self._coeff(n)
+            out.append((n, a * r**n))
+        return out
 
-
-_nome_cache: dict = {}
-
-
-def _nome_context(Q) -> _NomeContext:
-    key = (mp.mp.prec, Q)
-    ctx = _nome_cache.get(key)
-    if ctx is None:
-        if len(_nome_cache) >= 16:
-            _nome_cache.clear()
-        ctx = _NomeContext(Q)
-        _nome_cache[key] = ctx
-    return ctx
-
-
-def _vartheta_even(z, ctx: _NomeContext):
-    """The odd theta function with its z^(1/2) stripped off.
-
-    Returns (1 - 1/z) * prod_b (1 - z Q^b)(1 - Q^b/z) / (1 - Q^b)^2, so that
-    the true theta value is z^(1/2) times this.  Single-valued in z.  Each
-    factor pair is taken as 1 + Q^(2b) - Q^b (z + 1/z): one complex product
-    per b instead of two.
-    """
-    zinv = 1 / z
-    z_sym = z + zinv
-    acc = (1 - zinv) * ctx.vt_norm
-    scale = max(abs(z), abs(zinv))
-    b, m = 1, scale * ctx.abs_Q
-    while m >= ctx.tol:
-        qb, cb = ctx.pair(b)
-        acc *= cb - qb * z_sym
-        b += 1
-        m *= ctx.abs_Q
-    return acc
+    def at(self, z):
+        """The sum at one point."""
+        return mp.fsum(b for _, b in self.terms(z))
 
 
-def _vartheta_pos(x, ctx: _NomeContext):
-    """Full odd theta value at a positive real argument."""
-    return mp.sqrt(x) * _vartheta_even(x, ctx)
+_sum_cache: dict = {}
 
 
-def _theta3(z, ctx: _NomeContext):
-    """Even theta value: prod_b (1 - Q^b)(1 + z Q^(b-1/2))(1 + Q^(b-1/2)/z).
-
-    Paired like ``_vartheta_even``: 1 + Q^(2b-1) + Q^(b-1/2) (z + 1/z).
-    """
-    zinv = 1 / z
-    z_sym = z + zinv
-    acc = ctx.euler
-    scale = max(abs(z), abs(zinv), mp.mpf(1))
-    b, m = 1, scale * abs(ctx.sqrt_Q)
-    while m >= ctx.tol:
-        qh, ch = ctx.half_pair(b)
-        acc *= ch + qh * z_sym
-        b += 1
-        m *= ctx.abs_Q
-    return acc
+def _theta_sum(kind: str, Q) -> _ThetaSum:
+    key = (kind, mp.mp.prec, Q)
+    series = _sum_cache.get(key)
+    if series is None:
+        if len(_sum_cache) >= 16:
+            _sum_cache.clear()
+        series = _sum_cache[key] = _ThetaSum(kind, Q)
+    return series
 
 
 # -- grid geometry -----------------------------------------------------------
@@ -198,7 +188,6 @@ class QuadratureConfig:
     precision_bits: int
     radii: tuple
     Q: object
-    guard_bits: int = _GUARD_BITS
 
     def __post_init__(self):
         if self.M < 2 or self.M & (self.M - 1):
@@ -317,7 +306,8 @@ def torus_extract(f, cfg: QuadratureConfig):
     f is a Laurent polynomial of degree below M in each variable.  Grid
     evaluations are independent of one another; the reduction is a pairwise
     sum in grid order, so results are reproducible no matter how the
-    evaluations are scheduled.
+    evaluations are scheduled.  This is the generic sweep for any callable;
+    the extractors below average their integrands from tables instead.
     """
     with mp.workprec(cfg.precision_bits):
         phases = _phases(cfg.M)
@@ -344,34 +334,57 @@ def torus_extract(f, cfg: QuadratureConfig):
         return _pairwise_sum(block_sums) / mp.mpf(cfg.M) ** cfg.n
 
 
-# -- integrands --------------------------------------------------------------
+# -- grid tables -----------------------------------------------------------------
 
 
-def _check_point(s, w):
-    if len(w) != len(s):
-        raise ValueError("one grid coordinate per s value is required")
+class _Grid:
+    """The M-point grid of one evaluation, and the theta tables built on it.
 
-
-def _axis_factor(s_t, z_t, ctx_t: _NomeContext):
-    """s^(-t/2) prod_a theta(-s w xi^a) / theta(-w xi^a), xi = exp(2 pi i/t).
-
-    Over the t-th roots of unity prod_a (1 - z xi^a Q^b) = 1 - z^t Q^(tb), so
-    the t stripped thetas at nome Q collapse to one at nome Q^t, up to a
-    constant that cancels between numerator and denominator.  Hence the value
-    is theta_even(s^t z_t; Q^t) / theta_even(z_t; Q^t) with z_t = (-w)^t and
-    ``s_t`` = s^t.  The half-powers of each factor pair leave s^(t/2), which
-    cancels against the s^(-t/2) of the integrand's constant.
+    ``points`` holds one number per circle: its radius c_j for an extraction,
+    or the point w_j itself on the one-point grid of a single evaluation.
+    ``tables`` maps (series key, r) to the values built here; ``previous``
+    is an earlier grid's map, whose entries are reused where the grids nest.
     """
-    return _vartheta_even(s_t * z_t, ctx_t) / _vartheta_even(z_t, ctx_t)
+
+    __slots__ = ("M", "points", "phases", "tables", "previous")
+
+    def __init__(self, M: int, points, previous=None):
+        self.M = M
+        self.points = points
+        self.phases = _phases(M)
+        self.tables: dict = {}
+        self.previous = {} if previous is None else previous
+
+    def table(self, series: _ThetaSum, r, m: int | None = None) -> list:
+        """[series(r x^k) for k < m], x = exp(2 pi i / m); m divides M, default M.
+
+        Every table size is a power of two, so a table built before at
+        another size either holds this one as every (size / m)-th entry or
+        holds its entries at every (m / size)-th index; only the rest is
+        summed.  The phases of the m-point grid are every (M / m)-th M-th root
+        of unity, equal bit for bit to ``_phases(m)``, so a reused entry is
+        the one a cold build would make.
+        """
+        m = self.M if m is None else m
+        key = (series.key, r)
+        old = self.tables.get(key, self.previous.get(key))
+        if old is not None and len(old) >= m:
+            values = old[:: len(old) // m]
+        else:
+            step = 0 if old is None else m // len(old)
+            phases = self.phases[:: self.M // m]
+            terms = series.terms(r)
+            values = [
+                old[k // step]
+                if step and k % step == 0
+                else mp.fdot([(b, phases[n * k % m]) for n, b in terms])
+                for k in range(m)
+            ]
+        self.tables[key] = values
+        return values
 
 
-def _cross_factor(si, sk, u, ctx):
-    """theta cross-ratio in u = w_i^(-1) w_k; the four roots of u cancel."""
-    return (
-        _vartheta_even(u * sk / si, ctx)
-        * _vartheta_even(u, ctx)
-        / (_vartheta_even(u / si, ctx) * _vartheta_even(u * sk, ctx))
-    )
+# -- integrands --------------------------------------------------------------
 
 
 def _det(rows):
@@ -384,103 +397,138 @@ def _det(rows):
 
 
 class _Integrand:
-    """const * prod_j axis(j, w_j) * coupling(w), its w-free parts built once.
+    """const * prod_j axes[j][k_j] * coupling(k) at the grid point of indices k.
 
-    ``axis`` is None when the integrand has no per-circle factors.  The
-    coupling depends on the grid point only through the ratios w_i / w_k,
-    which is what lets the two-circle path tabulate it over one angle.
+    ``axes`` holds one M-table per circle, or is None when the integrand has
+    no per-circle factors.  ``coupling`` reads its tables at the index
+    differences k_j - k_i only, which is what lets the grid average fold the
+    circles into one another.
     """
 
-    __slots__ = ("const", "axis", "coupling")
+    __slots__ = ("const", "axes", "coupling")
 
-    def __init__(self, const, axis, coupling):
+    def __init__(self, const, axes, coupling):
         self.const = const
-        self.axis = axis
+        self.axes = axes
         self.coupling = coupling
-
-    def __call__(self, w):
-        acc = self.const * self.coupling(w)
-        if self.axis is not None:
-            for j, wj in enumerate(w):
-                acc *= self.axis(j, wj)
-        return acc
 
 
 def _setup(s, Q):
-    """The s-values as mpmath numbers and the nome context, at working precision."""
+    """The s-values and the nome as mpmath numbers, at working precision."""
     if not 1 <= len(s) <= _MAX_VARS:
         raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
-    return [_as_mp(sj) for sj in s], _nome_context(_as_mp(Q))
+    return [_as_mp(sj) for sj in s], _as_mp(Q)
 
 
-def _t_core_axes(t: int, s_m, ctx):
-    """The axis factors of the t-core integrands, at nome Q^t."""
+def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
+    """theta_even(s^t z; Q^t) / theta_even(z; Q^t), z = (-w)^t, on each circle.
+
+    Over the t-th roots of unity xi^a, prod_a (1 - z xi^a Q^b) = 1 - z^t Q^(tb),
+    so the t stripped thetas at -s w xi^a (resp. -w xi^a) and nome Q collapse
+    to one at nome Q^t, up to a constant that cancels between numerator and
+    denominator.  The half-powers leave s^(t/2), which cancels against the
+    s^(-t/2) of the integrand's constant.  (-c x^k)^t = (-c)^t y^((t/g) k)
+    with y = exp(2 pi i g / M), g = gcd(t, M), so each table has M / g
+    entries.
+    """
     check_t(t)
-    ctx_t = _nome_context(ctx.Q**t)
-    s_t = [sj**t for sj in s_m]
-    return lambda j, wj: _axis_factor(s_t[j], (-wj) ** t, ctx_t)
+    vt = _theta_sum("vartheta", Q**t)
+    M = grid.M
+    g = gcd(t, M)
+    m, step = M // g, t // g
+    axes = []
+    for sj, c in zip(s_m, grid.points):
+        z = (-c) ** t
+        num, den = grid.table(vt, sj**t * z, m), grid.table(vt, z, m)
+        ratio = [a / b for a, b in zip(num, den)]
+        axes.append([ratio[step * k % m] for k in range(M)])
+    return axes
 
 
-def _det_integrand(s_m, ctx, Q2, sign, axis):
+def _det_integrand(s_m, Q, Q2, sign, axes, grid: _Grid) -> _Integrand:
     """det Theta_3(sign Q2 / v_ij) / theta(v_ij), v_ij = s_i w_i / w_j, normalised.
 
     Matrix entries are computed without the (w_i/w_j)^(1/2) factors: those
     multiply to 1 along every permutation, so stripping them changes no
     determinant, while the leftover s_i^(1/2) per row joins the constant.  The
-    diagonal entries do not depend on w and are computed once.
+    diagonal entries do not depend on w and are computed once; entry (i, j)
+    is a table over k_j - k_i.
     """
     q2 = _as_mp(Q2)
     if not q2:
         raise ValueError("Q2 must be nonzero")
+    vt, t3 = _theta_sum("vartheta", Q), _theta_sum("theta3", Q)
     n = len(s_m)
     s_all = mp.mpf(1)
     for sj in s_m:
         s_all *= sj
-    const = 1 / (_theta3(sign * q2, ctx) ** (n - 1) * _theta3(sign * q2 / s_all, ctx))
+    const = 1 / (t3.at(sign * q2) ** (n - 1) * t3.at(sign * q2 / s_all))
     for sj in s_m:
         const /= mp.sqrt(sj)
+    diag = [t3.at(sign * q2 / sj) / vt.at(sj) for sj in s_m]
+    M, c = grid.M, grid.points
+    entries = {}
+    for i, j in itertools.permutations(range(n), 2):
+        # v_ij = rho x^(k_i - k_j), so sign Q2 / v_ij sits at index k_j - k_i
+        rho = s_m[i] * c[i] / c[j]
+        num, den = grid.table(t3, sign * q2 / rho), grid.table(vt, rho)
+        entries[i, j] = [num[d] / den[-d % M] for d in range(M)]
 
-    def entry(v):
-        return _theta3(sign * q2 / v, ctx) / _vartheta_even(v, ctx)
-
-    diag = [entry(sj) for sj in s_m]
-
-    def coupling(w):
+    def coupling(k):
         return _det(
             [
-                [diag[i] if i == j else entry(s_m[i] * w[i] / w[j]) for j in range(n)]
+                [diag[i] if i == j else entries[i, j][(k[j] - k[i]) % M] for j in range(n)]
                 for i in range(n)
             ]
         )
 
-    return _Integrand(const, axis, coupling)
+    return _Integrand(const, axes, coupling)
 
 
-def _cor42(t: int, s, Q) -> _Integrand:
-    s_m, ctx = _setup(s, Q)
-    axis = _t_core_axes(t, s_m, ctx)
+def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
+    s_m, Q = _setup(s, Q)
+    axes = _t_core_axes(t, s_m, Q, grid)
+    vt = _theta_sum("vartheta", Q)
     const = mp.mpf(1)
     for sj in s_m:
-        const /= _vartheta_pos(sj, ctx)
-    pairs = list(itertools.combinations(range(len(s_m)), 2))
+        const /= mp.sqrt(sj) * vt.at(sj)
+    M, c = grid.M, grid.points
+    cross = {}
+    for i, k in itertools.combinations(range(len(s_m)), 2):
+        # the theta cross-ratio in u = w_k / w_i = rho x^(k_k - k_i); the four
+        # roots of u cancel
+        rho, si, sk = c[k] / c[i], s_m[i], s_m[k]
+        tables = [grid.table(vt, r) for r in (rho * sk / si, rho, rho / si, rho * sk)]
+        cross[i, k] = [a * b / (x * y) for a, b, x, y in zip(*tables)]
 
-    def coupling(w):
+    def coupling(kk):
         acc = mp.mpf(1)
-        for i, k in pairs:
-            acc *= _cross_factor(s_m[i], s_m[k], w[k] / w[i], ctx)
+        for (i, k), table in cross.items():
+            acc *= table[(kk[k] - kk[i]) % M]
         return acc
 
-    return _Integrand(const, axis, coupling)
+    return _Integrand(const, axes, coupling)
 
 
-def _cor43(t: int, s, Q, Q2) -> _Integrand:
-    s_m, ctx = _setup(s, Q)
-    return _det_integrand(s_m, ctx, Q2, -1, _t_core_axes(t, s_m, ctx))
+def _cor43(t: int, s, Q, Q2, grid: _Grid) -> _Integrand:
+    s_m, Q = _setup(s, Q)
+    return _det_integrand(s_m, Q, Q2, -1, _t_core_axes(t, s_m, Q, grid), grid)
 
 
-def _bo_determinant(s, Q, Q2) -> _Integrand:
-    s_m, ctx = _setup(s, Q)
-    return _det_integrand(s_m, ctx, Q2, 1, None)
+def _bo_determinant(s, Q, Q2, grid: _Grid) -> _Integrand:
+    s_m, Q = _setup(s, Q)
+    return _det_integrand(s_m, Q, Q2, 1, None, grid)
+
+
+def _at_point(build, s, w):
+    """The integrand ``build`` makes, at the point w: its one-point grid."""
+    if len(w) != len(s):
+        raise ValueError("one grid coordinate per s value is required")
+    f = build(_Grid(1, [_as_mp(wj) for wj in w]))
+    value = f.const * f.coupling((0,) * len(w))
+    for axis in f.axes or ():
+        value *= axis[0]
+    return value
 
 
 def eval_cor42(t: int, s, Q, w):
@@ -489,9 +537,7 @@ def eval_cor42(t: int, s, Q, w):
     Includes the constant prefactor prod_j s_j^(-t/2)/theta(s_j), so the
     torus average of this function is the final value.
     """
-    integrand = _cor42(t, s, Q)
-    _check_point(s, w)
-    return integrand(w)
+    return _at_point(lambda grid: _cor42(t, s, Q, grid), s, w)
 
 
 def eval_cor43(t: int, s, Q, Q2, w):
@@ -500,16 +546,12 @@ def eval_cor43(t: int, s, Q, Q2, w):
     The free parameter Q2 may be any nonzero number; the extracted constant
     mode does not depend on it.
     """
-    integrand = _cor43(t, s, Q, Q2)
-    _check_point(s, w)
-    return integrand(w)
+    return _at_point(lambda grid: _cor43(t, s, Q, Q2, grid), s, w)
 
 
 def eval_bo_determinant(s, Q, Q2, w):
     """Determinant integrand for the n-point function of all partitions."""
-    integrand = _bo_determinant(s, Q, Q2)
-    _check_point(s, w)
-    return integrand(w)
+    return _at_point(lambda grid: _bo_determinant(s, Q, Q2, grid), s, w)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -552,42 +594,78 @@ def _pair_average(axis1, axis2, g_table, phases):
     return _pairwise_sum(terms) / mp.mpf(M) ** 3
 
 
-def _extract(build, s, cfg: QuadratureConfig):
-    """Grid average of the integrand ``build()`` makes at the working precision.
+def _grid_mean(f: _Integrand, grid: _Grid):
+    """The mean of ``f`` over the M^n grid, read off its tables.
 
-    One circle or three: the generic sweep.  Two circles: the axis factors are
-    tabulated per circle and the coupling over the ratio angle, so the M^2
-    grid costs O(M) integrand parts.
+    One circle: the mean of the axis table.  Two: a circular correlation,
+    ``_pair_average``.  Three: at each offset d = k_2 - k_1 the second axis
+    folds into the first, which leaves a two-circle correlation per d.
+    Without axes, the mean of the coupling over the index differences.
     """
+    M, n, axes = grid.M, len(grid.points), f.axes
+    if n == 1:
+        mean = f.coupling((0,))
+        if axes is not None:
+            mean *= _pairwise_sum(axes[0]) / M
+    elif n == 2:
+        g = [f.coupling((0, d)) for d in range(M)]
+        if axes is None:
+            mean = _pairwise_sum(g) / M
+        else:
+            mean = _pair_average(axes[0], axes[1], g, grid.phases)
+    else:
+        g = [[f.coupling((0, d, e)) for e in range(M)] for d in range(M)]
+        if axes is None:
+            mean = _pairwise_sum([_pairwise_sum(row) for row in g]) / M**2
+        else:
+            a0, a1, a2 = axes
+            folded = [
+                _pair_average([a0[k] * a1[(k + d) % M] for k in range(M)], a2, g[d], grid.phases)
+                for d in range(M)
+            ]
+            mean = _pairwise_sum(folded) / M
+    return f.const * mean
+
+
+# the tables of the last extraction, (series key, r) -> values
+_last_tables: dict = {}
+
+
+def _extract(build, s, cfg: QuadratureConfig):
+    """Mean of the integrand ``build`` makes over the M^n grid of ``cfg``.
+
+    The grid has M^n points, which the traced ``contour.grid_points`` counter
+    counts per call.  Their values are read off O(M) table entries per theta
+    factor; no theta is evaluated per grid point.  The tables of the previous
+    extraction seed this one's, and this one's replace them once it is done.
+    """
+    global _last_tables
     cfg.validate_region(s)
     with mp.workprec(cfg.precision_bits):
-        f = build()
-        if cfg.n != 2:
-            return torus_extract(f, cfg)
-        phases = _phases(cfg.M)
-        c1, c2 = (mp.mpf(c) for c in cfg.radii)
-        # at k_2 - k_1 = d the ratio w_2 / w_1 is (c2 / c1) phases[d]
-        g_table = [f.coupling((c1, c2 * ph)) for ph in phases]
-        if f.axis is None:
-            return f.const * _pairwise_sum(g_table) / cfg.M
-        axis1 = [f.axis(0, c1 * ph) for ph in phases]
-        axis2 = [f.axis(1, c2 * ph) for ph in phases]
-        return f.const * _pair_average(axis1, axis2, g_table, phases)
+        grid = _Grid(cfg.M, [mp.mpf(c) for c in cfg.radii], _last_tables)
+        try:
+            value = _grid_mean(build(grid), grid)
+        except ZeroDivisionError as exc:
+            raise ValueError(
+                "integrand denominator vanished on the grid; the radii sit on a zero locus"
+            ) from exc
+    _last_tables = grid.tables
+    return value
 
 
 def extract_cor42(t: int, s, cfg: QuadratureConfig):
     """Torus extraction of the product-form integrand."""
-    return _extract(lambda: _cor42(t, s, cfg.Q), s, cfg)
+    return _extract(lambda grid: _cor42(t, s, cfg.Q, grid), s, cfg)
 
 
 def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig):
     """Torus extraction of the determinant-form integrand."""
-    return _extract(lambda: _cor43(t, s, cfg.Q, Q2), s, cfg)
+    return _extract(lambda grid: _cor43(t, s, cfg.Q, Q2, grid), s, cfg)
 
 
 def extract_bo_determinant(s, Q2, cfg: QuadratureConfig):
     """Torus extraction of the all-partitions determinant integrand."""
-    return _extract(lambda: _bo_determinant(s, cfg.Q, Q2), s, cfg)
+    return _extract(lambda grid: _bo_determinant(s, cfg.Q, Q2, grid), s, cfg)
 
 
 # -- convergence driver --------------------------------------------------------

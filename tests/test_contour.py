@@ -4,7 +4,10 @@ The kernels of the quadrature are also checked against their unoptimised
 forms, which live here as oracles.
 """
 
+import functools
+import itertools
 import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -53,9 +56,9 @@ CASES = {
 }
 
 
-def at_nome(series):
-    """The exact series summed at Q = NOME, as a rational."""
-    return sum(c * NOME ** (e2 // 2) for e2, c in series.terms.items())
+def at_nome(series, nome=NOME):
+    """The exact series summed at Q = ``nome``, as a rational."""
+    return sum(c * nome ** (e2 // 2) for e2, c in series.terms.items())
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -140,44 +143,146 @@ def test_quadrature_matches_exact_series_to_20_digits(case):
         assert abs(result.value - reference) < tolerance + tail
 
 
+# -- three circles and a negative nome -------------------------------------------
+
+# Small s-values leave wide log-gaps between the circles, so M = 32 suffices.
+# Measured at 64 bits: 5.8e-12 (cor42), 2.6e-12 (cor43) and 2.6e-12 (bo)
+# from the exact series; at M = 16 the misses are about 1e-5.
+S3 = (QQ(25, 16), QQ(49, 36), QQ(81, 64))
+THREE_CIRCLE_CASES = {
+    "cor42 t=2 n=3": (
+        lambda cfg: contour.extract_cor42(2, S3, cfg),
+        lambda: brute_force_Ft(2, S3, ORDER),
+    ),
+    "cor43 t=3 n=3": (
+        lambda cfg: contour.extract_cor43(3, S3, QQ(2), cfg),
+        lambda: brute_force_Ft(3, S3, ORDER),
+    ),
+    "bo_determinant n=3": (
+        lambda cfg: contour.extract_bo_determinant(S3, QQ(5, 3), cfg),
+        lambda: bloch_okounkov_F(S3, ORDER),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", THREE_CIRCLE_CASES)
+def test_three_circles_match_exact_series(case):
+    extract_at, exact = THREE_CIRCLE_CASES[case]
+    cfg = contour.QuadratureConfig.for_region(S3, NOME, M=32, precision_bits=64)
+    value = at_nome(exact())
+    assert abs(extract_at(cfg) - mp.mpf(value.numerator) / value.denominator) < mp.mpf("1e-11")
+
+
+# At Q = -1/100 the square root of Q is imaginary, so the Laurent coefficients
+# of Theta_3 are complex.  Measured at 64 bits: within 1e-16 of the exact series.
+NEGATIVE_NOME = QQ(-1, 100)
+NEGATIVE_NOME_CASES = {
+    "cor42 t=3 n=1": CASES["cor42 t=3 n=1"],
+    "cor43 t=2 n=2": (
+        (S4, S94),
+        lambda cfg: contour.extract_cor43(2, (S4, S94), QQ(2), cfg),
+        lambda: brute_force_Ft(2, (S4, S94), ORDER),
+    ),
+    "bo_determinant n=2": CASES["bo_determinant n=2"],
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_NOME_CASES)
+def test_negative_nome_matches_exact_series(case):
+    s, extract_at, exact = NEGATIVE_NOME_CASES[case]
+    cfg = contour.QuadratureConfig.for_region(s, NEGATIVE_NOME, M=32, precision_bits=64)
+    result = contour.extract_with_doubling(extract_at, cfg, 8)
+    assert result.converged, result
+    value = at_nome(exact(), NEGATIVE_NOME)
+    assert abs(result.value - mp.mpf(value.numerator) / value.denominator) < mp.mpf("1e-14")
+
+
+def test_extract_cor43_does_not_depend_on_q2():
+    s = (S4, S94)
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=64, precision_bits=64)
+    values = [contour.extract_cor43(3, s, q2, cfg) for q2 in (QQ(2), QQ(5, 3), QQ(-7, 2))]
+    assert all(abs(v - values[0]) < mp.mpf("1e-16") for v in values[1:]), values
+
+
 # -- the kernels against their unoptimised forms ---------------------------------
 
 
-def vartheta_even_unpaired(z, ctx):
+def truncation(z, first):
+    """Factor pairs b = 1, 2, ... with scale * first * |Q|^(b-1) >= 2^-(prec + 16)."""
+    return max(abs(z), abs(1 / z), 1) * abs(first), mp.mpf(2) ** -(mp.mp.prec + 16)
+
+
+@functools.lru_cache(maxsize=8)
+def euler(Q, prec):
+    """(Q; Q)_inf at ``prec`` bits."""
+    with mp.workprec(prec):
+        return mp.qp(Q)
+
+
+def vartheta_even_unpaired(z, Q):
     """(1 - 1/z) prod_b (1 - z Q^b)(1 - Q^b / z) / (1 - Q^b)^2, factor by factor."""
-    zinv = 1 / z
-    acc = (1 - zinv) * ctx.vt_norm
-    scale = max(abs(z), abs(zinv))
-    b, m = 1, scale * ctx.abs_Q
-    while m >= ctx.tol:
-        qb = ctx.Q**b
-        acc *= (1 - z * qb) * (1 - zinv * qb)
+    acc = (1 - 1 / z) / euler(Q, mp.mp.prec) ** 2
+    m, tol = truncation(z, Q)
+    b = 1
+    while m >= tol:
+        qb = Q**b
+        acc *= (1 - z * qb) * (1 - qb / z)
         b += 1
-        m *= ctx.abs_Q
+        m *= abs(Q)
     return acc
 
 
-def theta3_unpaired(z, ctx):
+def theta3_unpaired(z, Q):
     """prod_b (1 - Q^b)(1 + z Q^(b-1/2))(1 + Q^(b-1/2) / z), factor by factor."""
-    zinv = 1 / z
-    acc = ctx.euler
-    scale = max(abs(z), abs(zinv), mp.mpf(1))
-    b, m = 1, scale * abs(ctx.sqrt_Q)
-    while m >= ctx.tol:
-        qh = ctx.sqrt_Q * ctx.Q ** (b - 1)
-        acc *= (1 + z * qh) * (1 + zinv * qh)
+    acc = euler(Q, mp.mp.prec)
+    sqrt_q = mp.sqrt(Q)
+    m, tol = truncation(z, sqrt_q)
+    b = 1
+    while m >= tol:
+        qh = sqrt_q * Q ** (b - 1)
+        acc *= (1 + z * qh) * (1 + qh / z)
         b += 1
-        m *= ctx.abs_Q
+        m *= abs(Q)
     return acc
 
 
-def axis_by_roots(s, w, t, ctx):
+def axis_by_roots(s, w, t, Q):
     """prod_a theta_even(-s w xi^a) / theta_even(-w xi^a) at nome Q, root by root."""
     acc = mp.mpf(1)
     for a in range(t):
         z = -w * mp.expjpi(mp.mpf(2 * a) / t)
-        acc *= vartheta_even_unpaired(s * z, ctx) / vartheta_even_unpaired(z, ctx)
+        acc *= vartheta_even_unpaired(s * z, Q) / vartheta_even_unpaired(z, Q)
     return acc
+
+
+def cross_by_factors(si, sk, u, Q):
+    """The theta cross-ratio of cor42 in u = w_k / w_i."""
+    v = vartheta_even_unpaired
+    return v(u * sk / si, Q) * v(u, Q) / (v(u / si, Q) * v(u * sk, Q))
+
+
+def cor42_by_factors(t, s, Q, w):
+    """The cor42 integrand at w, assembled from the unpaired products."""
+    acc = mp.mpf(1)
+    for sj, wj in zip(s, w):
+        acc *= axis_by_roots(sj, wj, t, Q) / (mp.sqrt(sj) * vartheta_even_unpaired(sj, Q))
+    for i, k in itertools.combinations(range(len(s)), 2):
+        acc *= cross_by_factors(s[i], s[k], w[k] / w[i], Q)
+    return acc
+
+
+def det_by_factors(s, Q, q2, sign, w):
+    """The determinant integrand at w, assembled from the unpaired products."""
+    n = len(s)
+    rows = [
+        [
+            theta3_unpaired(sign * q2 / v, Q) / vartheta_even_unpaired(v, Q)
+            for v in (s[i] * w[i] / w[j] for j in range(n))
+        ]
+        for i in range(n)
+    ]
+    const = theta3_unpaired(sign * q2, Q) ** (n - 1) * theta3_unpaired(sign * q2 / mp.fprod(s), Q)
+    return mp.det(mp.matrix(rows)) / (const * mp.sqrt(mp.fprod(s)))
 
 
 def circle_points(s):
@@ -191,25 +296,127 @@ def assert_close(a, b, rel):
     assert abs(a - b) <= rel * max(abs(a), abs(b)), (a, b)
 
 
-@pytest.mark.parametrize("t", [2, 3, 4, 5])
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
 def test_axis_factor_collapses_the_roots_of_unity(t):
+    # the axis tables, built at nome Q^t on M / gcd(t, M) points and read at
+    # (t / g) k, against the t thetas at nome Q at every grid point; the
+    # points of the coarser grids are every (64 / M)-th point of the finest
     with mp.workprec(120):
-        ctx = contour._nome_context(mp.mpf(1) / 100)
-        ctx_t = contour._nome_context(ctx.Q**t)
-        for sj in (mp.mpf(4), mp.mpf(9) / 4):
-            for w in circle_points((S4, S94)):
-                collapsed = contour._axis_factor(sj**t, (-w) ** t, ctx_t)
-                assert_close(collapsed, axis_by_roots(sj, w, t, ctx), mp.mpf(2) ** -100)
+        Q, sj = mp.mpf(1) / 100, mp.mpf(9) / 4
+        (radius,) = contour.QuadratureConfig.for_region((S94,), NOME).radii
+        c = mp.mpf(radius)
+        by_roots = [axis_by_roots(sj, c * ph, t, Q) for ph in contour._phases(64)]
+        for M in (8, 16, 32, 64):
+            (axis,) = contour._t_core_axes(t, [sj], Q, contour._Grid(M, [c]))
+            assert len(axis) == M
+            for k, value in enumerate(axis):
+                assert_close(value, by_roots[k * 64 // M], mp.mpf(2) ** -100)
 
 
 def test_paired_theta_factors_match_the_unpaired_products():
+    # the Laurent sums at single points against the factor-by-factor products
     with mp.workprec(120):
-        ctx = contour._nome_context(mp.mpf(1) / 100)
         rel = mp.mpf(2) ** -110
         points = circle_points((S4, S94)) + [mp.mpf(4), mp.mpf(-2) / 9, mp.mpc(3, -5) / 7]
-        for z in points:
-            assert_close(contour._vartheta_even(z, ctx), vartheta_even_unpaired(z, ctx), rel)
-            assert_close(contour._theta3(z, ctx), theta3_unpaired(z, ctx), rel)
+        for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
+            vt, t3 = contour._theta_sum("vartheta", Q), contour._theta_sum("theta3", Q)
+            for z in points:
+                assert_close(vt.at(z), vartheta_even_unpaired(z, Q), rel)
+                assert_close(t3.at(z), theta3_unpaired(z, Q), rel)
+
+
+# radii on both sides of the zero circles |z| = 1 (vartheta) and |z| = 10
+# (theta3 at Q = 1/100), and negative radii
+TABLE_RADII = ("0.9", "1.1", "-1.1", "9", "11", "-11", "-0.09")
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 64])
+def test_grid_tables_equal_the_point_sums(M):
+    with mp.workprec(120):
+        grid = contour._Grid(M, [])
+        for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
+            for kind in ("vartheta", "theta3"):
+                series = contour._theta_sum(kind, Q)
+                for r in map(mp.mpf, TABLE_RADII):
+                    table = grid.table(series, r)
+                    assert len(table) == M
+                    for k, value in enumerate(table):
+                        point = series.at(r * mp.expjpi(mp.mpf(2 * k) / M))
+                        assert_close(value, point, mp.mpf(2) ** -110)
+
+
+def torus_point(cfg, rng):
+    """A point of the torus of ``cfg`` at a random multiple of 2 pi / 4M."""
+    angles = [mp.mpf(rng.randrange(cfg.M * 4)) / (cfg.M * 2) for _ in cfg.radii]
+    return [mp.mpf(c) * mp.expjpi(a) for c, a in zip(cfg.radii, angles)]
+
+
+@pytest.mark.parametrize("s", [(S4,), (S4, S94), S3], ids=["n=1", "n=2", "n=3"])
+def test_point_evaluators_match_the_unpaired_integrands(s):
+    rng = random.Random(len(s))
+    rel = mp.mpf(2) ** -100
+    with mp.workprec(120):
+        cfg = contour.QuadratureConfig.for_region(s, NOME, M=16, precision_bits=120)
+        Q, q2 = mp.mpf(1) / 100, mp.mpf(5) / 3
+        s_m = [mp.mpf(x.numerator) / x.denominator for x in s]
+        for _ in range(3):
+            w = torus_point(cfg, rng)
+            for t in (2, 3):
+                by_factors = cor42_by_factors(t, s_m, Q, w)
+                assert_close(contour.eval_cor42(t, s, NOME, w), by_factors, rel)
+                by_factors = det_by_factors(s_m, Q, q2, -1, w)
+                for sj, wj in zip(s_m, w):
+                    by_factors *= axis_by_roots(sj, wj, t, Q)
+                assert_close(contour.eval_cor43(t, s, NOME, QQ(5, 3), w), by_factors, rel)
+            by_factors = det_by_factors(s_m, Q, q2, 1, w)
+            assert_close(contour.eval_bo_determinant(s, NOME, QQ(5, 3), w), by_factors, rel)
+
+
+@pytest.mark.parametrize(("s", "M"), [((S4, S94), 8), (S3, 4)], ids=["n=2", "n=3"])
+def test_torus_extract_of_the_point_evaluators_matches_the_tables(s, M):
+    # the generic sweep over eval_* against the table path, on one grid
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=M, precision_bits=64)
+    pairs = [
+        (lambda w: contour.eval_cor42(2, s, NOME, w), contour.extract_cor42(2, s, cfg)),
+        (
+            lambda w: contour.eval_cor43(3, s, NOME, QQ(2), w),
+            contour.extract_cor43(3, s, QQ(2), cfg),
+        ),
+    ]
+    for integrand, tabled in pairs:
+        swept = contour.torus_extract(integrand, cfg)
+        assert abs(swept - tabled) <= mp.mpf(2) ** -54 * abs(tabled), (swept, tabled)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_nested_extraction_equals_a_cold_one(case, monkeypatch):
+    s, extract_at, _ = CASES[case]
+    coarse = contour.QuadratureConfig.for_region(s, NOME, M=16, precision_bits=64)
+    fine = replace(coarse, M=32)
+    monkeypatch.setattr(contour, "_last_tables", {})
+    cold = extract_at(fine)
+    cold_keys = set(contour._last_tables)
+    monkeypatch.setattr(contour, "_last_tables", {})
+    extract_at(coarse)
+    coarse_tables = contour._last_tables
+    warm = extract_at(fine)
+    assert warm == cold
+    # every table of the fine grid took its even entries from the coarse one
+    assert set(contour._last_tables) == set(coarse_tables) == cold_keys
+    for key, table in coarse_tables.items():
+        assert all(a is b for a, b in zip(contour._last_tables[key][::2], table)), key
+
+
+def test_the_table_cache_holds_one_extraction_at_most(monkeypatch):
+    first, second = CASES["cor43 t=3 n=2"], CASES["bo_determinant n=2"]
+    monkeypatch.setattr(contour, "_last_tables", {})
+    cfg = contour.QuadratureConfig.for_region(second[0], NOME, M=16, precision_bits=64)
+    second[1](cfg)
+    alone = set(contour._last_tables)
+    first[1](contour.QuadratureConfig.for_region(first[0], NOME, M=32, precision_bits=64))
+    second[1](cfg)
+    assert set(contour._last_tables) == alone
+    assert all(len(table) <= cfg.M for table in contour._last_tables.values())
 
 
 @pytest.mark.parametrize("M", [2, 4, 8, 16, 32, 64])
