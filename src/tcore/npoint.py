@@ -15,22 +15,20 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from tcore._rat import QQ, rat, rat_pow, rat_str, rational_sqrt
+from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
 from tcore.modular import rational_lift
-from tcore.partitions import conjugate, enumerate_t_cores, hook_lengths, partitions_of
+from tcore.partitions import _charge_vectors, conjugate, hook_lengths, partitions_of
 from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
     CycloDomain,
     QSeries,
-    TaylorDomain,
-    TaylorZ,
     check_order,
     check_t,
     qdiv,
 )
 from tcore.symfunc import deformation_base, topological_vertex
-from tcore.theta import ThetaArg, macmahon, theta3, vartheta
+from tcore.theta import ThetaArg, bernoulli, macmahon, theta3, vartheta
 
 
 @dataclass(frozen=True)
@@ -71,29 +69,45 @@ def s_vector(values) -> tuple[SValue, ...]:
 
 def _clearing_exponents(nu) -> tuple[int, int]:
     """The powers A of p and B of q that clear the moment's lowest and highest
-    exponent of p/q (see _moment_fraction)."""
+    exponent of p/q (see _MomentTable)."""
     return max(0, 2 * len(nu) - 1), (max(0, 2 * nu[0] - 1) if nu else 1)
 
 
-def _moment_fraction(svals, nu) -> tuple[int, int]:
-    """The product of the row moments of nu as an integer fraction (num, den).
+def _size_clearing_exponents(order: int) -> tuple[int, int]:
+    """Clearing exponents that serve every partition of size at most order:
+    its length and first part are at most order."""
+    return max(0, 2 * order - 1), max(1, 2 * order - 1)
+
+
+class _MomentTable:
+    """Row-moment products of partitions as integers over one denominator.
 
     With sqrt(s) = p/q the moment sum_i (p/q)^e_i + (p/q)^(1 - 2l) q^2/(p^2 - q^2),
-    e_i = 2 nu_i - 2i + 1, has the common denominator p^A q^B (p^2 - q^2),
-    where A and B clear the lowest and highest exponent; both depend on nu
-    only, not on s.
+    e_i = 2 nu_i - 2i + 1, is an integer over p^lo q^hi (p^2 - q^2) for every
+    nu whose clearing exponents are at most (lo, hi).  The powers
+    p^(e + lo) q^(hi - e), -lo <= e <= hi, are tabulated once per s-value.
     """
-    lo, hi = _clearing_exponents(nu)
-    exps = [2 * part - 2 * i + 1 for i, part in enumerate(nu, start=1)]
-    tail = 1 - 2 * len(nu)
-    num = den = 1
-    for sv in svals:
-        p, q = sv.sqrt_s.numerator, sv.sqrt_s.denominator
-        gap = p * p - q * q
-        rows = sum(p ** (e + lo) * q ** (hi - e) for e in exps)
-        num *= gap * rows + p ** (tail + lo) * q ** (hi - tail + 2)
-        den *= p**lo * q**hi * gap
-    return num, den
+
+    def __init__(self, svals, lo: int, hi: int):
+        self.lo = lo
+        self.den = 1
+        self.per_s = []
+        for sv in svals:
+            p, q = sv.sqrt_s.numerator, sv.sqrt_s.denominator
+            gap = p * p - q * q
+            powers = [p**k * q ** (lo + hi - k) for k in range(lo + hi + 1)]
+            self.per_s.append((gap, q * q, powers))
+            self.den *= p**lo * q**hi * gap
+
+    def numerator(self, nu) -> int:
+        """The moment product of nu times den."""
+        lo = self.lo
+        idx = [2 * part - 2 * i + 1 + lo for i, part in enumerate(nu, start=1)]
+        tail = 1 - 2 * len(nu) + lo
+        num = 1
+        for gap, q2, powers in self.per_s:
+            num *= gap * sum(powers[k] for k in idx) + q2 * powers[tail]
+        return num
 
 
 def partition_moment(sv: SValue, nu) -> QQ:
@@ -102,9 +116,10 @@ def partition_moment(sv: SValue, nu) -> QQ:
     Past the last row the summand is the geometric s^(1/2 - i), giving the
     exact tail s^(1/2 - l) / (s - 1); this is the definition of the sum for
     s > 1, where the series converges.  The sum is built in integers and
-    becomes one rational at the end (see _moment_fraction).
+    becomes one rational at the end (see _MomentTable).
     """
-    return QQ(*_moment_fraction((sv,), nu))
+    table = _MomentTable((sv,), *_clearing_exponents(nu))
+    return QQ(table.numerator(nu), table.den)
 
 
 def _divide_by_counts(num, counts, den: int, order: int) -> QSeries:
@@ -134,42 +149,62 @@ def _average(groups, svals, order: int) -> QSeries:
     """The average of the row-moment product over partitions grouped by size.
 
     ``groups`` maps each size 0..order to its partitions, as lists or as
-    generators; each is read once.  With sqrt(s) = p/q every moment product
-    is an integer fraction whose denominator divides
-    D = prod_s p^L q^H (p^2 - q^2), for L and H the largest clearing
-    exponents over the partitions (see _moment_fraction).  So the sum at
-    each size is one integer over D, and the division by the count series
-    runs in integers (see _divide_by_counts).
+    generators; each is read once and counted while it is summed.  Every
+    moment product is an integer over the one denominator of a
+    _MomentTable whose clearing exponents serve all sizes through order, so
+    the sum at each size is one integer and the division by the count
+    series runs in integers (see _divide_by_counts).
     """
-    groups = [list(groups[size]) for size in range(order + 1)]
-    lo, hi = map(max, zip(*(_clearing_exponents(nu) for group in groups for nu in group)))
-    common = 1
-    for sv in svals:
-        p, q = sv.sqrt_s.numerator, sv.sqrt_s.denominator
-        common *= p**lo * q**hi * (p * p - q * q)
-    scale: dict[int, int] = {}  # D // den, by den
-    sums = []
-    for group in groups:
-        total = 0
-        for nu in group:
-            num, den = _moment_fraction(svals, nu)
-            if den not in scale:
-                scale[den] = common // den
-            total += num * scale[den]
+    table = _MomentTable(svals, *_size_clearing_exponents(order))
+    sums, counts = [], []
+    for size in range(order + 1):
+        total = count = 0
+        for nu in groups[size]:
+            total += table.numerator(nu)
+            count += 1
         sums.append(total)
-    return _divide_by_counts(sums, [len(group) for group in groups], common, order)
+        counts.append(count)
+    return _divide_by_counts(sums, counts, table.den, order)
 
 
 def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     """The defining average over t-cores, coefficient by coefficient.
 
-    Every t-core of size at most order is enumerated from its charge vector;
-    the moment products are summed in integers over one common denominator
-    and divided by the t-core count series in integers (see _average).
+    A t-core is a charge vector c in Z^t with sum 0: track r holds the beads
+    r + k t, k < c_r, so the row moment is s^(1/2) M_s(c) / (s^t - 1) with
+    M_s(c) = sum_r s^(r + t c_r), and no partition is built.  The factor
+    s^(1/2) / (s^t - 1), with sqrt(s) = p/q equal to
+    (p/q) q^(2t) / (p^(2t) - q^(2t)), is the same for every core: it leaves
+    the average and is applied once at the end.  Over the exponent range
+    [lo, hi] = [t min c, t max c + t - 1] of all cores, s^e is the integer
+    p^(2(e - lo)) q^(2(hi - e)) over p^(-2 lo) q^(2 hi), read from one table
+    per s-value.  The products prod_s M_s(c) are summed in integers at each
+    size and divided once by the t-core count series (see _divide_by_counts).
     """
     check_t(t)
     check_order(order)
-    return _average(enumerate_t_cores(t, order), s_vector(s_values), order)
+    svals = s_vector(s_values)
+    cores = list(_charge_vectors(t, order))
+    lo = t * min(min(c) for c, _ in cores)
+    hi = t * max(max(c) for c, _ in cores) + t - 1
+    tables = []
+    den, factor = 1, QQ(1)
+    for sv in svals:
+        p2, q2 = sv.s.numerator, sv.s.denominator
+        tables.append([p2 ** (e - lo) * q2 ** (hi - e) for e in range(lo, hi + 1)])
+        den *= p2**-lo * q2**hi
+        factor *= sv.sqrt_s / (rat_pow(sv.s, t) - 1)
+    sums = [0] * (order + 1)
+    counts = [0] * (order + 1)
+    for charges, size in cores:
+        idx = [r + t * c - lo for r, c in enumerate(charges)]
+        weight = 1
+        for powers in tables:
+            weight *= sum(powers[k] for k in idx)
+        sums[size] += weight
+        counts[size] += 1
+    average = _divide_by_counts(sums, counts, den, order)
+    return average.map_coeffs(lambda c: c * factor)
 
 
 def bloch_okounkov_F(s_values, order: int) -> QSeries:
@@ -525,18 +560,26 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
 
     Terms are graded by |nu| in Q and |mu| in Q1; every pair with
     |mu| + |nu| <= order_total contributes the exact rational value of
-    the vertex product (the half-powers of q cancel pairwise).
+    the vertex product (the half-powers of q cancel pairwise).  Each vertex
+    value C((), mu, nu) is computed once per call and kept in Q(sqrt q),
+    since a single value is irrational when q is not a square.
     """
     q = deformation_base(q)
     check_order(order_total)
+    vertex: dict = {}  # (mu, nu) -> C((), mu, nu) in Q(sqrt q)
+
+    def vertex_value(mu, nu):
+        if (mu, nu) not in vertex:
+            vertex[mu, nu] = topological_vertex((), mu, nu, q)
+        return vertex[mu, nu]
+
     terms: dict[tuple[int, int], QQ] = {}
     for d_nu in range(order_total + 1):
         for nu in partitions_of(d_nu):
             nu_t = conjugate(nu)
             for d_mu in range(order_total - d_nu + 1):
                 for mu in partitions_of(d_mu):
-                    value = topological_vertex((), conjugate(mu), nu, q)
-                    value = value * topological_vertex((), mu, nu_t, q)
+                    value = vertex_value(conjugate(mu), nu) * vertex_value(mu, nu_t)
                     coeff = QQ_DOMAIN.coerce(value)
                     if (d_mu + d_nu) % 2:
                         coeff = -coeff
@@ -585,6 +628,7 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     svals = s_vector(s_values)
     check_order(order_total)
     a, b = q.numerator, q.denominator
+    moments = _MomentTable(svals, *_size_clearing_exponents(order_total))
     plain: dict[tuple[int, int], QQ] = {}
     weighted: dict[tuple[int, int], QQ] = {}
     for size in range(order_total + 1):
@@ -595,12 +639,12 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
                 ah, bh = a**h, b**h
                 poly = _times_quadratic(poly, -ah * bh, ah * ah + bh * bh, top)
                 den *= (bh - ah) ** 2
-            m_num, m_den = _moment_fraction(svals, nu)
+            m_num = moments.numerator(nu)
             for e1, c in enumerate(poly):
                 if c:
                     key = (2 * size, 2 * e1)
                     plain[key] = plain.get(key, QQ(0)) + QQ(c, den)
-                    weighted[key] = weighted.get(key, QQ(0)) + QQ(c * m_num, den * m_den)
+                    weighted[key] = weighted.get(key, QQ(0)) + QQ(c * m_num, den * moments.den)
     order2 = 2 * order_total
     return BiSeries(QQ_DOMAIN, order2, weighted) / BiSeries(QQ_DOMAIN, order2, plain)
 
@@ -615,19 +659,46 @@ def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list
     return out
 
 
+# the most slots prod_j (l_j + 1) that correlation_expansion tabulates
+_MAX_SLOTS = 4096
+
+
+def _check_slots(t: int, l_orders, q_order: int) -> None:
+    """Refuse a correlation table with more slots than _MAX_SLOTS, with its cost."""
+    slots = math.prod(l + 1 for l in l_orders)
+    if slots > _MAX_SLOTS:
+        vectors = sum(1 for _ in _charge_vectors(t, q_order))
+        raise ValueError(
+            f"l-orders {l_orders} ask for {slots} slots, more than the {_MAX_SLOTS} "
+            f"correlation_expansion supports: each would average over {vectors} "
+            f"charge vectors of size <= {q_order}"
+        )
+
+
 def correlation_expansion(
     t: int, n: int, l_orders, q_order: int
 ) -> dict[tuple[int, ...], QSeries]:
     """Correlation coefficients of the t-core average at s_j = e^(z_j).
 
-    Each row moment is z^(-1) times an honest Taylor series G(z), because
-    the geometric tail contributes e^((1/2 - l)z) * z/(e^z - 1).  The
-    returned table maps (l_1..l_n) to the exact q-series multiplying
-    z_1^(l_1 - 1) ... z_n^(l_n - 1); separate variables never mix, so one
-    G per partition serves every slot.  Each slot's sums over the t-cores of
-    one size are put over the lcm of their denominators and divided by the
-    t-core count series in integers (see _divide_by_counts); the slots share
-    one count list.
+    The returned table maps (l_1..l_n) to the exact q-series multiplying
+    z_1^(l_1 - 1) ... z_n^(l_n - 1).  A t-core with charge vector c has the
+    row moment s^(1/2) sum_r s^(r + t c_r) / (s^t - 1), so at s = e^z
+
+        z * moment = [z / (e^(tz) - 1)] * sum_r e^(z a_r / 2),
+        a_r = 2r + 1 + 2t c_r,
+
+    an honest Taylor series G(z) = sum_l g_l z^l with
+    g_l = sum_{m + k = l} beta_m P_k(c) / (2^k k!), where
+    z / (e^(tz) - 1) = sum_m beta_m z^m, beta_m = B_m t^(m - 1) / m!, and
+    P_k(c) = sum_r a_r^k.  The Bernoulli factor is the same for every core,
+    so per core only the integer power sums P_k, k <= max l, are kept, and
+    the sums of prod_j P_(k_j) are accumulated for every multi-index
+    k <= l_orders; a product depends only on the multiset of k, and so does
+    a slot on the multiset of its indices.  Each slot is a finite rational
+    combination of those sums; at each size it is an integer over one
+    denominator, divided by the t-core count series in integers (see
+    _divide_by_counts).  Tables of more than _MAX_SLOTS slots are refused up
+    front.
     """
     check_t(t)
     check_order(q_order)
@@ -638,36 +709,64 @@ def correlation_expansion(
         raise ValueError("l-orders must be nonnegative")
     if n == 0:
         return {(): QSeries.one(QQ_DOMAIN, q_order)}
+    _check_slots(t, l_orders, q_order)
     l_max = max(l_orders)
-    tdom = TaylorDomain(QQ_DOMAIN, l_max)
-    exp_ratio = TaylorZ(
-        tdom, [rat(1, math.factorial(k + 1)) for k in range(l_max + 1)]
-    )
-    tail_core = exp_ratio.inverse()  # z / (e^z - 1)
-    zvar = TaylorZ.variable(tdom)
-
     keys = list(product(*(range(l + 1) for l in l_orders)))
-    groups = enumerate_t_cores(t, q_order)
-    sums = {key: [QQ(0)] * (q_order + 1) for key in keys}
-    for size, group in groups.items():
-        for nu in group:
-            taylor = TaylorZ(tdom, [QQ(0)] * (l_max + 1))
-            for i, part in enumerate(nu, start=1):
-                rate = rat(2 * (part - i) + 1, 2)
-                taylor = taylor + zvar * TaylorZ.exp_of(tdom, rate)
-            tail_rate = rat(1 - 2 * len(nu), 2)
-            taylor = taylor + TaylorZ.exp_of(tdom, tail_rate) * tail_core
-            g_coeffs = [taylor.coeff(k) for k in range(l_max + 1)]
-            for key in keys:
-                weight = math.prod((g_coeffs[l] for l in key), start=QQ(1))
-                if weight:
-                    sums[key][size] += weight
-    counts = [len(groups[size]) for size in range(q_order + 1)]
+
+    def multiset(ks) -> tuple[int, ...]:
+        """The multiplicity of each index 0..l_max in ks."""
+        return tuple(ks.count(k) for k in range(l_max + 1))
+
+    # prod_j P_(k_j), summed per size, by the multiset of k
+    moments = {multiset(ks): [0] * (q_order + 1) for ks in keys}
+    counts = [0] * (q_order + 1)
+    for charges, size in _charge_vectors(t, q_order):
+        rates = [2 * r + 1 + 2 * t * c for r, c in enumerate(charges)]
+        power_sums = [t]  # P_0 .. P_(l_max)
+        powers = rates
+        for _ in range(l_max):
+            power_sums.append(sum(powers))
+            powers = [x * a for x, a in zip(powers, rates)]
+        for mult, row in moments.items():
+            weight = 1
+            for p_k, m in zip(power_sums, mult):
+                if m:
+                    weight *= p_k**m
+            row[size] += weight
+        counts[size] += 1
+
+    # coef[m][k] = beta_m / (2^k k!), the weight of P_k in g_(m + k)
+    coef = [
+        [bernoulli(m) * rat_pow(t, m - 1) / (math.factorial(m) * 2**k * math.factorial(k))
+         for k in range(l_max + 1)]
+        for m in range(l_max + 1)
+    ]
+
+    def slot(key) -> QSeries:
+        # prod_j g_(b_j) as a combination of the moments, one index at a time
+        weights = {multiset(()): QQ(1)}
+        for b in key:
+            step: dict = {}
+            for mult, w in weights.items():
+                for k in range(b + 1):
+                    if coef[b - k][k]:
+                        m = mult[:k] + (mult[k] + 1,) + mult[k + 1:]
+                        step[m] = step.get(m, 0) + w * coef[b - k][k]
+            weights = step
+        terms = [(w, moments[m]) for m, w in weights.items() if w]
+        den = math.lcm(*(w.denominator for w, _ in terms))
+        scaled = [(w.numerator * (den // w.denominator), row) for w, row in terms]
+        num = [sum(c * row[size] for c, row in scaled) for size in range(q_order + 1)]
+        return _divide_by_counts(num, counts, den, q_order)
+
+    # a slot depends only on the multiset of its indices
+    by_multiset: dict = {}
     table = {}
-    for key, row in sums.items():
-        den = math.lcm(*(c.denominator for c in row))
-        num = [c.numerator * (den // c.denominator) for c in row]
-        table[key] = _divide_by_counts(num, counts, den, q_order)
+    for key in keys:
+        mult = multiset(key)
+        if mult not in by_multiset:
+            by_multiset[mult] = slot(key)
+        table[key] = by_multiset[mult]
     return table
 
 

@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcore import npoint
 from tcore._rat import QQ, is_rational, rat_pow
 from tcore.npoint import (
     NPointResult,
     SetPartition,
     SValue,
+    _MAX_SLOTS,
+    _MomentTable,
     _average,
+    _clearing_exponents,
     _divide_by_counts,
-    _moment_fraction,
+    _size_clearing_exponents,
     bloch_okounkov_F,
     brute_force_Ft,
     closed_Ft,
@@ -33,16 +38,27 @@ from tcore.npoint import (
     set_partitions,
 )
 from tcore.partitions import (
+    _charge_vectors,
     conjugate,
     enumerate_t_cores,
     hook_lengths,
     is_t_core,
     partitions_of,
+    t_core_from_charges,
     t_core_product_series,
     t_core_size_series,
 )
 from tcore.contour import QuadratureConfig, extract_cor42
-from tcore.qseries import QQ_DOMAIN, BiSeries, HalfExp, QSeries, half, qdiv
+from tcore.qseries import (
+    QQ_DOMAIN,
+    BiSeries,
+    HalfExp,
+    QSeries,
+    TaylorDomain,
+    TaylorZ,
+    half,
+    qdiv,
+)
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
 
@@ -113,9 +129,13 @@ large_roots = st.tuples(
 ).filter(lambda pq: pq[0] != pq[1]).map(lambda pq: QQ(max(pq), min(pq)))
 
 
-def moment_product(svals, nu):
-    """The row-moment product over several s-values as one rational."""
-    return QQ(*_moment_fraction(svals, nu))
+def moment_product(svals, nu, lo=None, hi=None):
+    """The row-moment product over several s-values as one rational, from a
+    table over the clearing exponents (lo, hi), by default those of nu."""
+    if lo is None:
+        lo, hi = _clearing_exponents(nu)
+    table = _MomentTable(svals, lo, hi)
+    return QQ(table.numerator(nu), table.den)
 
 
 @settings(max_examples=150, deadline=None)
@@ -125,6 +145,31 @@ def test_partition_moment_matches_fraction_loop(nu, roots):
     oracles = [moment_by_rows(sv, nu) for sv in svals]
     assert partition_moment(svals[0], nu) == oracles[0]
     assert moment_product(svals, nu) == math.prod(oracles, start=QQ(1))
+    # a wider table gives the same moments, and the table of an average,
+    # cut by size alone, is wide enough for every partition of that size
+    lo, hi = _clearing_exponents(nu)
+    assert moment_product(svals, nu, lo + 2, hi + 5) == math.prod(oracles, start=QQ(1))
+    core = tuple(part for part in nu if part)
+    size_lo, size_hi = _size_clearing_exponents(sum(core))
+    core_lo, core_hi = _clearing_exponents(core)
+    assert core_lo <= size_lo and core_hi <= size_hi
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_charge_moment_is_the_row_moment_of_the_core(t):
+    # sqrt(s) sum_r s^(r + t c_r) / (s^t - 1), the moment brute_force_Ft
+    # reads off the charges, against the rows of the core they stand for
+    sv = SValue.of(QQ(53, 37) ** 2)
+    cores = 0
+    for charges, size in _charge_vectors(t, 30):
+        nu = t_core_from_charges(t, charges)
+        assert sum(nu) == size
+        charge_form = sv.sqrt_s * sum(
+            (rat_pow(sv.s, r + t * c) for r, c in enumerate(charges)), QQ(0)
+        ) / (rat_pow(sv.s, t) - 1)
+        assert charge_form == partition_moment(sv, nu)
+        cores += 1
+    assert cores == {2: 8, 3: 38, 4: 129, 5: 355}[t]
 
 
 def test_s_vector_screen_passes_disjoint_values():
@@ -705,11 +750,21 @@ def test_average_reads_generator_groups_like_lists():
     assert _average(generators, svals, order) == _average(lists, svals, order)
 
 
-@pytest.mark.parametrize("t, order", [(2, 30), (3, 24), (4, 16)])
-def test_average_matches_the_rational_series_quotient(t, order):
+@pytest.mark.parametrize("t, order, method", [
+    pytest.param(2, 30, "direct", id="2-30"),
+    pytest.param(3, 24, "direct", id="3-24"),
+    pytest.param(4, 16, "direct", id="4-16"),
+    # the cores found by the hook predicate over all partitions, apart from
+    # the charge vectors brute_force_Ft walks
+    pytest.param(2, 24, "filter", id="2-24-filter"),
+    pytest.param(3, 20, "filter", id="3-20-filter"),
+    pytest.param(4, 16, "filter", id="4-16-filter"),
+    pytest.param(5, 14, "filter", id="5-14-filter"),
+])
+def test_average_matches_the_rational_series_quotient(t, order, method):
     # the sum of the rational moment products divided as series over Q
     svals = s_vector((QQ(53, 37) ** 2, S94))
-    groups = enumerate_t_cores(t, order)
+    groups = enumerate_t_cores(t, order, method)
     num = {2 * size: sum((moment_product(svals, nu) for nu in group), QQ(0))
            for size, group in groups.items()}
     den = {2 * size: QQ(len(group)) for size, group in groups.items()}
@@ -811,6 +866,69 @@ def test_correlation_f2_matches_laurent_fit_of_enumeration():
 def test_correlation_rejects_mismatched_orders():
     with pytest.raises(ValueError):
         correlation_expansion(2, 2, (1,), 4)
+
+
+def correlation_by_rows(t, l_orders, q_order):
+    """The correlation table from the rows of every enumerated core: one
+    Taylor series G(z) = z * moment at s = e^z per core, the product of its
+    coefficients summed per slot, and the sums divided as series over Q."""
+    l_max = max(l_orders)
+    tdom = TaylorDomain(QQ_DOMAIN, l_max)
+    exp_ratio = TaylorZ(tdom, [QQ(1, math.factorial(k + 1)) for k in range(l_max + 1)])
+    tail_core = exp_ratio.inverse()  # z / (e^z - 1)
+    zvar = TaylorZ.variable(tdom)
+    keys = list(product(*(range(l + 1) for l in l_orders)))
+    groups = enumerate_t_cores(t, q_order)
+    sums = {key: {} for key in keys}
+    for size, group in groups.items():
+        for nu in group:
+            taylor = TaylorZ(tdom, [QQ(0)] * (l_max + 1))
+            for i, part in enumerate(nu, start=1):
+                taylor = taylor + zvar * TaylorZ.exp_of(tdom, QQ(2 * (part - i) + 1, 2))
+            taylor = taylor + TaylorZ.exp_of(tdom, QQ(1 - 2 * len(nu), 2)) * tail_core
+            g = [taylor.coeff(k) for k in range(l_max + 1)]
+            for key in keys:
+                weight = math.prod((g[l] for l in key), start=QQ(1))
+                sums[key][2 * size] = sums[key].get(2 * size, QQ(0)) + weight
+    counts = QSeries(QQ_DOMAIN, 2 * q_order,
+                     {2 * size: QQ(len(group)) for size, group in groups.items()})
+    return {key: qdiv(QSeries(QQ_DOMAIN, 2 * q_order, row), counts) for key, row in sums.items()}
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+@pytest.mark.parametrize("l_orders", [(0,), (4,), (3, 1), (0, 4), (2, 1, 3)],
+                         ids=lambda l: "l=" + ",".join(map(str, l)))
+def test_correlation_matches_the_row_taylor_form(t, l_orders):
+    # every slot, the odd ones and l = 0 included, against the per-row Taylor
+    # series of the enumerated cores
+    q_order = 12 if len(l_orders) < 3 else 8
+    table = correlation_expansion(t, len(l_orders), l_orders, q_order)
+    reference = correlation_by_rows(t, l_orders, q_order)
+    assert list(table) == list(reference)
+    assert table == reference
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+def test_enumeration_routes_at_order_zero(t):
+    # only the empty core: its moment products, and the empty table at n = 0
+    svals = s_vector((S4, S94))
+    empty = math.prod((partition_moment(sv, ()) for sv in svals), start=QQ(1))
+    assert brute_force_Ft(t, svals, 0) == QSeries(QQ_DOMAIN, 0, {0: empty})
+    assert correlation_expansion(t, 2, (2, 3), 0) == correlation_by_rows(t, (2, 3), 0)
+    assert correlation_expansion(t, 0, (), 0) == {(): QSeries.one(QQ_DOMAIN, 0)}
+    assert brute_force_Ft(t, (), 0) == QSeries.one(QQ_DOMAIN, 0)
+
+
+def test_correlation_refuses_oversized_tables_up_front(monkeypatch):
+    # 2^13 slots exceed the cap; the refusal names the slots and the charge
+    # vectors, and comes before any average is divided out
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(npoint, "_divide_by_counts", no_table)
+    assert 2**13 > _MAX_SLOTS >= 3**4 * 5
+    with pytest.raises(ValueError, match=r"8192 slots.* 38 charge vectors"):
+        correlation_expansion(3, 13, (1,) * 13, 30)
 
 
 # -- result payloads --------------------------------------------------------------------
