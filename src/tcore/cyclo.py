@@ -108,6 +108,18 @@ class Cyclo:
         k %= m
         return cls(m, _power_table(m)[k])
 
+    @classmethod
+    def from_powers(cls, m: int, weights) -> "Cyclo":
+        """sum_e weights[e] * zeta_m^e, for e = 0 .. len(weights) - 1 < m."""
+        table = _power_table(m)
+        cs = [RAT_ZERO] * euler_phi(m)
+        for e, w in enumerate(weights):
+            if w:
+                for j, x in enumerate(table[e]):
+                    if x:
+                        cs[j] += w * x
+        return cls(m, cs)
+
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other):

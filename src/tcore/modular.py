@@ -8,6 +8,10 @@ of about 61-bit primes p = 1 (mod m) and of one check prime p', with zeta_m
 mapped to the root w that the Chinese remainder theorem builds from the w_p.
 A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
+Series products and quotients go further: ``ModDomain.mul_terms`` and
+``div_terms`` work on the plain ints of the residues, sum each output
+coefficient in one Python int and reduce it mod N once, instead of building
+a Residue and taking a remainder for every pair of terms.
 
 Each coefficient is then rebuilt from its residue mod N by rational
 reconstruction (Wang 1981): the unique a/b with |a|, b <= sqrt(N/2) and
@@ -24,8 +28,9 @@ has one of two causes:
 
 A prime that divides a number the computation must invert (the denominator
 of an input, or a value that vanishes at that prime only) shows up as a
-residue that is not invertible mod N.  Its gcd with N names the prime, which
-is dropped for the next prime of the pool before the computation reruns.
+residue that is not invertible mod N.  An inverse is one pow(v, -1, N); when
+that fails, a walk over the primes of N names those where v vanishes, and
+each is dropped for the next prime of the pool before the computation reruns.
 A computed residue that vanishes modulo all of N is taken for a true zero
 and behaves as zero does in the exact field; the denominator of an input,
 which is never zero, makes every prime of N bad instead.
@@ -45,9 +50,12 @@ PRIME_BITS = 61
 # The first attempt packs this many primes into N.  A coefficient whose
 # numerator and denominator have at most h bits needs N > 2^(2h + 1), so ten
 # primes (610 bits) cover h <= 304: the closed routes through order 16 at
-# s-values of two-digit height stay below 270 bits.  At this size a run costs
-# less than twice a run modulo one prime, because the interpreter's overhead
-# per operation outweighs the arithmetic on the residues.
+# s-values of two-digit height stay below 270 bits.  With the series kernels
+# the products of residues, not the interpreter, set the cost of a run: over
+# the benchmark's five closed calls (Python 3.11, one Xeon core), a run modulo
+# these ten primes and the check prime takes 2 to 2.5 times a run modulo one
+# prime, over 21 primes about 4.5 times and over 41 about 13 times.  A first
+# attempt that is too small therefore costs more than its own run.
 _START_PRIMES = 10
 
 # Deterministic Miller-Rabin bases for every n < 3.3 * 10^24.
@@ -239,17 +247,90 @@ class ModDomain(_Domain):
         self.zero = Residue(0, self)
         self.one = Residue(1 % n, self)
         self._roots = tuple(Residue(pow(omega, e, n), self) for e in range(m))
+        self._reduced: dict = {}
+
+    def mul_terms(self, a: dict, b: dict, t2: int) -> dict:
+        """The terms through key t2 of the product of two term dicts.
+
+        Each output coefficient is a sum of int products of the residues,
+        reduced mod N once.
+        """
+        if not a or not b:
+            return {}
+        la, lb = min(a), min(b)
+        base = la + lb
+        size = t2 - base + 1
+        if size <= 0:
+            return {}
+        acc = [0] * size
+        right = sorted((e - lb, c.v) for e, c in b.items())
+        for e, c in a.items():
+            v, i = c.v, e - la
+            for k, w in right:
+                j = i + k
+                if j >= size:
+                    break
+                acc[j] += v * w
+        n, out = self.n, {}
+        for j, v in enumerate(acc):
+            if v:
+                v %= n
+                if v:
+                    out[base + j] = Residue(v, self)
+        return out
+
+    def div_terms(self, a: dict, b: dict, vb: int, t2: int) -> dict:
+        """The terms through key t2 of the quotient of two term dicts, where
+        vb is the lowest key of b.
+
+        The lowest coefficient of b is inverted once; each output coefficient
+        is one remainder of its accumulated int.
+        """
+        n = self.n
+        inverse = self.invert(b[vb].v)
+        if not a:
+            return {}
+        va = min(a)
+        base = va - vb
+        size = t2 - base + 1
+        if size <= 0:
+            return {}
+        rem = [0] * size
+        for e, c in a.items():
+            if e - va < size:
+                rem[e - va] = c.v
+        # the other terms of b, negated, keyed by their distance from vb
+        rest = sorted((k - vb, n - c.v) for k, c in b.items() if k != vb)
+        out = {}
+        for i in range(size):
+            if rem[i]:
+                q = rem[i] * inverse % n
+                if q:
+                    out[base + i] = Residue(q, self)
+                    for k, w in rest:
+                        j = i + k
+                        if j >= size:
+                            break
+                        rem[j] += q * w
+        return out
 
     def combine(self, residues) -> int:
         """The x mod N with the given residues modulo the primes, by CRT."""
         return sum(r * e for r, e in zip(residues, self._idempotents)) % self.n
 
     def invert(self, v: int) -> int:
-        """1/v mod N, one prime at a time.
+        """1/v mod N.
 
         NotInvertible names the primes at which v vanishes, unless v
         vanishes at all of them, which is a ZeroDivisionError.
         """
+        try:
+            return pow(v, -1, self.n)
+        except ValueError:
+            return self._invert_by_primes(v)
+
+    def _invert_by_primes(self, v: int) -> int:
+        """1/v mod N, one prime at a time, which names the primes where v vanishes."""
         inverses, bad = [], 1
         for p in self.primes:
             w = v % p
@@ -265,16 +346,22 @@ class ModDomain(_Domain):
         raise NotInvertible(bad)
 
     def reduce(self, x) -> int:
-        """A rational as an int mod N; its denominator must be invertible."""
+        """A rational as an int mod N; its denominator must be invertible.
+
+        The reductions of proper fractions are kept, since a run reduces the
+        same few constants many times over.
+        """
         if type(x) is not int:
             x = QQ(x)
             if x.denominator != 1:
-                try:
-                    inverse = self.invert(x.denominator)
-                except ZeroDivisionError:
-                    # a denominator is never zero: every prime of N divides it
-                    raise NotInvertible(self.n) from None
-                return x.numerator * inverse % self.n
+                if x not in self._reduced:
+                    try:
+                        inverse = self.invert(x.denominator)
+                    except ZeroDivisionError:
+                        # a denominator is never zero: every prime of N divides it
+                        raise NotInvertible(self.n) from None
+                    self._reduced[x] = x.numerator * inverse % self.n
+                return self._reduced[x]
             x = x.numerator
         return x % self.n
 

@@ -23,6 +23,7 @@ from tcore.qseries import (
     BiSeries,
     CycloDomain,
     QSeries,
+    check_int,
     check_order,
     check_t,
     qdiv,
@@ -547,6 +548,7 @@ def closed_Ft_r(
     n = len(svals)
     if n < 2:
         raise ValueError("this route needs at least two s-values")
+    check_int("r", r)
     if not 1 <= r < n:
         raise ValueError("r must satisfy 1 <= r < n")
     _check_points(t, n)

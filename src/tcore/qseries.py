@@ -102,11 +102,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_int(name: str, x) -> None:
+    """Reject a parameter of a public route that is not an int (nor a bool)."""
+    if not _is_int(x):
+        raise ValueError(f"{name} must be an int, not {type(x).__name__}")
+
+
 def check_order(order) -> None:
     """Reject a truncation order that is not a nonnegative int, where a public
     route takes a whole power of Q."""
-    if not _is_int(order):
-        raise ValueError(f"order must be an int, not {type(order).__name__}")
+    check_int("order", order)
     if order < 0:
         raise ValueError("order must be nonnegative")
 
@@ -125,8 +130,7 @@ def check_half_order(order) -> int:
 
 def check_t(t) -> None:
     """Reject a core parameter t that is not an int of at least 2."""
-    if not _is_int(t):
-        raise ValueError(f"t must be an int, not {type(t).__name__}")
+    check_int("t", t)
     if t < 2:
         raise ValueError("t must be at least 2")
 
@@ -138,7 +142,16 @@ def check_t(t) -> None:
 class _Domain:
     """A coefficient domain: ``name`` identifies it, ``zero`` and ``one`` are
     its constants, ``coerce`` brings a scalar into it and ``root(m, e)`` is
-    zeta_m^e in it, for the m it holds the roots of."""
+    zeta_m^e in it, for the m it holds the roots of.
+
+    A domain may also carry its own series kernels: ``mul_terms(a, b, t2)``
+    and ``div_terms(a, b, vb, t2)`` return the terms of the truncated product
+    and quotient of two term dicts, as the generic loops of QSeries and qdiv
+    would, and QSeries then hands those loops to them.
+    """
+
+    mul_terms = None
+    div_terms = None
 
     def __eq__(self, other):
         return getattr(other, "name", None) == self.name
@@ -417,6 +430,14 @@ class _Series:
         """The lowest degree present, or trunc2 + 1 for the zero series."""
         return min(map(self._degree, self.terms), default=self.trunc2 + 1)
 
+    def _window(self, other) -> int:
+        """The degree through which the product with other is known.
+
+        ``_times(other, t2)`` forms that product through any t2 at most
+        this, and takes no pair product above t2.
+        """
+        return min(self.trunc2 + other._low(), other.trunc2 + self._low())
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -502,9 +523,9 @@ class _Series:
 def _compose(u, coeff, acc):
     """acc + sum_{m >= 1} coeff(m) * u^m, for u without a constant term.
 
-    u is a _Series of lowest degree L >= 1 or a TaylorZ.  Each power is cut
-    to the window T of u before the next product, so no power is carried
-    beyond T.  At most T // L powers are nonzero (z_order of them for a
+    u is a _Series of lowest degree L >= 1 or a TaylorZ.  Each power is
+    formed only through the window T of u, so no pair product above T is
+    taken.  At most T // L powers are nonzero (z_order of them for a
     TaylorZ, whose products stop at z^z_order), the last of them is never
     multiplied again, and the sum ends early at an empty power.
     """
@@ -523,7 +544,7 @@ def _compose(u, coeff, acc):
         acc = acc + p.map_coeffs(lambda v: v * c)
         if m == top:
             break
-        p = p * u if window is None else (p * u)._cut(window)
+        p = p * u if window is None else p._times(u, window)
         if not p:
             break
     return acc
@@ -576,7 +597,12 @@ class QSeries(_Series):
         if not isinstance(other, QSeries):
             return self._scaled(other, operator.mul)
         self._check_dom(other)
-        t2 = min(self.trunc2 + other._low(), other.trunc2 + self._low())
+        return self._times(other, self._window(other))
+
+    def _times(self, other: "QSeries", t2: int) -> "QSeries":
+        kernel = self.dom.mul_terms
+        if kernel is not None:
+            return QSeries(self.dom, t2, kernel(self.terms, other.terms, t2))
         out = {}
         zero = self.dom.zero
         for e1, c1 in self.terms.items():
@@ -633,10 +659,12 @@ def qdiv(a: QSeries, b: QSeries) -> QSeries:
     vb = b.low2()
     if vb is None:
         raise ZeroDivisionError("division by a series that is zero to its truncation order")
-    c = b.terms[vb]
-    cinv = a.dom.one / c
     va = a._low()
     t2 = min(a.trunc2 - vb, b.trunc2 - 2 * vb + va)
+    kernel = a.dom.div_terms
+    if kernel is not None:
+        return QSeries(a.dom, t2, kernel(a.terms, b.terms, vb, t2))
+    cinv = a.dom.one / b.terms[vb]
     if not a.terms:
         return QSeries(a.dom, t2, {})
     rem = dict(a.terms)
@@ -709,7 +737,9 @@ class BiSeries(_Series):
         if not isinstance(other, BiSeries):
             return self._scaled(other, operator.mul)
         self._check_dom(other)
-        t2 = min(self.trunc2 + other._low(), other.trunc2 + self._low())
+        return self._times(other, self._window(other))
+
+    def _times(self, other: "BiSeries", t2: int) -> "BiSeries":
         out = {}
         zero = self.dom.zero
         for (a1, b1), c1 in self.terms.items():

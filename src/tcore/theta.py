@@ -24,20 +24,17 @@ from tcore.qseries import (
     TaylorZ,
     _as_exp2,
     check_half_order,
+    check_int,
     check_order,
     check_t,
-    lift_series,
     qdiv,
     qexp,
-    qlog,
 )
 
 
-# Fixed cache bounds.  bernoulli(n) stores n + 1 entries, and every weight
-# in use stays far below the bound; one _log_theta_ratio entry serves one
-# (t, r, l, order) of level_series.
+# A fixed cache bound: bernoulli(n) stores n + 1 entries, and every weight
+# in use stays far below it.
 _BERNOULLI_CACHE = 256
-_LOG_RATIO_CACHE = 64
 
 
 @lru_cache(maxsize=_BERNOULLI_CACHE)
@@ -234,45 +231,47 @@ def eisenstein(k: int, order: int) -> QSeries:
     return QSeries(QQ_DOMAIN, 2 * order, terms)
 
 
-@lru_cache(maxsize=_LOG_RATIO_CACHE)
-def _log_theta_ratio(t: int, r: int, z_order: int, order: int) -> QSeries:
-    """log of vartheta(xi_t^r e^z) / vartheta(xi_t^r) as a (Q; z) series.
-
-    Returned over Taylor(z; Q(zeta_2t)) with the Q-constant part carrying
-    the z-expansion of the prefactor ratio.  The split works because the
-    ratio is 1 + O(z, Q) after factoring out its Q-constant term, whose own
-    constant term is exactly 1.
-    """
-    if r % t == 0:
-        raise ValueError("the root must be a primitive direction: r not divisible by t")
-    m = 2 * t
-    dom_c = CycloDomain(m)
-    tdom = TaylorDomain(dom_c, z_order)
-    ez = TaylorZ.exp_of(tdom, 1)
-    ez_half = TaylorZ.exp_of(tdom, rat(1, 2))
-    xi = dom_c.root(m, 2 * r)
-    xi_h = dom_c.root(m, r)
-    arg_moving = ThetaArg(xi * ez, xi_h * ez_half, dom=tdom)
-    arg_fixed = ThetaArg(xi, xi_h, dom=dom_c)
-    num = vartheta(arg_moving, order)
-    den = lift_series(vartheta(arg_fixed, order), tdom)
-    ratio = qdiv(num, den)
-    head = ratio.coeff(0)
-    unipotent = ratio.map_coeffs(lambda c: c * head.inverse())
-    return qlog(unipotent) + QSeries(tdom, ratio.trunc2, {0: head.log()})
-
-
 def level_series(t: int, r: int, l: int, order: int) -> QSeries:
     """The weight-l series at level t and direction r, over Q(zeta_2t).
 
-    Defined through log(vartheta(xi_t^r e^z)/vartheta(xi_t^r)) as l! times
-    its z^l coefficient.
+    l! times the z^l coefficient of log(vartheta(xi e^z)/vartheta(xi)), with
+    xi = xi_t^r.  By the triple product, at x = xi e^z that logarithm is
+
+        log((x^(1/2) - x^(-1/2)) / (xi^(1/2) - xi^(-1/2)))
+            - sum_{b, k >= 1} (x^k - xi^k + x^(-k) - xi^(-k)) Q^(bk) / k,
+
+    so the Q^N coefficient, N >= 1, is the divisor sum
+    -sum_{k | N} k^(l-1) (xi^k + (-1)^l xi^(-k)), and the Q^0 term is l! times
+    the z^l coefficient of the first logarithm.
     """
     check_t(t)
+    check_int("r", r)
+    check_int("l", l)
     if l < 1:
         raise ValueError("the weight index must be at least 1")
     check_order(order)
-    logratio = _log_theta_ratio(t, r, l, order)
-    dom_c = CycloDomain(2 * t)
-    fact = math.factorial(l)
-    return logratio.map_coeffs(lambda tz: tz.coeff(l) * fact, dom_c)
+    if r % t == 0:
+        raise ValueError("the root must be a primitive direction: r not divisible by t")
+    m = 2 * t
+    dom = CycloDomain(m)
+    # the weight of each power zeta_2t^e in each coefficient Q^N
+    weights = [[0] * m for _ in range(order + 1)]
+    sign = (-1) ** l
+    for k in range(1, order + 1):
+        w = k ** (l - 1)
+        up = 2 * r * k % m
+        for n in range(k, order + 1, k):
+            weights[n][up] -= w
+            weights[n][-up % m] -= sign * w
+    terms = {2 * n: Cyclo.from_powers(m, weights[n]) for n in range(1, order + 1)}
+    terms[0] = _prefactor_log(dom, r, l) * math.factorial(l)
+    return QSeries(dom, 2 * order, terms)
+
+
+def _prefactor_log(dom: CycloDomain, r: int, l: int):
+    """The z^l coefficient of log((x^(1/2) - x^(-1/2)) / (xi^(1/2) - xi^(-1/2))),
+    x = xi e^z, with xi^(1/2) = zeta_2t^r (either branch gives the same ratio)."""
+    tdom = TaylorDomain(dom, l)
+    h, h_inv = dom.root(dom.m, r), dom.root(dom.m, -r)
+    num = TaylorZ.exp_of(tdom, rat(1, 2)) * h - TaylorZ.exp_of(tdom, rat(-1, 2)) * h_inv
+    return (num / (h - h_inv)).log().coeff(l)

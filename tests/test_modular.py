@@ -22,7 +22,7 @@ from tcore.modular import (
     rational_reconstruct,
 )
 from tcore.npoint import _closed_series, closed_Ft, closed_Ft_r, s_vector
-from tcore.qseries import QQ_DOMAIN, CycloDomain, QSeries, TaylorDomain
+from tcore.qseries import QQ_DOMAIN, CycloDomain, QSeries, TaylorDomain, qdiv
 from tcore.theta import ThetaArg, vartheta
 
 S4 = QQ(4)
@@ -121,6 +121,121 @@ def test_domains_of_different_moduli_do_not_mix():
     assert a != b
     with pytest.raises(ValueError):
         a.one + b.one
+
+
+def test_invert_by_pow_agrees_with_the_walk_over_the_primes():
+    dom = ModDomain(6, prime_pool(6, 4))
+    for v in (1, 2, dom.n - 1, 3**400 % dom.n, dom.primes[0] + 1, dom.n // 7 + 5):
+        assert dom.invert(v) == dom._invert_by_primes(v)
+        assert dom.invert(v) * v % dom.n == 1
+    bad = dom.primes[1] * dom.primes[3] * 11
+    for invert in (dom.invert, dom._invert_by_primes):
+        with pytest.raises(NotInvertible) as err:
+            invert(bad)
+        assert err.value.factor == dom.primes[1] * dom.primes[3]
+        with pytest.raises(ZeroDivisionError):
+            invert(2 * dom.n)
+
+
+def test_a_reduction_is_kept_only_when_it_succeeds():
+    primes = prime_pool(4, 3)
+    dom = ModDomain(4, primes)
+    x = QQ(-5, 21)
+    assert dom.reduce(x) == dom.reduce(x) == -5 * pow(21, -1, dom.n) % dom.n
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            dom.reduce(QQ(1, primes[2]))
+
+
+# -- the series kernels of a residue domain ------------------------------------------
+
+
+KERNEL_DOM = ModDomain(6, prime_pool(6, 3))
+
+
+def generic(dom: ModDomain) -> ModDomain:
+    """The same ring without its series kernels: QSeries runs its generic loops."""
+    plain = ModDomain(dom.m, dom.primes)
+    plain.mul_terms = plain.div_terms = None
+    return plain
+
+
+GENERIC_DOM = generic(KERNEL_DOM)
+
+# small values cancel one another, large ones fill every bit of N; the
+# multiples of a prime of N vanish there only
+residue_values = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 3]),
+    st.integers(min_value=0, max_value=KERNEL_DOM.n - 1),
+    st.integers(min_value=1, max_value=50).map(lambda k: k * KERNEL_DOM.primes[1]),
+)
+
+
+@st.composite
+def residue_series(draw, low=-6, high=14):
+    """Terms on negative and odd (half-integer) keys, a window at or above them."""
+    values = draw(st.dictionaries(st.integers(low, high), residue_values, max_size=9))
+    top = max(values, default=low)
+    trunc2 = draw(st.integers(top, top + 6))
+    return values, trunc2
+
+
+def on(dom, series):
+    values, trunc2 = series
+    return QSeries(dom, trunc2, {e: dom.coerce(v) for e, v in values.items()})
+
+
+def outcome(op, *args):
+    """op(*args), or the error it raised with the primes it named."""
+    try:
+        return op(*args)
+    except NotInvertible as err:
+        return ("NotInvertible", err.factor)
+    except ZeroDivisionError:
+        return ("ZeroDivisionError",)
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_series(), residue_series())
+def test_kernels_equal_the_generic_residue_loops(a, b):
+    ka, kb = on(KERNEL_DOM, a), on(KERNEL_DOM, b)
+    ga, gb = on(GENERIC_DOM, a), on(GENERIC_DOM, b)
+    assert ka * kb == ga * gb
+    assert ka * ka == ga * ga
+    assert outcome(qdiv, ka, kb) == outcome(qdiv, ga, gb)
+    if kb:
+        # the same divisor with its lowest coefficient a unit
+        unit = {**b[0], min(kb.terms): 1}, b[1]
+        assert qdiv(ka, on(KERNEL_DOM, unit)) == qdiv(ga, on(GENERIC_DOM, unit))
+
+
+def test_a_divisor_vanishing_at_some_primes_names_exactly_them():
+    dom = KERNEL_DOM
+    p, q = dom.primes[0], dom.primes[2]
+    num = QSeries(dom, 8, {0: dom.one, 3: dom.coerce(5)})
+    den = QSeries(dom, 8, {-1: dom.coerce(7 * p * q), 2: dom.one})
+    with pytest.raises(NotInvertible) as err:
+        qdiv(num, den)
+    assert err.value.factor == p * q
+    # vanishing at every prime of N, the coefficient is a zero residue
+    with pytest.raises(ZeroDivisionError):
+        qdiv(num, QSeries(dom, 8, {-1: dom.coerce(3 * dom.n)}))
+    with pytest.raises(ZeroDivisionError):
+        dom.div_terms(num.terms, {0: dom.zero, 2: dom.one}, 0, 4)
+
+
+def test_a_bad_prime_of_a_divisor_is_swapped_out():
+    m = 4
+    first = prime_pool(m, 1)[0]
+
+    def run(dom):
+        return qdiv(QSeries.one(dom, 3), QSeries(dom, 3, {0: dom.coerce(first), 2: dom.one}))
+
+    pool = _Pool(m)
+    primes = pool.take(3)
+    series = _run_over(run, m, primes, pool)
+    assert first not in primes and series == run(ModDomain(m, primes))
+    assert rational_lift(run, m) == run(CycloDomain(m))
 
 
 # -- rational reconstruction -------------------------------------------------------

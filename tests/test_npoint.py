@@ -469,6 +469,12 @@ def test_marked_subset_route_rejects_bad_r():
         closed_Ft_r(2, (S4,), 1, 4)
 
 
+@pytest.mark.parametrize("r", [1.0, True, "1"])
+def test_marked_subset_route_refuses_an_r_that_is_not_an_int(r):
+    with pytest.raises(ValueError, match="r must be an int"):
+        closed_Ft_r(3, (4, 9), r, 4)
+
+
 # -- the three routes against each other ------------------------------------------
 
 

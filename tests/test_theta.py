@@ -1,5 +1,7 @@
 """Theta-like series: product vs sum forms, transformations, Eisenstein."""
 
+import math
+
 import pytest
 
 from tcore import theta
@@ -16,6 +18,7 @@ from tcore.qseries import (
     half,
     lift_series,
     qdiv,
+    qlog,
 )
 from tcore.theta import (
     ThetaArg,
@@ -269,18 +272,63 @@ def test_macmahon_matches_brute_product():
                     assert abs(gap) < tol, (weight, eq, eq1)
 
 
-def test_theta_caches_are_bounded_and_hold_one_level_series():
-    caches = (theta.bernoulli, theta._log_theta_ratio)
-    for cache in caches:
-        cache.cache_clear()
-    level_series(3, 1, 4, 8)
+def test_bernoulli_cache_is_bounded():
+    theta.bernoulli.cache_clear()
     eisenstein(6, 4)  # bernoulli(12) stores B_0 .. B_12
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize is not None
-        # every miss stored one entry, so nothing was evicted
-        assert 0 < info.misses <= info.maxsize, info
-        assert info.currsize == info.misses, info
+    info = theta.bernoulli.cache_info()
+    assert info.maxsize is not None
+    # every miss stored one entry, so nothing was evicted
+    assert info.misses == 13 and info.currsize == 13, info
+
+
+def log_theta_ratio(t, r, z_order, order):
+    """The oracle for level_series: log(vartheta(xi_t^r e^z) / vartheta(xi_t^r)).
+
+    Returned as a (Q; z) series over Taylor(z; Q(zeta_2t)).  The ratio is
+    divided by its Q-constant term, whose own constant term is exactly 1, so
+    both parts have a logarithm.
+    """
+    m = 2 * t
+    dom_c = CycloDomain(m)
+    tdom = TaylorDomain(dom_c, z_order)
+    ez = TaylorZ.exp_of(tdom, 1)
+    ez_half = TaylorZ.exp_of(tdom, rat(1, 2))
+    xi = dom_c.root(m, 2 * r)
+    xi_h = dom_c.root(m, r)
+    num = vartheta(ThetaArg(xi * ez, xi_h * ez_half, dom=tdom), order)
+    den = lift_series(vartheta(ThetaArg(xi, xi_h, dom=dom_c), order), tdom)
+    ratio = qdiv(num, den)
+    head = ratio.coeff(0)
+    unipotent = ratio.map_coeffs(lambda c: c * head.inverse())
+    return qlog(unipotent) + QSeries(tdom, ratio.trunc2, {0: head.log()})
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_level_series_matches_the_log_ratio(t):
+    # every direction, r not coprime to t included, and a negative one
+    # beyond -t; one oracle at z^6 serves every weight l <= 6
+    for r in [*range(1, t), -(t + 1)]:
+        oracle = log_theta_ratio(t, r, 6, 12)
+        for l in range(1, 7):
+            fact = math.factorial(l)
+            expected = oracle.map_coeffs(lambda tz: tz.coeff(l) * fact, CycloDomain(2 * t))
+            assert level_series(t, r, l, 12) == expected, (t, r, l)
+
+
+@pytest.mark.parametrize("t,r,l", [(2, 1, 2), (3, 2, 1), (4, 2, 3), (5, 3, 4), (6, -1, 6)])
+def test_level_series_is_honest_about_truncation(t, r, l):
+    full = level_series(t, r, l, 9)
+    assert full.trunc2 == 18
+    for order in range(9):
+        assert level_series(t, r, l, order) == full.truncated(order), order
+
+
+@pytest.mark.parametrize("args", [
+    (3, 1.5, 2, 4), (3, 1, 2.0, 4), (3, True, 2, 4), (3, 1, True, 4), (3, "1", 2, 4),
+])
+def test_level_series_refuses_a_direction_or_weight_that_is_not_an_int(args):
+    with pytest.raises(ValueError, match="must be an int"):
+        level_series(*args)
 
 
 def test_level_series_t2_matches_classical_combination():
