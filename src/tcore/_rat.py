@@ -1,22 +1,9 @@
-"""Exact rational scalars with a fast backend when available.
-
-gmpy2's mpq is a drop-in replacement for fractions.Fraction in everything this
-package needs (operators, .numerator/.denominator, hashing, comparisons) and
-is roughly an order of magnitude faster on the small rationals that dominate
-truncated-series arithmetic.  The backend choice is pinned here once so the
-rest of the package stays agnostic.
-"""
+"""Exact rational scalars: fractions.Fraction, pinned here once as QQ so
+that the rest of the package names one rational type."""
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ
-
-    _BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
-
-    _BACKEND = "fractions"
+from fractions import Fraction as QQ
 
 
 def rat(p, q=1):
@@ -27,12 +14,9 @@ def rat(p, q=1):
 RAT_ZERO = rat(0)
 RAT_ONE = rat(1)
 
-_RAT_TYPES = (int, type(RAT_ZERO))
-
-
 def is_rational(x) -> bool:
-    """True for plain ints and backend rationals (the exact scalar base)."""
-    return isinstance(x, _RAT_TYPES)
+    """True for plain ints and Fractions (the exact scalar base)."""
+    return isinstance(x, (int, QQ))
 
 
 def rat_str(x) -> str:

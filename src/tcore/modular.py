@@ -8,10 +8,10 @@ of about 61-bit primes p = 1 (mod m) and of one check prime p', with zeta_m
 mapped to the root w that the Chinese remainder theorem builds from the w_p.
 A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
-Series products and quotients go further: ``ModDomain.mul_terms`` and
-``div_terms`` work on the plain ints of the residues, sum each output
-coefficient in one Python int and reduce it mod N once, instead of building
-a Residue and taking a remainder for every pair of terms.
+Series products and quotients go further: the two series loops of
+tcore.qseries get the plain ints of the residues from ModDomain, sum each
+output coefficient in one Python int and reduce it mod N once, instead of
+building a Residue and taking a remainder for every pair of terms.
 
 Each coefficient is then rebuilt from its residue mod N by rational
 reconstruction (Wang 1981): the unique a/b with |a|, b <= sqrt(N/2) and
@@ -42,8 +42,7 @@ import math
 from functools import lru_cache
 
 from ._rat import QQ, is_rational
-from .cyclo import Cyclo
-from .qseries import CycloDomain, HalfExp, QSeries, _Domain
+from .qseries import QQ_DOMAIN, HalfExp, QSeries, _Domain
 
 PRIME_BITS = 61
 
@@ -237,86 +236,27 @@ class ModDomain(_Domain):
         self.m = m
         self.primes = tuple(primes)
         n = math.prod(self.primes)
-        self.n = n
-        # e_p = 1 mod p and 0 mod the other primes: x = sum_p (x mod p) e_p
-        self._idempotents = tuple(
-            n // p * pow(n // p, -1, p) for p in self.primes
-        )
-        omega = self.combine(pow(_root_of_unity(m, p), k, p) for p in self.primes)
+        self.n = self.modulus = n
+        omega = crt([pow(_root_of_unity(m, p), k, p) for p in self.primes], self.primes)
         self.name = f"Z/{n}[zeta{m}={omega}]"
         self.zero = Residue(0, self)
         self.one = Residue(1 % n, self)
         self._roots = tuple(Residue(pow(omega, e, n), self) for e in range(m))
         self._reduced: dict = {}
 
-    def mul_terms(self, a: dict, b: dict, t2: int) -> dict:
-        """The terms through key t2 of the product of two term dicts.
+    def values(self, terms: dict) -> dict:
+        """The ints of the residues of a term dict."""
+        return {e: c.v for e, c in terms.items()}
 
-        Each output coefficient is a sum of int products of the residues,
-        reduced mod N once.
-        """
-        if not a or not b:
-            return {}
-        la, lb = min(a), min(b)
-        base = la + lb
-        size = t2 - base + 1
-        if size <= 0:
-            return {}
-        acc = [0] * size
-        right = sorted((e - lb, c.v) for e, c in b.items())
-        for e, c in a.items():
-            v, i = c.v, e - la
-            for k, w in right:
-                j = i + k
-                if j >= size:
-                    break
-                acc[j] += v * w
+    def coefficients(self, sums: dict) -> dict:
+        """Each int sum reduced mod N once, as a residue; zeros are left out."""
         n, out = self.n, {}
-        for j, v in enumerate(acc):
+        for e, v in sums.items():
             if v:
                 v %= n
                 if v:
-                    out[base + j] = Residue(v, self)
+                    out[e] = Residue(v, self)
         return out
-
-    def div_terms(self, a: dict, b: dict, vb: int, t2: int) -> dict:
-        """The terms through key t2 of the quotient of two term dicts, where
-        vb is the lowest key of b.
-
-        The lowest coefficient of b is inverted once; each output coefficient
-        is one remainder of its accumulated int.
-        """
-        n = self.n
-        inverse = self.invert(b[vb].v)
-        if not a:
-            return {}
-        va = min(a)
-        base = va - vb
-        size = t2 - base + 1
-        if size <= 0:
-            return {}
-        rem = [0] * size
-        for e, c in a.items():
-            if e - va < size:
-                rem[e - va] = c.v
-        # the other terms of b, negated, keyed by their distance from vb
-        rest = sorted((k - vb, n - c.v) for k, c in b.items() if k != vb)
-        out = {}
-        for i in range(size):
-            if rem[i]:
-                q = rem[i] * inverse % n
-                if q:
-                    out[base + i] = Residue(q, self)
-                    for k, w in rest:
-                        j = i + k
-                        if j >= size:
-                            break
-                        rem[j] += q * w
-        return out
-
-    def combine(self, residues) -> int:
-        """The x mod N with the given residues modulo the primes, by CRT."""
-        return sum(r * e for r, e in zip(residues, self._idempotents)) % self.n
 
     def invert(self, v: int) -> int:
         """1/v mod N.
@@ -340,7 +280,7 @@ class ModDomain(_Domain):
                 inverses.append(0)
                 bad *= p
         if bad == 1:
-            return self.combine(inverses)
+            return crt(inverses, self.primes)
         if bad == self.n:
             raise ZeroDivisionError("inverse of a zero residue")
         raise NotInvertible(bad)
@@ -450,12 +390,12 @@ def _reconstruct(residues: dict, modulus: int, at_check: dict, check: int):
 
 
 def rational_lift(run, m: int) -> QSeries:
-    """The rational series that ``run`` computes in Q(zeta_m), over CycloDomain(m).
+    """The rational series that ``run`` computes in Q(zeta_m), over Q.
 
     ``run(dom)`` evaluates one computation over a coefficient domain with the
     ``root`` hook and returns a QSeries over it.  Every coefficient of the
-    exact result must be rational, else ValueError; they come back as
-    ``Cyclo.from_rat`` elements, as the run over CycloDomain(m) gives them.
+    exact result must be rational, else ValueError; the result is a series
+    over QQ_DOMAIN, equal to the run over CycloDomain(m) pushed down to Q.
     A wrong coefficient passes the check prime with probability about 2^-61.
     """
     pool = _Pool(m)
@@ -469,8 +409,7 @@ def rational_lift(run, m: int) -> QSeries:
     while True:
         lifted = _reconstruct(residues, modulus, at_check, check)
         if lifted is not None:
-            dom = CycloDomain(m)
-            return QSeries(dom, series.trunc2, {e: Cyclo.from_rat(m, c) for e, c in lifted.items()})
+            return QSeries(QQ_DOMAIN, series.trunc2, lifted)
         if not rational:
             _check_rational(run, m, check, at_check)
             rational = True

@@ -21,7 +21,6 @@ from tcore.partitions import _charge_vectors, conjugate, hook_lengths, partition
 from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
-    CycloDomain,
     QSeries,
     check_int,
     check_order,
@@ -287,13 +286,15 @@ class _ThetaTable:
     """Memoized constant-argument theta series over a domain holding xi_2t.
 
     The square-root branch of x*xi_t^e is sqrt(x)*xi_2t^e after reducing
-    e mod the requested period (t or 2t); the block products are branch
-    independent, the determinant entries are not.
+    e mod ``period``, that is 2t.  The block products ask only for
+    e = 0 .. t-1, for which this is e mod t, and are branch independent;
+    the determinant entries are not.
     """
 
     def __init__(self, t: int, order: int, dom):
         self.t = t
         self.m = 2 * t
+        self.period = _DET_BRANCH_PERIOD * t
         self.order = order
         self.dom = dom
         self._odd: dict = {}
@@ -305,13 +306,11 @@ class _ThetaTable:
         exp = 2 * e + (self.t if scale < 0 else 0)
         return self.dom.root(self.m, exp) * abs(QQ(scale))
 
-    def odd(self, sv: SValue, e: int, period: int | None = None) -> QSeries:
+    def odd(self, sv: SValue, e: int) -> QSeries:
         """vartheta at sv.s * xi_t^e, branch sqrt(s)*xi_2t^(e mod period)."""
-        if period is None:
-            period = self.t
-        key = (sv.s, e % period)
+        key = (sv.s, e % self.period)
         if key not in self._odd:
-            arg = ThetaArg.scaled_root(sv.s, t=self.t, e=e % period, dom=self.dom)
+            arg = ThetaArg.scaled_root(sv.s, t=self.t, e=key[1], dom=self.dom)
             self._odd[key] = vartheta(arg, self.order)
         return self._odd[key]
 
@@ -380,8 +379,8 @@ def _determinant_sum(
     block_cache: dict = {}
 
     def block_factor(sv: SValue) -> QSeries:
-        # with exponents reduced mod t, the product over a full residue
-        # cycle does not depend on the column label l_m
+        # the product over a full residue cycle mod t does not depend on
+        # the column label l_m
         if sv.s not in block_cache:
             num = QSeries.one(dom, order)
             for e in range(t):
@@ -389,13 +388,13 @@ def _determinant_sum(
             block_cache[sv.s] = qdiv(num, root_den)
         return block_cache[sv.s]
 
-    period = _DET_BRANCH_PERIOD * t
+    period = table.period
     entry_cache: dict = {}
 
     def det_entry(sv: SValue, diff: int) -> QSeries:
         key = (sv.s, diff % period)
         if key not in entry_cache:
-            denom = table.odd(sv, -diff, period)
+            denom = table.odd(sv, -diff)
             if not denom.coeff(0):
                 raise ValueError(
                     f"vartheta({rat_str(sv.s)}*xi_{t}^{-diff % t}) "
@@ -456,7 +455,7 @@ def _closed_series(dom, t: int, svals, order: int, all_tuples: bool, Q2=None, r=
 
     dom is any coefficient domain whose ``root`` hook holds xi_2t: the
     routes pass the residue domains of ``rational_lift``, and the exact
-    CycloDomain(2t) gives the same series in Q(xi_2t).
+    CycloDomain(2t) gives the same series in Q(xi_2t), with rational values.
     """
     table = _ThetaTable(t, order, dom)
     n = len(svals)
@@ -475,10 +474,8 @@ def _closed_series(dom, t: int, svals, order: int, all_tuples: bool, Q2=None, r=
     theta_rest_inv = vartheta(ThetaArg(1 / s_rest.s, 1 / s_rest.sqrt_s, dom=dom), order)
     if not theta_rest_inv.coeff(0):
         raise ValueError("vartheta of the unmarked product inverse is singular")
-    period = _DET_BRANCH_PERIOD * t
-
     def numerator(sv: SValue, diff: int) -> QSeries:
-        arg = ThetaArg.scaled_root(s_marked.s / sv.s, t=t, e=diff % period, dom=dom)
+        arg = ThetaArg.scaled_root(s_marked.s / sv.s, t=t, e=diff % table.period, dom=dom)
         return vartheta(arg, order)
 
     return _determinant_sum(
@@ -510,8 +507,8 @@ def closed_Ft(
     mod N.  Each coefficient is rebuilt from its residue by rational
     reconstruction and confirmed at a check prime that the reconstruction
     does not see, so a wrong coefficient would pass with probability about
-    2^-61 (see tcore.modular).  The coefficients come back over Q(zeta_2t)
-    as Cyclo.from_rat elements, as the exact sum in Q(zeta_2t) gives them.
+    2^-61 (see tcore.modular).  The result is a series over Q
+    (QQ_DOMAIN): the exact sum in Q(zeta_2t) has rational coefficients.
     """
     check_t(t)
     check_order(order)
@@ -522,7 +519,7 @@ def closed_Ft(
     n = len(svals)
     _check_points(t, n)
     if n == 0:
-        return QSeries.one(CycloDomain(2 * t), order)
+        return QSeries.one(QQ_DOMAIN, order)
     return rational_lift(
         lambda dom: _closed_series(dom, t, svals, order, all_tuples, Q2=Q2), 2 * t
     )
@@ -540,7 +537,8 @@ def closed_Ft_r(
     At most eight s-values.  Computed like closed_Ft: over Z/N for a
     product N of about 61-bit primes p = 1 (mod 2t), with each coefficient
     rebuilt by rational reconstruction and confirmed at a check prime, so a
-    wrong coefficient would pass with probability about 2^-61.
+    wrong coefficient would pass with probability about 2^-61.  The result
+    is a series over Q (QQ_DOMAIN).
     """
     check_t(t)
     check_order(order)

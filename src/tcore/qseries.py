@@ -16,9 +16,16 @@ internal code passes doubled ints.
 QSeries and BiSeries share one base, _Series, which holds the ring
 plumbing (sums, negation, scaling, powers, truncation, equality and
 hashing) and reads the degree of a key through the subclass: the key
-itself for a QSeries, the total a + b for a BiSeries.  Each keeps its own
-product loop.  One helper, _compose, sums c_m u^m for a u without a
-constant term; it serves qlog, qexp, TaylorZ.log and BiSeries.inverse.
+itself for a QSeries, the total a + b for a BiSeries.  One helper,
+_compose, sums c_m u^m for a u without a constant term; it serves qlog,
+qexp, TaylorZ.log and BiSeries.inverse.
+
+Two loops do the arithmetic of one variable for every coefficient domain:
+_product, the truncated product of two term dicts, and _quotient, their
+truncated quotient by schoolbook long division.  QSeries products, qdiv,
+and the products and inverses of TaylorZ all call them; only BiSeries,
+whose keys are pairs, keeps its own product loop.  The loops see a domain
+through the two hooks of _Domain.
 
 Truncation bookkeeping is honest: multiplying series known through exponents
 Ta and Tb with lowest terms la and lb yields a series known through
@@ -139,19 +146,34 @@ def check_t(t) -> None:
 # coefficient domains
 
 
+class _Exact:
+    """The modulus of an exact domain: x % _Exact() is x, for any value x."""
+
+    def __rmod__(self, x):
+        return x
+
+
 class _Domain:
     """A coefficient domain: ``name`` identifies it, ``zero`` and ``one`` are
     its constants, ``coerce`` brings a scalar into it and ``root(m, e)`` is
     zeta_m^e in it, for the m it holds the roots of.
 
-    A domain may also carry its own series kernels: ``mul_terms(a, b, t2)``
-    and ``div_terms(a, b, vb, t2)`` return the terms of the truncated product
-    and quotient of two term dicts, as the generic loops of QSeries and qdiv
-    would, and QSeries then hands those loops to them.
+    The series loops see a domain through two hooks on whole term dicts:
+    ``values(terms)`` gives the plain values that the loops multiply and
+    add, and ``coefficients(sums)`` turns the sums they accumulate back into
+    coefficients.  For an exact domain both are the identity.  A residue
+    domain hands out ints and reduces each sum once; the quotient also
+    reduces each of its values by ``modulus`` before that value feeds the
+    later terms, which for an exact domain changes nothing.
     """
 
-    mul_terms = None
-    div_terms = None
+    modulus = _Exact()
+
+    def values(self, terms: dict) -> dict:
+        return terms
+
+    def coefficients(self, sums: dict) -> dict:
+        return sums
 
     def __eq__(self, other):
         return getattr(other, "name", None) == self.name
@@ -231,6 +253,77 @@ class TaylorDomain(_Domain):
         return self.coerce(self.inner.root(m, e))
 
 
+# ---------------------------------------------------------------------------
+# the two series loops
+
+
+def _product(dom, a: dict, b: dict, t2: int) -> dict:
+    """The terms through key t2 of the product of two term dicts over dom.
+
+    Each key from the lowest possible one, min(a) + min(b), through t2 gets
+    one sum of plain values, which becomes a coefficient once at the end.
+    The terms of b are walked in key order, so that no pair above t2 is
+    multiplied.
+    """
+    if not a or not b:
+        return {}
+    la, lb = min(a), min(b)
+    base = la + lb
+    size = t2 - base + 1
+    if size <= 0:
+        return {}
+    zero = dom.values({0: dom.zero})[0]
+    sums = [zero] * size
+    right = sorted((k - lb, w) for k, w in dom.values(b).items())
+    for e, v in dom.values(a).items():
+        i = e - la
+        for k, w in right:
+            j = i + k
+            if j >= size:
+                break
+            sums[j] += v * w
+    return dom.coefficients(dict(zip(range(base, t2 + 1), sums)))
+
+
+def _quotient(dom, a: dict, b: dict, t2: int) -> dict:
+    """The terms through key t2 of a/b for two term dicts over dom, b nonzero.
+
+    Schoolbook long division from the lowest key of b, whose coefficient is
+    inverted once: each quotient value, reduced by the domain's modulus,
+    adds its product with the other terms of b, negated, to the remainders
+    above it.
+    """
+    vb = min(b)
+    inverse = dom.values({0: dom.one / b[vb]})[0]
+    if not a:
+        return {}
+    va = min(a)
+    base = va - vb
+    size = t2 - base + 1
+    if size <= 0:
+        return {}
+    zero = dom.values({0: dom.zero})[0]
+    rem = [zero] * size
+    for e, v in dom.values(a).items():
+        if e - va < size:
+            rem[e - va] = v
+    # the other terms of b, negated, keyed by their distance from vb
+    rest = sorted((k - vb, -w) for k, w in dom.values(b).items() if k != vb)
+    modulus = dom.modulus
+    out = {}
+    for i in range(size):
+        if rem[i]:
+            q = rem[i] * inverse % modulus
+            if q:
+                out[base + i] = q
+                for k, w in rest:
+                    j = i + k
+                    if j >= size:
+                        break
+                    rem[j] += q * w
+    return dom.coefficients(out)
+
+
 class TaylorZ:
     """A polynomial in z truncated at z^z_order, dense coefficient tuple."""
 
@@ -308,17 +401,7 @@ class TaylorZ:
         for a, b in ((self, o), (o, self)):
             if not any(b.cs[1:]):
                 return a._times_constant(b.cs[0])
-        n = self.dom.z_order
-        zero = self.dom.inner.zero
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.cs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = o.cs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TaylorZ(self.dom, out)
+        return self._of(_product(self.dom.inner, self._terms(), o._terms(), self.dom.z_order))
 
     __rmul__ = __mul__
 
@@ -327,19 +410,19 @@ class TaylorZ:
         return self.map_coeffs(lambda a: a * c if a else a)
 
     def inverse(self) -> "TaylorZ":
-        c0 = self.cs[0]
-        if not c0:
+        if not self.cs[0]:
             raise ZeroDivisionError("TaylorZ inverse needs a nonzero constant term")
-        n = self.dom.z_order
-        inv0 = self.dom.inner.one / c0
-        out = [inv0]
-        for k in range(1, n + 1):
-            acc = self.dom.inner.zero
-            for j in range(1, k + 1):
-                if self.cs[j]:
-                    acc = acc + self.cs[j] * out[k - j]
-            out.append(-acc * inv0)
-        return TaylorZ(self.dom, out)
+        inner = self.dom.inner
+        return self._of(_quotient(inner, {0: inner.one}, self._terms(), self.dom.z_order))
+
+    def _terms(self) -> dict:
+        """The nonzero coefficients, keyed by their power of z."""
+        return {k: c for k, c in enumerate(self.cs) if c}
+
+    def _of(self, terms: dict) -> "TaylorZ":
+        """The element of this domain with the given coefficients by power of z."""
+        zero = self.dom.inner.zero
+        return TaylorZ(self.dom, [terms.get(k, zero) for k in range(self.dom.z_order + 1)])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -600,17 +683,7 @@ class QSeries(_Series):
         return self._times(other, self._window(other))
 
     def _times(self, other: "QSeries", t2: int) -> "QSeries":
-        kernel = self.dom.mul_terms
-        if kernel is not None:
-            return QSeries(self.dom, t2, kernel(self.terms, other.terms, t2))
-        out = {}
-        zero = self.dom.zero
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e <= t2:
-                    out[e] = out.get(e, zero) + c1 * c2
-        return QSeries(self.dom, t2, out)
+        return QSeries(self.dom, t2, _product(self.dom, self.terms, other.terms, t2))
 
     __rmul__ = __mul__
 
@@ -647,7 +720,7 @@ class QSeries(_Series):
         for e in sorted(self.terms):
             c = self.terms[e]
             mono = "" if e == 0 else ("Q" if e == 2 else f"Q^{HalfExp(e)!r}")
-            cs = repr(c) if not isinstance(c, type(RAT_ZERO)) else rat_str(c)
+            cs = rat_str(c) if isinstance(c, QQ) else repr(c)
             bits.append(cs if not mono else f"({cs})*{mono}")
         body = " + ".join(bits) if bits else "0"
         return f"{body} + O(Q^{HalfExp(self.trunc2 + 1)!r})"
@@ -659,29 +732,8 @@ def qdiv(a: QSeries, b: QSeries) -> QSeries:
     vb = b.low2()
     if vb is None:
         raise ZeroDivisionError("division by a series that is zero to its truncation order")
-    va = a._low()
-    t2 = min(a.trunc2 - vb, b.trunc2 - 2 * vb + va)
-    kernel = a.dom.div_terms
-    if kernel is not None:
-        return QSeries(a.dom, t2, kernel(a.terms, b.terms, vb, t2))
-    cinv = a.dom.one / b.terms[vb]
-    if not a.terms:
-        return QSeries(a.dom, t2, {})
-    rem = dict(a.terms)
-    out = {}
-    zero = a.dom.zero
-    for e in range(va - vb, t2 + 1):
-        ce = rem.get(e + vb, zero)
-        if ce:
-            q = ce * cinv
-            out[e] = q
-            for k, v in b.terms.items():
-                if k == vb:
-                    continue
-                kk = e + k
-                if kk <= t2 + vb:
-                    rem[kk] = rem.get(kk, zero) - q * v
-    return QSeries(a.dom, t2, out)
+    t2 = min(a.trunc2 - vb, b.trunc2 - 2 * vb + a._low())
+    return QSeries(a.dom, t2, _quotient(a.dom, a.terms, b.terms, t2))
 
 
 def qlog(a):

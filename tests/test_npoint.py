@@ -239,6 +239,10 @@ def test_brute_force_empty_product_is_one():
     assert series.agrees_with(QSeries.one(QQ_DOMAIN, 5), 5)
 
 
+def test_closed_Ft_of_no_s_values_is_one_over_Q():
+    assert closed_Ft(3, (), QQ(2), 5) == QSeries.one(QQ_DOMAIN, 5)
+
+
 # every public route that takes a truncation order, as a function of it;
 # the indices 10..13 are the theta series, which also take a HalfExp
 ORDER_ROUTES = [

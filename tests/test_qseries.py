@@ -1,11 +1,14 @@
 """Truncated series layer: QSeries, TaylorZ, BiSeries."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcore._rat import QQ
 from tcore.cyclo import Cyclo
+from tcore.modular import ModDomain, prime_pool
 from tcore.npoint import NPointResult, SValue, rational_series
 from tcore.qseries import (
     BiSeries,
@@ -15,6 +18,8 @@ from tcore.qseries import (
     QSeries,
     TaylorDomain,
     TaylorZ,
+    _product,
+    _quotient,
     half,
     qdiv,
     qexp,
@@ -171,6 +176,95 @@ def test_rationality_projection():
 
 
 # ---------------------------------------------------------------------------
+# the two series loops against a plain double sum and long division
+
+
+def double_sum(a: dict, b: dict, t2: int, zero) -> dict:
+    """The terms through key t2 of the product, one pair at a time."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            if e1 + e2 <= t2:
+                out[e1 + e2] = out.get(e1 + e2, zero) + c1 * c2
+    return out
+
+
+def long_division(a: dict, b: dict, t2: int, zero, one) -> dict:
+    """The terms through key t2 of a/b: each quotient term times b is
+    subtracted from the remainder."""
+    vb = min(b)
+    inverse = one / b[vb]
+    rem, out = dict(a), {}
+    for e in range(min(a, default=t2 + vb + 1) - vb, t2 + 1):
+        q = rem.get(e + vb, zero) * inverse
+        if q:
+            out[e] = q
+            for k, c in b.items():
+                rem[e + k] = rem.get(e + k, zero) - q * c
+    return out
+
+
+def _small(rng):
+    return QQ(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+ZN = ModDomain(6, prime_pool(6, 3))
+TAYLOR_Q = TaylorDomain(QQ_DOMAIN, 3)
+
+# each domain with a random element and a random unit; Z/N mixes residues
+# that fill every bit of N with small ones that cancel
+LOOP_DOMAINS = {
+    "Q": (QQ_DOMAIN, _small, lambda rng: _small(rng) or QQ(1)),
+    "Q(zeta8)": (
+        CycloDomain(8),
+        lambda rng: Cyclo.from_powers(8, [_small(rng) for _ in range(rng.randint(1, 8))]),
+        lambda rng: Cyclo.root(8, rng.randint(0, 7)) * (_small(rng) or 1),
+    ),
+    "Z/N": (
+        ZN,
+        lambda rng: ZN.coerce(rng.choice([rng.randrange(ZN.n), rng.randint(-3, 3)])),
+        lambda rng: ZN.coerce(rng.randrange(1, ZN.n)),
+    ),
+    "Taylor(z)": (
+        TAYLOR_Q,
+        lambda rng: TaylorZ(TAYLOR_Q, [rng.choice([0, _small(rng)]) for _ in range(4)]),
+        lambda rng: TaylorZ(TAYLOR_Q, [_small(rng) or QQ(1)] + [_small(rng) for _ in range(3)]),
+    ),
+}
+
+
+def _random_terms(rng, element, unit) -> dict:
+    """Terms on negative, odd and gapped keys, the lowest of them a unit."""
+    keys = sorted(rng.sample(range(-6, 15), rng.randint(1, 7)))
+    terms = {k: element(rng) for k in keys}
+    terms[keys[0]] = unit(rng)
+    return terms
+
+
+@pytest.mark.parametrize("name", LOOP_DOMAINS)
+def test_the_series_loops_equal_a_double_sum_and_long_division(name):
+    dom, element, unit = LOOP_DOMAINS[name]
+    rng = random.Random(f"series loops {name}")
+    for _ in range(60):
+        terms = [_random_terms(rng, element, unit) for _ in range(2)]
+        a, b = (QSeries(dom, max(t) + rng.randint(0, 4), t) for t in terms)
+        if rng.random() < 0.2:
+            a = QSeries.zero(dom, a.trunc2)
+        window = a._window(b)
+        for t2 in (window, window - rng.randint(1, 3)):
+            want = QSeries(dom, t2, double_sum(a.terms, b.terms, t2, dom.zero))
+            assert a._times(b, t2) == want
+            assert QSeries(dom, t2, _product(dom, b.terms, a.terms, t2)) == want
+        assert a * b == a._times(b, window)
+        q = qdiv(a, b)
+        for t2 in (q.trunc2, q.trunc2 - rng.randint(1, 3)):
+            want = QSeries(dom, t2, long_division(a.terms, b.terms, t2, dom.zero, dom.one))
+            assert QSeries(dom, t2, _quotient(dom, a.terms, b.terms, t2)) == want
+            if t2 == q.trunc2:
+                assert q == want
+
+
+# ---------------------------------------------------------------------------
 # TaylorZ
 
 
@@ -201,14 +295,14 @@ def test_taylor_inverse_and_shift():
     assert z2.coeff(2) == 1 and not z2.coeff(1)
 
 
+def dense(dom: TaylorDomain, terms: dict) -> TaylorZ:
+    return TaylorZ(dom, [terms.get(k, dom.inner.zero) for k in range(dom.z_order + 1)])
+
+
 def taylor_double_loop(a: TaylorZ, b: TaylorZ) -> TaylorZ:
     """The full truncated product, pair by pair: the oracle of TaylorZ.__mul__."""
-    n = a.dom.z_order
-    out = [a.dom.inner.zero] * (n + 1)
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            out[i + j] = out[i + j] + a.cs[i] * b.cs[j]
-    return TaylorZ(a.dom, out)
+    terms = double_sum(dict(enumerate(a.cs)), dict(enumerate(b.cs)), a.dom.z_order, a.dom.inner.zero)
+    return dense(a.dom, terms)
 
 
 small_rationals = st.builds(QQ, st.integers(-9, 9), st.integers(1, 9))
@@ -233,6 +327,22 @@ def test_taylor_product_by_a_z_constant_factor_matches_the_double_loop(rats, cyc
             assert a * b == want and b * a == want
             assert a * const == want and const * a == want
         assert a * a == taylor_double_loop(a, a)
+
+
+@pytest.mark.parametrize("inner", [QQ_DOMAIN, ZN], ids=["Q", "Z/N"])
+def test_taylor_products_and_inverses_equal_a_double_sum_and_long_division(inner):
+    dom = TaylorDomain(inner, 5)
+    rng = random.Random(f"taylor loops {inner.name}")
+
+    def element():
+        return TaylorZ(dom, [inner.coerce(rng.choice([0, 1, _small(rng)])) for _ in range(6)])
+
+    for _ in range(60):
+        x, y = element(), element()
+        assert x * y == taylor_double_loop(x, y)
+        if y.cs[0]:
+            want = long_division({0: inner.one}, dict(enumerate(y.cs)), 5, inner.zero, inner.one)
+            assert y.inverse() == dense(dom, want)
 
 
 # ---------------------------------------------------------------------------
