@@ -27,7 +27,7 @@ from tcore.qseries import (
     check_t,
     qdiv,
 )
-from tcore.symfunc import deformation_base, topological_vertex
+from tcore.symfunc import SpecPoint, _hook_product_y, _schur_pair_sums, deformation_base
 from tcore.theta import ThetaArg, bernoulli, macmahon, theta3, vartheta
 
 
@@ -555,36 +555,69 @@ def closed_Ft_r(
     )
 
 
+# the most (mu, nu) pairs qdeformed_Z_sum sums over; order 12 asks for 3132
+_MAX_VERTEX_PAIRS = 4096
+
+
+def _check_vertex_pairs(order_total: int) -> None:
+    """Refuse a vertex sum over more than _MAX_VERTEX_PAIRS pairs (mu, nu).
+
+    At order N there are sum_(a+b<=N) p(a) p(b) pairs; the count is grown
+    one order at a time and stops at the first order past the bound.
+    """
+    counts, pairs = [], 0
+    for n in range(order_total + 1):
+        counts.append(sum(1 for _ in partitions_of(n)))
+        pairs += sum(counts[k] * counts[n - k] for k in range(n + 1))
+        if pairs > _MAX_VERTEX_PAIRS:
+            raise ValueError(
+                f"qdeformed_Z_sum at order {order_total} sums over more than the "
+                f"{_MAX_VERTEX_PAIRS} (mu, nu) pairs it supports: order {n} already "
+                f"has {pairs}"
+            )
+
+
 def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     """The defining vertex sum of the deformed partition function.
 
     Terms are graded by |nu| in Q and |mu| in Q1; every pair with
-    |mu| + |nu| <= order_total contributes the exact rational value of
-    the vertex product (the half-powers of q cancel pairwise).  Each vertex
-    value C((), mu, nu) is computed once per call and kept in Q(sqrt q),
-    since a single value is irrational when q is not a square.
+    |mu| + |nu| <= order_total contributes the vertex product
+    C((), conj(mu), nu) C((), mu, conj(nu)).  Since kappa(nu) + kappa(conj nu)
+    = 0 and the half-powers of q cancel, that product is the rational
+    H(nu) H(conj nu) q^(|mu| - |nu|) s_conj(mu)(y; conj nu) s_mu(y; nu), with
+    H the hook product at y.  At each nu the Schur pairs are summed over all
+    mu of one size in integers (symfunc._schur_pair_sums), so each (nu, |mu|)
+    makes one rational.  Swapping mu for conj(mu) shows that conj(nu) has the
+    same row of coefficients as nu, so each row is computed once per
+    conjugate pair.  Sums over more than _MAX_VERTEX_PAIRS pairs are refused
+    up front.
     """
     q = deformation_base(q)
     check_order(order_total)
-    vertex: dict = {}  # (mu, nu) -> C((), mu, nu) in Q(sqrt q)
-
-    def vertex_value(mu, nu):
-        if (mu, nu) not in vertex:
-            vertex[mu, nu] = topological_vertex((), mu, nu, q)
-        return vertex[mu, nu]
-
+    _check_vertex_pairs(order_total)
+    a, b = q.numerator, q.denominator
+    conjugate_rows: dict = {}  # conj(nu) -> the row of nu, until conj(nu) is reached
     terms: dict[tuple[int, int], QQ] = {}
     for d_nu in range(order_total + 1):
         for nu in partitions_of(d_nu):
-            nu_t = conjugate(nu)
-            for d_mu in range(order_total - d_nu + 1):
-                for mu in partitions_of(d_mu):
-                    value = vertex_value(conjugate(mu), nu) * vertex_value(mu, nu_t)
-                    coeff = QQ_DOMAIN.coerce(value)
-                    if (d_mu + d_nu) % 2:
-                        coeff = -coeff
-                    key = (2 * d_nu, 2 * d_mu)
-                    terms[key] = terms.get(key, QQ(0)) + coeff
+            row = conjugate_rows.pop(nu, None)
+            if row is None:
+                nu_t = conjugate(nu)
+                sums, den = _schur_pair_sums(
+                    SpecPoint(q, nu), SpecPoint(q, nu_t), order_total - d_nu
+                )
+                hooks = _hook_product_y(nu, q) * _hook_product_y(nu_t, q)
+                num0 = hooks.numerator * b**d_nu  # H(nu) H(conj nu) q^(-|nu|)
+                den0 = hooks.denominator * a**d_nu
+                row = [
+                    QQ((-1) ** (d_mu + d_nu) * s * num0 * a**d_mu, den0 * (b * den) ** d_mu)
+                    for d_mu, s in enumerate(sums)
+                ]
+                if nu_t != nu:
+                    conjugate_rows[nu_t] = row
+            for d_mu, coeff in enumerate(row):
+                key = (2 * d_nu, 2 * d_mu)
+                terms[key] = terms.get(key, QQ(0)) + coeff
     return BiSeries(QQ_DOMAIN, 2 * order_total, terms)
 
 

@@ -4,10 +4,14 @@ Everything here is evaluated at points of the form x_i = q^(a_i - i + 1/2)
 for a fixed rational q > 1 and a partition shift a.  Each x_i is sqrt(q)
 times the rational y_i = q^(a_i - i), so a symmetric function of degree m
 equals (sqrt q)^m times its value at y.  Power sums at y are a finite head
-plus one geometric tail, and Newton's identities, Jacobi-Trudi determinants,
-hook products and the vertex's eta-sum all run over plain rationals there.
-Each public value is that rational number lifted once into Q(sqrt(q)); it is
-itself a plain rational whenever q is a perfect square of a rational.
+plus one geometric tail, and Newton's identities turn them into a table of
+h_0 .. h_R over one common denominator D.  Every Jacobi-Trudi determinant is
+then one fraction-free integer determinant over D^rows, and sums of
+determinant products (the shifted dual Cauchy sums behind the deformed
+partition function) stay in integers until one rational per degree.  Hook
+products and the vertex's eta-sum run over plain rationals.  Each public
+value is that rational number lifted once into Q(sqrt(q)); it is itself a
+plain rational whenever q is a perfect square of a rational.
 """
 
 from __future__ import annotations
@@ -26,13 +30,18 @@ from tcore.partitions import (
     n_weight,
     partitions_of,
 )
-from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_order
+from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_int, check_order
 from tcore.quadext import sqrt_field
 
 
 def deformation_base(q) -> QQ:
     """The base q of the vertex and its callers as a rational; only q > 1 is supported."""
-    q = QQ(q)
+    try:
+        q = QQ(q)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"the deformation base must be a finite rational number, got {q!r}"
+        ) from None
     if q <= 1:
         raise ValueError(f"the deformation base must satisfy q > 1, got {rat_str(q)}")
     return q
@@ -55,9 +64,9 @@ class SpecPoint:
         check_partition(self.shift)
 
 
-# Fixed cache bounds.  One qdeformed_Z_sum(q, 8) stores 120 power sums and
-# 165 values of h at y, and qdeformed_Z_sum(q, 12) stores 618 and 813, so
-# neither evicts an entry.
+# Fixed cache bounds.  One qdeformed_Z_sum(q, 8) stores 67 h-tables and
+# qdeformed_Z_sum(q, 12) stores 272, one per shift nu, so neither evicts an
+# entry.
 _SQRT_CACHE = 32
 _VALUE_CACHE = 1024
 
@@ -74,25 +83,76 @@ def _lift(q: QQ, m: int, x):
     return root * half if m % 2 else lift(half)
 
 
-@lru_cache(maxsize=_VALUE_CACHE)
 def _power_sum_y(spec: SpecPoint, k: int) -> QQ:
-    """p_k at y: the shifted head plus the geometric tail q^(-k l)/(q^k - 1)."""
-    q = spec.q
-    head = sum(
-        (rat_pow(q, k * (part - i)) for i, part in enumerate(spec.shift, start=1)), QQ(0)
-    )
-    return head + rat_pow(q, -k * len(spec.shift)) / (rat_pow(q, k) - 1)
+    """p_k at y: the shifted head plus the geometric tail q^(-k l)/(q^k - 1).
+
+    With q^k = A/B and e_i = shift_i - i, which lies in [-l, top] for
+    top = max(0, e_1), this is one integer fraction over A^l B^top (A - B).
+    """
+    big, small = spec.q.numerator**k, spec.q.denominator**k
+    exps = [part - i for i, part in enumerate(spec.shift, start=1)]
+    ell, top = len(exps), max(exps + [0])
+    head = sum(big ** (e + ell) * small ** (top - e) for e in exps)
+    num = (big - small) * head + small ** (ell + 1 + top)
+    return QQ(num, big**ell * small**top * (big - small))
 
 
 @lru_cache(maxsize=_VALUE_CACHE)
-def _homogeneous_y(spec: SpecPoint, r: int) -> QQ:
-    """h_r at y via Newton's identities; h_0 is 1."""
-    if r == 0:
-        return QQ(1)
-    acc = sum(
-        (_power_sum_y(spec, k) * _homogeneous_y(spec, r - k) for k in range(1, r + 1)), QQ(0)
+def _h_table(spec: SpecPoint, top: int) -> tuple[tuple[int, ...], int]:
+    """h_0 .. h_top at y as integers over one denominator: (hs, D), h_r = hs[r]/D.
+
+    The h_r come from Newton's identities r h_r = sum_k p_k h_(r-k), and D is
+    the lcm of their denominators.
+    """
+    p = [None] + [_power_sum_y(spec, k) for k in range(1, top + 1)]
+    h = [QQ(1)]
+    for r in range(1, top + 1):
+        h.append(sum((p[k] * h[r - k] for k in range(1, r + 1)), QQ(0)) / r)
+    den = math.lcm(*(x.denominator for x in h))
+    return tuple(x.numerator * (den // x.denominator) for x in h), den
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss (Math. Comp. 22, 1968): after step k every entry is a (k+1)-minor,
+    so each division by the previous pivot is exact.  A zero pivot is swapped
+    for a nonzero one below it; if there is none the matrix is singular.
+    """
+    work = [list(r) for r in rows]
+    n = len(work)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if swap is None:
+                return 0
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        for row in work[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * work[-1][-1]
+
+
+def _jacobi_trudi(lam, eta, hs) -> int:
+    """det(hs[lam_i - eta_j - i + j]) for an integer h-table, 0 below index 0.
+
+    With h_r = hs[r]/D this is the skew Schur value times D^len(lam); the
+    table must reach lam_1 + len(lam) - 1.
+    """
+    n = len(lam)
+    eta_pad = eta + (0,) * (n - len(eta))
+    return _bareiss_det(
+        [[hs[k] if k >= 0 else 0 for k in (lam[i] - eta_pad[j] - i + j for j in range(n))]
+         for i in range(n)]
     )
-    return acc / r
 
 
 def _skew_schur_y(lam, eta, spec: SpecPoint) -> QQ:
@@ -102,13 +162,29 @@ def _skew_schur_y(lam, eta, spec: SpecPoint) -> QQ:
     n = len(lam)
     if n == 0:
         return QQ(1)
-    eta_pad = eta + (0,) * (n - len(eta))
-    hs = [_homogeneous_y(spec, r) for r in range(lam[0] + n)]
-    rows = []
-    for i in range(n):
-        idx = [lam[i] - eta_pad[j] - i + j for j in range(n)]
-        rows.append([hs[k] if k >= 0 else QQ(0) for k in idx])
-    return _det(rows, QQ(0), QQ(1))
+    hs, den = _h_table(spec, lam[0] + n - 1)
+    return QQ(_jacobi_trudi(lam, eta, hs), den**n)
+
+
+def _schur_pair_sums(spec1: SpecPoint, spec2: SpecPoint, top: int):
+    """sum over lam |- m of s_lam(y; spec1) s_conj(lam)(y; spec2), m = 0..top.
+
+    Returns (sums, D) in integers, the m-th pair sum being sums[m] / D^m:
+    each determinant of l rows is over D_i^l, and is scaled to D_i^m.
+    """
+    hs1, d1 = _h_table(spec1, top)
+    hs2, d2 = _h_table(spec2, top)
+    sums = []
+    for m in range(top + 1):
+        acc = 0
+        for lam in partitions_of(m):
+            lam_t = conjugate(lam)
+            acc += (
+                _jacobi_trudi(lam, (), hs1) * d1 ** (m - len(lam))
+                * _jacobi_trudi(lam_t, (), hs2) * d2 ** (m - len(lam_t))
+            )
+        sums.append(acc)
+    return sums, d1 * d2
 
 
 def _hook_product_y(lam, q: QQ) -> QQ:
@@ -122,43 +198,6 @@ def _hook_product_y(lam, q: QQ) -> QQ:
     n = n_weight(lam)
     den = math.prod(a**h - b**h for h in hooks)
     return QQ(b**n * a ** (sum(hooks) - n), den)
-
-
-def power_sum(spec: SpecPoint, k: int):
-    """p_k at the point: the shifted head plus the geometric tail."""
-    if k < 1:
-        raise ValueError("power sum index must be positive")
-    return _lift(spec.q, k, _power_sum_y(spec, k))
-
-
-def complete_homogeneous(spec: SpecPoint, r: int):
-    """h_r at the point via Newton's identities; h_0 is 1."""
-    if r < 0:
-        raise ValueError("complete symmetric index must be nonnegative")
-    return _lift(spec.q, r, _homogeneous_y(spec, r))
-
-
-def _det(rows, zero, one):
-    """Determinant by Gaussian elimination over an exact field."""
-    n = len(rows)
-    work = [list(r) for r in rows]
-    det = one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det = det * pv
-        inv = one / pv
-        for r in range(col + 1, n):
-            factor = work[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    work[r][c] = work[r][c] - factor * work[col][c]
-    return det
 
 
 def skew_schur(lam, eta, spec: SpecPoint):
@@ -217,6 +256,9 @@ def topological_vertex(lam, mu, nu, q, eta_bound: int | None = None):
     nu_t = conjugate(nu)
     if eta_bound is None:
         eta_bound = min(sum(lam), sum(mu))
+    check_int("eta_bound", eta_bound)
+    if eta_bound < 0:
+        raise ValueError(f"eta_bound must be nonnegative, got {eta_bound}")
     spec_nu = SpecPoint(q, nu)
     spec_nut = SpecPoint(q, nu_t)
     total = QQ(0)
@@ -243,14 +285,9 @@ def schur_pair_sum_series(nu1, nu2, q, z_order: int) -> TaylorZ:
     check_order(z_order)
     spec1 = SpecPoint(q, nu1)
     spec2 = SpecPoint(q, conjugate(nu2))
-    cs = []
-    for n in range(z_order + 1):
-        acc = sum(
-            (_skew_schur_y(lam, (), spec1) * _skew_schur_y(conjugate(lam), (), spec2)
-             for lam in partitions_of(n)),
-            QQ(0),
-        )
-        cs.append(acc * rat_pow(spec1.q, n))
+    sums, den = _schur_pair_sums(spec1, spec2, z_order)
+    a, b = spec1.q.numerator, spec1.q.denominator
+    cs = [QQ(s * a**n, (b * den) ** n) for n, s in enumerate(sums)]
     return TaylorZ(TaylorDomain(QQ_DOMAIN, z_order), cs)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from functools import lru_cache
 from itertools import product
 
@@ -526,6 +527,29 @@ def test_qdeformed_routes_reject_base_at_most_one(route, q):
         route(q)
 
 
+@pytest.mark.parametrize("route", [
+    lambda q: qdeformed_Z_sum(q, 3),
+    lambda q: qdeformed_Zn_sum(q, (S4,), 3),
+    lambda q: qdeformed_Z_product(q, 3),
+])
+@pytest.mark.parametrize("q", [float("inf"), float("-inf"), float("nan"), "two"], ids=repr)
+def test_qdeformed_routes_reject_a_non_finite_base_by_name(route, q):
+    with pytest.raises(ValueError, match="deformation base must be a finite rational number"):
+        route(q)
+
+
+def test_qdeformed_sum_refuses_oversized_orders_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"more than the 4096 \(mu, nu\) pairs") as exc:
+        qdeformed_Z_sum(2, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert "order 13 already has 4902" in str(exc.value)
+    with pytest.raises(ValueError, match="order 13 already has 4902"):
+        qdeformed_Z_sum(2, 13)
+    # order 12, with 3132 pairs, is the largest order under the bound
+    npoint._check_vertex_pairs(12)
+
+
 def test_qdeformed_sum_matches_product():
     for q in (QQ(2), QQ(3, 2)):
         total = qdeformed_Z_sum(q, 6)
@@ -577,6 +601,18 @@ def vertex_terms(q, order_total):
                     sign = -1 if (d_mu + d_nu) % 2 else 1
                     out.append((nu, (2 * d_nu, 2 * d_mu), sign * value))
     return tuple(out)
+
+
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2), QQ(9, 4)])
+def test_qdeformed_sum_is_the_signed_sum_of_vertex_products(q):
+    # the integer pair sums against one topological_vertex call per factor
+    order = 6
+    terms: dict[tuple[int, int], QQ] = {}
+    for _, key, coeff in vertex_terms(q, order):
+        terms[key] = terms.get(key, QQ(0)) + coeff
+    total = qdeformed_Z_sum(q, order)
+    assert total == BiSeries(QQ_DOMAIN, 2 * order, terms)
+    assert list(total.terms.items()) == list(terms.items())
 
 
 def vertex_sum_average(q, s_values, order_total):

@@ -1,5 +1,7 @@
 """Schur evaluations: power sums, Jacobi-Trudi vs hooks, vertex symmetry."""
 
+import math
+import random
 from functools import lru_cache
 
 import mpmath
@@ -14,14 +16,58 @@ from tcore.partitions import conjugate, contains, hook_lengths, kappa, n_weight,
 from tcore.quadext import sqrt_field
 from tcore.symfunc import (
     SpecPoint,
-    complete_homogeneous,
     hook_pair_product_series,
-    power_sum,
     schur_hook_eval,
     schur_pair_sum_series,
     skew_schur,
     topological_vertex,
 )
+
+# -- oracles: power sums and h at the point, and a determinant over a field ----
+
+
+def power_sum(spec, k):
+    """p_k at the point: the shifted head plus the geometric tail."""
+    return symfunc._lift(spec.q, k, symfunc._power_sum_y(spec, k))
+
+
+@lru_cache(maxsize=None)
+def homogeneous_y(spec, r):
+    """h_r at y by Newton's identities over Fractions, one value at a time."""
+    if r == 0:
+        return QQ(1)
+    acc = sum((symfunc._power_sum_y(spec, k) * homogeneous_y(spec, r - k)
+               for k in range(1, r + 1)), QQ(0))
+    return acc / r
+
+
+def complete_homogeneous(spec, r):
+    """h_r at the point; h_0 is 1."""
+    return symfunc._lift(spec.q, r, homogeneous_y(spec, r))
+
+
+def field_det(rows, zero, one):
+    """Determinant by Gaussian elimination over an exact field."""
+    n = len(rows)
+    work = [list(r) for r in rows]
+    det = one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return zero
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pv = work[col][col]
+        det = det * pv
+        inv = one / pv
+        for r in range(col + 1, n):
+            factor = work[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    work[r][c] = work[r][c] - factor * work[col][c]
+    return det
+
 
 partitions_strategy = st.lists(st.integers(1, 6), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -192,7 +238,7 @@ def sqrt_skew_schur(lam, eta, spec):
          if lam[i] - eta_pad[j] - i + j >= 0 else lift(0) for j in range(n)]
         for i in range(n)
     ]
-    return symfunc._det(rows, lift(0), lift(1))
+    return field_det(rows, lift(0), lift(1))
 
 
 def sqrt_schur_hook_eval(lam, q):
@@ -256,7 +302,9 @@ def test_vertex_matches_the_sqrt_field_evaluation(q):
 
 
 def test_value_caches_are_bounded_and_hold_one_deformed_sum():
-    caches = (symfunc._sqrt_q, symfunc._power_sum_y, symfunc._homogeneous_y)
+    # the deformed sum reads Schur values through the h-tables alone; it
+    # never lifts into Q(sqrt q), so _sqrt_q is not on its path
+    caches = (symfunc._h_table,)
     for cache in caches:
         cache.cache_clear()
     qdeformed_Z_sum(QQ(2), 8)
@@ -265,3 +313,105 @@ def test_value_caches_are_bounded_and_hold_one_deformed_sum():
         assert info.maxsize is not None
         # every miss stored one entry, so nothing was evicted
         assert 0 < info.misses <= info.maxsize, info
+        assert info.currsize == info.misses, info
+
+
+# -- the integer h-table and the fraction-free determinant ----------------------
+
+
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2), QQ(9, 4)])
+def test_h_table_matches_newton_over_fractions(q):
+    for shift in SHIFTS:
+        spec = SpecPoint(q, shift)
+        for top in range(9):
+            hs, den = symfunc._h_table(spec, top)
+            assert len(hs) == top + 1
+            expected = [homogeneous_y(spec, r) for r in range(top + 1)]
+            assert [QQ(h, den) for h in hs] == expected, (shift, top)
+            # the denominator is the lcm of the values', not a multiple of it
+            assert den == math.lcm(*(x.denominator for x in expected)), (shift, top)
+
+
+def random_int_matrix(rng, n):
+    return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+
+
+def test_bareiss_det_matches_the_field_elimination():
+    rng = random.Random(20260419)
+    cases = [[], [[0]], [[5]], [[0, 1], [1, 0]], [[0, 2, 1], [0, 3, 4], [5, 6, 7]]]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = random_int_matrix(rng, n)
+        cases.append(m)
+        # a zero leading pivot, forcing a row swap
+        zero_lead = [list(r) for r in m]
+        zero_lead[0][0] = 0
+        cases.append(zero_lead)
+        if n >= 2:
+            # singular: a row repeats a combination of two others
+            singular = [list(r) for r in m]
+            singular[-1] = [2 * a - b for a, b in zip(m[0], m[1])]
+            cases.append(singular)
+            # a zero pivot later on, once the first column is cleared
+            late = [list(r) for r in m]
+            late[1] = [late[0][0] * k for k in range(n)]
+            late[1][0] = late[0][0]
+            cases.append(late)
+    for m in cases:
+        assert symfunc._bareiss_det(m) == field_det([[QQ(x) for x in r] for r in m], QQ(0), QQ(1)), m
+    assert symfunc._bareiss_det([[1, 2], [2, 4]]) == 0
+    assert symfunc._bareiss_det([[0, 0], [0, 1]]) == 0
+
+
+def test_bareiss_det_on_big_entries():
+    rng = random.Random(7)
+    for n in range(1, 6):
+        m = [[rng.randint(-(2**200), 2**200) for _ in range(n)] for _ in range(n)]
+        assert symfunc._bareiss_det(m) == field_det([[QQ(x) for x in r] for r in m], QQ(0), QQ(1))
+
+
+def test_schur_pair_sums_match_single_schur_values():
+    q = QQ(3, 2)
+    spec1, spec2 = SpecPoint(q, (2, 1)), SpecPoint(q, (3,))
+    sums, den = symfunc._schur_pair_sums(spec1, spec2, 6)
+    for m, total in enumerate(sums):
+        expected = sum(
+            (symfunc._skew_schur_y(lam, (), spec1) * symfunc._skew_schur_y(conjugate(lam), (), spec2)
+             for lam in partitions_of(m)),
+            QQ(0),
+        )
+        assert QQ(total, den**m) == expected, m
+
+
+# -- boundary checks --------------------------------------------------------------
+
+NON_FINITE_BASES = [float("inf"), float("-inf"), float("nan"), "two"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: SpecPoint(q),
+    lambda q: symfunc.deformation_base(q),
+    lambda q: schur_hook_eval((1,), q),
+    lambda q: topological_vertex((), (1,), (), q),
+    lambda q: schur_pair_sum_series((), (1,), q, 3),
+    lambda q: hook_pair_product_series((), (1,), q, 3),
+])
+@pytest.mark.parametrize("q", NON_FINITE_BASES, ids=repr)
+def test_non_finite_base_is_rejected_by_name(call, q):
+    with pytest.raises(ValueError, match="deformation base must be a finite rational number") as exc:
+        call(q)
+    assert repr(q) in str(exc.value)
+
+
+@pytest.mark.parametrize("bound", [0.5, -1, "1", True, QQ(1)])
+def test_vertex_rejects_a_bad_eta_bound(bound):
+    with pytest.raises(ValueError, match="eta_bound"):
+        topological_vertex((1,), (1,), (), 2, eta_bound=bound)
+
+
+def test_vertex_eta_bound_cuts_the_eta_sum():
+    full = topological_vertex((1,), (1,), (), 4)
+    assert topological_vertex((1,), (1,), (), 4, eta_bound=1) == full
+    assert topological_vertex((1,), (1,), (), 4, eta_bound=5) == full
+    # eta_bound = 0 keeps the eta = () term only
+    assert topological_vertex((1,), (1,), (), 4, eta_bound=0) == schur_hook_eval((1,), 4) ** 2
