@@ -4,9 +4,9 @@ The exact routes in :mod:`tcore.npoint` produce Q-series.  This module
 approaches the same quantities analytically: each generating function is the
 w_1^0...w_n^0 coefficient of an explicit integrand on a product of circles,
 and averaging the integrand over an M-point grid per circle recovers that
-coefficient with error decaying exponentially in M.  Everything runs in
-mpmath arbitrary-precision arithmetic, so the extracted numbers serve as a
-floating-point cross-check of the exact series at a fixed numeric nome.
+coefficient with error decaying exponentially in M.  The extracted numbers
+serve as a floating-point cross-check of the exact series at a fixed numeric
+nome.
 
 A note on branches.  The odd theta function carries a factor z^(1/2), so a
 single theta value is only defined up to sign.  In every integrand used here
@@ -30,19 +30,32 @@ Every theta the integrands need on the grid sits on a geometric grid
 r x^k, x = exp(2 pi i / M), with one radius r per factor: (-c_j)^t and
 s_j^t (-c_j)^t on the axes; in the couplings c_k / c_i times 1, an s-value
 or a ratio of s-values, and for Theta_3 sign Q2 over such a radius.  Each
-such factor is tabulated once, as its triple-product Laurent
-sum with the phases read from one table of the M-th roots of unity, and the
+such factor is tabulated once, as its triple-product Laurent sum, and the
 grid average reads products of table entries:
 
+- Every table on the grid is block floating point, a ``_Block``: a list of
+  Gaussian-integer mantissas (re, im) that share one binary exponent.  A
+  theta table takes its exponent from its Laurent terms, with prec + 16
+  fraction bits below the largest term, and sums the integer terms against
+  an integer table of roots of unity.  The axis ratios, the couplings, the
+  determinants and the transforms of the grid average are integer products
+  and quotients of such tables; only the mean becomes an mpmath number, at
+  the working precision.  Integer sums are exact, so no summation order
+  needs fixing.
+- The phase table holds the M-th roots of unity times 2^(prec + 16), rounded
+  to Gaussian integers.  It is built once per precision, at the largest M
+  asked for so far, and every extraction at that precision reads its
+  m-point table as every (M / m)-th entry.
 - Axis tables are indexed by k_j, coupling tables by k_k - k_i.  (-w)^t
   repeats with period M / gcd(t, M), so an axis table is built at that many
   points and read at index (t / g) k.
-- The M-point grid is the even half of the 2M-point grid, and the phase
-  tables nest bit for bit, so an extraction at 2M takes the even entries of
-  every table from the extraction at M before it and computes only the odd
-  ones.  Only the last extraction's tables are kept.
-- A single point is the same sum: ``eval_*`` runs the integrand builders on
-  a one-point grid, and the integrand constants are ``_ThetaSum.at``.
+- The M-point grid is the even half of the 2M-point grid, and a theta
+  table's exponent depends on its terms alone, so the tables nest bit for
+  bit: an extraction at 2M takes the even entries of every theta table from
+  the extraction at M before it and computes only the odd ones.  Only the
+  last extraction's tables are kept.
+- A single point is the same sum: ``eval_*`` averages the integrands over a
+  one-point grid, and the integrand constants are ``_ThetaSum.at``.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ from dataclasses import dataclass, replace
 from math import exp, gcd, log
 
 import mpmath as mp
+from mpmath.libmp import fzero, to_fixed
 
 from tcore._rat import is_rational
 from tcore.qseries import check_t
@@ -88,6 +102,101 @@ def _abs_float(x) -> float:
     return abs(complex(x))
 
 
+# -- block floating point ----------------------------------------------------
+
+
+class _Block(list):
+    """Gaussian-integer mantissas (re, im); entry k stands for (re + i im) 2^exp."""
+
+    __slots__ = ("exp",)
+
+    def __init__(self, exp: int, values=()):
+        super().__init__(values)
+        self.exp = exp
+
+
+def _parts(x) -> tuple:
+    """The raw (real, imaginary) mpf tuples of an mpmath number."""
+    return x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
+
+
+def _to_mp(value, exp: int):
+    """(re + i im) 2^exp as an mpmath number at the working precision."""
+    re, im = value
+    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
+
+
+def _products(a: _Block, b: _Block) -> _Block:
+    return _Block(a.exp + b.exp, [(x * u - y * v, x * v + y * u) for (x, y), (u, v) in zip(a, b)])
+
+
+def _quotients(num: _Block, den: _Block, bits: int) -> _Block:
+    """num_k / den_k, with about ``bits`` fraction bits below the largest quotient.
+
+    Each quotient is num conj(den) / |den|^2, scaled by one power of two for
+    the whole table.  A zero denominator raises ZeroDivisionError.
+    """
+    cross = [(x * u + y * v, y * u - x * v, u * u + v * v) for (x, y), (u, v) in zip(num, den)]
+    top = max((abs(re) | abs(im)).bit_length() - norm.bit_length() for re, im, norm in cross)
+    shift = bits + 1 - top
+    if shift >= 0:
+        values = [((re << shift) // norm, (im << shift) // norm) for re, im, norm in cross]
+    else:
+        values = [(re // (norm << -shift), im // (norm << -shift)) for re, im, norm in cross]
+    return _Block(num.exp - den.exp - shift, values)
+
+
+def _normalized(block: _Block, bits: int) -> _Block:
+    """``block`` rounded to at most ``bits`` + 1 bits in its largest part."""
+    top = max((abs(x) | abs(y)).bit_length() for x, y in block)
+    shift = top - bits - 1
+    if shift <= 0:
+        return block
+    half = 1 << (shift - 1)
+    values = [((x + half) >> shift, (y + half) >> shift) for x, y in block]
+    return _Block(block.exp + shift, values)
+
+
+def _aligned(blocks: list) -> list:
+    """The blocks shifted, exactly, to their lowest exponent."""
+    low = min(b.exp for b in blocks)
+    return [
+        _Block(low, [(x << b.exp - low, y << b.exp - low) for x, y in b]) if b.exp > low else b
+        for b in blocks
+    ]
+
+
+def _total(block: _Block) -> tuple:
+    return sum(x for x, _ in block), sum(y for _, y in block)
+
+
+# bits -> the phase table at those fraction bits, for the largest M asked for
+_phase_tables: dict = {}
+
+
+def _phases(M: int, bits: int) -> list:
+    """[exp(2 pi i k / M) 2^bits, rounded down to (re, im)] for k < M.
+
+    M is a power of two.  The table of the largest M asked for at ``bits``
+    is kept, and a smaller M reads every (size / M)-th entry of it.  The
+    entries of the M-point and the 2M-point table agree bit for bit, so the
+    reading does not depend on which M came first.
+    """
+    table = _phase_tables.get(bits)
+    if table is None or len(table) < M:
+        size = max(M, 4)
+        with mp.workprec(bits + 10):
+            parts = [_parts(mp.expjpi(mp.mpf(2 * k) / size)) for k in range(size // 4)]
+        quarter = [(to_fixed(re, bits), to_fixed(im, bits)) for re, im in parts]
+        # the other quarters are the first times i, -1 and -i
+        table = quarter + [(-y, x) for x, y in quarter]
+        table += [(-x, -y) for x, y in table]
+        if len(_phase_tables) >= 16:
+            _phase_tables.clear()
+        _phase_tables[bits] = table
+    return table[:: len(table) // M]
+
+
 # -- theta functions as Laurent sums -------------------------------------------
 
 
@@ -102,59 +211,85 @@ class _ThetaSum:
 
     Either way |a_n| is a constant times |Q|^((n^2 + shift n)/2), so at
     |z| = r the terms fall off on both sides of the largest one.  ``terms``
-    keeps those within 2^-(prec + guard) of it; the guard keeps the discarded
-    tail below the rounding floor of the working precision.  At Q = 1/100 and
-    80 bits that is about 13 terms.
+    keeps those within 2^-bits of it, ``bits`` = prec + guard; the guard
+    keeps the discarded tail and the rounding of the integer sums below the
+    rounding floor of the working precision.  At Q = 1/100 and 80 bits that
+    is about 13 terms.
     """
 
-    __slots__ = ("key", "_shift", "_log_q", "_coeffs", "_coeff")
+    __slots__ = ("key", "bits", "_shift", "_log_q", "_coeffs", "_coeff", "_terms")
 
     def __init__(self, kind: str, Q):
         if abs(Q) >= 1:
             raise ValueError("the nome must satisfy |Q| < 1")
         self.key = (kind, mp.mp.prec, Q)
+        self.bits = mp.mp.prec + _GUARD_BITS
         self._log_q = log(float(abs(Q))) if Q else float("-inf")
         self._coeffs: dict = {}
-        if kind == "vartheta":
-            euler, qb = mp.mpf(1), Q
-            tol = mp.mpf(2) ** (-(mp.mp.prec + _GUARD_BITS))
-            while abs(qb) >= tol:
-                euler *= 1 - qb
-                qb *= Q
-            norm = 1 / euler**3
-            self._shift = 1
-            self._coeff = lambda n: (-1) ** n * Q ** (n * (n + 1) // 2) * norm
-        else:
-            sqrt_q = mp.sqrt(Q)
-            self._shift = 0
-            self._coeff = lambda n: sqrt_q ** (n * n)
+        self._terms: dict = {}
+        with mp.workprec(self.bits):
+            if kind == "vartheta":
+                euler, qb = mp.mpf(1), Q
+                tol = mp.mpf(2) ** -self.bits
+                while abs(qb) >= tol:
+                    euler *= 1 - qb
+                    qb *= Q
+                norm = 1 / euler**3
+                self._shift = 1
+                self._coeff = lambda n: (-1) ** n * Q ** (n * (n + 1) // 2) * norm
+            else:
+                sqrt_q = mp.sqrt(Q)
+                self._shift = 0
+                self._coeff = lambda n: sqrt_q ** (n * n)
 
     def _log_size(self, n: int, log_r: float) -> float:
         e2 = n * n + self._shift * n
         return n * log_r + (e2 * self._log_q / 2 if e2 else 0.0)
 
-    def terms(self, r) -> list:
-        """[(n, a_n r^n)] over the n whose terms reach 2^-(prec + guard) of the largest."""
+    def terms(self, r) -> tuple:
+        """(exp, [(n, re, im)]): the terms a_n r^n as mantissas at one exponent.
+
+        The exponent puts ``bits`` fraction bits below the largest term, and
+        the terms kept are those that reach 2^-bits of it.  The terms of the
+        last few dozen radii are kept, for the doubled grid and the constants
+        of the next extraction.
+        """
+        known = self._terms.get(r)
+        if known is not None:
+            return known
         log_r = float(mp.log(abs(r)))
         peak = round(-log_r / self._log_q - self._shift / 2)
-        cutoff = self._log_size(peak, log_r) - (mp.mp.prec + _GUARD_BITS) * _LN2
+        cutoff = self._log_size(peak, log_r) - self.bits * _LN2
         lo = hi = peak
         while self._log_size(lo - 1, log_r) >= cutoff:
             lo -= 1
         while self._log_size(hi + 1, log_r) >= cutoff:
             hi += 1
         coeffs = self._coeffs
-        out = []
-        for n in range(lo, hi + 1):
-            a = coeffs.get(n)
-            if a is None:
-                a = coeffs[n] = self._coeff(n)
-            out.append((n, a * r**n))
-        return out
+        raw = []
+        with mp.workprec(self.bits):
+            for n in range(lo, hi + 1):
+                a = coeffs.get(n)
+                if a is None:
+                    a = coeffs[n] = self._coeff(n)
+                raw.append((n, _parts(a * r**n)))
+        top = max(part[2] + part[3] for _, parts in raw for part in parts if part[1])
+        exp = top - self.bits
+        if len(self._terms) >= 64:
+            self._terms.clear()
+        known = [(n, to_fixed(re, -exp), to_fixed(im, -exp)) for n, (re, im) in raw]
+        self._terms[r] = exp, known
+        return exp, known
+
+    def point(self, z) -> _Block:
+        """The sum at one point, as a one-entry table."""
+        exp, terms = self.terms(z)
+        return _Block(exp, [(sum(t[1] for t in terms), sum(t[2] for t in terms))])
 
     def at(self, z):
-        """The sum at one point."""
-        return mp.fsum(b for _, b in self.terms(z))
+        """The sum at one point, as an mpmath number."""
+        value = self.point(z)
+        return _to_mp(value[0], value.exp)
 
 
 _sum_cache: dict = {}
@@ -294,10 +429,6 @@ def _pairwise_sum(values):
     return _pairwise_sum(values[:mid]) + _pairwise_sum(values[mid:])
 
 
-def _phases(M: int) -> list:
-    return [mp.expjpi(mp.mpf(2 * k) / M) for k in range(M)]
-
-
 def torus_extract(f, cfg: QuadratureConfig):
     """Average ``f`` over the grid w_j = c_j exp(2 pi i k_j / M).
 
@@ -310,7 +441,8 @@ def torus_extract(f, cfg: QuadratureConfig):
     the extractors below average their integrands from tables instead.
     """
     with mp.workprec(cfg.precision_bits):
-        phases = _phases(cfg.M)
+        bits = cfg.precision_bits + _GUARD_BITS
+        phases = [_to_mp(x, -bits) for x in _phases(cfg.M, bits)]
         radii = [mp.mpf(c) for c in cfg.radii]
         block: list = []
         block_sums: list = []
@@ -342,75 +474,98 @@ class _Grid:
 
     ``points`` holds one number per circle: its radius c_j for an extraction,
     or the point w_j itself on the one-point grid of a single evaluation.
-    ``tables`` maps (series key, r) to the values built here; ``previous``
+    ``bits`` is the number of fraction bits of the phase table, prec + guard.
+    ``tables`` maps (series key, r) to the tables built here; ``previous``
     is an earlier grid's map, whose entries are reused where the grids nest.
     """
 
-    __slots__ = ("M", "points", "phases", "tables", "previous")
+    __slots__ = ("M", "points", "bits", "phases", "tables", "previous")
 
     def __init__(self, M: int, points, previous=None):
         self.M = M
         self.points = points
-        self.phases = _phases(M)
+        self.bits = mp.mp.prec + _GUARD_BITS
+        self.phases = _phases(M, self.bits)
         self.tables: dict = {}
         self.previous = {} if previous is None else previous
 
-    def table(self, series: _ThetaSum, r, m: int | None = None) -> list:
+    def table(self, series: _ThetaSum, r, m: int | None = None) -> _Block:
         """[series(r x^k) for k < m], x = exp(2 pi i / m); m divides M, default M.
 
         Every table size is a power of two, so a table built before at
         another size either holds this one as every (size / m)-th entry or
         holds its entries at every (m / size)-th index; only the rest is
-        summed.  The phases of the m-point grid are every (M / m)-th M-th root
-        of unity, equal bit for bit to ``_phases(m)``, so a reused entry is
-        the one a cold build would make.
+        summed.  The exponent and the integer terms depend on (series, r)
+        alone and the m-point phases are every (M / m)-th entry of the
+        M-point ones, so a reused entry is the one a cold build would make.
+        When the terms are real, the upper half of the table is the
+        conjugate of the lower half; that rule, too, is the same at m and 2m.
         """
         m = self.M if m is None else m
         key = (series.key, r)
         old = self.tables.get(key, self.previous.get(key))
         if old is not None and len(old) >= m:
-            values = old[:: len(old) // m]
+            values = _Block(old.exp, old[:: len(old) // m])
         else:
             step = 0 if old is None else m // len(old)
             phases = self.phases[:: self.M // m]
-            terms = series.terms(r)
-            values = [
-                old[k // step]
-                if step and k % step == 0
-                else mp.fdot([(b, phases[n * k % m]) for n, b in terms])
-                for k in range(m)
-            ]
+            exp, terms = series.terms(r)
+            real = not any(b for _, _, b in terms)
+            bits = self.bits
+            half = 1 << (bits - 1)
+            values = _Block(exp)
+            for k in range(m):
+                if step and k % step == 0:
+                    values.append(old[k // step])
+                    continue
+                if real and 2 * k > m:
+                    # real terms take conjugate values at conjugate points
+                    re, im = values[m - k]
+                    values.append((re, -im))
+                    continue
+                re = im = 0
+                for n, a, b in terms:
+                    c, s = phases[n * k % m]
+                    re += a * c - b * s
+                    im += a * s + b * c
+                values.append(((re + half) >> bits, (im + half) >> bits))
         self.tables[key] = values
         return values
 
 
 # -- integrands --------------------------------------------------------------
 
-
-def _det(rows):
+def _det(rows) -> tuple:
+    """The determinant of a square matrix of Gaussian integers (re, im), along the first row."""
     if len(rows) == 1:
         return rows[0][0]
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    re = im = 0
+    for j, (x, y) in enumerate(rows[0]):
+        u, v = _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        sign = -1 if j % 2 else 1
+        re += sign * (x * u - y * v)
+        im += sign * (x * v + y * u)
+    return re, im
 
 
 class _Integrand:
-    """const * prod_j axes[j][k_j] * coupling(k) at the grid point of indices k.
+    """const * 2^coupling_exp * coupling(k) * prod_j axes[j][k_j] at the grid point of indices k.
 
-    ``axes`` holds one M-table per circle, or is None when the integrand has
-    no per-circle factors.  ``coupling`` reads its tables at the index
-    differences k_j - k_i only, which is what lets the grid average fold the
-    circles into one another.
+    ``axes`` holds one M-entry ``_Block`` per circle, or is None when the
+    integrand has no per-circle factors.  ``coupling`` returns a Gaussian
+    integer, the mantissa at exponent ``coupling_exp``, and reads its tables
+    at the index differences k_j - k_i only, which is what lets the grid
+    average fold the circles into one another.  ``const`` is an mpmath
+    number.
     """
 
-    __slots__ = ("const", "axes", "coupling")
+    __slots__ = ("const", "axes", "coupling", "coupling_exp")
 
-    def __init__(self, const, axes, coupling):
+    def __init__(self, const, axes, coupling, coupling_exp: int):
         self.const = const
         self.axes = axes
         self.coupling = coupling
+        self.coupling_exp = coupling_exp
 
 
 def _setup(s, Q):
@@ -439,9 +594,8 @@ def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
     axes = []
     for sj, c in zip(s_m, grid.points):
         z = (-c) ** t
-        num, den = grid.table(vt, sj**t * z, m), grid.table(vt, z, m)
-        ratio = [a / b for a, b in zip(num, den)]
-        axes.append([ratio[step * k % m] for k in range(M)])
+        ratio = _quotients(grid.table(vt, sj**t * z, m), grid.table(vt, z, m), grid.bits)
+        axes.append(_Block(ratio.exp, [ratio[step * k % m] for k in range(M)]))
     return axes
 
 
@@ -452,7 +606,8 @@ def _det_integrand(s_m, Q, Q2, sign, axes, grid: _Grid) -> _Integrand:
     multiply to 1 along every permutation, so stripping them changes no
     determinant, while the leftover s_i^(1/2) per row joins the constant.  The
     diagonal entries do not depend on w and are computed once; entry (i, j)
-    is a table over k_j - k_i.
+    is a table over k_j - k_i.  All entries are shifted to one exponent, so
+    that the determinant is a sum of exact integer products.
     """
     q2 = _as_mp(Q2)
     if not q2:
@@ -465,14 +620,18 @@ def _det_integrand(s_m, Q, Q2, sign, axes, grid: _Grid) -> _Integrand:
     const = 1 / (t3.at(sign * q2) ** (n - 1) * t3.at(sign * q2 / s_all))
     for sj in s_m:
         const /= mp.sqrt(sj)
-    diag = [t3.at(sign * q2 / sj) / vt.at(sj) for sj in s_m]
-    M, c = grid.M, grid.points
-    entries = {}
-    for i, j in itertools.permutations(range(n), 2):
+    M, c, bits = grid.M, grid.points, grid.bits
+    diag = [_quotients(t3.point(sign * q2 / sj), vt.point(sj), bits) for sj in s_m]
+    pairs = list(itertools.permutations(range(n), 2))
+    tables = []
+    for i, j in pairs:
         # v_ij = rho x^(k_i - k_j), so sign Q2 / v_ij sits at index k_j - k_i
         rho = s_m[i] * c[i] / c[j]
         num, den = grid.table(t3, sign * q2 / rho), grid.table(vt, rho)
-        entries[i, j] = [num[d] / den[-d % M] for d in range(M)]
+        tables.append(_quotients(num, _Block(den.exp, [den[-d % M] for d in range(M)]), bits))
+    aligned = _aligned(diag + tables)
+    diag = [b[0] for b in aligned[:n]]
+    entries = dict(zip(pairs, aligned[n:]))
 
     def coupling(k):
         return _det(
@@ -482,7 +641,7 @@ def _det_integrand(s_m, Q, Q2, sign, axes, grid: _Grid) -> _Integrand:
             ]
         )
 
-    return _Integrand(const, axes, coupling)
+    return _Integrand(const, axes, coupling, n * aligned[0].exp)
 
 
 def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
@@ -498,16 +657,17 @@ def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
         # the theta cross-ratio in u = w_k / w_i = rho x^(k_k - k_i); the four
         # roots of u cancel
         rho, si, sk = c[k] / c[i], s_m[i], s_m[k]
-        tables = [grid.table(vt, r) for r in (rho * sk / si, rho, rho / si, rho * sk)]
-        cross[i, k] = [a * b / (x * y) for a, b, x, y in zip(*tables)]
+        a, b, x, y = (grid.table(vt, r) for r in (rho * sk / si, rho, rho / si, rho * sk))
+        cross[i, k] = _quotients(_products(a, b), _products(x, y), grid.bits)
 
     def coupling(kk):
-        acc = mp.mpf(1)
+        re, im = 1, 0
         for (i, k), table in cross.items():
-            acc *= table[(kk[k] - kk[i]) % M]
-        return acc
+            u, v = table[(kk[k] - kk[i]) % M]
+            re, im = re * u - im * v, re * v + im * u
+        return re, im
 
-    return _Integrand(const, axes, coupling)
+    return _Integrand(const, axes, coupling, sum(table.exp for table in cross.values()))
 
 
 def _cor43(t: int, s, Q, Q2, grid: _Grid) -> _Integrand:
@@ -524,11 +684,8 @@ def _at_point(build, s, w):
     """The integrand ``build`` makes, at the point w: its one-point grid."""
     if len(w) != len(s):
         raise ValueError("one grid coordinate per s value is required")
-    f = build(_Grid(1, [_as_mp(wj) for wj in w]))
-    value = f.const * f.coupling((0,) * len(w))
-    for axis in f.axes or ():
-        value *= axis[0]
-    return value
+    grid = _Grid(1, [_as_mp(wj) for wj in w])
+    return _grid_mean(build(grid), grid)
 
 
 def eval_cor42(t: int, s, Q, w):
@@ -557,41 +714,54 @@ def eval_bo_determinant(s, Q, Q2, w):
 # -- extraction ----------------------------------------------------------------
 
 
-def _dft(values, phases):
-    """sum_k values[k] phases[j k mod M] for every j, by radix-2 splitting.
+def _dft(values, phases, bits: int) -> list:
+    """sum_k values[k] phases[j k mod M] 2^-bits for every j, by radix-2 splitting.
 
-    ``phases`` holds the M-th roots of unity in order; every other one of them
-    serves the half-length transforms.
+    ``phases`` holds the M-th roots of unity in order, as Gaussian integers
+    with ``bits`` fraction bits; every other one of them serves the
+    half-length transforms.  The values keep their exponent.
     """
     M = len(values)
     if M == 1:
         return list(values)
     roots = phases[::2]
-    even = _dft(values[::2], roots)
-    odd = _dft(values[1::2], roots)
+    even = _dft(values[::2], roots, bits)
+    odd = _dft(values[1::2], roots, bits)
     half = M // 2
+    rnd = 1 << (bits - 1)
     out = [None] * M
     for j in range(half):
-        twiddled = phases[j] * odd[j]
-        out[j] = even[j] + twiddled
-        out[j + half] = even[j] - twiddled
+        c, s = phases[j]
+        x, y = odd[j]
+        u, v = even[j]
+        x, y = (x * c - y * s + rnd) >> bits, (x * s + y * c + rnd) >> bits
+        out[j] = (u + x, v + y)
+        out[j + half] = (u - x, v - y)
     return out
 
 
-def _pair_average(axis1, axis2, g_table, phases):
-    """Average A1(k1) A2(k2) g(k2 - k1 mod M) over the M^2 grid.
+def _pair_average(axis1: _Block, axis2: _Block, g_table: _Block, phases, bits: int) -> _Block:
+    """Average A1(k1) A2(k2) g(k2 - k1 mod M) over the M^2 grid, as a one-entry block.
 
     The integrands only couple the two circles through the ratio w_1^(-1)w_2,
     so the double sum is a circular correlation.  With X^(j) the DFT of a
     table over ``phases``, it equals (1/M) sum_j g^(j) A1^(j) A2^(-j): three
-    O(M log M) transforms and M products, reduced in a fixed order.
+    O(M log M) transforms and M products, summed exactly.
     """
     M = len(phases)
-    g_hat = _dft(g_table, phases)
-    a1_hat = _dft(axis1, phases)
-    a2_hat = _dft(axis2, phases)
-    terms = [g_hat[j] * a1_hat[j] * a2_hat[-j % M] for j in range(M)]
-    return _pairwise_sum(terms) / mp.mpf(M) ** 3
+    g_hat = _dft(g_table, phases, bits)
+    a1_hat = _dft(axis1, phases, bits)
+    a2_hat = _dft(axis2, phases, bits)
+    re = im = 0
+    for j in range(M):
+        x, y = g_hat[j]
+        u, v = a1_hat[j]
+        x, y = x * u - y * v, x * v + y * u
+        u, v = a2_hat[-j]
+        re += x * u - y * v
+        im += x * v + y * u
+    log_m = M.bit_length() - 1
+    return _Block(g_table.exp + axis1.exp + axis2.exp - 3 * log_m, [(re, im)])
 
 
 def _grid_mean(f: _Integrand, grid: _Grid):
@@ -599,35 +769,45 @@ def _grid_mean(f: _Integrand, grid: _Grid):
 
     One circle: the mean of the axis table.  Two: a circular correlation,
     ``_pair_average``.  Three: at each offset d = k_2 - k_1 the second axis
-    folds into the first, which leaves a two-circle correlation per d.
-    Without axes, the mean of the coupling over the index differences.
+    folds into the first, which leaves a two-circle correlation per d; the
+    folds share one exponent, so their averages add exactly.  Without axes,
+    the mean of the coupling over the index differences.  The sum stays in
+    integers up to the one conversion at the end.
     """
-    M, n, axes = grid.M, len(grid.points), f.axes
-    if n == 1:
-        mean = f.coupling((0,))
-        if axes is not None:
-            mean *= _pairwise_sum(axes[0]) / M
+    M, n, axes, bits = grid.M, len(grid.points), f.axes, grid.bits
+    log_m = M.bit_length() - 1
+    offsets = itertools.product(range(M), repeat=n - 1)
+    g = _normalized(_Block(f.coupling_exp, [f.coupling((0, *d)) for d in offsets]), bits)
+    if axes is None:
+        (re, im), exp = _total(g), g.exp - (n - 1) * log_m
+    elif n == 1:
+        (x, y), (u, v) = g[0], _total(axes[0])
+        re, im = x * u - y * v, x * v + y * u
+        exp = g.exp + axes[0].exp - log_m
     elif n == 2:
-        g = [f.coupling((0, d)) for d in range(M)]
-        if axes is None:
-            mean = _pairwise_sum(g) / M
-        else:
-            mean = _pair_average(axes[0], axes[1], g, grid.phases)
+        mean = _pair_average(axes[0], axes[1], g, grid.phases, bits)
+        (re, im), exp = mean[0], mean.exp
     else:
-        g = [[f.coupling((0, d, e)) for e in range(M)] for d in range(M)]
-        if axes is None:
-            mean = _pairwise_sum([_pairwise_sum(row) for row in g]) / M**2
-        else:
-            a0, a1, a2 = axes
-            folded = [
-                _pair_average([a0[k] * a1[(k + d) % M] for k in range(M)], a2, g[d], grid.phases)
-                for d in range(M)
-            ]
-            mean = _pairwise_sum(folded) / M
-    return f.const * mean
+        a0, a1, a2 = axes
+        rnd = 1 << (bits - 1)
+        re = im = 0
+        for d in range(M):
+            folded = _Block(
+                a0.exp + a1.exp + bits,
+                [
+                    ((x * u - y * v + rnd) >> bits, (x * v + y * u + rnd) >> bits)
+                    for (x, y), (u, v) in zip(a0, a1[d:] + a1[:d])
+                ],
+            )
+            row = _Block(g.exp, g[d * M : (d + 1) * M])
+            mean = _pair_average(folded, a2, row, grid.phases, bits)
+            re += mean[0][0]
+            im += mean[0][1]
+        exp = mean.exp - log_m
+    return f.const * _to_mp((re, im), exp)
 
 
-# the tables of the last extraction, (series key, r) -> values
+# the tables of the last extraction, (series key, r) -> _Block
 _last_tables: dict = {}
 
 

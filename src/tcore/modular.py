@@ -57,8 +57,11 @@ PRIME_BITS = 61
 # attempt that is too small therefore costs more than its own run.
 _START_PRIMES = 10
 
-# Deterministic Miller-Rabin bases for every n < 3.3 * 10^24.
+# Deterministic Miller-Rabin bases: the first 13 primes for every
+# n < 3.3 * 10^24, and Sinclair's seven bases for every n < 2^64, which holds
+# every pool prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _is_prime(n: int) -> bool:
@@ -71,7 +74,10 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

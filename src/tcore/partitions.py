@@ -65,16 +65,36 @@ def contains(lam, eta) -> bool:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, largest part first, lexicographically descending."""
+    """All partitions of n, largest part first, lexicographically descending.
+
+    One list is changed in place: each step lowers the last part above 1 by
+    one and refills the rest with parts as large as the lowered one.
+    """
     if n < 0:
         return
     if n == 0:
         yield ()
         return
     top = n if max_part is None else min(max_part, n)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if top <= 0:
+        return
+    parts: list[int] = []
+    free, size = n, top
+    while True:
+        count, rest = divmod(free, size)
+        parts += [size] * count
+        if rest:
+            parts.append(rest)
+        yield tuple(parts)
+        free = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            free += 1
+        if not parts:
+            return
+        size = parts.pop()
+        free += size
+        size -= 1
 
 
 def partition_count_series(order: int) -> QSeries:

@@ -8,6 +8,7 @@ import functools
 import itertools
 import random
 from dataclasses import replace
+from math import ldexp
 
 import mpmath as mp
 import pytest
@@ -65,6 +66,17 @@ def at_nome(series, nome=NOME):
 def test_quadrature_matches_exact_series(case):
     s, extract_at, exact = CASES[case]
     cfg = contour.QuadratureConfig.for_region(s, NOME, M=32, precision_bits=64)
+    result = contour.extract_with_doubling(extract_at, cfg, 8)
+    assert result.converged, result
+    value = at_nome(exact())
+    assert abs(result.value - mp.mpf(value.numerator) / value.denominator) < TOLERANCE
+
+
+def test_extraction_at_the_least_precision():
+    # 53 bits, the floor QuadratureConfig accepts: the guard bits of the
+    # integer tables keep the 8 target digits and 5 for the doubling check
+    s, extract_at, exact = CASES["cor43 t=3 n=2"]
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=32, precision_bits=53)
     result = contour.extract_with_doubling(extract_at, cfg, 8)
     assert result.converged, result
     value = at_nome(exact())
@@ -292,6 +304,11 @@ def circle_points(s):
     return [mp.mpf(c) * mp.expjpi(2 * a) for c in cfg.radii for a in angles]
 
 
+def block_values(block):
+    """The entries of a block floating-point table as mpmath numbers."""
+    return [contour._to_mp(value, block.exp) for value in block]
+
+
 def assert_close(a, b, rel):
     assert abs(a - b) <= rel * max(abs(a), abs(b)), (a, b)
 
@@ -305,11 +322,11 @@ def test_axis_factor_collapses_the_roots_of_unity(t):
         Q, sj = mp.mpf(1) / 100, mp.mpf(9) / 4
         (radius,) = contour.QuadratureConfig.for_region((S94,), NOME).radii
         c = mp.mpf(radius)
-        by_roots = [axis_by_roots(sj, c * ph, t, Q) for ph in contour._phases(64)]
+        by_roots = [axis_by_roots(sj, c * mp.expjpi(mp.mpf(2 * k) / 64), t, Q) for k in range(64)]
         for M in (8, 16, 32, 64):
             (axis,) = contour._t_core_axes(t, [sj], Q, contour._Grid(M, [c]))
             assert len(axis) == M
-            for k, value in enumerate(axis):
+            for k, value in enumerate(block_values(axis)):
                 assert_close(value, by_roots[k * 64 // M], mp.mpf(2) ** -100)
 
 
@@ -330,9 +347,8 @@ def test_paired_theta_factors_match_the_unpaired_products():
 TABLE_RADII = ("0.9", "1.1", "-1.1", "9", "11", "-11", "-0.09")
 
 
-@pytest.mark.parametrize("M", [1, 2, 8, 64])
-def test_grid_tables_equal_the_point_sums(M):
-    with mp.workprec(120):
+def check_grid_tables(M, prec, rel):
+    with mp.workprec(prec):
         grid = contour._Grid(M, [])
         for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
             for kind in ("vartheta", "theta3"):
@@ -340,9 +356,20 @@ def test_grid_tables_equal_the_point_sums(M):
                 for r in map(mp.mpf, TABLE_RADII):
                     table = grid.table(series, r)
                     assert len(table) == M
-                    for k, value in enumerate(table):
+                    for k, value in enumerate(block_values(table)):
                         point = series.at(r * mp.expjpi(mp.mpf(2 * k) / M))
-                        assert_close(value, point, mp.mpf(2) ** -110)
+                        assert_close(value, point, rel)
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 64])
+def test_grid_tables_equal_the_point_sums(M):
+    check_grid_tables(M, 120, mp.mpf(2) ** -110)
+
+
+@pytest.mark.parametrize("M", [1, 2, 8, 64, 128])
+def test_grid_tables_equal_the_point_sums_at_80_bits(M):
+    # the precision and the largest grid of the benchmark's extractions
+    check_grid_tables(M, 80, mp.mpf(2) ** -70)
 
 
 def torus_point(cfg, rng):
@@ -419,17 +446,49 @@ def test_the_table_cache_holds_one_extraction_at_most(monkeypatch):
     assert all(len(table) <= cfg.M for table in contour._last_tables.values())
 
 
+def random_block(rng, M, bits):
+    """M random entries in the unit square, as a block at 2^-bits and as mpc.
+
+    The entries are doubles, so both forms hold the same numbers exactly.
+    """
+    values = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(M)]
+    block = contour._Block(-bits, [(int(ldexp(x, bits)), int(ldexp(y, bits))) for x, y in values])
+    return block, [mp.mpc(x, y) for x, y in values]
+
+
 @pytest.mark.parametrize("M", [2, 4, 8, 16, 32, 64])
 def test_pair_average_matches_the_double_sum(M):
     rng = random.Random(M)
+    bits = 80 + contour._GUARD_BITS
     with mp.workprec(80):
-
-        def table():
-            return [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(M)]
-
-        a1, a2, g = table(), table(), table()
+        (a1, m1), (a2, m2), (g, mg) = (random_block(rng, M, bits) for _ in range(3))
         direct = mp.fsum(
-            a1[k1] * a2[k2] * g[(k2 - k1) % M] for k1 in range(M) for k2 in range(M)
+            m1[k1] * m2[k2] * mg[(k2 - k1) % M] for k1 in range(M) for k2 in range(M)
         ) / M**2
-        fast = contour._pair_average(a1, a2, g, contour._phases(M))
+        fast = contour._pair_average(a1, a2, g, contour._phases(M, bits), bits)
+        (fast,) = block_values(fast)
+        assert abs(fast - direct) < mp.mpf(2) ** -70
+
+
+@pytest.mark.parametrize("M", [4, 8])
+def test_three_circle_fold_matches_the_triple_sum(M):
+    # the fold of _grid_mean against the direct M^3 sum of
+    # const * A0(k0) A1(k1) A2(k2) g(k1 - k0, k2 - k0)
+    rng = random.Random(M)
+    bits = 80 + contour._GUARD_BITS
+    with mp.workprec(80):
+        axes, axes_mp = zip(*(random_block(rng, M, bits) for _ in range(3)))
+        g, g_mp = random_block(rng, M * M, bits)
+        const = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        def coupling(k):
+            return g[(k[1] - k[0]) % M * M + (k[2] - k[0]) % M]
+
+        f = contour._Integrand(const, list(axes), coupling, g.exp)
+        fast = contour._grid_mean(f, contour._Grid(M, [1, 1, 1]))
+        a0, a1, a2 = axes_mp
+        direct = const * mp.fsum(
+            a0[k0] * a1[k1] * a2[k2] * g_mp[(k1 - k0) % M * M + (k2 - k0) % M]
+            for k0, k1, k2 in itertools.product(range(M), repeat=3)
+        ) / M**3
         assert abs(fast - direct) < mp.mpf(2) ** -70

@@ -15,6 +15,7 @@ from tcore.modular import (
     ModDomain,
     NotInvertible,
     Residue,
+    _is_prime,
     _Pool,
     _run_over,
     prime_pool,
@@ -37,6 +38,44 @@ def modulus_above(bits: int, m: int = 4) -> int:
 
 
 # -- the prime pool and the domain ------------------------------------------------
+
+
+def is_prime_on_13_bases(n):
+    """Miller-Rabin on the first 13 primes, deterministic below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % p == 0 for p in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_the_seven_bases_agree_with_the_thirteen():
+    assert all(_is_prime(n) == is_prime_on_13_bases(n) for n in range(-1, 10**5, 2))
+    for m in (4, 6, 8):
+        pool, p = [], (2**PRIME_BITS - 2) // m * m + 1
+        while len(pool) < 64:
+            assert _is_prime(p) == is_prime_on_13_bases(p), p
+            if _is_prime(p):
+                pool.append(p)
+            p -= m
+        assert tuple(pool) == prime_pool(m, 64)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])

@@ -30,6 +30,25 @@ partitions_strategy = st.lists(st.integers(1, 10), max_size=7).map(
 )
 
 
+def partitions_by_recursion(n, max_part=None):
+    """All partitions of n, largest part first, by recursion on the first part."""
+    if n == 0:
+        yield ()
+        return
+    top = n if max_part is None else min(max_part, n)
+    for first in range(top, 0, -1):
+        for rest in partitions_by_recursion(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_the_recursion():
+    # the same partitions in the same order, for every bound on the largest part
+    for n in range(16):
+        for max_part in (None, 0, 1, 2, 3, 5, n, n + 3):
+            assert list(partitions_of(n, max_part)) == list(partitions_by_recursion(n, max_part))
+    assert list(partitions_of(-1)) == []
+
+
 def test_check_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         check_partition((1, 2))
