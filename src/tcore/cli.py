@@ -5,7 +5,8 @@
     tcore brute_force_Ft --t 3 --s 4 9/4 --order 20
 
 The output is the JSON of ``NPointResult.as_payload()``, with the wall time
-of the route in ``elapsed_ms``.
+of the route in ``elapsed_ms`` and, for the closed routes, the number of
+terms of their sum in ``terms``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import json
 import time
 
 from tcore._rat import parse_rat
-from tcore.npoint import NPointResult, brute_force_Ft, closed_Ft, closed_Ft_r, s_vector
+from tcore.npoint import (
+    NPointResult,
+    brute_force_Ft,
+    closed_Ft,
+    closed_Ft_r,
+    closed_term_count,
+    s_vector,
+)
 
 ROUTES = ("closed_Ft", "closed_Ft_r", "brute_force_Ft")
 
@@ -31,7 +39,12 @@ def _parser() -> argparse.ArgumentParser:
         help="the s-values, squares of rationals greater than 1, as p or p/q",
     )
     parser.add_argument("--order", type=int, required=True, help="the Q-order of the result")
-    parser.add_argument("--q2", type=parse_rat, help="the free parameter of closed_Ft")
+    parser.add_argument(
+        "--q2", type=parse_rat,
+        help="the free parameter of closed_Ft, any nonzero rational: it is checked, but "
+        "it cancels from the Frobenius product form that closed_Ft sums, so it does not "
+        "change the result",
+    )
     parser.add_argument("--r", type=int, help="the size of the marked subset of closed_Ft_r")
     return parser
 
@@ -65,6 +78,7 @@ def main(argv=None) -> int:
         q2=args.q2 if args.route == "closed_Ft" else None,
         r=args.r if args.route == "closed_Ft_r" else None,
         elapsed_ms=elapsed_ms,
+        terms=closed_term_count(args.t, len(svals)) if args.route != "brute_force_Ft" else None,
     )
     print(json.dumps(result.as_payload()))
     return 0

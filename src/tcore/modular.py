@@ -1,7 +1,7 @@
 """Rational outputs of cyclotomic computations, rebuilt from residues mod primes.
 
 Every coefficient the closed routes produce is rational, although their
-determinant sum runs in Q(zeta_m).  A prime p = 1 (mod m) has a primitive
+theta sum runs in Q(zeta_m).  A prime p = 1 (mod m) has a primitive
 m-th root of unity w_p, and zeta_m -> w_p maps that arithmetic into Z/p.
 ``rational_lift`` runs a computation once over Z/N, where N is the product
 of about 61-bit primes p = 1 (mod m) and of one check prime p', with zeta_m
@@ -274,6 +274,29 @@ class ModDomain(_Domain):
             return pow(v, -1, self.n)
         except ValueError:
             return self._invert_by_primes(v)
+
+    def inverses(self, values) -> list[int]:
+        """1/v mod N for each int v, by one inverse of their product.
+
+        Prefix products and one pow give every inverse with three products
+        each (Montgomery's trick).  A product that is not invertible is
+        inverted value by value, so that ``invert`` names the primes where a
+        value vanishes.
+        """
+        n = self.n
+        values = [v % n for v in values]
+        prefix = [1]
+        for v in values:
+            prefix.append(prefix[-1] * v % n)
+        try:
+            inverse = pow(prefix[-1], -1, n)
+        except ValueError:
+            return [self.invert(v) for v in values]
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = inverse * prefix[i] % n
+            inverse = inverse * values[i] % n
+        return out
 
     def _invert_by_primes(self, v: int) -> int:
         """1/v mod N, one prime at a time, which names the primes where v vanishes."""

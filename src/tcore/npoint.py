@@ -1,9 +1,15 @@
 """n-point functions of t-core partitions, exact to a chosen Q-order.
 
-Three independent routes produce the same series: the defining average
-over enumerated t-cores, a theta-determinant sum over set partitions with
-a free parameter Q2, and the specialization of that sum which eliminates
-Q2 in favor of a marked index subset.  The module also carries the
+Two of the three independent routes to the same series live here: the
+defining average over enumerated t-cores (brute_force_Ft) and the paper's
+closed theta formula (closed_Ft, with a free parameter Q2, and closed_Ft_r,
+with a marked index subset instead); the third is torus quadrature
+(tcore.contour).  The closed formula is a sum over set partitions of theta
+determinants.  Frobenius's elliptic Cauchy determinant (J. reine angew.
+Math. 93, 1882) makes each determinant a product of theta values in which
+Q2 and the marked subset cancel, so both closed routes sum that one product
+form, through theta logarithms modulo primes (_closed_sum); Q2 and r are
+validated but no longer change the result.  The module also carries the
 q-deformed partition function behind those formulas (as a defining
 vertex sum and as a MacMahon-type product), its deformed average in hook
 form, and the correlation-function extraction with s_j = e^(z_j).
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, permutations, product
 
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
 from tcore.modular import rational_lift
@@ -25,10 +31,9 @@ from tcore.qseries import (
     check_int,
     check_order,
     check_t,
-    qdiv,
 )
 from tcore.symfunc import SpecPoint, _hook_product_y, _schur_pair_sums, deformation_base
-from tcore.theta import ThetaArg, bernoulli, macmahon, theta3, vartheta
+from tcore.theta import bernoulli, macmahon
 
 
 @dataclass(frozen=True)
@@ -267,248 +272,258 @@ def set_partitions(n: int) -> list[SetPartition]:
     return out
 
 
-def _block_product(svals, block) -> SValue:
-    s = math.prod((svals[x - 1].s for x in block), start=QQ(1))
-    root = math.prod((svals[x - 1].sqrt_s for x in block), start=QQ(1))
-    return SValue(s, root)
+# the most terms the closed routes sum: (t, n) = (6, 5) has 4651, (6, 6) 31031
+_MAX_TERMS = 10_000
 
 
-# Square-root branch inside the determinant entries: the argument xi_t^e
-# keeps its literal column difference e = l_i - l_j, so its root is
-# xi_2t^e with e reduced mod 2t only.  Reducing e mod t instead flips the
-# sign of every entry with a negative difference, and those signs do not
-# factor out of the determinant; the agreement with the enumeration route
-# singles out the literal convention (see tests/test_npoint.py).
-_DET_BRANCH_PERIOD = 2  # in units of t
+def closed_term_count(t: int, n: int) -> int:
+    """The number of terms of the closed sum at t and n points.
 
-
-class _ThetaTable:
-    """Memoized constant-argument theta series over a domain holding xi_2t.
-
-    The square-root branch of x*xi_t^e is sqrt(x)*xi_2t^e after reducing
-    e mod ``period``, that is 2t.  The block products ask only for
-    e = 0 .. t-1, for which this is e mod t, and are branch independent;
-    the determinant entries are not.
+    A term is a set partition of {1..n} into k blocks together with a tuple
+    of k distinct labels in 1..t that holds the label 1, so there are
+    sum_k S(n, k) (P(t, k) - P(t - 1, k)) of them, with S(n, k) the Stirling
+    numbers of the second kind and P(t, k) = t!/(t - k)!.
     """
-
-    def __init__(self, t: int, order: int, dom):
-        self.t = t
-        self.m = 2 * t
-        self.period = _DET_BRANCH_PERIOD * t
-        self.order = order
-        self.dom = dom
-        self._odd: dict = {}
-        self._sym: dict = {}
-
-    def root_scaled(self, scale: QQ, e: int):
-        """scale * xi_t^e in the domain (any sign of scale)."""
-        e = e % self.t
-        exp = 2 * e + (self.t if scale < 0 else 0)
-        return self.dom.root(self.m, exp) * abs(QQ(scale))
-
-    def odd(self, sv: SValue, e: int) -> QSeries:
-        """vartheta at sv.s * xi_t^e, branch sqrt(s)*xi_2t^(e mod period)."""
-        key = (sv.s, e % self.period)
-        if key not in self._odd:
-            arg = ThetaArg.scaled_root(sv.s, t=self.t, e=key[1], dom=self.dom)
-            self._odd[key] = vartheta(arg, self.order)
-        return self._odd[key]
-
-    def sym(self, scale: QQ, e: int) -> QSeries:
-        """Theta3 at scale * xi_t^e; no square root is involved."""
-        key = (QQ(scale), e % self.t)
-        if key not in self._sym:
-            arg = ThetaArg(self.root_scaled(scale, e), dom=self.dom)
-            self._sym[key] = theta3(arg, self.order)
-        return self._sym[key]
+    stirling = [1] + [0] * n  # S(m, k), k = 0..n, one m at a time
+    for m in range(1, n + 1):
+        for k in range(m, 0, -1):
+            stirling[k] = k * stirling[k] + stirling[k - 1]
+        stirling[0] = 0
+    return sum(s * (math.perm(t, k) - math.perm(t - 1, k)) for k, s in enumerate(stirling))
 
 
-def _column_labels(t: int, k: int, all_tuples: bool):
-    """Column-label tuples in {1..t}^k with least label 1, with the number of
-    tuples each stands for.
-
-    An entry sees only the literal difference l_i - l_j, so the translates
-    of a tuple by 0 .. t - max(l) share its determinant.  Tuples with a
-    repeated label give a vanishing determinant and are left out unless
-    ``all_tuples`` asks for them.
-    """
-    for labels in product(range(1, t + 1), repeat=k):
-        if 1 in labels and (all_tuples or len(set(labels)) == k):
-            yield labels, t - max(labels) + 1
-
-
-def _cofactor_det(rows, entry, cache: dict) -> QSeries:
-    """Determinant of the matrix of entry(*key) over a square tuple of keys.
-
-    Cofactor expansion along the first row.  A minor is cached under the
-    keys of its entries, so the minors shared by different label tuples and
-    set partitions are computed once.
-    """
-    if rows not in cache:
-        if len(rows) == 1:
-            cache[rows] = entry(*rows[0][0])
-        else:
-            total = None
-            for j, key in enumerate(rows[0]):
-                minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-                term = entry(*key) * _cofactor_det(minor, entry, cache)
-                total = term if total is None else (total - term if j % 2 else total + term)
-            cache[rows] = total
-    return cache[rows]
-
-
-def _determinant_sum(
-    table: _ThetaTable, svals, numerator, normaliser: QSeries, divisor: QSeries,
-    all_tuples: bool,
-) -> QSeries:
-    """The theta-determinant sum over set partitions shared by the closed routes.
-
-    A block with product s and column labels l_i, l_j has the entry
-    numerator(s, l_i - l_j) / vartheta(s * xi_t^(l_j - l_i)).  Each set
-    partition into k blocks weighs its determinants by the block factors and
-    normaliser^(k-1); the total is divided by ``divisor`` and by
-    prod_j (s_j^(t/2) - s_j^(-t/2)).
-    """
-    t, dom, order = table.t, table.dom, table.order
-
-    # product of vartheta(xi_t^e) over e = 1..t-1, shared by every block
-    root_den = QSeries.one(dom, order)
-    for e in range(1, t):
-        root_den = root_den * vartheta(ThetaArg.scaled_root(QQ(1), t=t, e=e, dom=dom), order)
-
-    block_cache: dict = {}
-
-    def block_factor(sv: SValue) -> QSeries:
-        # the product over a full residue cycle mod t does not depend on
-        # the column label l_m
-        if sv.s not in block_cache:
-            num = QSeries.one(dom, order)
-            for e in range(t):
-                num = num * table.odd(sv, e)
-            block_cache[sv.s] = qdiv(num, root_den)
-        return block_cache[sv.s]
-
-    period = table.period
-    entry_cache: dict = {}
-
-    def det_entry(sv: SValue, diff: int) -> QSeries:
-        key = (sv.s, diff % period)
-        if key not in entry_cache:
-            denom = table.odd(sv, -diff)
-            if not denom.coeff(0):
-                raise ValueError(
-                    f"vartheta({rat_str(sv.s)}*xi_{t}^{-diff % t}) "
-                    "is singular in a determinant denominator"
-                )
-            entry_cache[key] = qdiv(numerator(sv, diff), denom)
-        return entry_cache[key]
-
-    det_cache: dict = {}
-
-    acc = QSeries.zero(dom, order)
-    for sp in set_partitions(len(svals)):
-        k = len(sp.blocks)
-        if not all_tuples and k > t:
-            continue
-        blocks = [_block_product(svals, b) for b in sp.blocks]
-        dets = QSeries.zero(dom, order)
-        for labels, weight in _column_labels(t, k, all_tuples):
-            rows = tuple(
-                tuple((bv, (li - lj) % period) for lj in labels) for bv, li in zip(blocks, labels)
-            )
-            d = _cofactor_det(rows, det_entry, det_cache)
-            dets = dets + (d if weight == 1 else d.map_coeffs(lambda c: c * weight))
-        for bv in blocks:
-            dets = dets * block_factor(bv)
-        for _ in range(k - 1):
-            dets = dets * normaliser
-        acc = acc + dets
-
-    pref = math.prod((rat_pow(sv.sqrt_s, t) - rat_pow(sv.sqrt_s, -t) for sv in svals), start=QQ(1))
-    scale = dom.coerce(1 / pref)
-    return qdiv(acc, divisor).map_coeffs(lambda c: c * scale)
-
-
-def _check_points(t: int, n: int) -> None:
-    """Refuse more points than the set-partition sum is built for, with its cost."""
+def _check_terms(t: int, n: int) -> None:
+    """Refuse more points or terms than the closed sum supports, with its term count."""
+    terms = closed_term_count(t, n)
     if n > _MAX_POINTS:
-        dets = _bell(n) * sum(math.perm(t, k) for k in range(1, min(n, t) + 1))
         raise ValueError(
             f"n = {n} exceeds the {_MAX_POINTS} points the closed routes support: "
-            f"the sum would evaluate about Bell({n}) * sum_k {t}!/({t}-k)! = {dets} determinants"
+            f"the sum would have sum_k S({n}, k) ({t}!/({t}-k)! - {t - 1}!/({t - 1}-k)!) "
+            f"= {terms} terms"
+        )
+    if terms > _MAX_TERMS:
+        raise ValueError(
+            f"the closed sum at t = {t}, n = {n} has {terms} terms, more than the "
+            f"{_MAX_TERMS} the closed routes support"
         )
 
 
-def _bell(n: int) -> int:
-    """The number of set partitions of n points, by the Bell triangle."""
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
+def _label_steps(t: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The k-tuples of distinct labels in 1..t that hold the label 1, each as
+    its weight t - max(l) + 1 and its steps (l_j - l_i) mod t over the pairs
+    i < j.
 
-
-def _closed_series(dom, t: int, svals, order: int, all_tuples: bool, Q2=None, r=None) -> QSeries:
-    """The determinant sum of closed_Ft (given Q2) or closed_Ft_r (given r), over dom.
-
-    dom is any coefficient domain whose ``root`` hook holds xi_2t: the
-    routes pass the residue domains of ``rational_lift``, and the exact
-    CycloDomain(2t) gives the same series in Q(xi_2t), with rational values.
+    A term sees only the differences of its labels, so the translates of a
+    tuple by 0 .. t - max(l) share its value; a tuple with a repeated label
+    contributes the factor vartheta(1) = 0 and is never formed.
     """
-    table = _ThetaTable(t, order, dom)
+    out = []
+    for at in range(k):
+        for rest in permutations(range(2, t + 1), k - 1):
+            labels = rest[:at] + (1,) + rest[at:]
+            steps = tuple((labels[j] - labels[i]) % t for i, j in combinations(range(k), 2))
+            out.append((t - max(labels) + 1, steps))
+    return out
+
+
+def _closed_layout(t: int, n: int) -> list:
+    """The terms of the closed sum, by set partition: the bitmask of each
+    block, ordered by least element, and the label data of its k <= t blocks."""
+    labels: dict = {}
+    layout = []
+    for sp in set_partitions(n):
+        k = len(sp.blocks)
+        if k > t:
+            continue  # k distinct labels need k <= t
+        if k not in labels:
+            labels[k] = _label_steps(t, k)
+        layout.append((tuple(sum(1 << (x - 1) for x in b) for b in sp.blocks), labels[k]))
+    return layout
+
+
+def _exp_mod(s: list[int], inv: list[int], n: int) -> list[int]:
+    """exp of the series sum_k s[k] Q^k, s[0] = 0, modulo n, by the recurrence
+    m e_m = sum_(k=1..m) k s_k e_(m-k); inv[m] is 1/m mod n."""
+    ks = [k * v for k, v in enumerate(s)]
+    e = [1]
+    for m in range(1, len(s)):
+        e.append(sum(ks[k] * e[m - k] for k in range(1, m + 1)) % n * inv[m] % n)
+    return e
+
+
+def _closed_sum(dom, t: int, svals, order: int, layout) -> QSeries:
+    """The closed sum over one ModDomain holding xi_2t, in Frobenius's product form.
+
+    Take a set partition with block products b_1..b_k and a label tuple l.
+    With x_i = b_i xi_t^(-l_i), y_j = xi_t^(l_j) and the literal branches
+    sqrt(x_i) = sqrt(b_i) xi_2t^(-l_i), sqrt(y_j) = xi_2t^(l_j), the
+    determinant of the paper's formula, weighed by its normaliser and
+    divisor, is Frobenius's elliptic Cauchy determinant (J. reine angew.
+    Math. 93, 1882)
+
+        prod_(i<j) vartheta(x_j/x_i) vartheta(y_j/y_i) / prod_(i,j) vartheta(x_i y_j),
+
+    in which Q2 and the marked subset cancel.  The diagonal factors
+    vartheta(x_i y_i) = vartheta(b_i) cancel the e = 0 factor of the block
+    factor prod_(e<t) vartheta(b_i xi_t^e) / prod_(0<e<t) vartheta(xi_t^e).
+    The term is the label weight times these products; the sum of the terms
+    is divided by prod_j (s_j^(t/2) - s_j^(-t/2)).
+
+    Each vartheta(x) is (x^(1/2) - x^(-1/2)) exp(L(x)), where the Q^N
+    coefficient of L(x) is -sum_(k|N) (x^k + x^(-k) - 2)/k (the triple
+    product), so a term is a constant times exp of a sum of divisor-sum
+    lists.  Grouped per block and per pair i < j, with d = l_j - l_i:
+
+    * a block gives the rational constant (sqrt(b)^t - sqrt(b)^-t) /
+      (t (sqrt(b) - 1/sqrt(b))) and the coefficients
+      -sum_(k|N) (t [t | k] - 1)(b^k + b^-k - 2)/k, since the sum of xi_t^(ek)
+      over e < t is t [t | k];
+    * a pair gives, with w = xi_t^d, the constant
+      (b_j - b_i w)(w - 1) / ((b_i w - 1)(b_j - w)), in which the branches
+      have cancelled, and the coefficients -sum_(k|N) (w^k (1 - b_i^k)(1 - b_j^-k)
+      + w^-k (1 - b_j^k)(1 - b_i^-k))/k.
+
+    The constants and lists are cached per block bitmask and per (pair,
+    d mod t), every inverse comes from two batched inversions, and a term
+    costs one sum of lists and one exp (_exp_mod).
+    """
+    N = dom.n
     n = len(svals)
-    if r is None:
-        s_all = _block_product(svals, tuple(range(1, n + 1)))
-        return _determinant_sum(
-            table,
-            svals,
-            lambda sv, diff: table.sym(-Q2 / sv.s, diff),
-            qdiv(QSeries.one(dom, order), table.sym(-Q2, 0)),
-            table.sym(-Q2 / s_all.s, 0),
-            all_tuples,
-        )
-    s_marked = _block_product(svals, tuple(range(1, r + 1)))
-    s_rest = _block_product(svals, tuple(range(r + 1, n + 1)))
-    theta_rest_inv = vartheta(ThetaArg(1 / s_rest.s, 1 / s_rest.sqrt_s, dom=dom), order)
-    if not theta_rest_inv.coeff(0):
-        raise ValueError("vartheta of the unmarked product inverse is singular")
-    def numerator(sv: SValue, diff: int) -> QSeries:
-        arg = ThetaArg.scaled_root(s_marked.s / sv.s, t=t, e=diff % table.period, dom=dom)
-        return vartheta(arg, order)
+    full = (1 << n) - 1
+    pq = [x for sv in svals for x in (sv.sqrt_s.numerator, sv.sqrt_s.denominator)]
+    inv = dom.inverses(pq + list(range(1, order + 1)) + [t])
+    inv_k = [0] + inv[2 * n:2 * n + order]
+    inv_t = inv[-1]
 
-    return _determinant_sum(
-        table,
-        svals,
-        numerator,
-        qdiv(QSeries.one(dom, order), table.odd(s_marked, 0)),
-        theta_rest_inv,
-        all_tuples,
-    )
+    # sqrt(b), 1/sqrt(b), b and 1/b of every block bitmask
+    root, root_inv = [1] * (full + 1), [1] * (full + 1)
+    for mask in range(1, full + 1):
+        a = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        root[mask] = root[rest] * pq[2 * a] % N * inv[2 * a + 1] % N
+        root_inv[mask] = root_inv[rest] * pq[2 * a + 1] % N * inv[2 * a] % N
+    b = [r * r % N for r in root]
+    b_inv = [r * r % N for r in root_inv]
+    xi = [dom.root(t, e).v for e in range(t)]
+
+    # 1/(b xi^e - 1) for the masks of blocks beside others, and 1/(s_j^t - 1)
+    proper = range(1, full)
+    dens = [b[mask] * xi[e] - 1 for mask in proper for e in range(1, t)]
+    points = [pow(b[1 << j], t, N) - 1 for j in range(n)]
+    inv2 = dom.inverses(dens + points)
+    inv_d = {mask: [0] + inv2[i * (t - 1):(i + 1) * (t - 1)] for i, mask in enumerate(proper)}
+
+    powers: dict = {}
+
+    def power_lists(mask):
+        # b^k and b^-k for k = 0..order
+        if mask not in powers:
+            up, down = [1], [1]
+            for _ in range(order):
+                up.append(up[-1] * b[mask] % N)
+                down.append(down[-1] * b_inv[mask] % N)
+            powers[mask] = up, down
+        return powers[mask]
+
+    def divisor_sums(c):
+        # -sum_(k|N) c[k] for N = 0..order, c[0] unused
+        out = [0] * (order + 1)
+        for k in range(1, order + 1):
+            if c[k]:
+                for m in range(k, order + 1, k):
+                    out[m] -= c[k]
+        return [v % N for v in out]
+
+    blocks: dict = {}
+
+    def block(mask):
+        if mask not in blocks:
+            geometric = 0  # sum_(j<t) b^j
+            for _ in range(t):
+                geometric = (geometric * b[mask] + 1) % N
+            const = pow(root_inv[mask], t - 1, N) * geometric % N * inv_t % N
+            up, down = power_lists(mask)
+            c = [0] + [
+                (t - 1 if k % t == 0 else -1) * (up[k] + down[k] - 2) * inv_k[k]
+                for k in range(1, order + 1)
+            ]
+            blocks[mask] = const, divisor_sums(c)
+        return blocks[mask]
+
+    pair_bases: dict = {}
+    pairs: dict = {}
+
+    def pair(mi, mj, d):
+        key = (mi, mj, d)
+        if key not in pairs:
+            if (mi, mj) not in pair_bases:
+                up_i, down_i = power_lists(mi)
+                up_j, down_j = power_lists(mj)
+                pair_bases[mi, mj] = [
+                    ((1 - up_i[k]) * (1 - down_j[k]) % N * inv_k[k] % N,
+                     (1 - up_j[k]) * (1 - down_i[k]) % N * inv_k[k] % N)
+                    for k in range(order + 1)
+                ]
+            base = pair_bases[mi, mj]
+            w, w_inv = xi[d], xi[-d % t]
+            const = (
+                (b[mj] - b[mi] * w) * (w - 1) % N * w_inv * inv_d[mi][d] % N * inv_d[mj][t - d] % N
+            )
+            c = [0] + [
+                xi[d * k % t] * base[k][0] + xi[-d * k % t] * base[k][1]
+                for k in range(1, order + 1)
+            ]
+            pairs[key] = const, divisor_sums(c)
+        return pairs[key]
+
+    acc = [0] * (order + 1)
+    for masks, labels in layout:
+        const0, logs0 = 1, []
+        for mask in masks:
+            const, log = block(mask)
+            const0 = const0 * const % N
+            logs0.append(log)
+        pair_masks = list(combinations(masks, 2))
+        for weight, steps in labels:
+            const = const0 * weight
+            logs = list(logs0)
+            for (mi, mj), d in zip(pair_masks, steps):
+                c, log = pair(mi, mj, d)
+                const = const * c % N
+                logs.append(log)
+            e = _exp_mod([sum(col) % N for col in zip(*logs)], inv_k, N)
+            for m in range(order + 1):
+                acc[m] += const * e[m]
+
+    scale = 1
+    for j in range(n):
+        scale = scale * pow(root[1 << j], t, N) % N * inv2[len(dens) + j] % N
+    return QSeries(dom, 2 * order, dom.coefficients({2 * m: v * scale for m, v in enumerate(acc)}))
 
 
-def closed_Ft(
-    t: int,
-    s_values,
-    Q2,
-    order: int,
-    all_tuples: bool = False,
-) -> QSeries:
-    """The theta-determinant sum with free parameter Q2.
+def _closed_lift(t: int, svals, order: int) -> QSeries:
+    """The closed sum over Q: _closed_sum modulo primes, through rational_lift."""
+    layout = _closed_layout(t, len(svals))
+    return rational_lift(lambda dom: _closed_sum(dom, t, svals, order, layout), 2 * t)
 
-    The result does not depend on Q2 (any nonzero rational), which the
-    tests exploit as an invariant.  Tuples with a repeated column label
-    contribute a vanishing determinant, so they are skipped unless
-    ``all_tuples`` asks for the full sum.  At most eight s-values.
+
+def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:
+    """The paper's closed theta formula with its free parameter Q2.
+
+    The formula is a sum over set partitions of theta determinants with
+    entries in Q2.  By Frobenius's elliptic Cauchy determinant (J. reine
+    angew. Math. 93, 1882) each determinant is a product of theta values in
+    which Q2 cancels, so Q2 is checked (any nonzero rational) but does not
+    change the result; the sum is that of closed_Ft_r, term by term (see
+    _closed_sum).  At most eight s-values and _MAX_TERMS terms
+    (closed_term_count), refused up front.
 
     The sum runs over Z/N, for N a product of about 61-bit primes
     p = 1 (mod 2t), with xi_2t mapped to a primitive 2t-th root of unity
     mod N.  Each coefficient is rebuilt from its residue by rational
     reconstruction and confirmed at a check prime that the reconstruction
     does not see, so a wrong coefficient would pass with probability about
-    2^-61 (see tcore.modular).  The result is a series over Q
-    (QQ_DOMAIN): the exact sum in Q(zeta_2t) has rational coefficients.
+    2^-61 (see tcore.modular).  The result is a series over Q (QQ_DOMAIN).
     """
     check_t(t)
     check_order(order)
@@ -516,29 +531,22 @@ def closed_Ft(
     if Q2 == 0:
         raise ValueError("Q2 must be nonzero")
     svals = s_vector(s_values)
-    n = len(svals)
-    _check_points(t, n)
-    if n == 0:
+    _check_terms(t, len(svals))
+    if not svals:
         return QSeries.one(QQ_DOMAIN, order)
-    return rational_lift(
-        lambda dom: _closed_series(dom, t, svals, order, all_tuples, Q2=Q2), 2 * t
-    )
+    return _closed_lift(t, svals, order)
 
 
-def closed_Ft_r(
-    t: int,
-    s_values,
-    r: int,
-    order: int,
-    all_tuples: bool = False,
-) -> QSeries:
-    """The Q2-free specialization marking the index subset {1..r}, r < n.
+def closed_Ft_r(t: int, s_values, r: int, order: int) -> QSeries:
+    """The paper's closed formula that marks the index subset {1..r}, r < n.
 
-    At most eight s-values.  Computed like closed_Ft: over Z/N for a
-    product N of about 61-bit primes p = 1 (mod 2t), with each coefficient
-    rebuilt by rational reconstruction and confirmed at a check prime, so a
-    wrong coefficient would pass with probability about 2^-61.  The result
-    is a series over Q (QQ_DOMAIN).
+    The marked subset replaces Q2 in the determinant entries; in
+    Frobenius's product form (J. reine angew. Math. 93, 1882) it cancels as
+    Q2 does, so r is checked (an int with 1 <= r < n) but does not change
+    the result, which is that of closed_Ft, term by term.  Computed like
+    closed_Ft: over Z/N, with each coefficient rebuilt by rational
+    reconstruction and confirmed at a check prime.  At most eight s-values
+    and _MAX_TERMS terms.  The result is a series over Q (QQ_DOMAIN).
     """
     check_t(t)
     check_order(order)
@@ -549,10 +557,8 @@ def closed_Ft_r(
     check_int("r", r)
     if not 1 <= r < n:
         raise ValueError("r must satisfy 1 <= r < n")
-    _check_points(t, n)
-    return rational_lift(
-        lambda dom: _closed_series(dom, t, svals, order, all_tuples, r=r), 2 * t
-    )
+    _check_terms(t, n)
+    return _closed_lift(t, svals, order)
 
 
 # the most (mu, nu) pairs qdeformed_Z_sum sums over; order 12 asks for 3132
@@ -832,6 +838,7 @@ class NPointResult:
     q2: object = None
     r: int | None = None
     elapsed_ms: float | None = None
+    terms: int | None = None  # the terms of a closed sum (closed_term_count)
 
     def as_payload(self) -> dict:
         series = self.value
@@ -859,4 +866,6 @@ class NPointResult:
             payload["q2"] = rat_str(QQ(self.q2))
         if self.r is not None:
             payload["r"] = self.r
+        if self.terms is not None:
+            payload["terms"] = self.terms
         return payload

@@ -22,9 +22,11 @@ from tcore.modular import (
     rational_lift,
     rational_reconstruct,
 )
-from tcore.npoint import _closed_series, closed_Ft, closed_Ft_r, rational_series, s_vector
+from tcore.npoint import closed_Ft, closed_Ft_r, rational_series, s_vector
 from tcore.qseries import QQ_DOMAIN, CycloDomain, QSeries, TaylorDomain, qdiv
 from tcore.theta import ThetaArg, vartheta
+
+import determinant_oracle
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -279,6 +281,23 @@ def test_lift_grows_the_modulus_until_the_check_prime_agrees():
 # -- bad primes and irrational outputs ------------------------------------------------
 
 
+def test_batched_inverses_are_the_inverses():
+    dom = ModDomain(4, prime_pool(4, 3))
+    values = [1, 2, 3, dom.n - 1, 10**40 + 7, -5]
+    assert dom.inverses(values) == [pow(v, -1, dom.n) for v in values]
+    assert dom.inverses([]) == []
+
+
+def test_batched_inverses_name_a_bad_prime():
+    p, q, r = prime_pool(4, 3)
+    dom = ModDomain(4, (p, q, r))
+    with pytest.raises(NotInvertible) as bad:
+        dom.inverses([3, 7 * q, 11])
+    assert bad.value.factor == q
+    with pytest.raises(ZeroDivisionError):
+        dom.inverses([3, dom.n])
+
+
 def test_a_bad_prime_is_swapped_out():
     m = 4
     first = prime_pool(m, 1)[0]
@@ -310,11 +329,9 @@ def test_s_value_with_a_pool_prime_denominator_matches_the_exact_engine():
     p = prime_pool(2 * t, 1)[0]
     s_values = (QQ(p + 1, p) ** 2, S4)
     svals = s_vector(s_values)
-    for got, kwargs in (
-        (closed_Ft(t, s_values, QQ(5, 3), 3), dict(Q2=QQ(5, 3))),
-        (closed_Ft_r(t, s_values, 1, 3), dict(r=1)),
-    ):
-        exact = rational_series(_closed_series(CycloDomain(2 * t), t, svals, 3, False, **kwargs))
+    exact = determinant_oracle.closed_series(CycloDomain(2 * t), t, svals, 3, False, Q2=QQ(5, 3))
+    exact = rational_series(exact)
+    for got in (closed_Ft(t, s_values, QQ(5, 3), 3), closed_Ft_r(t, s_values, 1, 3)):
         assert got == exact and repr(got) == repr(exact)
 
 
@@ -349,32 +366,58 @@ def test_a_true_zero_denominator_stays_a_zero_division():
 
 
 # -- the closed routes against the exact engine ------------------------------------------
+#
+# closed_Ft and closed_Ft_r evaluate one product sum, so they agree by
+# construction, and a test that compares them checks nothing.  These tests
+# compare both with the literal determinant formula of tests/determinant_oracle.py,
+# whose parameter Q2 or marked subset r the product form no longer sees; the
+# independent checks of the closed formula itself are brute_force_Ft (in
+# test_npoint.py) and the quadrature of tcore.contour.
 
 
 CASES = [
-    (t, n, route, all_tuples)
+    (t, n, route, param, all_tuples)
     for t in (2, 3, 4)
     for n in (1, 2, 3)
-    for route in ("closed_Ft", "closed_Ft_r")
+    for route, params in (
+        ("closed_Ft", (QQ(5, 3), QQ(7, 2), QQ(-2, 9))),
+        ("closed_Ft_r", (1, 2)),
+    )
+    for param in params
     for all_tuples in (False, True)
-    if route == "closed_Ft" or n >= 2
+    if route == "closed_Ft" or param < n
 ]
 
 
+def case_id(t, n, route, param, all_tuples):
+    # the first parameter of each route, Q2 = 5/3 or r = 1, goes unnamed
+    named = "" if param in (QQ(5, 3), 1) else f" {'Q2' if route == 'closed_Ft' else 'r'}={param}"
+    return f"{route} t={t} n={n}{named}{' all' if all_tuples else ''}"
+
+
 @pytest.mark.parametrize(
-    "t,n,route,all_tuples", CASES,
-    ids=[f"{r} t={t} n={n}{' all' if a else ''}" for t, n, r, a in CASES],
+    "t,n,route,param,all_tuples", CASES,
+    ids=[case_id(*case) for case in CASES],
 )
-def test_closed_routes_equal_the_exact_engine(t, n, route, all_tuples):
+def test_closed_routes_equal_the_exact_engine(t, n, route, param, all_tuples):
     s_values = (S4, S94, S2516)[:n]
     order = 3
     if route == "closed_Ft":
-        kwargs = dict(Q2=QQ(5, 3))
-        got = closed_Ft(t, s_values, QQ(5, 3), order, all_tuples)
+        kwargs = dict(Q2=param)
+        got = closed_Ft(t, s_values, param, order)
     else:
-        kwargs = dict(r=1)
-        got = closed_Ft_r(t, s_values, 1, order, all_tuples)
-    exact = _closed_series(CycloDomain(2 * t), t, s_vector(s_values), order, all_tuples, **kwargs)
+        kwargs = dict(r=param)
+        got = closed_Ft_r(t, s_values, param, order)
+    exact = determinant_oracle.closed_series(
+        CycloDomain(2 * t), t, s_vector(s_values), order, all_tuples, **kwargs
+    )
     exact = rational_series(exact)
     assert got == exact
     assert repr(got) == repr(exact)
+
+
+def test_closed_routes_equal_the_lifted_engine_at_four_points():
+    s_values = (S4, S94, S2516, QQ(49, 36))
+    exact = determinant_oracle.lifted(5, s_values, 4, Q2=QQ(5, 3))
+    assert closed_Ft(5, s_values, QQ(5, 3), 4) == exact
+    assert closed_Ft_r(5, s_values, 2, 4) == exact

@@ -22,12 +22,14 @@ from tcore.npoint import (
     _MomentTable,
     _average,
     _clearing_exponents,
+    _closed_layout,
     _divide_by_counts,
     _size_clearing_exponents,
     bloch_okounkov_F,
     brute_force_Ft,
     closed_Ft,
     closed_Ft_r,
+    closed_term_count,
     correlation_expansion,
     is_real_series,
     partition_moment,
@@ -62,6 +64,8 @@ from tcore.qseries import (
 )
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
+
+import determinant_oracle
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -331,10 +335,13 @@ def test_closed_route_matches_enumeration_n1():
 
 
 def test_closed_route_is_independent_of_q2():
-    reference = rational_series(closed_Ft(3, (S4, S94), 1, 6))
+    # on the literal determinant formula, where Q2 appears in every entry;
+    # the product form that closed_Ft sums has no Q2 left in it
+    reference = determinant_oracle.lifted(3, (S4, S94), 6, Q2=QQ(1))
     for q2 in (QQ(2), QQ(5, 3), QQ(-1)):
-        other = rational_series(closed_Ft(3, (S4, S94), q2, 6))
+        other = determinant_oracle.lifted(3, (S4, S94), 6, Q2=q2)
         assert other.agrees_with(reference, 6)
+    assert closed_Ft(3, (S4, S94), QQ(2), 6) == reference
 
 
 def test_closed_route_matches_enumeration_n2():
@@ -353,10 +360,13 @@ def test_closed_route_matches_enumeration_n3():
 
 
 def test_degenerate_column_labels_contribute_nothing():
+    # a repeated label gives two equal determinant columns; the product form
+    # has the factor vartheta(1) = 0 there and forms no such term
     kwargs = dict(t=3, s_values=(S4, S94), Q2=QQ(2), order=5)
-    skipped = rational_series(closed_Ft(**kwargs))
-    full = rational_series(closed_Ft(**kwargs, all_tuples=True))
+    skipped = determinant_oracle.lifted(**kwargs)
+    full = determinant_oracle.lifted(**kwargs, all_tuples=True)
     assert full.agrees_with(skipped, 5)
+    assert closed_Ft(**kwargs) == skipped
 
 
 def test_all_tuples_agree_with_translation_weights():
@@ -364,13 +374,11 @@ def test_all_tuples_agree_with_translation_weights():
     # translates, so the weights of the grouped sum differ from 1
     svec = (S4, S94, S2516)
     brute = brute_force_Ft(4, svec, 4)
-    for route in (
-        lambda **kw: closed_Ft(4, svec, QQ(2), 4, **kw),
-        lambda **kw: closed_Ft_r(4, svec, 2, 4, **kw),
-    ):
-        skipped = route()
-        assert route(all_tuples=True) == skipped
-        assert rational_series(skipped).agrees_with(brute, 4)
+    for kwargs in (dict(Q2=QQ(2)), dict(r=2)):
+        skipped = determinant_oracle.lifted(4, svec, 4, **kwargs)
+        assert determinant_oracle.lifted(4, svec, 4, all_tuples=True, **kwargs) == skipped
+        assert skipped.agrees_with(brute, 4)
+    assert closed_Ft(4, svec, QQ(2), 4) == skipped
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -426,9 +434,9 @@ def test_single_point_theta_quotient_form():
     assert rational_series(series).agrees_with(brute, order)
 
 
-@pytest.mark.parametrize("t,n,order", [(3, 3, 20), (5, 2, 12), (5, 3, 12)])
+@pytest.mark.parametrize("t,n,order", [(3, 3, 20), (5, 2, 12), (5, 3, 12), (6, 4, 8)])
 def test_closed_route_matches_enumeration_deep(t, n, order):
-    svec = (S4, S94, S2516)[:n]
+    svec = (S4, S94, S2516, QQ(49, 36))[:n]
     closed = rational_series(closed_Ft(t, svec, QQ(5, 3), order))
     assert closed.agrees_with(brute_force_Ft(t, svec, order), order)
 
@@ -438,9 +446,35 @@ def test_closed_route_matches_enumeration_deep(t, n, order):
     lambda s: closed_Ft_r(3, s, 1, 2),
 ], ids=["closed_Ft", "closed_Ft_r"])
 def test_closed_routes_refuse_more_than_eight_points_with_a_cost(route):
-    # Bell(9) = 21147 set partitions, 3 + 6 + 6 label tuples at t = 3
-    with pytest.raises(ValueError, match=r"n = 9 .* = 317205 determinants"):
+    # S(9, k) = 1, 255, 3025 set partitions into k = 1, 2, 3 blocks, with
+    # 1, 4, 6 label tuples that hold the label 1 at t = 3
+    with pytest.raises(ValueError, match=r"n = 9 .* = 19171 terms"):
         route((S4,) * 9)
+
+
+@pytest.mark.parametrize("t,n,terms", [(2, 2, 3), (3, 5, 211), (6, 5, 4651), (6, 6, 31031),
+                                       (3, 9, 19171)])
+def test_closed_term_count(t, n, terms):
+    assert closed_term_count(t, n) == terms
+
+
+@pytest.mark.parametrize("t,n", [(2, 1), (3, 3), (4, 4), (5, 3)])
+def test_closed_term_count_counts_the_terms(t, n):
+    layout = _closed_layout(t, n)
+    assert sum(len(labels) for _, labels in layout) == closed_term_count(t, n)
+
+
+@pytest.mark.parametrize("route", [
+    lambda s: closed_Ft(6, s, QQ(2), 8),
+    lambda s: closed_Ft_r(6, s, 1, 8),
+], ids=["closed_Ft", "closed_Ft_r"])
+def test_closed_routes_refuse_too_many_terms_before_any_work(route, monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("the sum started")
+
+    monkeypatch.setattr(npoint, "rational_lift", no_lift)
+    with pytest.raises(ValueError, match=r"t = 6, n = 6 has 31031 terms, more than the 10000"):
+        route((S4, S94, S2516, QQ(49, 36), QQ(121, 100), QQ(169, 144)))
 
 
 # -- the route with the marked index subset ---------------------------------------
@@ -485,6 +519,8 @@ def test_marked_subset_route_refuses_an_r_that_is_not_an_int(r):
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_three_routes_agree_n2(t):
+    # closed_Ft and closed_Ft_r sum the same product form, so it is their
+    # agreement with the enumeration that checks the closed formula
     svec = (S4, S94)
     order = 6
     brute = brute_force_Ft(t, svec, order)
@@ -996,3 +1032,4 @@ def test_npoint_result_payload():
     assert payload["s"] == ["4"]
     assert payload["series"]["0"] == "2/3"
     assert payload["series"]["2"] == "3/2"
+    assert "terms" not in payload
