@@ -4,8 +4,16 @@ Every coefficient the closed routes produce is rational, although their
 theta sum runs in Q(zeta_m).  A prime p = 1 (mod m) has a primitive
 m-th root of unity w_p, and zeta_m -> w_p maps that arithmetic into Z/p.
 ``rational_lift`` runs a computation once over Z/N, where N is the product
-of about 61-bit primes p = 1 (mod m) and of one check prime p', with zeta_m
+of 61-bit primes p = 1 (mod m) and of one check prime p', with zeta_m
 mapped to the root w that the Chinese remainder theorem builds from the w_p.
+
+The primes come from a pool per step S = m 2^e >= 2^32: the largest primes
+p = 1 (mod S) below 2^61, walked downwards and found as they are asked for.
+Since S > sqrt(p), Pocklington's theorem proves each one prime with a
+small base a (Brillhart, Lehmer and Selfridge, Math. Comp. 29, 1975), and
+the same a gives w_p = a^((p-1)/m) with one more pow.  Conductors with the
+same odd part, such as 4 and 8, share one pool.
+
 A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
 Series products and quotients go further: the two series loops of
@@ -54,63 +62,154 @@ PRIME_BITS = 61
 # the benchmark's five closed calls (Python 3.11, one Xeon core), a run modulo
 # these ten primes and the check prime takes 2 to 2.5 times a run modulo one
 # prime, over 21 primes about 4.5 times and over 41 about 13 times.  A first
-# attempt that is too small therefore costs more than its own run.
+# attempt that is too small therefore costs more than its own run.  Finding
+# the primes does not weigh in: the pool proves each with a few pow calls
+# (_witness), about 0.15 ms a prime, so the run alone sizes the first attempt.
 _START_PRIMES = 10
 
-# Deterministic Miller-Rabin bases: the first 13 primes for every
-# n < 3.3 * 10^24, and Sinclair's seven bases for every n < 2^64, which holds
-# every pool prime.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# A pool steps by S = m 2^e >= 2^_STEP_BITS, which exceeds sqrt(p) for every
+# PRIME_BITS-bit p, as Pocklington's theorem needs.
+_STEP_BITS = 32
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES_64 if n < 1 << 64 else _MR_BASES:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _primes_below(bound: int) -> list[int]:
+    """The primes below ``bound``, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for q in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+    return [q for q in range(bound) if sieve[q]]
+
+
+# Candidates with a prime factor below 256 are dropped by one gcd each; the
+# rest are tested with the prime bases below 100 in turn.
+_SIEVE = math.prod(_primes_below(256))
+_BASES = tuple(_primes_below(100))
 
 
 @lru_cache(maxsize=64)
+def _odd_prime_factors(m: int) -> tuple[int, ...]:
+    """The odd primes dividing m, by trial division."""
+    out, q = [], 3
+    while m % 2 == 0:
+        m //= 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 2
+    return tuple(out + [m] if m > 1 else out)
+
+
+def _witness(p: int, bases, odd: tuple[int, ...]):
+    """A base a that proves p prime, or None if p is composite or no base of
+    ``bases`` decides.
+
+    p - 1 is a multiple of the pool's step S > sqrt(p), whose odd primes are
+    ``odd``.  By Pocklington's theorem (in the form of Brillhart, Lehmer
+    and Selfridge, Math. Comp. 29, 1975), p is prime if a^((p-1)/2) = -1 and
+    a^((p-1)/q) - 1 is prime to p for each q in ``odd``.  The same a has order
+    divisible by every prime power of S, so a^((p-1)/m) is a primitive m-th
+    root of unity for each m | S.  For a prime p, a^((p-1)/2) is +-1 (Euler),
+    so any other value proves p composite, and +1 or a^((p-1)/q) = 1 only
+    sends the search to the next base.
+    """
+    for a in bases:
+        x = pow(a, (p - 1) // 2, p)
+        if x == 1:
+            continue
+        if x != p - 1:
+            return None
+        for q in odd:
+            y = pow(a, (p - 1) // q, p)
+            if y == 1:
+                break
+            if math.gcd(y - 1, p) != 1:
+                return None
+        else:
+            return a
+    return None
+
+
+class _Progression:
+    """The pool of one step S: the primes p = 1 (mod S) with PRIME_BITS bits,
+    largest first, each with its witness, found as they are asked for."""
+
+    def __init__(self, step: int):
+        self.step = step
+        # once 8 | S, which holds for every m < 2^29, quadratic reciprocity
+        # makes a prime a | S a square mod every p = 1 (mod S): never a witness
+        self.bases = tuple(a for a in _BASES if step % a)
+        self.primes: list[int] = []
+        self.witness: dict[int, int] = {}
+        self._next = (2**PRIME_BITS - 2) // step * step + 1
+
+    def extend(self, m: int, count: int) -> None:
+        """Walk on until the pool holds ``count`` primes; m names the pool."""
+        low, step = 1 << (PRIME_BITS - 1), self.step
+        while len(self.primes) < count:
+            p = self._next
+            # even if every candidate left were prime, there would be too few
+            if len(self.primes) + (p - low) // step + 1 < count:
+                raise ValueError(
+                    f"the pool of conductor {m} holds fewer than {count} primes: "
+                    f"they must be 1 mod {step} and have {PRIME_BITS} bits"
+                )
+            self._next = p - step
+            if math.gcd(p, _SIEVE) == 1:
+                a = _witness(p, self.bases, _odd_prime_factors(step))
+                if a is not None:
+                    self.primes.append(p)
+                    self.witness[p] = a
+
+
+_PROGRESSIONS: dict[int, _Progression] = {}
+
+
+def _progression(m: int) -> _Progression:
+    """The pool of conductor m, shared by every conductor with m's odd part."""
+    if m < 1:
+        raise ValueError(f"the conductor must be a positive integer, got {m}")
+    step = m
+    while step < 1 << _STEP_BITS:
+        step *= 2
+    if step not in _PROGRESSIONS:
+        _PROGRESSIONS[step] = _Progression(step)
+    return _PROGRESSIONS[step]
+
+
 def prime_pool(m: int, count: int) -> tuple[int, ...]:
-    """The ``count`` largest primes p = 1 (mod m) below 2^PRIME_BITS, largest first."""
-    primes = []
-    p = (2**PRIME_BITS - 2) // m * m + 1
-    while len(primes) < count:
-        if _is_prime(p):
-            primes.append(p)
-        p -= m
-    return tuple(primes)
+    """The ``count`` largest proven primes p = 1 (mod S) below 2^PRIME_BITS,
+    largest first, for the step S = m 2^e of m's pool (see _progression).
+
+    ValueError, naming m, if the progression holds fewer than ``count``
+    primes of PRIME_BITS bits.
+    """
+    pool = _progression(m)
+    pool.extend(m, count)
+    return tuple(pool.primes[:count])
 
 
-@lru_cache(maxsize=256)
 def _root_of_unity(m: int, p: int) -> int:
-    """A primitive m-th root of unity modulo a prime p = 1 (mod m)."""
-    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
-    for g in range(2, p):
-        w = pow(g, (p - 1) // m, p)
-        if all(pow(w, m // q, p) != 1 for q in factors):
-            return w
-    raise ValueError(f"{p} has no primitive {m}-th root of unity")
+    """The primitive m-th root of unity a^((p-1)/m) modulo a pool prime p of
+    m, from the witness a that proved p prime."""
+    a = _progression(m).witness.get(p)
+    if a is None:
+        raise ValueError(f"{p} is not a prime of the pool of conductor {m}")
+    return pow(a, (p - 1) // m, p)
+
+
+@lru_cache(maxsize=64)
+def _root_powers(m: int, primes: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """w^e mod N for e < m, where N is the product of ``primes`` and w is the
+    root of unity whose residue mod each p is _root_of_unity(m, p)^k."""
+    n = math.prod(primes)
+    omega = crt([pow(_root_of_unity(m, p), k, p) for p in primes], primes)
+    powers = [1 % n]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * omega % n)
+    return tuple(powers)
 
 
 def crt(residues, moduli) -> int:
@@ -243,11 +342,11 @@ class ModDomain(_Domain):
         self.primes = tuple(primes)
         n = math.prod(self.primes)
         self.n = self.modulus = n
-        omega = crt([pow(_root_of_unity(m, p), k, p) for p in self.primes], self.primes)
-        self.name = f"Z/{n}[zeta{m}={omega}]"
+        powers = _root_powers(m, self.primes, k)
+        self.name = f"Z/{n}[zeta{m}={powers[1 % m]}]"
         self.zero = Residue(0, self)
         self.one = Residue(1 % n, self)
-        self._roots = tuple(Residue(pow(omega, e, n), self) for e in range(m))
+        self._roots = tuple(Residue(w, self) for w in powers)
         self._reduced: dict = {}
 
     def values(self, terms: dict) -> dict:

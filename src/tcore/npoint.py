@@ -328,16 +328,31 @@ def _label_steps(t: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
 
 def _closed_layout(t: int, n: int) -> list:
     """The terms of the closed sum, by set partition: the bitmask of each
-    block, ordered by least element, and the label data of its k <= t blocks."""
-    labels: dict = {}
+    block, ordered by least element, and the label data of its k <= t blocks.
+
+    The set partitions into at most t blocks come straight from their
+    restricted growth strings, in the order of set_partitions: point i joins
+    one of the blocks so far, or opens a new one while there are fewer than t.
+    """
+    labels = {k: _label_steps(t, k) for k in range(1, min(t, n) + 1)}
     layout = []
-    for sp in set_partitions(n):
-        k = len(sp.blocks)
-        if k > t:
-            continue  # k distinct labels need k <= t
-        if k not in labels:
-            labels[k] = _label_steps(t, k)
-        layout.append((tuple(sum(1 << (x - 1) for x in b) for b in sp.blocks), labels[k]))
+    masks: list[int] = []
+
+    def grow(i: int):
+        if i == n:
+            layout.append((tuple(masks), labels[len(masks)]))
+            return
+        bit = 1 << i
+        for b in range(len(masks)):
+            masks[b] |= bit
+            grow(i + 1)
+            masks[b] ^= bit
+        if len(masks) < t:
+            masks.append(bit)
+            grow(i + 1)
+            masks.pop()
+
+    grow(0)
     return layout
 
 

@@ -101,15 +101,30 @@ def _power_sum_y(spec: SpecPoint, k: int) -> QQ:
 def _h_table(spec: SpecPoint, top: int) -> tuple[tuple[int, ...], int]:
     """h_0 .. h_top at y as integers over one denominator: (hs, D), h_r = hs[r]/D.
 
-    The h_r come from Newton's identities r h_r = sum_k p_k h_(r-k), and D is
-    the lcm of their denominators.
+    The h_r come from Newton's identities r h_r = sum_k p_k h_(r-k), run in
+    integers: with the power sums p_k = P_k/E over one denominator E, the
+    numbers g_r = r! E^r h_r obey g_r = sum_k P_k E^(k-1) ((r-1)!/(r-k)!) g_(r-k).
+    Each h_r is reduced by one gcd at the end, and D is the lcm of their
+    denominators.
     """
-    p = [None] + [_power_sum_y(spec, k) for k in range(1, top + 1)]
-    h = [QQ(1)]
+    p = [_power_sum_y(spec, k) for k in range(1, top + 1)]
+    e = math.lcm(*(x.denominator for x in p))
+    c = [None] + [x.numerator * (e // x.denominator) * e ** k for k, x in enumerate(p)]
+    g = [1]
     for r in range(1, top + 1):
-        h.append(sum((p[k] * h[r - k] for k in range(1, r + 1)), QQ(0)) / r)
-    den = math.lcm(*(x.denominator for x in h))
-    return tuple(x.numerator * (den // x.denominator) for x in h), den
+        acc, falling = 0, 1  # falling = (r-1)!/(r-k)!
+        for k in range(1, r + 1):
+            acc += c[k] * falling * g[r - k]
+            falling *= r - k
+        g.append(acc)
+    nums, dens, scale = [], [], 1  # scale = r! E^r
+    for r, x in enumerate(g):
+        scale *= r * e if r else 1
+        d = math.gcd(x, scale)
+        nums.append(x // d)
+        dens.append(scale // d)
+    den = math.lcm(*dens)
+    return tuple(x * (den // d) for x, d in zip(nums, dens)), den
 
 
 def _bareiss_det(rows) -> int:

@@ -15,8 +15,8 @@ from tcore.modular import (
     ModDomain,
     NotInvertible,
     Residue,
-    _is_prime,
     _Pool,
+    _root_of_unity,
     _run_over,
     prime_pool,
     rational_lift,
@@ -68,16 +68,42 @@ def is_prime_on_13_bases(n):
     return True
 
 
-def test_the_seven_bases_agree_with_the_thirteen():
-    assert all(_is_prime(n) == is_prime_on_13_bases(n) for n in range(-1, 10**5, 2))
-    for m in (4, 6, 8):
-        pool, p = [], (2**PRIME_BITS - 2) // m * m + 1
-        while len(pool) < 64:
-            assert _is_prime(p) == is_prime_on_13_bases(p), p
-            if _is_prime(p):
-                pool.append(p)
-            p -= m
-        assert tuple(pool) == prime_pool(m, 64)
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 14, 24])
+def test_pool_primes_are_proven_primes_with_primitive_roots(m):
+    pool = prime_pool(m, 64)
+    for p in pool:
+        assert is_prime_on_13_bases(p), p
+        assert p % m == 1 and p.bit_length() == PRIME_BITS
+        w = _root_of_unity(m, p)
+        assert pow(w, m, p) == 1
+        primes_of_m = [q for q in range(2, m + 1) if m % q == 0 and is_prime_on_13_bases(q)]
+        assert all(pow(w, m // q, p) != 1 for q in primes_of_m)
+    # the pool is the largest primes of its progression p = 1 (mod S), S = m 2^e >= 2^32
+    step = next(m << e for e in range(33) if m << e >= 2**32)
+    walk, p = [], (2**PRIME_BITS - 2) // step * step + 1
+    while len(walk) < 64:
+        if is_prime_on_13_bases(p):
+            walk.append(p)
+        p -= step
+    assert tuple(walk) == pool
+
+
+def test_conductors_with_one_odd_part_share_a_pool():
+    assert prime_pool(4, 64) == prime_pool(8, 64)
+    assert prime_pool(6, 20) == prime_pool(24, 20)
+    assert prime_pool(4, 5) == prime_pool(4, 64)[:5]
+
+
+def test_a_progression_with_too_few_primes_is_refused_at_once():
+    # S = 2^58 + 2 has four 61-bit candidates 1 + kS, so eleven primes cannot exist
+    with pytest.raises(ValueError, match=str(2**58 + 2)):
+        prime_pool(2**58 + 2, 11)
+    # S = 2^57 - 2 has eight candidates and three of them are prime
+    assert len(prime_pool(2**57 - 2, 3)) == 3
+    with pytest.raises(ValueError, match=str(2**57 - 2)):
+        prime_pool(2**57 - 2, 4)
+    with pytest.raises(ValueError):
+        prime_pool(0, 1)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])

@@ -464,6 +464,21 @@ def test_closed_term_count_counts_the_terms(t, n):
     assert sum(len(labels) for _, labels in layout) == closed_term_count(t, n)
 
 
+@pytest.mark.parametrize("t", range(2, 7))
+def test_closed_layout_is_the_set_partitions_into_at_most_t_blocks(t):
+    for n in range(1, 9):
+        expected = [
+            tuple(sum(1 << (x - 1) for x in block) for block in sp.blocks)
+            for sp in set_partitions(n)
+            if len(sp.blocks) <= t
+        ]
+        layout = _closed_layout(t, n)
+        assert [masks for masks, _ in layout] == expected, n
+        steps = {k: npoint._label_steps(t, k) for k in range(1, min(t, n) + 1)}
+        assert all(labels == steps[len(masks)] for masks, labels in layout)
+        assert sum(len(labels) for _, labels in layout) == closed_term_count(t, n), n
+
+
 @pytest.mark.parametrize("route", [
     lambda s: closed_Ft(6, s, QQ(2), 8),
     lambda s: closed_Ft_r(6, s, 1, 8),
