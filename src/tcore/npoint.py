@@ -20,10 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import add
 
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
 from tcore.modular import rational_lift
-from tcore.partitions import _charge_vectors, conjugate, hook_lengths, partitions_of
+from tcore.partitions import (
+    _charge_walk,
+    _partition_counts,
+    _track_options,
+    conjugate,
+    hook_lengths,
+    partitions_of,
+)
 from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
@@ -31,9 +39,10 @@ from tcore.qseries import (
     check_int,
     check_order,
     check_t,
+    qexp,
 )
 from tcore.symfunc import SpecPoint, _hook_product_y, _schur_pair_sums, deformation_base
-from tcore.theta import bernoulli, macmahon
+from tcore.theta import _macmahon_log, bernoulli
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ def s_vector(values) -> tuple[SValue, ...]:
 def _clearing_exponents(nu) -> tuple[int, int]:
     """The powers A of p and B of q that clear the moment's lowest and highest
     exponent of p/q (see _MomentTable)."""
-    return max(0, 2 * len(nu) - 1), (max(0, 2 * nu[0] - 1) if nu else 1)
+    return max(0, 2 * len(nu) - 1), max(1, 2 * max(nu, default=0) - 1)
 
 
 def _size_clearing_exponents(order: int) -> tuple[int, int]:
@@ -104,15 +113,22 @@ class _MomentTable:
             self.per_s.append((gap, q * q, powers))
             self.den *= p**lo * q**hi * gap
 
+    def empty(self) -> tuple[int, ...]:
+        """The moment of the empty partition, sqrt(s)/(s - 1), times den, per s-value."""
+        return tuple(q2 * powers[1 + self.lo] for _, q2, powers in self.per_s)
+
+    def row(self, i: int, part: int) -> tuple[int, ...]:
+        """What a row i of the given length adds to the moment times den, per
+        s-value: s^(part - i + 1/2) - s^(1/2 - i), the term it replaces."""
+        a, b = 2 * part - 2 * i + 1 + self.lo, 1 - 2 * i + self.lo
+        return tuple(gap * (powers[a] - powers[b]) for gap, _, powers in self.per_s)
+
     def numerator(self, nu) -> int:
         """The moment product of nu times den."""
-        lo = self.lo
-        idx = [2 * part - 2 * i + 1 + lo for i, part in enumerate(nu, start=1)]
-        tail = 1 - 2 * len(nu) + lo
-        num = 1
-        for gap, q2, powers in self.per_s:
-            num *= gap * sum(powers[k] for k in idx) + q2 * powers[tail]
-        return num
+        sums = self.empty()
+        for i, part in enumerate(nu, start=1):
+            sums = tuple(map(add, sums, self.row(i, part)))
+        return math.prod(sums)
 
 
 def partition_moment(sv: SValue, nu) -> QQ:
@@ -127,14 +143,14 @@ def partition_moment(sv: SValue, nu) -> QQ:
     return QQ(table.numerator(nu), table.den)
 
 
-def _divide_by_counts(num, counts, den: int, order: int) -> QSeries:
-    """(sum_e num[e] Q^e / den) / (sum_k counts[k] Q^k), through Q^order.
+def _divide_by_counts(num, counts, den: int, order: int, top: int = 1) -> QSeries:
+    """(sum_e num[e] Q^e top / den) / (sum_k counts[k] Q^k), through Q^order.
 
     num and counts are integer lists indexed by the power of Q.  Because
     counts[0] == 1 (the empty partition is the only one of size 0) the
     quotient's numerators over den stay integers:
     out[e] = num[e] - sum_{k>=1} counts[k] out[e-k].  Each coefficient
-    becomes one rational at the end.
+    becomes one rational at the end, top out[e] / den.
     """
     if counts[0] != 1:
         raise ValueError("the count series must start with 1")
@@ -147,29 +163,105 @@ def _divide_by_counts(num, counts, den: int, order: int) -> QSeries:
                 break
             acc -= c * out[e - k]
         out.append(acc)
-    return QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c, den) for e, c in enumerate(out) if c})
+    return QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c * top, den) for e, c in enumerate(out) if c})
 
 
-def _average(groups, svals, order: int) -> QSeries:
-    """The average of the row-moment product over partitions grouped by size.
+def _row_walk(order: int, column, start):
+    """Every partition of size at most order, as its size and the sums of its
+    columns: yields (size, sums), sums[j] = start[j] + sum_i column(i, nu_i)[j].
 
-    ``groups`` maps each size 0..order to its partitions, as lists or as
-    generators; each is read once and counted while it is summed.  Every
-    moment product is an integer over the one denominator of a
-    _MomentTable whose clearing exponents serve all sizes through order, so
-    the sum at each size is one integer and the division by the count
-    series runs in integers (see _divide_by_counts).
+    A partition grows one row at a time, each row no longer than the one
+    above.  column(i, part) is computed once for every row i and part with
+    i part <= order, and the sums are carried down the walk.
     """
-    table = _MomentTable(svals, *_size_clearing_exponents(order))
-    sums, counts = [], []
-    for size in range(order + 1):
-        total = count = 0
-        for nu in groups[size]:
-            total += table.numerator(nu)
-            count += 1
-        sums.append(total)
-        counts.append(count)
-    return _divide_by_counts(sums, counts, table.den, order)
+    cols = {(i, p): column(i, p) for i in range(1, order + 1) for p in range(1, order // i + 1)}
+    stack = [(0, order, 0, tuple(start))]  # rows, longest next row, size, sums
+    while stack:
+        rows, longest, size, sums = stack.pop()
+        yield size, sums
+        for part in range(1, min(longest, order - size) + 1):
+            stack.append((rows + 1, part, size + part, tuple(map(add, sums, cols[rows + 1, part]))))
+
+
+def _sum_by_size(walk, order: int) -> tuple[list[int], list[int]]:
+    """The sums of the products of each walked object's sums, and the counts
+    of the objects, by size 0..order."""
+    totals, counts = [0] * (order + 1), [0] * (order + 1)
+    for size, sums in walk:
+        totals[size] += math.prod(sums)
+        counts[size] += 1
+    return totals, counts
+
+
+# the most steps an enumeration route takes, refused up front: the objects
+# it walks, times the sums it keeps per object, and the steps of its
+# divisions; a step is one integer product or sum, of any height
+_MAX_STEPS = 10**6
+
+# refusals count the charge vectors they name when there are about this
+# many or fewer, and name the estimate otherwise
+_COUNTED = 10**4
+
+
+def _refusal(route: str, steps: int, detail: str) -> ValueError:
+    return ValueError(
+        f"{route} would take {steps} steps, more than the {_MAX_STEPS} it supports: {detail}"
+    )
+
+
+def _core_estimate(t: int, order: int) -> int:
+    """About how many charge vectors have size at most order, without a walk.
+
+    The size of c is (t/2)|c + b/t|^2 - |b|^2/(2t) with b_r = r - (t - 1)/2,
+    so the vectors are the points of the lattice {c in Z^t : sum c = 0}, of
+    covolume sqrt(t), in a (t - 1)-ball of squared radius
+    (2 order + (t^2 - 1)/12)/t.  A t-core is a partition, so the count of the
+    partitions of size at most order, once it passes the ball, caps it.
+    """
+    k = t - 1
+    r2 = (2 * order + (t * t - 1) / 12) / t
+    log_ball = k / 2 * math.log(math.pi * r2) - math.lgamma(k / 2 + 1) - math.log(t) / 2
+    ball = round(math.exp(min(log_ball, 60)))
+    partitions, _ = _partitions_through(order, ball)
+    return min(ball, partitions)
+
+
+def _core_count(t: int, order: int) -> str:
+    """The number of charge vectors of size at most order, as a refusal names
+    it: counted up to about _COUNTED of them, estimated above."""
+    estimate = _core_estimate(t, order)
+    if estimate > _COUNTED:
+        return f"about {estimate}"
+    return str(sum(1 for _ in _charge_walk(t, order, lambda r, c: ())))
+
+
+def _check_core_steps(route: str, t: int, order: int, slots: int) -> None:
+    """Refuse a t-core average with slots sums per core and slots divisions
+    by the count series that takes more than _MAX_STEPS steps.
+
+    A division takes order steps for each nonzero count, and there are at
+    most min(order, cores) of those (_divide_by_counts).
+    """
+    cores = _core_estimate(t, order)
+    division = (order + 1) * min(order, cores)
+    if slots * (cores + division) > _MAX_STEPS:
+        raise _refusal(
+            route, slots * (cores + division),
+            f"at t = {t}, order {order}, {_core_count(t, order)} charge vectors and "
+            f"{order + 1} x {min(order, cores)} steps of the division by their counts, "
+            f"for each of {slots} sums",
+        )
+
+
+def _partitions_through(order: int, cap) -> tuple[int, int]:
+    """The number of partitions of size at most n and n: n = order, or the
+    first n at which that number exceeds cap."""
+    total = 0
+    for n, p in zip(range(order + 1), _partition_counts()):
+        total += p
+        if total > cap:
+            break
+    return total, n
 
 
 def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
@@ -179,44 +271,55 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     r + k t, k < c_r, so the row moment is s^(1/2) M_s(c) / (s^t - 1) with
     M_s(c) = sum_r s^(r + t c_r), and no partition is built.  The factor
     s^(1/2) / (s^t - 1), with sqrt(s) = p/q equal to
-    (p/q) q^(2t) / (p^(2t) - q^(2t)), is the same for every core: it leaves
-    the average and is applied once at the end.  Over the exponent range
-    [lo, hi] = [t min c, t max c + t - 1] of all cores, s^e is the integer
+    p q^(2t - 1) / (p^(2t) - q^(2t)), is the same for every core: it leaves
+    the average and joins the one rational of each coefficient.  Over the
+    exponent range [lo, hi] = [t min c, t max c + t - 1] of the charges the
+    tracks offer (see _charge_walk), s^e is the integer
     p^(2(e - lo)) q^(2(hi - e)) over p^(-2 lo) q^(2 hi), read from one table
-    per s-value.  The products prod_s M_s(c) are summed in integers at each
-    size and divided once by the t-core count series (see _divide_by_counts).
+    per s-value.  One walk carries M_s(c) for every s; the products are
+    summed in integers at each size and divided once by the t-core count
+    series (see _divide_by_counts).  Averages of more than _MAX_STEPS steps
+    are refused up front.
     """
     check_t(t)
     check_order(order)
     svals = s_vector(s_values)
-    cores = list(_charge_vectors(t, order))
-    lo = t * min(min(c) for c, _ in cores)
-    hi = t * max(max(c) for c, _ in cores) + t - 1
+    _check_core_steps("brute_force_Ft", t, order, 1)
+    charges = [c for r in range(t) for _, c in _track_options(t, r, 2 * order)]
+    lo, hi = t * min(charges), t * max(charges) + t - 1
     tables = []
-    den, factor = 1, QQ(1)
+    den = top = 1
     for sv in svals:
         p2, q2 = sv.s.numerator, sv.s.denominator
         tables.append([p2 ** (e - lo) * q2 ** (hi - e) for e in range(lo, hi + 1)])
-        den *= p2**-lo * q2**hi
-        factor *= sv.sqrt_s / (rat_pow(sv.s, t) - 1)
-    sums = [0] * (order + 1)
-    counts = [0] * (order + 1)
-    for charges, size in cores:
-        idx = [r + t * c - lo for r, c in enumerate(charges)]
-        weight = 1
-        for powers in tables:
-            weight *= sum(powers[k] for k in idx)
-        sums[size] += weight
-        counts[size] += 1
-    average = _divide_by_counts(sums, counts, den, order)
-    return average.map_coeffs(lambda c: c * factor)
+        den *= p2**-lo * q2**hi * (p2**t - q2**t)
+        top *= sv.sqrt_s.numerator * sv.sqrt_s.denominator ** (2 * t - 1)
+    walk = _charge_walk(t, order, lambda r, c: tuple(table[r + t * c - lo] for table in tables))
+    totals, counts = _sum_by_size(walk, order)
+    return _divide_by_counts(totals, counts, den, order, top)
 
 
 def bloch_okounkov_F(s_values, order: int) -> QSeries:
-    """The same average taken over all partitions instead of t-cores."""
+    """The same average taken over all partitions instead of t-cores.
+
+    One walk over the partitions (_row_walk) carries each s-value's moment
+    as an integer over the one denominator of a _MomentTable that serves
+    every size through order.  Averages of more than _MAX_STEPS steps are
+    refused up front.
+    """
     check_order(order)
-    groups = {size: partitions_of(size) for size in range(order + 1)}
-    return _average(groups, s_vector(s_values), order)
+    svals = s_vector(s_values)
+    division = (order + 1) * order
+    walked, n = _partitions_through(order, _MAX_STEPS)
+    if walked + division > _MAX_STEPS:
+        raise _refusal(
+            "bloch_okounkov_F", walked + division,
+            f"at order {order}, {walked} partitions of size at most {n} and "
+            f"{order + 1} x {order} steps of the division by their counts",
+        )
+    table = _MomentTable(svals, *_size_clearing_exponents(order))
+    totals, counts = _sum_by_size(_row_walk(order, table.row, table.empty()), order)
+    return _divide_by_counts(totals, counts, table.den, order)
 
 
 @dataclass(frozen=True)
@@ -587,8 +690,8 @@ def _check_vertex_pairs(order_total: int) -> None:
     one order at a time and stops at the first order past the bound.
     """
     counts, pairs = [], 0
-    for n in range(order_total + 1):
-        counts.append(sum(1 for _ in partitions_of(n)))
+    for n, p in zip(range(order_total + 1), _partition_counts()):
+        counts.append(p)
         pairs += sum(counts[k] * counts[n - k] for k in range(n + 1))
         if pairs > _MAX_VERTEX_PAIRS:
             raise ValueError(
@@ -643,27 +746,32 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
 
 
 def qdeformed_Z_product(q, order_total: int) -> BiSeries:
-    """The same function as a MacMahon-type product, truncated honestly.
+    """The same function as a MacMahon-type product, through one exponential.
 
-    The b-th band contributes factors whose lowest total degree is 2b - 1,
-    so bands beyond (order_total + 1) // 2 collapse to 1; its factor
-    1 - Q^b Q1^b has degree 2b and collapses once 2b > order_total.  Every
-    factor has constant term 1 on that window, so the product keeps it.
+    With M(w) = macmahon(1, q, w, order_total) the product is
+    M(0, 1) prod_(b>=1) M(b, b+1) M(b, b-1) / ((1 - Q^b Q1^b) M(b, b)^2).
+    Its log is the sum of the MacMahon logs (_macmahon_log) with the weights
+    +1 and -2, plus sum_m (Q^b Q1^b)^m / m for each band; in the ring
+    truncated at total degree order_total the exp of that sum is the
+    product, exactly.  A band whose monomials all lie above the window adds
+    nothing.
     """
     q = deformation_base(q)
     check_order(order_total)
-    out = macmahon(1, q, (0, 1), order_total)
+    order2 = 2 * order_total
+    logs: dict = {}
+
+    def add_log(terms: dict, weight: int) -> None:
+        for key, c in terms.items():
+            logs[key] = logs.get(key, 0) + weight * c
+
+    add_log(_macmahon_log(1, q, 0, 2, order2), 1)
     for b in range(1, (order_total + 1) // 2 + 1):
-        out = out * macmahon(1, q, (b, b + 1), order_total)
-        out = out * macmahon(1, q, (b, b - 1), order_total)
-        if 2 * b <= order_total:
-            band = BiSeries.one(QQ_DOMAIN, order_total) - BiSeries.monomial(
-                QQ_DOMAIN, 1, b, b, order_total
-            )
-            out = out / band
-        square = macmahon(1, q, (b, b), order_total)
-        out = out / (square * square)
-    return out
+        add_log(_macmahon_log(1, q, 2 * b, 2 * b + 2, order2), 1)
+        add_log(_macmahon_log(1, q, 2 * b, 2 * b - 2, order2), 1)
+        add_log(_macmahon_log(1, q, 2 * b, 2 * b, order2), -2)
+        add_log({(2 * b * m, 2 * b * m): QQ(1, m) for m in range(1, order_total // (2 * b) + 1)}, 1)
+    return qexp(BiSeries(QQ_DOMAIN, order2, logs))
 
 
 def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
@@ -676,11 +784,22 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     product, both truncated at total degree order_total.  With q = a/b, and
     one Q1 of (Q Q1)^|nu| given to each of the |nu| hooks, a hook contributes
     (b^h - a^h Q1)(b^h Q1 - a^h)/(b^h - a^h)^2, so every coefficient of a
-    hook weight is one integer fraction.
+    hook weight is one integer fraction.  Sums of more than _MAX_STEPS steps
+    are refused up front: a partition of size n takes n (N - n + 1) of them
+    and the bivariate division about C(N + 4, 4), at order N.
     """
     q = deformation_base(q)
     svals = s_vector(s_values)
     check_order(order_total)
+    steps = division = math.comb(order_total + 4, 4)
+    for n, p in zip(range(order_total + 1), _partition_counts()):
+        steps += p * (1 + n * (order_total - n + 1))
+        if steps > _MAX_STEPS:
+            raise _refusal(
+                "qdeformed_Zn_sum", steps,
+                f"at order {order_total}, {division} steps of the division and the "
+                f"hook weights of the partitions of size at most {n}",
+            )
     a, b = q.numerator, q.denominator
     moments = _MomentTable(svals, *_size_clearing_exponents(order_total))
     plain: dict[tuple[int, int], QQ] = {}
@@ -721,11 +840,10 @@ def _check_slots(t: int, l_orders, q_order: int) -> None:
     """Refuse a correlation table with more slots than _MAX_SLOTS, with its cost."""
     slots = math.prod(l + 1 for l in l_orders)
     if slots > _MAX_SLOTS:
-        vectors = sum(1 for _ in _charge_vectors(t, q_order))
         raise ValueError(
             f"l-orders {l_orders} ask for {slots} slots, more than the {_MAX_SLOTS} "
-            f"correlation_expansion supports: each would average over {vectors} "
-            f"charge vectors of size <= {q_order}"
+            f"correlation_expansion supports: each would average over "
+            f"{_core_count(t, q_order)} charge vectors of size <= {q_order}"
         )
 
 
@@ -773,14 +891,15 @@ def correlation_expansion(
 
     # prod_j P_(k_j), summed per size, by the multiset of k
     moments = {multiset(ks): [0] * (q_order + 1) for ks in keys}
+    _check_core_steps("correlation_expansion", t, q_order, len(moments))
     counts = [0] * (q_order + 1)
-    for charges, size in _charge_vectors(t, q_order):
-        rates = [2 * r + 1 + 2 * t * c for r, c in enumerate(charges)]
-        power_sums = [t]  # P_0 .. P_(l_max)
-        powers = rates
-        for _ in range(l_max):
-            power_sums.append(sum(powers))
-            powers = [x * a for x, a in zip(powers, rates)]
+
+    def column(r, c):
+        # a_r^k, k = 1..l_max, for a_r = 2r + 1 + 2t c
+        return tuple((2 * r + 1 + 2 * t * c) ** k for k in range(1, l_max + 1))
+
+    for size, sums in _charge_walk(t, q_order, column):
+        power_sums = (t,) + sums  # P_0 .. P_(l_max)
         for mult, row in moments.items():
             weight = 1
             for p_k, m in zip(power_sums, mult):

