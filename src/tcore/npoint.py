@@ -25,9 +25,9 @@ from operator import add
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
 from tcore.modular import rational_lift
 from tcore.partitions import (
+    _balanced_options,
     _charge_walk,
     _partition_counts,
-    _track_options,
     conjugate,
     hook_lengths,
     partitions_of,
@@ -41,7 +41,7 @@ from tcore.qseries import (
     check_t,
     qexp,
 )
-from tcore.symfunc import SpecPoint, _hook_product_y, _schur_pair_sums, deformation_base
+from tcore.symfunc import SpecPoint, _schur_pair_sums, deformation_base
 from tcore.theta import _macmahon_log, bernoulli
 
 
@@ -273,8 +273,8 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     s^(1/2) / (s^t - 1), with sqrt(s) = p/q equal to
     p q^(2t - 1) / (p^(2t) - q^(2t)), is the same for every core: it leaves
     the average and joins the one rational of each coefficient.  Over the
-    exponent range [lo, hi] = [t min c, t max c + t - 1] of the charges the
-    tracks offer (see _charge_walk), s^e is the integer
+    exponent range [lo, hi] = [t min c, t max c + t - 1] of the cores'
+    charges (_balanced_options), s^e is the integer
     p^(2(e - lo)) q^(2(hi - e)) over p^(-2 lo) q^(2 hi), read from one table
     per s-value.  One walk carries M_s(c) for every s; the products are
     summed in integers at each size and divided once by the t-core count
@@ -285,7 +285,7 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     check_order(order)
     svals = s_vector(s_values)
     _check_core_steps("brute_force_Ft", t, order, 1)
-    charges = [c for r in range(t) for _, c in _track_options(t, r, 2 * order)]
+    charges = [c for opts in _balanced_options(t, 2 * order) for _, c in opts]
     lo, hi = t * min(charges), t * max(charges) + t - 1
     tables = []
     den = top = 1
@@ -709,12 +709,13 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     C((), conj(mu), nu) C((), mu, conj(nu)).  Since kappa(nu) + kappa(conj nu)
     = 0 and the half-powers of q cancel, that product is the rational
     H(nu) H(conj nu) q^(|mu| - |nu|) s_conj(mu)(y; conj nu) s_mu(y; nu), with
-    H the hook product at y.  At each nu the Schur pairs are summed over all
-    mu of one size in integers (symfunc._schur_pair_sums), so each (nu, |mu|)
-    makes one rational.  Swapping mu for conj(mu) shows that conj(nu) has the
-    same row of coefficients as nu, so each row is computed once per
-    conjugate pair.  Sums over more than _MAX_VERTEX_PAIRS pairs are refused
-    up front.
+    H the hook product at y.  Since conj(nu) has the hooks h of nu,
+    H(nu) H(conj nu) q^(-|nu|) = prod_h q^h / (q^h - 1)^2.  At each nu the
+    Schur pairs of one |mu| are summed as one elementary symmetric value
+    (symfunc._schur_pair_sums), so each (nu, |mu|) makes one rational.
+    Swapping mu for conj(mu) shows that conj(nu) has the same row of
+    coefficients as nu, so each row is computed once per conjugate pair.
+    Sums over more than _MAX_VERTEX_PAIRS pairs are refused up front.
     """
     q = deformation_base(q)
     check_order(order_total)
@@ -727,15 +728,15 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
             row = conjugate_rows.pop(nu, None)
             if row is None:
                 nu_t = conjugate(nu)
-                sums, den = _schur_pair_sums(
+                sums, scales = _schur_pair_sums(
                     SpecPoint(q, nu), SpecPoint(q, nu_t), order_total - d_nu
                 )
-                hooks = _hook_product_y(nu, q) * _hook_product_y(nu_t, q)
-                num0 = hooks.numerator * b**d_nu  # H(nu) H(conj nu) q^(-|nu|)
-                den0 = hooks.denominator * a**d_nu
+                hooks = hook_lengths(nu).values()
+                num0 = (-1) ** d_nu * (a * b) ** sum(hooks)
+                den0 = math.prod(a**h - b**h for h in hooks) ** 2
                 row = [
-                    QQ((-1) ** (d_mu + d_nu) * s * num0 * a**d_mu, den0 * (b * den) ** d_mu)
-                    for d_mu, s in enumerate(sums)
+                    QQ((-1) ** d_mu * s * num0 * a**d_mu, den0 * scale * b**d_mu)
+                    for d_mu, (s, scale) in enumerate(zip(sums, scales))
                 ]
                 if nu_t != nu:
                     conjugate_rows[nu_t] = row

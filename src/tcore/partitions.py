@@ -127,6 +127,26 @@ def _track_options(t: int, r: int, budget2: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def _balanced_options(t: int, budget2: int) -> list[list[tuple[int, int]]]:
+    """_track_options of every track r, less each charge c that the other
+    tracks cannot balance within the budget, so that no charge vector holds it.
+
+    The unit steps of the tracks away from charge 0 cost the odd numbers
+    2j + 1, once each: up on track j mod t, down on track t - 1 - (j mod t)
+    (see _track_cost2).  So the others carry -c most cheaply by the |c| least
+    of them that are not track r's own steps that way.
+    """
+    def balanced(r: int, cost2: int, c: int) -> bool:
+        own = t - 1 - r if c > 0 else r
+        steps = [2 * j + 1 for j in range(abs(c) * t) if j % t != own]
+        return cost2 + sum(steps[:abs(c)]) <= budget2
+
+    return [
+        [(cost2, c) for cost2, c in _track_options(t, r, budget2) if balanced(r, cost2, c)]
+        for r in range(t)
+    ]
+
+
 def _partition_counts() -> Iterator[int]:
     """p(0), p(1), p(2), ... by Euler's pentagonal number recurrence,
     p(n) = sum_(k>=1) (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
@@ -147,13 +167,15 @@ def _charge_walk(t: int, order: int, column):
     as its size and the sums of its columns: yields (size, sums),
     sums[j] = sum_r column(r, c_r)[j].
 
-    Each track holds its (cost, charge, column) options, cheapest first, so
+    Each track holds its (cost, charge, column) options that the other
+    tracks can balance (_balanced_options), cheapest first, so
     its loop stops at the first option past the budget; the charge of the
     last track is fixed by the zero sum.  The sums are carried down the walk.
     """
     budget2 = 2 * order
     tracks = [
-        [(cost2, c, column(r, c)) for cost2, c in _track_options(t, r, budget2)] for r in range(t)
+        [(cost2, c, column(r, c)) for cost2, c in opts]
+        for r, opts in enumerate(_balanced_options(t, budget2))
     ]
     last = {c: (cost2, col) for cost2, c, col in tracks.pop()}
     stack = [(0, 0, 0, tuple(0 for _ in last[0][1]))]  # track, cost, charge sum, sums

@@ -6,12 +6,13 @@ times the rational y_i = q^(a_i - i), so a symmetric function of degree m
 equals (sqrt q)^m times its value at y.  Power sums at y are a finite head
 plus one geometric tail, and Newton's identities turn them into a table of
 h_0 .. h_R over one common denominator D.  Every Jacobi-Trudi determinant is
-then one fraction-free integer determinant over D^rows, and sums of
-determinant products (the shifted dual Cauchy sums behind the deformed
-partition function) stay in integers until one rational per degree.  Hook
-products and the vertex's eta-sum run over plain rationals.  Each public
-value is that rational number lifted once into Q(sqrt(q)); it is itself a
-plain rational whenever q is a perfect square of a rational.
+then one fraction-free integer determinant over D^rows.  The shifted dual
+Cauchy sums behind the deformed partition function take no determinant: at
+each size they are one elementary symmetric value of the pairwise products,
+again by Newton's identities in integers.  Hook products and the vertex's
+eta-sum run over plain rationals.  Each public value is that rational number
+lifted once into Q(sqrt(q)); it is itself a plain rational whenever q is a
+perfect square of a rational.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from tcore.partitions import (
     hook_lengths,
     kappa,
     n_weight,
-    partitions_of,
 )
 from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_int, check_order
 from tcore.quadext import sqrt_field
@@ -64,9 +64,9 @@ class SpecPoint:
         check_partition(self.shift)
 
 
-# Fixed cache bounds.  One qdeformed_Z_sum(q, 8) stores 67 h-tables and
-# qdeformed_Z_sum(q, 12) stores 272, one per shift nu, so neither evicts an
-# entry.
+# Fixed cache bounds.  The h-tables serve skew_schur and topological_vertex:
+# every vertex with all three shapes of size at most 4 stores 48 of them, so
+# that sweep evicts no entry.
 _SQRT_CACHE = 32
 _VALUE_CACHE = 1024
 
@@ -97,34 +97,38 @@ def _power_sum_y(spec: SpecPoint, k: int) -> QQ:
     return QQ(num, big**ell * small**top * (big - small))
 
 
-@lru_cache(maxsize=_VALUE_CACHE)
-def _h_table(spec: SpecPoint, top: int) -> tuple[tuple[int, ...], int]:
-    """h_0 .. h_top at y as integers over one denominator: (hs, D), h_r = hs[r]/D.
+def _newton(p, sign: int) -> tuple[list[int], list[int]]:
+    """Newton's identities r x_r = sum_k sign^(k-1) p_k x_(r-k) in integers.
 
-    The h_r come from Newton's identities r h_r = sum_k p_k h_(r-k), run in
-    integers: with the power sums p_k = P_k/E over one denominator E, the
-    numbers g_r = r! E^r h_r obey g_r = sum_k P_k E^(k-1) ((r-1)!/(r-k)!) g_(r-k).
-    Each h_r is reduced by one gcd at the end, and D is the lcm of their
-    denominators.
+    Given the power sums p_1 .. p_top this is h (sign 1) or e (sign -1),
+    returned unreduced as (g, scales), x_r = g[r] / scales[r]: with
+    p_k = P_k/E over one denominator E, the numbers g_r = r! E^r x_r obey
+    g_r = sum_k sign^(k-1) P_k E^(k-1) ((r-1)!/(r-k)!) g_(r-k).
     """
-    p = [_power_sum_y(spec, k) for k in range(1, top + 1)]
     e = math.lcm(*(x.denominator for x in p))
-    c = [None] + [x.numerator * (e // x.denominator) * e ** k for k, x in enumerate(p)]
-    g = [1]
-    for r in range(1, top + 1):
+    c = [None] + [sign**k * x.numerator * (e // x.denominator) * e**k for k, x in enumerate(p)]
+    g, scales = [1], [1]
+    for r in range(1, len(p) + 1):
         acc, falling = 0, 1  # falling = (r-1)!/(r-k)!
         for k in range(1, r + 1):
             acc += c[k] * falling * g[r - k]
             falling *= r - k
         g.append(acc)
-    nums, dens, scale = [], [], 1  # scale = r! E^r
-    for r, x in enumerate(g):
-        scale *= r * e if r else 1
-        d = math.gcd(x, scale)
-        nums.append(x // d)
-        dens.append(scale // d)
-    den = math.lcm(*dens)
-    return tuple(x * (den // d) for x, d in zip(nums, dens)), den
+        scales.append(scales[-1] * r * e)
+    return g, scales
+
+
+@lru_cache(maxsize=_VALUE_CACHE)
+def _h_table(spec: SpecPoint, top: int) -> tuple[tuple[int, ...], int]:
+    """h_0 .. h_top at y as integers over one denominator: (hs, D), h_r = hs[r]/D.
+
+    The h_r come from Newton's identities (_newton), each reduced to lowest
+    terms, and D is the lcm of their denominators.
+    """
+    g, scales = _newton([_power_sum_y(spec, k) for k in range(1, top + 1)], 1)
+    hs = [QQ(x, scale) for x, scale in zip(g, scales)]
+    den = math.lcm(*(h.denominator for h in hs))
+    return tuple(h.numerator * (den // h.denominator) for h in hs), den
 
 
 def _bareiss_det(rows) -> int:
@@ -184,22 +188,14 @@ def _skew_schur_y(lam, eta, spec: SpecPoint) -> QQ:
 def _schur_pair_sums(spec1: SpecPoint, spec2: SpecPoint, top: int):
     """sum over lam |- m of s_lam(y; spec1) s_conj(lam)(y; spec2), m = 0..top.
 
-    Returns (sums, D) in integers, the m-th pair sum being sums[m] / D^m:
-    each determinant of l rows is over D_i^l, and is scaled to D_i^m.
+    By the dual Cauchy identity (Macdonald, Symmetric Functions, I (4.3'))
+    the m-th sum is e_m of the products y_i y'_j of the two points, whose
+    power sums are p_k(y; spec1) p_k(y; spec2).  Returns (g, scales) in
+    integers, the m-th sum being g[m] / scales[m] (see _newton).
     """
-    hs1, d1 = _h_table(spec1, top)
-    hs2, d2 = _h_table(spec2, top)
-    sums = []
-    for m in range(top + 1):
-        acc = 0
-        for lam in partitions_of(m):
-            lam_t = conjugate(lam)
-            acc += (
-                _jacobi_trudi(lam, (), hs1) * d1 ** (m - len(lam))
-                * _jacobi_trudi(lam_t, (), hs2) * d2 ** (m - len(lam_t))
-            )
-        sums.append(acc)
-    return sums, d1 * d2
+    return _newton(
+        [_power_sum_y(spec1, k) * _power_sum_y(spec2, k) for k in range(1, top + 1)], -1
+    )
 
 
 def _hook_product_y(lam, q: QQ) -> QQ:
@@ -291,27 +287,19 @@ def topological_vertex(lam, mu, nu, q, eta_bound: int | None = None):
 def schur_pair_sum_series(nu1, nu2, q, z_order: int) -> TaylorZ:
     """Sum of z^|lam| s_lam(point nu1) s_conj(lam)(point conj(nu2)) .
 
-    Brute truncation of the shifted dual Cauchy sum: every partition with
-    |lam| <= z_order contributes one exact product of Schur values.  Both
-    factors have degree |lam|, so the pair is q^|lam| times its rational
-    value at y and each z coefficient is a plain rational.
+    Truncation of the shifted dual Cauchy sum, one elementary symmetric value
+    per power of z (_schur_pair_sums).  Both factors have degree |lam|, so
+    the pair is q^|lam| times its rational value at y and each z coefficient
+    is a plain rational.
     """
     nu1, nu2 = tuple(nu1), tuple(nu2)
     check_order(z_order)
     spec1 = SpecPoint(q, nu1)
     spec2 = SpecPoint(q, conjugate(nu2))
-    sums, den = _schur_pair_sums(spec1, spec2, z_order)
+    sums, scales = _schur_pair_sums(spec1, spec2, z_order)
     a, b = spec1.q.numerator, spec1.q.denominator
-    cs = [QQ(s * a**n, (b * den) ** n) for n, s in enumerate(sums)]
+    cs = [QQ(s * a**n, scale * b**n) for n, (s, scale) in enumerate(zip(sums, scales))]
     return TaylorZ(TaylorDomain(QQ_DOMAIN, z_order), cs)
-
-
-def _one_plus_z_times(dom: TaylorDomain, scale) -> TaylorZ:
-    cs = [dom.inner.zero] * (dom.z_order + 1)
-    cs[0] = dom.inner.one
-    if dom.z_order >= 1:
-        cs[1] = dom.inner.coerce(scale)
-    return TaylorZ(dom, cs)
 
 
 def _vacuum_pair_product(q, dom: TaylorDomain) -> TaylorZ:
@@ -321,18 +309,8 @@ def _vacuum_pair_product(q, dom: TaylorDomain) -> TaylorZ:
     multiplicity m}, whose power sums are q^(-m)/(1-q^(-m))^2, and the
     product is the elementary symmetric generating series of that multiset.
     """
-    order = dom.z_order
-    p = [None] + [
-        rat_pow(q, -k) / (1 - rat_pow(q, -k)) ** 2 for k in range(1, order + 1)
-    ]
-    e = [QQ(1)]
-    for m in range(1, order + 1):
-        acc = QQ(0)
-        for k in range(1, m + 1):
-            term = p[k] * e[m - k]
-            acc = acc + (term if k % 2 == 1 else -term)
-        e.append(acc / m)
-    return TaylorZ(dom, [dom.inner.coerce(c) for c in e])
+    p = [rat_pow(q, -k) / (1 - rat_pow(q, -k)) ** 2 for k in range(1, dom.z_order + 1)]
+    return TaylorZ(dom, [dom.inner.coerce(QQ(g, s)) for g, s in zip(*_newton(p, -1))])
 
 
 def _part(p, i: int) -> int:
@@ -358,11 +336,10 @@ def hook_pair_product_series(nu1, nu2, q, z_order: int) -> TaylorZ:
     dom = TaylorDomain(QQ_DOMAIN, z_order)
     nu1t = conjugate(nu1)
     nu2t = conjugate(nu2)
+    z = TaylorZ.variable(dom)
     out = _vacuum_pair_product(q, dom)
     for j, k in _boxes(nu1):
-        e = nu1[j - 1] + _part(nu2t, k) - j - k + 1
-        out = out * _one_plus_z_times(dom, rat_pow(q, e))
+        out = out * (1 + z * rat_pow(q, nu1[j - 1] + _part(nu2t, k) - j - k + 1))
     for j, k in _boxes(nu2):
-        e = -_part(nu1t, k) - nu2[j - 1] + j + k - 1
-        out = out * _one_plus_z_times(dom, rat_pow(q, e))
+        out = out * (1 + z * rat_pow(q, -_part(nu1t, k) - nu2[j - 1] + j + k - 1))
     return out

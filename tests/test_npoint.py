@@ -43,6 +43,7 @@ from tcore.npoint import (
     set_partitions,
 )
 from tcore.partitions import (
+    _balanced_options,
     _charge_vectors,
     _charge_walk,
     _track_cost2,
@@ -618,6 +619,12 @@ def test_qdeformed_product_is_the_factor_by_factor_product_and_the_sum(q):
         assert product == truncated_to(total, order), order
 
 
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2)])
+def test_qdeformed_sum_equals_the_product_at_the_largest_order_allowed(q):
+    # order 12 is the last order under _MAX_VERTEX_PAIRS
+    assert qdeformed_Z_sum(q, 12) == qdeformed_Z_product(q, 12)
+
+
 def test_qdeformed_sum_matches_product():
     for q in (QQ(2), QQ(3, 2)):
         total = qdeformed_Z_sum(q, 6)
@@ -920,8 +927,23 @@ def test_walk_routes_equal_the_per_object_oracles(t, n):
             assert bloch_okounkov_F(svals, order) == average_oracle.bloch_okounkov(svals, order)
 
 
+@pytest.mark.parametrize("t", range(2, 7))
+@pytest.mark.parametrize("order", [0, 1, 9, 60])
+def test_balanced_options_are_the_charges_of_the_cores(t, order):
+    # brute_force_Ft tabulates s^e over [t min c, t max c + t - 1] for the
+    # charges its tracks keep: exactly those of the cores, track by track
+    vectors = [c for c, _ in _charge_vectors(t, order)]
+    options = _balanced_options(t, 2 * order)
+    for r in range(t):
+        assert sorted(c for _, c in options[r]) == sorted({v[r] for v in vectors}), r
+    charges = [c for opts in options for _, c in opts]
+    assert (min(charges), max(charges)) == (min(map(min, vectors)), max(map(max, vectors)))
+    svals = s_vector((QQ(53, 37) ** 2, S94))
+    assert brute_force_Ft(t, svals, order) == average_oracle.brute_force(t, svals, order)
+
+
 def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
-    # the table range comes from the tracks' options, wider than the cores'
+    # the oracle takes its table range from the cores it walks
     svals = s_vector((QQ(53, 37) ** 2, QQ(59, 41) ** 2))
     assert brute_force_Ft(3, svals[:1], 120) == average_oracle.brute_force(3, svals[:1], 120)
     assert brute_force_Ft(4, svals, 40) == average_oracle.brute_force(4, svals, 40)

@@ -23,6 +23,8 @@ from tcore.symfunc import (
     topological_vertex,
 )
 
+import schur_oracle
+
 # -- oracles: power sums and h at the point, and a determinant over a field ----
 
 
@@ -301,13 +303,27 @@ def test_vertex_matches_the_sqrt_field_evaluation(q):
                 assert got == sqrt_topological_vertex(lam, mu, nu, q), (lam, mu, nu)
 
 
-def test_value_caches_are_bounded_and_hold_one_deformed_sum():
-    # the deformed sum reads Schur values through the h-tables alone; it
-    # never lifts into Q(sqrt q), so _sqrt_q is not on its path
-    caches = (symfunc._h_table,)
+def test_deformed_sum_builds_no_determinant_or_h_table(monkeypatch):
+    # the pair sums are one Newton recurrence per shift nu, so the deformed
+    # sum neither fills the h-table cache nor runs an integer determinant
+    calls = []
+    bareiss = symfunc._bareiss_det
+    monkeypatch.setattr(symfunc, "_bareiss_det", lambda rows: calls.append(rows) or bareiss(rows))
+    symfunc._h_table.cache_clear()
+    qdeformed_Z_sum(QQ(2), 8)
+    assert calls == []
+    assert symfunc._h_table.cache_info().currsize == 0
+
+
+def test_value_caches_are_bounded_and_hold_one_vertex_sweep():
+    caches = (symfunc._h_table, symfunc._sqrt_q)
     for cache in caches:
         cache.cache_clear()
-    qdeformed_Z_sum(QQ(2), 8)
+    shapes = [lam for size in range(5) for lam in partitions_of(size)]
+    for lam in shapes:
+        for mu in shapes:
+            for nu in shapes:
+                topological_vertex(lam, mu, nu, QQ(2))
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None
@@ -373,14 +389,31 @@ def test_bareiss_det_on_big_entries():
 def test_schur_pair_sums_match_single_schur_values():
     q = QQ(3, 2)
     spec1, spec2 = SpecPoint(q, (2, 1)), SpecPoint(q, (3,))
-    sums, den = symfunc._schur_pair_sums(spec1, spec2, 6)
-    for m, total in enumerate(sums):
+    sums, scales = symfunc._schur_pair_sums(spec1, spec2, 6)
+    assert len(sums) == len(scales) == 7
+    for m, (total, scale) in enumerate(zip(sums, scales)):
         expected = sum(
             (symfunc._skew_schur_y(lam, (), spec1) * symfunc._skew_schur_y(conjugate(lam), (), spec2)
              for lam in partitions_of(m)),
             QQ(0),
         )
-        assert QQ(total, den**m) == expected, m
+        assert QQ(total, scale) == expected, m
+
+
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2), QQ(9, 4)])
+@pytest.mark.parametrize("nu1, nu2", [
+    ((), ()), ((1,), ()), ((2, 1), (3,)), ((2, 2), (1, 1, 1)),
+])
+def test_schur_pair_sums_equal_the_determinant_products(q, nu1, nu2):
+    # conjugate shifts, as the deformed sum pairs them, and the given pair
+    for spec1, spec2 in [
+        (SpecPoint(q, nu1), SpecPoint(q, conjugate(nu1))),
+        (SpecPoint(q, nu1), SpecPoint(q, nu2)),
+    ]:
+        for top in range(9):
+            sums, scales = symfunc._schur_pair_sums(spec1, spec2, top)
+            got = [QQ(s, scale) for s, scale in zip(sums, scales)]
+            assert got == schur_oracle.schur_pair_sums(spec1, spec2, top), (spec1, spec2, top)
 
 
 # -- boundary checks --------------------------------------------------------------
