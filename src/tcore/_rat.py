@@ -1,5 +1,6 @@
 """Exact rational scalars: fractions.Fraction, pinned here once as QQ so
-that the rest of the package names one rational type."""
+that the rest of the package names one rational type; and Scalar, the ring
+plumbing of the package's other scalars."""
 
 from __future__ import annotations
 
@@ -59,6 +60,67 @@ def power(base, n: int, one):
         if n:
             base = base * base
     return out
+
+
+class Scalar:
+    """The ring plumbing of the scalars Cyclo, SqrtExt, TaylorZ and Residue:
+    immutability, coercion, subtraction, division, the reflected operations
+    and integer powers.
+
+    A subclass says what is its own: ``_home``, the ring an element lies in
+    (a conductor, a radicand, a domain), ``_KIND``, the name of that home in
+    a mismatch error, and ``_lift(x)``, x of another type as an element of
+    the home of self, or None if it is none; beside them ``__add__``, ``__neg__``, ``__mul__``,
+    ``inverse``, equality, hashing and repr.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} elements are immutable")
+
+    def _coerce(self, other):
+        """other in the home of self, or None if it is not a scalar of that ring."""
+        if type(other) is type(self):
+            if other._home != self._home:
+                raise ValueError(f"{self._KIND} mismatch: {self._home} vs {other._home}")
+            return other
+        return self._lift(other)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            return NotImplemented
+        return power(self if e >= 0 else self.inverse(), abs(e), self._lift(1))
 
 
 def rational_sqrt(x):

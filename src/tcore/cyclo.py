@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cache
 from math import gcd
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, power, rat_str
+from ._rat import QQ, RAT_ONE, RAT_ZERO, Scalar, is_rational, rat_str
 
 
 @cache
@@ -71,10 +71,11 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-class Cyclo:
+class Cyclo(Scalar):
     """An element of Q(zeta_m), canonical in the power basis mod Phi_m."""
 
     __slots__ = ("m", "coeffs")
+    _KIND = "conductor"
 
     def __init__(self, m: int, coeffs):
         deg = euler_phi(m)
@@ -84,9 +85,6 @@ class Cyclo:
         cs.extend([RAT_ZERO] * (deg - len(cs)))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclo elements are immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -122,14 +120,12 @@ class Cyclo:
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Cyclo):
-            if other.m != self.m:
-                raise ValueError(f"conductor mismatch: {self.m} vs {other.m}")
-            return other
-        if is_rational(other):
-            return Cyclo.from_rat(self.m, other)
-        return None
+    @property
+    def _home(self):
+        return self.m
+
+    def _lift(self, x):
+        return Cyclo.from_rat(self.m, x) if is_rational(x) else None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -137,22 +133,8 @@ class Cyclo:
             return NotImplemented
         return Cyclo(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Cyclo(self.m, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         if is_rational(other):
@@ -185,8 +167,6 @@ class Cyclo:
                         out[j] += c * row[j]
         return Cyclo(self.m, tuple(out))
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "Cyclo":
         """Multiplicative inverse, by solving (self * x = 1) over QQ."""
         if not self:
@@ -218,26 +198,6 @@ class Cyclo:
                     a[r] = [v - f * w for v, w in zip(a[r], a[col])]
                     rhs[r] -= f * rhs[col]
         return Cyclo(self.m, tuple(rhs))
-
-    def __truediv__(self, other):
-        if is_rational(other):
-            x = QQ(other)
-            return Cyclo(self.m, tuple(a / x for a in self.coeffs))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        return power(self if e >= 0 else self.inverse(), abs(e), Cyclo.one(self.m))
 
     # -- structure queries -------------------------------------------------
 

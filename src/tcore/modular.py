@@ -16,10 +16,11 @@ same odd part, such as 4 and 8, share one pool.
 
 A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
-Series products and quotients go further: the two series loops of
-tcore.qseries get the plain ints of the residues from ModDomain, sum each
-output coefficient in one Python int and reduce it mod N once, instead of
-building a Residue and taking a remainder for every pair of terms.
+A Residue is a Scalar (tcore._rat), so the series loops of tcore.qseries
+run over a ModDomain as over any other domain.  A computation that must be
+fast goes further and works on the plain ints of the residues, reducing
+each sum mod N once: the closed routes (tcore.npoint._closed_sum) wrap only
+their final coefficients as residues.
 
 Each coefficient is then rebuilt from its residue mod N by rational
 reconstruction (Wang 1981): the unique a/b with |a|, b <= sqrt(N/2) and
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._rat import QQ, is_rational
+from ._rat import QQ, Scalar, is_rational
 from .qseries import QQ_DOMAIN, HalfExp, QSeries, _Domain
 
 PRIME_BITS = 61
@@ -229,57 +230,38 @@ class NotInvertible(ArithmeticError):
         self.factor = factor
 
 
-class Residue:
+class Residue(Scalar):
     """An element of the ring Z/N of a ModDomain, held as its least
     nonnegative representative ``v``.
 
     Residues of one domain share the domain object, which keeps the
-    same-ring test of an operation an identity test.  Instances are never
-    mutated.
+    same-ring test of a sum or a product an identity test.
     """
 
     __slots__ = ("v", "dom")
+    _KIND = "domain"
 
     def __init__(self, v: int, dom: "ModDomain"):
-        self.v = v
-        self.dom = dom
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "dom", dom)
 
-    def _value(self, other):
-        """other as an int mod N, or None if it is not a scalar of the ring."""
-        if type(other) is Residue:
-            if other.dom != self.dom:
-                raise ValueError(f"domain mismatch: {self.dom.name} vs {other.dom.name}")
-            return other.v
-        if is_rational(other):
-            return self.dom.reduce(other)
-        return None
+    @property
+    def _home(self):
+        return self.dom
+
+    def _lift(self, x):
+        return Residue(self.dom.reduce(x), self.dom) if is_rational(x) else None
 
     def __add__(self, other):
         dom = self.dom
         if type(other) is Residue and other.dom is dom:
             v = self.v + other.v
         else:
-            o = self._value(other)
+            o = self._coerce(other)
             if o is None:
                 return NotImplemented
-            v = self.v + o
+            v = self.v + o.v
         return Residue(v - dom.n if v >= dom.n else v, dom)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        dom = self.dom
-        if type(other) is Residue and other.dom is dom:
-            v = self.v - other.v
-        else:
-            o = self._value(other)
-            if o is None:
-                return NotImplemented
-            v = self.v - o
-        return Residue(v + dom.n if v < 0 else v, dom)
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __neg__(self):
         return Residue(self.dom.n - self.v if self.v else 0, self.dom)
@@ -288,38 +270,25 @@ class Residue:
         dom = self.dom
         if type(other) is Residue and other.dom is dom:
             return Residue(self.v * other.v % dom.n, dom)
-        o = self._value(other)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Residue(self.v * o % dom.n, dom)
+        return Residue(self.v * o.v % dom.n, dom)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._value(other)
-        if o is None:
-            return NotImplemented
-        dom = self.dom
-        return Residue(self.v * dom.invert(o) % dom.n, dom)
-
-    def __rtruediv__(self, other):
-        o = self._value(other)
-        if o is None:
-            return NotImplemented
-        dom = self.dom
-        return Residue(o * dom.invert(self.v) % dom.n, dom)
+    def inverse(self) -> "Residue":
+        return Residue(self.dom.invert(self.v), self.dom)
 
     def __bool__(self):
         return self.v != 0
 
     def __eq__(self, other):
         try:
-            o = self._value(other)
+            o = self._coerce(other)
         except (ValueError, ArithmeticError):
             return False
         if o is None:
             return NotImplemented
-        return self.v == o
+        return self.v == o.v
 
     def __hash__(self):
         return hash((self.v, self.dom.n))
@@ -341,27 +310,13 @@ class ModDomain(_Domain):
         self.m = m
         self.primes = tuple(primes)
         n = math.prod(self.primes)
-        self.n = self.modulus = n
+        self.n = n
         powers = _root_powers(m, self.primes, k)
         self.name = f"Z/{n}[zeta{m}={powers[1 % m]}]"
         self.zero = Residue(0, self)
         self.one = Residue(1 % n, self)
         self._roots = tuple(Residue(w, self) for w in powers)
         self._reduced: dict = {}
-
-    def values(self, terms: dict) -> dict:
-        """The ints of the residues of a term dict."""
-        return {e: c.v for e, c in terms.items()}
-
-    def coefficients(self, sums: dict) -> dict:
-        """Each int sum reduced mod N once, as a residue; zeros are left out."""
-        n, out = self.n, {}
-        for e, v in sums.items():
-            if v:
-                v %= n
-                if v:
-                    out[e] = Residue(v, self)
-        return out
 
     def invert(self, v: int) -> int:
         """1/v mod N.
@@ -432,15 +387,6 @@ class ModDomain(_Domain):
                 return self._reduced[x]
             x = x.numerator
         return x % self.n
-
-    def coerce(self, x):
-        if type(x) is Residue:
-            if x.dom != self:
-                raise ValueError(f"domain mismatch: {x.dom.name} vs {self.name}")
-            return x
-        if is_rational(x):
-            return Residue(self.reduce(x), self)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def root(self, m: int, e: int) -> Residue:
         """zeta_m^e, for m dividing the conductor of the domain."""

@@ -23,7 +23,7 @@ from itertools import combinations, permutations, product
 from operator import add
 
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
-from tcore.modular import rational_lift
+from tcore.modular import Residue, rational_lift
 from tcore.partitions import (
     _balanced_options,
     _charge_walk,
@@ -616,7 +616,7 @@ def _closed_sum(dom, t: int, svals, order: int, layout) -> QSeries:
     scale = 1
     for j in range(n):
         scale = scale * pow(root[1 << j], t, N) % N * inv2[len(dens) + j] % N
-    return QSeries(dom, 2 * order, dom.coefficients({2 * m: v * scale for m, v in enumerate(acc)}))
+    return QSeries(dom, 2 * order, {2 * m: Residue(v * scale % N, dom) for m, v in enumerate(acc)})
 
 
 def _closed_lift(t: int, svals, order: int) -> QSeries:

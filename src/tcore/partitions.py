@@ -1,10 +1,10 @@
 """Integer partitions: enumeration, hooks, counts and t-cores.
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
-partition is ().  t-cores are enumerated two independent ways: by filtering
-all partitions through their hooks, and directly through the t residue
-tracks of the 0/1 (Maya) sequence, each of which must look like a shifted
-vacuum (a charge vector).
+partition is ().  A t-core is a partition with no hook length divisible by
+t (is_t_core); they are enumerated directly through the t residue tracks of
+the 0/1 (Maya) sequence, each of which must look like a shifted vacuum (a
+charge vector).
 """
 
 from __future__ import annotations
@@ -226,34 +226,24 @@ def t_core_from_charges(t: int, charges) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def enumerate_t_cores(t: int, max_size: int, method: str = "direct") -> dict[int, list[tuple[int, ...]]]:
-    """t-cores grouped by size, 0..max_size.
-
-    method "filter" runs the brute-force predicate over all partitions of
-    each size; "direct" walks charge vectors of the t residue tracks.  The
-    two must agree (a standing invariant of the test suite).
-    """
+def enumerate_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]:
+    """t-cores grouped by size, 0..max_size, from the charge vectors of the t
+    residue tracks."""
     check_t(t)
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     out: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(max_size + 1)}
-    if method == "filter":
-        for n in range(max_size + 1):
-            out[n] = [lam for lam in partitions_of(n) if is_t_core(lam, t)]
-    elif method == "direct":
-        for charges, size in _charge_vectors(t, max_size):
-            out[size].append(t_core_from_charges(t, charges))
-        for n in out:
-            out[n].sort(reverse=True)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    for charges, size in _charge_vectors(t, max_size):
+        out[size].append(t_core_from_charges(t, charges))
+    for n in out:
+        out[n].sort(reverse=True)
     return out
 
 
-def t_core_size_series(t: int, order: int, method: str = "direct") -> QSeries:
+def t_core_size_series(t: int, order: int) -> QSeries:
     """Generating function sum Q^|core| over t-cores, by enumeration."""
     check_order(order)
-    grouped = enumerate_t_cores(t, order, method)
+    grouped = enumerate_t_cores(t, order)
     terms = {2 * n: QQ(len(grouped[n])) for n in grouped}
     return QSeries(QQ_DOMAIN, 2 * order, terms)
 

@@ -22,8 +22,9 @@ Two loops do the arithmetic of one variable for every coefficient domain:
 _product, the truncated product of two term dicts, and _quotient, their
 truncated quotient by schoolbook long division.  QSeries products, qdiv,
 and the products, inverses and logarithms of TaylorZ all call them; only
-BiSeries, whose keys are pairs, keeps its own product loop.  The loops see
-a domain through the two hooks of _Domain.
+BiSeries, whose keys are pairs, keeps its own product loop.  The loops add,
+multiply and divide the coefficients as they are: plain rationals or the
+Scalars of tcore._rat (Cyclo, SqrtExt, TaylorZ, Residue).
 
 Exp and the division of a BiSeries are one graded recurrence over the
 pieces of one degree each (_graded): qexp solves d E_d = sum_k k L_k E_(d-k),
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, power, rat_str
+from ._rat import QQ, RAT_ONE, RAT_ZERO, Scalar, is_rational, power, rat_str
 from .cyclo import Cyclo
 from .quadext import SqrtExt
 
@@ -150,34 +151,22 @@ def check_t(t) -> None:
 # coefficient domains
 
 
-class _Exact:
-    """The modulus of an exact domain: x % _Exact() is x, for any value x."""
-
-    def __rmod__(self, x):
-        return x
-
-
 class _Domain:
     """A coefficient domain: ``name`` identifies it, ``zero`` and ``one`` are
     its constants, ``coerce`` brings a scalar into it and ``root(m, e)`` is
     zeta_m^e in it, for the m it holds the roots of.
 
-    The series loops see a domain through two hooks on whole term dicts:
-    ``values(terms)`` gives the plain values that the loops multiply and
-    add, and ``coefficients(sums)`` turns the sums they accumulate back into
-    coefficients.  For an exact domain both are the identity.  A residue
-    domain hands out ints and reduces each sum once; the quotient also
-    reduces each of its values by ``modulus`` before that value feeds the
-    later terms, which for an exact domain changes nothing.
+    The coefficients of every domain but Q are Scalars (tcore._rat), and
+    ``coerce`` is the coercion of the domain's own ``one``: a scalar of the
+    same home passes, a foreign home is a ValueError and anything else the
+    scalar cannot lift is a TypeError.
     """
 
-    modulus = _Exact()
-
-    def values(self, terms: dict) -> dict:
-        return terms
-
-    def coefficients(self, sums: dict) -> dict:
-        return sums
+    def coerce(self, x):
+        c = self.one._coerce(x)
+        if c is None:
+            raise TypeError(f"cannot coerce {x!r} into {self.name}")
+        return c
 
     def __eq__(self, other):
         return getattr(other, "name", None) == self.name
@@ -219,15 +208,6 @@ class CycloDomain(_Domain):
         self.zero = Cyclo.zero(m)
         self.one = Cyclo.one(m)
 
-    def coerce(self, x):
-        if isinstance(x, Cyclo):
-            if x.m != self.m:
-                raise ValueError(f"conductor mismatch: {x.m} vs {self.m}")
-            return x
-        if is_rational(x):
-            return Cyclo.from_rat(self.m, x)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
     def root(self, m: int, e: int) -> Cyclo:
         """zeta_m^e, for m dividing the conductor."""
         if self.m % m:
@@ -245,14 +225,6 @@ class TaylorDomain(_Domain):
         self.zero = TaylorZ(self, (inner.zero,) * (z_order + 1))
         self.one = TaylorZ(self, (inner.one,) + (inner.zero,) * z_order)
 
-    def coerce(self, x):
-        if isinstance(x, TaylorZ):
-            if x.dom != self:
-                raise ValueError(f"Taylor domain mismatch: {x.dom.name} vs {self.name}")
-            return x
-        c = self.inner.coerce(x)
-        return TaylorZ(self, (c,) + (self.inner.zero,) * self.z_order)
-
     def root(self, m: int, e: int) -> "TaylorZ":
         return self.coerce(self.inner.root(m, e))
 
@@ -265,9 +237,8 @@ def _product(dom, a: dict, b: dict, t2: int) -> dict:
     """The terms through key t2 of the product of two term dicts over dom.
 
     Each key from the lowest possible one, min(a) + min(b), through t2 gets
-    one sum of plain values, which becomes a coefficient once at the end.
-    The terms of b are walked in key order, so that no pair above t2 is
-    multiplied.
+    one sum.  The terms of b are walked in key order, so that no pair above
+    t2 is multiplied.
     """
     if not a or not b:
         return {}
@@ -276,29 +247,27 @@ def _product(dom, a: dict, b: dict, t2: int) -> dict:
     size = t2 - base + 1
     if size <= 0:
         return {}
-    zero = dom.values({0: dom.zero})[0]
-    sums = [zero] * size
-    right = sorted((k - lb, w) for k, w in dom.values(b).items())
-    for e, v in dom.values(a).items():
+    sums = [dom.zero] * size
+    right = sorted((k - lb, w) for k, w in b.items())
+    for e, v in a.items():
         i = e - la
         for k, w in right:
             j = i + k
             if j >= size:
                 break
             sums[j] += v * w
-    return dom.coefficients(dict(zip(range(base, t2 + 1), sums)))
+    return dict(zip(range(base, t2 + 1), sums))
 
 
 def _quotient(dom, a: dict, b: dict, t2: int) -> dict:
     """The terms through key t2 of a/b for two term dicts over dom, b nonzero.
 
     Schoolbook long division from the lowest key of b, whose coefficient is
-    inverted once: each quotient value, reduced by the domain's modulus,
-    adds its product with the other terms of b, negated, to the remainders
-    above it.
+    inverted once: each quotient coefficient adds its product with the other
+    terms of b, negated, to the remainders above it.
     """
     vb = min(b)
-    inverse = dom.values({0: dom.one / b[vb]})[0]
+    inverse = dom.one / b[vb]
     if not a:
         return {}
     va = min(a)
@@ -306,32 +275,30 @@ def _quotient(dom, a: dict, b: dict, t2: int) -> dict:
     size = t2 - base + 1
     if size <= 0:
         return {}
-    zero = dom.values({0: dom.zero})[0]
-    rem = [zero] * size
-    for e, v in dom.values(a).items():
+    rem = [dom.zero] * size
+    for e, v in a.items():
         if e - va < size:
             rem[e - va] = v
     # the other terms of b, negated, keyed by their distance from vb
-    rest = sorted((k - vb, -w) for k, w in dom.values(b).items() if k != vb)
-    modulus = dom.modulus
+    rest = sorted((k - vb, -w) for k, w in b.items() if k != vb)
     out = {}
     for i in range(size):
         if rem[i]:
-            q = rem[i] * inverse % modulus
-            if q:
-                out[base + i] = q
-                for k, w in rest:
-                    j = i + k
-                    if j >= size:
-                        break
-                    rem[j] += q * w
-    return dom.coefficients(out)
+            q = rem[i] * inverse
+            out[base + i] = q
+            for k, w in rest:
+                j = i + k
+                if j >= size:
+                    break
+                rem[j] += q * w
+    return out
 
 
-class TaylorZ:
+class TaylorZ(Scalar):
     """A polynomial in z truncated at z^z_order, dense coefficient tuple."""
 
     __slots__ = ("dom", "cs")
+    _KIND = "Taylor domain"
 
     def __init__(self, dom: TaylorDomain, cs):
         cs = tuple(cs)
@@ -339,9 +306,6 @@ class TaylorZ:
             raise ValueError(f"need {dom.z_order + 1} coefficients, got {len(cs)}")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TaylorZ is immutable")
 
     @classmethod
     def exp_of(cls, dom: TaylorDomain, c) -> "TaylorZ":
@@ -363,15 +327,18 @@ class TaylorZ:
     def coeff(self, k: int):
         return self.cs[k]
 
-    def _coerce(self, other):
-        if isinstance(other, TaylorZ):
-            if other.dom != self.dom:
-                raise ValueError("Taylor domain mismatch")
-            return other
+    @property
+    def _home(self):
+        return self.dom
+
+    def _lift(self, x):
+        """x constant in z, if the inner domain takes it."""
+        inner = self.dom.inner
         try:
-            return self.dom.coerce(other)
+            c = inner.coerce(x)
         except TypeError:
             return None
+        return TaylorZ(self.dom, (c,) + (inner.zero,) * self.dom.z_order)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -379,22 +346,8 @@ class TaylorZ:
             return NotImplemented
         return TaylorZ(self.dom, tuple(a + b for a, b in zip(self.cs, o.cs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self.map_coeffs(lambda a: -a)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TaylorZ(self.dom, tuple(a - b for a, b in zip(self.cs, o.cs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         if is_rational(other):
@@ -406,8 +359,6 @@ class TaylorZ:
             if not any(b.cs[1:]):
                 return a._times_constant(b.cs[0])
         return self._of(_product(self.dom.inner, self._terms(), o._terms(), self.dom.z_order))
-
-    __rmul__ = __mul__
 
     def _times_constant(self, c) -> "TaylorZ":
         """self times a factor constant in z: one product per nonzero coefficient."""
@@ -427,18 +378,6 @@ class TaylorZ:
         """The element of this domain with the given coefficients by power of z."""
         zero = self.dom.inner.zero
         return TaylorZ(self.dom, [terms.get(k, zero) for k in range(self.dom.z_order + 1)])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def log(self) -> "TaylorZ":
         """log of a series with constant term exactly 1, as the integral of f'/f."""

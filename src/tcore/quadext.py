@@ -9,34 +9,30 @@ canonical.
 
 from __future__ import annotations
 
-from ._rat import QQ, RAT_ONE, RAT_ZERO, is_rational, power, rat_str, rational_sqrt
+from ._rat import QQ, RAT_ONE, RAT_ZERO, Scalar, is_rational, rat_str, rational_sqrt
 
 
-class SqrtExt:
+class SqrtExt(Scalar):
     """a + b*sqrt(d), with a, b, d rational and d not a rational square."""
 
     __slots__ = ("d", "a", "b")
+    _KIND = "radicand"
 
     def __init__(self, d, a, b=RAT_ZERO):
         object.__setattr__(self, "d", QQ(d))
         object.__setattr__(self, "a", QQ(a))
         object.__setattr__(self, "b", QQ(b))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SqrtExt elements are immutable")
-
     @classmethod
     def sqrt_of_base(cls, d) -> "SqrtExt":
         return cls(d, RAT_ZERO, RAT_ONE)
 
-    def _coerce(self, other):
-        if isinstance(other, SqrtExt):
-            if other.d != self.d:
-                raise ValueError(f"radicand mismatch: {self.d} vs {other.d}")
-            return other
-        if is_rational(other):
-            return SqrtExt(self.d, other)
-        return None
+    @property
+    def _home(self):
+        return self.d
+
+    def _lift(self, x):
+        return SqrtExt(self.d, x) if is_rational(x) else None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -44,22 +40,8 @@ class SqrtExt:
             return NotImplemented
         return SqrtExt(self.d, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SqrtExt(self.d, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SqrtExt(self.d, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -70,8 +52,6 @@ class SqrtExt:
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
         )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> "SqrtExt":
         return SqrtExt(self.d, self.a, -self.b)
@@ -84,23 +64,6 @@ class SqrtExt:
         if not n:
             raise ZeroDivisionError("inverse of zero in Q(sqrt(d))")
         return SqrtExt(self.d, self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        return power(self if e >= 0 else self.inverse(), abs(e), SqrtExt(self.d, RAT_ONE))
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -30,7 +30,7 @@ from tcore.partitions import (
     kappa,
     n_weight,
 )
-from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_int, check_order
+from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_order
 from tcore.quadext import sqrt_field
 
 
@@ -251,32 +251,24 @@ def _subpartitions(cap):
     return rec(0, cap[0] if cap else 0)
 
 
-def topological_vertex(lam, mu, nu, q, eta_bound: int | None = None):
+def topological_vertex(lam, mu, nu, q):
     """The vertex C(lam, mu, nu) at rational q, as a finite exact sum.
 
-    The inner sum runs over partitions eta contained in both conj(lam) and
-    mu; terms outside that intersection vanish, so the sum is exact once
-    eta_bound reaches min(|lam|, |mu|), which is the default.  The eta-term
-    has degree |lam| + |mu| - 2|eta| and the hook factor degree -|nu|, so the
-    sum runs at y with q^(-|eta|) per term and is lifted by
+    The inner sum runs over the partitions eta contained in both conj(lam)
+    and mu; terms outside that intersection vanish, so the sum is exact.
+    The eta-term has degree |lam| + |mu| - 2|eta| and the hook factor degree
+    -|nu|, so the sum runs at y with q^(-|eta|) per term and is lifted by
     (sqrt q)^(|lam| + |mu| - |nu|) at the end.
     """
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
     q = deformation_base(q)
     lam_t = conjugate(lam)
     nu_t = conjugate(nu)
-    if eta_bound is None:
-        eta_bound = min(sum(lam), sum(mu))
-    check_int("eta_bound", eta_bound)
-    if eta_bound < 0:
-        raise ValueError(f"eta_bound must be nonnegative, got {eta_bound}")
     spec_nu = SpecPoint(q, nu)
     spec_nut = SpecPoint(q, nu_t)
     total = QQ(0)
     for eta in _subpartitions(_meet(lam_t, mu)):
         size = sum(eta)
-        if size > eta_bound:
-            continue
         term = _skew_schur_y(lam_t, eta, spec_nu) * _skew_schur_y(mu, eta, spec_nut)
         total += term * rat_pow(q, -size)
     half_kappa = (kappa(lam) + kappa(nu)) // 2

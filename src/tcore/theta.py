@@ -268,37 +268,30 @@ def level_series(t: int, r: int, l: int, order: int) -> QSeries:
             weights[n][up] -= w
             weights[n][-up % m] -= sign * w
     terms = {2 * n: Cyclo.from_powers(m, weights[n]) for n in range(1, order + 1)}
-    terms[0] = _prefactor_term(dom, r, l)
+    terms[0] = _prefactor_term(t, r, l)
     return QSeries(dom, 2 * order, terms)
 
 
-def _prefactor_polynomial(l: int) -> tuple[int, ...]:
-    """The integer coefficients, lowest first, of P_(l-1), where P_0 = X and
-    P_(k+1) = -(X + X^2) P_k'."""
-    poly = (0, 1)
-    for _ in range(l - 1):
-        deriv = [i * c for i, c in enumerate(poly)][1:]
-        # -(X + X^2) times the derivative
-        poly = tuple(-a - b for a, b in zip([0] + deriv + [0], [0, 0] + deriv))
-    return poly
-
-
-def _prefactor_term(dom: CycloDomain, r: int, l: int):
+def _prefactor_term(t: int, r: int, l: int) -> Cyclo:
     """l! times the z^l coefficient of log((x^(1/2) - x^(-1/2)) / (xi^(1/2) - xi^(-1/2))),
-    x = xi e^z, xi = xi_t^r = zeta_2t^(2r) (either branch gives the same ratio).
+    x = xi e^z, xi = xi_t^r (either branch gives the same ratio).
 
-    The z-derivative of that logarithm is 1/2 + g with g = 1/(xi e^z - 1), and
-    g' = -(g + g^2).  So the term is P_(l-1)(g(0)) (_prefactor_polynomial),
-    plus 1/2 when l = 1.  For xi of order n, g(0) = 1/(xi - 1) is
-    (1/n) sum_(j<n) j xi^j, since (xi - 1) sum_(j<n) j xi^j = n.
+    The z-derivative of that logarithm is 1/2 + 1/(x - 1).  For xi of order
+    n, 1/(x - 1) = sum_(j<n) xi^j e^(jz) / (e^(nz) - 1), and the generating
+    function of the Bernoulli polynomials, w e^(yw) / (e^w - 1) =
+    sum_k B_k(y) w^k / k!, at w = nz makes the term
+
+        [l = 1]/2 + (n^(l-1)/l) sum_(j<n) B_l(j/n) xi^j,
+
+    with B_l(y) = sum_k C(l, k) B_k y^(l-k).  The pole of each e^(jz)/(e^(nz) - 1)
+    cancels from the sum, since the powers of xi != 1 sum to zero.
     """
-    m = dom.m
-    n = m // 2 // math.gcd(r, m // 2)  # the order of xi_t^r, t = m/2
-    weights = [0] * m
-    for j in range(1, n):
-        weights[2 * r * j % m] += rat(j, n)
-    g = Cyclo.from_powers(m, weights)
-    value = dom.zero
-    for c in reversed(_prefactor_polynomial(l)):
-        value = value * g + c
-    return value + rat(1, 2) if l == 1 else value
+    m = 2 * t
+    n = t // math.gcd(r, t)  # the order of xi_t^r
+    scale = rat(n ** (l - 1), l)
+    coeffs = [scale * math.comb(l, k) * bernoulli(k) for k in range(l + 1)]
+    weights = [rat(1, 2) if l == 1 else 0] + [0] * (m - 1)
+    for j in range(n):
+        y = rat(j, n)
+        weights[2 * r * j % m] += sum(c * y ** (l - k) for k, c in enumerate(coeffs))
+    return Cyclo.from_powers(m, weights)

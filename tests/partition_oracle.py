@@ -11,6 +11,7 @@ bit(j2) = 0, and its hook length equals j2 - j1.
 from dataclasses import dataclass
 
 from tcore._rat import QQ
+from tcore import partitions
 from tcore.partitions import check_partition, hook_lengths, partitions_of
 from tcore.qseries import QQ_DOMAIN, QSeries
 
@@ -19,6 +20,15 @@ def partition_count_series(order: int) -> QSeries:
     """Generating function sum Q^|lambda| by direct enumeration."""
     terms = {2 * n: QQ(sum(1 for _ in partitions_of(n))) for n in range(order + 1)}
     return QSeries(QQ_DOMAIN, 2 * order, terms)
+
+
+def filtered_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]:
+    """t-cores grouped by size, 0..max_size, by the hook predicate over all
+    partitions of each size."""
+    return {
+        n: [lam for lam in partitions_of(n) if partitions.is_t_core(lam, t)]
+        for n in range(max_size + 1)
+    }
 
 
 def euler_product_series(order: int) -> QSeries:

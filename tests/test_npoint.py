@@ -73,6 +73,7 @@ from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, the
 
 import average_oracle
 import determinant_oracle
+from partition_oracle import filtered_t_cores
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -983,21 +984,21 @@ def test_core_estimate_is_near_the_count(t, order):
     assert abs(_core_estimate(t, order) - count) <= max(3, count // 4)
 
 
-@pytest.mark.parametrize("t, order, method", [
-    pytest.param(2, 30, "direct", id="2-30"),
-    pytest.param(3, 24, "direct", id="3-24"),
-    pytest.param(4, 16, "direct", id="4-16"),
+@pytest.mark.parametrize("t, order, cores", [
+    pytest.param(2, 30, enumerate_t_cores, id="2-30"),
+    pytest.param(3, 24, enumerate_t_cores, id="3-24"),
+    pytest.param(4, 16, enumerate_t_cores, id="4-16"),
     # the cores found by the hook predicate over all partitions, apart from
     # the charge vectors brute_force_Ft walks
-    pytest.param(2, 24, "filter", id="2-24-filter"),
-    pytest.param(3, 20, "filter", id="3-20-filter"),
-    pytest.param(4, 16, "filter", id="4-16-filter"),
-    pytest.param(5, 14, "filter", id="5-14-filter"),
+    pytest.param(2, 24, filtered_t_cores, id="2-24-filter"),
+    pytest.param(3, 20, filtered_t_cores, id="3-20-filter"),
+    pytest.param(4, 16, filtered_t_cores, id="4-16-filter"),
+    pytest.param(5, 14, filtered_t_cores, id="5-14-filter"),
 ])
-def test_average_matches_the_rational_series_quotient(t, order, method):
+def test_average_matches_the_rational_series_quotient(t, order, cores):
     # the sum of the rational moment products divided as series over Q
     svals = s_vector((QQ(53, 37) ** 2, S94))
-    groups = enumerate_t_cores(t, order, method)
+    groups = cores(t, order)
     num = {2 * size: sum((moment_product(svals, nu) for nu in group), QQ(0))
            for size, group in groups.items()}
     den = {2 * size: QQ(len(group)) for size, group in groups.items()}

@@ -26,6 +26,7 @@ import partition_oracle
 from partition_oracle import (
     MayaWindow,
     euler_product_series,
+    filtered_t_cores,
     maya,
     maya_hook_multiset,
     partition_count_series,
@@ -177,8 +178,8 @@ def test_enumerate_2_cores_are_staircases():
 
 def test_enumeration_routes_agree():
     for t in (2, 3, 4, 5):
-        direct = enumerate_t_cores(t, 20, "direct")
-        filtered = enumerate_t_cores(t, 20, "filter")
+        direct = enumerate_t_cores(t, 20)
+        filtered = filtered_t_cores(t, 20)
         for n in range(21):
             assert sorted(direct[n]) == sorted(filtered[n]), (t, n)
 
@@ -212,11 +213,10 @@ def test_enumerate_size_zero():
 
 def test_partition_generating_function():
     order = 40
-    assert partition_count_series(order) == euler_product_series(order)
+    series = partition_count_series(order)
+    assert series == euler_product_series(order)
     counts = _partition_counts()
-    assert [next(counts) for _ in range(order + 1)] == [
-        partition_count_series(order).coeff(n) for n in range(order + 1)
-    ]
+    assert [next(counts) for _ in range(order + 1)] == [series.coeff(n) for n in range(order + 1)]
 
 
 def test_t_core_generating_function_small():

@@ -267,6 +267,60 @@ def test_the_series_loops_equal_a_double_sum_and_long_division(name):
 
 
 # ---------------------------------------------------------------------------
+# the scalar plumbing Cyclo, SqrtExt, TaylorZ and Residue share
+
+# each kind of scalar: two units of one home, an element of another home of
+# the same kind, and the domain of the first home (SqrtExt has none) with a
+# scalar it cannot take
+SCALARS = {
+    "Cyclo": (
+        Cyclo.from_powers(8, [1, 2, 0, QQ(-1, 3)]),
+        Cyclo.root(8, 3) + QQ(1, 2),
+        Cyclo.root(12, 1),
+        CycloDomain(8),
+        ZN.one,
+    ),
+    "SqrtExt": (SqrtExt(2, 3, QQ(1, 2)), SqrtExt(2, -1, 2), SqrtExt(3, 0, 1), None, None),
+    "TaylorZ": (
+        TaylorZ(TAYLOR_Q, [2, 1, 0, QQ(1, 3)]),
+        TaylorZ(TAYLOR_Q, [-1, 0, 3, 1]),
+        TaylorZ.exp_of(TaylorDomain(QQ_DOMAIN, 2), 1),
+        TAYLOR_Q,
+        ZN.one,
+    ),
+    "Residue": (
+        ZN.coerce(QQ(5, 7)),
+        ZN.coerce(-11),
+        ModDomain(6, prime_pool(6, 2)).coerce(3),
+        ZN,
+        Cyclo.root(6, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", SCALARS)
+def test_the_scalars_share_their_ring_plumbing(kind):
+    a, b, other_home, dom, foreign = SCALARS[kind]
+    assert a - b == a + (-b)
+    assert 2 - a == (-a) + 2 and a - 2 == a + (-2)
+    assert 1 + a == a + 1 and 3 * a == a * 3
+    assert a / b == a * b.inverse()
+    assert 1 / a == a.inverse() and a / 3 == a * QQ(1, 3)
+    assert a ** -2 == a.inverse() * a.inverse()
+    assert a**3 == a * a * a and a**0 == 1
+    with pytest.raises(ValueError, match=f"^{a._KIND} mismatch"):
+        a + other_home
+    with pytest.raises(ValueError, match=f"^{a._KIND} mismatch"):
+        a / other_home
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(a, type(a).__slots__[0], b)
+    if dom is not None:
+        assert dom.coerce(a) is a and dom.coerce(QQ(2, 3)) == QQ(2, 3)
+        with pytest.raises(TypeError, match="cannot coerce"):
+            dom.coerce(foreign)
+
+
+# ---------------------------------------------------------------------------
 # TaylorZ
 
 

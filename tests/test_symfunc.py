@@ -434,17 +434,3 @@ def test_non_finite_base_is_rejected_by_name(call, q):
     with pytest.raises(ValueError, match="deformation base must be a finite rational number") as exc:
         call(q)
     assert repr(q) in str(exc.value)
-
-
-@pytest.mark.parametrize("bound", [0.5, -1, "1", True, QQ(1)])
-def test_vertex_rejects_a_bad_eta_bound(bound):
-    with pytest.raises(ValueError, match="eta_bound"):
-        topological_vertex((1,), (1,), (), 2, eta_bound=bound)
-
-
-def test_vertex_eta_bound_cuts_the_eta_sum():
-    full = topological_vertex((1,), (1,), (), 4)
-    assert topological_vertex((1,), (1,), (), 4, eta_bound=1) == full
-    assert topological_vertex((1,), (1,), (), 4, eta_bound=5) == full
-    # eta_bound = 0 keeps the eta = () term only
-    assert topological_vertex((1,), (1,), (), 4, eta_bound=0) == schur_hook_eval((1,), 4) ** 2

@@ -319,6 +319,36 @@ def test_level_series_matches_the_log_ratio(t):
             assert level_series(t, r, l, order) == expected, (t, r, l)
 
 
+def prefactor_by_horner(t, r, l):
+    """The oracle for the Q^0 term of level_series, by the derivatives of g.
+
+    The z-derivative of the logarithm is 1/2 + g with g = 1/(xi e^z - 1), and
+    g' = -(g + g^2), so the term is P_(l-1)(g(0)), plus 1/2 when l = 1, where
+    P_0 = X and P_(k+1) = -(X + X^2) P_k'.  For xi = xi_t^r of order n,
+    g(0) = 1/(xi - 1) is (1/n) sum_(j<n) j xi^j.
+    """
+    poly = (0, 1)
+    for _ in range(l - 1):
+        deriv = [i * c for i, c in enumerate(poly)][1:]
+        poly = tuple(-a - b for a, b in zip([0] + deriv + [0], [0, 0] + deriv))
+    m, n = 2 * t, t // math.gcd(r, t)
+    g = sum((Cyclo.root(m, 2 * r * j) * rat(j, n) for j in range(1, n)), Cyclo.zero(m))
+    value = Cyclo.zero(m)
+    for c in reversed(poly):
+        value = value * g + c
+    return value + rat(1, 2) if l == 1 else value
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+def test_level_series_constant_is_the_horner_form(t):
+    # the Bernoulli-polynomial closed form against P_(l-1)(g(0)), in every
+    # direction r < 2t off the multiples of t
+    for r in range(1, 2 * t):
+        if r % t:
+            for l in range(1, 10):
+                assert level_series(t, r, l, 0).coeff(0) == prefactor_by_horner(t, r, l), (r, l)
+
+
 @pytest.mark.parametrize("t,r,l", [(2, 1, 2), (3, 2, 1), (4, 2, 3), (5, 3, 4), (6, -1, 6)])
 def test_level_series_is_honest_about_truncation(t, r, l):
     full = level_series(t, r, l, 9)
