@@ -63,15 +63,15 @@ def power(base, n: int, one):
 
 
 class Scalar:
-    """The ring plumbing of the scalars Cyclo, SqrtExt, TaylorZ and Residue:
+    """The ring plumbing of the scalars Cyclo, SqrtExt and TaylorZ:
     immutability, coercion, subtraction, division, the reflected operations
     and integer powers.
 
     A subclass says what is its own: ``_home``, the ring an element lies in
     (a conductor, a radicand, a domain), ``_KIND``, the name of that home in
     a mismatch error, and ``_lift(x)``, x of another type as an element of
-    the home of self, or None if it is none; beside them ``__add__``, ``__neg__``, ``__mul__``,
-    ``inverse``, equality, hashing and repr.
+    the home of self, or None if it is none; beside them ``__add__``,
+    ``__neg__``, ``__mul__``, ``inverse``, equality, hashing and repr.
     """
 
     __slots__ = ()

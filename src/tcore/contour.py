@@ -81,6 +81,10 @@ __all__ = [
 
 _GUARD_BITS = 16
 _MAX_VARS = 3
+# validate_region's floor on a free log-gap, as a fraction of the equal split
+_REGION_MARGIN = 0.1
+# extract_with_doubling's budget of doublings of M
+_MAX_DOUBLINGS = 3
 _LN2 = log(2)
 
 
@@ -343,12 +347,12 @@ class QuadratureConfig:
     def n(self) -> int:
         return len(self.radii)
 
-    def validate_region(self, s, margin: float = 0.1) -> None:
+    def validate_region(self, s) -> None:
         """Check 1 < c_n < s_n c_n < ... < c_1 < s_1 c_1 < 1/|Q| with headroom.
 
         The margin rejects configurations whose smallest gap falls below the
-        given fraction of the equal-split gap, since a circle hugging one of
-        the theta zero loci ruins the exponential convergence in M.
+        fraction _REGION_MARGIN of the equal-split gap, since a circle hugging
+        one of the theta zero loci ruins the exponential convergence in M.
         """
         if len(s) != self.n:
             raise ValueError("one radius per s value is required")
@@ -366,7 +370,7 @@ class QuadratureConfig:
                 raise ValueError("no annuli fit between 1 and 1/|Q| for these s")
         gaps = [b - a for a, b in zip(chain, chain[1:])]
         free_gaps = gaps[::2]
-        floor = 0.0 if slack is None else margin * slack / (self.n + 1)
+        floor = 0.0 if slack is None else _REGION_MARGIN * slack / (self.n + 1)
         for g in gaps[1::2]:
             if g <= 0:
                 raise ValueError("every s value must exceed 1 in magnitude")
@@ -792,9 +796,10 @@ class ExtractionResult:
 
 
 def extract_with_doubling(
-    extract_at, cfg: QuadratureConfig, target_digits: int, max_doublings: int = 3
+    extract_at, cfg: QuadratureConfig, target_digits: int
 ) -> ExtractionResult:
-    """Double M until two consecutive extractions agree.
+    """Double M, at most _MAX_DOUBLINGS times, until two consecutive
+    extractions agree.
 
     ``extract_at`` maps a config to a complex value.  Agreement is demanded
     five digits beyond the target, so an accepted value has its quadrature
@@ -804,7 +809,7 @@ def extract_with_doubling(
     threshold = mp.mpf(10) ** (-(target_digits + 5))
     value = extract_at(cfg)
     est = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         cfg = replace(cfg, M=2 * cfg.M)
         refined = extract_at(cfg)
         # The difference is formed at the extraction precision; re-wrapping

@@ -16,11 +16,11 @@ same odd part, such as 4 and 8, share one pool.
 
 A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
-A Residue is a Scalar (tcore._rat), so the series loops of tcore.qseries
-run over a ModDomain as over any other domain.  A computation that must be
-fast goes further and works on the plain ints of the residues, reducing
-each sum mod N once: the closed routes (tcore.npoint._closed_sum) wrap only
-their final coefficients as residues.
+A run works on plain ints: a Modulus holds N, the powers of w and the
+inverses mod N, and the run reduces each sum mod N once and returns its
+coefficients as ints (tcore.npoint._closed_sum).  The tests wrap a Modulus
+as a coefficient domain (tests/residue_ring.py), so that their series code
+runs modulo N as well.
 
 Each coefficient is then rebuilt from its residue mod N by rational
 reconstruction (Wang 1981): the unique a/b with |a|, b <= sqrt(N/2) and
@@ -50,8 +50,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._rat import QQ, Scalar, is_rational
-from .qseries import QQ_DOMAIN, HalfExp, QSeries, _Domain
+from ._rat import QQ, rat_str
+from .qseries import QQ_DOMAIN, QSeries
 
 PRIME_BITS = 61
 
@@ -230,78 +230,12 @@ class NotInvertible(ArithmeticError):
         self.factor = factor
 
 
-class Residue(Scalar):
-    """An element of the ring Z/N of a ModDomain, held as its least
-    nonnegative representative ``v``.
-
-    Residues of one domain share the domain object, which keeps the
-    same-ring test of a sum or a product an identity test.
-    """
-
-    __slots__ = ("v", "dom")
-    _KIND = "domain"
-
-    def __init__(self, v: int, dom: "ModDomain"):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "dom", dom)
-
-    @property
-    def _home(self):
-        return self.dom
-
-    def _lift(self, x):
-        return Residue(self.dom.reduce(x), self.dom) if is_rational(x) else None
-
-    def __add__(self, other):
-        dom = self.dom
-        if type(other) is Residue and other.dom is dom:
-            v = self.v + other.v
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            v = self.v + o.v
-        return Residue(v - dom.n if v >= dom.n else v, dom)
-
-    def __neg__(self):
-        return Residue(self.dom.n - self.v if self.v else 0, self.dom)
-
-    def __mul__(self, other):
-        dom = self.dom
-        if type(other) is Residue and other.dom is dom:
-            return Residue(self.v * other.v % dom.n, dom)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Residue(self.v * o.v % dom.n, dom)
-
-    def inverse(self) -> "Residue":
-        return Residue(self.dom.invert(self.v), self.dom)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except (ValueError, ArithmeticError):
-            return False
-        if o is None:
-            return NotImplemented
-        return self.v == o.v
-
-    def __hash__(self):
-        return hash((self.v, self.dom.n))
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.dom.n})"
-
-
-class ModDomain(_Domain):
-    """Z/N for N the product of ``primes``, each = 1 (mod m), with zeta_m -> w^k.
+class Modulus:
+    """N, the product of ``primes``, each = 1 (mod m), with zeta_m -> w^k.
 
     w is the primitive m-th root of unity mod N whose residue mod each prime p
-    is the root _root_of_unity(m, p); k must be coprime to m.
+    is the root _root_of_unity(m, p); k must be coprime to m.  ``roots[e]`` is
+    w^e mod N for e < m.
     """
 
     def __init__(self, m: int, primes, k: int = 1):
@@ -309,14 +243,8 @@ class ModDomain(_Domain):
             raise ValueError(f"{k} is not coprime to {m}")
         self.m = m
         self.primes = tuple(primes)
-        n = math.prod(self.primes)
-        self.n = n
-        powers = _root_powers(m, self.primes, k)
-        self.name = f"Z/{n}[zeta{m}={powers[1 % m]}]"
-        self.zero = Residue(0, self)
-        self.one = Residue(1 % n, self)
-        self._roots = tuple(Residue(w, self) for w in powers)
-        self._reduced: dict = {}
+        self.n = math.prod(self.primes)
+        self.roots = _root_powers(m, self.primes, k)
 
     def invert(self, v: int) -> int:
         """1/v mod N.
@@ -368,32 +296,6 @@ class ModDomain(_Domain):
             raise ZeroDivisionError("inverse of a zero residue")
         raise NotInvertible(bad)
 
-    def reduce(self, x) -> int:
-        """A rational as an int mod N; its denominator must be invertible.
-
-        The reductions of proper fractions are kept, since a run reduces the
-        same few constants many times over.
-        """
-        if type(x) is not int:
-            x = QQ(x)
-            if x.denominator != 1:
-                if x not in self._reduced:
-                    try:
-                        inverse = self.invert(x.denominator)
-                    except ZeroDivisionError:
-                        # a denominator is never zero: every prime of N divides it
-                        raise NotInvertible(self.n) from None
-                    self._reduced[x] = x.numerator * inverse % self.n
-                return self._reduced[x]
-            x = x.numerator
-        return x % self.n
-
-    def root(self, m: int, e: int) -> Residue:
-        """zeta_m^e, for m dividing the conductor of the domain."""
-        if self.m % m:
-            raise ValueError(f"zeta{m} does not lie in the domain of zeta{self.m}")
-        return self._roots[e * (self.m // m) % self.m]
-
 
 def rational_reconstruct(r: int, n: int):
     """The rational a/b with a = b*r (mod n) and |a|, b <= sqrt(n/2), or None.
@@ -426,22 +328,22 @@ class _Pool:
         return out
 
 
-def _run_over(run, m: int, primes: list[int], pool: _Pool) -> QSeries:
-    """run(ModDomain(m, primes)), with the primes found bad swapped out.
+def _run_over(run, m: int, primes: list[int], pool: _Pool) -> tuple[int, dict]:
+    """run(Modulus(m, primes)), with the primes found bad swapped out.
 
     ``primes`` is updated in place, so that it names the primes of the result.
     """
     while True:
         try:
-            return run(ModDomain(m, primes))
+            return run(Modulus(m, primes))
         except NotInvertible as bad:
             kept = [p for p in primes if bad.factor % p]
             primes[:] = kept + pool.take(len(primes) - len(kept))
 
 
-def _residues(series: QSeries, n: int) -> dict[int, int]:
-    """The coefficients of a series over a ModDomain, reduced mod n | N."""
-    return {e: c.v % n for e, c in series.terms.items()}
+def _residues(terms: dict, n: int) -> dict[int, int]:
+    """The coefficients of a run, reduced mod n | N."""
+    return {e: v % n for e, v in terms.items()}
 
 
 def _image(x, p: int):
@@ -466,31 +368,33 @@ def _reconstruct(residues: dict, modulus: int, at_check: dict, check: int):
 def rational_lift(run, m: int) -> QSeries:
     """The rational series that ``run`` computes in Q(zeta_m), over Q.
 
-    ``run(dom)`` evaluates one computation over a coefficient domain with the
-    ``root`` hook and returns a QSeries over it.  Every coefficient of the
-    exact result must be rational, else ValueError; the result is a series
-    over QQ_DOMAIN, equal to the run over CycloDomain(m) pushed down to Q.
+    ``run(mod)`` evaluates one computation modulo a Modulus, with zeta_m
+    mapped to the root w of ``mod.roots``, and returns ``(trunc2, terms)``:
+    the doubled truncation order and a dict from doubled exponents to the
+    coefficients as ints mod N.  Every coefficient of the exact result must
+    be rational, else ValueError; the result is a series over QQ_DOMAIN,
+    equal to the same computation over CycloDomain(m) pushed down to Q.
     A wrong coefficient passes the check prime with probability about 2^-61.
     """
     pool = _Pool(m)
     primes = pool.take(_START_PRIMES + 1)
-    series = _run_over(run, m, primes, pool)
+    trunc2, terms = _run_over(run, m, primes, pool)
     check = primes.pop()
-    at_check = _residues(series, check)
+    at_check = _residues(terms, check)
     modulus = math.prod(primes)
-    residues = _residues(series, modulus)
+    residues = _residues(terms, modulus)
     rational = False
     while True:
         lifted = _reconstruct(residues, modulus, at_check, check)
         if lifted is not None:
-            return QSeries(QQ_DOMAIN, series.trunc2, lifted)
+            return QSeries(QQ_DOMAIN, trunc2, lifted)
         if not rational:
             _check_rational(run, m, check, at_check)
             rational = True
         # N is too small: run modulo as many new primes again and combine
         more = pool.take(len(primes))
-        extra = _run_over(run, m, more, pool)
-        if extra.trunc2 != series.trunc2:
+        extra_trunc2, extra = _run_over(run, m, more, pool)
+        if extra_trunc2 != trunc2:
             raise ArithmeticError("the truncation order differs between moduli")
         extra_mod = math.prod(more)
         extra_res = _residues(extra, extra_mod)
@@ -513,12 +417,12 @@ def _check_rational(run, m: int, check: int, at_check: dict) -> None:
         if math.gcd(k, m) != 1:
             continue
         try:
-            other = _residues(run(ModDomain(m, [check], k)), check)
+            other = _residues(run(Modulus(m, [check], k))[1], check)
         except (ZeroDivisionError, NotInvertible):
             continue  # a value of this embedding vanishes at the check prime
         for e in other.keys() | at_check.keys():
             if other.get(e, 0) != at_check.get(e, 0):
                 raise ValueError(
-                    f"the coefficient of Q^{HalfExp(e)!r} is not rational: the embeddings "
+                    f"the coefficient of Q^{rat_str(QQ(e, 2))} is not rational: the embeddings "
                     f"zeta{m} -> w and zeta{m} -> w^{k} disagree at the check prime"
                 )

@@ -23,7 +23,7 @@ from itertools import combinations, permutations, product
 from operator import add
 
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
-from tcore.modular import Residue, rational_lift
+from tcore.modular import rational_lift
 from tcore.partitions import (
     _balanced_options,
     _charge_walk,
@@ -469,8 +469,9 @@ def _exp_mod(s: list[int], inv: list[int], n: int) -> list[int]:
     return e
 
 
-def _closed_sum(dom, t: int, svals, order: int, layout) -> QSeries:
-    """The closed sum over one ModDomain holding xi_2t, in Frobenius's product form.
+def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
+    """The closed sum modulo one Modulus of conductor 2t, in Frobenius's
+    product form, as rational_lift reads a run: (trunc2, {exp2: int mod N}).
 
     Take a set partition with block products b_1..b_k and a label tuple l.
     With x_i = b_i xi_t^(-l_i), y_j = xi_t^(l_j) and the literal branches
@@ -505,11 +506,11 @@ def _closed_sum(dom, t: int, svals, order: int, layout) -> QSeries:
     d mod t), every inverse comes from two batched inversions, and a term
     costs one sum of lists and one exp (_exp_mod).
     """
-    N = dom.n
+    N = mod.n
     n = len(svals)
     full = (1 << n) - 1
     pq = [x for sv in svals for x in (sv.sqrt_s.numerator, sv.sqrt_s.denominator)]
-    inv = dom.inverses(pq + list(range(1, order + 1)) + [t])
+    inv = mod.inverses(pq + list(range(1, order + 1)) + [t])
     inv_k = [0] + inv[2 * n:2 * n + order]
     inv_t = inv[-1]
 
@@ -522,13 +523,13 @@ def _closed_sum(dom, t: int, svals, order: int, layout) -> QSeries:
         root_inv[mask] = root_inv[rest] * pq[2 * a + 1] % N * inv[2 * a] % N
     b = [r * r % N for r in root]
     b_inv = [r * r % N for r in root_inv]
-    xi = [dom.root(t, e).v for e in range(t)]
+    xi = mod.roots[::2]  # xi_t^e = zeta_2t^(2e) for e < t
 
     # 1/(b xi^e - 1) for the masks of blocks beside others, and 1/(s_j^t - 1)
     proper = range(1, full)
     dens = [b[mask] * xi[e] - 1 for mask in proper for e in range(1, t)]
     points = [pow(b[1 << j], t, N) - 1 for j in range(n)]
-    inv2 = dom.inverses(dens + points)
+    inv2 = mod.inverses(dens + points)
     inv_d = {mask: [0] + inv2[i * (t - 1):(i + 1) * (t - 1)] for i, mask in enumerate(proper)}
 
     powers: dict = {}
@@ -616,13 +617,13 @@ def _closed_sum(dom, t: int, svals, order: int, layout) -> QSeries:
     scale = 1
     for j in range(n):
         scale = scale * pow(root[1 << j], t, N) % N * inv2[len(dens) + j] % N
-    return QSeries(dom, 2 * order, {2 * m: Residue(v * scale % N, dom) for m, v in enumerate(acc)})
+    return 2 * order, {2 * m: v * scale % N for m, v in enumerate(acc)}
 
 
 def _closed_lift(t: int, svals, order: int) -> QSeries:
     """The closed sum over Q: _closed_sum modulo primes, through rational_lift."""
     layout = _closed_layout(t, len(svals))
-    return rational_lift(lambda dom: _closed_sum(dom, t, svals, order, layout), 2 * t)
+    return rational_lift(lambda mod: _closed_sum(mod, t, svals, order, layout), 2 * t)
 
 
 def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:

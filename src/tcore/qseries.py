@@ -10,8 +10,9 @@ Exponent convention: every Q-exponent is stored DOUBLED as a plain int
 ("exp2"), so Q^(3/2) lives at key 3 and Q^2 at key 4.  Half-integer powers
 are pervasive here (theta sums carry Q^(a^2/2), the n-point weights carry
 s^(1/2)), and doubling keeps the bookkeeping in integers.  Public entry
-points accept either a plain int meaning a whole power of Q, or a HalfExp;
-internal code passes doubled ints.
+points take the exponent itself: an int, or a Fraction whose denominator is
+1 or 2, such as QQ(3, 2) for Q^(3/2); internal code passes doubled ints.
+Reprs print an exponent as its rat_str, "3/2" or "2".
 
 QSeries and BiSeries share one base, _Series, which holds the ring
 plumbing (sums, negation, scaling, powers, truncation, equality and
@@ -24,7 +25,7 @@ truncated quotient by schoolbook long division.  QSeries products, qdiv,
 and the products, inverses and logarithms of TaylorZ all call them; only
 BiSeries, whose keys are pairs, keeps its own product loop.  The loops add,
 multiply and divide the coefficients as they are: plain rationals or the
-Scalars of tcore._rat (Cyclo, SqrtExt, TaylorZ, Residue).
+Scalars of tcore._rat (Cyclo, SqrtExt, TaylorZ).
 
 Exp and the division of a BiSeries are one graded recurrence over the
 pieces of one degree each (_graded): qexp solves d E_d = sum_k k L_k E_(d-k),
@@ -47,67 +48,13 @@ from .cyclo import Cyclo
 from .quadext import SqrtExt
 
 
-class HalfExp:
-    """An exponent n/2 stored as the integer n (twice the value)."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        object.__setattr__(self, "twice", int(twice))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfExp is immutable")
-
-    def __add__(self, other):
-        return HalfExp(self.twice + _as_exp2(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfExp(self.twice - _as_exp2(other))
-
-    def __neg__(self):
-        return HalfExp(-self.twice)
-
-    def __eq__(self, other):
-        try:
-            return self.twice == _as_exp2(other)
-        except TypeError:
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < _as_exp2(other)
-
-    def __le__(self, other):
-        return self.twice <= _as_exp2(other)
-
-    def __gt__(self, other):
-        return self.twice > _as_exp2(other)
-
-    def __ge__(self, other):
-        return self.twice >= _as_exp2(other)
-
-    def __hash__(self):
-        return hash(("HalfExp", self.twice))
-
-    def __repr__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-
-def half(twice: int) -> HalfExp:
-    """The exponent twice/2; half(3) is the exponent 3/2."""
-    return HalfExp(twice)
-
-
 def _as_exp2(order) -> int:
-    """Doubled exponent from an int (whole power) or a HalfExp."""
-    if isinstance(order, HalfExp):
-        return order.twice
+    """Doubled exponent from an int, or a Fraction whose denominator is 1 or 2."""
     if isinstance(order, int):
         return 2 * order
-    raise TypeError(f"expected int or HalfExp, got {type(order).__name__}")
+    if isinstance(order, QQ) and order.denominator <= 2:
+        return int(2 * order)
+    raise TypeError(f"expected an int or a half-integer Fraction, got {order!r}")
 
 
 def _is_int(x) -> bool:
@@ -129,12 +76,16 @@ def check_order(order) -> None:
 
 
 def check_half_order(order) -> int:
-    """The doubled truncation order of a route that also takes a HalfExp.
+    """The doubled truncation order of a route that also takes a half-integer
+    Fraction.
 
-    Anything but a nonnegative int or HalfExp is refused, as in check_order.
+    Anything but a nonnegative int or a Fraction with denominator 1 or 2 is
+    refused, as in check_order.
     """
-    if not (_is_int(order) or isinstance(order, HalfExp)):
-        raise ValueError(f"order must be an int or a HalfExp, not {type(order).__name__}")
+    if not (_is_int(order) or isinstance(order, QQ) and order.denominator <= 2):
+        raise ValueError(
+            f"order must be an int or a half-integer Fraction, not {type(order).__name__}"
+        )
     if order < 0:
         raise ValueError("order must be nonnegative")
     return _as_exp2(order)
@@ -332,11 +283,11 @@ class TaylorZ(Scalar):
         return self.dom
 
     def _lift(self, x):
-        """x constant in z, if the inner domain takes it."""
+        """x constant in z, or None if the inner domain refuses it."""
         inner = self.dom.inner
         try:
             c = inner.coerce(x)
-        except TypeError:
+        except (TypeError, ValueError):
             return None
         return TaylorZ(self.dom, (c,) + (inner.zero,) * self.dom.z_order)
 
@@ -525,7 +476,7 @@ class _Series:
     # -- reshaping ---------------------------------------------------------
 
     def truncated(self, order):
-        """The series cut to degree at most order (an int or a HalfExp)."""
+        """The series cut to degree at most order (an int or a half-integer Fraction)."""
         return self._cut(_as_exp2(order))
 
     def _cut(self, t2: int):
@@ -616,7 +567,7 @@ class QSeries(_Series):
         return min(self.terms) if self.terms else None
 
     def coeff(self, exp):
-        """Coefficient of Q^exp (int or HalfExp)."""
+        """Coefficient of Q^exp (an int or a half-integer Fraction)."""
         return self.terms.get(_as_exp2(exp), self.dom.zero)
 
     def coeff2(self, exp2: int):
@@ -667,11 +618,11 @@ class QSeries(_Series):
         bits = []
         for e in sorted(self.terms):
             c = self.terms[e]
-            mono = "" if e == 0 else ("Q" if e == 2 else f"Q^{HalfExp(e)!r}")
+            mono = "" if e == 0 else ("Q" if e == 2 else f"Q^{rat_str(QQ(e, 2))}")
             cs = rat_str(c) if isinstance(c, QQ) else repr(c)
             bits.append(cs if not mono else f"({cs})*{mono}")
         body = " + ".join(bits) if bits else "0"
-        return f"{body} + O(Q^{HalfExp(self.trunc2 + 1)!r})"
+        return f"{body} + O(Q^{rat_str(QQ(self.trunc2 + 1, 2))})"
 
 
 def qdiv(a: QSeries, b: QSeries) -> QSeries:
@@ -798,10 +749,10 @@ class BiSeries(_Series):
             c = self.terms[(eq, e1)]
             mono = []
             if eq:
-                mono.append("Q" if eq == 2 else f"Q^{HalfExp(eq)!r}")
+                mono.append("Q" if eq == 2 else f"Q^{rat_str(QQ(eq, 2))}")
             if e1:
-                mono.append("Q1" if e1 == 2 else f"Q1^{HalfExp(e1)!r}")
+                mono.append("Q1" if e1 == 2 else f"Q1^{rat_str(QQ(e1, 2))}")
             cs = rat_str(c) if is_rational(c) else repr(c)
             bits.append("*".join([f"({cs})"] + mono) if mono else cs)
         body = " + ".join(bits) if bits else "0"
-        return f"{body} + O(total {HalfExp(self.trunc2 + 1)!r})"
+        return f"{body} + O(total {rat_str(QQ(self.trunc2 + 1, 2))})"

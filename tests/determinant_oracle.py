@@ -20,6 +20,8 @@ from tcore.npoint import SValue, s_vector, set_partitions
 from tcore.qseries import QSeries, qdiv
 from tcore.theta import ThetaArg, theta3, vartheta
 
+from residue_ring import int_run
+
 
 def _block_product(svals, block) -> SValue:
     s = math.prod((svals[x - 1].s for x in block), start=QQ(1))
@@ -187,7 +189,7 @@ def closed_series(dom, t: int, svals, order: int, all_tuples: bool, Q2=None, r=N
     """The determinant sum of closed_Ft (given Q2) or closed_Ft_r (given r), over dom.
 
     dom is any coefficient domain whose ``root`` hook holds xi_2t: the
-    residue domains of ``rational_lift``, or the exact CycloDomain(2t),
+    residue rings of tests/residue_ring.py, or the exact CycloDomain(2t),
     which gives the same series in Q(xi_2t), with rational values.
     """
     table = _ThetaTable(t, order, dom)
@@ -227,5 +229,5 @@ def lifted(t: int, s_values, order: int, all_tuples: bool = False, Q2=None, r=No
     svals = s_vector(s_values)
     Q2 = None if Q2 is None else QQ(Q2)
     return rational_lift(
-        lambda dom: closed_series(dom, t, svals, order, all_tuples, Q2=Q2, r=r), 2 * t
+        int_run(lambda dom: closed_series(dom, t, svals, order, all_tuples, Q2=Q2, r=r)), 2 * t
     )

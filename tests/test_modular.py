@@ -1,5 +1,6 @@
-"""The residue layer behind the closed routes: Z/N domains, rational
-reconstruction, the check prime and the lift of a whole computation."""
+"""The residue layer behind the closed routes: moduli and their residue
+rings, rational reconstruction, the check prime and the lift of a whole
+computation."""
 
 import math
 
@@ -12,9 +13,8 @@ from tcore.cyclo import Cyclo
 from tcore.modular import (
     PRIME_BITS,
     _START_PRIMES,
-    ModDomain,
+    Modulus,
     NotInvertible,
-    Residue,
     _Pool,
     _root_of_unity,
     _run_over,
@@ -27,6 +27,7 @@ from tcore.qseries import QQ_DOMAIN, CycloDomain, QSeries, TaylorDomain, qdiv
 from tcore.theta import ThetaArg, vartheta
 
 import determinant_oracle
+from residue_ring import Residue, ResidueRing, int_run
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -118,10 +119,10 @@ def test_pool_primes_are_one_mod_m_and_distinct(m):
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
 @pytest.mark.parametrize("k", [1, -1])
 def test_domain_root_is_a_primitive_root_of_unity(m, k):
-    dom = ModDomain(m, prime_pool(m, 3), k % m)
+    dom = ResidueRing(Modulus(m, prime_pool(m, 3), k % m))
     w = dom.root(m, 1)
     assert _power(w, m) == dom.one
-    for p in dom.primes:
+    for p in dom.mod.primes:
         # primitive modulo every prime of N, not only modulo N
         assert all(_power(w, m // q).v % p != 1 for q in range(2, m + 1) if m % q == 0)
     # the hook reads zeta_d for every divisor d of the conductor
@@ -142,7 +143,7 @@ def test_every_domain_has_the_root_hook():
     assert QQ_DOMAIN.root(2, 3) == -1 and QQ_DOMAIN.root(1, 5) == 1
     tdom = TaylorDomain(CycloDomain(6), 2)
     assert tdom.root(6, 1) == tdom.coerce(Cyclo.root(6, 1))
-    for dom in (CycloDomain(6), QQ_DOMAIN, ModDomain(6, prime_pool(6, 2))):
+    for dom in (CycloDomain(6), QQ_DOMAIN, ResidueRing(Modulus(6, prime_pool(6, 2)))):
         with pytest.raises(ValueError):
             dom.root(4, 1)
 
@@ -157,7 +158,7 @@ rationals = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(rationals, rationals)
 def test_reduction_is_a_ring_homomorphism(a, b):
-    dom = ModDomain(6, prime_pool(6, 4))
+    dom = ResidueRing(Modulus(6, prime_pool(6, 4)))
     ra, rb = dom.coerce(a), dom.coerce(b)
     assert ra + rb == dom.coerce(a + b)
     assert ra - rb == dom.coerce(a - b)
@@ -171,7 +172,7 @@ def test_reduction_is_a_ring_homomorphism(a, b):
 
 def test_a_residue_vanishing_at_some_primes_names_them():
     primes = prime_pool(4, 3)
-    dom = ModDomain(4, primes)
+    dom = ResidueRing(Modulus(4, primes))
     bad = Residue(primes[0] * primes[2] * 5 % dom.n, dom)
     with pytest.raises(NotInvertible) as err:
         dom.one / bad
@@ -183,30 +184,30 @@ def test_a_residue_vanishing_at_some_primes_names_them():
 
 
 def test_domains_of_different_moduli_do_not_mix():
-    a = ModDomain(4, prime_pool(4, 2))
-    b = ModDomain(4, prime_pool(4, 3))
+    a = ResidueRing(Modulus(4, prime_pool(4, 2)))
+    b = ResidueRing(Modulus(4, prime_pool(4, 3)))
     assert a != b
     with pytest.raises(ValueError):
         a.one + b.one
 
 
 def test_invert_by_pow_agrees_with_the_walk_over_the_primes():
-    dom = ModDomain(6, prime_pool(6, 4))
-    for v in (1, 2, dom.n - 1, 3**400 % dom.n, dom.primes[0] + 1, dom.n // 7 + 5):
-        assert dom.invert(v) == dom._invert_by_primes(v)
-        assert dom.invert(v) * v % dom.n == 1
-    bad = dom.primes[1] * dom.primes[3] * 11
-    for invert in (dom.invert, dom._invert_by_primes):
+    mod = Modulus(6, prime_pool(6, 4))
+    for v in (1, 2, mod.n - 1, 3**400 % mod.n, mod.primes[0] + 1, mod.n // 7 + 5):
+        assert mod.invert(v) == mod._invert_by_primes(v)
+        assert mod.invert(v) * v % mod.n == 1
+    bad = mod.primes[1] * mod.primes[3] * 11
+    for invert in (mod.invert, mod._invert_by_primes):
         with pytest.raises(NotInvertible) as err:
             invert(bad)
-        assert err.value.factor == dom.primes[1] * dom.primes[3]
+        assert err.value.factor == mod.primes[1] * mod.primes[3]
         with pytest.raises(ZeroDivisionError):
-            invert(2 * dom.n)
+            invert(2 * mod.n)
 
 
 def test_a_reduction_is_kept_only_when_it_succeeds():
     primes = prime_pool(4, 3)
-    dom = ModDomain(4, primes)
+    dom = ResidueRing(Modulus(4, primes))
     x = QQ(-5, 21)
     assert dom.reduce(x) == dom.reduce(x) == -5 * pow(21, -1, dom.n) % dom.n
     for _ in range(2):
@@ -218,8 +219,8 @@ def test_a_reduction_is_kept_only_when_it_succeeds():
 
 
 def test_a_divisor_vanishing_at_some_primes_names_exactly_them():
-    dom = ModDomain(6, prime_pool(6, 3))
-    p, q = dom.primes[0], dom.primes[2]
+    dom = ResidueRing(Modulus(6, prime_pool(6, 3)))
+    p, q = dom.mod.primes[0], dom.mod.primes[2]
     num = QSeries(dom, 8, {0: dom.one, 3: dom.coerce(5)})
     den = QSeries(dom, 8, {-1: dom.coerce(7 * p * q), 2: dom.one})
     with pytest.raises(NotInvertible) as err:
@@ -241,9 +242,9 @@ def test_a_bad_prime_of_a_divisor_is_swapped_out():
 
     pool = _Pool(m)
     primes = pool.take(3)
-    series = _run_over(run, m, primes, pool)
-    assert first not in primes and series == run(ModDomain(m, primes))
-    assert rational_lift(run, m) == rational_series(run(CycloDomain(m)))
+    got = _run_over(int_run(run), m, primes, pool)
+    assert first not in primes and got == int_run(run)(Modulus(m, primes))
+    assert rational_lift(int_run(run), m) == rational_series(run(CycloDomain(m)))
 
 
 # -- rational reconstruction -------------------------------------------------------
@@ -294,10 +295,10 @@ def test_lift_grows_the_modulus_until_the_check_prime_agrees():
     runs = []
 
     def run(dom):
-        runs.append(len(dom.primes))
+        runs.append(len(dom.mod.primes))
         return QSeries(dom, 4, {0: dom.coerce(x), 2: dom.one})
 
-    lifted = rational_lift(run, 4)
+    lifted = rational_lift(int_run(run), 4)
     assert lifted == QSeries(QQ_DOMAIN, 4, {0: x, 2: QQ(1)})
     # the first N with its check prime, the check prime under zeta -> w^3,
     # then N grown twice
@@ -308,34 +309,37 @@ def test_lift_grows_the_modulus_until_the_check_prime_agrees():
 
 
 def test_batched_inverses_are_the_inverses():
-    dom = ModDomain(4, prime_pool(4, 3))
-    values = [1, 2, 3, dom.n - 1, 10**40 + 7, -5]
-    assert dom.inverses(values) == [pow(v, -1, dom.n) for v in values]
-    assert dom.inverses([]) == []
+    mod = Modulus(4, prime_pool(4, 3))
+    values = [1, 2, 3, mod.n - 1, 10**40 + 7, -5]
+    assert mod.inverses(values) == [pow(v, -1, mod.n) for v in values]
+    assert mod.inverses([]) == []
 
 
 def test_batched_inverses_name_a_bad_prime():
     p, q, r = prime_pool(4, 3)
-    dom = ModDomain(4, (p, q, r))
+    mod = Modulus(4, (p, q, r))
     with pytest.raises(NotInvertible) as bad:
-        dom.inverses([3, 7 * q, 11])
+        mod.inverses([3, 7 * q, 11])
     assert bad.value.factor == q
     with pytest.raises(ZeroDivisionError):
-        dom.inverses([3, dom.n])
+        mod.inverses([3, mod.n])
 
 
 def test_a_bad_prime_is_swapped_out():
     m = 4
     first = prime_pool(m, 1)[0]
 
+    rings = []
+
     def run(dom):
+        rings.append(dom)
         return QSeries(dom, 0, {0: dom.coerce(QQ(1, first))})
 
     pool = _Pool(m)
     primes = pool.take(3)
-    series = _run_over(run, m, primes, pool)
+    _run_over(int_run(run), m, primes, pool)
     assert first not in primes and len(primes) == 3
-    assert series.dom.primes == tuple(primes)
+    assert rings[-1].mod.primes == tuple(primes)
 
 
 def test_a_denominator_divisible_by_every_prime_of_n_is_not_a_zero():
@@ -346,7 +350,7 @@ def test_a_denominator_divisible_by_every_prime_of_n_is_not_a_zero():
     def run(dom):
         return QSeries(dom, 0, {0: dom.coerce(QQ(1, d))})
 
-    assert rational_lift(run, 4) == QSeries(QQ_DOMAIN, 0, {0: QQ(1, d)})
+    assert rational_lift(int_run(run), 4) == QSeries(QQ_DOMAIN, 0, {0: QQ(1, d)})
 
 
 def test_s_value_with_a_pool_prime_denominator_matches_the_exact_engine():
@@ -370,7 +374,7 @@ def test_lift_of_an_irrational_series_raises_after_one_embedding_sweep():
         return vartheta(ThetaArg.scaled_root(QQ(1), t=4, e=1, dom=dom), 6)
 
     with pytest.raises(ValueError, match="not rational"):
-        rational_lift(run, 8)
+        rational_lift(int_run(run), 8)
     assert len(runs) <= 4  # the first run and at most one per embedding k = 3, 5, 7
 
 
@@ -380,7 +384,20 @@ def test_lift_of_a_real_irrational_constant_raises():
         return QSeries(dom, 2, {0: dom.root(8, 1) + dom.root(8, 7)})
 
     with pytest.raises(ValueError, match="not rational"):
-        rational_lift(run, 8)
+        rational_lift(int_run(run), 8)
+
+
+@pytest.mark.parametrize("exp2,text", [(3, "3/2"), (-1, "-1/2"), (4, "2")])
+def test_the_not_rational_error_prints_its_exponent_as_a_fraction(exp2, text):
+    def run(dom):
+        return QSeries(dom, 4, {exp2: dom.root(8, 1) + dom.root(8, 7)})
+
+    with pytest.raises(ValueError) as err:
+        rational_lift(int_run(run), 8)
+    assert str(err.value) == (
+        f"the coefficient of Q^{text} is not rational: the embeddings "
+        "zeta8 -> w and zeta8 -> w^3 disagree at the check prime"
+    )
 
 
 def test_a_true_zero_denominator_stays_a_zero_division():
@@ -388,7 +405,7 @@ def test_a_true_zero_denominator_stays_a_zero_division():
         return QSeries(dom, 0, {0: dom.one / (dom.root(4, 1) * dom.root(4, 1) + dom.one)})
 
     with pytest.raises(ZeroDivisionError):
-        rational_lift(run, 4)
+        rational_lift(int_run(run), 4)
 
 
 # -- the closed routes against the exact engine ------------------------------------------

@@ -61,11 +61,9 @@ from tcore.contour import QuadratureConfig, extract_cor42
 from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
-    HalfExp,
     QSeries,
     TaylorDomain,
     TaylorZ,
-    half,
     qdiv,
 )
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
@@ -257,7 +255,8 @@ def test_closed_Ft_of_no_s_values_is_one_over_Q():
 
 
 # every public route that takes a truncation order, as a function of it;
-# the indices 10..13 are the theta series, which also take a HalfExp
+# the indices 10..13 are the theta series, which also take a half-integer
+# Fraction
 ORDER_ROUTES = [
     lambda N: brute_force_Ft(2, (S4,), N),
     lambda N: bloch_okounkov_F((S4,), N),
@@ -286,11 +285,13 @@ def test_negative_order_is_rejected_at_the_boundary(route):
 
 
 @pytest.mark.parametrize("route", ORDER_ROUTES, ids=range(len(ORDER_ROUTES)))
-@pytest.mark.parametrize("bad", [2.0, 2.5, QQ(3), "3", True, half(5)],
-                         ids=["float", "float-half", "Fraction", "str", "bool", "HalfExp"])
+# the id "HalfExp" names the half-integer exponent 5/2
+@pytest.mark.parametrize("bad", [2.0, 2.5, QQ(3), "3", True, QQ(5, 2), QQ(7, 3)],
+                         ids=["float", "float-half", "Fraction", "str", "bool", "HalfExp",
+                              "Fraction-third"])
 def test_an_order_of_the_wrong_type_is_rejected_at_the_boundary(route, bad):
-    if route in HALF_ORDER_ROUTES and isinstance(bad, HalfExp):
-        assert route(bad).trunc2 == 5
+    if route in HALF_ORDER_ROUTES and isinstance(bad, QQ) and bad.denominator <= 2:
+        assert route(bad).trunc2 == 2 * bad
         return
     with pytest.raises(ValueError, match=f"order must be an int.*not {type(bad).__name__}$"):
         route(bad)
@@ -1053,6 +1054,36 @@ def test_correlation_f2_is_an_eisenstein_combination(t):
     difference = table[(2,)] - reference
     nonconstant = {e: c for e, c in difference.terms.items() if e != 0}
     assert not nonconstant
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_correlation_slots_at_one_point_are_eisenstein_exponentials(t):
+    # z F_t(e^z) = [z / (e^(z/2) - e^(-z/2))] exp(sum_(l even >= 2) c_l z^l), with
+    # c_l = (2/l!) (G_l(Q) - t^l G_l(Q^t)) less its constant and G_l the
+    # Eisenstein series of weight l: every slot through z^12 and Q^30 is a
+    # polynomial in the G_l(Q) and G_l(Q^t), the quasimodularity at n = 1
+    order, top = 30, 12
+    table = correlation_expansion(t, 1, (top,), order)
+    zero = QSeries.zero(QQ_DOMAIN, order)
+    logs = [zero] * (top + 1)
+    for l in range(2, top + 1, 2):
+        g = eisenstein(l // 2, order)
+        g_t = g.substituted_power(t).truncated(order)
+        c = g - g_t.map_coeffs(lambda v: v * t**l)
+        c = QSeries(QQ_DOMAIN, 2 * order, {e: v for e, v in c.terms.items() if e})
+        logs[l] = c.map_coeffs(lambda v: v * QQ(2, math.factorial(l)))
+    # exp of sum_l logs[l] z^l, one z-degree at a time: k E_k = sum_j j C_j E_(k-j)
+    exps = [QSeries.one(QQ_DOMAIN, order)]
+    for k in range(1, top + 1):
+        acc = sum((logs[j] * exps[k - j] * j for j in range(2, k + 1, 2)), zero)
+        exps.append(acc.map_coeffs(lambda v: v / k))
+    # z / (e^(z/2) - e^(-z/2)), the inverse of sum_(k even) z^k / (2^k (k+1)!)
+    tdom = TaylorDomain(QQ_DOMAIN, top)
+    sinh = TaylorZ(tdom, [QQ(1 - k % 2, 2**k * math.factorial(k + 1)) for k in range(top + 1)])
+    scale = sinh.inverse()
+    for l in range(top + 1):
+        want = sum((exps[l - m] * scale.coeff(m) for m in range(l + 1)), zero)
+        assert table[(l,)] == want, l
 
 
 def test_correlation_f2_matches_laurent_fit_of_enumeration():

@@ -11,11 +11,9 @@ from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
     CycloDomain,
-    HalfExp,
     QSeries,
     TaylorDomain,
     TaylorZ,
-    half,
     lift_series,
     qdiv,
     qlog,
@@ -58,10 +56,10 @@ def vartheta_product(arg, order):
 
 def _linear_factor(dom, coeff, exp2: int, order2: int, sign: int = -1) -> QSeries:
     """1 + sign * coeff * Q^(exp2/2), collapsing to 1 past the window."""
-    one = QSeries.one(dom, HalfExp(order2))
+    one = QSeries.one(dom, QQ(order2, 2))
     if exp2 > order2:
         return one
-    mono = QSeries.monomial(dom, coeff, HalfExp(exp2), HalfExp(order2))
+    mono = QSeries.monomial(dom, coeff, QQ(exp2, 2), QQ(order2, 2))
     return one + mono if sign > 0 else one - mono
 
 
@@ -179,7 +177,7 @@ def test_vartheta_product_matches_sum_route():
     for arg in _oracle_args():
         oracle = vartheta_product(arg, 12)
         for order2 in range(25):
-            assert vartheta(arg, half(order2)) == oracle.truncated(half(order2)), (arg, order2)
+            assert vartheta(arg, QQ(order2, 2)) == oracle.truncated(QQ(order2, 2)), (arg, order2)
 
 
 def test_euler_cube_is_jacobi_series():
@@ -188,12 +186,12 @@ def test_euler_cube_is_jacobi_series():
     for b in range(1, 31):
         prod = prod * (one - QSeries.monomial(QQ_DOMAIN, 1, b, 30)) ** 3
     for order2 in (0, 1, 12, 60):
-        assert _euler_cube(QQ_DOMAIN, order2) == prod.truncated(half(order2))
+        assert _euler_cube(QQ_DOMAIN, order2) == prod.truncated(QQ(order2, 2))
 
 
 def test_theta3_half_order():
     arg = ThetaArg(QQ(3))
-    s = theta3(arg, half(1))
+    s = theta3(arg, QQ(1, 2))
     assert s.coeff(0) == 1
     assert s.coeff2(1) == 3 + rat(1, 3)
 
