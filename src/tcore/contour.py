@@ -11,12 +11,12 @@ nome.
 A note on branches.  The odd theta function carries a factor z^(1/2), so a
 single theta value is only defined up to sign.  In every integrand used here
 the half-powers occur in reciprocal pairs: numerator against denominator
-within each grid axis, row against column inside the determinants.  The
-evaluators therefore never take a square root of a grid variable.  Each theta
-value is split as z^(1/2) * (1 - 1/z) * (even product), the paired z^(1/2)
-factors are cancelled by hand before any evaluation happens, and what remains
-is a single-valued function of the grid point.  Square roots are taken only
-of positive reals and of the nome itself.
+within each grid axis and within each cross ratio.  The evaluators therefore
+never take a square root of a grid variable.  Each theta value is split as
+z^(1/2) * (1 - 1/z) * (even product), the paired z^(1/2) factors are
+cancelled by hand before any evaluation happens, and what remains is a
+single-valued function of the grid point.  The only square roots taken are
+those of the s-values in the constant.
 
 On the grid axes of the t-core integrands the pairing goes one step
 further.  The t thetas at the arguments -w xi^a, xi^a running over the t-th
@@ -28,20 +28,19 @@ integrand's constant.
 
 Every theta the integrands need on the grid sits on a geometric grid
 r x^k, x = exp(2 pi i / M), with one radius r per factor: (-c_j)^t and
-s_j^t (-c_j)^t on the axes; in the couplings c_k / c_i times 1, an s-value
-or a ratio of s-values, and for Theta_3 sign Q2 over such a radius.  Each
-such factor is tabulated once, as its triple-product Laurent sum, and the
-grid average reads products of table entries:
+s_j^t (-c_j)^t on the axes, and in the cross ratios c_k / c_i times 1, an
+s-value or a ratio of s-values.  Each such factor is tabulated once, as its
+triple-product Laurent sum, and the grid average reads products of table
+entries:
 
 - Every table on the grid is block floating point, a ``_Block``: a list of
   Gaussian-integer mantissas (re, im) that share one binary exponent.  A
   theta table takes its exponent from its Laurent terms, with prec + 16
   fraction bits below the largest term, and sums the integer terms against
-  an integer table of roots of unity.  The axis ratios, the couplings, the
-  determinants and the transforms of the grid average are integer products
-  and quotients of such tables; only the mean becomes an mpmath number, at
-  the working precision.  Integer sums are exact, so no summation order
-  needs fixing.
+  an integer table of roots of unity.  The axis ratios, the cross ratios and
+  the transforms of the grid average are integer products and quotients of
+  such tables; only the mean becomes an mpmath number, at the working
+  precision.  Integer sums are exact, so no summation order needs fixing.
 - The phase table holds the M-th roots of unity times 2^(prec + 16), rounded
   to Gaussian integers.  It is built once per precision, at the largest M
   asked for so far, and every extraction at that precision reads its
@@ -63,6 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from math import exp, gcd, log
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import fzero, to_fixed
@@ -157,15 +157,6 @@ def _normalized(block: _Block, bits: int) -> _Block:
     return _Block(block.exp + shift, values)
 
 
-def _aligned(blocks: list) -> list:
-    """The blocks shifted, exactly, to their lowest exponent."""
-    low = min(b.exp for b in blocks)
-    return [
-        _Block(low, [(x << b.exp - low, y << b.exp - low) for x, y in b]) if b.exp > low else b
-        for b in blocks
-    ]
-
-
 def _total(block: _Block) -> tuple:
     return sum(x for x, _ in block), sum(y for _, y in block)
 
@@ -201,49 +192,43 @@ def _phases(M: int, bits: int) -> list:
 
 
 class _ThetaSum:
-    """One theta function at one nome, as its Laurent series sum_n a_n z^n.
+    """The odd theta function at one nome, as its Laurent series sum_n a_n z^n.
 
-    ``vartheta``: the odd theta with its z^(1/2) stripped off,
+    With its z^(1/2) stripped off it is
     (1 - 1/z) prod_b (1 - z Q^b)(1 - Q^b/z) / (1 - Q^b)^2, which by the
-    Jacobi triple product is sum_n (-1)^n Q^(n(n+1)/2) z^n / (Q; Q)^3.
-    ``theta3``: prod_b (1 - Q^b)(1 + z Q^(b-1/2))(1 + Q^(b-1/2)/z), which is
-    sum_n Q^(n^2/2) z^n with the principal square root of Q.
+    Jacobi triple product is sum_n (-1)^n Q^(n(n+1)/2) z^n / (Q; Q)^3.  The
+    paper's determinant forms also hold Theta_3 values in a free parameter
+    Q2; by Frobenius's elliptic Cauchy determinant (J. reine angew. Math. 93,
+    1882) they cancel, as in closed_Ft, so no other theta is tabulated.
 
-    Either way |a_n| is a constant times |Q|^((n^2 + shift n)/2), so at
-    |z| = r the terms fall off on both sides of the largest one.  ``terms``
-    keeps those within 2^-bits of it, ``bits`` = prec + guard; the guard
-    keeps the discarded tail and the rounding of the integer sums below the
-    rounding floor of the working precision.  At Q = 1/100 and 80 bits that
-    is about 13 terms.
+    |a_n| is a constant times |Q|^((n^2 + n)/2), so at |z| = r the terms
+    fall off on both sides of the largest one.  ``terms`` keeps those within
+    2^-bits of it, ``bits`` = prec + guard; the guard keeps the discarded
+    tail and the rounding of the integer sums below the rounding floor of the
+    working precision.  At Q = 1/100 and 80 bits that is about 13 terms.
     """
 
-    __slots__ = ("key", "bits", "_shift", "_log_q", "_coeffs", "_coeff", "_terms")
+    __slots__ = ("key", "bits", "_q", "_norm", "_log_q", "_coeffs", "_terms")
 
-    def __init__(self, kind: str, Q):
+    def __init__(self, Q):
         if abs(Q) >= 1:
             raise ValueError("the nome must satisfy |Q| < 1")
-        self.key = (kind, mp.mp.prec, Q)
+        self.key = (mp.mp.prec, Q)
         self.bits = mp.mp.prec + _GUARD_BITS
+        self._q = Q
         self._log_q = log(float(abs(Q))) if Q else float("-inf")
         self._coeffs: dict = {}
         self._terms: dict = {}
         with mp.workprec(self.bits):
-            if kind == "vartheta":
-                euler, qb = mp.mpf(1), Q
-                tol = mp.mpf(2) ** -self.bits
-                while abs(qb) >= tol:
-                    euler *= 1 - qb
-                    qb *= Q
-                norm = 1 / euler**3
-                self._shift = 1
-                self._coeff = lambda n: (-1) ** n * Q ** (n * (n + 1) // 2) * norm
-            else:
-                sqrt_q = mp.sqrt(Q)
-                self._shift = 0
-                self._coeff = lambda n: sqrt_q ** (n * n)
+            euler, qb = mp.mpf(1), Q
+            tol = mp.mpf(2) ** -self.bits
+            while abs(qb) >= tol:
+                euler *= 1 - qb
+                qb *= Q
+            self._norm = 1 / euler**3
 
     def _log_size(self, n: int, log_r: float) -> float:
-        e2 = n * n + self._shift * n
+        e2 = n * n + n
         return n * log_r + (e2 * self._log_q / 2 if e2 else 0.0)
 
     def terms(self, r) -> tuple:
@@ -258,7 +243,7 @@ class _ThetaSum:
         if known is not None:
             return known
         log_r = float(mp.log(abs(r)))
-        peak = round(-log_r / self._log_q - self._shift / 2)
+        peak = round(-log_r / self._log_q - 0.5)
         cutoff = self._log_size(peak, log_r) - self.bits * _LN2
         lo = hi = peak
         while self._log_size(lo - 1, log_r) >= cutoff:
@@ -271,7 +256,7 @@ class _ThetaSum:
             for n in range(lo, hi + 1):
                 a = coeffs.get(n)
                 if a is None:
-                    a = coeffs[n] = self._coeff(n)
+                    a = coeffs[n] = (-1) ** n * self._q ** (n * (n + 1) // 2) * self._norm
                 raw.append((n, _parts(a * r**n)))
         top = max(part[2] + part[3] for _, parts in raw for part in parts if part[1])
         exp = top - self.bits
@@ -295,13 +280,13 @@ class _ThetaSum:
 _sum_cache: dict = {}
 
 
-def _theta_sum(kind: str, Q) -> _ThetaSum:
-    key = (kind, mp.mp.prec, Q)
+def _theta_sum(Q) -> _ThetaSum:
+    key = (mp.mp.prec, Q)
     series = _sum_cache.get(key)
     if series is None:
         if len(_sum_cache) >= 16:
             _sum_cache.clear()
-        series = _sum_cache[key] = _ThetaSum(kind, Q)
+        series = _sum_cache[key] = _ThetaSum(Q)
     return series
 
 
@@ -487,37 +472,21 @@ class _Grid:
 
 # -- integrands --------------------------------------------------------------
 
-def _det(rows) -> tuple:
-    """The determinant of a square matrix of Gaussian integers (re, im), along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    re = im = 0
-    for j, (x, y) in enumerate(rows[0]):
-        u, v = _det([row[:j] + row[j + 1 :] for row in rows[1:]])
-        sign = -1 if j % 2 else 1
-        re += sign * (x * u - y * v)
-        im += sign * (x * v + y * u)
-    return re, im
 
-
-class _Integrand:
-    """const * 2^coupling_exp * coupling(k) * prod_j axes[j][k_j] at the grid point of indices k.
+class _Integrand(NamedTuple):
+    """const * coupling[d] * prod_j axes[j][k_j] at the grid point of indices k.
 
     ``axes`` holds one M-entry ``_Block`` per circle, or is None when the
-    integrand has no per-circle factors.  ``coupling`` returns a Gaussian
-    integer, the mantissa at exponent ``coupling_exp``, and reads its tables
-    at the index differences k_j - k_i only, which is what lets the grid
-    average fold the circles into one another.  ``const`` is an mpmath
-    number.
+    integrand has no per-circle factors.  ``coupling`` is a ``_Block`` over
+    the offsets d = (k_2 - k_1, ..., k_n - k_1) mod M, in lexicographic
+    order; that the circles couple through these differences alone is what
+    lets the grid average fold them into one another.  ``const`` is an
+    mpmath number.
     """
 
-    __slots__ = ("const", "axes", "coupling", "coupling_exp")
-
-    def __init__(self, const, axes, coupling, coupling_exp: int):
-        self.const = const
-        self.axes = axes
-        self.coupling = coupling
-        self.coupling_exp = coupling_exp
+    const: object
+    axes: list | None
+    coupling: _Block
 
 
 def _setup(s, Q):
@@ -525,6 +494,12 @@ def _setup(s, Q):
     if not 1 <= len(s) <= _MAX_VARS:
         raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
     return [_as_mp(sj) for sj in s], _as_mp(Q)
+
+
+def _check_q2(Q2) -> None:
+    """Refuse Q2 = 0; any other Q2 cancels from the integrand (see _ThetaSum)."""
+    if _as_mp(Q2) == 0:
+        raise ValueError("Q2 must be nonzero")
 
 
 def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
@@ -539,7 +514,7 @@ def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
     entries.
     """
     check_t(t)
-    vt = _theta_sum("vartheta", Q**t)
+    vt = _theta_sum(Q**t)
     M = grid.M
     g = gcd(t, M)
     m, step = M // g, t // g
@@ -551,85 +526,45 @@ def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
     return axes
 
 
-def _det_integrand(s_m, Q, Q2, sign, axes, grid: _Grid) -> _Integrand:
-    """det Theta_3(sign Q2 / v_ij) / theta(v_ij), v_ij = s_i w_i / w_j, normalised.
+def _integrand(s_m, Q, axes, grid: _Grid) -> _Integrand:
+    """prod_j 1 / (s_j^(1/2) vartheta(s_j)) times the theta cross ratio of each
+    pair of circles, times ``axes`` (None for all partitions).
 
-    Matrix entries are computed without the (w_i/w_j)^(1/2) factors: those
-    multiply to 1 along every permutation, so stripping them changes no
-    determinant, while the leftover s_i^(1/2) per row joins the constant.  The
-    diagonal entries do not depend on w and are computed once; entry (i, j)
-    is a table over k_j - k_i.  All entries are shifted to one exponent, so
-    that the determinant is a sum of exact integer products.
+    The cross ratio of circles i < k is a table over k_k - k_i; the coupling
+    multiplies them at every offset, in exact integer products.
     """
-    q2 = _as_mp(Q2)
-    if not q2:
-        raise ValueError("Q2 must be nonzero")
-    vt, t3 = _theta_sum("vartheta", Q), _theta_sum("theta3", Q)
-    n = len(s_m)
-    s_all = mp.mpf(1)
-    for sj in s_m:
-        s_all *= sj
-    const = 1 / (t3.at(sign * q2) ** (n - 1) * t3.at(sign * q2 / s_all))
-    for sj in s_m:
-        const /= mp.sqrt(sj)
-    M, c, bits = grid.M, grid.points, grid.bits
-    diag = [_quotients(t3.point(sign * q2 / sj), vt.point(sj), bits) for sj in s_m]
-    pairs = list(itertools.permutations(range(n), 2))
-    tables = []
-    for i, j in pairs:
-        # v_ij = rho x^(k_i - k_j), so sign Q2 / v_ij sits at index k_j - k_i
-        rho = s_m[i] * c[i] / c[j]
-        num, den = grid.table(t3, sign * q2 / rho), grid.table(vt, rho)
-        tables.append(_quotients(num, _Block(den.exp, [den[-d % M] for d in range(M)]), bits))
-    aligned = _aligned(diag + tables)
-    diag = [b[0] for b in aligned[:n]]
-    entries = dict(zip(pairs, aligned[n:]))
-
-    def coupling(k):
-        return _det(
-            [
-                [diag[i] if i == j else entries[i, j][(k[j] - k[i]) % M] for j in range(n)]
-                for i in range(n)
-            ]
-        )
-
-    return _Integrand(const, axes, coupling, n * aligned[0].exp)
-
-
-def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
-    s_m, Q = _setup(s, Q)
-    axes = _t_core_axes(t, s_m, Q, grid)
-    vt = _theta_sum("vartheta", Q)
+    vt = _theta_sum(Q)
     const = mp.mpf(1)
     for sj in s_m:
         const /= mp.sqrt(sj) * vt.at(sj)
-    M, c = grid.M, grid.points
+    M, c, n = grid.M, grid.points, len(s_m)
     cross = {}
-    for i, k in itertools.combinations(range(len(s_m)), 2):
+    for i, k in itertools.combinations(range(n), 2):
         # the theta cross-ratio in u = w_k / w_i = rho x^(k_k - k_i); the four
         # roots of u cancel
         rho, si, sk = c[k] / c[i], s_m[i], s_m[k]
         a, b, x, y = (grid.table(vt, r) for r in (rho * sk / si, rho, rho / si, rho * sk))
         cross[i, k] = _quotients(_products(a, b), _products(x, y), grid.bits)
-
-    def coupling(kk):
+    values = []
+    for d in itertools.product(range(M), repeat=n - 1):
+        kk = (0, *d)
         re, im = 1, 0
         for (i, k), table in cross.items():
             u, v = table[(kk[k] - kk[i]) % M]
             re, im = re * u - im * v, re * v + im * u
-        return re, im
+        values.append((re, im))
+    coupling = _Block(sum(table.exp for table in cross.values()), values)
+    return _Integrand(const, axes, _normalized(coupling, grid.bits))
 
-    return _Integrand(const, axes, coupling, sum(table.exp for table in cross.values()))
 
-
-def _cor43(t: int, s, Q, Q2, grid: _Grid) -> _Integrand:
+def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
     s_m, Q = _setup(s, Q)
-    return _det_integrand(s_m, Q, Q2, -1, _t_core_axes(t, s_m, Q, grid), grid)
+    return _integrand(s_m, Q, _t_core_axes(t, s_m, Q, grid), grid)
 
 
-def _bo_determinant(s, Q, Q2, grid: _Grid) -> _Integrand:
+def _bo_determinant(s, Q, grid: _Grid) -> _Integrand:
     s_m, Q = _setup(s, Q)
-    return _det_integrand(s_m, Q, Q2, 1, None, grid)
+    return _integrand(s_m, Q, None, grid)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -695,10 +630,8 @@ def _grid_mean(f: _Integrand, grid: _Grid):
     the mean of the coupling over the index differences.  The sum stays in
     integers up to the one conversion at the end.
     """
-    M, n, axes, bits = grid.M, len(grid.points), f.axes, grid.bits
+    M, n, axes, g, bits = grid.M, len(grid.points), f.axes, f.coupling, grid.bits
     log_m = M.bit_length() - 1
-    offsets = itertools.product(range(M), repeat=n - 1)
-    g = _normalized(_Block(f.coupling_exp, [f.coupling((0, *d)) for d in offsets]), bits)
     if axes is None:
         (re, im), exp = _total(g), g.exp - (n - 1) * log_m
     elif n == 1:
@@ -760,13 +693,26 @@ def extract_cor42(t: int, s, cfg: QuadratureConfig):
 
 
 def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig):
-    """Torus extraction of the determinant-form integrand."""
-    return _extract(lambda grid: _cor43(t, s, cfg.Q, Q2, grid), s, cfg)
+    """Torus extraction of the determinant-form integrand, with its free parameter Q2.
+
+    By Frobenius's elliptic Cauchy determinant (J. reine angew. Math. 93,
+    1882) the determinant, with its normaliser, is the product integrand of
+    extract_cor42, in which Q2 cancels; so Q2 is checked (any nonzero
+    number) but does not change the result, as in closed_Ft.
+    """
+    _check_q2(Q2)
+    return _extract(lambda grid: _cor42(t, s, cfg.Q, grid), s, cfg)
 
 
 def extract_bo_determinant(s, Q2, cfg: QuadratureConfig):
-    """Torus extraction of the all-partitions determinant integrand."""
-    return _extract(lambda grid: _bo_determinant(s, cfg.Q, Q2, grid), s, cfg)
+    """Torus extraction of the all-partitions determinant integrand.
+
+    By Frobenius's elliptic Cauchy determinant, as in extract_cor43, it is
+    the product integrand without the t-core axes; Q2 is checked (any
+    nonzero number) but cancels.
+    """
+    _check_q2(Q2)
+    return _extract(lambda grid: _bo_determinant(s, cfg.Q, grid), s, cfg)
 
 
 # -- convergence driver --------------------------------------------------------

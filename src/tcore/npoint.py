@@ -353,26 +353,41 @@ class SetPartition:
 _MAX_POINTS = 8
 
 
+def _growth_masks(n: int, most: int):
+    """The set partitions of n points into at most ``most`` blocks, each as
+    the bitmasks of its blocks ordered by least element.
+
+    They come straight from their restricted growth strings, in
+    lexicographic order: point i joins one of the blocks so far, or opens a
+    new one while there are fewer than ``most``.
+    """
+    masks: list[int] = []
+
+    def grow(i: int):
+        if i == n:
+            yield tuple(masks)
+            return
+        bit = 1 << i
+        for b in range(len(masks)):
+            masks[b] |= bit
+            yield from grow(i + 1)
+            masks[b] ^= bit
+        if len(masks) < most:
+            masks.append(bit)
+            yield from grow(i + 1)
+            masks.pop()
+
+    return grow(0)
+
+
 def set_partitions(n: int) -> list[SetPartition]:
     """All set partitions of {1..n} via restricted growth strings."""
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f"n must be between 1 and {_MAX_POINTS}")
-    out: list[SetPartition] = []
-    assignment = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for idx, b in enumerate(assignment, start=1):
-                blocks[b].append(idx)
-            out.append(SetPartition(tuple(tuple(b) for b in blocks)))
-            return
-        for b in range(used + 1):
-            assignment[i] = b
-            rec(i + 1, used + (1 if b == used else 0))
-
-    rec(0, 0)
-    return out
+    return [
+        SetPartition(tuple(tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in masks))
+        for masks in _growth_masks(n, n)
+    ]
 
 
 # the most terms the closed routes sum: (t, n) = (6, 5) has 4651, (6, 6) 31031
@@ -430,33 +445,12 @@ def _label_steps(t: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def _closed_layout(t: int, n: int) -> list:
-    """The terms of the closed sum, by set partition: the bitmask of each
-    block, ordered by least element, and the label data of its k <= t blocks.
-
-    The set partitions into at most t blocks come straight from their
-    restricted growth strings, in the order of set_partitions: point i joins
-    one of the blocks so far, or opens a new one while there are fewer than t.
+    """The terms of the closed sum, by set partition into k <= t blocks, in
+    the order of set_partitions: the bitmask of each block, ordered by least
+    element, and the label data of the k blocks.
     """
     labels = {k: _label_steps(t, k) for k in range(1, min(t, n) + 1)}
-    layout = []
-    masks: list[int] = []
-
-    def grow(i: int):
-        if i == n:
-            layout.append((tuple(masks), labels[len(masks)]))
-            return
-        bit = 1 << i
-        for b in range(len(masks)):
-            masks[b] |= bit
-            grow(i + 1)
-            masks[b] ^= bit
-        if len(masks) < t:
-            masks.append(bit)
-            grow(i + 1)
-            masks.pop()
-
-    grow(0)
-    return layout
+    return [(masks, labels[len(masks)]) for masks in _growth_masks(n, t)]
 
 
 def _exp_mod(s: list[int], inv: list[int], n: int) -> list[int]:

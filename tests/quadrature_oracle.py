@@ -77,12 +77,19 @@ def eval_cor42(t: int, s, Q, w):
 def eval_cor43(t: int, s, Q, Q2, w):
     """Determinant-form integrand for the t-core n-point function.
 
-    The free parameter Q2 may be any nonzero number; the extracted constant
-    mode does not depend on it.
+    By Frobenius's elliptic Cauchy determinant it is the product-form
+    integrand of eval_cor42, in which Q2 cancels: Q2 is checked (any nonzero
+    number), as extract_cor43 checks it, and changes nothing.
     """
-    return at_point(lambda grid: contour._cor43(t, s, Q, Q2, grid), s, w)
+    contour._check_q2(Q2)
+    return eval_cor42(t, s, Q, w)
 
 
 def eval_bo_determinant(s, Q, Q2, w):
-    """Determinant integrand for the n-point function of all partitions."""
-    return at_point(lambda grid: contour._bo_determinant(s, Q, Q2, grid), s, w)
+    """Determinant integrand for the n-point function of all partitions.
+
+    It is the product integrand without the t-core axes; Q2 is checked, as
+    extract_bo_determinant checks it, and cancels.
+    """
+    contour._check_q2(Q2)
+    return at_point(lambda grid: contour._bo_determinant(s, Q, grid), s, w)

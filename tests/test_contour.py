@@ -211,11 +211,39 @@ def test_negative_nome_matches_exact_series(case):
     assert abs(result.value - mp.mpf(value.numerator) / value.denominator) < mp.mpf("1e-14")
 
 
+# Q^(1/2) at Q = 1/100.  Theta_3(-Q2), a factor of the normaliser of cor43's
+# determinant, vanishes at Q2 = 1/10, and Theta_3(Q2), a factor of the
+# all-partitions one, at Q2 = -1/10; the extractions must not see either
+THETA3_ZERO = QQ(1, 10)
+
+
 def test_extract_cor43_does_not_depend_on_q2():
     s = (S4, S94)
     cfg = contour.QuadratureConfig.for_region(s, NOME, M=64, precision_bits=64)
-    values = [contour.extract_cor43(3, s, q2, cfg) for q2 in (QQ(2), QQ(5, 3), QQ(-7, 2))]
+    q2s = (QQ(2), QQ(5, 3), QQ(-7, 2), THETA3_ZERO)
+    values = [contour.extract_cor43(3, s, q2, cfg) for q2 in q2s]
     assert all(abs(v - values[0]) < mp.mpf("1e-16") for v in values[1:]), values
+
+
+def test_extract_bo_determinant_does_not_depend_on_q2():
+    s = (S4, S94)
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=64, precision_bits=64)
+    values = [contour.extract_bo_determinant(s, q2, cfg) for q2 in (QQ(5, 3), -THETA3_ZERO)]
+    assert abs(values[1] - values[0]) < mp.mpf("1e-16"), values
+
+
+@pytest.mark.parametrize(
+    "extract_at",
+    [
+        lambda q2, cfg: contour.extract_cor43(3, (S4, S94), q2, cfg),
+        lambda q2, cfg: contour.extract_bo_determinant((S4, S94), q2, cfg),
+    ],
+    ids=["cor43", "bo_determinant"],
+)
+def test_q2_zero_is_refused(extract_at):
+    cfg = contour.QuadratureConfig.for_region((S4, S94), NOME, M=8, precision_bits=64)
+    with pytest.raises(ValueError, match="Q2 must be nonzero"):
+        extract_at(0, cfg)
 
 
 # -- the kernels against their unoptimised forms ---------------------------------
@@ -338,14 +366,13 @@ def test_paired_theta_factors_match_the_unpaired_products():
         rel = mp.mpf(2) ** -110
         points = circle_points((S4, S94)) + [mp.mpf(4), mp.mpf(-2) / 9, mp.mpc(3, -5) / 7]
         for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
-            vt, t3 = contour._theta_sum("vartheta", Q), contour._theta_sum("theta3", Q)
+            vt = contour._theta_sum(Q)
             for z in points:
                 assert_close(vt.at(z), vartheta_even_unpaired(z, Q), rel)
-                assert_close(t3.at(z), theta3_unpaired(z, Q), rel)
 
 
-# radii on both sides of the zero circles |z| = 1 (vartheta) and |z| = 10
-# (theta3 at Q = 1/100), and negative radii
+# radii on both sides of vartheta's zero circle |z| = 1, radii ten times
+# larger and smaller, and negative radii
 TABLE_RADII = ("0.9", "1.1", "-1.1", "9", "11", "-11", "-0.09")
 
 
@@ -353,14 +380,13 @@ def check_grid_tables(M, prec, rel):
     with mp.workprec(prec):
         grid = contour._Grid(M, [])
         for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
-            for kind in ("vartheta", "theta3"):
-                series = contour._theta_sum(kind, Q)
-                for r in map(mp.mpf, TABLE_RADII):
-                    table = grid.table(series, r)
-                    assert len(table) == M
-                    for k, value in enumerate(block_values(table)):
-                        point = series.at(r * mp.expjpi(mp.mpf(2 * k) / M))
-                        assert_close(value, point, rel)
+            series = contour._theta_sum(Q)
+            for r in map(mp.mpf, TABLE_RADII):
+                table = grid.table(series, r)
+                assert len(table) == M
+                for k, value in enumerate(block_values(table)):
+                    point = series.at(r * mp.expjpi(mp.mpf(2 * k) / M))
+                    assert_close(value, point, rel)
 
 
 @pytest.mark.parametrize("M", [1, 2, 8, 64])
@@ -386,20 +412,26 @@ def test_point_evaluators_match_the_unpaired_integrands(s):
     rel = mp.mpf(2) ** -100
     with mp.workprec(120):
         cfg = contour.QuadratureConfig.for_region(s, NOME, M=16, precision_bits=120)
-        Q, q2 = mp.mpf(1) / 100, mp.mpf(5) / 3
+        Q = mp.mpf(1) / 100
         s_m = [mp.mpf(x.numerator) / x.denominator for x in s]
         for _ in range(3):
             w = torus_point(cfg, rng)
             for t in (2, 3):
                 by_factors = cor42_by_factors(t, s_m, Q, w)
                 assert_close(quadrature_oracle.eval_cor42(t, s, NOME, w), by_factors, rel)
-                by_factors = det_by_factors(s_m, Q, q2, -1, w)
-                for sj, wj in zip(s_m, w):
-                    by_factors *= axis_by_roots(sj, wj, t, Q)
-                assert_close(quadrature_oracle.eval_cor43(t, s, NOME, QQ(5, 3), w), by_factors, rel)
-            by_factors = det_by_factors(s_m, Q, q2, 1, w)
-            value = quadrature_oracle.eval_bo_determinant(s, NOME, QQ(5, 3), w)
-            assert_close(value, by_factors, rel)
+            # the determinant forms, by mp.det, against the product integrand
+            # they equal, for Q2 of either sign
+            for q2 in (QQ(5, 3), QQ(-7, 2)):
+                q2_m = mp.mpf(q2.numerator) / q2.denominator
+                for t in (2, 3):
+                    by_factors = det_by_factors(s_m, Q, q2_m, -1, w)
+                    for sj, wj in zip(s_m, w):
+                        by_factors *= axis_by_roots(sj, wj, t, Q)
+                    value = quadrature_oracle.eval_cor43(t, s, NOME, q2, w)
+                    assert_close(value, by_factors, rel)
+                by_factors = det_by_factors(s_m, Q, q2_m, 1, w)
+                value = quadrature_oracle.eval_bo_determinant(s, NOME, q2, w)
+                assert_close(value, by_factors, rel)
 
 
 @pytest.mark.parametrize(("s", "M"), [((S4, S94), 8), (S3, 4)], ids=["n=2", "n=3"])
@@ -484,10 +516,7 @@ def test_three_circle_fold_matches_the_triple_sum(M):
         g, g_mp = random_block(rng, M * M, bits)
         const = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
-        def coupling(k):
-            return g[(k[1] - k[0]) % M * M + (k[2] - k[0]) % M]
-
-        f = contour._Integrand(const, list(axes), coupling, g.exp)
+        f = contour._Integrand(const, list(axes), g)
         fast = contour._grid_mean(f, contour._Grid(M, [1, 1, 1]))
         a0, a1, a2 = axes_mp
         direct = const * mp.fsum(

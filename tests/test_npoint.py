@@ -206,6 +206,22 @@ def test_set_partitions_of_three():
     }
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_set_partitions_come_in_restricted_growth_string_order(n):
+    # every string a with a_1 = 0 and a_i at most 1 + max(a_1..a_(i-1)), in
+    # lexicographic order, found by filtering all of {0..n-1}^n
+    strings = [
+        a
+        for a in product(range(n), repeat=n)
+        if all(a[i] <= 1 + max(a[:i], default=-1) for i in range(n))
+    ]
+    expected = [
+        tuple(tuple(i + 1 for i in range(n) if a[i] == b) for b in range(max(a) + 1))
+        for a in strings
+    ]
+    assert [sp.blocks for sp in set_partitions(n)] == expected
+
+
 def test_set_partition_validation():
     with pytest.raises(ValueError):
         SetPartition(((1, 2), (2, 3)))  # overlap
