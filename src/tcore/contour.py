@@ -208,7 +208,7 @@ class _ThetaSum:
     working precision.  At Q = 1/100 and 80 bits that is about 13 terms.
     """
 
-    __slots__ = ("key", "bits", "_q", "_norm", "_log_q", "_coeffs", "_terms")
+    __slots__ = ("key", "bits", "_q", "_norm", "_log_q", "_terms")
 
     def __init__(self, Q):
         if abs(Q) >= 1:
@@ -217,7 +217,6 @@ class _ThetaSum:
         self.bits = mp.mp.prec + _GUARD_BITS
         self._q = Q
         self._log_q = log(float(abs(Q))) if Q else float("-inf")
-        self._coeffs: dict = {}
         self._terms: dict = {}
         with mp.workprec(self.bits):
             euler, qb = mp.mpf(1), Q
@@ -250,14 +249,15 @@ class _ThetaSum:
             lo -= 1
         while self._log_size(hi + 1, log_r) >= cutoff:
             hi += 1
-        coeffs = self._coeffs
-        raw = []
+        q, raw = self._q, []
         with mp.workprec(self.bits):
+            # a_(n+1) r^(n+1) = a_n r^n * (-Q^(n+1) r): no power past the first term
+            term = (-1) ** lo * q ** (lo * (lo + 1) // 2) * self._norm * r**lo
+            ratio = -(q ** (lo + 1)) * r
             for n in range(lo, hi + 1):
-                a = coeffs.get(n)
-                if a is None:
-                    a = coeffs[n] = (-1) ** n * self._q ** (n * (n + 1) // 2) * self._norm
-                raw.append((n, _parts(a * r**n)))
+                raw.append((n, _parts(term)))
+                term *= ratio
+                ratio *= q
         top = max(part[2] + part[3] for _, parts in raw for part in parts if part[1])
         exp = top - self.bits
         if len(self._terms) >= 64:

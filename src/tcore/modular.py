@@ -7,12 +7,16 @@ m-th root of unity w_p, and zeta_m -> w_p maps that arithmetic into Z/p.
 of 61-bit primes p = 1 (mod m) and of one check prime p', with zeta_m
 mapped to the root w that the Chinese remainder theorem builds from the w_p.
 
-The primes come from a pool per step S = m 2^e >= 2^32: the largest primes
-p = 1 (mod S) below 2^61, walked downwards and found as they are asked for.
-Since S > sqrt(p), Pocklington's theorem proves each one prime with a
-small base a (Brillhart, Lehmer and Selfridge, Math. Comp. 29, 1975), and
-the same a gives w_p = a^((p-1)/m) with one more pow.  Conductors with the
-same odd part, such as 4 and 8, share one pool.
+The primes come from a pool per step S: the largest primes p = 1 (mod S)
+below 2^61, walked downwards and found as they are asked for.  Every
+conductor m that divides U = 105 2^32, which holds for m = 2t with t <= 8
+and for 24, shares the pool of step U; any other m takes the pool of step
+S = m 2^e >= 2^32, shared by the conductors with m's odd part.  Since
+S > sqrt(p), Pocklington's theorem proves each pool prime with a small
+base a (Brillhart, Lehmer and Selfridge, Math. Comp. 29, 1975), and the
+same a gives w_p = a^((p-1)/m) with one more pow.  The first primes of U's
+pool are tabulated with their bases, so a process proves them with four
+pows each and walks no candidate.
 
 A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
@@ -24,10 +28,14 @@ runs modulo N as well.
 
 Each coefficient is then rebuilt from its residue mod N by rational
 reconstruction (Wang 1981): the unique a/b with |a|, b <= sqrt(N/2) and
-a = b * residue (mod N), if there is one.  The result is checked at p',
-which the reconstruction never saw: a wrongly rebuilt coefficient passes
-with probability about 1/p', that is 2^-61 per coefficient.  A failed check
-has one of two causes:
+a = b * residue (mod N), if there is one.  Neighbouring coefficients share
+most of their denominators, so each is first tried as residue * D with D
+the denominator of the coefficient before it: the a/b with b <= 2^64 takes
+a few Euclid steps, and a/(bD) is kept if it passes the check below; only
+otherwise does the balanced reconstruction run.  The result is checked at
+p', which the reconstruction never saw: a wrongly rebuilt coefficient
+passes with probability about 1/p', that is 2^-61 per coefficient.  A
+failed check has one of two causes:
 
 * N is too small for the heights of the coefficients.  N then grows by new
   primes, and the residues already known are kept and combined by CRT.
@@ -64,13 +72,45 @@ PRIME_BITS = 61
 # these ten primes and the check prime takes 2 to 2.5 times a run modulo one
 # prime, over 21 primes about 4.5 times and over 41 about 13 times.  A first
 # attempt that is too small therefore costs more than its own run.  Finding
-# the primes does not weigh in: the pool proves each with a few pow calls
-# (_witness), about 0.15 ms a prime, so the run alone sizes the first attempt.
+# the primes does not weigh in: the first primes of the shared pool are
+# tabulated (_SHARED_POOL) and proved with four pow calls each, about 0.05 ms
+# a prime, so the run alone sizes the first attempt.
 _START_PRIMES = 10
 
-# A pool steps by S = m 2^e >= 2^_STEP_BITS, which exceeds sqrt(p) for every
-# PRIME_BITS-bit p, as Pocklington's theorem needs.
+# A pool steps by S >= 2^_STEP_BITS, which exceeds sqrt(p) for every
+# PRIME_BITS-bit p, as Pocklington's theorem needs: S = _SHARED_STEP for every
+# conductor that divides it, S = m 2^e for any other conductor m.
 _STEP_BITS = 32
+_SHARED_STEP = 105 * 2**32
+
+# The largest primes p = 1 (mod _SHARED_STEP) below 2^PRIME_BITS, largest
+# first, each with the base that proves it: what the search of _Progression
+# finds, stored so that no process walks candidates for them.  Each is still
+# proved in process before use.  tests/test_modular.py re-derives the table.
+_SHARED_POOL = (
+    (2305841969831608321, 17), (2305837460115947521, 19), (2305836107201249281, 11),
+    (2305830244570890241, 11), (2305829342627758081, 11), (2305823479997399041, 23),
+    (2305818519310172161, 19), (2305816715423907841, 23), (2305816264452341761, 17),
+    (2305815813480775681, 11), (2305812656679813121, 29), (2305811303765114881, 59),
+    (2305808597935718401, 13), (2305803637248491521, 19), (2305798676561264641, 59),
+    (2305797323646566401, 19), (2305786951300546561, 17), (2305779735755489281, 13),
+    (2305770265352601601, 13), (2305767108551639041, 17), (2305761696892846081, 11),
+    (2305760343978147841, 13), (2305752226489958401, 17), (2305748618717429761, 17),
+    (2305745912888033281, 11), (2305734187627315201, 29), (2305733285684183041, 13),
+    (2305726521110691841, 11), (2305726070139125761, 11), (2305720658480332801, 97),
+    (2305720207508766721, 47), (2305717952650936321, 29), (2305711639049011201, 11),
+    (2305707129333350401, 11), (2305703070589255681, 13), (2305701717674557441, 13),
+    (2305699462816727041, 79), (2305696306015764481, 11), (2305693600186368001, 17),
+    (2305692698243235841, 17), (2305684129783480321, 19), (2305679620067819521, 13),
+    (2305678718124687361, 17), (2305657071489515521, 13), (2305656620517949441, 17),
+    (2305648954001326081, 13), (2305646248171929601, 43), (2305639032626872321, 13),
+    (2305632268053381121, 23), (2305629111252418561, 43), (2305627307366154241, 31),
+    (2305626856394588161, 11), (2305622797650493441, 37), (2305619189877964801, 53),
+    (2305616484048568321, 13), (2305611974332907521, 11), (2305611523361341441, 19),
+    (2305594386441830401, 13), (2305582661181112321, 29), (2305578602437017601, 19),
+    (2305574543692922881, 13), (2305570484948828161, 23), (2305565073290035201, 59),
+    (2305564622318469121, 41),
+)
 
 
 def _primes_below(bound: int) -> list[int]:
@@ -142,37 +182,50 @@ class _Progression:
         # once 8 | S, which holds for every m < 2^29, quadratic reciprocity
         # makes a prime a | S a square mod every p = 1 (mod S): never a witness
         self.bases = tuple(a for a in _BASES if step % a)
+        self.known = _SHARED_POOL if step == _SHARED_STEP else ()
         self.primes: list[int] = []
         self.witness: dict[int, int] = {}
         self._next = (2**PRIME_BITS - 2) // step * step + 1
 
     def extend(self, m: int, count: int) -> None:
-        """Walk on until the pool holds ``count`` primes; m names the pool."""
+        """Walk on until the pool holds ``count`` primes; m names the pool.
+
+        The known primes come first, each proved again by its stored base;
+        the walk goes on below the last of them.
+        """
         low, step = 1 << (PRIME_BITS - 1), self.step
+        odd = _odd_prime_factors(step)
         while len(self.primes) < count:
-            p = self._next
-            # even if every candidate left were prime, there would be too few
-            if len(self.primes) + (p - low) // step + 1 < count:
-                raise ValueError(
-                    f"the pool of conductor {m} holds fewer than {count} primes: "
-                    f"they must be 1 mod {step} and have {PRIME_BITS} bits"
-                )
+            if len(self.primes) < len(self.known):
+                p, a = self.known[len(self.primes)]
+                if _witness(p, (a,), odd) != a:
+                    raise ArithmeticError(f"the stored base {a} does not prove {p} prime")
+            else:
+                p = self._next
+                # even if every candidate left were prime, there would be too few
+                if len(self.primes) + (p - low) // step + 1 < count:
+                    raise ValueError(
+                        f"the pool of conductor {m} holds fewer than {count} primes: "
+                        f"they must be 1 mod {step} and have {PRIME_BITS} bits"
+                    )
+                a = _witness(p, self.bases, odd) if math.gcd(p, _SIEVE) == 1 else None
             self._next = p - step
-            if math.gcd(p, _SIEVE) == 1:
-                a = _witness(p, self.bases, _odd_prime_factors(step))
-                if a is not None:
-                    self.primes.append(p)
-                    self.witness[p] = a
+            if a is not None:
+                self.primes.append(p)
+                self.witness[p] = a
 
 
 _PROGRESSIONS: dict[int, _Progression] = {}
 
 
 def _progression(m: int) -> _Progression:
-    """The pool of conductor m, shared by every conductor with m's odd part."""
+    """The pool of conductor m: that of _SHARED_STEP if m divides it, else
+    the one that m shares with every conductor of its odd part."""
     if m < 1:
         raise ValueError(f"the conductor must be a positive integer, got {m}")
     step = m
+    if _SHARED_STEP % m == 0:
+        step = _SHARED_STEP
     while step < 1 << _STEP_BITS:
         step *= 2
     if step not in _PROGRESSIONS:
@@ -182,7 +235,9 @@ def _progression(m: int) -> _Progression:
 
 def prime_pool(m: int, count: int) -> tuple[int, ...]:
     """The ``count`` largest proven primes p = 1 (mod S) below 2^PRIME_BITS,
-    largest first, for the step S = m 2^e of m's pool (see _progression).
+    largest first, for the step S of m's pool (see _progression): 105 2^32
+    if m divides it, else m 2^e >= 2^32.  The first len(_SHARED_POOL) primes of
+    the shared pool are read from the table and proved, not searched for.
 
     ValueError, naming m, if the progression holds fewer than ``count``
     primes of PRIME_BITS bits.
@@ -297,20 +352,26 @@ class Modulus:
         raise NotInvertible(bad)
 
 
-def rational_reconstruct(r: int, n: int):
-    """The rational a/b with a = b*r (mod n) and |a|, b <= sqrt(n/2), or None.
+def rational_reconstruct(r: int, n: int, den_bound: int | None = None):
+    """The rational a/b with a = b*r (mod n), 0 < b <= B and |a| <= n/(2B),
+    or None.
 
-    Such an a/b is unique when it exists; the half-extended Euclidean
-    algorithm on (n, r) finds it (Wang 1981).
+    B is ``den_bound``; by default both bounds are sqrt(n/2).  Such an a/b is
+    unique when it exists, and the half-extended Euclidean algorithm on
+    (n, r), stopped at the first remainder within the numerator bound, finds
+    it (Wang 1981).  A small B stops it after a few steps.
     """
-    bound = math.isqrt(n // 2)
+    if den_bound is None:
+        den_bound = num_bound = math.isqrt(n // 2)
+    else:
+        num_bound = n // (2 * den_bound)
     r0, r1 = n, r % n
     s0, s1 = 0, 1
-    while r1 > bound:
+    while r1 > num_bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+    if abs(s1) > den_bound or math.gcd(r1, s1) != 1:
         return None
     return QQ(r1, s1)
 
@@ -353,14 +414,33 @@ def _image(x, p: int):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+# the denominator bound of the carried try in _reconstruct: its Euclidean
+# algorithm stops once the remainders have lost about 65 bits of N, where the
+# balanced reconstruction goes through half of N's bits
+_CARRIED_BOUND = 2**64
+
+
 def _reconstruct(residues: dict, modulus: int, at_check: dict, check: int):
     """Each coefficient rebuilt from its residue mod ``modulus`` and confirmed
-    at the prime ``check``, or None if one of them fails."""
-    out = {}
-    for e in residues.keys() | at_check.keys():
-        value = rational_reconstruct(residues.get(e, 0), modulus)
-        if value is None or _image(value, check) != at_check.get(e, 0):
-            return None
+    at the prime ``check``, or None if one of them fails.
+
+    The coefficients go by increasing exponent, carrying the last nonzero
+    one's denominator D: a/b = D * residue with b <= _CARRIED_BOUND, and
+    a/(bD) is kept if the check prime agrees.  Else the balanced
+    reconstruction decides.
+    """
+    out, carried = {}, 1
+    for e in sorted(residues.keys() | at_check.keys()):
+        r, seen = residues.get(e, 0), at_check.get(e, 0)
+        value = rational_reconstruct(r * carried % modulus, modulus, _CARRIED_BOUND)
+        if value is not None:
+            value /= carried
+        if value is None or _image(value, check) != seen:
+            value = rational_reconstruct(r, modulus)
+            if value is None or _image(value, check) != seen:
+                return None
+        if value:
+            carried = value.denominator
         out[e] = value
     return out
 

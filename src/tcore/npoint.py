@@ -235,21 +235,59 @@ def _core_count(t: int, order: int) -> str:
     return str(sum(1 for _ in _charge_walk(t, order, lambda r, c: ())))
 
 
+def _has_core_size(t: int, k: int) -> bool:
+    """Whether some t-core has size k >= 1, in closed form: for t = 2 the
+    staircases, of triangular size; for t = 3 the k for which every prime
+    p = 2 (mod 3) divides 3k + 1 to an even power (Granville and Ono, Trans.
+    Amer. Math. Soc. 348, 1996, who also prove that every size has a t-core
+    for t >= 4)."""
+    if t == 2:
+        j = (math.isqrt(8 * k + 1) - 1) // 2
+        return j * (j + 1) == 2 * k
+    if t > 3:
+        return True
+    n, q = 3 * k + 1, 2
+    while q * q <= n:
+        power = 0
+        while n % q == 0:
+            n //= q
+            power += 1
+        if power % 2 and q % 3 == 2:
+            return False
+        q += 1
+    return n % 3 != 2
+
+
+def _division_steps(t: int, order: int, cap: int) -> int:
+    """The steps of a division by the t-core counts through order, or a
+    partial count once it passes cap.
+
+    _divide_by_counts takes one step at each Q^e for each size 1 <= k <= e
+    that has a t-core, so such a size costs order - k + 1 steps.
+    """
+    if t > 3:
+        return order * (order + 1) // 2
+    steps = 0
+    for k in range(1, order + 1):
+        if steps > cap:
+            break
+        if _has_core_size(t, k):
+            steps += order - k + 1
+    return steps
+
+
 def _check_core_steps(route: str, t: int, order: int, slots: int) -> None:
     """Refuse a t-core average with slots sums per core and slots divisions
-    by the count series that takes more than _MAX_STEPS steps.
-
-    A division takes order steps for each nonzero count, and there are at
-    most min(order, cores) of those (_divide_by_counts).
-    """
+    by the count series that takes more than _MAX_STEPS steps."""
     cores = _core_estimate(t, order)
-    division = (order + 1) * min(order, cores)
+    cap = _MAX_STEPS // slots
+    division = _division_steps(t, order, cap)
     if slots * (cores + division) > _MAX_STEPS:
+        counted = f"at least {division}" if division > cap else str(division)
         raise _refusal(
             route, slots * (cores + division),
             f"at t = {t}, order {order}, {_core_count(t, order)} charge vectors and "
-            f"{order + 1} x {min(order, cores)} steps of the division by their counts, "
-            f"for each of {slots} sums",
+            f"{counted} steps of the division by their counts, for each of {slots} sums",
         )
 
 
@@ -886,8 +924,9 @@ def correlation_expansion(
         return tuple(ks.count(k) for k in range(l_max + 1))
 
     # prod_j P_(k_j), summed per size, by the multiset of k
-    moments = {multiset(ks): [0] * (q_order + 1) for ks in keys}
-    _check_core_steps("correlation_expansion", t, q_order, len(moments))
+    kinds = dict.fromkeys(multiset(ks) for ks in keys)
+    _check_core_steps("correlation_expansion", t, q_order, len(kinds))
+    moments = {mult: [0] * (q_order + 1) for mult in kinds}
     counts = [0] * (q_order + 1)
 
     def column(r, c):

@@ -5,19 +5,26 @@ computation."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tcore import modular
 from tcore._rat import QQ
 from tcore.cyclo import Cyclo
 from tcore.modular import (
+    _SHARED_POOL,
+    _SHARED_STEP,
     PRIME_BITS,
     _START_PRIMES,
     Modulus,
     NotInvertible,
+    _odd_prime_factors,
     _Pool,
+    _Progression,
+    _reconstruct,
     _root_of_unity,
     _run_over,
+    _witness,
     prime_pool,
     rational_lift,
     rational_reconstruct,
@@ -69,7 +76,7 @@ def is_prime_on_13_bases(n):
     return True
 
 
-@pytest.mark.parametrize("m", [4, 6, 8, 10, 14, 24])
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 14, 24, 18, 22])
 def test_pool_primes_are_proven_primes_with_primitive_roots(m):
     pool = prime_pool(m, 64)
     for p in pool:
@@ -79,8 +86,12 @@ def test_pool_primes_are_proven_primes_with_primitive_roots(m):
         assert pow(w, m, p) == 1
         primes_of_m = [q for q in range(2, m + 1) if m % q == 0 and is_prime_on_13_bases(q)]
         assert all(pow(w, m // q, p) != 1 for q in primes_of_m)
-    # the pool is the largest primes of its progression p = 1 (mod S), S = m 2^e >= 2^32
-    step = next(m << e for e in range(33) if m << e >= 2**32)
+    # the pool is the largest primes of its progression p = 1 (mod S), with
+    # S = 105 2^32 if m divides it, else S = m 2^e >= 2^32
+    if (105 << 32) % m == 0:
+        step = 105 << 32
+    else:
+        step = next(m << e for e in range(33) if m << e >= 2**32)
     walk, p = [], (2**PRIME_BITS - 2) // step * step + 1
     while len(walk) < 64:
         if is_prime_on_13_bases(p):
@@ -90,9 +101,57 @@ def test_pool_primes_are_proven_primes_with_primitive_roots(m):
 
 
 def test_conductors_with_one_odd_part_share_a_pool():
-    assert prime_pool(4, 64) == prime_pool(8, 64)
-    assert prime_pool(6, 20) == prime_pool(24, 20)
-    assert prime_pool(4, 5) == prime_pool(4, 64)[:5]
+    # every conductor that divides 105 2^32, such as 4, 6, 8, 10, 14 and 24,
+    # has one odd part as far as the pools go: they share one; 18 and 22 do
+    # not divide it, and each shares a pool with its own odd part only
+    shared = prime_pool(4, 64)
+    for m in (6, 8, 10, 14, 24):
+        assert prime_pool(m, 64) == shared
+    for m in (18, 22):
+        assert not set(prime_pool(m, 20)) & set(shared)
+        assert prime_pool(m, 20) == prime_pool(2 * m, 20)
+    assert prime_pool(4, 5) == shared[:5]
+
+
+def test_an_unseeded_search_re_derives_the_shared_table(monkeypatch):
+    table = _SHARED_POOL
+    assert len(table) >= 41
+    seeded = prime_pool(4, len(table) + 3)
+    monkeypatch.setattr(modular, "_SHARED_POOL", ())
+    search = _Progression(_SHARED_STEP)
+    search.extend(4, len(table) + 3)
+    assert tuple((p, search.witness[p]) for p in search.primes[:len(table)]) == table
+    # past the table, the seeded pool walks on as the search does
+    assert tuple(search.primes) == seeded
+    # each stored base proves its prime alone
+    odd = _odd_prime_factors(_SHARED_STEP)
+    assert odd == (3, 5, 7)
+    for p, a in table:
+        assert _witness(p, (a,), odd) == a
+
+
+def test_the_pools_of_2t_walk_no_candidate(monkeypatch):
+    monkeypatch.setattr(modular, "_PROGRESSIONS", {})
+    bases = []
+
+    def witness(p, tried, odd):
+        bases.append(tried)
+        return _witness(p, tried, odd)
+
+    monkeypatch.setattr(modular, "_witness", witness)
+    k = len(_SHARED_POOL)
+    for t in range(2, 9):
+        assert prime_pool(2 * t, k) == tuple(p for p, _ in _SHARED_POOL)
+    # one proof per tabulated prime, by its one stored base
+    assert bases == [(a,) for _, a in _SHARED_POOL]
+
+
+def test_a_wrong_stored_base_is_refused(monkeypatch):
+    (p, a), *rest = _SHARED_POOL
+    monkeypatch.setattr(modular, "_SHARED_POOL", ((p, 13 if a != 13 else 11), *rest))
+    monkeypatch.setattr(modular, "_PROGRESSIONS", {})
+    with pytest.raises(ArithmeticError, match=str(p)):
+        prime_pool(4, 1)
 
 
 def test_a_progression_with_too_few_primes_is_refused_at_once():
@@ -159,6 +218,9 @@ rationals = st.builds(
 @given(rationals, rationals)
 def test_reduction_is_a_ring_homomorphism(a, b):
     dom = ResidueRing(Modulus(6, prime_pool(6, 4)))
+    # hypothesis draws the pool primes from the source; a rational whose
+    # denominator one divides has no residue (see the NotInvertible tests)
+    assume(math.gcd(a.denominator * b.denominator * (b.numerator or 1), dom.n) == 1)
     ra, rb = dom.coerce(a), dom.coerce(b)
     assert ra + rb == dom.coerce(a + b)
     assert ra - rb == dom.coerce(a - b)
@@ -262,7 +324,30 @@ big_rationals = st.builds(
 def test_reconstruction_round_trips(x):
     height = max(abs(x.numerator), x.denominator).bit_length()
     n = modulus_above(2 * height + 1)
+    # hypothesis draws the pool primes from the source; a denominator that one
+    # divides has no residue mod n (the lift drops such primes instead)
+    assume(math.gcd(x.denominator, n) == 1)
     r = x.numerator * pow(x.denominator, -1, n) % n
+    assert rational_reconstruct(r, n) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2**100),
+       st.data())
+def test_bounded_reconstruction_round_trips(count, bound, data):
+    n = math.prod(prime_pool(4, count))
+    b = data.draw(st.integers(min_value=1, max_value=bound))
+    a = data.draw(st.integers(min_value=-(n // (2 * bound)), max_value=n // (2 * bound)))
+    assume(math.gcd(b, n) == 1)
+    r = a * pow(b, -1, n) % n
+    assert rational_reconstruct(r, n, bound) == QQ(a, b)
+
+
+def test_a_bounded_reconstruction_misses_a_taller_denominator():
+    n = math.prod(prime_pool(4, 10))
+    x = QQ(1, 2**64 + 13)
+    r = pow(x.denominator, -1, n)
+    assert rational_reconstruct(r, n, 2**64) is None
     assert rational_reconstruct(r, n) == x
 
 
@@ -284,6 +369,7 @@ def test_reconstruction_misses_when_the_modulus_is_too_small(x):
         if n * p >= 2 * height * height:
             break
         n *= p
+    assume(math.gcd(x.denominator, n) == 1)
     r = x.numerator * pow(x.denominator, -1, n) % n
     assert rational_reconstruct(r, n) != x
 
@@ -303,6 +389,57 @@ def test_lift_grows_the_modulus_until_the_check_prime_agrees():
     # the first N with its check prime, the check prime under zeta -> w^3,
     # then N grown twice
     assert runs == [_START_PRIMES + 1, 1, _START_PRIMES, 2 * _START_PRIMES]
+
+
+def _residues_and_check(series, primes: int):
+    """The coefficients of an exact series mod the product of the first
+    ``primes`` pool primes of conductor 4, and mod the next one."""
+    pool = prime_pool(4, primes + 1)
+    n, check = math.prod(pool[:-1]), pool[-1]
+    reduce = lambda x, q: x.numerator * pow(x.denominator, -1, q) % q  # noqa: E731
+    residues = {e: reduce(x, n) for e, x in series.terms.items()}
+    return residues, n, {e: reduce(x, check) for e, x in series.terms.items()}, check
+
+
+def _count_balanced(monkeypatch) -> list:
+    """Record each balanced reconstruction, the fallback of _reconstruct."""
+    calls = []
+
+    def counted(r, n, den_bound=None):
+        if den_bound is None:
+            calls.append(r)
+        return rational_reconstruct(r, n, den_bound)
+
+    monkeypatch.setattr(modular, "rational_reconstruct", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [8, 16])
+def test_carried_reconstruction_equals_wang_on_closed_outputs(monkeypatch, t, n, order):
+    exact = closed_Ft(t, (S4, S94, S2516)[:n], QQ(5, 3), order)
+    residues, n_mod, at_check, check = _residues_and_check(exact, _START_PRIMES)
+    wang = {e: rational_reconstruct(r, n_mod) for e, r in residues.items()}
+    assert wang == exact.terms
+    balanced = _count_balanced(monkeypatch)
+    assert _reconstruct(residues, n_mod, at_check, check) == wang
+    # the carried denominator serves all but a few coefficients
+    assert len(balanced) <= 2
+
+
+def test_unrelated_denominators_take_the_fallback_and_stay_exact(monkeypatch):
+    # 1/p for distinct primes p > 2^80: a carried p never helps the next one
+    primes, p = [], 2**80
+    while len(primes) < 12:
+        p += 1
+        if is_prime_on_13_bases(p):
+            primes.append(p)
+    series = QSeries(QQ_DOMAIN, 24, {2 * e: QQ(1, p) for e, p in enumerate(primes)})
+    residues, n_mod, at_check, check = _residues_and_check(series, _START_PRIMES)
+    balanced = _count_balanced(monkeypatch)
+    assert _reconstruct(residues, n_mod, at_check, check) == series.terms
+    assert len(balanced) == len(primes)
 
 
 # -- bad primes and irrational outputs ------------------------------------------------

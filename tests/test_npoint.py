@@ -972,7 +972,7 @@ def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
 
 @pytest.mark.parametrize("call, count", [
     (lambda: bloch_okounkov_F((4,), 10_000), r"partitions of size at most \d+ and 10001 x 10000"),
-    (lambda: brute_force_Ft(2, (4,), 10**6), r"1414 charge vectors and 1000001 x 1414 steps"),
+    (lambda: brute_force_Ft(2, (4,), 10**6), r"1414 charge vectors and at least 1999998 steps"),
     (lambda: qdeformed_Zn_sum(2, (4,), 60), r"635376 steps of the division"),
     (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
     (lambda: correlation_expansion(6, 2, (100, 100), 400), r"10201 slots.* about \d+ charge"),
@@ -986,11 +986,41 @@ def test_oversized_enumerations_are_refused_up_front_with_a_count(call, count):
 
 
 def test_the_step_bound_admits_the_largest_calls_in_use():
-    # the benchmark's t-core calls, the deep one-point test, and the
-    # correlation table of nine slots at t = 7 that the roadmap times
-    for t, order, slots in ((3, 300, 1), (4, 120, 1), (5, 80, 1), (3, 100, 6), (7, 60, 9)):
+    # the benchmark's t-core calls, the deep one-point test, the correlation
+    # table of nine slots at t = 7 that the roadmap times, and the tables of
+    # correlation_expansion(3, 1, (12,), 300) and (3, 2, (6, 6), 300)
+    for t, order, slots in (
+        (3, 300, 1), (4, 120, 1), (5, 80, 1), (3, 100, 6), (7, 60, 9), (3, 300, 13), (3, 300, 28),
+    ):
         npoint._check_core_steps("brute_force_Ft", t, order, slots)
     assert npoint._partitions_through(24, _MAX_STEPS)[0] + 25 * 24 < _MAX_STEPS
+    # 363 estimated charge vectors and 24620 steps of the division, per sum
+    assert npoint._core_estimate(3, 300) + npoint._division_steps(3, 300, _MAX_STEPS) == 24983
+
+
+def core_counts(t: int, order: int) -> list[int]:
+    """The number of t-cores of each size through order, from the integer
+    coefficients of prod (1 - Q^(nt))^t / (1 - Q^n)."""
+    counts = [1] + [0] * order
+    for n in range(1, order + 1):
+        for e in range(n, order + 1):
+            counts[e] += counts[e - n]
+    for n in range(t, order + 1, t):
+        for _ in range(t):
+            for e in range(order, n - 1, -1):
+                counts[e] -= counts[e - n]
+    return counts
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_division_steps_count_the_sizes_that_have_a_core(t):
+    counts = core_counts(t, 200)
+    enumerated = t_core_size_series(t, 24)
+    assert counts[:25] == [enumerated.coeff(k) for k in range(25)]
+    for order in (0, 1, 2, 7, 50, 200):
+        steps = sum(1 for e in range(order + 1) for k in range(1, e + 1) if counts[k])
+        assert npoint._division_steps(t, order, _MAX_STEPS) == steps
+    assert [npoint._has_core_size(t, k) for k in range(1, 201)] == [c > 0 for c in counts[1:]]
 
 
 @pytest.mark.parametrize("t, order", [
