@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from operator import add
+from operator import add, sub
 
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
 from tcore.modular import rational_lift
 from tcore.partitions import (
     _balanced_options,
     _charge_walk,
+    _euler_terms,
     _partition_counts,
     conjugate,
     hook_lengths,
@@ -143,54 +144,107 @@ def partition_moment(sv: SValue, nu) -> QQ:
     return QQ(table.numerator(nu), table.den)
 
 
-def _divide_by_counts(num, counts, den: int, order: int, top: int = 1) -> QSeries:
-    """(sum_e num[e] Q^e top / den) / (sum_k counts[k] Q^k), through Q^order.
+def _through_factors(num, factors, order: int) -> list[int]:
+    """The integers num[0..order] times or over each factor, through Q^order.
 
-    num and counts are integer lists indexed by the power of Q.  Because
-    counts[0] == 1 (the empty partition is the only one of size 0) the
-    quotient's numerators over den stay integers:
-    out[e] = num[e] - sum_{k>=1} counts[k] out[e-k].  Each coefficient
-    becomes one rational at the end, top out[e] / den.
+    factors holds (terms, divide) pairs, each the series 1 + sum c Q^k over
+    its nonzero terms (k, c), k >= 1 in increasing order.  A product adds
+    c times the shifted input for each term, one slice at a time; a quotient
+    runs out[e] = out[e] - sum c out[e - k] upwards, each e over the terms at
+    or below it.  Either takes one step for each term (k, c) at each
+    exponent e >= k.
     """
-    if counts[0] != 1:
-        raise ValueError("the count series must start with 1")
-    steps = [(k, c) for k, c in enumerate(counts[1:order + 1], start=1) if c]
-    out: list[int] = []
-    for e in range(order + 1):
-        acc = num[e]
-        for k, c in steps:
-            if k > e:
-                break
-            acc -= c * out[e - k]
-        out.append(acc)
+    out = list(num[:order + 1])
+    for terms, divide in factors:
+        terms = [(k, c) for k, c in terms if k <= order]
+        if not divide:
+            old = out[:]
+            for k, c in terms:
+                head = old[:order + 1 - k]
+                if c == -1:
+                    out[k:] = map(sub, out[k:], head)
+                else:
+                    out[k:] = map(add, out[k:], head if c == 1 else map(c.__mul__, head))
+            continue
+        ends = [k for k, _ in terms[1:]] + [order + 1]
+        for i, (k, _) in enumerate(terms):
+            below = terms[:i + 1]  # the terms of every e in [k, ends[i])
+            for e in range(k, ends[i]):
+                acc = out[e]
+                for j, c in below:
+                    acc -= c * out[e - j]
+                out[e] = acc
+    return out
+
+
+def _euler_power(t: int, degree: int) -> list[tuple[int, int]]:
+    """The nonzero terms (j, c), 1 <= j <= degree, of E(x)^t, with
+    E(x) = prod_(n>=1) (1 - x^n) (_euler_terms).  At t = 3 they are Jacobi's
+    E(x)^3 = sum_(m>=0) (-1)^m (2m + 1) x^(m(m+1)/2), at the triangular numbers."""
+    power = _through_factors([1] + [0] * degree, [(_euler_terms(degree), False)] * t, degree)
+    return [(j, c) for j, c in enumerate(power) if j and c]
+
+
+def _count_factors(t: int | None, order: int) -> list[tuple[list[tuple[int, int]], bool]]:
+    """The factors (see _through_factors) that divide a series by the count
+    series of the t-cores by size (t = None: of all partitions), through
+    Q^order, as sparse product forms:
+
+    - all partitions: 1 / sum p(n) Q^n is E(Q), a product with nothing to divide;
+    - t = 2: the 2-cores are the staircases, one of each triangular size, so
+      the count series is Gauss's sum_(k>=0) Q^(k(k+1)/2) itself;
+    - t >= 3: sum_(t-cores) Q^|core| = E(Q^t)^t / E(Q) (Garvan, Kim and
+      Stanton, Invent. Math. 101, 1990), so times E(Q), over E(Q^t)^t, which
+      is Jacobi's sparse cube at t = 3 and 1 through Q^order when t > order.
+    """
+    if t == 2:
+        gauss, k = [], 1
+        while (size := k * (k + 1) // 2) <= order:
+            gauss.append((size, 1))
+            k += 1
+        return [(gauss, True)]
+    factors = [(_euler_terms(order), False)]
+    if t is not None and t <= order:
+        factors.append(([(t * j, c) for j, c in _euler_power(t, order // t)], True))
+    return factors
+
+
+def _divide_by_counts(num, factors, den: int, order: int, top: int = 1) -> QSeries:
+    """(sum_e num[e] Q^e top / den) / C(Q), through Q^order, with C the count
+    series of the walked objects by size given by its sparse factors
+    (_count_factors).
+
+    num is an integer list indexed by the power of Q.  Every factor has
+    constant term 1 and integer coefficients, so the quotient's numerators
+    over den stay integers (_through_factors), and each coefficient becomes
+    one rational at the end, top out[e] / den.
+    """
+    out = _through_factors(num, factors, order)
     return QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c * top, den) for e, c in enumerate(out) if c})
 
 
-def _row_walk(order: int, column, start):
-    """Every partition of size at most order, as its size and the sums of its
-    columns: yields (size, sums), sums[j] = start[j] + sum_i column(i, nu_i)[j].
+def _row_walk(order: int, column, start) -> list[int]:
+    """The sums, over the partitions of each size 0..order, of the product
+    of their column sums: sum_nu prod_j (start[j] + sum_i column(i, nu_i)[j]).
 
     A partition grows one row at a time, each row no longer than the one
     above.  column(i, part) is computed once for every row i and part with
-    i part <= order, and the sums are carried down the walk.
+    i part <= order, and the sums are carried down the walk; each product
+    is summed where its partition is reached.  A row that fills the size up
+    to order ends the walk, so its partition is summed without a visit.
     """
     cols = {(i, p): column(i, p) for i in range(1, order + 1) for p in range(1, order // i + 1)}
+    totals = [0] * (order + 1)
     stack = [(0, order, 0, tuple(start))]  # rows, longest next row, size, sums
     while stack:
         rows, longest, size, sums = stack.pop()
-        yield size, sums
-        for part in range(1, min(longest, order - size) + 1):
-            stack.append((rows + 1, part, size + part, tuple(map(add, sums, cols[rows + 1, part]))))
-
-
-def _sum_by_size(walk, order: int) -> tuple[list[int], list[int]]:
-    """The sums of the products of each walked object's sums, and the counts
-    of the objects, by size 0..order."""
-    totals, counts = [0] * (order + 1), [0] * (order + 1)
-    for size, sums in walk:
         totals[size] += math.prod(sums)
-        counts[size] += 1
-    return totals, counts
+        room, row = order - size, rows + 1
+        for part in range(1, min(longest, room - 1) + 1):
+            stack.append((row, part, size + part, tuple(map(add, sums, cols[row, part]))))
+        if 0 < room <= longest:
+            totals[order] += math.prod(map(add, sums, cols[row, room]))
+    return totals
 
 
 # the most steps an enumeration route takes, refused up front: the objects
@@ -232,62 +286,47 @@ def _core_count(t: int, order: int) -> str:
     estimate = _core_estimate(t, order)
     if estimate > _COUNTED:
         return f"about {estimate}"
-    return str(sum(1 for _ in _charge_walk(t, order, lambda r, c: ())))
+    return str(sum(len(ends) for _, _, ends in _charge_walk(t, order, lambda r, c: ())))
 
 
-def _has_core_size(t: int, k: int) -> bool:
-    """Whether some t-core has size k >= 1, in closed form: for t = 2 the
-    staircases, of triangular size; for t = 3 the k for which every prime
-    p = 2 (mod 3) divides 3k + 1 to an even power (Granville and Ono, Trans.
-    Amer. Math. Soc. 348, 1996, who also prove that every size has a t-core
-    for t >= 4)."""
-    if t == 2:
-        j = (math.isqrt(8 * k + 1) - 1) // 2
-        return j * (j + 1) == 2 * k
-    if t > 3:
-        return True
-    n, q = 3 * k + 1, 2
-    while q * q <= n:
-        power = 0
-        while n % q == 0:
-            n //= q
-            power += 1
-        if power % 2 and q % 3 == 2:
-            return False
-        q += 1
-    return n % 3 != 2
+def _division_steps(t: int | None, order: int) -> int:
+    """The steps of a division by the t-core counts through order (t = None:
+    by the partition counts), as _through_factors takes them on the factors
+    of _count_factors: a nonzero term at Q^k costs order - k + 1.
 
-
-def _division_steps(t: int, order: int, cap: int) -> int:
-    """The steps of a division by the t-core counts through order, or a
-    partial count once it passes cap.
-
-    _divide_by_counts takes one step at each Q^e for each size 1 <= k <= e
-    that has a t-core, so such a size costs order - k + 1 steps.
+    The exponents are in closed form: the triangular numbers k(k + 1)/2 of
+    Gauss's series, the pentagonal numbers j(3j -+ 1)/2 of E(Q), and t times
+    the triangular numbers for Jacobi's cube E(Q^3)^3.  E(Q^t)^t for t >= 4
+    is charged at every power of Q^t, a bound over its zero coefficients.
     """
-    if t > 3:
-        return order * (order + 1) // 2
-    steps = 0
-    for k in range(1, order + 1):
-        if steps > cap:
-            break
-        if _has_core_size(t, k):
-            steps += order - k + 1
-    return steps
+    def charge(count: int, exponents: int) -> int:
+        return count * (order + 1) - exponents
+
+    if t == 2:
+        m = (math.isqrt(8 * order + 1) - 1) // 2
+        return charge(m, m * (m + 1) * (m + 2) // 6)
+    root = math.isqrt(24 * order + 1)
+    a, b = (root + 1) // 6, (root - 1) // 6  # the j with j(3j - 1)/2 and j(3j + 1)/2 <= order
+    steps = charge(a + b, a * a * (a + 1) // 2 + b * (b + 1) ** 2 // 2)
+    if t is None or t > order:
+        return steps
+    d = order // t
+    if t == 3:
+        m = (math.isqrt(8 * d + 1) - 1) // 2
+        return steps + charge(m, t * m * (m + 1) * (m + 2) // 6)
+    return steps + charge(d, t * d * (d + 1) // 2)
 
 
 def _check_core_steps(route: str, t: int, order: int, slots: int) -> None:
     """Refuse a t-core average with slots sums per core and slots divisions
     by the count series that takes more than _MAX_STEPS steps."""
     cores = _core_estimate(t, order)
-    cap = _MAX_STEPS // slots
-    division = _division_steps(t, order, cap)
+    division = _division_steps(t, order)
     if slots * (cores + division) > _MAX_STEPS:
-        counted = f"at least {division}" if division > cap else str(division)
         raise _refusal(
             route, slots * (cores + division),
             f"at t = {t}, order {order}, {_core_count(t, order)} charge vectors and "
-            f"{counted} steps of the division by their counts, for each of {slots} sums",
+            f"{division} steps of the division by their counts, for each of {slots} sums",
         )
 
 
@@ -314,10 +353,12 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     exponent range [lo, hi] = [t min c, t max c + t - 1] of the cores'
     charges (_balanced_options), s^e is the integer
     p^(2(e - lo)) q^(2(hi - e)) over p^(-2 lo) q^(2 hi), read from one table
-    per s-value.  One walk carries M_s(c) for every s; the products are
-    summed in integers at each size and divided once by the t-core count
-    series (see _divide_by_counts).  Averages of more than _MAX_STEPS steps
-    are refused up front.
+    per s-value.  One walk (_charge_walk) carries M_s(c) for every s down
+    the heads of the cores, and each end adds its tracks' share; the
+    products are summed in integers at each size and divided once by the
+    t-core count series, through its sparse product form, so the cores are
+    not counted (see _divide_by_counts).  Averages of more than _MAX_STEPS
+    steps are refused up front.
     """
     check_t(t)
     check_order(order)
@@ -332,9 +373,12 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
         tables.append([p2 ** (e - lo) * q2 ** (hi - e) for e in range(lo, hi + 1)])
         den *= p2**-lo * q2**hi * (p2**t - q2**t)
         top *= sv.sqrt_s.numerator * sv.sqrt_s.denominator ** (2 * t - 1)
+    totals = [0] * (order + 1)
     walk = _charge_walk(t, order, lambda r, c: tuple(table[r + t * c - lo] for table in tables))
-    totals, counts = _sum_by_size(walk, order)
-    return _divide_by_counts(totals, counts, den, order, top)
+    for spent2, head, ends in walk:
+        for cost2, end in ends:
+            totals[(spent2 + cost2) >> 1] += math.prod(map(add, head, end))
+    return _divide_by_counts(totals, _count_factors(t, order), den, order, top)
 
 
 def bloch_okounkov_F(s_values, order: int) -> QSeries:
@@ -342,22 +386,24 @@ def bloch_okounkov_F(s_values, order: int) -> QSeries:
 
     One walk over the partitions (_row_walk) carries each s-value's moment
     as an integer over the one denominator of a _MomentTable that serves
-    every size through order.  Averages of more than _MAX_STEPS steps are
-    refused up front.
+    every size through order, and sums their products by size in place.
+    Dividing by the partition counts is multiplying by Euler's product
+    prod (1 - Q^n), a sparse pentagonal series (see _divide_by_counts).
+    Averages of more than _MAX_STEPS steps are refused up front.
     """
     check_order(order)
     svals = s_vector(s_values)
-    division = (order + 1) * order
+    division = _division_steps(None, order)
     walked, n = _partitions_through(order, _MAX_STEPS)
     if walked + division > _MAX_STEPS:
         raise _refusal(
             "bloch_okounkov_F", walked + division,
             f"at order {order}, {walked} partitions of size at most {n} and "
-            f"{order + 1} x {order} steps of the division by their counts",
+            f"{division} steps of the division by their counts",
         )
     table = _MomentTable(svals, *_size_clearing_exponents(order))
-    totals, counts = _sum_by_size(_row_walk(order, table.row, table.empty()), order)
-    return _divide_by_counts(totals, counts, table.den, order)
+    totals = _row_walk(order, table.row, table.empty())
+    return _divide_by_counts(totals, _count_factors(None, order), table.den, order)
 
 
 @dataclass(frozen=True)
@@ -900,11 +946,13 @@ def correlation_expansion(
     so per core only the integer power sums P_k, k <= max l, are kept, and
     the sums of prod_j P_(k_j) are accumulated for every multi-index
     k <= l_orders; a product depends only on the multiset of k, and so does
-    a slot on the multiset of its indices.  Each slot is a finite rational
-    combination of those sums; at each size it is an integer over one
-    denominator, divided by the t-core count series in integers (see
-    _divide_by_counts).  Tables of more than _MAX_SLOTS slots are refused up
-    front.
+    a slot on the multiset of its indices.  The walk (_charge_walk) hands
+    over each core's power sums as a head and an end, and each multiset's
+    product is its parent multiset's times one P_k.  Each slot is a finite
+    rational combination of those sums; at each size it is an integer over
+    one denominator, divided by the t-core count series in integers through
+    its sparse product form (see _divide_by_counts), so no core is counted.
+    Tables of more than _MAX_SLOTS slots are refused up front.
     """
     check_t(t)
     check_order(q_order)
@@ -924,24 +972,36 @@ def correlation_expansion(
         return tuple(ks.count(k) for k in range(l_max + 1))
 
     # prod_j P_(k_j), summed per size, by the multiset of k
-    kinds = dict.fromkeys(multiset(ks) for ks in keys)
+    kinds: dict = {}  # each multiset of k, with its indices in increasing order
+    for ks in keys:
+        kinds.setdefault(multiset(ks), tuple(sorted(ks)))
     _check_core_steps("correlation_expansion", t, q_order, len(kinds))
-    moments = {mult: [0] * (q_order + 1) for mult in kinds}
-    counts = [0] * (q_order + 1)
+    # the product of a prefix of those indices is its parent prefix's times
+    # one P_k, so a core takes one multiplication per prefix
+    prefixes = {(): 0}
+    chain = []  # (parent prefix, k) of every nonempty prefix, parents first
+    for ks in kinds.values():
+        for i in range(1, len(ks) + 1):
+            if ks[:i] not in prefixes:
+                prefixes[ks[:i]] = len(prefixes)
+                chain.append((prefixes[ks[:i - 1]], ks[i - 1]))
+    full = [prefixes[ks] for ks in kinds.values()]
+    by_size = [[0] * len(kinds) for _ in range(q_order + 1)]
 
     def column(r, c):
         # a_r^k, k = 1..l_max, for a_r = 2r + 1 + 2t c
         return tuple((2 * r + 1 + 2 * t * c) ** k for k in range(1, l_max + 1))
 
-    for size, sums in _charge_walk(t, q_order, column):
-        power_sums = (t,) + sums  # P_0 .. P_(l_max)
-        for mult, row in moments.items():
-            weight = 1
-            for p_k, m in zip(power_sums, mult):
-                if m:
-                    weight *= p_k**m
-            row[size] += weight
-        counts[size] += 1
+    for spent2, head, ends in _charge_walk(t, q_order, column):
+        for cost2, end in ends:
+            power_sums = [t, *map(add, head, end)]  # P_0 .. P_(l_max)
+            products = [1]
+            for parent, k in chain:
+                products.append(products[parent] * power_sums[k])
+            row = by_size[(spent2 + cost2) >> 1]
+            row[:] = map(add, row, map(products.__getitem__, full))
+    moments = {mult: [row[i] for row in by_size] for i, mult in enumerate(kinds)}
+    factors = _count_factors(t, q_order)
 
     # coef[m][k] = beta_m / (2^k k!), the weight of P_k in g_(m + k)
     coef = [
@@ -965,7 +1025,7 @@ def correlation_expansion(
         den = math.lcm(*(w.denominator for w, _ in terms))
         scaled = [(w.numerator * (den // w.denominator), row) for w, row in terms]
         num = [sum(c * row[size] for c, row in scaled) for size in range(q_order + 1)]
-        return _divide_by_counts(num, counts, den, q_order)
+        return _divide_by_counts(num, factors, den, q_order)
 
     # a slot depends only on the multiset of its indices
     by_multiset: dict = {}

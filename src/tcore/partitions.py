@@ -9,7 +9,8 @@ charge vector).
 
 from __future__ import annotations
 
-from operator import add
+from bisect import bisect_right
+from operator import add, itemgetter
 from typing import Iterator
 
 from ._rat import QQ
@@ -134,12 +135,18 @@ def _balanced_options(t: int, budget2: int) -> list[list[tuple[int, int]]]:
     The unit steps of the tracks away from charge 0 cost the odd numbers
     2j + 1, once each: up on track j mod t, down on track t - 1 - (j mod t)
     (see _track_cost2).  So the others carry -c most cheaply by the |c| least
-    of them that are not track r's own steps that way.
+    of them that are not track r's own steps that way.  Those are the j < J
+    off track r's own residue, for the J that leaves |c| of them (t - 1 in
+    every block of t): the odd numbers below 2J sum to J^2, less the own
+    steps 2(own + kt) + 1 below it.
     """
     def balanced(r: int, cost2: int, c: int) -> bool:
         own = t - 1 - r if c > 0 else r
-        steps = [2 * j + 1 for j in range(abs(c) * t) if j % t != own]
-        return cost2 + sum(steps[:abs(c)]) <= budget2
+        blocks, rest = divmod(abs(c), t - 1)
+        top = blocks * t + rest + (rest > own)
+        skipped = (top - own + t - 1) // t
+        cheapest = top * top - skipped * (2 * own + 1) - t * skipped * (skipped - 1)
+        return cost2 + cheapest <= budget2
 
     return [
         [(cost2, c) for cost2, c in _track_options(t, r, budget2) if balanced(r, cost2, c)]
@@ -147,30 +154,47 @@ def _balanced_options(t: int, budget2: int) -> list[list[tuple[int, int]]]:
     ]
 
 
+def _euler_terms(order: int) -> list[tuple[int, int]]:
+    """The nonzero terms (k, c), 1 <= k <= order, of E(x) = prod_(n>=1) (1 - x^n):
+    c = (-1)^j at the pentagonal numbers k = j(3j -+ 1)/2, j >= 1 (Euler)."""
+    terms, j = [], 1
+    while (k := j * (3 * j - 1) // 2) <= order:
+        terms.append((k, (-1) ** j))
+        if k + j <= order:
+            terms.append((k + j, (-1) ** j))
+        j += 1
+    return terms
+
+
 def _partition_counts() -> Iterator[int]:
-    """p(0), p(1), p(2), ... by Euler's pentagonal number recurrence,
-    p(n) = sum_(k>=1) (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
-    p = [1]
-    yield 1
+    """p(0), p(1), p(2), ... by Euler's pentagonal number theorem: the
+    partition counts times E(x) are 1, so p(n) = -sum c p(n - k) over the
+    terms (k, c) of E(x) at k <= n."""
+    p: list[int] = []
     while True:
-        n, total, k = len(p), 0, 1
-        while (g := k * (3 * k - 1) // 2) <= n:
-            term = p[n - g] + (p[n - g - k] if g + k <= n else 0)
-            total += term if k % 2 else -term
-            k += 1
-        p.append(total)
-        yield total
+        n = len(p)
+        p.append((n == 0) - sum(c * p[n - k] for k, c in _euler_terms(n)))
+        yield p[-1]
 
 
 def _charge_walk(t: int, order: int, column):
-    """Every charge vector of size at most order (see _track_cost2),
-    as its size and the sums of its columns: yields (size, sums),
-    sums[j] = sum_r column(r, c_r)[j].
+    """Every charge vector of size at most order (see _track_cost2), grouped
+    by its head, the charges of its first t - 2 tracks: yields
+    (spent2, sums, ends) once per head that some end completes, with
+    sums[j] = sum_(r < t - 2) column(r, c_r)[j] and ends the (cost2, col)
+    of every completing end, cheapest first.  An end is a pair of charges of
+    the last two tracks; the vector it completes has size
+    (spent2 + cost2) // 2 and column sums sums[j] + col[j].
 
     Each track holds its (cost, charge, column) options that the other
-    tracks can balance (_balanced_options), cheapest first, so
-    its loop stops at the first option past the budget; the charge of the
-    last track is fixed by the zero sum.  The sums are carried down the walk.
+    tracks can balance (_balanced_options), cheapest first, so its loop
+    stops at the first option past the budget, and the sums are carried
+    down the walk.  The zero sum fixes the charge sum S of the end.  The
+    ends of each S, with their two costs and columns added, are listed on
+    the first head that needs them, cheapest first; a head reads the prefix
+    within its budget, so every end it reads is a charge vector.  Listing
+    them on first use keeps t = 2, whose one head reads S = 0 only, linear
+    in the options.
     """
     budget2 = 2 * order
     tracks = [
@@ -178,19 +202,34 @@ def _charge_walk(t: int, order: int, column):
         for r, opts in enumerate(_balanced_options(t, budget2))
     ]
     last = {c: (cost2, col) for cost2, c, col in tracks.pop()}
+    penult = tracks.pop()
+    by_sum: dict[int, list[tuple[int, tuple]]] = {}
+
+    def pairs_of(total: int) -> list[tuple[int, tuple]]:
+        found = []
+        for cost2, c, col in penult:
+            if total - c in last:
+                end2, end = last[total - c]
+                if cost2 + end2 <= budget2:
+                    found.append((cost2 + end2, tuple(map(add, col, end))))
+        found.sort(key=itemgetter(0))
+        return found
+
     stack = [(0, 0, 0, tuple(0 for _ in last[0][1]))]  # track, cost, charge sum, sums
     while stack:
         r, spent2, csum, sums = stack.pop()
+        if r == len(tracks):
+            if (found := by_sum.get(-csum)) is None:
+                found = by_sum[-csum] = pairs_of(-csum)
+            within = bisect_right(found, budget2 - spent2, key=itemgetter(0))
+            if within:
+                yield spent2, sums, found[:within]
+            continue
         for cost2, c, col in tracks[r]:
             cost2 += spent2
             if cost2 > budget2:
                 break
-            if r < t - 2:
-                stack.append((r + 1, cost2, csum + c, tuple(map(add, sums, col))))
-            elif -csum - c in last:
-                end2, end = last[-csum - c]
-                if cost2 + end2 <= budget2:
-                    yield (cost2 + end2) // 2, tuple(x + y + z for x, y, z in zip(sums, col, end))
+            stack.append((r + 1, cost2, csum + c, tuple(map(add, sums, col))))
 
 
 def _charge_vectors(t: int, max_size: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -198,8 +237,9 @@ def _charge_vectors(t: int, max_size: int) -> Iterator[tuple[tuple[int, ...], in
     def unit(r: int, c: int) -> tuple[int, ...]:
         return (0,) * r + (c,) + (0,) * (t - 1 - r)
 
-    for size, charges in _charge_walk(t, max_size, unit):
-        yield charges, size
+    for spent2, head, ends in _charge_walk(t, max_size, unit):
+        for cost2, end in ends:
+            yield tuple(map(add, head, end)), (spent2 + cost2) // 2
 
 
 def t_core_from_charges(t: int, charges) -> tuple[int, ...]:

@@ -2,19 +2,27 @@
 of the walks in tcore.npoint and of its one-exponential product.
 
 Each average here builds every object's moment from nothing, the way the
-routes did before they carried running sums down one walk per lattice.
+routes did before they carried running sums down one walk per lattice, and
+divides by the counts it enumerated, as series over Q, where the routes
+divide through the counts' sparse product forms.
 """
 
 import math
 
 from tcore._rat import QQ, rat_pow
-from tcore.npoint import _MomentTable, _divide_by_counts, _size_clearing_exponents, s_vector
+from tcore.npoint import _MomentTable, _size_clearing_exponents, s_vector
 from tcore.partitions import _charge_vectors, partitions_of
-from tcore.qseries import QQ_DOMAIN, BiSeries, check_order, check_t
+from tcore.qseries import QQ_DOMAIN, BiSeries, QSeries, check_order, check_t, qdiv
 from tcore.symfunc import deformation_base
 from tcore.theta import _macmahon_log
 
 import series_oracle
+
+
+def divide_by_counts(sums, counts, den: int, order: int) -> QSeries:
+    """(sum_e sums[e] Q^e / den) / (sum_k counts[k] Q^k), by series division over Q."""
+    num = QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c, den) for e, c in enumerate(sums)})
+    return qdiv(num, QSeries(QQ_DOMAIN, 2 * order, {2 * k: QQ(c) for k, c in enumerate(counts)}))
 
 
 def average(groups, svals, order: int):
@@ -32,7 +40,7 @@ def average(groups, svals, order: int):
             count += 1
         sums.append(total)
         counts.append(count)
-    return _divide_by_counts(sums, counts, table.den, order)
+    return divide_by_counts(sums, counts, table.den, order)
 
 
 def bloch_okounkov(s_values, order: int):
@@ -66,7 +74,7 @@ def brute_force(t: int, s_values, order: int):
         idx = [r + t * c - lo for r, c in enumerate(charges)]
         sums[size] += math.prod(sum(powers[k] for k in idx) for powers in tables)
         counts[size] += 1
-    average = _divide_by_counts(sums, counts, den, order)
+    average = divide_by_counts(sums, counts, den, order)
     return average.map_coeffs(lambda c: c * factor)
 
 

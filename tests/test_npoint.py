@@ -6,6 +6,7 @@ import math
 import time
 from functools import lru_cache
 from itertools import product
+from operator import add
 
 import mpmath
 import pytest
@@ -24,9 +25,11 @@ from tcore.npoint import (
     _clearing_exponents,
     _closed_layout,
     _core_estimate,
+    _count_factors,
     _divide_by_counts,
     _row_walk,
     _size_clearing_exponents,
+    _through_factors,
     bloch_okounkov_F,
     brute_force_Ft,
     closed_Ft,
@@ -67,11 +70,20 @@ from tcore.qseries import (
     qdiv,
 )
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
-from tcore.theta import ThetaArg, eisenstein, jfunc, level_series, macmahon, theta3, vartheta
+from tcore.theta import (
+    ThetaArg,
+    bernoulli,
+    eisenstein,
+    jfunc,
+    level_series,
+    macmahon,
+    theta3,
+    vartheta,
+)
 
 import average_oracle
 import determinant_oracle
-from partition_oracle import filtered_t_cores
+from partition_oracle import euler_product_series, filtered_t_cores
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -831,54 +843,77 @@ def test_one_point_average_is_a_theta_quotient_deep(t, order):
 # -- the integer averaging kernel ------------------------------------------------------
 
 
-def counts_and_numerators(order_max: int = 40):
-    """An order, integer counts with constant term 1 and rational numerators."""
+def numerators(order: int):
+    """order + 1 rational numerators."""
+    return st.lists(
+        st.builds(QQ, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+        min_size=order + 1, max_size=order + 1,
+    )
+
+
+def factors_and_numerators(order_max: int = 40):
+    """An order, up to three sparse factors 1 + sum c Q^k with small integer
+    coefficients, each multiplied or divided, and rational numerators."""
     def build(order):
-        counts = st.lists(
-            st.one_of(st.just(0), st.integers(-50, 50)), min_size=order, max_size=order
-        ).map(lambda tail: [1] + tail)
-        nums = st.lists(
-            st.builds(QQ, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
-            min_size=order + 1, max_size=order + 1,
-        )
-        return st.tuples(st.just(order), counts, nums)
+        terms = st.dictionaries(
+            st.integers(1, max(order, 1)), st.integers(-50, 50).filter(bool), max_size=6
+        ).map(lambda found: sorted(found.items()))
+        factors = st.lists(st.tuples(terms, st.booleans()), max_size=3)
+        return st.tuples(st.just(order), factors, numerators(order))
 
     return st.integers(0, order_max).flatmap(build)
 
 
-def divide_as_series(nums, counts, order):
-    """The same quotient by series division over Q."""
-    a = QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c) for e, c in enumerate(nums)})
-    b = QSeries(QQ_DOMAIN, 2 * order, {2 * k: QQ(c) for k, c in enumerate(counts)})
-    return qdiv(a, b)
+def as_series(coeffs, order):
+    return QSeries(QQ_DOMAIN, 2 * order, {2 * e: QQ(c) for e, c in enumerate(coeffs)})
 
 
-def divide_by_counts(nums, counts, order):
+def divide_by_counts(nums, factors, order):
     den = math.lcm(*(QQ(c).denominator for c in nums))
     ints = [QQ(c).numerator * (den // QQ(c).denominator) for c in nums]
-    return _divide_by_counts(ints, counts, den, order)
+    return _divide_by_counts(ints, factors, den, order)
+
+
+@lru_cache(maxsize=None)
+def count_series(t, order: int = 300) -> QSeries:
+    """The count series of the t-cores (t = None: of all partitions), from
+    their products over Q; truncated from order 300, which is honest."""
+    if order < 300:
+        return count_series(t, 300).truncated(order)
+    return t_core_product_series(t, order) if t else euler_product_series(order)
 
 
 @settings(max_examples=60, deadline=None)
-@given(counts_and_numerators())
-def test_division_by_counts_matches_series_division(case):
-    order, counts, nums = case
-    assert divide_by_counts(nums, counts, order) == divide_as_series(nums, counts, order)
+@given(factors_and_numerators())
+def test_sparse_factors_match_series_products_and_quotients(case):
+    # the kernel against QSeries products and qdiv, one factor at a time
+    order, factors, nums = case
+    reference = as_series(nums, order)
+    for terms, divide in factors:
+        terms = {2 * k: QQ(c) for k, c in terms if k <= order}
+        factor = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), **terms})
+        reference = qdiv(reference, factor) if divide else reference * factor
+    assert divide_by_counts(nums, factors, order) == reference
 
 
-@pytest.mark.parametrize("t", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, 2, 3, 4, 5, 6, 7]), st.integers(0, 40).flatmap(
+    lambda order: st.tuples(st.just(order), numerators(order))))
+def test_division_by_counts_matches_series_division(t, case):
+    order, nums = case
+    reference = qdiv(as_series(nums, order), count_series(t, order))
+    assert divide_by_counts(nums, _count_factors(t, order), order) == reference
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, None])
 def test_division_by_sparse_core_counts_matches_series_division(t):
-    # at t = 2 the only cores are the staircases, so the counts are runs of
-    # zeros between single ones
-    order = 40
-    counts = [len(g) for g in enumerate_t_cores(t, order).values()]
-    nums = [QQ(k * k - 7, 3 * k + 1) for k in range(order + 1)]
-    assert divide_by_counts(nums, counts, order) == divide_as_series(nums, counts, order)
-
-
-def test_division_by_counts_needs_constant_term_one():
-    with pytest.raises(ValueError, match="start with 1"):
-        _divide_by_counts([1, 2], [2, 1], 1, 1)
+    # each product form against series division by the count series, up to
+    # the order of the deepest benchmark call; at t = 2 the only cores are
+    # the staircases, so the counts are runs of zeros between single ones
+    for order in (0, 1, 40, 300):
+        nums = [QQ(k * k - 7, 12) for k in range(order + 1)]
+        reference = qdiv(as_series(nums, order), count_series(t, order))
+        assert divide_by_counts(nums, _count_factors(t, order), order) == reference
 
 
 def test_average_reads_generator_groups_like_lists():
@@ -896,8 +931,18 @@ def test_average_reads_generator_groups_like_lists():
 # -- the walks against the per-object loops ------------------------------------------
 
 
-@pytest.mark.parametrize("t", range(2, 7))
-@pytest.mark.parametrize("order", [0, 1, 9])
+def walked(walk):
+    """The (size, column sums) of every charge vector of a charge walk."""
+    return sorted(
+        ((spent2 + cost2) // 2, tuple(map(add, head, end)))
+        for spent2, head, ends in walk for cost2, end in ends
+    )
+
+
+# at t = 2 no track is left ahead of the last two, which are the whole walk
+@pytest.mark.parametrize("order, t", [
+    *((order, t) for t in range(2, 7) for order in (0, 1, 9)), (60, 2), (9, 7),
+])
 def test_charge_walk_sums_the_columns_of_every_charge_vector(t, order):
     def column(r, c):
         return (r + t * c, (2 * r + 1 + 2 * t * c) ** 3, 1)
@@ -913,9 +958,12 @@ def test_charge_walk_sums_the_columns_of_every_charge_vector(t, order):
             sums = tuple(map(sum, zip(*(column(r, c) for r, c in enumerate(charges)))))
             reference.append((size2 // 2, sums, charges))
     reference.sort()
-    assert sorted(_charge_walk(t, order, column)) == [(size, sums) for size, sums, _ in reference]
-    assert sorted(_charge_walk(t, order, lambda r, c: ())) == [(n, ()) for n, _, _ in reference]
+    assert walked(_charge_walk(t, order, column)) == [(size, sums) for size, sums, _ in reference]
+    assert walked(_charge_walk(t, order, lambda r, c: ())) == [(n, ()) for n, _, _ in reference]
     assert sorted(_charge_vectors(t, order)) == sorted((c, size) for size, _, c in reference)
+    # every end a head reads completes it within the budget
+    for spent2, _, ends in _charge_walk(t, order, column):
+        assert ends and all(spent2 + cost2 <= 2 * order for cost2, _ in ends)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 7])
@@ -924,14 +972,14 @@ def test_row_walk_sums_the_columns_of_every_partition(order):
         return (part, i * part, part**i)
 
     start = (5, 0, -1)
-    reference = []
+    reference = [0] * (order + 1)
     for size in range(order + 1):
         for nu in partitions_of(size):
             sums = list(start)
             for i, part in enumerate(nu, start=1):
                 sums = [a + b for a, b in zip(sums, column(i, part))]
-            reference.append((size, tuple(sums)))
-    assert sorted(_row_walk(order, column, start)) == sorted(reference)
+            reference[size] += math.prod(sums)
+    assert _row_walk(order, column, start) == reference
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -971,8 +1019,8 @@ def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
 
 
 @pytest.mark.parametrize("call, count", [
-    (lambda: bloch_okounkov_F((4,), 10_000), r"partitions of size at most \d+ and 10001 x 10000"),
-    (lambda: brute_force_Ft(2, (4,), 10**6), r"1414 charge vectors and at least 1999998 steps"),
+    (lambda: bloch_okounkov_F((4,), 10_000), r"size at most 49 and 1078839 steps of the division"),
+    (lambda: brute_force_Ft(2, (4,), 10**6), r"1414 charge vectors and 941810658 steps"),
     (lambda: qdeformed_Zn_sum(2, (4,), 60), r"635376 steps of the division"),
     (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
     (lambda: correlation_expansion(6, 2, (100, 100), 400), r"10201 slots.* about \d+ charge"),
@@ -994,8 +1042,8 @@ def test_the_step_bound_admits_the_largest_calls_in_use():
     ):
         npoint._check_core_steps("brute_force_Ft", t, order, slots)
     assert npoint._partitions_through(24, _MAX_STEPS)[0] + 25 * 24 < _MAX_STEPS
-    # 363 estimated charge vectors and 24620 steps of the division, per sum
-    assert npoint._core_estimate(3, 300) + npoint._division_steps(3, 300, _MAX_STEPS) == 24983
+    # 363 estimated charge vectors and 7931 steps of the division, per sum
+    assert npoint._core_estimate(3, 300) + npoint._division_steps(3, 300) == 8294
 
 
 def core_counts(t: int, order: int) -> list[int]:
@@ -1012,15 +1060,63 @@ def core_counts(t: int, order: int) -> list[int]:
     return counts
 
 
-@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
-def test_division_steps_count_the_sizes_that_have_a_core(t):
-    counts = core_counts(t, 200)
-    enumerated = t_core_size_series(t, 24)
-    assert counts[:25] == [enumerated.coeff(k) for k in range(25)]
-    for order in (0, 1, 2, 7, 50, 200):
+def kernel_steps(t, order: int) -> int:
+    """The sums and differences _through_factors takes on the factors of
+    _count_factors(t, order), counted by an int subclass."""
+    taken = 0
+
+    class Counted(int):
+        def __add__(self, other):
+            nonlocal taken
+            taken += 1
+            return Counted(int(self) + int(other))
+
+        def __sub__(self, other):
+            nonlocal taken
+            taken += 1
+            return Counted(int(self) - int(other))
+
+        def __rmul__(self, other):
+            return Counted(int(other) * int(self))
+
+    _through_factors([Counted(e + 1) for e in range(order + 1)], _count_factors(t, order), order)
+    return taken
+
+
+def euler_power_coeffs(t: int, degree: int) -> list[int]:
+    """The coefficients of prod (1 - x^n)^t through x^degree, factor by factor."""
+    coeffs = [1] + [0] * degree
+    for n in range(1, degree + 1):
+        for _ in range(t):
+            for e in range(degree, n - 1, -1):
+                coeffs[e] -= coeffs[e - n]
+    return coeffs
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7, None])
+def test_division_steps_count_the_kernels_steps(t):
+    # exact for Gauss's series, Euler's and Jacobi's; E(Q^t)^t for t >= 4 is
+    # charged at every power of Q^t, so also at its zero coefficients
+    for order in range(0, 201, 7):
+        charged = npoint._division_steps(t, order)
+        zeros = 0
+        if t and t >= 4:
+            coeffs = euler_power_coeffs(t, order // t)
+            zeros = sum(order - t * j + 1 for j, c in enumerate(coeffs) if j and not c)
+        assert charged == kernel_steps(t, order) + zeros, order
+
+
+@pytest.mark.parametrize("t, dense", [(2, 4624), (3, 24620)])
+def test_count_division_takes_no_more_steps_than_the_dense_counts(t, dense):
+    # dividing by the count series itself takes a step at each Q^e for each
+    # size 1 <= k <= e that has a core; the factor forms take no more
+    counts = core_counts(t, 300)
+    assert counts[:25] == [t_core_size_series(t, 24).coeff(k) for k in range(25)]
+    for order in (0, 1, 7, 50, 300):
         steps = sum(1 for e in range(order + 1) for k in range(1, e + 1) if counts[k])
-        assert npoint._division_steps(t, order, _MAX_STEPS) == steps
-    assert [npoint._has_core_size(t, k) for k in range(1, 201)] == [c > 0 for c in counts[1:]]
+        assert kernel_steps(t, order) <= steps
+    assert steps == dense
+    assert kernel_steps(t, 300) == {2: 4624, 3: 7931}[t]
 
 
 @pytest.mark.parametrize("t, order", [
@@ -1217,6 +1313,36 @@ def test_correlation_matches_the_row_taylor_form(t, l_orders):
     reference = correlation_by_rows(t, l_orders, q_order)
     assert list(table) == list(reference)
     assert table == reference
+
+
+def correlation_by_cores(t, l_orders, q_order):
+    """The correlation table one charge vector at a time: each core's Taylor
+    coefficients g_l from its power sums P_k, the product of the g_l of
+    each slot summed per size, and the sums divided as series by the cores
+    counted."""
+    l_max = max(l_orders)
+    beta = [bernoulli(m) * rat_pow(t, m - 1) / math.factorial(m) for m in range(l_max + 1)]
+    keys = list(product(*(range(l + 1) for l in l_orders)))
+    sums = {key: [QQ(0)] * (q_order + 1) for key in keys}
+    counts = [0] * (q_order + 1)
+    for charges, size in _charge_vectors(t, q_order):
+        a = [2 * r + 1 + 2 * t * c for r, c in enumerate(charges)]
+        power = [sum(x**k for x in a) for k in range(l_max + 1)]
+        g = [sum(beta[l - k] * QQ(power[k], 2**k * math.factorial(k)) for k in range(l + 1))
+             for l in range(l_max + 1)]
+        for key in keys:
+            sums[key][size] += math.prod((g[l] for l in key), start=QQ(1))
+        counts[size] += 1
+    return {key: qdiv(as_series(row, q_order), as_series(counts, q_order))
+            for key, row in sums.items()}
+
+
+@pytest.mark.parametrize("t, l_orders, q_order", [(7, (4, 4), 40), (5, (2, 2, 2), 30)])
+def test_correlation_products_by_parent_multiset_match_the_cores(t, l_orders, q_order):
+    # the route builds each multiset's product of power sums from its
+    # parent's; here each core's slot products are formed from nothing
+    table = correlation_expansion(t, len(l_orders), l_orders, q_order)
+    assert table == correlation_by_cores(t, l_orders, q_order)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
