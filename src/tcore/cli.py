@@ -6,7 +6,8 @@
 
 The output is the JSON of ``NPointResult.as_payload()``, with the wall time
 of the route in ``elapsed_ms`` and, for the closed routes, the number of
-terms of their sum in ``terms``.
+terms of their sum in ``terms``: the labellings of the points 2..n by Z/t,
+t^(n-1) of them.
 """
 
 from __future__ import annotations

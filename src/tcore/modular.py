@@ -9,8 +9,9 @@ mapped to the root w that the Chinese remainder theorem builds from the w_p.
 
 The primes come from a pool per step S: the largest primes p = 1 (mod S)
 below 2^61, walked downwards and found as they are asked for.  Every
-conductor m that divides U = 105 2^32, which holds for m = 2t with t <= 8
-and for 24, shares the pool of step U; any other m takes the pool of step
+conductor m that divides U = 105 2^32, which holds for the conductor m = t
+of the closed routes with t <= 8, for 2t and for 24, shares the pool of
+step U; any other m takes the pool of step
 S = m 2^e >= 2^32, shared by the conductors with m's odd part.  Since
 S > sqrt(p), Pocklington's theorem proves each pool prime with a small
 base a (Brillhart, Lehmer and Selfridge, Math. Comp. 29, 1975), and the

@@ -4,12 +4,13 @@ Two of the three independent routes to the same series live here: the
 defining average over enumerated t-cores (brute_force_Ft) and the paper's
 closed theta formula (closed_Ft, with a free parameter Q2, and closed_Ft_r,
 with a marked index subset instead); the third is torus quadrature
-(tcore.contour).  The closed formula is a sum over set partitions of theta
-determinants.  Frobenius's elliptic Cauchy determinant (J. reine angew.
-Math. 93, 1882) makes each determinant a product of theta values in which
-Q2 and the marked subset cancel, so both closed routes sum that one product
-form, through theta logarithms modulo primes (_closed_sum); Q2 and r are
-validated but no longer change the result.  The module also carries the
+(tcore.contour).  The closed formula is a sum over set partitions, with
+tuples of distinct labels, of theta determinants.  Frobenius's elliptic
+Cauchy determinant (J. reine angew. Math. 93, 1882) makes each determinant
+a product of theta values in which Q2 and the marked subset cancel, so both
+closed routes sum that one product form, through theta logarithms modulo
+primes, over the labellings of the points by Z/t (_closed_sum); Q2 and r
+are validated but no longer change the result.  The module also carries the
 q-deformed partition function behind those formulas (as a defining
 vertex sum and as a MacMahon-type product), its deformed average in hook
 form, and the correlation-function extraction with s_j = e^(z_j).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from operator import add, sub
 
 from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
@@ -437,13 +438,13 @@ class SetPartition:
 _MAX_POINTS = 8
 
 
-def _growth_masks(n: int, most: int):
-    """The set partitions of n points into at most ``most`` blocks, each as
-    the bitmasks of its blocks ordered by least element.
+def _growth_masks(n: int):
+    """The set partitions of n points, each as the bitmasks of its blocks
+    ordered by least element.
 
     They come straight from their restricted growth strings, in
     lexicographic order: point i joins one of the blocks so far, or opens a
-    new one while there are fewer than ``most``.
+    new one.
     """
     masks: list[int] = []
 
@@ -456,10 +457,9 @@ def _growth_masks(n: int, most: int):
             masks[b] |= bit
             yield from grow(i + 1)
             masks[b] ^= bit
-        if len(masks) < most:
-            masks.append(bit)
-            yield from grow(i + 1)
-            masks.pop()
+        masks.append(bit)
+        yield from grow(i + 1)
+        masks.pop()
 
     return grow(0)
 
@@ -470,71 +470,55 @@ def set_partitions(n: int) -> list[SetPartition]:
         raise ValueError(f"n must be between 1 and {_MAX_POINTS}")
     return [
         SetPartition(tuple(tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in masks))
-        for masks in _growth_masks(n, n)
+        for masks in _growth_masks(n)
     ]
 
 
-# the most terms the closed routes sum: (t, n) = (6, 5) has 4651, (6, 6) 31031
+# the most terms the closed routes sum, each one exp of a series modulo N:
+# (t, n) = (6, 6) has 7776, (7, 6) 16807
 _MAX_TERMS = 10_000
 
 
 def closed_term_count(t: int, n: int) -> int:
-    """The number of terms of the closed sum at t and n points.
+    """The number of terms of the closed sum at t and n points: one per
+    labelling of the points 2..n by Z/t, so t^(n - 1) of them, and none at
+    n = 0.
 
-    A term is a set partition of {1..n} into k blocks together with a tuple
-    of k distinct labels in 1..t that holds the label 1, so there are
-    sum_k S(n, k) (P(t, k) - P(t - 1, k)) of them, with S(n, k) the Stirling
-    numbers of the second kind and P(t, k) = t!/(t - k)!.
+    They are the paper's set partitions into k blocks with their tuples of
+    k distinct labels, sum_k S(n, k) t!/(t - k)! = t^n terms, up to the
+    rotation of every label by one element of Z/t, which no term sees.
     """
-    stirling = [1] + [0] * n  # S(m, k), k = 0..n, one m at a time
-    for m in range(1, n + 1):
-        for k in range(m, 0, -1):
-            stirling[k] = k * stirling[k] + stirling[k - 1]
-        stirling[0] = 0
-    return sum(s * (math.perm(t, k) - math.perm(t - 1, k)) for k, s in enumerate(stirling))
+    return t ** (n - 1) if n else 0
 
 
 def _check_terms(t: int, n: int) -> None:
     """Refuse more points or terms than the closed sum supports, with its term count."""
-    terms = closed_term_count(t, n)
     if n > _MAX_POINTS:
         raise ValueError(
             f"n = {n} exceeds the {_MAX_POINTS} points the closed routes support: "
-            f"the sum would have sum_k S({n}, k) ({t}!/({t}-k)! - {t - 1}!/({t - 1}-k)!) "
-            f"= {terms} terms"
+            f"the sum would have {t}^{n - 1} terms"
         )
+    terms = closed_term_count(t, n)
     if terms > _MAX_TERMS:
         raise ValueError(
-            f"the closed sum at t = {t}, n = {n} has {terms} terms, more than the "
-            f"{_MAX_TERMS} the closed routes support"
+            f"the closed sum at t = {t}, n = {n} has {t}^{n - 1} = {terms} terms, more "
+            f"than the {_MAX_TERMS} the closed routes support"
         )
 
 
-def _label_steps(t: int, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The k-tuples of distinct labels in 1..t that hold the label 1, each as
-    its weight t - max(l) + 1 and its steps (l_j - l_i) mod t over the pairs
-    i < j.
-
-    A term sees only the differences of its labels, so the translates of a
-    tuple by 0 .. t - max(l) share its value; a tuple with a repeated label
-    contributes the factor vartheta(1) = 0 and is never formed.
+def _closed_layout(t: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The terms of the closed sum, one per labelling of the points by Z/t
+    that puts point 1 at 0: the bitmasks of its fibres, ordered by least
+    element, and the steps (l_j - l_i) mod t over the pairs of fibres i < j.
     """
-    out = []
-    for at in range(k):
-        for rest in permutations(range(2, t + 1), k - 1):
-            labels = rest[:at] + (1,) + rest[at:]
-            steps = tuple((labels[j] - labels[i]) % t for i, j in combinations(range(k), 2))
-            out.append((t - max(labels) + 1, steps))
-    return out
-
-
-def _closed_layout(t: int, n: int) -> list:
-    """The terms of the closed sum, by set partition into k <= t blocks, in
-    the order of set_partitions: the bitmask of each block, ordered by least
-    element, and the label data of the k blocks.
-    """
-    labels = {k: _label_steps(t, k) for k in range(1, min(t, n) + 1)}
-    return [(masks, labels[len(masks)]) for masks in _growth_masks(n, t)]
+    layout = []
+    for rest in product(range(t), repeat=n - 1):
+        fibres: dict[int, int] = {}
+        for i, label in enumerate((0, *rest)):
+            fibres[label] = fibres.get(label, 0) | 1 << i
+        steps = tuple((lj - li) % t for li, lj in combinations(fibres, 2))
+        layout.append((tuple(fibres.values()), steps))
+    return layout
 
 
 def _exp_mod(s: list[int], inv: list[int], n: int) -> list[int]:
@@ -548,28 +532,34 @@ def _exp_mod(s: list[int], inv: list[int], n: int) -> list[int]:
 
 
 def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
-    """The closed sum modulo one Modulus of conductor 2t, in Frobenius's
+    """The closed sum modulo one Modulus of conductor t, in Frobenius's
     product form, as rational_lift reads a run: (trunc2, {exp2: int mod N}).
 
-    Take a set partition with block products b_1..b_k and a label tuple l.
-    With x_i = b_i xi_t^(-l_i), y_j = xi_t^(l_j) and the literal branches
+    The paper sums over the set partitions of {1..n}, with block products
+    b_1..b_k, and over the tuples l of k distinct labels in Z/t.  With
+    x_i = b_i xi_t^(-l_i), y_j = xi_t^(l_j) and the literal branches
     sqrt(x_i) = sqrt(b_i) xi_2t^(-l_i), sqrt(y_j) = xi_2t^(l_j), the
-    determinant of the paper's formula, weighed by its normaliser and
-    divisor, is Frobenius's elliptic Cauchy determinant (J. reine angew.
-    Math. 93, 1882)
+    determinant of its formula, weighed by its normaliser and divisor, is
+    Frobenius's elliptic Cauchy determinant (J. reine angew. Math. 93, 1882)
 
         prod_(i<j) vartheta(x_j/x_i) vartheta(y_j/y_i) / prod_(i,j) vartheta(x_i y_j),
 
     in which Q2 and the marked subset cancel.  The diagonal factors
     vartheta(x_i y_i) = vartheta(b_i) cancel the e = 0 factor of the block
     factor prod_(e<t) vartheta(b_i xi_t^e) / prod_(0<e<t) vartheta(xi_t^e).
-    The term is the label weight times these products; the sum of the terms
-    is divided by prod_j (s_j^(t/2) - s_j^(-t/2)).
+    The sum of the terms is divided by prod_j (s_j^(t/2) - s_j^(-t/2)).
+
+    A set partition with its label tuple is one labelling of the points by
+    Z/t, whose fibres are the blocks.  A term reads the labels only through
+    their steps l_j - l_i, so rotating every label leaves it unchanged, and
+    the sum is t times the sum over the labellings that put point 1 at 0
+    (_closed_layout).
 
     Each vartheta(x) is (x^(1/2) - x^(-1/2)) exp(L(x)), where the Q^N
     coefficient of L(x) is -sum_(k|N) (x^k + x^(-k) - 2)/k (the triple
     product), so a term is a constant times exp of a sum of divisor-sum
-    lists.  Grouped per block and per pair i < j, with d = l_j - l_i:
+    lists.  Grouped per block and per pair i < j of blocks ordered by least
+    element, with d = l_j - l_i:
 
     * a block gives the rational constant (sqrt(b)^t - sqrt(b)^-t) /
       (t (sqrt(b) - 1/sqrt(b))) and the coefficients
@@ -577,12 +567,13 @@ def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
       over e < t is t [t | k];
     * a pair gives, with w = xi_t^d, the constant
       (b_j - b_i w)(w - 1) / ((b_i w - 1)(b_j - w)), in which the branches
-      have cancelled, and the coefficients -sum_(k|N) (w^k (1 - b_i^k)(1 - b_j^-k)
-      + w^-k (1 - b_j^k)(1 - b_i^-k))/k.
+      xi_2t have cancelled, and the coefficients
+      -sum_(k|N) (w^k (1 - b_i^k)(1 - b_j^-k) + w^-k (1 - b_j^k)(1 - b_i^-k))/k.
 
-    The constants and lists are cached per block bitmask and per (pair,
-    d mod t), every inverse comes from two batched inversions, and a term
-    costs one sum of lists and one exp (_exp_mod).
+    So the sum runs in Q(xi_t), with xi_t^e = mod.roots[e] modulo primes
+    p = 1 (mod t).  The constants and lists are cached per block bitmask and
+    per (pair, d), every inverse comes from two batched inversions, and a
+    term costs one sum of lists and one exp (_exp_mod).
     """
     N = mod.n
     n = len(svals)
@@ -601,7 +592,7 @@ def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
         root_inv[mask] = root_inv[rest] * pq[2 * a + 1] % N * inv[2 * a] % N
     b = [r * r % N for r in root]
     b_inv = [r * r % N for r in root_inv]
-    xi = mod.roots[::2]  # xi_t^e = zeta_2t^(2e) for e < t
+    xi = mod.roots  # xi_t^e for e < t
 
     # 1/(b xi^e - 1) for the masks of blocks beside others, and 1/(s_j^t - 1)
     proper = range(1, full)
@@ -674,25 +665,17 @@ def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
         return pairs[key]
 
     acc = [0] * (order + 1)
-    for masks, labels in layout:
-        const0, logs0 = 1, []
-        for mask in masks:
-            const, log = block(mask)
-            const0 = const0 * const % N
-            logs0.append(log)
-        pair_masks = list(combinations(masks, 2))
-        for weight, steps in labels:
-            const = const0 * weight
-            logs = list(logs0)
-            for (mi, mj), d in zip(pair_masks, steps):
-                c, log = pair(mi, mj, d)
-                const = const * c % N
-                logs.append(log)
-            e = _exp_mod([sum(col) % N for col in zip(*logs)], inv_k, N)
-            for m in range(order + 1):
-                acc[m] += const * e[m]
+    for masks, steps in layout:
+        factors = [block(mask) for mask in masks]
+        factors += [pair(mi, mj, d) for (mi, mj), d in zip(combinations(masks, 2), steps)]
+        const = 1
+        for c, _ in factors:
+            const = const * c % N
+        e = _exp_mod([sum(col) % N for col in zip(*(log for _, log in factors))], inv_k, N)
+        for m in range(order + 1):
+            acc[m] += const * e[m]
 
-    scale = 1
+    scale = t  # the rotations of the labels
     for j in range(n):
         scale = scale * pow(root[1 << j], t, N) % N * inv2[len(dens) + j] % N
     return 2 * order, {2 * m: v * scale % N for m, v in enumerate(acc)}
@@ -701,22 +684,24 @@ def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
 def _closed_lift(t: int, svals, order: int) -> QSeries:
     """The closed sum over Q: _closed_sum modulo primes, through rational_lift."""
     layout = _closed_layout(t, len(svals))
-    return rational_lift(lambda mod: _closed_sum(mod, t, svals, order, layout), 2 * t)
+    return rational_lift(lambda mod: _closed_sum(mod, t, svals, order, layout), t)
 
 
 def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:
     """The paper's closed theta formula with its free parameter Q2.
 
-    The formula is a sum over set partitions of theta determinants with
-    entries in Q2.  By Frobenius's elliptic Cauchy determinant (J. reine
-    angew. Math. 93, 1882) each determinant is a product of theta values in
-    which Q2 cancels, so Q2 is checked (any nonzero rational) but does not
-    change the result; the sum is that of closed_Ft_r, term by term (see
+    The formula is a sum over set partitions with tuples of distinct labels
+    of theta determinants with entries in Q2.  By Frobenius's elliptic
+    Cauchy determinant (J. reine angew. Math. 93, 1882) each determinant is
+    a product of theta values in which Q2 cancels, so Q2 is checked (any
+    nonzero rational) but does not change the result; the sum is that of
+    closed_Ft_r, term by term.  It is summed as t times a sum over the
+    labellings of the points by Z/t that put point 1 at 0 (see
     _closed_sum).  At most eight s-values and _MAX_TERMS terms
     (closed_term_count), refused up front.
 
     The sum runs over Z/N, for N a product of about 61-bit primes
-    p = 1 (mod 2t), with xi_2t mapped to a primitive 2t-th root of unity
+    p = 1 (mod t), with xi_t mapped to a primitive t-th root of unity
     mod N.  Each coefficient is rebuilt from its residue by rational
     reconstruction and confirmed at a check prime that the reconstruction
     does not see, so a wrong coefficient would pass with probability about
@@ -727,11 +712,11 @@ def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:
     Q2 = QQ(Q2)
     if Q2 == 0:
         raise ValueError("Q2 must be nonzero")
-    svals = s_vector(s_values)
-    _check_terms(t, len(svals))
-    if not svals:
+    values = tuple(s_values)
+    _check_terms(t, len(values))
+    if not values:
         return QSeries.one(QQ_DOMAIN, order)
-    return _closed_lift(t, svals, order)
+    return _closed_lift(t, s_vector(values), order)
 
 
 def closed_Ft_r(t: int, s_values, r: int, order: int) -> QSeries:
@@ -741,21 +726,22 @@ def closed_Ft_r(t: int, s_values, r: int, order: int) -> QSeries:
     Frobenius's product form (J. reine angew. Math. 93, 1882) it cancels as
     Q2 does, so r is checked (an int with 1 <= r < n) but does not change
     the result, which is that of closed_Ft, term by term.  Computed like
-    closed_Ft: over Z/N, with each coefficient rebuilt by rational
-    reconstruction and confirmed at a check prime.  At most eight s-values
-    and _MAX_TERMS terms.  The result is a series over Q (QQ_DOMAIN).
+    closed_Ft: over the labellings of the points by Z/t, modulo primes
+    p = 1 (mod t), with each coefficient rebuilt by rational reconstruction
+    and confirmed at a check prime.  At most eight s-values and _MAX_TERMS
+    terms.  The result is a series over Q (QQ_DOMAIN).
     """
     check_t(t)
     check_order(order)
-    svals = s_vector(s_values)
-    n = len(svals)
+    values = tuple(s_values)
+    n = len(values)
     if n < 2:
         raise ValueError("this route needs at least two s-values")
     check_int("r", r)
     if not 1 <= r < n:
         raise ValueError("r must satisfy 1 <= r < n")
     _check_terms(t, n)
-    return _closed_lift(t, svals, order)
+    return _closed_lift(t, s_vector(values), order)
 
 
 # the most (mu, nu) pairs qdeformed_Z_sum sums over; order 12 asks for 3132
@@ -1067,7 +1053,7 @@ class NPointResult:
     q2: object = None
     r: int | None = None
     elapsed_ms: float | None = None
-    terms: int | None = None  # the terms of a closed sum (closed_term_count)
+    terms: int | None = None  # the labellings a closed sum runs over (closed_term_count)
 
     def as_payload(self) -> dict:
         series = self.value

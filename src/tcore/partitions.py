@@ -289,14 +289,20 @@ def t_core_size_series(t: int, order: int) -> QSeries:
 
 
 def t_core_product_series(t: int, order: int) -> QSeries:
-    """prod (1 - Q^(nt))^t / (1 - Q^n), the closed form that enumeration checks."""
+    """prod (1 - Q^(nt))^t / (1 - Q^n), the closed form that enumeration checks.
+
+    One dense integer list, one factor at a time: each (1 - Q^(nt)) is a
+    downward pass c[m] -= c[m - nt], each 1/(1 - Q^n) an upward pass
+    c[m] += c[m - n].
+    """
     check_t(t)
     check_order(order)
-    out = QSeries.one(QQ_DOMAIN, order)
+    c = [1] + [0] * order
+    for step in range(t, order + 1, t):
+        for _ in range(t):
+            for m in range(order, step - 1, -1):
+                c[m] -= c[m - step]
     for n in range(1, order + 1):
-        denom = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2 * n: QQ(-1)})
-        out = out / denom
-        if n * t <= order:
-            num = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2 * n * t: QQ(-1)})
-            out = out * num**t
-    return out.truncated(order)
+        for m in range(n, order + 1):
+            c[m] += c[m - n]
+    return QSeries(QQ_DOMAIN, 2 * order, {2 * m: QQ(v) for m, v in enumerate(c)})

@@ -32,12 +32,13 @@ def filtered_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]:
 
 
 def euler_product_series(order: int) -> QSeries:
-    """prod 1/(1 - Q^n) truncated at Q^order."""
-    out = QSeries.one(QQ_DOMAIN, order)
+    """prod 1/(1 - Q^n) truncated at Q^order, one upward pass
+    c[m] += c[m - n] per factor over a dense integer list."""
+    c = [1] + [0] * order
     for n in range(1, order + 1):
-        factor = QSeries(QQ_DOMAIN, 2 * order, {0: QQ(1), 2 * n: QQ(-1)})
-        out = out / factor
-    return out
+        for m in range(n, order + 1):
+            c[m] += c[m - n]
+    return QSeries(QQ_DOMAIN, 2 * order, {2 * m: QQ(v) for m, v in enumerate(c)})
 
 
 @dataclass(frozen=True)

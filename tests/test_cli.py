@@ -13,6 +13,6 @@ def test_main_prints_the_route_payload(capsys):
     assert payload["method"] == "closed_Ft"
     assert payload["s"] == ["4", "9/4"] and payload["q2"] == "5/3"
     assert payload["order2"] == 8 and payload["elapsed_ms"] > 0
-    assert payload["terms"] == 3  # {1, 2} labelled (1,), {1}{2} labelled (1, 2) and (2, 1)
+    assert payload["terms"] == 2  # {1, 2} labelled 0; {1}{2} labelled (0, 1)
     brute = brute_force_Ft(2, (QQ(4), QQ(9, 4)), 4)
     assert {int(e): parse_rat(c) for e, c in payload["series"].items()} == brute.terms

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from operator import add
 
 import mpmath
@@ -471,9 +472,16 @@ def test_single_point_theta_quotient_form():
     assert rational_series(series).agrees_with(brute, order)
 
 
-@pytest.mark.parametrize("t,n,order", [(3, 3, 20), (5, 2, 12), (5, 3, 12), (6, 4, 8)])
+SIX_POINTS = (S4, S94, S2516, QQ(49, 36), QQ(121, 100), QQ(169, 144))
+
+
+# (6, 6): 6^5 = 7776 labellings, within the 10000 terms the closed routes take;
+# (9, 2): conductor 9 does not divide 105 2^32, so its primes come from a
+# searched pool
+@pytest.mark.parametrize("t,n,order", [(3, 3, 20), (5, 2, 12), (5, 3, 12), (6, 4, 8), (6, 6, 2),
+                                       (9, 2, 6)])
 def test_closed_route_matches_enumeration_deep(t, n, order):
-    svec = (S4, S94, S2516, QQ(49, 36))[:n]
+    svec = SIX_POINTS[:n]
     closed = rational_series(closed_Ft(t, svec, QQ(5, 3), order))
     assert closed.agrees_with(brute_force_Ft(t, svec, order), order)
 
@@ -483,50 +491,81 @@ def test_closed_route_matches_enumeration_deep(t, n, order):
     lambda s: closed_Ft_r(3, s, 1, 2),
 ], ids=["closed_Ft", "closed_Ft_r"])
 def test_closed_routes_refuse_more_than_eight_points_with_a_cost(route):
-    # S(9, k) = 1, 255, 3025 set partitions into k = 1, 2, 3 blocks, with
-    # 1, 4, 6 label tuples that hold the label 1 at t = 3
-    with pytest.raises(ValueError, match=r"n = 9 .* = 19171 terms"):
+    with pytest.raises(ValueError, match=r"n = 9 .* 3\^8 terms"):
         route((S4,) * 9)
 
 
-@pytest.mark.parametrize("t,n,terms", [(2, 2, 3), (3, 5, 211), (6, 5, 4651), (6, 6, 31031),
-                                       (3, 9, 19171)])
+@pytest.mark.parametrize("route", [
+    lambda s: closed_Ft(3, s, QQ(2), 2),
+    lambda s: closed_Ft_r(3, s, 1, 2),
+], ids=["closed_Ft", "closed_Ft_r"])
+def test_closed_routes_refuse_many_points_at_once(route):
+    # the count is named, not expanded: 3^9999 has 4771 digits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"n = 10000 .* 3\^9999 terms"):
+        route((S4,) * 10_000)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("t,n,terms", [(2, 2, 2), (3, 5, 81), (6, 5, 1296), (6, 6, 7776),
+                                       (3, 9, 6561), (3, 0, 0)])
 def test_closed_term_count(t, n, terms):
-    assert closed_term_count(t, n) == terms
+    assert closed_term_count(t, n) == terms and type(closed_term_count(t, n)) is int
+
+
+@pytest.mark.parametrize("t", range(2, 8))
+def test_closed_term_count_is_the_set_partition_sum_up_to_rotation(t):
+    # sum_k S(n, k) (t - 1)!/(t - k)!: the set partitions into k blocks with
+    # their tuples of k distinct labels in Z/t, block 1 labelled 0
+    for n in range(1, 9):
+        stirling = Counter(len(sp.blocks) for sp in set_partitions(n))
+        assert sum(s * math.perm(t - 1, k - 1) for k, s in stirling.items()) == t ** (n - 1), n
+        assert closed_term_count(t, n) == t ** (n - 1)
 
 
 @pytest.mark.parametrize("t,n", [(2, 1), (3, 3), (4, 4), (5, 3)])
 def test_closed_term_count_counts_the_terms(t, n):
-    layout = _closed_layout(t, n)
-    assert sum(len(labels) for _, labels in layout) == closed_term_count(t, n)
+    assert len(_closed_layout(t, n)) == closed_term_count(t, n)
 
 
 @pytest.mark.parametrize("t", range(2, 7))
 def test_closed_layout_is_the_set_partitions_into_at_most_t_blocks(t):
     for n in range(1, 9):
-        expected = [
-            tuple(sum(1 << (x - 1) for x in block) for block in sp.blocks)
+        if closed_term_count(t, n) > npoint._MAX_TERMS:
+            break
+        layout = _closed_layout(t, n)
+        fibres = Counter(masks for masks, _ in layout)
+        # a k-block partition comes once per tuple of k distinct labels that
+        # puts block 1 at 0
+        assert fibres == {
+            tuple(sum(1 << (x - 1) for x in block) for block in sp.blocks):
+                math.perm(t - 1, len(sp.blocks) - 1)
             for sp in set_partitions(n)
             if len(sp.blocks) <= t
-        ]
-        layout = _closed_layout(t, n)
-        assert [masks for masks, _ in layout] == expected, n
-        steps = {k: npoint._label_steps(t, k) for k in range(1, min(t, n) + 1)}
-        assert all(labels == steps[len(masks)] for masks, labels in layout)
-        assert sum(len(labels) for _, labels in layout) == closed_term_count(t, n), n
+        }, n
+        # and its steps are the differences of those labels
+        steps: dict = {}
+        for masks, step in layout:
+            steps.setdefault(masks, []).append(step)
+        for masks, got in steps.items():
+            want = [
+                tuple((lj - li) % t for li, lj in combinations((0, *rest), 2))
+                for rest in permutations(range(1, t), len(masks) - 1)
+            ]
+            assert sorted(got) == sorted(want), (n, masks)
 
 
 @pytest.mark.parametrize("route", [
-    lambda s: closed_Ft(6, s, QQ(2), 8),
-    lambda s: closed_Ft_r(6, s, 1, 8),
+    lambda s: closed_Ft(7, s, QQ(2), 8),
+    lambda s: closed_Ft_r(7, s, 1, 8),
 ], ids=["closed_Ft", "closed_Ft_r"])
 def test_closed_routes_refuse_too_many_terms_before_any_work(route, monkeypatch):
     def no_lift(*args):
         raise AssertionError("the sum started")
 
     monkeypatch.setattr(npoint, "rational_lift", no_lift)
-    with pytest.raises(ValueError, match=r"t = 6, n = 6 has 31031 terms, more than the 10000"):
-        route((S4, S94, S2516, QQ(49, 36), QQ(121, 100), QQ(169, 144)))
+    with pytest.raises(ValueError, match=r"t = 7, n = 6 has 7\^5 = 16807 terms, more than the 10000"):
+        route(SIX_POINTS)
 
 
 # -- the route with the marked index subset ---------------------------------------
@@ -1046,20 +1085,6 @@ def test_the_step_bound_admits_the_largest_calls_in_use():
     assert npoint._core_estimate(3, 300) + npoint._division_steps(3, 300) == 8294
 
 
-def core_counts(t: int, order: int) -> list[int]:
-    """The number of t-cores of each size through order, from the integer
-    coefficients of prod (1 - Q^(nt))^t / (1 - Q^n)."""
-    counts = [1] + [0] * order
-    for n in range(1, order + 1):
-        for e in range(n, order + 1):
-            counts[e] += counts[e - n]
-    for n in range(t, order + 1, t):
-        for _ in range(t):
-            for e in range(order, n - 1, -1):
-                counts[e] -= counts[e - n]
-    return counts
-
-
 def kernel_steps(t, order: int) -> int:
     """The sums and differences _through_factors takes on the factors of
     _count_factors(t, order), counted by an int subclass."""
@@ -1110,7 +1135,7 @@ def test_division_steps_count_the_kernels_steps(t):
 def test_count_division_takes_no_more_steps_than_the_dense_counts(t, dense):
     # dividing by the count series itself takes a step at each Q^e for each
     # size 1 <= k <= e that has a core; the factor forms take no more
-    counts = core_counts(t, 300)
+    counts = [t_core_product_series(t, 300).coeff(k) for k in range(301)]
     assert counts[:25] == [t_core_size_series(t, 24).coeff(k) for k in range(25)]
     for order in (0, 1, 7, 50, 300):
         steps = sum(1 for e in range(order + 1) for k in range(1, e + 1) if counts[k])
