@@ -2,18 +2,9 @@
 
 from tcore._rat import QQ, parse_rat, rat, rat_str
 from tcore.cyclo import Cyclo
-from tcore.partitions import (
-    conjugate,
-    enumerate_t_cores,
-    hook_lengths,
-    is_t_core,
-    partitions_of,
-    t_core_product_series,
-    t_core_size_series,
-)
+from tcore.partitions import conjugate, enumerate_t_cores, hook_lengths, partitions_of
 from tcore.npoint import (
     NPointResult,
-    SetPartition,
     SValue,
     bloch_okounkov_F,
     brute_force_Ft,
@@ -24,22 +15,13 @@ from tcore.npoint import (
     qdeformed_Z_product,
     qdeformed_Z_sum,
     qdeformed_Zn_sum,
-    set_partitions,
 )
 from tcore.qseries import BiSeries, QSeries, qdiv, qexp, qlog
 from tcore.quadext import SqrtExt, sqrt_field
-from tcore.symfunc import (
-    SpecPoint,
-    hook_pair_product_series,
-    schur_hook_eval,
-    schur_pair_sum_series,
-    skew_schur,
-    topological_vertex,
-)
+from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import (
     ThetaArg,
     eisenstein,
-    jfunc,
     level_series,
     macmahon,
     theta3,
@@ -55,12 +37,8 @@ __all__ = [
     "conjugate",
     "enumerate_t_cores",
     "hook_lengths",
-    "is_t_core",
     "partitions_of",
-    "t_core_product_series",
-    "t_core_size_series",
     "NPointResult",
-    "SetPartition",
     "SValue",
     "bloch_okounkov_F",
     "brute_force_Ft",
@@ -71,7 +49,6 @@ __all__ = [
     "qdeformed_Z_product",
     "qdeformed_Z_sum",
     "qdeformed_Zn_sum",
-    "set_partitions",
     "BiSeries",
     "QSeries",
     "qdiv",
@@ -80,14 +57,10 @@ __all__ = [
     "SqrtExt",
     "sqrt_field",
     "SpecPoint",
-    "hook_pair_product_series",
-    "schur_hook_eval",
-    "schur_pair_sum_series",
     "skew_schur",
     "topological_vertex",
     "ThetaArg",
     "eisenstein",
-    "jfunc",
     "level_series",
     "macmahon",
     "theta3",

@@ -497,8 +497,13 @@ def _setup(s, Q):
 
 
 def _check_q2(Q2) -> None:
-    """Refuse Q2 = 0; any other Q2 cancels from the integrand (see _ThetaSum)."""
-    if _as_mp(Q2) == 0:
+    """Refuse a Q2 that is 0 or not a number; any other Q2 cancels from the
+    integrand (see _ThetaSum)."""
+    try:
+        value = _as_mp(Q2)
+    except (TypeError, ValueError):
+        raise ValueError(f"Q2 must be a nonzero number, got {Q2!r}") from None
+    if value == 0:
         raise ValueError("Q2 must be nonzero")
 
 

@@ -66,7 +66,10 @@ class SValue:
     def of(cls, value) -> "SValue":
         if isinstance(value, SValue):
             return value
-        value = QQ(value)
+        try:
+            value = QQ(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"an s-value must be a rational number, got {value!r}") from None
         root = rational_sqrt(value)
         if root is None:
             raise ValueError(f"{rat_str(value)} is not a perfect square of a rational")
@@ -80,7 +83,16 @@ def s_vector(values) -> tuple[SValue, ...]:
     equal 1 or a root of unity; a product of rationals greater than 1 is
     neither, so the SValue gate is the whole screen.
     """
-    return tuple(SValue.of(v) for v in values)
+    return tuple(SValue.of(v) for v in _s_values(values))
+
+
+def _s_values(values) -> tuple:
+    """The s-values of a route as a tuple, unchecked; anything but an
+    iterable is a ValueError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"s_values must be an iterable of s-values, got {values!r}") from None
 
 
 def _clearing_exponents(nu) -> tuple[int, int]:
@@ -133,14 +145,22 @@ class _MomentTable:
         return math.prod(sums)
 
 
-def partition_moment(sv: SValue, nu) -> QQ:
+def partition_moment(sv, nu) -> QQ:
     """Sum of s^(nu_i - i + 1/2) over all rows i >= 1, tail in closed form.
 
     Past the last row the summand is the geometric s^(1/2 - i), giving the
     exact tail s^(1/2 - l) / (s - 1); this is the definition of the sum for
     s > 1, where the series converges.  The sum is built in integers and
-    becomes one rational at the end (see _MomentTable).
+    becomes one rational at the end (see _MomentTable).  sv is an SValue or
+    a rational square greater than 1, and nu a weakly decreasing tuple of
+    nonnegative ints, whose zero parts change nothing.
     """
+    sv = SValue.of(sv)
+    nu = tuple(nu)
+    for part in nu:
+        check_int("each part of nu", part)
+    if nu and nu[-1] < 0 or any(a < b for a, b in zip(nu, nu[1:])):
+        raise ValueError(f"nu must be weakly decreasing and nonnegative, got {nu}")
     table = _MomentTable((sv,), *_clearing_exponents(nu))
     return QQ(table.numerator(nu), table.den)
 
@@ -407,71 +427,8 @@ def bloch_okounkov_F(s_values, order: int) -> QSeries:
     return _divide_by_counts(totals, _count_factors(None, order), table.den, order)
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Disjoint nonempty blocks covering {1..n}, ordered by least element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            if seen & set(b):
-                raise ValueError("blocks must be disjoint")
-            seen.update(b)
-        n = len(seen)
-        if seen != set(range(1, n + 1)):
-            raise ValueError("blocks must cover {1..n} exactly")
-        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
-            raise ValueError("blocks must be ordered by least element")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-
-# the most points set_partitions enumerates, and so the closed routes take
+# the most points the closed routes take
 _MAX_POINTS = 8
-
-
-def _growth_masks(n: int):
-    """The set partitions of n points, each as the bitmasks of its blocks
-    ordered by least element.
-
-    They come straight from their restricted growth strings, in
-    lexicographic order: point i joins one of the blocks so far, or opens a
-    new one.
-    """
-    masks: list[int] = []
-
-    def grow(i: int):
-        if i == n:
-            yield tuple(masks)
-            return
-        bit = 1 << i
-        for b in range(len(masks)):
-            masks[b] |= bit
-            yield from grow(i + 1)
-            masks[b] ^= bit
-        masks.append(bit)
-        yield from grow(i + 1)
-        masks.pop()
-
-    return grow(0)
-
-
-def set_partitions(n: int) -> list[SetPartition]:
-    """All set partitions of {1..n} via restricted growth strings."""
-    if not 1 <= n <= _MAX_POINTS:
-        raise ValueError(f"n must be between 1 and {_MAX_POINTS}")
-    return [
-        SetPartition(tuple(tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in masks))
-        for masks in _growth_masks(n)
-    ]
 
 
 # the most terms the closed routes sum, each one exp of a series modulo N:
@@ -709,10 +666,13 @@ def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:
     """
     check_t(t)
     check_order(order)
-    Q2 = QQ(Q2)
+    try:
+        Q2 = QQ(Q2)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"Q2 must be a nonzero rational number, got {Q2!r}") from None
     if Q2 == 0:
         raise ValueError("Q2 must be nonzero")
-    values = tuple(s_values)
+    values = _s_values(s_values)
     _check_terms(t, len(values))
     if not values:
         return QSeries.one(QQ_DOMAIN, order)
@@ -733,7 +693,7 @@ def closed_Ft_r(t: int, s_values, r: int, order: int) -> QSeries:
     """
     check_t(t)
     check_order(order)
-    values = tuple(s_values)
+    values = _s_values(s_values)
     n = len(values)
     if n < 2:
         raise ValueError("this route needs at least two s-values")
@@ -942,7 +902,10 @@ def correlation_expansion(
     """
     check_t(t)
     check_order(q_order)
-    l_orders = tuple(int(l) for l in l_orders)
+    check_int("n", n)
+    l_orders = tuple(l_orders)
+    for l in l_orders:
+        check_int("each l-order", l)
     if len(l_orders) != n:
         raise ValueError("need one l-order per point")
     if any(l < 0 for l in l_orders):

@@ -2,9 +2,10 @@
 
 Partitions are plain tuples of weakly decreasing positive ints; the empty
 partition is ().  A t-core is a partition with no hook length divisible by
-t (is_t_core); they are enumerated directly through the t residue tracks of
-the 0/1 (Maya) sequence, each of which must look like a shifted vacuum (a
-charge vector).
+t; the t-cores are enumerated directly through the t residue tracks of the
+0/1 (Maya) sequence, each of which must look like a shifted vacuum (a
+charge vector).  The hook predicate and the count series of the t-cores
+are oracles of that walk, kept with the tests.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from bisect import bisect_right
 from operator import add, itemgetter
 from typing import Iterator
 
-from ._rat import QQ
-from .qseries import QQ_DOMAIN, QSeries, check_order, check_t
+from .qseries import check_int, check_t
 
 
 def check_partition(parts) -> tuple[int, ...]:
@@ -94,13 +94,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
 
 # ---------------------------------------------------------------------------
 # t-cores
-
-
-def is_t_core(lam, t: int) -> bool:
-    """No hook length divisible by t."""
-    lam = check_partition(lam)
-    check_t(t)
-    return all(h % t != 0 for h in hook_lengths(lam).values())
 
 
 def _track_cost2(t: int, r: int, c: int) -> int:
@@ -270,6 +263,7 @@ def enumerate_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]
     """t-cores grouped by size, 0..max_size, from the charge vectors of the t
     residue tracks."""
     check_t(t)
+    check_int("max_size", max_size)
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     out: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(max_size + 1)}
@@ -278,31 +272,3 @@ def enumerate_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]
     for n in out:
         out[n].sort(reverse=True)
     return out
-
-
-def t_core_size_series(t: int, order: int) -> QSeries:
-    """Generating function sum Q^|core| over t-cores, by enumeration."""
-    check_order(order)
-    grouped = enumerate_t_cores(t, order)
-    terms = {2 * n: QQ(len(grouped[n])) for n in grouped}
-    return QSeries(QQ_DOMAIN, 2 * order, terms)
-
-
-def t_core_product_series(t: int, order: int) -> QSeries:
-    """prod (1 - Q^(nt))^t / (1 - Q^n), the closed form that enumeration checks.
-
-    One dense integer list, one factor at a time: each (1 - Q^(nt)) is a
-    downward pass c[m] -= c[m - nt], each 1/(1 - Q^n) an upward pass
-    c[m] += c[m - n].
-    """
-    check_t(t)
-    check_order(order)
-    c = [1] + [0] * order
-    for step in range(t, order + 1, t):
-        for _ in range(t):
-            for m in range(order, step - 1, -1):
-                c[m] -= c[m - step]
-    for n in range(1, order + 1):
-        for m in range(n, order + 1):
-            c[m] += c[m - n]
-    return QSeries(QQ_DOMAIN, 2 * order, {2 * m: QQ(v) for m, v in enumerate(c)})

@@ -19,19 +19,18 @@ plumbing (sums, negation, scaling, powers, truncation, equality and
 hashing) and reads the degree of a key through the subclass: the key
 itself for a QSeries, the total a + b for a BiSeries.
 
-Two loops do the arithmetic of one variable for every coefficient domain:
-_product, the truncated product of two term dicts, and _quotient, their
-truncated quotient by schoolbook long division.  QSeries products, qdiv,
-and the products, inverses and logarithms of TaylorZ all call them; only
-BiSeries, whose keys are pairs, keeps its own product loop.  The loops add,
-multiply and divide the coefficients as they are: plain rationals or the
-Scalars of tcore._rat (Cyclo, SqrtExt, TaylorZ).
-
-Exp and the division of a BiSeries are one graded recurrence over the
-pieces of one degree each (_graded): qexp solves d E_d = sum_k k L_k E_(d-k),
-and a BiSeries quotient is found one total degree at a time.  qlog is the
-quotient of the degree-weighted series by the series, each term divided by
-its degree.
+One loop multiplies and one recurrence divides, for every container and
+coefficient domain.  _product walks the terms of one factor by degree, so
+that no pair above the window is multiplied; QSeries, BiSeries and TaylorZ
+products all call it.  Exp and every quotient are one graded recurrence
+over the pieces of one degree each (_graded): qexp solves
+d E_d = sum_k k L_k E_(d-k), and a quotient A/B with B_0 invertible is
+O_d = (A_d - sum_(k>=1) B_k O_(d-k)) / B_0, found one degree at a time
+(_divided).  qdiv first moves both series by the lowest key of the divisor,
+and qlog and TaylorZ.log divide the degree-weighted series by the series,
+each term then divided by its degree.  The loops add, multiply and divide
+the coefficients as they are: plain rationals or the Scalars of tcore._rat
+(Cyclo, SqrtExt, TaylorZ).
 
 Truncation bookkeeping is honest: multiplying series known through exponents
 Ta and Tb with lowest terms la and lb yields a series known through
@@ -180,71 +179,6 @@ class TaylorDomain(_Domain):
         return self.coerce(self.inner.root(m, e))
 
 
-# ---------------------------------------------------------------------------
-# the two series loops
-
-
-def _product(dom, a: dict, b: dict, t2: int) -> dict:
-    """The terms through key t2 of the product of two term dicts over dom.
-
-    Each key from the lowest possible one, min(a) + min(b), through t2 gets
-    one sum.  The terms of b are walked in key order, so that no pair above
-    t2 is multiplied.
-    """
-    if not a or not b:
-        return {}
-    la, lb = min(a), min(b)
-    base = la + lb
-    size = t2 - base + 1
-    if size <= 0:
-        return {}
-    sums = [dom.zero] * size
-    right = sorted((k - lb, w) for k, w in b.items())
-    for e, v in a.items():
-        i = e - la
-        for k, w in right:
-            j = i + k
-            if j >= size:
-                break
-            sums[j] += v * w
-    return dict(zip(range(base, t2 + 1), sums))
-
-
-def _quotient(dom, a: dict, b: dict, t2: int) -> dict:
-    """The terms through key t2 of a/b for two term dicts over dom, b nonzero.
-
-    Schoolbook long division from the lowest key of b, whose coefficient is
-    inverted once: each quotient coefficient adds its product with the other
-    terms of b, negated, to the remainders above it.
-    """
-    vb = min(b)
-    inverse = dom.one / b[vb]
-    if not a:
-        return {}
-    va = min(a)
-    base = va - vb
-    size = t2 - base + 1
-    if size <= 0:
-        return {}
-    rem = [dom.zero] * size
-    for e, v in a.items():
-        if e - va < size:
-            rem[e - va] = v
-    # the other terms of b, negated, keyed by their distance from vb
-    rest = sorted((k - vb, -w) for k, w in b.items() if k != vb)
-    out = {}
-    for i in range(size):
-        if rem[i]:
-            q = rem[i] * inverse
-            out[base + i] = q
-            for k, w in rest:
-                j = i + k
-                if j >= size:
-                    break
-                rem[j] += q * w
-    return out
-
-
 class TaylorZ(Scalar):
     """A polynomial in z truncated at z^z_order, dense coefficient tuple."""
 
@@ -309,7 +243,11 @@ class TaylorZ(Scalar):
         for a, b in ((self, o), (o, self)):
             if not any(b.cs[1:]):
                 return a._times_constant(b.cs[0])
-        return self._of(_product(self.dom.inner, self._terms(), o._terms(), self.dom.z_order))
+        # a power of z is its own degree, like an exponent of a QSeries
+        terms = _product(
+            self._terms(), o._terms(), self.dom.z_order, QSeries._degree, operator.add
+        )
+        return self._of(terms)
 
     def _times_constant(self, c) -> "TaylorZ":
         """self times a factor constant in z: one product per nonzero coefficient."""
@@ -318,8 +256,7 @@ class TaylorZ(Scalar):
     def inverse(self) -> "TaylorZ":
         if not self.cs[0]:
             raise ZeroDivisionError("TaylorZ inverse needs a nonzero constant term")
-        inner = self.dom.inner
-        return self._of(_quotient(inner, {0: inner.one}, self._terms(), self.dom.z_order))
+        return self._of(self._under({0: {0: self.dom.inner.one}}, self.dom.z_order))
 
     def _terms(self) -> dict:
         """The nonzero coefficients, keyed by their power of z."""
@@ -334,9 +271,15 @@ class TaylorZ(Scalar):
         """log of a series with constant term exactly 1, as the integral of f'/f."""
         if self.cs[0] != self.dom.inner.one:
             raise ValueError("TaylorZ log needs constant term 1")
-        slope = {k - 1: c * k for k, c in self._terms().items() if k}
-        ratio = _quotient(self.dom.inner, slope, self._terms(), self.dom.z_order - 1)
+        slope = {k - 1: {k - 1: c * k} for k, c in self._terms().items() if k}
+        ratio = self._under(slope, self.dom.z_order - 1)
         return self._of({k + 1: c * QQ(1, k + 1) for k, c in ratio.items()})
+
+    def _under(self, rhs: dict, t2: int) -> dict:
+        """The terms through z^t2 of the series with the pieces rhs (one term
+        each, keyed by its power of z) over self (_divided)."""
+        pieces = {k: {k: c} for k, c in self._terms().items()}
+        return _divided(rhs, pieces, t2, operator.add, self.dom.inner.one)
 
     def map_coeffs(self, f) -> "TaylorZ":
         return TaylorZ(self.dom, tuple(f(c) for c in self.cs))
@@ -416,6 +359,22 @@ class _Series:
         this, and takes no pair product above t2.
         """
         return min(self.trunc2 + other._low(), other.trunc2 + self._low())
+
+    def _times(self, other, t2: int):
+        """The product with other through degree t2 (_product)."""
+        return self._like(_product(self.terms, other.terms, t2, self._degree, self._shift), t2)
+
+    def _over(self, other):
+        """The quotient by other, whose constant term must be invertible, known
+        through min(Ta, Tb + the lowest degree of self) (_divided)."""
+        self._check_dom(other)
+        if not other.terms.get(self._ORIGIN):
+            raise ZeroDivisionError(
+                f"{type(self).__name__} division needs an invertible constant term"
+            )
+        t2 = min(self.trunc2, other.trunc2 + self._low())
+        terms = _divided(_pieces(self), _pieces(other), t2, self._shift, self.dom.one)
+        return self._like(terms, t2)
 
     def __bool__(self):
         return bool(self.terms)
@@ -530,6 +489,36 @@ def _graded(rhs: dict, steps: dict, t2: int, shift, scale) -> dict:
     return {k: c for piece in out.values() for k, c in piece.items()}
 
 
+def _product(a: dict, b: dict, t2: int, degree, shift) -> dict:
+    """The terms of degree at most t2 of the product of two term dicts, with
+    keys graded by degree and added by shift.
+
+    The terms of b are walked by degree, so that no pair above t2 is
+    multiplied.
+    """
+    right = sorted(((degree(k), k, w) for k, w in b.items()), key=operator.itemgetter(0))
+    out: dict = {}
+    for k1, v in a.items():
+        room = t2 - degree(k1)
+        for d, k2, w in right:
+            if d > room:
+                break
+            key, c = shift(k1, k2), v * w
+            out[key] = out[key] + c if key in out else c
+    return out
+
+
+def _divided(rhs: dict, den: dict, t2: int, shift, one) -> dict:
+    """The terms through degree t2 of R/D, from the pieces of R and D by
+    degree (_pieces): O_d = (R_d - sum_(k>=1) D_k O_(d-k)) / c, one degree at
+    a time (_graded), for the constant piece {origin: c} of D, c invertible.
+    """
+    (c0,) = den[0].values()
+    inverse = one / c0
+    steps = {k: {key: -c for key, c in piece.items()} for k, piece in den.items() if k}
+    return _graded(rhs, steps, t2, shift, lambda d: inverse)
+
+
 def _check_positive(pieces: dict) -> None:
     if min(pieces, default=1) < 1:
         raise ValueError("the series needs a positive lowest degree beside its constant term")
@@ -581,9 +570,6 @@ class QSeries(_Series):
         self._check_dom(other)
         return self._times(other, self._window(other))
 
-    def _times(self, other: "QSeries", t2: int) -> "QSeries":
-        return QSeries(self.dom, t2, _product(self.dom, self.terms, other.terms, t2))
-
     __rmul__ = __mul__
 
     def __truediv__(self, other):
@@ -597,10 +583,6 @@ class QSeries(_Series):
         """Multiply by Q^exp (exact, shifts the truncation window too)."""
         d2 = _as_exp2(exp)
         return QSeries(self.dom, self.trunc2 + d2, {e + d2: c for e, c in self.terms.items()})
-
-    def substituted_power(self, d: int) -> "QSeries":
-        """Replace Q by Q^d (d >= 1)."""
-        return QSeries(self.dom, self.trunc2 * d, {e * d: c for e, c in self.terms.items()})
 
     # -- comparison and presentation ----------------------------------------
 
@@ -626,13 +608,17 @@ class QSeries(_Series):
 
 
 def qdiv(a: QSeries, b: QSeries) -> QSeries:
-    """Series division a/b; the lowest term of b must be invertible."""
+    """Series division a/b; the lowest term of b must be invertible.
+
+    Both series are first moved by Q^(-v), v the lowest exponent of b, so
+    that the divisor starts with its constant term.
+    """
     a._check_dom(b)
     vb = b.low2()
     if vb is None:
         raise ZeroDivisionError("division by a series that is zero to its truncation order")
-    t2 = min(a.trunc2 - vb, b.trunc2 - 2 * vb + a._low())
-    return QSeries(a.dom, t2, _quotient(a.dom, a.terms, b.terms, t2))
+    move = QQ(-vb, 2)
+    return a.shifted(move)._over(b.shifted(move))
 
 
 def qlog(a):
@@ -665,11 +651,6 @@ def qexp(a):
     steps = {k: {key: c * k for key, c in piece.items()} for k, piece in logs.items()}
     unit = {0: {a._ORIGIN: a.dom.one}}
     return a._like(_graded(unit, steps, a.trunc2, a._shift, lambda d: QQ(1, d) if d else 1))
-
-
-def lift_series(a: QSeries, dom) -> QSeries:
-    """Re-home a series into a larger coefficient domain."""
-    return a.map_coeffs(dom.coerce, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -712,36 +693,16 @@ class BiSeries(_Series):
         self._check_dom(other)
         return self._times(other, self._window(other))
 
-    def _times(self, other: "BiSeries", t2: int) -> "BiSeries":
-        out = {}
-        zero = self.dom.zero
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                ta, tb = a1 + a2, b1 + b2
-                if ta + tb <= t2:
-                    key = (ta, tb)
-                    out[key] = out.get(key, zero) + c1 * c2
-        return BiSeries(self.dom, t2, out)
-
     __rmul__ = __mul__
 
     def inverse(self) -> "BiSeries":
         return self._unit() / self
 
     def __truediv__(self, other):
-        """The quotient one total degree at a time: O_d = (A_d - sum_(k>=1)
-        B_k O_(d-k)) / B_0, known through min(Ta, Tb + the lowest degree of A)."""
+        """The quotient one total degree at a time (_Series._over)."""
         if not isinstance(other, BiSeries):
             return self._scaled(other, operator.truediv)
-        self._check_dom(other)
-        c0 = other.terms.get(self._ORIGIN)
-        if not c0:
-            raise ZeroDivisionError("BiSeries division needs an invertible constant term")
-        inverse = self.dom.one / c0
-        t2 = min(self.trunc2, other.trunc2 + self._low())
-        steps = {k: {key: -c for key, c in p.items()} for k, p in _pieces(other).items() if k}
-        terms = _graded(_pieces(self), steps, t2, self._shift, lambda d: inverse)
-        return BiSeries(self.dom, t2, terms)
+        return self._over(other)
 
     def __repr__(self):
         bits = []

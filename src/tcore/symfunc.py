@@ -12,7 +12,9 @@ each size they are one elementary symmetric value of the pairwise products,
 again by Newton's identities in integers.  Hook products and the vertex's
 eta-sum run over plain rationals.  Each public value is that rational number
 lifted once into Q(sqrt(q)); it is itself a plain rational whenever q is a
-perfect square of a rational.
+perfect square of a rational.  The oracles of these values, a Schur value
+as a hook product and the pair sums as a z-series and as its product form,
+are kept with the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from tcore.partitions import (
     kappa,
     n_weight,
 )
-from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_order
 from tcore.quadext import sqrt_field
 
 
@@ -221,17 +222,6 @@ def skew_schur(lam, eta, spec: SpecPoint):
     return _lift(spec.q, sum(lam) - sum(eta), _skew_schur_y(lam, eta, spec))
 
 
-def schur_hook_eval(lam, q):
-    """Schur value at the unshifted point from the hook-product form.
-
-    Independent of the determinant route: q^(-n(lam)-|lam|/2) times the
-    product of 1/(1 - q^(-h)) over all hooks h.
-    """
-    lam = check_partition(lam)
-    q = deformation_base(q)
-    return _lift(q, -sum(lam), _hook_product_y(lam, q))
-
-
 def _meet(a, b):
     """Part-wise minimum of two partitions (their diagram intersection)."""
     return tuple(min(x, y) for x, y in zip(a, b))
@@ -274,64 +264,3 @@ def topological_vertex(lam, mu, nu, q):
     half_kappa = (kappa(lam) + kappa(nu)) // 2
     value = rat_pow(q, half_kappa) * _hook_product_y(nu_t, q) * total
     return _lift(q, sum(lam) + sum(mu) - sum(nu), value)
-
-
-def schur_pair_sum_series(nu1, nu2, q, z_order: int) -> TaylorZ:
-    """Sum of z^|lam| s_lam(point nu1) s_conj(lam)(point conj(nu2)) .
-
-    Truncation of the shifted dual Cauchy sum, one elementary symmetric value
-    per power of z (_schur_pair_sums).  Both factors have degree |lam|, so
-    the pair is q^|lam| times its rational value at y and each z coefficient
-    is a plain rational.
-    """
-    nu1, nu2 = tuple(nu1), tuple(nu2)
-    check_order(z_order)
-    spec1 = SpecPoint(q, nu1)
-    spec2 = SpecPoint(q, conjugate(nu2))
-    sums, scales = _schur_pair_sums(spec1, spec2, z_order)
-    a, b = spec1.q.numerator, spec1.q.denominator
-    cs = [QQ(s * a**n, scale * b**n) for n, (s, scale) in enumerate(zip(sums, scales))]
-    return TaylorZ(TaylorDomain(QQ_DOMAIN, z_order), cs)
-
-
-def _vacuum_pair_product(q, dom: TaylorDomain) -> TaylorZ:
-    """The doubly indexed product of (1 + z q^(-j-k+1)) over j, k >= 1.
-
-    Collecting the exponent m = j + k - 1 gives the multiset {q^(-m) with
-    multiplicity m}, whose power sums are q^(-m)/(1-q^(-m))^2, and the
-    product is the elementary symmetric generating series of that multiset.
-    """
-    p = [rat_pow(q, -k) / (1 - rat_pow(q, -k)) ** 2 for k in range(1, dom.z_order + 1)]
-    return TaylorZ(dom, [dom.inner.coerce(QQ(g, s)) for g, s in zip(*_newton(p, -1))])
-
-
-def _part(p, i: int) -> int:
-    return p[i - 1] if 1 <= i <= len(p) else 0
-
-
-def _boxes(p):
-    for j, row in enumerate(p, start=1):
-        for k in range(1, row + 1):
-            yield j, k
-
-
-def hook_pair_product_series(nu1, nu2, q, z_order: int) -> TaylorZ:
-    """Product form of the shifted dual Cauchy sum, z-truncated.
-
-    The vacuum double product is corrected by one factor per box of nu1 and
-    one per box of nu2.  The nu2-indexed factor pairs the box (j, k) with
-    the j-th row length of nu2; only the row pairing matches the brute sum.
-    """
-    nu1, nu2 = tuple(nu1), tuple(nu2)
-    check_order(z_order)
-    q = deformation_base(q)
-    dom = TaylorDomain(QQ_DOMAIN, z_order)
-    nu1t = conjugate(nu1)
-    nu2t = conjugate(nu2)
-    z = TaylorZ.variable(dom)
-    out = _vacuum_pair_product(q, dom)
-    for j, k in _boxes(nu1):
-        out = out * (1 + z * rat_pow(q, nu1[j - 1] + _part(nu2t, k) - j - k + 1))
-    for j, k in _boxes(nu2):
-        out = out * (1 + z * rat_pow(q, -_part(nu1t, k) - nu2[j - 1] + j + k - 1))
-    return out

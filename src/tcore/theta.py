@@ -171,17 +171,13 @@ def _power_sum(dom, z, order2: int, exp2) -> QSeries:
 
 
 def _j_sum(dom, z, order2: int) -> QSeries:
-    """sum_a (-z)^a Q^((a^2-a)/2), doubled-order truncation."""
-    return _power_sum(dom, -z, order2, lambda a: a * (a - 1))
-
-
-def jfunc(arg: ThetaArg, order) -> QSeries:
-    """The Jacobi triple-product series sum_a (-z)^a Q^((a^2-a)/2).
+    """The Jacobi triple-product series sum_a (-z)^a Q^((a^2-a)/2), through the
+    doubled order order2.
 
     The sum equals the product prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b); the
     tests keep that product as an oracle.
     """
-    return _j_sum(arg.dom, arg.value, check_half_order(order))
+    return _power_sum(dom, -z, order2, lambda a: a * (a - 1))
 
 
 def theta3(arg: ThetaArg, order) -> QSeries:

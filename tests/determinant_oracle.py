@@ -16,11 +16,46 @@ from itertools import product
 
 from tcore._rat import QQ, rat_pow, rat_str
 from tcore.modular import rational_lift
-from tcore.npoint import SValue, s_vector, set_partitions
+from tcore.npoint import SValue, s_vector
 from tcore.qseries import QSeries, qdiv
 from tcore.theta import ThetaArg, theta3, vartheta
 
 from residue_ring import int_run
+
+
+def _growth_masks(n: int):
+    """The set partitions of n points, each as the bitmasks of its blocks
+    ordered by least element.
+
+    They come straight from their restricted growth strings, in
+    lexicographic order: point i joins one of the blocks so far, or opens a
+    new one.
+    """
+    masks: list[int] = []
+
+    def grow(i: int):
+        if i == n:
+            yield tuple(masks)
+            return
+        bit = 1 << i
+        for b in range(len(masks)):
+            masks[b] |= bit
+            yield from grow(i + 1)
+            masks[b] ^= bit
+        masks.append(bit)
+        yield from grow(i + 1)
+        masks.pop()
+
+    return grow(0)
+
+
+def set_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All set partitions of {1..n}, each as its blocks ordered by least
+    element, in restricted growth string order."""
+    return [
+        tuple(tuple(i + 1 for i in range(n) if mask >> i & 1) for mask in masks)
+        for masks in _growth_masks(n)
+    ]
 
 
 def _block_product(svals, block) -> SValue:
@@ -163,10 +198,10 @@ def _determinant_sum(
 
     acc = QSeries.zero(dom, order)
     for sp in set_partitions(len(svals)):
-        k = len(sp.blocks)
+        k = len(sp)
         if not all_tuples and k > t:
             continue
-        blocks = [_block_product(svals, b) for b in sp.blocks]
+        blocks = [_block_product(svals, b) for b in sp]
         dets = QSeries.zero(dom, order)
         for labels, weight in _column_labels(t, k, all_tuples):
             rows = tuple(

@@ -1,5 +1,6 @@
-"""Partition oracles: counts by enumeration and by Euler's product, the 0/1
-(Maya) sequence of a partition, and t-core predicates read off it.
+"""Partition oracles: counts by enumeration and by Euler's product, the
+t-core counts by enumeration and by their product form, the 0/1 (Maya)
+sequence of a partition, and t-core predicates read off it.
 
 The 0/1 sequence convention: bit i is 0 exactly when i belongs to
 {lambda_j - j : j >= 1} (with lambda_j = 0 past the length), so the vacuum
@@ -11,9 +12,8 @@ bit(j2) = 0, and its hook length equals j2 - j1.
 from dataclasses import dataclass
 
 from tcore._rat import QQ
-from tcore import partitions
-from tcore.partitions import check_partition, hook_lengths, partitions_of
-from tcore.qseries import QQ_DOMAIN, QSeries
+from tcore.partitions import check_partition, enumerate_t_cores, hook_lengths, partitions_of
+from tcore.qseries import QQ_DOMAIN, QSeries, check_order, check_t
 
 
 def partition_count_series(order: int) -> QSeries:
@@ -26,7 +26,7 @@ def filtered_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]:
     """t-cores grouped by size, 0..max_size, by the hook predicate over all
     partitions of each size."""
     return {
-        n: [lam for lam in partitions_of(n) if partitions.is_t_core(lam, t)]
+        n: [lam for lam in partitions_of(n) if is_t_core(lam, t)]
         for n in range(max_size + 1)
     }
 
@@ -35,6 +35,34 @@ def euler_product_series(order: int) -> QSeries:
     """prod 1/(1 - Q^n) truncated at Q^order, one upward pass
     c[m] += c[m - n] per factor over a dense integer list."""
     c = [1] + [0] * order
+    for n in range(1, order + 1):
+        for m in range(n, order + 1):
+            c[m] += c[m - n]
+    return QSeries(QQ_DOMAIN, 2 * order, {2 * m: QQ(v) for m, v in enumerate(c)})
+
+
+def t_core_size_series(t: int, order: int) -> QSeries:
+    """Generating function sum Q^|core| over t-cores, by enumeration."""
+    check_order(order)
+    grouped = enumerate_t_cores(t, order)
+    terms = {2 * n: QQ(len(grouped[n])) for n in grouped}
+    return QSeries(QQ_DOMAIN, 2 * order, terms)
+
+
+def t_core_product_series(t: int, order: int) -> QSeries:
+    """prod (1 - Q^(nt))^t / (1 - Q^n), the closed form that enumeration checks.
+
+    One dense integer list, one factor at a time: each (1 - Q^(nt)) is a
+    downward pass c[m] -= c[m - nt], each 1/(1 - Q^n) an upward pass
+    c[m] += c[m - n].
+    """
+    check_t(t)
+    check_order(order)
+    c = [1] + [0] * order
+    for step in range(t, order + 1, t):
+        for _ in range(t):
+            for m in range(order, step - 1, -1):
+                c[m] -= c[m - step]
     for n in range(1, order + 1):
         for m in range(n, order + 1):
             c[m] += c[m - n]
@@ -146,11 +174,12 @@ def maya_hook_multiset(lam) -> list[int]:
     return sorted(j2 - j1 for j1 in ones for j2 in zeros if j1 < j2)
 
 
-def is_t_core(lam, t: int, method: str) -> bool:
+def is_t_core(lam, t: int, method: str = "all-hooks") -> bool:
     """No hook length divisible by t, by one of three methods that must agree:
     the full hook table, the hooks equal to t only, or a scan of the 0/1
     sequence for a bead t places below a gap."""
     lam = check_partition(lam)
+    check_t(t)
     if method == "all-hooks":
         return all(h % t != 0 for h in hook_lengths(lam).values())
     if method == "hook-equals-t":

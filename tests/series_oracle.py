@@ -2,13 +2,25 @@
 
 Each of these sums c_m u^m over the powers of a u without a constant term,
 one full truncated product per power, the way the series layer computed them
-before it moved to recurrences over the pieces of one degree.
+before it moved to recurrences over the pieces of one degree.  Two reshapings
+of a QSeries that only the tests use sit here too: Q -> Q^d, and the move
+into a larger coefficient domain.
 """
 
 import math
 
 from tcore._rat import QQ
-from tcore.qseries import TaylorZ
+from tcore.qseries import QSeries, TaylorZ
+
+
+def substituted_power(a: QSeries, d: int) -> QSeries:
+    """a with Q replaced by Q^d (d >= 1)."""
+    return QSeries(a.dom, a.trunc2 * d, {e * d: c for e, c in a.terms.items()})
+
+
+def lift_series(a: QSeries, dom) -> QSeries:
+    """Re-home a series into a larger coefficient domain."""
+    return a.map_coeffs(dom.coerce, dom)
 
 
 def compose(u, coeff, acc):

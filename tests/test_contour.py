@@ -246,6 +246,21 @@ def test_q2_zero_is_refused(extract_at):
         extract_at(0, cfg)
 
 
+@pytest.mark.parametrize(
+    "extract_at",
+    [
+        lambda q2, cfg: contour.extract_cor43(3, (S4, S94), q2, cfg),
+        lambda q2, cfg: contour.extract_bo_determinant((S4, S94), q2, cfg),
+    ],
+    ids=["cor43", "bo_determinant"],
+)
+@pytest.mark.parametrize("q2", [None, "two", (1, 2)], ids=["None", "str", "tuple"])
+def test_a_q2_that_is_not_a_number_is_refused_by_name(extract_at, q2):
+    cfg = contour.QuadratureConfig.for_region((S4, S94), NOME, M=8, precision_bits=64)
+    with pytest.raises(ValueError, match="Q2 must be a nonzero number, got"):
+        extract_at(q2, cfg)
+
+
 # -- the kernels against their unoptimised forms ---------------------------------
 
 

@@ -18,7 +18,6 @@ from tcore import npoint
 from tcore._rat import QQ, is_rational, rat_pow
 from tcore.npoint import (
     NPointResult,
-    SetPartition,
     SValue,
     _MAX_SLOTS,
     _MAX_STEPS,
@@ -44,7 +43,6 @@ from tcore.npoint import (
     qdeformed_Zn_sum,
     rational_series,
     s_vector,
-    set_partitions,
 )
 from tcore.partitions import (
     _balanced_options,
@@ -55,11 +53,8 @@ from tcore.partitions import (
     conjugate,
     enumerate_t_cores,
     hook_lengths,
-    is_t_core,
     partitions_of,
     t_core_from_charges,
-    t_core_product_series,
-    t_core_size_series,
 )
 from tcore.contour import QuadratureConfig, extract_cor42
 from tcore.qseries import (
@@ -75,7 +70,6 @@ from tcore.theta import (
     ThetaArg,
     bernoulli,
     eisenstein,
-    jfunc,
     level_series,
     macmahon,
     theta3,
@@ -84,7 +78,16 @@ from tcore.theta import (
 
 import average_oracle
 import determinant_oracle
-from partition_oracle import euler_product_series, filtered_t_cores
+from determinant_oracle import set_partitions
+from partition_oracle import (
+    euler_product_series,
+    filtered_t_cores,
+    is_t_core,
+    t_core_product_series,
+    t_core_size_series,
+)
+from schur_oracle import schur_pair_sum_series
+from series_oracle import substituted_power
 
 S4 = QQ(4)
 S94 = QQ(9, 4)
@@ -120,6 +123,53 @@ def test_partition_moment_hand_values():
     assert partition_moment(sv, ()) == QQ(2, 3)
     # one box: 4^0 * 2 plus the tail 2/(4*3)
     assert partition_moment(sv, (1,)) == QQ(2) + QQ(1, 6)
+
+
+def test_partition_moment_takes_a_plain_s_value():
+    assert partition_moment(4, (2, 1)) == partition_moment(SValue.of(S4), (2, 1))
+    assert partition_moment(QQ(9, 4), ()) == partition_moment(SValue.of(S94), ())
+    for bad in (3, QQ(1, 4), None, "four"):
+        with pytest.raises(ValueError):
+            partition_moment(bad, (1,))
+
+
+@pytest.mark.parametrize("nu", [(1, 2), (2, 0, 1), (1, -1), (-1,)])
+def test_partition_moment_refuses_a_non_partition(nu):
+    with pytest.raises(ValueError, match="nu must be weakly decreasing and nonnegative"):
+        partition_moment(SValue.of(S4), nu)
+
+
+@pytest.mark.parametrize("nu", [(2.5,), (2, "1"), (True,), (None,)])
+def test_partition_moment_refuses_a_part_that_is_not_an_int(nu):
+    with pytest.raises(ValueError, match="each part of nu must be an int"):
+        partition_moment(SValue.of(S4), nu)
+
+
+# each route that takes s-values, as a function of them
+S_ROUTES = [
+    lambda s: brute_force_Ft(3, s, 5),
+    lambda s: bloch_okounkov_F(s, 5),
+    lambda s: closed_Ft(3, s, QQ(2), 5),
+    lambda s: closed_Ft_r(3, s, 1, 5),
+    lambda s: qdeformed_Zn_sum(2, s, 3),
+]
+
+
+@pytest.mark.parametrize("route", S_ROUTES, ids=range(len(S_ROUTES)))
+def test_s_values_that_are_not_numbers_are_refused_by_name(route):
+    with pytest.raises(ValueError, match="an s-value must be a rational number, got None"):
+        route((S4, None))
+    with pytest.raises(ValueError, match="an s-value must be a rational number, got 'four'"):
+        route((S4, "four"))
+    with pytest.raises(ValueError, match="s_values must be an iterable of s-values, got 4"):
+        route(4)
+
+
+@pytest.mark.parametrize("q2", [None, "two", float("nan"), (1, 2)],
+                         ids=["None", "str", "nan", "tuple"])
+def test_a_q2_that_is_not_a_number_is_refused_by_name(q2):
+    with pytest.raises(ValueError, match="Q2 must be a nonzero rational number, got"):
+        closed_Ft(3, (S4,), q2, 5)
 
 
 @given(
@@ -209,7 +259,7 @@ def test_set_partition_counts_are_bell_numbers():
 
 
 def test_set_partitions_of_three():
-    got = {sp.blocks for sp in set_partitions(3)}
+    got = set(set_partitions(3))
     assert got == {
         ((1, 2, 3),),
         ((1, 2), (3,)),
@@ -232,29 +282,18 @@ def test_set_partitions_come_in_restricted_growth_string_order(n):
         tuple(tuple(i + 1 for i in range(n) if a[i] == b) for b in range(max(a) + 1))
         for a in strings
     ]
-    assert [sp.blocks for sp in set_partitions(n)] == expected
-
-
-def test_set_partition_validation():
-    with pytest.raises(ValueError):
-        SetPartition(((1, 2), (2, 3)))  # overlap
-    with pytest.raises(ValueError):
-        SetPartition(((1,), (3,)))  # gap
-    with pytest.raises(ValueError):
-        SetPartition(((2,), (1, 3)))  # not ordered by least element
-    with pytest.raises(ValueError):
-        SetPartition(((1,), ()))
+    assert set_partitions(n) == expected
 
 
 @given(st.integers(min_value=1, max_value=6))
 @settings(max_examples=12, deadline=None)
 def test_set_partitions_cover_and_are_distinct(n):
     sps = set_partitions(n)
-    assert len({sp.blocks for sp in sps}) == len(sps)
+    assert len(set(sps)) == len(sps)
     for sp in sps:
-        flat = sorted(x for b in sp.blocks for x in b)
+        flat = sorted(x for b in sp for x in b)
         assert flat == list(range(1, n + 1))
-        assert sp.n == n
+        assert [b[0] for b in sp] == sorted(b[0] for b in sp)
 
 
 # -- the enumeration route ------------------------------------------------------
@@ -283,9 +322,10 @@ def test_closed_Ft_of_no_s_values_is_one_over_Q():
     assert closed_Ft(3, (), QQ(2), 5) == QSeries.one(QQ_DOMAIN, 5)
 
 
-# every public route that takes a truncation order, as a function of it;
-# the indices 10..13 are the theta series, which also take a half-integer
-# Fraction
+# every public route that takes a truncation order, as a function of it,
+# and the oracles that keep the checks they had as public routes: the t-core
+# counts and the z-truncated Schur pair sums; the indices 10..12 are the
+# theta series, which also take a half-integer Fraction
 ORDER_ROUTES = [
     lambda N: brute_force_Ft(2, (S4,), N),
     lambda N: bloch_okounkov_F((S4,), N),
@@ -299,12 +339,12 @@ ORDER_ROUTES = [
     lambda N: eisenstein(1, N),
     lambda N: vartheta(ThetaArg(S4, QQ(2)), N),
     lambda N: theta3(ThetaArg(S4), N),
-    lambda N: jfunc(ThetaArg(S4), N),
     lambda N: macmahon(1, 2, (0, 1), N),
     lambda N: t_core_product_series(3, N),
     lambda N: t_core_size_series(3, N),
+    lambda N: schur_pair_sum_series((), (1,), 2, N),
 ]
-HALF_ORDER_ROUTES = ORDER_ROUTES[10:14]
+HALF_ORDER_ROUTES = ORDER_ROUTES[10:13]
 
 
 @pytest.mark.parametrize("route", ORDER_ROUTES)
@@ -326,7 +366,8 @@ def test_an_order_of_the_wrong_type_is_rejected_at_the_boundary(route, bad):
         route(bad)
 
 
-# every public route that takes the core parameter t, as a function of it
+# every public route that takes the core parameter t, as a function of it,
+# and the t-core oracles, which keep the checks they had as routes
 T_ROUTES = [
     lambda t: brute_force_Ft(t, (S4,), 3),
     lambda t: closed_Ft(t, (S4,), 1, 3),
@@ -518,7 +559,7 @@ def test_closed_term_count_is_the_set_partition_sum_up_to_rotation(t):
     # sum_k S(n, k) (t - 1)!/(t - k)!: the set partitions into k blocks with
     # their tuples of k distinct labels in Z/t, block 1 labelled 0
     for n in range(1, 9):
-        stirling = Counter(len(sp.blocks) for sp in set_partitions(n))
+        stirling = Counter(len(sp) for sp in set_partitions(n))
         assert sum(s * math.perm(t - 1, k - 1) for k, s in stirling.items()) == t ** (n - 1), n
         assert closed_term_count(t, n) == t ** (n - 1)
 
@@ -538,10 +579,10 @@ def test_closed_layout_is_the_set_partitions_into_at_most_t_blocks(t):
         # a k-block partition comes once per tuple of k distinct labels that
         # puts block 1 at 0
         assert fibres == {
-            tuple(sum(1 << (x - 1) for x in block) for block in sp.blocks):
-                math.perm(t - 1, len(sp.blocks) - 1)
+            tuple(sum(1 << (x - 1) for x in block) for block in sp):
+                math.perm(t - 1, len(sp) - 1)
             for sp in set_partitions(n)
-            if len(sp.blocks) <= t
+            if len(sp) <= t
         }, n
         # and its steps are the differences of those labels
         steps: dict = {}
@@ -1216,7 +1257,7 @@ def test_correlation_f2_is_an_eisenstein_combination(t):
     order = 10
     table = correlation_expansion(t, 1, (2,), order)
     e2 = eisenstein(1, order)
-    e2t = eisenstein(1, order // t).substituted_power(t)
+    e2t = substituted_power(eisenstein(1, order // t), t)
     reference = e2 - e2t.map_coeffs(lambda c: c * QQ(t * t))
     difference = table[(2,)] - reference
     nonconstant = {e: c for e, c in difference.terms.items() if e != 0}
@@ -1235,7 +1276,7 @@ def test_correlation_slots_at_one_point_are_eisenstein_exponentials(t):
     logs = [zero] * (top + 1)
     for l in range(2, top + 1, 2):
         g = eisenstein(l // 2, order)
-        g_t = g.substituted_power(t).truncated(order)
+        g_t = substituted_power(g, t).truncated(order)
         c = g - g_t.map_coeffs(lambda v: v * t**l)
         c = QSeries(QQ_DOMAIN, 2 * order, {e: v for e, v in c.terms.items() if e})
         logs[l] = c.map_coeffs(lambda v: v * QQ(2, math.factorial(l)))
@@ -1298,6 +1339,19 @@ def test_correlation_f2_matches_laurent_fit_of_enumeration():
 def test_correlation_rejects_mismatched_orders():
     with pytest.raises(ValueError):
         correlation_expansion(2, 2, (1,), 4)
+
+
+@pytest.mark.parametrize("n, l_orders, name, kind", [
+    (2, (2.5, 2), "each l-order", "float"),
+    (2, ("2", 2), "each l-order", "str"),
+    (1, (None,), "each l-order", "NoneType"),
+    (2, (2, True), "each l-order", "bool"),
+    (2.0, (2, 2), "n", "float"),
+    (True, (2,), "n", "bool"),
+])
+def test_correlation_refuses_an_n_or_l_order_that_is_not_an_int(n, l_orders, name, kind):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, not {kind}$"):
+        correlation_expansion(3, n, l_orders, 6)
 
 
 def correlation_by_rows(t, l_orders, q_order):

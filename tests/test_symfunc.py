@@ -14,16 +14,10 @@ from tcore._rat import QQ, rat, rat_pow
 from tcore.npoint import qdeformed_Z_sum
 from tcore.partitions import conjugate, contains, hook_lengths, kappa, n_weight, partitions_of
 from tcore.quadext import sqrt_field
-from tcore.symfunc import (
-    SpecPoint,
-    hook_pair_product_series,
-    schur_hook_eval,
-    schur_pair_sum_series,
-    skew_schur,
-    topological_vertex,
-)
+from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 
 import schur_oracle
+from schur_oracle import hook_pair_product_series, schur_hook_eval, schur_pair_sum_series
 
 # -- oracles: power sums and h at the point, and a determinant over a field ----
 

@@ -14,7 +14,6 @@ from tcore.qseries import (
     QSeries,
     TaylorDomain,
     TaylorZ,
-    lift_series,
     qdiv,
     qlog,
 )
@@ -24,12 +23,13 @@ from tcore.theta import (
     bernoulli,
     divisor_power_sum,
     eisenstein,
-    jfunc,
     level_series,
     macmahon,
     theta3,
     vartheta,
 )
+
+from series_oracle import lift_series, substituted_power
 
 RZ4 = ThetaArg(QQ(4), QQ(2))
 
@@ -64,7 +64,8 @@ def _linear_factor(dom, coeff, exp2: int, order2: int, sign: int = -1) -> QSerie
 
 
 def jfunc_product(arg, order):
-    """The product-form oracle prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b) for jfunc."""
+    """The product-form oracle prod (1-Q^b)(1-zQ^(b-1))(1-z^{-1}Q^b) of the
+    Jacobi triple-product sum theta._j_sum."""
     dom, z = arg.dom, arg.value
     order2 = 2 * order
     out = QSeries.one(dom, order)
@@ -215,10 +216,10 @@ def test_theta3_frozen_support():
 def test_jacobi_triple_product():
     for z in (QQ(2), rat(-3, 2)):
         arg = ThetaArg(z)
-        assert jfunc(arg, 10) == jfunc_product(arg, 10), z
+        assert theta._j_sum(arg.dom, z, 20) == jfunc_product(arg, 10), z
     zc = Cyclo.root(3, 1)
     arg = ThetaArg(zc)
-    assert jfunc(arg, 10) == jfunc_product(arg, 10)
+    assert theta._j_sum(arg.dom, zc, 20) == jfunc_product(arg, 10)
 
 
 def test_vartheta_derivative_at_one():
@@ -366,7 +367,7 @@ def test_level_series_refuses_a_direction_or_weight_that_is_not_an_int(args):
 def test_level_series_t2_matches_classical_combination():
     dom = CycloDomain(4)
     for k in (1, 2):
-        expected = eisenstein(k, 10) - eisenstein(k, 10).substituted_power(2).truncated(
+        expected = eisenstein(k, 10) - substituted_power(eisenstein(k, 10), 2).truncated(
             10
         ).map_coeffs(lambda c: c * 4**k)
         expected = lift_series(expected.map_coeffs(lambda c: 2 * c), dom)
