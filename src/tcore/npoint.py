@@ -38,6 +38,7 @@ from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
     QSeries,
+    _divided,
     check_int,
     check_order,
     check_t,
@@ -88,7 +89,10 @@ def s_vector(values) -> tuple[SValue, ...]:
 
 def _s_values(values) -> tuple:
     """The s-values of a route as a tuple, unchecked; anything but an
-    iterable is a ValueError."""
+    iterable, and a string, which would be read a character at a time, is a
+    ValueError."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"s_values must be an iterable of s-values, not {type(values).__name__}")
     try:
         return tuple(values)
     except TypeError:
@@ -737,9 +741,12 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     H the hook product at y.  Since conj(nu) has the hooks h of nu,
     H(nu) H(conj nu) q^(-|nu|) = prod_h q^h / (q^h - 1)^2.  At each nu the
     Schur pairs of one |mu| are summed as one elementary symmetric value
-    (symfunc._schur_pair_sums), so each (nu, |mu|) makes one rational.
-    Swapping mu for conj(mu) shows that conj(nu) has the same row of
-    coefficients as nu, so each row is computed once per conjugate pair.
+    (symfunc._schur_pair_sums), so each (nu, |mu|) makes one integer
+    fraction.  Swapping mu for conj(mu) shows that conj(nu) has the same row
+    of coefficients as nu, so each row is computed once per conjugate pair.
+    Each coefficient sums its rows' fractions as integers over the lcm of
+    their denominators and becomes one rational.  The partitions come from
+    partitions_of, so their points are built unchecked (SpecPoint._valid).
     Sums over more than _MAX_VERTEX_PAIRS pairs are refused up front.
     """
     q = deformation_base(q)
@@ -747,27 +754,30 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     _check_vertex_pairs(order_total)
     a, b = q.numerator, q.denominator
     conjugate_rows: dict = {}  # conj(nu) -> the row of nu, until conj(nu) is reached
-    terms: dict[tuple[int, int], QQ] = {}
+    parts: dict = {}  # (|nu|, |mu|) -> the (numerator, denominator) of each of its rows
     for d_nu in range(order_total + 1):
         for nu in partitions_of(d_nu):
             row = conjugate_rows.pop(nu, None)
             if row is None:
                 nu_t = conjugate(nu)
                 sums, scales = _schur_pair_sums(
-                    SpecPoint(q, nu), SpecPoint(q, nu_t), order_total - d_nu
+                    SpecPoint._valid(q, nu), SpecPoint._valid(q, nu_t), order_total - d_nu
                 )
                 hooks = hook_lengths(nu).values()
                 num0 = (-1) ** d_nu * (a * b) ** sum(hooks)
                 den0 = math.prod(a**h - b**h for h in hooks) ** 2
                 row = [
-                    QQ((-1) ** d_mu * s * num0 * a**d_mu, den0 * scale * b**d_mu)
+                    ((-1) ** d_mu * s * num0 * a**d_mu, den0 * scale * b**d_mu)
                     for d_mu, (s, scale) in enumerate(zip(sums, scales))
                 ]
                 if nu_t != nu:
                     conjugate_rows[nu_t] = row
-            for d_mu, coeff in enumerate(row):
-                key = (2 * d_nu, 2 * d_mu)
-                terms[key] = terms.get(key, QQ(0)) + coeff
+            for d_mu, pair in enumerate(row):
+                parts.setdefault((2 * d_nu, 2 * d_mu), []).append(pair)
+    terms = {}
+    for key, pairs in parts.items():
+        den = math.lcm(*(d for _, d in pairs))
+        terms[key] = QQ(sum(n * (den // d) for n, d in pairs), den)
     return BiSeries(QQ_DOMAIN, 2 * order_total, terms)
 
 
@@ -780,10 +790,19 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
     +1 and -2, plus sum_m (Q^b Q1^b)^m / m for each band; in the ring
     truncated at total degree order_total the exp of that sum is the
     product, exactly.  A band whose monomials all lie above the window adds
-    nothing.
+    nothing.  An exp of more than _MAX_STEPS products is refused up front
+    (_product_steps).
     """
     q = deformation_base(q)
     check_order(order_total)
+    steps = math.comb(order_total + 2, 3)  # every c_k >= 1: a bound below _product_steps
+    if steps <= _MAX_STEPS:
+        steps = _product_steps(order_total)
+    if steps > _MAX_STEPS:
+        raise _refusal(
+            "qdeformed_Z_product", steps,
+            f"at order {order_total}, an estimate of the products in the bivariate exp of its log",
+        )
     order2 = 2 * order_total
     logs: dict = {}
 
@@ -800,6 +819,24 @@ def qdeformed_Z_product(q, order_total: int) -> BiSeries:
     return qexp(BiSeries(QQ_DOMAIN, order2, logs))
 
 
+def _product_steps(order_total: int) -> int:
+    """A bound on the products the exp of qdeformed_Z_product takes at order N.
+
+    Its log has c_k terms at total degree k: one at Q1^k, one for each odd
+    e | k from each of the bands (b, b + 1) and (b, b - 1), e = 2b -+ 1, and
+    one for each even e | k from the band (b, b), e = 2b.  The piece of the
+    exp at total degree j has at most j + 1 terms, so the recurrence takes at
+    most sum_k c_k (N - k + 1)(N - k + 2)/2 products.
+    """
+    counts = [1] * (order_total + 1)
+    for e in range(1, order_total + 1):
+        bands = 2 if e % 2 and e > 1 else 1
+        for k in range(e, order_total + 1, e):
+            counts[k] += bands
+    n = order_total
+    return sum(counts[k] * (n - k + 1) * (n - k + 2) // 2 for k in range(1, n + 1))
+
+
 def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     """The deformed average of the row-moment product, normalized.
 
@@ -810,7 +847,12 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     product, both truncated at total degree order_total.  With q = a/b, and
     one Q1 of (Q Q1)^|nu| given to each of the |nu| hooks, a hook contributes
     (b^h - a^h Q1)(b^h Q1 - a^h)/(b^h - a^h)^2, so every coefficient of a
-    hook weight is one integer fraction.  Sums of more than _MAX_STEPS steps
+    hook weight is one integer fraction.  Both sums are accumulated as
+    integers over the lcm of those denominators, the weighted one also over
+    the moments' (_MomentTable); the empty partition makes that lcm the
+    constant term of the plain sum, the lead of the integer division
+    (qseries._divided), and each coefficient of the quotient is one
+    rational at the end.  Sums of more than _MAX_STEPS steps
     are refused up front: a partition of size n takes n (N - n + 1) of them
     and the bivariate division about C(N + 4, 4), at order N.
     """
@@ -828,8 +870,7 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
             )
     a, b = q.numerator, q.denominator
     moments = _MomentTable(svals, *_size_clearing_exponents(order_total))
-    plain: dict[tuple[int, int], QQ] = {}
-    weighted: dict[tuple[int, int], QQ] = {}
+    rows = []  # (|nu|, hook weight numerators by power of Q1, their denominator, moment)
     for size in range(order_total + 1):
         top = order_total - size  # highest power of Q1 kept beside Q^size
         for nu in partitions_of(size):
@@ -838,14 +879,26 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
                 ah, bh = a**h, b**h
                 poly = _times_quadratic(poly, -ah * bh, ah * ah + bh * bh, top)
                 den *= (bh - ah) ** 2
-            m_num = moments.numerator(nu)
-            for e1, c in enumerate(poly):
-                if c:
-                    key = (2 * size, 2 * e1)
-                    plain[key] = plain.get(key, QQ(0)) + QQ(c, den)
-                    weighted[key] = weighted.get(key, QQ(0)) + QQ(c * m_num, den * moments.den)
+            rows.append((size, poly, den, moments.numerator(nu)))
+    common = math.lcm(*(den for _, _, den, _ in rows))
+    plain: dict = {}
+    weighted: dict = {}
+    for size, poly, den, m_num in rows:
+        scale = common // den
+        for e1, c in enumerate(poly):
+            if c:
+                key, degree = (2 * size, 2 * e1), 2 * (size + e1)
+                c *= scale
+                piece = plain.setdefault(degree, {})
+                piece[key] = piece.get(key, 0) + c
+                piece = weighted.setdefault(degree, {})
+                piece[key] = piece.get(key, 0) + c * m_num
     order2 = 2 * order_total
-    return BiSeries(QQ_DOMAIN, order2, weighted) / BiSeries(QQ_DOMAIN, order2, plain)
+    terms = _divided(
+        dict(sorted(weighted.items())), dict(sorted(plain.items())), order2, BiSeries._shift,
+        moments.den,
+    )
+    return BiSeries(QQ_DOMAIN, order2, terms)
 
 
 def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list[int]:
@@ -903,7 +956,10 @@ def correlation_expansion(
     check_t(t)
     check_order(q_order)
     check_int("n", n)
-    l_orders = tuple(l_orders)
+    try:
+        l_orders = tuple(l_orders)
+    except TypeError:
+        raise ValueError(f"the l-orders must be an iterable of ints, got {l_orders!r}") from None
     for l in l_orders:
         check_int("each l-order", l)
     if len(l_orders) != n:

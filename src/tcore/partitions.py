@@ -18,8 +18,11 @@ from .qseries import check_int, check_t
 
 
 def check_partition(parts) -> tuple[int, ...]:
-    """Validate and freeze a weakly decreasing tuple of positive ints."""
-    lam = tuple(int(p) for p in parts)
+    """Validate and freeze a weakly decreasing tuple of positive ints; a part
+    that is not an int is refused, not rounded."""
+    lam = tuple(parts)
+    for p in lam:
+        check_int("each part", p)
     if any(p <= 0 for p in lam):
         raise ValueError(f"parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

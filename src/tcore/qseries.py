@@ -22,15 +22,20 @@ itself for a QSeries, the total a + b for a BiSeries.
 One loop multiplies and one recurrence divides, for every container and
 coefficient domain.  _product walks the terms of one factor by degree, so
 that no pair above the window is multiplied; QSeries, BiSeries and TaylorZ
-products all call it.  Exp and every quotient are one graded recurrence
+products all call it, with the coefficients as they are.  Exp, every
+quotient and Newton's identities (tcore.symfunc) are one graded recurrence
 over the pieces of one degree each (_graded): qexp solves
 d E_d = sum_k k L_k E_(d-k), and a quotient A/B with B_0 invertible is
 O_d = (A_d - sum_(k>=1) B_k O_(d-k)) / B_0, found one degree at a time
 (_divided).  qdiv first moves both series by the lowest key of the divisor,
 and qlog and TaylorZ.log divide the degree-weighted series by the series,
-each term then divided by its degree.  The loops add, multiply and divide
-the coefficients as they are: plain rationals or the Scalars of tcore._rat
-(Cyclo, SqrtExt, TaylorZ).
+each term then divided by its degree.  Over the rationals the recurrence is
+fraction-free: the right-hand side and the steps are cleared of their
+denominators once, each piece is carried as integer numerators over one
+denominator and reduced by one gcd per degree, and each output coefficient
+becomes one rational at the end.  Other coefficients, the Scalars of
+tcore._rat (Cyclo, SqrtExt, TaylorZ), run through the same loop over the
+denominator 1, added, multiplied and divided as they are.
 
 Truncation bookkeeping is honest: multiplying series known through exponents
 Ta and Tb with lowest terms la and lb yields a series known through
@@ -279,7 +284,7 @@ class TaylorZ(Scalar):
         """The terms through z^t2 of the series with the pieces rhs (one term
         each, keyed by its power of z) over self (_divided)."""
         pieces = {k: {k: c} for k, c in self._terms().items()}
-        return _divided(rhs, pieces, t2, operator.add, self.dom.inner.one)
+        return _divided(rhs, pieces, t2, operator.add)
 
     def map_coeffs(self, f) -> "TaylorZ":
         return TaylorZ(self.dom, tuple(f(c) for c in self.cs))
@@ -373,7 +378,8 @@ class _Series:
                 f"{type(self).__name__} division needs an invertible constant term"
             )
         t2 = min(self.trunc2, other.trunc2 + self._low())
-        terms = _divided(_pieces(self), _pieces(other), t2, self._shift, self.dom.one)
+        pieces = _pieces(self.terms, self._degree), _pieces(other.terms, other._degree)
+        terms = _divided(*pieces, t2, self._shift)
         return self._like(terms, t2)
 
     def __bool__(self):
@@ -458,35 +464,98 @@ class _Series:
         return hash((self.dom.name, self.trunc2, tuple(sorted(self.terms.items()))))
 
 
-def _pieces(a) -> dict:
-    """The terms of a series by degree, lowest first: {degree: {key: coefficient}}."""
+def _pieces(terms: dict, degree) -> dict:
+    """Terms by degree, lowest first: {degree: {key: coefficient}}."""
     out: dict = {}
-    for k in sorted(a.terms, key=a._degree):
-        out.setdefault(a._degree(k), {})[k] = a.terms[k]
+    for k in sorted(terms, key=degree):
+        out.setdefault(degree(k), {})[k] = terms[k]
     return out
 
 
-def _graded(rhs: dict, steps: dict, t2: int, shift, scale) -> dict:
-    """The terms through degree t2 of the X whose piece of each degree d is
-    X_d = scale(d) (R_d + sum_(k>=1) S_k X_(d-k)), from the lowest degree of R.
+def _cleared(pieces: dict):
+    """Pieces with rational coefficients as integer numerators over one
+    denominator, (numerators, den); None if a coefficient is not rational."""
+    dens = set()
+    for piece in pieces.values():
+        for c in piece.values():
+            if isinstance(c, QQ):
+                dens.add(c.denominator)
+            elif not isinstance(c, int):
+                return None
+    den = math.lcm(*dens)
+    return {
+        d: {k: c.numerator * (den // c.denominator) for k, c in piece.items()}
+        for d, piece in pieces.items()
+    }, den
+
+
+def _graded(rhs: dict, steps: dict, t2: int, shift, lead=1, by_degree=False, sigma=None) -> dict:
+    """The pieces through degree t2 of the X whose piece of each degree d is
+    X_d = (R_d + sum_(k>=1) S_k X_(d-k)) / (lead w_d), from the lowest degree
+    of R, with w_d = d if by_degree (and d > 0), else 1: {d: (piece, den)}.
 
     rhs and steps hold the pieces of R and S by degree (_pieces), those of S
-    in increasing degree from 1; shift adds two keys.
+    in increasing degree from 1; shift adds two keys.  Given sigma, the loop
+    is fraction-free: R is integer numerators, S integer numerators over
+    sigma and lead an int, and X_d comes back as integer numerators over a
+    positive den.  Its terms are summed over sigma times the lcm of the dens
+    they read, and the piece is reduced by one gcd over its den and all its
+    numerators, which keeps the heights those of the values.  Without sigma
+    the coefficients are scalars of a domain, each piece is multiplied by
+    1/(lead w_d) as it is, and every den is 1.
     """
+    exact = sigma is not None
+    inverse = None if exact or lead == 1 else 1 / lead
     low = min(rhs, default=t2 + 1)
     out: dict = {}
     for d in range(low, t2 + 1):
-        acc = dict(rhs.get(d, ()))
+        used = []
         for k, step in steps.items():
             if k > d - low:
                 break
+            used.append((step, out[d - k]))
+        acc = dict(rhs.get(d, ()))
+        span = math.lcm(*[den for _, (_, den) in used]) if exact else 1
+        base = sigma * span if exact else 1
+        if base != 1:
+            for key in acc:
+                acc[key] *= base
+        for step, (prev, den) in used:
+            f = span // den
             for k1, c1 in step.items():
-                for k2, c2 in out[d - k].items():
-                    key, c = shift(k1, k2), c1 * c2
-                    acc[key] = acc[key] + c if key in acc else c
-        factor = scale(d)
-        out[d] = {key: c * factor for key, c in acc.items() if c}
-    return {k: c for piece in out.values() for k, c in piece.items()}
+                if f != 1:
+                    c1 *= f
+                for k2, c2 in prev.items():
+                    key = shift(k1, k2)
+                    if key in acc:
+                        acc[key] += c1 * c2
+                    else:
+                        acc[key] = c1 * c2
+        w = d if by_degree and d else 1
+        if exact:
+            den = base * lead * w
+            g = math.gcd(den, *acc.values())
+            g = -g if den < 0 else g
+            out[d] = ({key: c // g for key, c in acc.items() if c}, den // g)
+            continue
+        factor = inverse
+        if w != 1:
+            factor = QQ(1, w) if factor is None else factor * QQ(1, w)
+        if factor is not None:
+            acc = {key: c * factor for key, c in acc.items()}
+        out[d] = ({key: c for key, c in acc.items() if c}, 1)
+    return out
+
+
+def _rationals(pieces: dict, top: int = 1, bottom: int = 1) -> dict:
+    """The terms of the pieces of _graded: each integer numerator times top
+    over its den times bottom, one rational per coefficient, or the scalar
+    itself off the rationals."""
+    out = {}
+    for piece, den in pieces.values():
+        for key, c in piece.items():
+            out[key] = QQ(c * top, den * bottom) if isinstance(c, int) else c
+    return out
 
 
 def _product(a: dict, b: dict, t2: int, degree, shift) -> dict:
@@ -508,15 +577,25 @@ def _product(a: dict, b: dict, t2: int, degree, shift) -> dict:
     return out
 
 
-def _divided(rhs: dict, den: dict, t2: int, shift, one) -> dict:
-    """The terms through degree t2 of R/D, from the pieces of R and D by
-    degree (_pieces): O_d = (R_d - sum_(k>=1) D_k O_(d-k)) / c, one degree at
-    a time (_graded), for the constant piece {origin: c} of D, c invertible.
+def _divided(rhs: dict, den: dict, t2: int, shift, bottom: int = 1) -> dict:
+    """The terms through degree t2 of R/(bottom D), from the pieces of R and D
+    by degree (_pieces), for D with an invertible constant piece {origin: c}:
+    O_d = (R_d - sum_(k>=1) D_k O_(d-k)) / c, one degree at a time (_graded).
+
+    Rational pieces are cleared once, R = r/rho and D = delta/sigma, so that
+    the recurrence runs on the integers r and delta, its lead delta_0, and
+    each coefficient becomes one rational, times sigma over rho bottom; the
+    integer bottom serves rational pieces only.
     """
+    cleared = _cleared(rhs), _cleared(den)
+    exact = None not in cleared
+    if exact:
+        (rhs, rho), (den, sigma) = cleared
     (c0,) = den[0].values()
-    inverse = one / c0
     steps = {k: {key: -c for key, c in piece.items()} for k, piece in den.items() if k}
-    return _graded(rhs, steps, t2, shift, lambda d: inverse)
+    if not exact:
+        return _rationals(_graded(rhs, steps, t2, shift, c0))
+    return _rationals(_graded(rhs, steps, t2, shift, c0, sigma=1), sigma, rho * bottom)
 
 
 def _check_positive(pieces: dict) -> None:
@@ -642,15 +721,19 @@ def qexp(a):
 
     E = exp(L) solves D E = (D L) E for the degree operator D, so the piece
     of E of degree d is E_d = (1/d) sum_(k=1..d) k L_k E_(d-k), with E_0 = 1;
-    each step multiplies pieces of one degree, through the window of a.
+    each step multiplies pieces of one degree, through the window of a
+    (_graded).  A rational L is cleared of its denominators once and the
+    recurrence runs on integers, one rational per coefficient at the end.
     """
     if a.terms.get(a._ORIGIN):
         raise ValueError("qexp needs zero constant term")
-    logs = _pieces(a)
+    logs = _pieces(a.terms, a._degree)
     _check_positive(logs)
-    steps = {k: {key: c * k for key, c in piece.items()} for k, piece in logs.items()}
-    unit = {0: {a._ORIGIN: a.dom.one}}
-    return a._like(_graded(unit, steps, a.trunc2, a._shift, lambda d: QQ(1, d) if d else 1))
+    logs, sigma = _cleared(logs) or (logs, None)
+    slope = {k: {key: c * k for key, c in piece.items()} for k, piece in logs.items()}
+    unit = {0: {a._ORIGIN: a.dom.one if sigma is None else 1}}
+    pieces = _graded(unit, slope, a.trunc2, a._shift, by_degree=True, sigma=sigma)
+    return a._like(_rationals(pieces))
 
 
 # ---------------------------------------------------------------------------

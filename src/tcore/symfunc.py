@@ -4,12 +4,13 @@ Everything here is evaluated at points of the form x_i = q^(a_i - i + 1/2)
 for a fixed rational q > 1 and a partition shift a.  Each x_i is sqrt(q)
 times the rational y_i = q^(a_i - i), so a symmetric function of degree m
 equals (sqrt q)^m times its value at y.  Power sums at y are a finite head
-plus one geometric tail, and Newton's identities turn them into a table of
-h_0 .. h_R over one common denominator D.  Every Jacobi-Trudi determinant is
-then one fraction-free integer determinant over D^rows.  The shifted dual
-Cauchy sums behind the deformed partition function take no determinant: at
-each size they are one elementary symmetric value of the pairwise products,
-again by Newton's identities in integers.  Hook products and the vertex's
+plus one geometric tail, and Newton's identities, run in integers as the
+graded recurrence of tcore.qseries, turn them into a table of h_0 .. h_R
+over one common denominator D.  Every Jacobi-Trudi determinant is then one
+fraction-free integer determinant over D^rows.  The shifted dual Cauchy
+sums behind the deformed partition function take no determinant: at each
+size they are one elementary symmetric value of the pairwise products,
+again by Newton's identities.  Hook products and the vertex's
 eta-sum run over plain rationals.  Each public value is that rational number
 lifted once into Q(sqrt(q)); it is itself a plain rational whenever q is a
 perfect square of a rational.  The oracles of these values, a Schur value
@@ -20,6 +21,7 @@ are kept with the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +34,7 @@ from tcore.partitions import (
     kappa,
     n_weight,
 )
+from tcore.qseries import _graded
 from tcore.quadext import sqrt_field
 
 
@@ -61,8 +64,16 @@ class SpecPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "q", deformation_base(self.q))
-        object.__setattr__(self, "shift", tuple(int(p) for p in self.shift))
-        check_partition(self.shift)
+        object.__setattr__(self, "shift", check_partition(self.shift))
+
+    @classmethod
+    def _valid(cls, q: QQ, shift: tuple) -> "SpecPoint":
+        """The point of a base already passed through deformation_base and a
+        partition already checked, built without checking them again."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "q", q)
+        object.__setattr__(spec, "shift", shift)
+        return spec
 
 
 # Fixed cache bounds.  The h-tables serve skew_schur and topological_vertex:
@@ -99,37 +110,34 @@ def _power_sum_y(spec: SpecPoint, k: int) -> QQ:
 
 
 def _newton(p, sign: int) -> tuple[list[int], list[int]]:
-    """Newton's identities r x_r = sum_k sign^(k-1) p_k x_(r-k) in integers.
+    """Newton's identities r x_r = sum_k sign^(k-1) p_k x_(r-k), x_0 = 1.
 
     Given the power sums p_1 .. p_top this is h (sign 1) or e (sign -1),
-    returned unreduced as (g, scales), x_r = g[r] / scales[r]: with
-    p_k = P_k/E over one denominator E, the numbers g_r = r! E^r x_r obey
-    g_r = sum_k sign^(k-1) P_k E^(k-1) ((r-1)!/(r-k)!) g_(r-k).
+    returned as (g, scales), x_r = g[r] / scales[r] in lowest terms.  It is
+    the graded recurrence of exp (qseries._graded), x = exp(sum_k
+    sign^(k-1) p_k u^k / k), run fraction-free on the power sums over one
+    denominator E.
     """
     e = math.lcm(*(x.denominator for x in p))
-    c = [None] + [sign**k * x.numerator * (e // x.denominator) * e**k for k, x in enumerate(p)]
-    g, scales = [1], [1]
-    for r in range(1, len(p) + 1):
-        acc, falling = 0, 1  # falling = (r-1)!/(r-k)!
-        for k in range(1, r + 1):
-            acc += c[k] * falling * g[r - k]
-            falling *= r - k
-        g.append(acc)
-        scales.append(scales[-1] * r * e)
-    return g, scales
+    slope = {
+        k: {k: sign ** (k - 1) * x.numerator * (e // x.denominator)}
+        for k, x in enumerate(p, start=1) if x
+    }
+    pieces = _graded({0: {0: 1}}, slope, len(p), operator.add, by_degree=True, sigma=e)
+    tops = range(len(p) + 1)
+    return [pieces[r][0].get(r, 0) for r in tops], [pieces[r][1] for r in tops]
 
 
 @lru_cache(maxsize=_VALUE_CACHE)
 def _h_table(spec: SpecPoint, top: int) -> tuple[tuple[int, ...], int]:
     """h_0 .. h_top at y as integers over one denominator: (hs, D), h_r = hs[r]/D.
 
-    The h_r come from Newton's identities (_newton), each reduced to lowest
-    terms, and D is the lcm of their denominators.
+    The h_r come from Newton's identities (_newton) in lowest terms, and D is
+    the lcm of their denominators.
     """
     g, scales = _newton([_power_sum_y(spec, k) for k in range(1, top + 1)], 1)
-    hs = [QQ(x, scale) for x, scale in zip(g, scales)]
-    den = math.lcm(*(h.denominator for h in hs))
-    return tuple(h.numerator * (den // h.denominator) for h in hs), den
+    den = math.lcm(*scales)
+    return tuple(x * (den // scale) for x, scale in zip(g, scales)), den
 
 
 def _bareiss_det(rows) -> int:

@@ -10,6 +10,8 @@ Schur value at the unshifted point is a hook product, independent of the
 determinant route.
 """
 
+import math
+
 from tcore._rat import QQ, rat_pow
 from tcore.partitions import check_partition, conjugate, partitions_of
 from tcore.qseries import QQ_DOMAIN, TaylorDomain, TaylorZ, check_order
@@ -81,6 +83,25 @@ def _vacuum_pair_product(q, dom: TaylorDomain) -> TaylorZ:
     """
     p = [rat_pow(q, -k) / (1 - rat_pow(q, -k)) ** 2 for k in range(1, dom.z_order + 1)]
     return TaylorZ(dom, [dom.inner.coerce(QQ(g, s)) for g, s in zip(*_newton(p, -1))])
+
+
+def newton_by_falling_factorials(p, sign: int) -> tuple[list[int], list[int]]:
+    """Newton's identities r x_r = sum_k sign^(k-1) p_k x_(r-k) in integers,
+    unreduced, the way symfunc ran them before they became the graded
+    recurrence of exp: with p_k = P_k/E over one denominator E, the numbers
+    g_r = r! E^r x_r obey g_r = sum_k sign^(k-1) P_k E^(k-1) ((r-1)!/(r-k)!) g_(r-k),
+    and x_r = g[r] / scales[r]."""
+    e = math.lcm(*(x.denominator for x in p))
+    c = [None] + [sign**k * x.numerator * (e // x.denominator) * e**k for k, x in enumerate(p)]
+    g, scales = [1], [1]
+    for r in range(1, len(p) + 1):
+        acc, falling = 0, 1  # falling = (r-1)!/(r-k)!
+        for k in range(1, r + 1):
+            acc += c[k] * falling * g[r - k]
+            falling *= r - k
+        g.append(acc)
+        scales.append(scales[-1] * r * e)
+    return g, scales
 
 
 def _part(p, i: int) -> int:

@@ -4,7 +4,8 @@ Each of these sums c_m u^m over the powers of a u without a constant term,
 one full truncated product per power, the way the series layer computed them
 before it moved to recurrences over the pieces of one degree.  Two reshapings
 of a QSeries that only the tests use sit here too: Q -> Q^d, and the move
-into a larger coefficient domain.
+into a larger coefficient domain; and the height guard of the recurrence's
+fraction-free pieces.
 """
 
 import math
@@ -79,3 +80,12 @@ def bi_inverse(b):
 
 def bi_divide(a, b):
     return a * bi_inverse(b)
+
+
+def assert_reduced(pieces: dict) -> None:
+    """Each piece of qseries._graded is integers over a positive den that is
+    the lcm of the denominators of its values in lowest terms, so the
+    recurrence carries no factor beyond the heights of the values."""
+    for d, (piece, den) in pieces.items():
+        assert all(type(c) is int for c in piece.values()), d
+        assert den > 0 and den == math.lcm(*(QQ(c, den).denominator for c in piece.values())), d

@@ -64,6 +64,7 @@ from tcore.qseries import (
     TaylorDomain,
     TaylorZ,
     qdiv,
+    qexp,
 )
 from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import (
@@ -87,6 +88,7 @@ from partition_oracle import (
     t_core_size_series,
 )
 from schur_oracle import schur_pair_sum_series
+import series_oracle
 from series_oracle import substituted_power
 
 S4 = QQ(4)
@@ -163,6 +165,10 @@ def test_s_values_that_are_not_numbers_are_refused_by_name(route):
         route((S4, "four"))
     with pytest.raises(ValueError, match="s_values must be an iterable of s-values, got 4"):
         route(4)
+    # a string would be read a character at a time, '49' as s = 4 and 9
+    for text, kind in (("49", "str"), (b"49", "bytes")):
+        with pytest.raises(ValueError, match=f"s_values must be an iterable of s-values, not {kind}"):
+            route(text)
 
 
 @pytest.mark.parametrize("q2", [None, "two", float("nan"), (1, 2)],
@@ -493,7 +499,7 @@ def truncated_to(value, order):
     lambda N: qdeformed_Z_product(QQ(2), N),
 ], ids=["brute_force_Ft", "bloch_okounkov_F", "correlation_expansion", "qdeformed_Z_sum",
         "qdeformed_Zn_sum", "qdeformed_Z_product"])
-@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("order", [3, 4, 8])
 def test_enumeration_and_deformed_routes_are_honest_about_truncation(route, order):
     for extra in (1, 2):
         assert truncated_to(route(order + extra), order) == route(order), extra
@@ -823,6 +829,50 @@ def test_qdeformed_average_hook_form_matches_vertex_sums(q, n, order):
     assert qdeformed_Zn_sum(q, s_values, order) == vertex_sum_average(q, s_values, order)
 
 
+def hook_sum_average(q, s_values, order_total):
+    """The deformed average as the hook sums with and without the row-moment
+    product, in Fractions, divided by the sum of the powers of the plain sum
+    (series_oracle.bi_divide)."""
+    svals = s_vector(s_values)
+    plain: dict[tuple[int, int], QQ] = {}
+    weighted: dict[tuple[int, int], QQ] = {}
+    for size in range(order_total + 1):
+        for nu in partitions_of(size):
+            poly = [QQ(1)]  # by the power of Q1 beyond Q1^|nu| / Q1^|nu|
+            for h in hook_lengths(nu).values():
+                qh = rat_pow(q, h)
+                factor = [-qh, 1 + qh * qh, -qh]  # (1 - qh Q1)(Q1 - qh)
+                poly = [sum(poly[i] * factor[j - i] for i in range(len(poly)) if 0 <= j - i <= 2)
+                        / (1 - qh) ** 2 for j in range(len(poly) + 2)]
+            moment = math.prod((partition_moment(sv, nu) for sv in svals), start=QQ(1))
+            for e1, c in enumerate(poly[:order_total - size + 1]):
+                key = (2 * size, 2 * e1)
+                plain[key] = plain.get(key, QQ(0)) + c
+                weighted[key] = weighted.get(key, QQ(0)) + c * moment
+    order2 = 2 * order_total
+    return series_oracle.bi_divide(
+        BiSeries(QQ_DOMAIN, order2, weighted), BiSeries(QQ_DOMAIN, order2, plain)
+    )
+
+
+def test_the_deformed_quotient_and_exp_equal_the_sums_of_powers_where_heights_grow(
+    graded_runs, monkeypatch
+):
+    logs = []
+    monkeypatch.setattr(npoint, "qexp", lambda log: logs.append(log) or qexp(log))
+    product = qdeformed_Z_product(QQ(3, 2), 16)
+    (log,) = logs
+    assert product == series_oracle.qexp(log)
+    assert product == average_oracle.qdeformed_Z_product(QQ(3, 2), 16)
+    s_values = (S4, S94)
+    assert qdeformed_Zn_sum(QQ(2), s_values, 9) == hook_sum_average(QQ(2), s_values, 9)
+    # one exp and one division, each on integers at the heights of its values
+    assert len(graded_runs) == 2
+    for sigma, pieces in graded_runs:
+        assert sigma is not None
+        series_oracle.assert_reduced(pieces)
+
+
 @pytest.mark.parametrize("s_values", [(S4,), (S4, S94)])
 def test_qdeformed_average_at_q1_one_is_bloch_okounkov(s_values):
     # at Q1 = 1 every hook weight is 1 and the deformed average becomes the
@@ -1102,15 +1152,27 @@ def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
     (lambda: bloch_okounkov_F((4,), 10_000), r"size at most 49 and 1078839 steps of the division"),
     (lambda: brute_force_Ft(2, (4,), 10**6), r"1414 charge vectors and 941810658 steps"),
     (lambda: qdeformed_Zn_sum(2, (4,), 60), r"635376 steps of the division"),
+    (lambda: qdeformed_Z_product(2, 98), r"1023728 steps.* at order 98, an estimate of the products"),
+    (lambda: qdeformed_Z_product(2, 10**9), r"166666667166666667000000000 steps"),
     (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
     (lambda: correlation_expansion(6, 2, (100, 100), 400), r"10201 slots.* about \d+ charge"),
-], ids=["bloch_okounkov_F", "brute_force_Ft", "qdeformed_Zn_sum", "correlation_expansion",
-        "correlation_slots"])
+], ids=["bloch_okounkov_F", "brute_force_Ft", "qdeformed_Zn_sum", "qdeformed_Z_product",
+        "qdeformed_Z_product_huge", "correlation_expansion", "correlation_slots"])
 def test_oversized_enumerations_are_refused_up_front_with_a_count(call, count):
     start = time.perf_counter()
     with pytest.raises(ValueError, match=count):
         call()
     assert time.perf_counter() - start < 0.5
+
+
+def test_the_product_step_estimate_bounds_the_exp_and_admits_order_97():
+    # the estimate is an upper bound on the products the exp of the log
+    # takes, exact while the pieces of the exp are dense
+    for order, products in ((2, 9), (3, 25), (8, 370), (12, 1229)):
+        assert products <= npoint._product_steps(order) < 1.1 * products + 25
+    assert npoint._product_steps(97) <= _MAX_STEPS < npoint._product_steps(98)
+    for order in range(50):
+        assert math.comb(order + 2, 3) <= npoint._product_steps(order)
 
 
 def test_the_step_bound_admits_the_largest_calls_in_use():
@@ -1352,6 +1414,11 @@ def test_correlation_rejects_mismatched_orders():
 def test_correlation_refuses_an_n_or_l_order_that_is_not_an_int(n, l_orders, name, kind):
     with pytest.raises(ValueError, match=f"^{name} must be an int, not {kind}$"):
         correlation_expansion(3, n, l_orders, 6)
+
+
+def test_correlation_refuses_l_orders_that_are_not_iterable_by_name():
+    with pytest.raises(ValueError, match="^the l-orders must be an iterable of ints, got 2$"):
+        correlation_expansion(3, 1, 2, 6)
 
 
 def correlation_by_rows(t, l_orders, q_order):

@@ -64,6 +64,15 @@ def test_check_partition_rejects_bad_input():
         check_partition((2, 0))
 
 
+@pytest.mark.parametrize("parts, kind", [
+    ((2.5,), "float"), ((2.0, 1), "float"), ((2, "1"), "str"), ((True,), "bool"), ((None,), "NoneType"),
+])
+def test_check_partition_refuses_a_part_that_is_not_an_int(parts, kind):
+    # a float part was truncated: (2.5,) read as (2,)
+    with pytest.raises(ValueError, match=f"^each part must be an int, not {kind}$"):
+        check_partition(parts)
+
+
 def test_conjugate_frozen():
     assert conjugate((6, 4, 4, 2, 1)) == (5, 4, 3, 3, 1, 1)
     assert conjugate(()) == ()

@@ -621,6 +621,51 @@ def test_biseries_division_equals_the_product_by_the_power_sum_inverse(name):
         assert a._cut(cut) / b._cut(cut) == quotient._cut(min(cut, quotient.trunc2))
 
 
+# ---------------------------------------------------------------------------
+# the fraction-free graded recurrence
+
+
+def test_rational_quotients_and_exps_run_on_reduced_integers(graded_runs):
+    rng = random.Random("fraction-free kernel")
+    for _ in range(30):
+        t2 = rng.randint(0, 9)
+        a = _graded_biseries(rng, _small, QQ_DOMAIN, t2, constant=rng.choice([None, _small(rng)]))
+        b = _graded_biseries(rng, _small, QQ_DOMAIN, t2, constant=_small(rng) or QQ(-3, 7))
+        assert a / b == series_oracle.bi_divide(a, b)
+        u = _graded_qseries(rng, _small, QQ_DOMAIN, t2)
+        assert qexp(u) == series_oracle.qexp(u)
+        x = TaylorZ(TAYLOR_Q, [_small(rng) or QQ(2, 3)] + [_small(rng) for _ in range(3)])
+        assert x.inverse() * x == TAYLOR_Q.one
+    assert len(graded_runs) == 90
+    for sigma, pieces in graded_runs:
+        assert sigma is not None
+        series_oracle.assert_reduced(pieces)
+
+
+@pytest.mark.parametrize("name", ["Q(zeta8)", "Z/N"])
+def test_other_domains_divide_through_the_same_loop_over_one(name, graded_runs):
+    dom, element, unit = LOOP_DOMAINS[name]
+    rng = random.Random(f"one loop {name}")
+    for _ in range(10):
+        a = QSeries(dom, 8, {k: element(rng) for k in range(0, 9, 2)})
+        b = QSeries(dom, 8, {0: unit(rng), 3: element(rng), 4: element(rng)})
+        want = QSeries(dom, 8, long_division(a.terms, b.terms, 8, dom.zero, dom.one))
+        assert a / b == want
+    assert len(graded_runs) == 10
+    for sigma, pieces in graded_runs:
+        assert sigma is None
+        assert all(den == 1 for _, den in pieces.values())
+
+
+def test_a_deep_exp_carries_the_heights_of_its_values(graded_runs):
+    # exp(Q / (1 - 2Q/3)) through Q^20: without the gcd of each degree the
+    # denominator of degree d would carry d! 3^d and more
+    log = QSeries(QQ_DOMAIN, 40, {2 * k: QQ(2, 3) ** (k - 1) for k in range(1, 21)})
+    assert qexp(log) == series_oracle.qexp(log)
+    ((_, pieces),) = graded_runs
+    series_oracle.assert_reduced(pieces)
+
+
 def test_biseries_division_needs_an_invertible_constant_term():
     a = BiSeries.one(QQ_DOMAIN, 3)
     with pytest.raises(ZeroDivisionError):

@@ -78,6 +78,18 @@ def test_spec_point_validation():
 
 
 @pytest.mark.parametrize("call", [
+    lambda: skew_schur((2.5,), (), SpecPoint(4)),
+    lambda: skew_schur((3,), (1.0,), SpecPoint(4)),
+    lambda: SpecPoint(4, (2.0,)),
+    lambda: topological_vertex((1,), (1.5,), (), 2),
+], ids=["skew_schur", "skew_schur_eta", "SpecPoint", "topological_vertex"])
+def test_a_part_that_is_not_an_int_is_refused_not_truncated(call):
+    # skew_schur((2.5,), (), SpecPoint(4)) returned 16/45, the value at (2,)
+    with pytest.raises(ValueError, match="^each part must be an int, not float$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda q: SpecPoint(q),
     lambda q: schur_hook_eval((1,), q),
     lambda q: topological_vertex((), (1,), (), q),
@@ -340,6 +352,26 @@ def test_h_table_matches_newton_over_fractions(q):
             assert [QQ(h, den) for h in hs] == expected, (shift, top)
             # the denominator is the lcm of the values', not a multiple of it
             assert den == math.lcm(*(x.denominator for x in expected)), (shift, top)
+
+
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2), QQ(9, 4)])
+def test_newton_is_the_falling_factorial_recurrence_in_lowest_terms(q, monkeypatch):
+    # the power sums of one point (the h-table) and of the pairs of the
+    # deformed sum, through degree 12, where the unreduced heights grow
+    runs = []
+    graded = symfunc._graded
+    monkeypatch.setattr(symfunc, "_graded", lambda *a, **k: runs.append(k) or graded(*a, **k))
+    for nu in ((), (1,), (2, 1), (3, 1, 1), (4, 2)):
+        spec, spec_t = SpecPoint(q, nu), SpecPoint(q, conjugate(nu))
+        ps = [symfunc._power_sum_y(spec, k) for k in range(1, 13)]
+        pairs = [x * symfunc._power_sum_y(spec_t, k) for k, x in enumerate(ps, start=1)]
+        for p, sign in ((ps, 1), (pairs, -1)):
+            g, scales = symfunc._newton(p, sign)
+            old = schur_oracle.newton_by_falling_factorials(p, sign)
+            assert [QQ(x, s) for x, s in zip(g, scales)] == [QQ(x, s) for x, s in zip(*old)]
+            assert all(s > 0 and math.gcd(x, s) == 1 for x, s in zip(g, scales)), (nu, sign)
+    # every run went through the one graded recurrence, fraction-free
+    assert len(runs) == 10 and all(k["sigma"] for k in runs)
 
 
 def random_int_matrix(rng, n):
