@@ -38,7 +38,6 @@ from tcore.qseries import (
     QQ_DOMAIN,
     BiSeries,
     QSeries,
-    _divided,
     check_int,
     check_order,
     check_t,
@@ -745,8 +744,7 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     fraction.  Swapping mu for conj(mu) shows that conj(nu) has the same row
     of coefficients as nu, so each row is computed once per conjugate pair.
     Each coefficient sums its rows' fractions as integers over the lcm of
-    their denominators and becomes one rational.  The partitions come from
-    partitions_of, so their points are built unchecked (SpecPoint._valid).
+    their denominators and becomes one rational.
     Sums over more than _MAX_VERTEX_PAIRS pairs are refused up front.
     """
     q = deformation_base(q)
@@ -761,7 +759,7 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
             if row is None:
                 nu_t = conjugate(nu)
                 sums, scales = _schur_pair_sums(
-                    SpecPoint._valid(q, nu), SpecPoint._valid(q, nu_t), order_total - d_nu
+                    SpecPoint(q, nu), SpecPoint(q, nu_t), order_total - d_nu
                 )
                 hooks = hook_lengths(nu).values()
                 num0 = (-1) ** d_nu * (a * b) ** sum(hooks)
@@ -848,11 +846,11 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
     one Q1 of (Q Q1)^|nu| given to each of the |nu| hooks, a hook contributes
     (b^h - a^h Q1)(b^h Q1 - a^h)/(b^h - a^h)^2, so every coefficient of a
     hook weight is one integer fraction.  Both sums are accumulated as
-    integers over the lcm of those denominators, the weighted one also over
-    the moments' (_MomentTable); the empty partition makes that lcm the
-    constant term of the plain sum, the lead of the integer division
-    (qseries._divided), and each coefficient of the quotient is one
-    rational at the end.  Sums of more than _MAX_STEPS steps
+    integers over the lcm of those denominators, the weighted one with the
+    moment numerators (_MomentTable).  The empty partition makes that lcm the
+    constant term of the plain sum, so the BiSeries division runs on integers
+    with it as lead, and the quotient is scaled by the moments' denominator
+    at the end.  Sums of more than _MAX_STEPS steps
     are refused up front: a partition of size n takes n (N - n + 1) of them
     and the bivariate division about C(N + 4, 4), at order N.
     """
@@ -887,18 +885,13 @@ def qdeformed_Zn_sum(q, s_values, order_total: int) -> BiSeries:
         scale = common // den
         for e1, c in enumerate(poly):
             if c:
-                key, degree = (2 * size, 2 * e1), 2 * (size + e1)
+                key = (2 * size, 2 * e1)
                 c *= scale
-                piece = plain.setdefault(degree, {})
-                piece[key] = piece.get(key, 0) + c
-                piece = weighted.setdefault(degree, {})
-                piece[key] = piece.get(key, 0) + c * m_num
+                plain[key] = plain.get(key, 0) + c
+                weighted[key] = weighted.get(key, 0) + c * m_num
     order2 = 2 * order_total
-    terms = _divided(
-        dict(sorted(weighted.items())), dict(sorted(plain.items())), order2, BiSeries._shift,
-        moments.den,
-    )
-    return BiSeries(QQ_DOMAIN, order2, terms)
+    quotient = BiSeries(QQ_DOMAIN, order2, weighted) / BiSeries(QQ_DOMAIN, order2, plain)
+    return quotient * QQ(1, moments.den)
 
 
 def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list[int]:

@@ -577,15 +577,14 @@ def _product(a: dict, b: dict, t2: int, degree, shift) -> dict:
     return out
 
 
-def _divided(rhs: dict, den: dict, t2: int, shift, bottom: int = 1) -> dict:
-    """The terms through degree t2 of R/(bottom D), from the pieces of R and D
-    by degree (_pieces), for D with an invertible constant piece {origin: c}:
+def _divided(rhs: dict, den: dict, t2: int, shift) -> dict:
+    """The terms through degree t2 of R/D, from the pieces of R and D by
+    degree (_pieces), for D with an invertible constant piece {origin: c}:
     O_d = (R_d - sum_(k>=1) D_k O_(d-k)) / c, one degree at a time (_graded).
 
     Rational pieces are cleared once, R = r/rho and D = delta/sigma, so that
     the recurrence runs on the integers r and delta, its lead delta_0, and
-    each coefficient becomes one rational, times sigma over rho bottom; the
-    integer bottom serves rational pieces only.
+    each coefficient becomes one rational, times sigma over rho.
     """
     cleared = _cleared(rhs), _cleared(den)
     exact = None not in cleared
@@ -595,7 +594,7 @@ def _divided(rhs: dict, den: dict, t2: int, shift, bottom: int = 1) -> dict:
     steps = {k: {key: -c for key, c in piece.items()} for k, piece in den.items() if k}
     if not exact:
         return _rationals(_graded(rhs, steps, t2, shift, c0))
-    return _rationals(_graded(rhs, steps, t2, shift, c0, sigma=1), sigma, rho * bottom)
+    return _rationals(_graded(rhs, steps, t2, shift, c0, sigma=1), sigma, rho)
 
 
 def _check_positive(pieces: dict) -> None:

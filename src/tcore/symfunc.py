@@ -66,15 +66,6 @@ class SpecPoint:
         object.__setattr__(self, "q", deformation_base(self.q))
         object.__setattr__(self, "shift", check_partition(self.shift))
 
-    @classmethod
-    def _valid(cls, q: QQ, shift: tuple) -> "SpecPoint":
-        """The point of a base already passed through deformation_base and a
-        partition already checked, built without checking them again."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "q", q)
-        object.__setattr__(spec, "shift", shift)
-        return spec
-
 
 # Fixed cache bounds.  The h-tables serve skew_schur and topological_vertex:
 # every vertex with all three shapes of size at most 4 stores 48 of them, so
@@ -95,33 +86,35 @@ def _lift(q: QQ, m: int, x):
     return root * half if m % 2 else lift(half)
 
 
-def _power_sum_y(spec: SpecPoint, k: int) -> QQ:
+def _power_sum_y(spec: SpecPoint, k: int) -> tuple[int, int]:
     """p_k at y: the shifted head plus the geometric tail q^(-k l)/(q^k - 1).
 
     With q^k = A/B and e_i = shift_i - i, which lies in [-l, top] for
-    top = max(0, e_1), this is one integer fraction over A^l B^top (A - B).
+    top = max(0, e_1), this is one integer fraction over A^l B^top (A - B),
+    returned unreduced as (numerator, denominator) for _newton to clear.
     """
     big, small = spec.q.numerator**k, spec.q.denominator**k
     exps = [part - i for i, part in enumerate(spec.shift, start=1)]
     ell, top = len(exps), max(exps + [0])
     head = sum(big ** (e + ell) * small ** (top - e) for e in exps)
     num = (big - small) * head + small ** (ell + 1 + top)
-    return QQ(num, big**ell * small**top * (big - small))
+    return num, big**ell * small**top * (big - small)
 
 
 def _newton(p, sign: int) -> tuple[list[int], list[int]]:
     """Newton's identities r x_r = sum_k sign^(k-1) p_k x_(r-k), x_0 = 1.
 
-    Given the power sums p_1 .. p_top this is h (sign 1) or e (sign -1),
+    Given the power sums p_1 .. p_top as integer fractions (numerator,
+    denominator), not necessarily reduced, this is h (sign 1) or e (sign -1),
     returned as (g, scales), x_r = g[r] / scales[r] in lowest terms.  It is
     the graded recurrence of exp (qseries._graded), x = exp(sum_k
     sign^(k-1) p_k u^k / k), run fraction-free on the power sums over one
-    denominator E.
+    denominator E, the lcm of theirs.
     """
-    e = math.lcm(*(x.denominator for x in p))
+    e = math.lcm(*(den for _, den in p))
     slope = {
-        k: {k: sign ** (k - 1) * x.numerator * (e // x.denominator)}
-        for k, x in enumerate(p, start=1) if x
+        k: {k: sign ** (k - 1) * num * (e // den)}
+        for k, (num, den) in enumerate(p, start=1) if num
     }
     pieces = _graded({0: {0: 1}}, slope, len(p), operator.add, by_degree=True, sigma=e)
     tops = range(len(p) + 1)
@@ -199,12 +192,12 @@ def _schur_pair_sums(spec1: SpecPoint, spec2: SpecPoint, top: int):
 
     By the dual Cauchy identity (Macdonald, Symmetric Functions, I (4.3'))
     the m-th sum is e_m of the products y_i y'_j of the two points, whose
-    power sums are p_k(y; spec1) p_k(y; spec2).  Returns (g, scales) in
-    integers, the m-th sum being g[m] / scales[m] (see _newton).
+    power sums are p_k(y; spec1) p_k(y; spec2), multiplied as integer
+    fractions.  Returns (g, scales) in integers, the m-th sum being
+    g[m] / scales[m] (see _newton).
     """
-    return _newton(
-        [_power_sum_y(spec1, k) * _power_sum_y(spec2, k) for k in range(1, top + 1)], -1
-    )
+    pairs = (_power_sum_y(spec1, k) + _power_sum_y(spec2, k) for k in range(1, top + 1))
+    return _newton([(n1 * n2, d1 * d2) for n1, d1, n2, d2 in pairs], -1)
 
 
 def _hook_product_y(lam, q: QQ) -> QQ:

@@ -82,7 +82,8 @@ def _vacuum_pair_product(q, dom: TaylorDomain) -> TaylorZ:
     product is the elementary symmetric generating series of that multiset.
     """
     p = [rat_pow(q, -k) / (1 - rat_pow(q, -k)) ** 2 for k in range(1, dom.z_order + 1)]
-    return TaylorZ(dom, [dom.inner.coerce(QQ(g, s)) for g, s in zip(*_newton(p, -1))])
+    pairs = [(x.numerator, x.denominator) for x in p]
+    return TaylorZ(dom, [dom.inner.coerce(QQ(g, s)) for g, s in zip(*_newton(pairs, -1))])
 
 
 def newton_by_falling_factorials(p, sign: int) -> tuple[list[int], list[int]]:

@@ -24,7 +24,7 @@ from schur_oracle import hook_pair_product_series, schur_hook_eval, schur_pair_s
 
 def power_sum(spec, k):
     """p_k at the point: the shifted head plus the geometric tail."""
-    return symfunc._lift(spec.q, k, symfunc._power_sum_y(spec, k))
+    return symfunc._lift(spec.q, k, QQ(*symfunc._power_sum_y(spec, k)))
 
 
 @lru_cache(maxsize=None)
@@ -32,7 +32,7 @@ def homogeneous_y(spec, r):
     """h_r at y by Newton's identities over Fractions, one value at a time."""
     if r == 0:
         return QQ(1)
-    acc = sum((symfunc._power_sum_y(spec, k) * homogeneous_y(spec, r - k)
+    acc = sum((QQ(*symfunc._power_sum_y(spec, k)) * homogeneous_y(spec, r - k)
                for k in range(1, r + 1)), QQ(0))
     return acc / r
 
@@ -364,10 +364,11 @@ def test_newton_is_the_falling_factorial_recurrence_in_lowest_terms(q, monkeypat
     for nu in ((), (1,), (2, 1), (3, 1, 1), (4, 2)):
         spec, spec_t = SpecPoint(q, nu), SpecPoint(q, conjugate(nu))
         ps = [symfunc._power_sum_y(spec, k) for k in range(1, 13)]
-        pairs = [x * symfunc._power_sum_y(spec_t, k) for k, x in enumerate(ps, start=1)]
+        pairs = [(n * m, d * e) for (n, d), (m, e) in
+                 zip(ps, (symfunc._power_sum_y(spec_t, k) for k in range(1, 13)))]
         for p, sign in ((ps, 1), (pairs, -1)):
             g, scales = symfunc._newton(p, sign)
-            old = schur_oracle.newton_by_falling_factorials(p, sign)
+            old = schur_oracle.newton_by_falling_factorials([QQ(*x) for x in p], sign)
             assert [QQ(x, s) for x, s in zip(g, scales)] == [QQ(x, s) for x, s in zip(*old)]
             assert all(s > 0 and math.gcd(x, s) == 1 for x, s in zip(g, scales)), (nu, sign)
     # every run went through the one graded recurrence, fraction-free
