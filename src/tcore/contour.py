@@ -16,7 +16,7 @@ never take a square root of a grid variable.  Each theta value is split as
 z^(1/2) * (1 - 1/z) * (even product), the paired z^(1/2) factors are
 cancelled by hand before any evaluation happens, and what remains is a
 single-valued function of the grid point.  The only square roots taken are
-those of the s-values in the constant.
+those of the s-values in the constant, on the principal branch.
 
 On the grid axes of the t-core integrands the pairing goes one step
 further.  The t thetas at the arguments -w xi^a, xi^a running over the t-th
@@ -31,20 +31,27 @@ r x^k, x = exp(2 pi i / M), with one radius r per factor: (-c_j)^t and
 s_j^t (-c_j)^t on the axes, and in the cross ratios c_k / c_i times 1, an
 s-value or a ratio of s-values.  Each such factor is tabulated once, as its
 triple-product Laurent sum, and the grid average reads products of table
-entries:
+entries.  The route runs on integers alone:
 
+- The inputs (s-values, the nome, the radii, a single evaluation point)
+  become exact ``GaussianRational`` numbers: rationals as they are, floats
+  and complex numbers as the dyadic rationals they hold.  Every radius r
+  above is an exact product of them.
 - Every table on the grid is block floating point, a ``_Block``: a list of
   Gaussian-integer mantissas (re, im) that share one binary exponent.  A
   theta table takes its exponent from its Laurent terms, with prec + 16
   fraction bits below the largest term, and sums the integer terms against
-  an integer table of roots of unity.  The axis ratios, the cross ratios and
-  the transforms of the grid average are integer products and quotients of
-  such tables; only the mean becomes an mpmath number, at the working
-  precision.  Integer sums are exact, so no summation order needs fixing.
+  an integer table of roots of unity.  The terms are exact Gaussian
+  rationals times the norm 1 / (Q; Q)^3, which is rounded once.  The axis
+  ratios, the cross ratios and the transforms of the grid average are
+  integer products and quotients of such tables.  Integer sums are exact,
+  so no summation order needs fixing.
 - The phase table holds the M-th roots of unity times 2^(prec + 16), rounded
-  to Gaussian integers.  It is built once per precision, at the largest M
-  asked for so far, and every extraction at that precision reads its
-  m-point table as every (M / m)-th entry.
+  down to Gaussian integers from an integer pi and Taylor series, so each
+  entry is a function of the reduced fraction k / M and of the bits alone.
+  It is built once per precision, at the largest M asked for so far, and
+  every extraction at that precision reads its m-point table as every
+  (M / m)-th entry.
 - Axis tables are indexed by k_j, coupling tables by k_k - k_i.  (-w)^t
   repeats with period M / gcd(t, M), so an axis table is built at that many
   points and read at index (t / g) k.
@@ -53,25 +60,28 @@ entries:
   bit: an extraction at 2M takes the even entries of every theta table from
   the extraction at M before it and computes only the odd ones.  Only the
   last extraction's tables are kept.
-- The integrand constants are ``_ThetaSum.at``; a single point is the
-  same sum, the mean over a one-point grid.
+- The precision is an explicit argument throughout: ``QuadratureConfig``
+  carries it, and each grid and each theta sum is built for one precision.
+  The integrand constant and the mean are one-entry blocks, and the result
+  is their product rounded to prec + 1 bits: an exact Gaussian dyadic.  A
+  single point is the same sum, the mean over a one-point grid.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, replace
-from math import exp, gcd, log
+from fractions import Fraction
+from math import exp, gcd, hypot, isfinite, isqrt, lcm, log
 from typing import NamedTuple
 
-import mpmath as mp
-from mpmath.libmp import fzero, to_fixed
-
-from tcore._rat import is_rational
+from tcore._rat import power
 from tcore.qseries import check_t
 
 __all__ = [
     "ExtractionResult",
+    "GaussianRational",
     "QuadratureConfig",
     "extract_bo_determinant",
     "extract_cor42",
@@ -88,18 +98,115 @@ _MAX_DOUBLINGS = 3
 _LN2 = log(2)
 
 
-def _as_mp(x):
-    """Convert a rational/float/complex input to an mpmath number."""
-    if is_rational(x):
-        return mp.mpf(int(x.numerator)) / int(x.denominator)
-    return mp.mpmathify(x)
+# -- exact numbers ---------------------------------------------------------------
 
 
-def _abs_float(x) -> float:
-    """Crude magnitude of a numeric input, for feasibility checks."""
-    if is_rational(x):
-        return abs(int(x.numerator)) / int(x.denominator)
-    return abs(complex(x))
+@dataclass(frozen=True, slots=True)
+class GaussianRational:
+    """real + i imag with ``Fraction`` parts.
+
+    The exact form of the route's inputs and radii, and of its results: an
+    extraction's value is a Gaussian dyadic, a GaussianRational whose
+    denominators are powers of two.  ``abs`` and ``complex`` give floats;
+    mpmath reads the number through ``_mpmath_``, so mpmath arithmetic on
+    one side of an operator takes it exactly, rounded to mpmath's precision.
+    """
+
+    real: Fraction
+    imag: Fraction = Fraction(0)
+
+    def __neg__(self) -> GaussianRational:
+        return GaussianRational(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return GaussianRational(self.real - other.real, self.imag - other.imag)
+
+    # real operands, the usual case, take one Fraction operation
+
+    def __mul__(self, other: GaussianRational) -> GaussianRational:
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        if not (b or d):
+            return GaussianRational(a * c)
+        return GaussianRational(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other: GaussianRational) -> GaussianRational:
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        if not (b or d):
+            return GaussianRational(a / c)
+        norm = c * c + d * d
+        return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+    def __pow__(self, n: int) -> GaussianRational:
+        return power(self, n, _ONE)
+
+    def __hash__(self) -> int:
+        # cheaper than Fraction's hash; equal Fractions have equal terms
+        a, b = self.real, self.imag
+        return hash((a.numerator, a.denominator, b.numerator, b.denominator))
+
+    def __abs__(self) -> float:
+        return hypot(self.real, self.imag)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.real), float(self.imag))
+
+    def _mpmath_(self, prec: int, rounding: str):
+        """mpmath's conversion hook: this number rounded to ``prec`` bits.
+
+        mpmath is imported here, by a caller that already uses it; the route
+        itself never loads it.
+        """
+        from mpmath import make_mpc
+        from mpmath.libmp import from_rational
+
+        parts = (self.real, self.imag)
+        return make_mpc(
+            tuple(from_rational(x.numerator, x.denominator, prec, rounding) for x in parts)
+        )
+
+
+_ONE = GaussianRational(Fraction(1))
+
+
+def _gaussian(x, name: str) -> GaussianRational:
+    """``x`` as an exact GaussianRational, or a ValueError that names the argument.
+
+    Rationals are taken as they are, and finite floats and complex numbers
+    as the dyadic rationals they hold.
+    """
+    if isinstance(x, GaussianRational) and all(
+        isinstance(part, numbers.Rational) for part in (x.real, x.imag)
+    ):
+        return x
+    if isinstance(x, numbers.Rational):
+        return GaussianRational(Fraction(x))
+    if isinstance(x, (float, complex)) and isfinite(x.real) and isfinite(x.imag):
+        return GaussianRational(Fraction(x.real), Fraction(x.imag))
+    raise ValueError(f"{name} must be a finite number, got {x!r}")
+
+
+def _integral(z: GaussianRational) -> tuple:
+    """(re, im, den): z as a Gaussian integer over a positive integer."""
+    a, b = z.real, z.imag
+    den = lcm(a.denominator, b.denominator)
+    return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+
+
+def _log_abs(z: GaussianRational) -> float:
+    """log |z| for z != 0, from integer logarithms, so no part over- or underflows."""
+    re, im, den = _integral(z)
+    return log(re * re + im * im) / 2 - log(den)
+
+
+def _norm2(z: GaussianRational) -> Fraction:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _floor_scaled(x: int, den: int, shift: int) -> int:
+    """floor(x 2^shift / den) for den > 0."""
+    return (x << shift) // den if shift >= 0 else x // (den << -shift)
 
 
 # -- block floating point ----------------------------------------------------
@@ -115,15 +222,21 @@ class _Block(list):
         self.exp = exp
 
 
-def _parts(x) -> tuple:
-    """The raw (real, imaginary) mpf tuples of an mpmath number."""
-    return x._mpc_ if isinstance(x, mp.mpc) else (x._mpf_, fzero)
+_UNIT = _Block(0, [(1, 0)])
 
 
-def _to_mp(value, exp: int):
-    """(re + i im) 2^exp as an mpmath number at the working precision."""
+def _to_exact(value, exp: int) -> GaussianRational:
+    """(re + i im) 2^exp as a GaussianRational."""
+    scale = Fraction(2) ** exp
     re, im = value
-    return mp.mpc(mp.mpf((re, exp)), mp.mpf((im, exp)))
+    return GaussianRational(re * scale, im * scale)
+
+
+def _rounded(re: int, im: int, den: int, bits: int) -> _Block:
+    """(re + i im) / den as a one-entry block, rounded down to about ``bits``
+    bits in its larger part (``bits`` or ``bits`` + 1)."""
+    shift = bits + den.bit_length() - (abs(re) | abs(im)).bit_length()
+    return _Block(-shift, [(_floor_scaled(re, den, shift), _floor_scaled(im, den, shift))])
 
 
 def _products(a: _Block, b: _Block) -> _Block:
@@ -161,25 +274,71 @@ def _total(block: _Block) -> tuple:
     return sum(x for x, _ in block), sum(y for _, y in block)
 
 
+def _sqrt(z: GaussianRational, bits: int) -> _Block:
+    """The principal square root of z, rounded down to ``bits`` fraction bits.
+
+    The root is taken of z 2^(2 bits) rounded down to a Gaussian integer, by
+    integer square roots; for a rational square it is the exact root rounded
+    down, since floor(sqrt(floor(x))) = floor(sqrt(x)).
+    """
+    x, y = (_floor_scaled(p.numerator, p.denominator, 2 * bits) for p in (z.real, z.imag))
+    norm = isqrt(x * x + y * y)
+    im = isqrt((norm - x) // 2)
+    return _Block(-bits, [(isqrt((norm + x) // 2), -im if y < 0 else im)])
+
+
+def _arctan_inv(x: int, bits: int) -> int:
+    """arctan(1 / x) 2^bits for an integer x > 1, to within a few units."""
+    term = (1 << bits) // x
+    total, n, x2 = term, 1, x * x
+    while term:
+        term //= x2
+        n += 2
+        total += -(term // n) if n & 2 else term // n
+    return total
+
+
+def _cos_sin(angle: int, bits: int) -> tuple:
+    """(cos, sin) of angle 2^-bits, times 2^bits, by their Taylor series, for
+    0 <= angle 2^-bits < 2: to within a few units."""
+    cos, sin, term, n = 1 << bits, 0, 1 << bits, 0
+    while term:
+        n += 1
+        term = (term * angle >> bits) // n
+        if n & 1:
+            sin += -term if n & 2 else term
+        else:
+            cos += -term if n & 2 else term
+    return cos, sin
+
+
 # bits -> the phase table at those fraction bits, for the largest M asked for
 _phase_tables: dict = {}
 
 
 def _phases(M: int, bits: int) -> list:
-    """[exp(2 pi i k / M) 2^bits, rounded down to (re, im)] for k < M.
+    """[exp(2 pi i k / M) 2^bits as Gaussian integers (re, im)] for k < M: the
+    first quarter rounded down, the others its turns by i, -1 and -i.
 
     M is a power of two.  The table of the largest M asked for at ``bits``
-    is kept, and a smaller M reads every (size / M)-th entry of it.  The
-    entries of the M-point and the 2M-point table agree bit for bit, so the
-    reading does not depend on which M came first.
+    is kept, and a smaller M reads every (size / M)-th entry of it.  An
+    entry is computed at bits + 32 from pi 2^(bits + 32) by Machin's formula
+    and the angle floor(2 pi k / M 2^(bits + 32)), or from the angle of
+    1/4 - k/M past the first octant; either depends on the value of k / M
+    alone, so the entries of the M-point and the 2M-point table agree bit
+    for bit, and the reading does not depend on which M came first.
     """
     table = _phase_tables.get(bits)
     if table is None or len(table) < M:
         size = max(M, 4)
-        with mp.workprec(bits + 10):
-            parts = [_parts(mp.expjpi(mp.mpf(2 * k) / size)) for k in range(size // 4)]
-        quarter = [(to_fixed(re, bits), to_fixed(im, bits)) for re, im in parts]
-        # the other quarters are the first times i, -1 and -i
+        work = bits + 32
+        pi = 16 * _arctan_inv(5, work + 8) - 4 * _arctan_inv(239, work + 8) >> 8
+        eighth = [_cos_sin(2 * pi * k // size, work) for k in range(size // 8 + 1)]
+        # past pi / 4, cos and sin are the sin and cos of pi / 2 - angle
+        quarter = [
+            eighth[k] if 8 * k <= size else eighth[size // 4 - k][::-1] for k in range(size // 4)
+        ]
+        quarter = [(c >> 32, s >> 32) for c, s in quarter]
         table = quarter + [(-y, x) for x, y in quarter]
         table += [(-x, -y) for x, y in table]
         if len(_phase_tables) >= 16:
@@ -189,6 +348,24 @@ def _phases(M: int, bits: int) -> list:
 
 
 # -- theta functions as Laurent sums -------------------------------------------
+
+
+def _power_walk(q: tuple, z: tuple, count: int) -> list:
+    """[(-1)^m Q^(m(m+1)/2) z^m for m < count] as (re, im, den) over the integers.
+
+    ``q`` and ``z`` are Gaussian rationals in the form of ``_integral``.  Each
+    term is the one before times -Q^m z; no fraction is reduced.
+    """
+    qr, qi, qd = q
+    zr, zi, zd = z
+    xr, xi, xd = 1, 0, 1  # Q^m
+    out = [(1, 0, 1)]
+    while len(out) < count:
+        tr, ti, td = out[-1]
+        xr, xi, xd = xr * qr - xi * qi, xr * qi + xi * qr, xd * qd
+        ur, ui = xi * zi - xr * zr, -(xr * zi + xi * zr)
+        out.append((tr * ur - ti * ui, tr * ui + ti * ur, td * xd * zd))
+    return out
 
 
 class _ThetaSum:
@@ -201,47 +378,59 @@ class _ThetaSum:
     Q2; by Frobenius's elliptic Cauchy determinant (J. reine angew. Math. 93,
     1882) they cancel, as in closed_Ft, so no other theta is tabulated.
 
+    The nome is an exact GaussianRational, and a sum is built for one
+    precision ``prec``; ``bits`` = prec + guard.  The norm 1 / (Q; Q)^3 is
+    the exact product over the factors with |Q^b| >= 2^-bits, rounded once
+    to bits + guard bits.  At a radius r, a_n r^n is the exact Gaussian
+    rational (-1)^n Q^(n(n+1)/2) r^n times that norm, rounded down to the
+    table's exponent.
+
     |a_n| is a constant times |Q|^((n^2 + n)/2), so at |z| = r the terms
     fall off on both sides of the largest one.  ``terms`` keeps those within
-    2^-bits of it, ``bits`` = prec + guard; the guard keeps the discarded
-    tail and the rounding of the integer sums below the rounding floor of the
-    working precision.  At Q = 1/100 and 80 bits that is about 13 terms.
+    2^-bits of it; the guard keeps the discarded tail and the rounding of
+    the integer sums below the rounding floor of the working precision.  At
+    Q = 1/100 and 80 bits that is about 13 terms.
     """
 
     __slots__ = ("key", "bits", "_q", "_norm", "_log_q", "_terms")
 
-    def __init__(self, Q):
-        if abs(Q) >= 1:
+    def __init__(self, Q: GaussianRational, prec: int):
+        if _norm2(Q) >= 1:
             raise ValueError("the nome must satisfy |Q| < 1")
-        self.key = (mp.mp.prec, Q)
-        self.bits = mp.mp.prec + _GUARD_BITS
-        self._q = Q
-        self._log_q = log(float(abs(Q))) if Q else float("-inf")
+        self.key = (prec, Q)
+        self.bits = bits = prec + _GUARD_BITS
+        self._q = qr, qi, qd = _integral(Q)
+        self._log_q = _log_abs(Q) if qr or qi else float("-inf")
         self._terms: dict = {}
-        with mp.workprec(self.bits):
-            euler, qb = mp.mpf(1), Q
-            tol = mp.mpf(2) ** -self.bits
-            while abs(qb) >= tol:
-                euler *= 1 - qb
-                qb *= Q
-            self._norm = 1 / euler**3
+        # (Q; Q) = (er + i ei) / ed, exactly, over the factors that count
+        er, ei, ed = 1, 0, 1
+        xr, xi, xd = qr, qi, qd  # Q^b
+        b = 1
+        while b * self._log_q >= -bits * _LN2:
+            er, ei, ed = er * (xd - xr) + ei * xi, ei * (xd - xr) - er * xi, ed * xd
+            xr, xi, xd = xr * qr - xi * qi, xr * qi + xi * qr, xd * qd
+            b += 1
+        cr, ci = er * er - ei * ei, 2 * er * ei
+        cr, ci = cr * er - ci * ei, cr * ei + ci * er
+        ed3 = ed**3
+        self._norm = _rounded(ed3 * cr, -ed3 * ci, cr * cr + ci * ci, bits + _GUARD_BITS)
 
     def _log_size(self, n: int, log_r: float) -> float:
         e2 = n * n + n
         return n * log_r + (e2 * self._log_q / 2 if e2 else 0.0)
 
-    def terms(self, r) -> tuple:
+    def terms(self, r: GaussianRational) -> tuple:
         """(exp, [(n, re, im)]): the terms a_n r^n as mantissas at one exponent.
 
-        The exponent puts ``bits`` fraction bits below the largest term, and
-        the terms kept are those that reach 2^-bits of it.  The terms of the
-        last few dozen radii are kept, for the doubled grid and the constants
-        of the next extraction.
+        The exponent puts ``bits`` or ``bits`` + 1 fraction bits below the
+        largest term, and the terms kept are those that reach 2^-bits of it.
+        The terms of the last few dozen radii are kept, for the doubled grid
+        and the constants of the next extraction.
         """
         known = self._terms.get(r)
         if known is not None:
             return known
-        log_r = float(mp.log(abs(r)))
+        log_r = _log_abs(r)
         peak = round(-log_r / self._log_q - 0.5)
         cutoff = self._log_size(peak, log_r) - self.bits * _LN2
         lo = hi = peak
@@ -249,48 +438,60 @@ class _ThetaSum:
             lo -= 1
         while self._log_size(hi + 1, log_r) >= cutoff:
             hi += 1
-        q, raw = self._q, []
-        with mp.workprec(self.bits):
-            # a_(n+1) r^(n+1) = a_n r^n * (-Q^(n+1) r): no power past the first term
-            term = (-1) ** lo * q ** (lo * (lo + 1) // 2) * self._norm * r**lo
-            ratio = -(q ** (lo + 1)) * r
-            for n in range(lo, hi + 1):
-                raw.append((n, _parts(term)))
-                term *= ratio
-                ratio *= q
-        top = max(part[2] + part[3] for _, parts in raw for part in parts if part[1])
-        exp = top - self.bits
+        # a_n r^n / norm, exactly: for n >= 0 the walk at r, and for n < 0 the
+        # walk at 1/r times -1/r, as a_(-1-m) r^(-1-m) = -r^-1 a_m r^-m / norm
+        zr, zi, zd = z = _integral(r)
+        zn = zr * zr + zi * zi
+        exact = []
+        if lo < 0:
+            walk = _power_walk(self._q, (zd * zr, -zd * zi, zn), -lo)
+            for n in range(lo, min(hi, -1) + 1):
+                tr, ti, td = walk[-1 - n]
+                exact.append((n, -zd * (zr * tr + zi * ti), zd * (zi * tr - zr * ti), td * zn))
+        if hi >= 0:
+            walk = _power_walk(self._q, z, hi + 1)
+            exact += [(n, *walk[n]) for n in range(max(lo, 0), hi + 1)]
+        (nr, ni), = self._norm
+        scaled = [(n, tr * nr - ti * ni, tr * ni + ti * nr, td) for n, tr, ti, td in exact]
+        top = max((abs(x) | abs(y)).bit_length() - d.bit_length() for _, x, y, d in scaled)
+        exp = top + self._norm.exp - self.bits
+        shift = self._norm.exp - exp
+        known = [
+            (n, _floor_scaled(x, d, shift), _floor_scaled(y, d, shift)) for n, x, y, d in scaled
+        ]
         if len(self._terms) >= 64:
             self._terms.clear()
-        known = [(n, to_fixed(re, -exp), to_fixed(im, -exp)) for n, (re, im) in raw]
         self._terms[r] = exp, known
         return exp, known
 
-    def point(self, z) -> _Block:
+    def point(self, z: GaussianRational) -> _Block:
         """The sum at one point, as a one-entry table."""
         exp, terms = self.terms(z)
         return _Block(exp, [(sum(t[1] for t in terms), sum(t[2] for t in terms))])
-
-    def at(self, z):
-        """The sum at one point, as an mpmath number."""
-        value = self.point(z)
-        return _to_mp(value[0], value.exp)
 
 
 _sum_cache: dict = {}
 
 
-def _theta_sum(Q) -> _ThetaSum:
-    key = (mp.mp.prec, Q)
+def _theta_sum(Q: GaussianRational, prec: int) -> _ThetaSum:
+    key = (prec, Q)
     series = _sum_cache.get(key)
     if series is None:
         if len(_sum_cache) >= 16:
             _sum_cache.clear()
-        series = _sum_cache[key] = _ThetaSum(Q)
+        series = _sum_cache[key] = _ThetaSum(Q, prec)
     return series
 
 
 # -- grid geometry -----------------------------------------------------------
+
+
+def _s_logs(s) -> list:
+    """log |s_j| for each s-value, which must be a number outside the unit circle."""
+    values = [_gaussian(sj, "s") for sj in s]
+    if any(_norm2(sj) <= 1 for sj in values):
+        raise ValueError("every s value must exceed 1 in magnitude")
+    return [_log_abs(sj) for sj in values]
 
 
 @dataclass(frozen=True)
@@ -301,7 +502,9 @@ class QuadratureConfig:
     radius per auxiliary variable, and the numeric nome.  The radii must
     place each circle inside the annulus where the integrand's Laurent
     expansion converges; ``validate_region`` checks that chain against a
-    concrete s-vector.
+    concrete s-vector.  The radii are kept as exact Fractions (a float radius
+    is the dyadic rational it holds); Q is any rational, float or complex
+    number, kept as given.
     """
 
     M: int
@@ -314,7 +517,10 @@ class QuadratureConfig:
             raise ValueError("M must be a power of two, at least 2")
         if self.precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
-        radii = tuple(float(c) for c in self.radii)
+        radii = tuple(_gaussian(c, "radii") for c in self.radii)
+        if any(c.imag for c in radii):
+            raise ValueError(f"radii must be real, got {self.radii!r}")
+        radii = tuple(c.real for c in radii)
         object.__setattr__(self, "radii", radii)
         if not 1 <= len(radii) <= _MAX_VARS:
             raise ValueError(
@@ -325,7 +531,7 @@ class QuadratureConfig:
             raise ValueError("radii must be strictly decreasing")
         if radii[-1] <= 1:
             raise ValueError("the innermost radius must exceed 1")
-        if not 0 <= _abs_float(self.Q) < 1:
+        if _norm2(_gaussian(self.Q, "Q")) >= 1:
             raise ValueError("the nome must satisfy |Q| < 1")
 
     @property
@@ -341,24 +547,20 @@ class QuadratureConfig:
         """
         if len(s) != self.n:
             raise ValueError("one radius per s value is required")
-        s_logs = [log(_abs_float(sj)) for sj in s]
+        s_logs = _s_logs(s)
         chain = [0.0]
         for c, g in zip(reversed(self.radii), reversed(s_logs)):
             chain.append(log(c))
             chain.append(log(c) + g)
-        abs_q = _abs_float(self.Q)
+        Q = _gaussian(self.Q, "Q")
         slack = None
-        if abs_q:
-            chain.append(log(1 / abs_q))
+        if Q.real or Q.imag:
+            chain.append(-_log_abs(Q))
             slack = chain[-1] - sum(s_logs)
             if slack <= 0:
                 raise ValueError("no annuli fit between 1 and 1/|Q| for these s")
-        gaps = [b - a for a, b in zip(chain, chain[1:])]
-        free_gaps = gaps[::2]
+        free_gaps = [b - a for a, b in zip(chain[::2], chain[1::2])]
         floor = 0.0 if slack is None else _REGION_MARGIN * slack / (self.n + 1)
-        for g in gaps[1::2]:
-            if g <= 0:
-                raise ValueError("every s value must exceed 1 in magnitude")
         if min(free_gaps) <= floor:
             raise ValueError(
                 f"smallest log-gap {min(free_gaps):.3g} is under the safety "
@@ -376,12 +578,10 @@ class QuadratureConfig:
         n = len(s)
         if not 1 <= n <= _MAX_VARS:
             raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
-        s_logs = [log(_abs_float(sj)) for sj in s]
-        if any(g <= 0 for g in s_logs):
-            raise ValueError("every s value must exceed 1 in magnitude")
-        abs_q = _abs_float(Q)
-        if abs_q:
-            total = log(1 / abs_q)
+        s_logs = _s_logs(s)
+        nome = _gaussian(Q, "Q")
+        if nome.real or nome.imag:
+            total = -_log_abs(nome)
         else:
             # Q = 0 kills the outer constraint; any comfortable spacing works.
             total = sum(s_logs) + (n + 1) * log(4.0)
@@ -407,21 +607,24 @@ class QuadratureConfig:
 
 
 class _Grid:
-    """The M-point grid of one evaluation, and the theta tables built on it.
+    """The M-point grid of one evaluation at ``prec`` bits, and the theta
+    tables built on it.
 
-    ``points`` holds one number per circle: its radius c_j for an extraction,
-    or the point w_j itself on the one-point grid of a single evaluation.
-    ``bits`` is the number of fraction bits of the phase table, prec + guard.
-    ``tables`` maps (series key, r) to the tables built here; ``previous``
-    is an earlier grid's map, whose entries are reused where the grids nest.
+    ``points`` holds one GaussianRational per circle: its radius c_j for an
+    extraction, or the point w_j itself on the one-point grid of a single
+    evaluation.  ``bits`` is the number of fraction bits of the phase table,
+    prec + guard.  ``tables`` maps (series key, r) to the tables built here;
+    ``previous`` is an earlier grid's map, whose entries are reused where
+    the grids nest.
     """
 
-    __slots__ = ("M", "points", "bits", "phases", "tables", "previous")
+    __slots__ = ("M", "points", "prec", "bits", "phases", "tables", "previous")
 
-    def __init__(self, M: int, points, previous=None):
+    def __init__(self, M: int, points, prec: int, previous=None):
         self.M = M
         self.points = points
-        self.bits = mp.mp.prec + _GUARD_BITS
+        self.prec = prec
+        self.bits = prec + _GUARD_BITS
         self.phases = _phases(M, self.bits)
         self.tables: dict = {}
         self.previous = {} if previous is None else previous
@@ -480,34 +683,34 @@ class _Integrand(NamedTuple):
     integrand has no per-circle factors.  ``coupling`` is a ``_Block`` over
     the offsets d = (k_2 - k_1, ..., k_n - k_1) mod M, in lexicographic
     order; that the circles couple through these differences alone is what
-    lets the grid average fold them into one another.  ``const`` is an
-    mpmath number.
+    lets the grid average fold them into one another.  ``const`` is a
+    one-entry ``_Block``.
     """
 
-    const: object
+    const: _Block
     axes: list | None
     coupling: _Block
 
 
-def _setup(s, Q):
-    """The s-values and the nome as mpmath numbers, at working precision."""
+def _setup(s, Q) -> tuple:
+    """The s-values and the nome as GaussianRationals."""
     if not 1 <= len(s) <= _MAX_VARS:
         raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
-    return [_as_mp(sj) for sj in s], _as_mp(Q)
+    return [_gaussian(sj, "s") for sj in s], _gaussian(Q, "Q")
 
 
 def _check_q2(Q2) -> None:
     """Refuse a Q2 that is 0 or not a number; any other Q2 cancels from the
     integrand (see _ThetaSum)."""
     try:
-        value = _as_mp(Q2)
-    except (TypeError, ValueError):
+        value = _gaussian(Q2, "Q2")
+    except ValueError:
         raise ValueError(f"Q2 must be a nonzero number, got {Q2!r}") from None
-    if value == 0:
+    if not (value.real or value.imag):
         raise ValueError("Q2 must be nonzero")
 
 
-def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
+def _t_core_axes(t: int, s, Q: GaussianRational, grid: _Grid) -> list:
     """theta_even(s^t z; Q^t) / theta_even(z; Q^t), z = (-w)^t, on each circle.
 
     Over the t-th roots of unity xi^a, prod_a (1 - z xi^a Q^b) = 1 - z^t Q^(tb),
@@ -519,35 +722,36 @@ def _t_core_axes(t: int, s_m, Q, grid: _Grid) -> list:
     entries.
     """
     check_t(t)
-    vt = _theta_sum(Q**t)
+    vt = _theta_sum(Q**t, grid.prec)
     M = grid.M
     g = gcd(t, M)
     m, step = M // g, t // g
     axes = []
-    for sj, c in zip(s_m, grid.points):
+    for sj, c in zip(s, grid.points):
         z = (-c) ** t
         ratio = _quotients(grid.table(vt, sj**t * z, m), grid.table(vt, z, m), grid.bits)
         axes.append(_Block(ratio.exp, [ratio[step * k % m] for k in range(M)]))
     return axes
 
 
-def _integrand(s_m, Q, axes, grid: _Grid) -> _Integrand:
+def _integrand(s, Q: GaussianRational, axes, grid: _Grid) -> _Integrand:
     """prod_j 1 / (s_j^(1/2) vartheta(s_j)) times the theta cross ratio of each
     pair of circles, times ``axes`` (None for all partitions).
 
     The cross ratio of circles i < k is a table over k_k - k_i; the coupling
     multiplies them at every offset, in exact integer products.
     """
-    vt = _theta_sum(Q)
-    const = mp.mpf(1)
-    for sj in s_m:
-        const /= mp.sqrt(sj) * vt.at(sj)
-    M, c, n = grid.M, grid.points, len(s_m)
+    vt = _theta_sum(Q, grid.prec)
+    den = _UNIT
+    for sj in s:
+        den = _products(den, _products(_sqrt(sj, grid.bits), vt.point(sj)))
+    const = _quotients(_UNIT, den, grid.bits)
+    M, c, n = grid.M, grid.points, len(s)
     cross = {}
     for i, k in itertools.combinations(range(n), 2):
         # the theta cross-ratio in u = w_k / w_i = rho x^(k_k - k_i); the four
         # roots of u cancel
-        rho, si, sk = c[k] / c[i], s_m[i], s_m[k]
+        rho, si, sk = c[k] / c[i], s[i], s[k]
         a, b, x, y = (grid.table(vt, r) for r in (rho * sk / si, rho, rho / si, rho * sk))
         cross[i, k] = _quotients(_products(a, b), _products(x, y), grid.bits)
     values = []
@@ -563,13 +767,11 @@ def _integrand(s_m, Q, axes, grid: _Grid) -> _Integrand:
 
 
 def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
-    s_m, Q = _setup(s, Q)
-    return _integrand(s_m, Q, _t_core_axes(t, s_m, Q, grid), grid)
+    return _integrand(s, Q, _t_core_axes(t, s, Q, grid), grid)
 
 
 def _bo_determinant(s, Q, grid: _Grid) -> _Integrand:
-    s_m, Q = _setup(s, Q)
-    return _integrand(s_m, Q, None, grid)
+    return _integrand(s, Q, None, grid)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -625,7 +827,7 @@ def _pair_average(axis1: _Block, axis2: _Block, g_table: _Block, phases, bits: i
     return _Block(g_table.exp + axis1.exp + axis2.exp - 3 * log_m, [(re, im)])
 
 
-def _grid_mean(f: _Integrand, grid: _Grid):
+def _grid_mean(f: _Integrand, grid: _Grid) -> GaussianRational:
     """The mean of ``f`` over the M^n grid, read off its tables.
 
     One circle: the mean of the axis table.  Two: a circular correlation,
@@ -633,7 +835,8 @@ def _grid_mean(f: _Integrand, grid: _Grid):
     folds into the first, which leaves a two-circle correlation per d; the
     folds share one exponent, so their averages add exactly.  Without axes,
     the mean of the coupling over the index differences.  The sum stays in
-    integers up to the one conversion at the end.
+    integers; the mean times the constant, rounded to prec + 1 bits, is the
+    exact Gaussian dyadic returned.
     """
     M, n, axes, g, bits = grid.M, len(grid.points), f.axes, f.coupling, grid.bits
     log_m = M.bit_length() - 1
@@ -663,15 +866,16 @@ def _grid_mean(f: _Integrand, grid: _Grid):
             re += mean[0][0]
             im += mean[0][1]
         exp = mean.exp - log_m
-    return f.const * _to_mp((re, im), exp)
+    value = _normalized(_products(f.const, _Block(exp, [(re, im)])), grid.prec)
+    return _to_exact(value[0], value.exp)
 
 
 # the tables of the last extraction, (series key, r) -> _Block
 _last_tables: dict = {}
 
 
-def _extract(build, s, cfg: QuadratureConfig):
-    """Mean of the integrand ``build`` makes over the M^n grid of ``cfg``.
+def _extract(build, s, cfg: QuadratureConfig) -> GaussianRational:
+    """Mean of the integrand ``build(s, Q, grid)`` makes over the M^n grid of ``cfg``.
 
     The grid has M^n points, which the traced ``contour.grid_points`` counter
     counts per call.  Their values are read off O(M) table entries per theta
@@ -679,25 +883,26 @@ def _extract(build, s, cfg: QuadratureConfig):
     extraction seed this one's, and this one's replace them once it is done.
     """
     global _last_tables
+    s, Q = _setup(s, cfg.Q)
     cfg.validate_region(s)
-    with mp.workprec(cfg.precision_bits):
-        grid = _Grid(cfg.M, [mp.mpf(c) for c in cfg.radii], _last_tables)
-        try:
-            value = _grid_mean(build(grid), grid)
-        except ZeroDivisionError as exc:
-            raise ValueError(
-                "integrand denominator vanished on the grid; the radii sit on a zero locus"
-            ) from exc
+    points = [GaussianRational(c) for c in cfg.radii]
+    grid = _Grid(cfg.M, points, cfg.precision_bits, _last_tables)
+    try:
+        value = _grid_mean(build(s, Q, grid), grid)
+    except ZeroDivisionError as exc:
+        raise ValueError(
+            "integrand denominator vanished on the grid; the radii sit on a zero locus"
+        ) from exc
     _last_tables = grid.tables
     return value
 
 
-def extract_cor42(t: int, s, cfg: QuadratureConfig):
+def extract_cor42(t: int, s, cfg: QuadratureConfig) -> GaussianRational:
     """Torus extraction of the product-form integrand."""
-    return _extract(lambda grid: _cor42(t, s, cfg.Q, grid), s, cfg)
+    return _extract(lambda s, Q, grid: _cor42(t, s, Q, grid), s, cfg)
 
 
-def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig):
+def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig) -> GaussianRational:
     """Torus extraction of the determinant-form integrand, with its free parameter Q2.
 
     By Frobenius's elliptic Cauchy determinant (J. reine angew. Math. 93,
@@ -706,10 +911,10 @@ def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig):
     number) but does not change the result, as in closed_Ft.
     """
     _check_q2(Q2)
-    return _extract(lambda grid: _cor42(t, s, cfg.Q, grid), s, cfg)
+    return _extract(lambda s, Q, grid: _cor42(t, s, Q, grid), s, cfg)
 
 
-def extract_bo_determinant(s, Q2, cfg: QuadratureConfig):
+def extract_bo_determinant(s, Q2, cfg: QuadratureConfig) -> GaussianRational:
     """Torus extraction of the all-partitions determinant integrand.
 
     By Frobenius's elliptic Cauchy determinant, as in extract_cor43, it is
@@ -717,7 +922,7 @@ def extract_bo_determinant(s, Q2, cfg: QuadratureConfig):
     nonzero number) but cancels.
     """
     _check_q2(Q2)
-    return _extract(lambda grid: _bo_determinant(s, cfg.Q, grid), s, cfg)
+    return _extract(_bo_determinant, s, cfg)
 
 
 # -- convergence driver --------------------------------------------------------
@@ -725,24 +930,30 @@ def extract_bo_determinant(s, Q2, cfg: QuadratureConfig):
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Outcome of an M-doubling run: the value and how much to trust it."""
+    """Outcome of an M-doubling run: the value and how much to trust it.
 
-    value: object
+    ``value`` is the last extraction, an exact Gaussian dyadic at the
+    config's precision; ``est_error`` is the distance between the last two
+    extractions, as a float.
+    """
+
+    value: GaussianRational
     M: int
     precision_bits: int
     converged: bool
-    est_error: object
+    est_error: float
 
     def as_payload(self) -> dict:
         """JSON-ready summary; withholds the value when not converged."""
         ok = self.converged
+        value = complex(self.value)
         return {
-            "value_re": float(mp.re(self.value)) if ok else None,
-            "value_im": float(mp.im(self.value)) if ok else None,
+            "value_re": value.real if ok else None,
+            "value_im": value.imag if ok else None,
             "M": self.M,
             "precision_bits": self.precision_bits,
             "converged": ok,
-            "est_error": None if self.est_error is None else float(self.est_error),
+            "est_error": self.est_error,
         }
 
 
@@ -752,22 +963,20 @@ def extract_with_doubling(
     """Double M, at most _MAX_DOUBLINGS times, until two consecutive
     extractions agree.
 
-    ``extract_at`` maps a config to a complex value.  Agreement is demanded
-    five digits beyond the target, so an accepted value has its quadrature
-    error well under the comparison tolerances built on top of it.  When the
-    budget runs out the result reports non-convergence instead of a value.
+    ``extract_at`` maps a config to a GaussianRational.  Agreement is
+    demanded five digits beyond the target, so an accepted value has its
+    quadrature error well under the comparison tolerances built on top of
+    it.  When the budget runs out the result reports non-convergence
+    instead of a value.
     """
-    threshold = mp.mpf(10) ** (-(target_digits + 5))
+    # compared exactly, squared: a float threshold underflows past about 320 digits
+    threshold = Fraction(1, 10 ** (target_digits + 5)) ** 2
     value = extract_at(cfg)
-    est = None
     for _ in range(_MAX_DOUBLINGS):
         cfg = replace(cfg, M=2 * cfg.M)
         refined = extract_at(cfg)
-        # The difference is formed at the extraction precision; re-wrapping
-        # the value itself at ambient precision would throw digits away.
-        with mp.workprec(cfg.precision_bits):
-            est = abs(refined - value)
+        diff = refined - value
         value = refined
-        if est < threshold:
-            return ExtractionResult(value, cfg.M, cfg.precision_bits, True, est)
-    return ExtractionResult(value, cfg.M, cfg.precision_bits, False, est)
+        if _norm2(diff) < threshold:
+            return ExtractionResult(value, cfg.M, cfg.precision_bits, True, abs(diff))
+    return ExtractionResult(value, cfg.M, cfg.precision_bits, False, abs(diff))

@@ -23,6 +23,9 @@ def pairwise_sum(values):
 def torus_extract(f, cfg):
     """Average ``f`` over the grid w_j = c_j exp(2 pi i k_j / M).
 
+    The points are exact GaussianRationals: the radii times the entries of
+    the phase table, so ``f`` sees the grid points the tables are built on.
+
     For f analytic on a neighbourhood of the torus this converges to the
     constant Laurent coefficient exponentially in M, and it is exact whenever
     f is a Laurent polynomial of degree below M in each variable.  Grid
@@ -33,14 +36,14 @@ def torus_extract(f, cfg):
     """
     with mp.workprec(cfg.precision_bits):
         bits = cfg.precision_bits + contour._GUARD_BITS
-        phases = [contour._to_mp(x, -bits) for x in contour._phases(cfg.M, bits)]
-        radii = [mp.mpf(c) for c in cfg.radii]
+        phases = [contour._to_exact(x, -bits) for x in contour._phases(cfg.M, bits)]
+        radii = [contour.GaussianRational(c) for c in cfg.radii]
         block: list = []
         block_sums: list = []
         for ks in itertools.product(range(cfg.M), repeat=cfg.n):
             w = tuple(c * phases[k] for c, k in zip(radii, ks))
             try:
-                value = mp.mpc(f(w))
+                value = mp.mpc(mp.mpmathify(f(w)))
             except ZeroDivisionError as exc:
                 raise ValueError(
                     f"integrand denominator vanished at grid index {ks}; "
@@ -58,10 +61,11 @@ def torus_extract(f, cfg):
 
 
 def at_point(build, s, w):
-    """The integrand ``build`` makes, at the point w: its one-point grid."""
+    """The integrand ``build`` makes, at the exact point w: its one-point grid,
+    at mpmath's working precision."""
     if len(w) != len(s):
         raise ValueError("one grid coordinate per s value is required")
-    grid = contour._Grid(1, [contour._as_mp(wj) for wj in w])
+    grid = contour._Grid(1, [contour._gaussian(wj, "w") for wj in w], mp.mp.prec)
     return contour._grid_mean(build(grid), grid)
 
 
@@ -71,7 +75,7 @@ def eval_cor42(t: int, s, Q, w):
     Includes the constant prefactor prod_j s_j^(-t/2)/theta(s_j), so the
     torus average of this function is the final value.
     """
-    return at_point(lambda grid: contour._cor42(t, s, Q, grid), s, w)
+    return at_point(lambda grid: contour._cor42(t, *contour._setup(s, Q), grid), s, w)
 
 
 def eval_cor43(t: int, s, Q, Q2, w):
@@ -92,4 +96,4 @@ def eval_bo_determinant(s, Q, Q2, w):
     extract_bo_determinant checks it, and cancels.
     """
     contour._check_q2(Q2)
-    return at_point(lambda grid: contour._bo_determinant(s, Q, grid), s, w)
+    return at_point(lambda grid: contour._bo_determinant(*contour._setup(s, Q), grid), s, w)

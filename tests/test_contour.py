@@ -187,8 +187,9 @@ def test_three_circles_match_exact_series(case):
     assert abs(extract_at(cfg) - mp.mpf(value.numerator) / value.denominator) < mp.mpf("1e-11")
 
 
-# At Q = -1/100 the square root of Q is imaginary, so the Laurent coefficients
-# of Theta_3 are complex.  Measured at 64 bits: within 1e-16 of the exact series.
+# At Q = -1/100 the Laurent coefficients (-1)^n Q^(n(n+1)/2) change sign with
+# n(n+1)/2 as well as with n, and the axes of odd t sum at the negative nome
+# Q^t.  Measured at 64 bits: within 1e-16 of the exact series.
 NEGATIVE_NOME = QQ(-1, 100)
 NEGATIVE_NOME_CASES = {
     "cor42 t=3 n=1": CASES["cor42 t=3 n=1"],
@@ -259,6 +260,77 @@ def test_a_q2_that_is_not_a_number_is_refused_by_name(extract_at, q2):
     cfg = contour.QuadratureConfig.for_region((S4, S94), NOME, M=8, precision_bits=64)
     with pytest.raises(ValueError, match="Q2 must be a nonzero number, got"):
         extract_at(q2, cfg)
+
+
+# -- inputs at the boundary --------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("s", [(NAN,), ("x",), (S4, INF)], ids=["nan", "str", "inf"])
+def test_an_s_value_that_is_not_a_finite_number_is_refused_by_name(s):
+    with pytest.raises(ValueError, match="s must be a finite number, got"):
+        contour.QuadratureConfig.for_region(s, NOME)
+    cfg = contour.QuadratureConfig.for_region((S4, S94)[: len(s)], NOME, M=8, precision_bits=64)
+    with pytest.raises(ValueError, match="s must be a finite number, got"):
+        contour.extract_cor42(2, s, cfg)
+
+
+@pytest.mark.parametrize("Q", ["q", None, INF, NAN], ids=["str", "None", "inf", "nan"])
+def test_a_nome_that_is_not_a_finite_number_is_refused_by_name(Q):
+    with pytest.raises(ValueError, match="Q must be a finite number, got"):
+        contour.QuadratureConfig.for_region((S4,), Q)
+    with pytest.raises(ValueError, match="Q must be a finite number, got"):
+        contour.QuadratureConfig(M=8, precision_bits=64, radii=(2,), Q=Q)
+
+
+@pytest.mark.parametrize(
+    ("radii", "message"),
+    [((NAN,), "radii must be a finite number"), ((3, "2"), "radii must be a finite number"),
+     ((2j,), "radii must be real")],
+    ids=["nan", "str", "complex"],
+)
+def test_a_radius_that_is_not_a_finite_real_number_is_refused_by_name(radii, message):
+    with pytest.raises(ValueError, match=message):
+        contour.QuadratureConfig(M=8, precision_bits=64, radii=radii, Q=NOME)
+
+
+def test_float_and_complex_inputs_are_the_rationals_they_hold():
+    cfg = contour.QuadratureConfig.for_region((S4,), NOME, M=8, precision_bits=64)
+    values = [contour.extract_cor42(3, (s,), cfg) for s in (S4, 4, 4.0, 4 + 0j)]
+    assert all(value == values[0] for value in values[1:])
+    assert all(isinstance(c, QQ) for c in cfg.radii)
+
+
+def test_a_converged_payload_holds_the_value_as_floats():
+    s, extract_at, _ = CASES["cor42 t=3 n=1"]
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=32, precision_bits=64)
+    result = contour.extract_with_doubling(extract_at, cfg, 8)
+    assert result.converged
+    assert isinstance(result.est_error, float)
+    assert result.as_payload() == {
+        "value_re": complex(result.value).real,
+        "value_im": complex(result.value).imag,
+        "M": result.M,
+        "precision_bits": 64,
+        "converged": True,
+        "est_error": result.est_error,
+    }
+
+
+def test_a_payload_withholds_the_value_when_the_doublings_run_out():
+    # from M = 2, three doublings reach M = 16, whose extraction is about
+    # 1e-17 from the one at M = 8: far from the 10^-19 that 14 digits ask
+    s, extract_at, _ = CASES["cor42 t=3 n=1"]
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=2, precision_bits=64)
+    result = contour.extract_with_doubling(extract_at, cfg, 14)
+    assert not result.converged
+    assert result.M == 16
+    assert result.est_error > 1e-19
+    payload = result.as_payload()
+    assert payload["value_re"] is None and payload["value_im"] is None
+    assert payload["converged"] is False
+    assert payload["est_error"] == result.est_error
 
 
 # -- the kernels against their unoptimised forms ---------------------------------
@@ -342,19 +414,42 @@ def det_by_factors(s, Q, q2, sign, w):
     return mp.det(mp.matrix(rows)) / (const * mp.sqrt(mp.fprod(s)))
 
 
+def exact(x):
+    """A rational or complex number as the exact GaussianRational the code takes."""
+    return contour._gaussian(x, "x")
+
+
+# Pythagorean points (a + b i) / c of the unit circle, spread around it: on a
+# circle of rational radius they are exact, so the code and the mpmath oracle
+# evaluate the same point, up to mpmath's rounding of it
+UNIT_POINTS = [
+    (3, 4, 5), (-4, 3, 5), (5, -12, 13), (-12, -5, 13), (8, 15, 17), (-15, 8, 17), (7, -24, 25),
+]
+
+
+def unit_point(a, b, c):
+    return contour.GaussianRational(QQ(a, c), QQ(b, c))
+
+
 def circle_points(s):
     """Points on both circles of the two-variable region for ``s``."""
     cfg = contour.QuadratureConfig.for_region(s, NOME, M=32, precision_bits=120)
-    angles = [mp.mpf(k) / 7 for k in range(7)]
-    return [mp.mpf(c) * mp.expjpi(2 * a) for c in cfg.radii for a in angles]
+    return [exact(c) * unit_point(*p) for c in cfg.radii for p in UNIT_POINTS]
 
 
 def block_values(block):
     """The entries of a block floating-point table as mpmath numbers."""
-    return [contour._to_mp(value, block.exp) for value in block]
+    return [mp.mpmathify(contour._to_exact(value, block.exp)) for value in block]
+
+
+def point_value(series, z):
+    """A theta sum at the exact point z, as an mpmath number."""
+    (value,) = block_values(series.point(z))
+    return value
 
 
 def assert_close(a, b, rel):
+    a, b = mp.mpmathify(a), mp.mpmathify(b)
     assert abs(a - b) <= rel * max(abs(a), abs(b)), (a, b)
 
 
@@ -366,10 +461,11 @@ def test_axis_factor_collapses_the_roots_of_unity(t):
     with mp.workprec(120):
         Q, sj = mp.mpf(1) / 100, mp.mpf(9) / 4
         (radius,) = contour.QuadratureConfig.for_region((S94,), NOME).radii
-        c = mp.mpf(radius)
+        c = mp.mpmathify(exact(radius))
         by_roots = [axis_by_roots(sj, c * mp.expjpi(mp.mpf(2 * k) / 64), t, Q) for k in range(64)]
         for M in (8, 16, 32, 64):
-            (axis,) = contour._t_core_axes(t, [sj], Q, contour._Grid(M, [c]))
+            grid = contour._Grid(M, [exact(radius)], 120)
+            (axis,) = contour._t_core_axes(t, [exact(S94)], exact(NOME), grid)
             assert len(axis) == M
             for k, value in enumerate(block_values(axis)):
                 assert_close(value, by_roots[k * 64 // M], mp.mpf(2) ** -100)
@@ -379,11 +475,12 @@ def test_paired_theta_factors_match_the_unpaired_products():
     # the Laurent sums at single points against the factor-by-factor products
     with mp.workprec(120):
         rel = mp.mpf(2) ** -110
-        points = circle_points((S4, S94)) + [mp.mpf(4), mp.mpf(-2) / 9, mp.mpc(3, -5) / 7]
-        for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
-            vt = contour._theta_sum(Q)
+        points = circle_points((S4, S94)) + [exact(4), exact(QQ(-2, 9)), exact(3 - 5j) / exact(7)]
+        for Q in (NOME, -NOME):
+            vt = contour._theta_sum(exact(Q), 120)
             for z in points:
-                assert_close(vt.at(z), vartheta_even_unpaired(z, Q), rel)
+                by_factors = vartheta_even_unpaired(mp.mpmathify(z), mp.mpmathify(exact(Q)))
+                assert_close(point_value(vt, z), by_factors, rel)
 
 
 # radii on both sides of vartheta's zero circle |z| = 1, radii ten times
@@ -392,16 +489,18 @@ TABLE_RADII = ("0.9", "1.1", "-1.1", "9", "11", "-11", "-0.09")
 
 
 def check_grid_tables(M, prec, rel):
+    # each entry against the point sum at its grid point r x^k, which is
+    # exact: the radius times the phase-table entry
     with mp.workprec(prec):
-        grid = contour._Grid(M, [])
-        for Q in (mp.mpf(1) / 100, mp.mpf(-1) / 100):
-            series = contour._theta_sum(Q)
-            for r in map(mp.mpf, TABLE_RADII):
+        grid = contour._Grid(M, [], prec)
+        for Q in (NOME, -NOME):
+            series = contour._theta_sum(exact(Q), prec)
+            for r in (exact(QQ(x)) for x in TABLE_RADII):
                 table = grid.table(series, r)
                 assert len(table) == M
                 for k, value in enumerate(block_values(table)):
-                    point = series.at(r * mp.expjpi(mp.mpf(2 * k) / M))
-                    assert_close(value, point, rel)
+                    point = r * contour._to_exact(grid.phases[k], -grid.bits)
+                    assert_close(value, point_value(series, point), rel)
 
 
 @pytest.mark.parametrize("M", [1, 2, 8, 64])
@@ -416,9 +515,14 @@ def test_grid_tables_equal_the_point_sums_at_80_bits(M):
 
 
 def torus_point(cfg, rng):
-    """A point of the torus of ``cfg`` at a random multiple of 2 pi / 4M."""
-    angles = [mp.mpf(rng.randrange(cfg.M * 4)) / (cfg.M * 2) for _ in cfg.radii]
-    return [mp.mpf(c) * mp.expjpi(a) for c, a in zip(cfg.radii, angles)]
+    """An exact point of the torus of ``cfg``: on each circle a random
+    Pythagorean point (p^2 - q^2 + 2 p q i) / (p^2 + q^2), turned by i^k."""
+    w = []
+    for c in cfg.radii:
+        p, q = rng.randrange(1, 30), rng.randrange(1, 30)
+        turn = exact(1j) ** rng.randrange(4)
+        w.append(exact(c) * turn * unit_point(p * p - q * q, 2 * p * q, p * p + q * q))
+    return w
 
 
 @pytest.mark.parametrize("s", [(S4,), (S4, S94), S3], ids=["n=1", "n=2", "n=3"])
@@ -431,20 +535,21 @@ def test_point_evaluators_match_the_unpaired_integrands(s):
         s_m = [mp.mpf(x.numerator) / x.denominator for x in s]
         for _ in range(3):
             w = torus_point(cfg, rng)
+            w_m = [mp.mpmathify(wj) for wj in w]
             for t in (2, 3):
-                by_factors = cor42_by_factors(t, s_m, Q, w)
+                by_factors = cor42_by_factors(t, s_m, Q, w_m)
                 assert_close(quadrature_oracle.eval_cor42(t, s, NOME, w), by_factors, rel)
             # the determinant forms, by mp.det, against the product integrand
             # they equal, for Q2 of either sign
             for q2 in (QQ(5, 3), QQ(-7, 2)):
                 q2_m = mp.mpf(q2.numerator) / q2.denominator
                 for t in (2, 3):
-                    by_factors = det_by_factors(s_m, Q, q2_m, -1, w)
-                    for sj, wj in zip(s_m, w):
+                    by_factors = det_by_factors(s_m, Q, q2_m, -1, w_m)
+                    for sj, wj in zip(s_m, w_m):
                         by_factors *= axis_by_roots(sj, wj, t, Q)
                     value = quadrature_oracle.eval_cor43(t, s, NOME, q2, w)
                     assert_close(value, by_factors, rel)
-                by_factors = det_by_factors(s_m, Q, q2_m, 1, w)
+                by_factors = det_by_factors(s_m, Q, q2_m, 1, w_m)
                 value = quadrature_oracle.eval_bo_determinant(s, NOME, q2, w)
                 assert_close(value, by_factors, rel)
 
@@ -529,10 +634,10 @@ def test_three_circle_fold_matches_the_triple_sum(M):
     with mp.workprec(80):
         axes, axes_mp = zip(*(random_block(rng, M, bits) for _ in range(3)))
         g, g_mp = random_block(rng, M * M, bits)
-        const = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        const_block, (const,) = random_block(rng, 1, bits)
 
-        f = contour._Integrand(const, list(axes), g)
-        fast = contour._grid_mean(f, contour._Grid(M, [1, 1, 1]))
+        f = contour._Integrand(const_block, list(axes), g)
+        fast = contour._grid_mean(f, contour._Grid(M, [exact(1)] * 3, 80))
         a0, a1, a2 = axes_mp
         direct = const * mp.fsum(
             a0[k0] * a1[k1] * a2[k2] * g_mp[(k1 - k0) % M * M + (k2 - k0) % M]
