@@ -29,11 +29,14 @@ def rat_str(x) -> str:
 
 
 def parse_rat(text: str):
-    """Inverse of rat_str; accepts "p" and "p/q"."""
+    """Inverse of rat_str; accepts "p" and "p/q" with q nonzero, and raises
+    ValueError on anything else."""
     num, sep, den = text.partition("/")
-    if sep:
-        return QQ(int(num), int(den))
-    return QQ(int(num))
+    if not sep:
+        return QQ(int(num))
+    if int(den) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return QQ(int(num), int(den))
 
 
 def rat_pow(x, e: int):

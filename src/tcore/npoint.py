@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from operator import add, sub
 
-from tcore._rat import QQ, rat_pow, rat_str, rational_sqrt
+from tcore._rat import QQ, rat_str, rational_sqrt
 from tcore.modular import rational_lift
 from tcore.partitions import (
     _balanced_options,
@@ -44,7 +44,7 @@ from tcore.qseries import (
     qexp,
 )
 from tcore.symfunc import SpecPoint, _schur_pair_sums, deformation_base
-from tcore.theta import _macmahon_log, bernoulli
+from tcore.theta import _macmahon_log, bernoulli_numbers
 
 
 @dataclass(frozen=True)
@@ -271,17 +271,12 @@ def _row_walk(order: int, column, start) -> list[int]:
     return totals
 
 
-# the most steps an enumeration route takes, refused up front: the objects
-# it walks, times the sums it keeps per object, and the steps of its
-# divisions; a step is one integer product or sum, of any height
+# the most steps a route takes, refused up front with its count: a step is
+# one integer product or sum, of any height
 _MAX_STEPS = 10**6
 
-# refusals count the charge vectors they name when there are about this
-# many or fewer, and name the estimate otherwise
-_COUNTED = 10**4
 
-
-def _refusal(route: str, steps: int, detail: str) -> ValueError:
+def _refusal(route: str, steps: int | str, detail: str) -> ValueError:
     return ValueError(
         f"{route} would take {steps} steps, more than the {_MAX_STEPS} it supports: {detail}"
     )
@@ -294,23 +289,17 @@ def _core_estimate(t: int, order: int) -> int:
     so the vectors are the points of the lattice {c in Z^t : sum c = 0}, of
     covolume sqrt(t), in a (t - 1)-ball of squared radius
     (2 order + (t^2 - 1)/12)/t.  A t-core is a partition, so the count of the
-    partitions of size at most order, once it passes the ball, caps it.
+    partitions of size at most order, once it passes the ball, caps it.  At
+    t = 2 the cores are the staircases k(k + 1)/2 <= order, counted exactly.
     """
+    if t == 2:
+        return (math.isqrt(8 * order + 1) + 1) // 2
     k = t - 1
     r2 = (2 * order + (t * t - 1) / 12) / t
     log_ball = k / 2 * math.log(math.pi * r2) - math.lgamma(k / 2 + 1) - math.log(t) / 2
     ball = round(math.exp(min(log_ball, 60)))
     partitions, _ = _partitions_through(order, ball)
     return min(ball, partitions)
-
-
-def _core_count(t: int, order: int) -> str:
-    """The number of charge vectors of size at most order, as a refusal names
-    it: counted up to about _COUNTED of them, estimated above."""
-    estimate = _core_estimate(t, order)
-    if estimate > _COUNTED:
-        return f"about {estimate}"
-    return str(sum(len(ends) for _, _, ends in _charge_walk(t, order, lambda r, c: ())))
 
 
 def _division_steps(t: int | None, order: int) -> int:
@@ -341,17 +330,14 @@ def _division_steps(t: int | None, order: int) -> int:
     return steps + charge(d, t * d * (d + 1) // 2)
 
 
-def _check_core_steps(route: str, t: int, order: int, slots: int) -> None:
-    """Refuse a t-core average with slots sums per core and slots divisions
-    by the count series that takes more than _MAX_STEPS steps."""
-    cores = _core_estimate(t, order)
-    division = _division_steps(t, order)
-    if slots * (cores + division) > _MAX_STEPS:
-        raise _refusal(
-            route, slots * (cores + division),
-            f"at t = {t}, order {order}, {_core_count(t, order)} charge vectors and "
-            f"{division} steps of the division by their counts, for each of {slots} sums",
-        )
+def _core_steps(t: int, order: int, sums: int) -> tuple[int, str]:
+    """The steps of sums t-core averages through order, and what they count:
+    each sum takes a step per charge vector and divides by the count series."""
+    cores, division = _core_estimate(t, order), _division_steps(t, order)
+    return sums * (cores + division), (
+        f"at t = {t}, order {order}, about {cores} charge vectors and {division} steps "
+        f"of the division by their counts, for each of {sums} sums"
+    )
 
 
 def _partitions_through(order: int, cap) -> tuple[int, int]:
@@ -387,7 +373,9 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     check_t(t)
     check_order(order)
     svals = s_vector(s_values)
-    _check_core_steps("brute_force_Ft", t, order, 1)
+    steps, detail = _core_steps(t, order, 1)
+    if steps > _MAX_STEPS:
+        raise _refusal("brute_force_Ft", steps, detail)
     charges = [c for opts in _balanced_options(t, 2 * order) for _, c in opts]
     lo, hi = t * min(charges), t * max(charges) + t - 1
     tables = []
@@ -430,15 +418,6 @@ def bloch_okounkov_F(s_values, order: int) -> QSeries:
     return _divide_by_counts(totals, _count_factors(None, order), table.den, order)
 
 
-# the most points the closed routes take
-_MAX_POINTS = 8
-
-
-# the most terms the closed routes sum, each one exp of a series modulo N:
-# (t, n) = (6, 6) has 7776, (7, 6) 16807
-_MAX_TERMS = 10_000
-
-
 def closed_term_count(t: int, n: int) -> int:
     """The number of terms of the closed sum at t and n points: one per
     labelling of the points 2..n by Z/t, so t^(n - 1) of them, and none at
@@ -451,19 +430,29 @@ def closed_term_count(t: int, n: int) -> int:
     return t ** (n - 1) if n else 0
 
 
-def _check_terms(t: int, n: int) -> None:
-    """Refuse more points or terms than the closed sum supports, with its term count."""
-    if n > _MAX_POINTS:
-        raise ValueError(
-            f"n = {n} exceeds the {_MAX_POINTS} points the closed routes support: "
-            f"the sum would have {t}^{n - 1} terms"
-        )
-    terms = closed_term_count(t, n)
-    if terms > _MAX_TERMS:
-        raise ValueError(
-            f"the closed sum at t = {t}, n = {n} has {t}^{n - 1} = {terms} terms, more "
-            f"than the {_MAX_TERMS} the closed routes support"
-        )
+def _term_steps(n: int, order: int) -> int:
+    """The steps of one term of the closed sum at n points: the
+    (order + 1)(order + 2)/2 products of its exp (_exp_mod) and the sums of
+    its at most n + n(n - 1)/2 factor lists, each of order + 1 entries."""
+    return (order + 1) * (order + 2 + n * (n + 1)) // 2
+
+
+def _check_closed_steps(route: str, t: int, n: int, order: int) -> None:
+    """Refuse a closed sum of more than _MAX_STEPS steps: closed_term_count
+    terms of _term_steps each.  A term count t^(n - 1) past the cap on its
+    own, by a bit more than float rounding could blur, is named, not
+    expanded, so that many points are refused at once."""
+    per_term = _term_steps(n, order)
+    if (n - 1) * math.log2(t) > math.log2(_MAX_STEPS) + 1:
+        steps = f"{t}^{n - 1} * {per_term}"
+    else:
+        steps = closed_term_count(t, n) * per_term
+        if steps <= _MAX_STEPS:
+            return
+    raise _refusal(
+        route, steps,
+        f"at t = {t}, n = {n}, order {order}, {t}^{n - 1} terms of {per_term} steps each",
+    )
 
 
 def _closed_layout(t: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -657,8 +646,9 @@ def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:
     nonzero rational) but does not change the result; the sum is that of
     closed_Ft_r, term by term.  It is summed as t times a sum over the
     labellings of the points by Z/t that put point 1 at 0 (see
-    _closed_sum).  At most eight s-values and _MAX_TERMS terms
-    (closed_term_count), refused up front.
+    _closed_sum).  Sums of more than _MAX_STEPS steps are refused up front
+    (_check_closed_steps): t^(n - 1) terms, each an exp of (order + 1)(order + 2)/2
+    products and the sum of its factor lists.
 
     The sum runs over Z/N, for N a product of about 61-bit primes
     p = 1 (mod t), with xi_t mapped to a primitive t-th root of unity
@@ -676,7 +666,7 @@ def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:
     if Q2 == 0:
         raise ValueError("Q2 must be nonzero")
     values = _s_values(s_values)
-    _check_terms(t, len(values))
+    _check_closed_steps("closed_Ft", t, len(values), order)
     if not values:
         return QSeries.one(QQ_DOMAIN, order)
     return _closed_lift(t, s_vector(values), order)
@@ -691,8 +681,9 @@ def closed_Ft_r(t: int, s_values, r: int, order: int) -> QSeries:
     the result, which is that of closed_Ft, term by term.  Computed like
     closed_Ft: over the labellings of the points by Z/t, modulo primes
     p = 1 (mod t), with each coefficient rebuilt by rational reconstruction
-    and confirmed at a check prime.  At most eight s-values and _MAX_TERMS
-    terms.  The result is a series over Q (QQ_DOMAIN).
+    and confirmed at a check prime.  Sums of more than _MAX_STEPS steps are
+    refused up front, as in closed_Ft.  The result is a series over Q
+    (QQ_DOMAIN).
     """
     check_t(t)
     check_order(order)
@@ -703,30 +694,23 @@ def closed_Ft_r(t: int, s_values, r: int, order: int) -> QSeries:
     check_int("r", r)
     if not 1 <= r < n:
         raise ValueError("r must satisfy 1 <= r < n")
-    _check_terms(t, n)
+    _check_closed_steps("closed_Ft_r", t, n, order)
     return _closed_lift(t, s_vector(values), order)
 
 
-# the most (mu, nu) pairs qdeformed_Z_sum sums over; order 12 asks for 3132
-_MAX_VERTEX_PAIRS = 4096
-
-
-def _check_vertex_pairs(order_total: int) -> None:
-    """Refuse a vertex sum over more than _MAX_VERTEX_PAIRS pairs (mu, nu).
-
-    At order N there are sum_(a+b<=N) p(a) p(b) pairs; the count is grown
-    one order at a time and stops at the first order past the bound.
+def _vertex_steps(order_total: int) -> tuple[int, int]:
+    """The products of the Newton recurrences of qdeformed_Z_sum at order N,
+    sum_(d<=N) p(d) C(N - d + 2, 2): the row of each nu of size d takes its
+    e_m, m <= N - d, from N - d products of power sums and m products at
+    each m (symfunc._schur_pair_sums).  Summed one size at a time, it stops
+    at the first size d that takes it past _MAX_STEPS: (steps, d).
     """
-    counts, pairs = [], 0
-    for n, p in zip(range(order_total + 1), _partition_counts()):
-        counts.append(p)
-        pairs += sum(counts[k] * counts[n - k] for k in range(n + 1))
-        if pairs > _MAX_VERTEX_PAIRS:
-            raise ValueError(
-                f"qdeformed_Z_sum at order {order_total} sums over more than the "
-                f"{_MAX_VERTEX_PAIRS} (mu, nu) pairs it supports: order {n} already "
-                f"has {pairs}"
-            )
+    steps = 0
+    for d, p in zip(range(order_total + 1), _partition_counts()):
+        steps += p * math.comb(order_total - d + 2, 2)
+        if steps > _MAX_STEPS:
+            break
+    return steps, d
 
 
 def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
@@ -745,11 +729,17 @@ def qdeformed_Z_sum(q, order_total: int) -> BiSeries:
     of coefficients as nu, so each row is computed once per conjugate pair.
     Each coefficient sums its rows' fractions as integers over the lcm of
     their denominators and becomes one rational.
-    Sums over more than _MAX_VERTEX_PAIRS pairs are refused up front.
+    Sums of more than _MAX_STEPS products are refused up front (_vertex_steps).
     """
     q = deformation_base(q)
     check_order(order_total)
-    _check_vertex_pairs(order_total)
+    steps, d = _vertex_steps(order_total)
+    if steps > _MAX_STEPS:
+        raise _refusal(
+            "qdeformed_Z_sum", steps,
+            f"at order {order_total}, the Newton products of the rows of the partitions "
+            f"of size at most {d}",
+        )
     a, b = q.numerator, q.denominator
     conjugate_rows: dict = {}  # conj(nu) -> the row of nu, until conj(nu) is reached
     parts: dict = {}  # (|nu|, |mu|) -> the (numerator, denominator) of each of its rows
@@ -904,19 +894,33 @@ def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list
     return out
 
 
-# the most slots prod_j (l_j + 1) that correlation_expansion tabulates
-_MAX_SLOTS = 4096
+def _multiset_count(l_orders) -> int:
+    """The number of multisets of indices k_j <= l_j, one of each j: sorted,
+    the sequences k_1 <= .. <= k_n under the l-orders sorted, counted by
+    their last index."""
+    ways = [1]
+    for l in sorted(l_orders):
+        ways = list(accumulate(ways)) + [sum(ways)] * (l + 1 - len(ways))
+    return sum(ways)
 
 
-def _check_slots(t: int, l_orders, q_order: int) -> None:
-    """Refuse a correlation table with more slots than _MAX_SLOTS, with its cost."""
+def _correlation_steps(t: int, l_orders, q_order: int) -> tuple[int, str]:
+    """The steps of correlation_expansion, and what they count: the weights
+    of its slots, prod_j (l_j + 1)(l_j + 2)/2 of them over q_order + 1 sizes,
+    (l_max + 1)^2 for the table of Bernoulli weights, and a t-core average
+    (_core_steps) for each multiset of indices (_multiset_count).  The
+    averages are counted only when the weights alone stay within _MAX_STEPS.
+    """
+    l_max = max(l_orders)
     slots = math.prod(l + 1 for l in l_orders)
-    if slots > _MAX_SLOTS:
-        raise ValueError(
-            f"l-orders {l_orders} ask for {slots} slots, more than the {_MAX_SLOTS} "
-            f"correlation_expansion supports: each would average over "
-            f"{_core_count(t, q_order)} charge vectors of size <= {q_order}"
-        )
+    steps = math.prod((l + 1) * (l + 2) // 2 for l in l_orders) * (q_order + 1)
+    steps += (l_max + 1) ** 2
+    detail = f"{steps} steps to weigh {slots} slots at order {q_order}"
+    if steps <= _MAX_STEPS:
+        averages, core_detail = _core_steps(t, q_order, _multiset_count(l_orders))
+        steps += averages
+        detail = f"{core_detail}, and {detail}"
+    return steps, detail
 
 
 def correlation_expansion(
@@ -940,11 +944,13 @@ def correlation_expansion(
     k <= l_orders; a product depends only on the multiset of k, and so does
     a slot on the multiset of its indices.  The walk (_charge_walk) hands
     over each core's power sums as a head and an end, and each multiset's
-    product is its parent multiset's times one P_k.  Each slot is a finite
-    rational combination of those sums; at each size it is an integer over
-    one denominator, divided by the t-core count series in integers through
-    its sparse product form (see _divide_by_counts), so no core is counted.
-    Tables of more than _MAX_SLOTS slots are refused up front.
+    product is its parent multiset's times one P_k.  Times b! 2^b t and the
+    lcm of the denominators of the Bernoulli numbers, g_b is an integer
+    combination of the P_k, so each slot is one at each size over one
+    denominator, divided by the t-core count series in integers through its
+    sparse product form (see _divide_by_counts), so no core is counted.
+    Tables of more than _MAX_STEPS steps are refused up front
+    (_correlation_steps).
     """
     check_t(t)
     check_order(q_order)
@@ -961,29 +967,25 @@ def correlation_expansion(
         raise ValueError("l-orders must be nonnegative")
     if n == 0:
         return {(): QSeries.one(QQ_DOMAIN, q_order)}
-    _check_slots(t, l_orders, q_order)
+    steps, detail = _correlation_steps(t, l_orders, q_order)
+    if steps > _MAX_STEPS:
+        raise _refusal("correlation_expansion", steps, detail)
     l_max = max(l_orders)
     keys = list(product(*(range(l + 1) for l in l_orders)))
 
-    def multiset(ks) -> tuple[int, ...]:
-        """The multiplicity of each index 0..l_max in ks."""
-        return tuple(ks.count(k) for k in range(l_max + 1))
-
-    # prod_j P_(k_j), summed per size, by the multiset of k
-    kinds: dict = {}  # each multiset of k, with its indices in increasing order
-    for ks in keys:
-        kinds.setdefault(multiset(ks), tuple(sorted(ks)))
-    _check_core_steps("correlation_expansion", t, q_order, len(kinds))
+    # prod_j P_(k_j), summed per size, by the multiset of k: its indices in
+    # increasing order
+    kinds = list(dict.fromkeys(tuple(sorted(ks)) for ks in keys))
     # the product of a prefix of those indices is its parent prefix's times
     # one P_k, so a core takes one multiplication per prefix
     prefixes = {(): 0}
     chain = []  # (parent prefix, k) of every nonempty prefix, parents first
-    for ks in kinds.values():
+    for ks in kinds:
         for i in range(1, len(ks) + 1):
             if ks[:i] not in prefixes:
                 prefixes[ks[:i]] = len(prefixes)
                 chain.append((prefixes[ks[:i - 1]], ks[i - 1]))
-    full = [prefixes[ks] for ks in kinds.values()]
+    full = [prefixes[ks] for ks in kinds]
     by_size = [[0] * len(kinds) for _ in range(q_order + 1)]
 
     def column(r, c):
@@ -998,41 +1000,45 @@ def correlation_expansion(
                 products.append(products[parent] * power_sums[k])
             row = by_size[(spent2 + cost2) >> 1]
             row[:] = map(add, row, map(products.__getitem__, full))
-    moments = {mult: [row[i] for row in by_size] for i, mult in enumerate(kinds)}
+    moments = {ks: [row[i] for row in by_size] for i, ks in enumerate(kinds)}
     factors = _count_factors(t, q_order)
 
-    # coef[m][k] = beta_m / (2^k k!), the weight of P_k in g_(m + k)
-    coef = [
-        [bernoulli(m) * rat_pow(t, m - 1) / (math.factorial(m) * 2**k * math.factorial(k))
-         for k in range(l_max + 1)]
-        for m in range(l_max + 1)
-    ]
+    # g_b b! 2^b t L = sum_k weights[b][k] P_k, with L the lcm of the
+    # denominators of B_0 .. B_(l_max): weights[b][k] = C(b, k) (2t)^m L B_m,
+    # m = b - k, an integer
+    bern = bernoulli_numbers(l_max)
+    lcm = math.lcm(*(x.denominator for x in bern))
+    scaled = [(2 * t) ** m * int(lcm * x) for m, x in enumerate(bern)]
+    weights = []
+    binomials = [1]  # C(b, k), k = 0..b, one row of Pascal's triangle
+    for b in range(l_max + 1):
+        weights.append([c * scaled[b - k] for k, c in enumerate(binomials)])
+        binomials = [1, *map(add, binomials, binomials[1:]), 1]
 
     def slot(key) -> QSeries:
         # prod_j g_(b_j) as a combination of the moments, one index at a time
-        weights = {multiset(()): QQ(1)}
+        combination = {(): 1}
         for b in key:
             step: dict = {}
-            for mult, w in weights.items():
-                for k in range(b + 1):
-                    if coef[b - k][k]:
-                        m = mult[:k] + (mult[k] + 1,) + mult[k + 1:]
-                        step[m] = step.get(m, 0) + w * coef[b - k][k]
-            weights = step
-        terms = [(w, moments[m]) for m, w in weights.items() if w]
-        den = math.lcm(*(w.denominator for w, _ in terms))
-        scaled = [(w.numerator * (den // w.denominator), row) for w, row in terms]
-        num = [sum(c * row[size] for c, row in scaled) for size in range(q_order + 1)]
+            for ks, w in combination.items():
+                for k, c in enumerate(weights[b]):
+                    if c:
+                        m = tuple(sorted((*ks, k)))
+                        step[m] = step.get(m, 0) + w * c
+            combination = step
+        terms = [(w, moments[ks]) for ks, w in combination.items()]
+        num = [sum(w * row[size] for w, row in terms) for size in range(q_order + 1)]
+        den = math.prod(math.factorial(b) * 2**b * t * lcm for b in key)
         return _divide_by_counts(num, factors, den, q_order)
 
     # a slot depends only on the multiset of its indices
     by_multiset: dict = {}
     table = {}
     for key in keys:
-        mult = multiset(key)
-        if mult not in by_multiset:
-            by_multiset[mult] = slot(key)
-        table[key] = by_multiset[mult]
+        ks = tuple(sorted(key))
+        if ks not in by_multiset:
+            by_multiset[ks] = slot(key)
+        table[key] = by_multiset[ks]
     return table
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from tcore._rat import QQ, is_rational, rat, rat_pow, rational_sqrt
 from tcore.cyclo import Cyclo
@@ -31,22 +30,34 @@ from tcore.qseries import (
 )
 
 
-# A fixed cache bound: bernoulli(n) stores n + 1 entries, and every weight
-# in use stays far below it.
-_BERNOULLI_CACHE = 256
+def bernoulli_numbers(top: int) -> list:
+    """B_0 .. B_top (B_1 = -1/2), exact, in about top^2/8 integer steps.
 
-
-@lru_cache(maxsize=_BERNOULLI_CACHE)
-def bernoulli(n: int):
-    """The n-th Bernoulli number (B_1 = -1/2), exact."""
-    if n < 0:
+    The odd numbers past B_1 vanish, and B_2k = (-1)^(k-1) 2k T_k /
+    (4^k (4^k - 1)), with T_k the tangent numbers, the integers of
+    tan x = sum_k T_k x^(2k-1) / (2k - 1)!.  They are built in place by
+    Brent and Harvey's recurrence (Fast computation of Bernoulli, tangent
+    and secant numbers, 2011, Algorithm TangentNumbers).
+    """
+    if top < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if n == 0:
-        return QQ(1)
-    acc = QQ(0)
-    for j in range(n):
-        acc = acc + QQ(math.comb(n + 1, j)) * bernoulli(j)
-    return -acc / (n + 1)
+    half = top // 2
+    tangent = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [QQ(1), QQ(-1, 2)][:top + 1] + [QQ(0)] * (top - 1)
+    for k in range(1, half + 1):
+        four = 4**k
+        out[2 * k] = QQ((-1) ** (k - 1) * 2 * k * tangent[k], four * (four - 1))
+    return out
+
+
+def bernoulli(n: int):
+    """The n-th Bernoulli number (B_1 = -1/2), exact (bernoulli_numbers)."""
+    return bernoulli_numbers(n)[n]
 
 
 def divisor_power_sum(n: int, k: int):
@@ -285,7 +296,7 @@ def _prefactor_term(t: int, r: int, l: int) -> Cyclo:
     m = 2 * t
     n = t // math.gcd(r, t)  # the order of xi_t^r
     scale = rat(n ** (l - 1), l)
-    coeffs = [scale * math.comb(l, k) * bernoulli(k) for k in range(l + 1)]
+    coeffs = [scale * math.comb(l, k) * b for k, b in enumerate(bernoulli_numbers(l))]
     weights = [rat(1, 2) if l == 1 else 0] + [0] * (m - 1)
     for j in range(n):
         y = rat(j, n)

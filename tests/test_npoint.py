@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcore import npoint
+from tcore import npoint, symfunc
 from tcore._rat import QQ, is_rational, rat_pow
 from tcore.npoint import (
     NPointResult,
     SValue,
-    _MAX_SLOTS,
     _MAX_STEPS,
     _MomentTable,
     _clearing_exponents,
@@ -70,6 +69,7 @@ from tcore.symfunc import SpecPoint, skew_schur, topological_vertex
 from tcore.theta import (
     ThetaArg,
     bernoulli,
+    bernoulli_numbers,
     eisenstein,
     level_series,
     macmahon,
@@ -534,12 +534,21 @@ def test_closed_route_matches_enumeration_deep(t, n, order):
 
 
 @pytest.mark.parametrize("route", [
-    lambda s: closed_Ft(3, s, QQ(2), 2),
-    lambda s: closed_Ft_r(3, s, 1, 2),
+    lambda s: closed_Ft(3, s, QQ(2), 3),
+    lambda s: closed_Ft_r(3, s, 1, 3),
 ], ids=["closed_Ft", "closed_Ft_r"])
-def test_closed_routes_refuse_more_than_eight_points_with_a_cost(route):
-    with pytest.raises(ValueError, match=r"n = 9 .* 3\^8 terms"):
+def test_closed_routes_refuse_nine_points_past_order_2(route, monkeypatch):
+    # nine points at t = 3 take 925101 steps at order 2, within the budget,
+    # and 3^8 terms of 190 steps each at order 3
+    def no_lift(*args):
+        raise AssertionError("the sum started")
+
+    monkeypatch.setattr(npoint, "rational_lift", no_lift)
+    assert closed_term_count(3, 9) * npoint._term_steps(9, 2) == 925_101 <= _MAX_STEPS
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"would take 1246590 steps.* 3\^8 terms of 190 steps"):
         route((S4,) * 9)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("route", [
@@ -547,11 +556,11 @@ def test_closed_routes_refuse_more_than_eight_points_with_a_cost(route):
     lambda s: closed_Ft_r(3, s, 1, 2),
 ], ids=["closed_Ft", "closed_Ft_r"])
 def test_closed_routes_refuse_many_points_at_once(route):
-    # the count is named, not expanded: 3^9999 has 4771 digits
+    # the term count is named, not expanded: 3^9999 has 4771 digits
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"n = 10000 .* 3\^9999 terms"):
+    with pytest.raises(ValueError, match=r"3\^9999 \* 150015006 steps.* n = 10000, order 2"):
         route((S4,) * 10_000)
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("t,n,terms", [(2, 2, 2), (3, 5, 81), (6, 5, 1296), (6, 6, 7776),
@@ -578,7 +587,7 @@ def test_closed_term_count_counts_the_terms(t, n):
 @pytest.mark.parametrize("t", range(2, 7))
 def test_closed_layout_is_the_set_partitions_into_at_most_t_blocks(t):
     for n in range(1, 9):
-        if closed_term_count(t, n) > npoint._MAX_TERMS:
+        if closed_term_count(t, n) > 10_000:  # the layouts stay small
             break
         layout = _closed_layout(t, n)
         fibres = Counter(masks for masks, _ in layout)
@@ -603,16 +612,85 @@ def test_closed_layout_is_the_set_partitions_into_at_most_t_blocks(t):
 
 
 @pytest.mark.parametrize("route", [
-    lambda s: closed_Ft(7, s, QQ(2), 8),
-    lambda s: closed_Ft_r(7, s, 1, 8),
+    lambda s: closed_Ft(7, s, QQ(2), 2),
+    lambda s: closed_Ft_r(7, s, 1, 2),
 ], ids=["closed_Ft", "closed_Ft_r"])
 def test_closed_routes_refuse_too_many_terms_before_any_work(route, monkeypatch):
     def no_lift(*args):
         raise AssertionError("the sum started")
 
     monkeypatch.setattr(npoint, "rational_lift", no_lift)
-    with pytest.raises(ValueError, match=r"t = 7, n = 6 has 7\^5 = 16807 terms, more than the 10000"):
+    start = time.perf_counter()
+    with pytest.raises(
+        ValueError,
+        match=r"would take 1159683 steps, more than the 1000000 it supports: at t = 7, n = 6, "
+        r"order 2, 7\^5 terms of 69 steps each",
+    ):
         route(SIX_POINTS)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("route", [
+    lambda: closed_Ft(7, (4, QQ(9, 4)), 1, 10**4),
+    lambda: closed_Ft_r(7, (4, QQ(9, 4)), 1, 10**4),
+], ids=["closed_Ft", "closed_Ft_r"])
+def test_closed_routes_refuse_a_deep_order_before_any_work(route, monkeypatch):
+    # two points, but order 10^4: each of the 7 terms takes 50045004 steps
+    def no_lift(*args):
+        raise AssertionError("the sum started")
+
+    monkeypatch.setattr(npoint, "rational_lift", no_lift)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"would take 350315028 steps.* 7\^1 terms of 50045004"):
+        route()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_closed_step_budget_admits_the_measured_calls():
+    # t^(n - 1) terms of (order + 1)(order + 2 + n(n + 1))/2 steps each
+    def steps(t, n, order):
+        return closed_term_count(t, n) * npoint._term_steps(n, order)
+
+    for (t, n, order), count in {
+        (6, 6, 4): 933_120, (3, 9, 2): 925_101, (3, 3, 450): 941_688, (2, 2, 900): 818_108,
+    }.items():
+        assert steps(t, n, order) == count <= _MAX_STEPS
+    for t, n, order in ((7, 6, 2), (6, 6, 5), (3, 9, 3), (3, 3, 500), (2, 2, 1000)):
+        assert steps(t, n, order) > _MAX_STEPS
+
+
+@pytest.mark.parametrize("t, n, order", [(2, 3, 6), (3, 2, 9), (3, 3, 4), (4, 3, 5)])
+def test_the_term_steps_count_the_exp_products_and_the_factor_lists(t, n, order, monkeypatch):
+    # every exp of the closed sum takes (order + 1)(order + 2)/2 products,
+    # counted by an int subclass, and a term sums at most n(n + 1)/2 lists
+    exp_mod = npoint._exp_mod
+    counts = []
+
+    def counted_exp(s, inv, modulus):
+        taken = 0
+
+        class Counted(int):
+            def __mul__(self, other):
+                nonlocal taken
+                taken += 1
+                return int(self) * int(other)
+
+            def __rmul__(self, other):
+                nonlocal taken
+                taken += 1
+                return Counted(int(other) * int(self))
+
+        out = exp_mod([Counted(v) for v in s], inv, modulus)
+        counts.append(taken)
+        return out
+
+    monkeypatch.setattr(npoint, "_exp_mod", counted_exp)
+    closed_Ft(t, SIX_POINTS[:n], 1, order)
+    assert counts and len(counts) % closed_term_count(t, n) == 0
+    assert set(counts) == {(order + 1) * (order + 2) // 2}
+    lists = max(len(masks) + len(steps) for masks, steps in _closed_layout(t, n))
+    assert lists <= n * (n + 1) // 2
+    assert counts[0] + lists * (order + 1) <= npoint._term_steps(n, order)
 
 
 # -- the route with the marked index subset ---------------------------------------
@@ -712,16 +790,50 @@ def test_qdeformed_routes_reject_a_non_finite_base_by_name(route, q):
         route(q)
 
 
-def test_qdeformed_sum_refuses_oversized_orders_up_front():
+def test_qdeformed_sum_refuses_oversized_orders_up_front(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(npoint, "_schur_pair_sums", no_rows)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"more than the 4096 \(mu, nu\) pairs") as exc:
+    with pytest.raises(ValueError, match=r"at order 1000000, .* of size at most 0$"):
         qdeformed_Z_sum(2, 10**6)
-    assert time.perf_counter() - start < 1.0
-    assert "order 13 already has 4902" in str(exc.value)
-    with pytest.raises(ValueError, match="order 13 already has 4902"):
-        qdeformed_Z_sum(2, 13)
-    # order 12, with 3132 pairs, is the largest order under the bound
-    npoint._check_vertex_pairs(12)
+    with pytest.raises(
+        ValueError, match=r"qdeformed_Z_sum would take 1010295 steps.* of size at most 31$"
+    ):
+        qdeformed_Z_sum(2, 32)
+    assert time.perf_counter() - start < 0.5
+    # order 31, at 801374 Newton products, is the largest order under the budget
+    assert npoint._vertex_steps(31) == (801_374, 31)
+
+
+@pytest.mark.parametrize("q", [QQ(2), QQ(3, 2)])
+def test_the_vertex_steps_bound_the_newton_products(q, monkeypatch):
+    # every product a power sum takes in the Newton recurrences of the rows,
+    # its rescalings to a common denominator included, counted by an int
+    # subclass; the estimate charges every nu, though a row is computed once
+    # per conjugate pair
+    graded = symfunc._graded
+    taken = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal taken
+            taken += 1
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+    def counted(rhs, steps, *args, **kwargs):
+        steps = {k: {key: Counted(c) for key, c in step.items()} for k, step in steps.items()}
+        return graded(rhs, steps, *args, **kwargs)
+
+    monkeypatch.setattr(symfunc, "_graded", counted)
+    for order in (8, 12, 16):
+        taken = 0
+        qdeformed_Z_sum(q, order)
+        steps, _ = npoint._vertex_steps(order)
+        assert taken <= steps < 1.6 * taken, order
 
 
 @pytest.mark.parametrize("q", [QQ(2), QQ(3, 2)])
@@ -736,8 +848,8 @@ def test_qdeformed_product_is_the_factor_by_factor_product_and_the_sum(q):
 
 
 @pytest.mark.parametrize("q", [QQ(2), QQ(3, 2)])
-def test_qdeformed_sum_equals_the_product_at_the_largest_order_allowed(q):
-    # order 12 is the last order under _MAX_VERTEX_PAIRS
+def test_qdeformed_sum_equals_the_product_at_order_12(q):
+    # the sum admits order 31 (_vertex_steps), but takes seconds there
     assert qdeformed_Z_sum(q, 12) == qdeformed_Z_product(q, 12)
 
 
@@ -1155,7 +1267,7 @@ def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
     (lambda: qdeformed_Z_product(2, 98), r"1023728 steps.* at order 98, an estimate of the products"),
     (lambda: qdeformed_Z_product(2, 10**9), r"166666667166666667000000000 steps"),
     (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
-    (lambda: correlation_expansion(6, 2, (100, 100), 400), r"10201 slots.* about \d+ charge"),
+    (lambda: correlation_expansion(6, 2, (100, 100), 400), r"steps to weigh 10201 slots"),
 ], ids=["bloch_okounkov_F", "brute_force_Ft", "qdeformed_Zn_sum", "qdeformed_Z_product",
         "qdeformed_Z_product_huge", "correlation_expansion", "correlation_slots"])
 def test_oversized_enumerations_are_refused_up_front_with_a_count(call, count):
@@ -1182,7 +1294,7 @@ def test_the_step_bound_admits_the_largest_calls_in_use():
     for t, order, slots in (
         (3, 300, 1), (4, 120, 1), (5, 80, 1), (3, 100, 6), (7, 60, 9), (3, 300, 13), (3, 300, 28),
     ):
-        npoint._check_core_steps("brute_force_Ft", t, order, slots)
+        assert npoint._core_steps(t, order, slots)[0] <= _MAX_STEPS
     assert npoint._partitions_through(24, _MAX_STEPS)[0] + 25 * 24 < _MAX_STEPS
     # 363 estimated charge vectors and 7931 steps of the division, per sum
     assert npoint._core_estimate(3, 300) + npoint._division_steps(3, 300) == 8294
@@ -1245,6 +1357,13 @@ def test_count_division_takes_no_more_steps_than_the_dense_counts(t, dense):
         assert kernel_steps(t, order) <= steps
     assert steps == dense
     assert kernel_steps(t, 300) == {2: 4624, 3: 7931}[t]
+
+
+def test_core_estimate_is_exact_at_t_2():
+    # the 2-cores are the staircases, one of each triangular size
+    for order in range(400):
+        assert _core_estimate(2, order) == sum(1 for _ in _charge_vectors(2, order)), order
+    assert _core_estimate(2, 10**6) == 1414
 
 
 @pytest.mark.parametrize("t, order", [
@@ -1362,40 +1481,40 @@ def test_correlation_f2_matches_laurent_fit_of_enumeration():
     # exact table; this ties the Taylor bookkeeping to the raw definition
     t, q_order = 3, 3
     table = correlation_expansion(t, 1, (2,), q_order)
-    mpmath.mp.dps = 60
-    cores = enumerate_t_cores(t, q_order)
+    with mpmath.workdps(60):
+        cores = enumerate_t_cores(t, q_order)
 
-    def moment(s, nu):
-        total = mpmath.mpf(0)
-        for i, part in enumerate(nu, start=1):
-            total += s ** (part - i + mpmath.mpf(1) / 2)
-        return total + s ** (mpmath.mpf(1) / 2 - len(nu)) / (s - 1)
+        def moment(s, nu):
+            total = mpmath.mpf(0)
+            for i, part in enumerate(nu, start=1):
+                total += s ** (part - i + mpmath.mpf(1) / 2)
+            return total + s ** (mpmath.mpf(1) / 2 - len(nu)) / (s - 1)
 
-    zs = [mpmath.mpf(j) / 1000 for j in range(1, 8)]
-    rows = []
-    rhs_by_order = {k: [] for k in range(q_order + 1)}
-    for z in zs:
-        s = mpmath.e**z
-        num = [mpmath.mpf(0)] * (q_order + 1)
-        den = [mpmath.mpf(0)] * (q_order + 1)
-        for size, group in cores.items():
-            for nu in group:
-                num[size] += moment(s, nu)
-                den[size] += 1
-        coeffs = []
+        zs = [mpmath.mpf(j) / 1000 for j in range(1, 8)]
+        rows = []
+        rhs_by_order = {k: [] for k in range(q_order + 1)}
+        for z in zs:
+            s = mpmath.e**z
+            num = [mpmath.mpf(0)] * (q_order + 1)
+            den = [mpmath.mpf(0)] * (q_order + 1)
+            for size, group in cores.items():
+                for nu in group:
+                    num[size] += moment(s, nu)
+                    den[size] += 1
+            coeffs = []
+            for k in range(q_order + 1):
+                value = num[k] - sum(coeffs[i] * den[k - i] for i in range(k))
+                coeffs.append(value / den[0])
+            rows.append([z**e for e in range(-1, 6)])
+            for k in range(q_order + 1):
+                rhs_by_order[k].append(coeffs[k])
+        matrix = mpmath.matrix(rows)
         for k in range(q_order + 1):
-            value = num[k] - sum(coeffs[i] * den[k - i] for i in range(k))
-            coeffs.append(value / den[0])
-        rows.append([z**e for e in range(-1, 6)])
-        for k in range(q_order + 1):
-            rhs_by_order[k].append(coeffs[k])
-    matrix = mpmath.matrix(rows)
-    for k in range(q_order + 1):
-        solution = mpmath.lu_solve(matrix, mpmath.matrix(rhs_by_order[k]))
-        fitted = solution[2]  # the z^1 slot carries the weight-2 coefficient
-        c = table[(2,)].coeff(k)
-        exact = mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
-        assert abs(fitted - exact) < mpmath.mpf("1e-8"), k
+            solution = mpmath.lu_solve(matrix, mpmath.matrix(rhs_by_order[k]))
+            fitted = solution[2]  # the z^1 slot carries the weight-2 coefficient
+            c = table[(2,)].coeff(k)
+            exact = mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
+            assert abs(fitted - exact) < mpmath.mpf("1e-8"), k
 
 
 def test_correlation_rejects_mismatched_orders():
@@ -1502,16 +1621,48 @@ def test_enumeration_routes_at_order_zero(t):
     assert brute_force_Ft(t, (), 0) == QSeries.one(QQ_DOMAIN, 0)
 
 
+def test_correlation_slots_past_l_256_hold_the_empty_core():
+    # at Q^0 only the empty core is averaged, and its G(z) is z/(2 sinh(z/2))
+    # = sum_l (2^(1 - l) - 1) B_l z^l / l! at every t; the Bernoulli numbers
+    # behind the weights once thrashed a 256-entry cache here
+    start = time.perf_counter()
+    table = correlation_expansion(3, 1, (400,), 0)
+    assert time.perf_counter() - start < 2
+    numbers = bernoulli_numbers(400)
+    for l in (0, 1, 2, 12, 257, 258, 400):
+        want = (QQ(2) ** (1 - l) - 1) * numbers[l] / math.factorial(l)
+        assert table[(l,)] == QSeries(QQ_DOMAIN, 0, {0: want} if want else {}), l
+
+
 def test_correlation_refuses_oversized_tables_up_front(monkeypatch):
-    # 2^13 slots exceed the cap; the refusal names the slots and the charge
-    # vectors, and comes before any average is divided out
+    # 3^13 (30 + 1) steps to weigh the 2^13 slots exceed the budget; the
+    # refusal names them and comes before any average is divided out
     def no_table(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(npoint, "_divide_by_counts", no_table)
-    assert 2**13 > _MAX_SLOTS >= 3**4 * 5
-    with pytest.raises(ValueError, match=r"8192 slots.* 38 charge vectors"):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"would take 49424017 steps.* to weigh 8192 slots"):
         correlation_expansion(3, 13, (1,) * 13, 30)
+    with pytest.raises(ValueError, match=r"would take 12983296 steps.* to weigh 4096 slots"):
+        correlation_expansion(3, 2, (63, 63), 2)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_correlation_step_budget_admits_the_tables_in_use():
+    # the 28 sums of (6, 6) at order 300, each over about 363 charge vectors
+    # and 7931 steps of the division, and 784 (300 + 1) + 49 steps of weights
+    steps, detail = npoint._correlation_steps(3, (6, 6), 300)
+    assert steps == 28 * (363 + 7931) + 784 * 301 + 49 == 468_265
+    assert "for each of 28 sums" in detail
+    for t, l_orders, q_order in ((7, (4, 4), 100), (3, (12,), 300), (3, (5, 5, 5), 60)):
+        assert npoint._correlation_steps(t, l_orders, q_order)[0] <= _MAX_STEPS
+
+
+@pytest.mark.parametrize("l_orders", [(0,), (5,), (3, 1), (0, 4, 0), (2, 2, 2), (1, 3, 2, 4)])
+def test_multiset_count_counts_the_sorted_index_tuples(l_orders):
+    keys = product(*(range(l + 1) for l in l_orders))
+    assert npoint._multiset_count(l_orders) == len({tuple(sorted(ks)) for ks in keys})
 
 
 # -- result payloads --------------------------------------------------------------------

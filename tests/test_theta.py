@@ -1,6 +1,9 @@
 """Theta-like series: product vs sum forms, transformations, Eisenstein."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,7 @@ from tcore.theta import (
 
 from series_oracle import lift_series, substituted_power
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 RZ4 = ThetaArg(QQ(4), QQ(2))
 
 
@@ -271,13 +275,39 @@ def test_macmahon_matches_brute_product():
                     assert abs(gap) < tol, (weight, eq, eq1)
 
 
-def test_bernoulli_cache_is_bounded():
-    theta.bernoulli.cache_clear()
-    eisenstein(6, 4)  # bernoulli(12) stores B_0 .. B_12
-    info = theta.bernoulli.cache_info()
-    assert info.maxsize is not None
-    # every miss stored one entry, so nothing was evicted
-    assert info.misses == 13 and info.currsize == 13, info
+def test_bernoulli_300_takes_under_a_second_in_a_fresh_process():
+    # nothing is cached: the numbers are built from nothing at each call
+    probe = (
+        f"import sys, time; sys.path.insert(0, {str(SRC)!r}); "
+        "from tcore.theta import bernoulli; start = time.perf_counter(); "
+        "bernoulli(300); print(time.perf_counter() - start)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert float(out.stdout) < 1
+
+
+def primes_through(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_bernoulli_denominators_are_von_staudt_clausens():
+    # the denominator of B_2k is the product of the primes p with (p - 1) | 2k
+    numbers = theta.bernoulli_numbers(300)
+    primes = primes_through(301)
+    for two_k in range(2, 301, 2):
+        want = math.prod(p for p in primes if two_k % (p - 1) == 0)
+        assert numbers[two_k].denominator == want, two_k
+        assert numbers[two_k] != 0 and (numbers[two_k] > 0) == (two_k % 4 == 2), two_k
+
+
+def test_bernoulli_odd_numbers_past_one_vanish_and_the_recurrence_holds():
+    numbers = theta.bernoulli_numbers(301)
+    assert all(numbers[n] == 0 for n in range(3, 302, 2))
+    # sum_(j<=n) C(n + 1, j) B_j = 0 for n >= 1, the recurrence that defines them
+    for n in range(1, 80):
+        assert sum(math.comb(n + 1, j) * numbers[j] for j in range(n + 1)) == 0, n
+    assert [bernoulli(n) for n in range(40)] == numbers[:40]
+    assert theta.bernoulli_numbers(0) == [1] and theta.bernoulli_numbers(1) == [1, rat(-1, 2)]
 
 
 def log_theta_ratio(t, r, z_order, order):
