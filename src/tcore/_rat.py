@@ -109,6 +109,8 @@ class Scalar:
         return o + (-self)
 
     def __truediv__(self, other):
+        if is_rational(other):
+            return self * (RAT_ONE / QQ(other))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

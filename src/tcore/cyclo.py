@@ -3,6 +3,10 @@
 Elements are stored in the power basis 1, x, ..., x^(phi(m)-1) with x the
 primitive m-th root of unity, reduced modulo the m-th cyclotomic polynomial.
 Reduction keeps representations canonical, so equality is coefficient-wise.
+There is one reduction, from_powers: a product or a Galois image adds its
+coefficients at exponents mod m, and each power x^e, e < m, is one integer
+row of a table.  The inverse is the product of the other Galois conjugates
+over the norm, which is rational.
 
 The conductor is carried on every element; mixing conductors is an error by
 design (the callers always know which field they work in, and silent
@@ -46,24 +50,16 @@ def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 @cache
-def _power_table(m: int) -> tuple[tuple, ...]:
-    """x^e reduced mod Phi_m, for e = 0 .. max(2*deg-2, m-1), as QQ tuples."""
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """x^e reduced mod Phi_m, for e = 0 .. m - 1, as integer rows."""
     phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    top = max(2 * deg - 2, m - 1, deg)
-    rows = []
-    cur = [RAT_ZERO] * deg
-    if deg > 0:
-        cur[0] = RAT_ONE
-    rows.append(tuple(cur))
-    for _ in range(top):
-        nxt = [RAT_ZERO] + cur[: deg - 1]
-        lead = cur[deg - 1] if deg > 0 else RAT_ZERO
-        if lead:
-            for j in range(deg):
-                nxt[j] -= lead * phi[j]
-        rows.append(tuple(nxt))
-        cur = nxt
+    row = (1,) + (0,) * (len(phi) - 2)
+    rows = [row]
+    for _ in range(m - 1):
+        # x * row, less its top coefficient times the monic Phi_m
+        lead = row[-1]
+        row = tuple(a - lead * p for a, p in zip((0, *row[:-1]), phi))
+        rows.append(row)
     return tuple(rows)
 
 
@@ -108,9 +104,10 @@ class Cyclo(Scalar):
 
     @classmethod
     def from_powers(cls, m: int, weights) -> "Cyclo":
-        """sum_e weights[e] * zeta_m^e, for e = 0 .. len(weights) - 1 < m."""
+        """sum_e weights[e] * zeta_m^e, for e = 0 .. len(weights) - 1 < m: the
+        one reduction mod Phi_m."""
         table = _power_table(m)
-        cs = [RAT_ZERO] * euler_phi(m)
+        cs = [0] * euler_phi(m)
         for e, w in enumerate(weights):
             if w:
                 for j, x in enumerate(table[e]):
@@ -148,56 +145,27 @@ class Cyclo(Scalar):
                 # a rational-valued factor scales, as a plain rational does
                 x = b.coeffs[0]
                 return Cyclo(self.m, tuple(c * x for c in a.coeffs))
-        deg = len(self.coeffs)
-        raw = [RAT_ZERO] * (2 * deg - 1) if deg else []
+        m = self.m
+        raw = [0] * m  # the coefficient of each power zeta_m^e, e < m
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    raw[i + j] += a * b
-        table = _power_table(self.m)
-        out = list(raw[:deg])
-        for e in range(deg, len(raw)):
-            c = raw[e]
-            if c:
-                row = table[e]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclo(self.m, tuple(out))
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    if b:
+                        raw[(i + j) % m] += a * b
+        return Cyclo.from_powers(m, raw)
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse, by solving (self * x = 1) over QQ."""
+        """Multiplicative inverse: the product of the Galois conjugates other
+        than self, over the norm (the product of all of them), a rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        deg = len(self.coeffs)
-        if all(not c for c in self.coeffs[1:]):
+        if self.is_rational():
             return Cyclo.from_rat(self.m, RAT_ONE / self.coeffs[0])
-        # columns: self * x^j in the power basis
-        cols = []
-        table = _power_table(self.m)
-        for j in range(deg):
-            prod = self * Cyclo(self.m, table[j])
-            cols.append(prod.coeffs)
-        # Gaussian elimination on the transposed system
-        a = [[cols[j][i] for j in range(deg)] for i in range(deg)]
-        rhs = [RAT_ONE if i == 0 else RAT_ZERO for i in range(deg)]
-        for col in range(deg):
-            piv = next((r for r in range(col, deg) if a[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular multiplication matrix")
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = RAT_ONE / a[col][col]
-            a[col] = [v * inv for v in a[col]]
-            rhs[col] *= inv
-            for r in range(deg):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                    rhs[r] -= f * rhs[col]
-        return Cyclo(self.m, tuple(rhs))
+        others = Cyclo.one(self.m)
+        for k in range(2, self.m):
+            if gcd(k, self.m) == 1:
+                others = others * self.galois(k)
+        return others * (RAT_ONE / (self * others).rational_value())
 
     # -- structure queries -------------------------------------------------
 
@@ -230,11 +198,10 @@ class Cyclo(Scalar):
         """The automorphism zeta -> zeta^k (k coprime to m)."""
         if gcd(k, self.m) != 1:
             raise ValueError(f"{k} is not coprime to conductor {self.m}")
-        out = Cyclo.zero(self.m)
+        weights = [0] * self.m
         for j, c in enumerate(self.coeffs):
-            if c:
-                out = out + Cyclo.root(self.m, j * k) * c
-        return out
+            weights[j * k % self.m] = c
+        return Cyclo.from_powers(self.m, weights)
 
     def is_real(self) -> bool:
         return self.conjugate() == self

@@ -894,30 +894,36 @@ def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list
     return out
 
 
-def _multiset_count(l_orders) -> int:
-    """The number of multisets of indices k_j <= l_j, one of each j: sorted,
-    the sequences k_1 <= .. <= k_n under the l-orders sorted, counted by
-    their last index."""
-    ways = [1]
+def _multiset_sum(l_orders, weight) -> int:
+    """The sum over the multisets of indices k_j <= l_j, one of each j, of
+    prod_j weight(k_j): sorted, the multisets are the sequences
+    k_1 <= .. <= k_n under the l-orders sorted, summed by their last index."""
+    sums = [1]
     for l in sorted(l_orders):
-        ways = list(accumulate(ways)) + [sum(ways)] * (l + 1 - len(ways))
-    return sum(ways)
+        below = list(accumulate(sums)) + [sum(sums)] * (l + 1 - len(sums))
+        sums = [weight(k) * s for k, s in enumerate(below)]
+    return sum(sums)
 
 
 def _correlation_steps(t: int, l_orders, q_order: int) -> tuple[int, str]:
     """The steps of correlation_expansion, and what they count: the weights
-    of its slots, prod_j (l_j + 1)(l_j + 2)/2 of them over q_order + 1 sizes,
-    (l_max + 1)^2 for the table of Bernoulli weights, and a t-core average
-    (_core_steps) for each multiset of indices (_multiset_count).  The
-    averages are counted only when the weights alone stay within _MAX_STEPS.
+    of one slot per multiset of indices, prod_j (k_j + 1) of them over
+    q_order + 1 sizes, a table entry per slot, (l_max + 1)^2 for the table
+    of Bernoulli weights, and a t-core average (_core_steps) for each
+    multiset.  The averages are counted only when the rest stays within
+    _MAX_STEPS.
     """
     l_max = max(l_orders)
     slots = math.prod(l + 1 for l in l_orders)
-    steps = math.prod((l + 1) * (l + 2) // 2 for l in l_orders) * (q_order + 1)
-    steps += (l_max + 1) ** 2
-    detail = f"{steps} steps to weigh {slots} slots at order {q_order}"
+    kinds = _multiset_sum(l_orders, lambda k: 1)
+    steps = _multiset_sum(l_orders, lambda k: k + 1) * (q_order + 1)
+    steps += slots + (l_max + 1) ** 2
+    detail = (
+        f"{steps} steps to weigh {kinds} multisets of indices and fill {slots} slots "
+        f"at order {q_order}"
+    )
     if steps <= _MAX_STEPS:
-        averages, core_detail = _core_steps(t, q_order, _multiset_count(l_orders))
+        averages, core_detail = _core_steps(t, q_order, kinds)
         steps += averages
         detail = f"{core_detail}, and {detail}"
     return steps, detail

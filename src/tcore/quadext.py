@@ -44,6 +44,8 @@ class SqrtExt(Scalar):
         return SqrtExt(self.d, -self.a, -self.b)
 
     def __mul__(self, other):
+        if is_rational(other):
+            return SqrtExt(self.d, self.a * other, self.b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented

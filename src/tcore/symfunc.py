@@ -33,6 +33,7 @@ from tcore.partitions import (
     hook_lengths,
     kappa,
     n_weight,
+    partitions_of,
 )
 from tcore.qseries import _graded
 from tcore.quadext import sqrt_field
@@ -223,25 +224,6 @@ def skew_schur(lam, eta, spec: SpecPoint):
     return _lift(spec.q, sum(lam) - sum(eta), _skew_schur_y(lam, eta, spec))
 
 
-def _meet(a, b):
-    """Part-wise minimum of two partitions (their diagram intersection)."""
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def _subpartitions(cap):
-    """All partitions fitting part-wise under cap (cap weakly decreasing)."""
-
-    def rec(i, prev):
-        yield ()
-        if i == len(cap):
-            return
-        for part in range(1, min(prev, cap[i]) + 1):
-            for rest in rec(i + 1, part):
-                yield (part,) + rest
-
-    return rec(0, cap[0] if cap else 0)
-
-
 def topological_vertex(lam, mu, nu, q):
     """The vertex C(lam, mu, nu) at rational q, as a finite exact sum.
 
@@ -258,10 +240,11 @@ def topological_vertex(lam, mu, nu, q):
     spec_nu = SpecPoint(q, nu)
     spec_nut = SpecPoint(q, nu_t)
     total = QQ(0)
-    for eta in _subpartitions(_meet(lam_t, mu)):
-        size = sum(eta)
-        term = _skew_schur_y(lam_t, eta, spec_nu) * _skew_schur_y(mu, eta, spec_nut)
-        total += term * rat_pow(q, -size)
+    for size in range(min(sum(lam), sum(mu)) + 1):
+        for eta in partitions_of(size):
+            if contains(lam_t, eta) and contains(mu, eta):
+                term = _skew_schur_y(lam_t, eta, spec_nu) * _skew_schur_y(mu, eta, spec_nut)
+                total += term * rat_pow(q, -size)
     half_kappa = (kappa(lam) + kappa(nu)) // 2
     value = rat_pow(q, half_kappa) * _hook_product_y(nu_t, q) * total
     return _lift(q, sum(lam) + sum(mu) - sum(nu), value)

@@ -1235,6 +1235,23 @@ def test_walk_routes_equal_the_per_object_oracles(t, n):
             assert bloch_okounkov_F(svals, order) == average_oracle.bloch_okounkov(svals, order)
 
 
+# the s-values of the benchmark's partition sums at its seeds 7 and 11
+BENCH_S = {
+    7: (QQ(61, 47) ** 2, QQ(53, 43) ** 2, QQ(59, 37) ** 2),
+    11: (QQ(53, 47) ** 2, QQ(61, 43) ** 2, QQ(59, 37) ** 2),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_S))
+@pytest.mark.parametrize("n, order", [(1, 20), (3, 16), (2, 16), (1, 40)])
+def test_the_partition_walk_equals_the_core_walk_past_the_order(seed, n, order):
+    # every partition of size at most N is an (N + 1)-core, so the row walk
+    # of bloch_okounkov_F and the charge walk of brute_force_Ft average the
+    # same partitions
+    svals = BENCH_S[seed][:n]
+    assert bloch_okounkov_F(svals, order) == brute_force_Ft(order + 1, svals, order)
+
+
 @pytest.mark.parametrize("t", range(2, 7))
 @pytest.mark.parametrize("order", [0, 1, 9, 60])
 def test_balanced_options_are_the_charges_of_the_cores(t, order):
@@ -1267,7 +1284,8 @@ def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
     (lambda: qdeformed_Z_product(2, 98), r"1023728 steps.* at order 98, an estimate of the products"),
     (lambda: qdeformed_Z_product(2, 10**9), r"166666667166666667000000000 steps"),
     (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
-    (lambda: correlation_expansion(6, 2, (100, 100), 400), r"steps to weigh 10201 slots"),
+    (lambda: correlation_expansion(6, 2, (100, 100), 400),
+     r"5389731478 steps to weigh 5151 multisets of indices and fill 10201 slots"),
 ], ids=["bloch_okounkov_F", "brute_force_Ft", "qdeformed_Zn_sum", "qdeformed_Z_product",
         "qdeformed_Z_product_huge", "correlation_expansion", "correlation_slots"])
 def test_oversized_enumerations_are_refused_up_front_with_a_count(call, count):
@@ -1635,25 +1653,50 @@ def test_correlation_slots_past_l_256_hold_the_empty_core():
 
 
 def test_correlation_refuses_oversized_tables_up_front(monkeypatch):
-    # 3^13 (30 + 1) steps to weigh the 2^13 slots exceed the budget; the
-    # refusal names them and comes before any average is divided out
+    # (2^17 - 1)(30 + 1) steps to weigh the 17 multisets of sixteen indices
+    # k_j <= 1, each as 2^(number of ones) weights, and 2^16 table entries
+    # exceed the budget; the refusal names them and comes before any average
+    # is divided out
     def no_table(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(npoint, "_divide_by_counts", no_table)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"would take 49424017 steps.* to weigh 8192 slots"):
-        correlation_expansion(3, 13, (1,) * 13, 30)
-    with pytest.raises(ValueError, match=r"would take 12983296 steps.* to weigh 4096 slots"):
+    with pytest.raises(ValueError, match=(
+        r"would take 4128741 steps.* to weigh 17 multisets of indices and fill 65536 slots"
+    )):
+        correlation_expansion(3, 16, (1,) * 16, 30)
+    with pytest.raises(ValueError, match=(
+        r"would take 6631952 steps.* to weigh 2080 multisets of indices and fill 4096 slots"
+    )):
         correlation_expansion(3, 2, (63, 63), 2)
     assert time.perf_counter() - start < 0.5
 
 
+def test_correlation_weighs_each_multiset_once_and_admits_thirteen_points():
+    # the 14 multisets of (1,) * 13 at order 30 take (2^14 - 1)(30 + 1)
+    # steps of weights, one per multiset and not one per slot, and 2^13 table
+    # entries.  The index-0 factor g_0 is 1, so a slot with one index 1 is
+    # the one-point slot (1,)
+    steps, detail = npoint._correlation_steps(3, (1,) * 13, 30)
+    assert steps == 14 * (37 + 222) + (2**14 - 1) * 31 + 2**13 + 4 == 519_695 <= _MAX_STEPS
+    assert "for each of 14 sums" in detail
+    start = time.perf_counter()
+    table = correlation_expansion(3, 13, (1,) * 13, 30)
+    assert time.perf_counter() - start < 0.5
+    assert len(table) == 2**13
+    one_point = correlation_expansion(3, 1, (1,), 30)[(1,)]
+    for i in (0, 6, 12):
+        key = tuple(int(j == i) for j in range(13))
+        assert table[key] == one_point
+
+
 def test_the_correlation_step_budget_admits_the_tables_in_use():
     # the 28 sums of (6, 6) at order 300, each over about 363 charge vectors
-    # and 7931 steps of the division, and 784 (300 + 1) + 49 steps of weights
+    # and 7931 steps of the division, 462 (300 + 1) weights of the 28
+    # multisets k_1 <= k_2 <= 6, 49 table entries and 49 Bernoulli weights
     steps, detail = npoint._correlation_steps(3, (6, 6), 300)
-    assert steps == 28 * (363 + 7931) + 784 * 301 + 49 == 468_265
+    assert steps == 28 * (363 + 7931) + 462 * 301 + 49 + 49 == 371_392
     assert "for each of 28 sums" in detail
     for t, l_orders, q_order in ((7, (4, 4), 100), (3, (12,), 300), (3, (5, 5, 5), 60)):
         assert npoint._correlation_steps(t, l_orders, q_order)[0] <= _MAX_STEPS
@@ -1662,7 +1705,10 @@ def test_the_correlation_step_budget_admits_the_tables_in_use():
 @pytest.mark.parametrize("l_orders", [(0,), (5,), (3, 1), (0, 4, 0), (2, 2, 2), (1, 3, 2, 4)])
 def test_multiset_count_counts_the_sorted_index_tuples(l_orders):
     keys = product(*(range(l + 1) for l in l_orders))
-    assert npoint._multiset_count(l_orders) == len({tuple(sorted(ks)) for ks in keys})
+    kinds = {tuple(sorted(ks)) for ks in keys}
+    assert npoint._multiset_sum(l_orders, lambda k: 1) == len(kinds)
+    weights = sum(math.prod(k + 1 for k in ks) for ks in kinds)
+    assert npoint._multiset_sum(l_orders, lambda k: k + 1) == weights
 
 
 # -- result payloads --------------------------------------------------------------------
