@@ -47,10 +47,11 @@ entries.  The route runs on integers alone:
   integer products and quotients of such tables.  Integer sums are exact,
   so no summation order needs fixing.
 - The phase table holds the M-th roots of unity times 2^(prec + 16), rounded
-  down to Gaussian integers from an integer pi and Taylor series, so each
-  entry is a function of the reduced fraction k / M and of the bits alone.
-  It is built once per precision, at the largest M asked for so far, and
-  every extraction at that precision reads its m-point table as every
+  down to Gaussian integers.  Its first quarter is built by halving angles
+  from i with integer square roots, which leaves the entries of the
+  M-point table in place as the even entries of the 2M-point one.  It is
+  built once per precision, at the largest M asked for so far, and every
+  extraction at that precision reads its m-point table as every
   (M / m)-th entry.
 - Axis tables are indexed by k_j, coupling tables by k_k - k_i.  (-w)^t
   repeats with period M / gcd(t, M), so an axis table is built at that many
@@ -74,7 +75,6 @@ import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import exp, gcd, hypot, isfinite, isqrt, lcm, log
-from typing import NamedTuple
 
 from tcore._rat import power
 from tcore.qseries import check_t
@@ -252,10 +252,9 @@ def _quotients(num: _Block, den: _Block, bits: int) -> _Block:
     cross = [(x * u + y * v, y * u - x * v, u * u + v * v) for (x, y), (u, v) in zip(num, den)]
     top = max((abs(re) | abs(im)).bit_length() - norm.bit_length() for re, im, norm in cross)
     shift = bits + 1 - top
-    if shift >= 0:
-        values = [((re << shift) // norm, (im << shift) // norm) for re, im, norm in cross]
-    else:
-        values = [(re // (norm << -shift), im // (norm << -shift)) for re, im, norm in cross]
+    values = [
+        (_floor_scaled(re, norm, shift), _floor_scaled(im, norm, shift)) for re, im, norm in cross
+    ]
     return _Block(num.exp - den.exp - shift, values)
 
 
@@ -287,31 +286,6 @@ def _sqrt(z: GaussianRational, bits: int) -> _Block:
     return _Block(-bits, [(isqrt((norm + x) // 2), -im if y < 0 else im)])
 
 
-def _arctan_inv(x: int, bits: int) -> int:
-    """arctan(1 / x) 2^bits for an integer x > 1, to within a few units."""
-    term = (1 << bits) // x
-    total, n, x2 = term, 1, x * x
-    while term:
-        term //= x2
-        n += 2
-        total += -(term // n) if n & 2 else term // n
-    return total
-
-
-def _cos_sin(angle: int, bits: int) -> tuple:
-    """(cos, sin) of angle 2^-bits, times 2^bits, by their Taylor series, for
-    0 <= angle 2^-bits < 2: to within a few units."""
-    cos, sin, term, n = 1 << bits, 0, 1 << bits, 0
-    while term:
-        n += 1
-        term = (term * angle >> bits) // n
-        if n & 1:
-            sin += -term if n & 2 else term
-        else:
-            cos += -term if n & 2 else term
-    return cos, sin
-
-
 # bits -> the phase table at those fraction bits, for the largest M asked for
 _phase_tables: dict = {}
 
@@ -321,24 +295,28 @@ def _phases(M: int, bits: int) -> list:
     first quarter rounded down, the others its turns by i, -1 and -i.
 
     M is a power of two.  The table of the largest M asked for at ``bits``
-    is kept, and a smaller M reads every (size / M)-th entry of it.  An
-    entry is computed at bits + 32 from pi 2^(bits + 32) by Machin's formula
-    and the angle floor(2 pi k / M 2^(bits + 32)), or from the angle of
-    1/4 - k/M past the first octant; either depends on the value of k / M
-    alone, so the entries of the M-point and the 2M-point table agree bit
-    for bit, and the reading does not depend on which M came first.
+    is kept, and a smaller M reads every (size / M)-th entry of it.  The
+    quarter is built at bits + 32 by halving angles from i: each new root
+    (c, s) is (sqrt((1 + c) / 2), s / (2 c)) of the one before, and the
+    quarter of twice the size puts each entry times the new root after that
+    entry.  Doubling leaves the entries already there as they are, so the
+    entries of the M-point table are the even entries of the 2M-point
+    table bit for bit, and the reading does not depend on which M came first.
     """
     table = _phase_tables.get(bits)
     if table is None or len(table) < M:
-        size = max(M, 4)
         work = bits + 32
-        pi = 16 * _arctan_inv(5, work + 8) - 4 * _arctan_inv(239, work + 8) >> 8
-        eighth = [_cos_sin(2 * pi * k // size, work) for k in range(size // 8 + 1)]
-        # past pi / 4, cos and sin are the sin and cos of pi / 2 - angle
-        quarter = [
-            eighth[k] if 8 * k <= size else eighth[size // 4 - k][::-1] for k in range(size // 4)
-        ]
-        quarter = [(c >> 32, s >> 32) for c, s in quarter]
+        one = 1 << work
+        quarter, c, s = [(one, 0)], 0, one
+        while 4 * len(quarter) < M:
+            c = isqrt((one + c) << (work - 1))
+            s = (s << (work - 1)) // c
+            quarter = [
+                entry
+                for x, y in quarter
+                for entry in ((x, y), ((x * c - y * s) >> work, (x * s + y * c) >> work))
+            ]
+        quarter = [(x >> 32, y >> 32) for x, y in quarter]
         table = quarter + [(-y, x) for x, y in quarter]
         table += [(-x, -y) for x, y in table]
         if len(_phase_tables) >= 16:
@@ -676,29 +654,6 @@ class _Grid:
 # -- integrands --------------------------------------------------------------
 
 
-class _Integrand(NamedTuple):
-    """const * coupling[d] * prod_j axes[j][k_j] at the grid point of indices k.
-
-    ``axes`` holds one M-entry ``_Block`` per circle, or is None when the
-    integrand has no per-circle factors.  ``coupling`` is a ``_Block`` over
-    the offsets d = (k_2 - k_1, ..., k_n - k_1) mod M, in lexicographic
-    order; that the circles couple through these differences alone is what
-    lets the grid average fold them into one another.  ``const`` is a
-    one-entry ``_Block``.
-    """
-
-    const: _Block
-    axes: list | None
-    coupling: _Block
-
-
-def _setup(s, Q) -> tuple:
-    """The s-values and the nome as GaussianRationals."""
-    if not 1 <= len(s) <= _MAX_VARS:
-        raise ValueError(f"between 1 and {_MAX_VARS} s values supported")
-    return [_gaussian(sj, "s") for sj in s], _gaussian(Q, "Q")
-
-
 def _check_q2(Q2) -> None:
     """Refuse a Q2 that is 0 or not a number; any other Q2 cancels from the
     integrand (see _ThetaSum)."""
@@ -734,13 +689,20 @@ def _t_core_axes(t: int, s, Q: GaussianRational, grid: _Grid) -> list:
     return axes
 
 
-def _integrand(s, Q: GaussianRational, axes, grid: _Grid) -> _Integrand:
-    """prod_j 1 / (s_j^(1/2) vartheta(s_j)) times the theta cross ratio of each
-    pair of circles, times ``axes`` (None for all partitions).
+def _integrand(t, s, Q: GaussianRational, grid: _Grid) -> tuple:
+    """(const, axes, coupling): the integrand is const * coupling[d] *
+    prod_j axes[j][k_j] at the grid point of indices k.
 
-    The cross ratio of circles i < k is a table over k_k - k_i; the coupling
-    multiplies them at every offset, in exact integer products.
+    ``const`` is prod_j 1 / (s_j^(1/2) vartheta(s_j)), a one-entry ``_Block``.
+    ``axes`` holds the t-core axis table of each circle, or is None for all
+    partitions (t None).  ``coupling`` is a ``_Block`` over the offsets
+    d = (k_2 - k_1, ..., k_n - k_1) mod M, in lexicographic order: at each
+    offset, the exact integer product of the theta cross ratios of the
+    pairs of circles i < k, each a table over k_k - k_i.  That the circles
+    couple through these differences alone is what lets the grid average
+    fold them into one another.
     """
+    axes = None if t is None else _t_core_axes(t, s, Q, grid)
     vt = _theta_sum(Q, grid.prec)
     den = _UNIT
     for sj in s:
@@ -763,15 +725,7 @@ def _integrand(s, Q: GaussianRational, axes, grid: _Grid) -> _Integrand:
             re, im = re * u - im * v, re * v + im * u
         values.append((re, im))
     coupling = _Block(sum(table.exp for table in cross.values()), values)
-    return _Integrand(const, axes, _normalized(coupling, grid.bits))
-
-
-def _cor42(t: int, s, Q, grid: _Grid) -> _Integrand:
-    return _integrand(s, Q, _t_core_axes(t, s, Q, grid), grid)
-
-
-def _bo_determinant(s, Q, grid: _Grid) -> _Integrand:
-    return _integrand(s, Q, None, grid)
+    return const, axes, _normalized(coupling, grid.bits)
 
 
 # -- extraction ----------------------------------------------------------------
@@ -803,42 +757,45 @@ def _dft(values, phases, bits: int) -> list:
     return out
 
 
-def _pair_average(axis1: _Block, axis2: _Block, g_table: _Block, phases, bits: int) -> _Block:
+def _pair_average(axis1: _Block, axis2_hat: _Block, g_table: _Block, phases, bits: int) -> _Block:
     """Average A1(k1) A2(k2) g(k2 - k1 mod M) over the M^2 grid, as a one-entry block.
 
     The integrands only couple the two circles through the ratio w_1^(-1)w_2,
     so the double sum is a circular correlation.  With X^(j) the DFT of a
-    table over ``phases``, it equals (1/M) sum_j g^(j) A1^(j) A2^(-j): three
-    O(M log M) transforms and M products, summed exactly.
+    table over ``phases``, it equals (1/M) sum_j g^(j) A1^(j) A2^(-j): two
+    more O(M log M) transforms and M products, summed exactly.  ``axis2_hat``
+    is A2^, at A2's exponent, so that a caller can share it between averages.
     """
     M = len(phases)
     g_hat = _dft(g_table, phases, bits)
     a1_hat = _dft(axis1, phases, bits)
-    a2_hat = _dft(axis2, phases, bits)
     re = im = 0
     for j in range(M):
         x, y = g_hat[j]
         u, v = a1_hat[j]
         x, y = x * u - y * v, x * v + y * u
-        u, v = a2_hat[-j]
+        u, v = axis2_hat[-j]
         re += x * u - y * v
         im += x * v + y * u
     log_m = M.bit_length() - 1
-    return _Block(g_table.exp + axis1.exp + axis2.exp - 3 * log_m, [(re, im)])
+    return _Block(g_table.exp + axis1.exp + axis2_hat.exp - 3 * log_m, [(re, im)])
 
 
-def _grid_mean(f: _Integrand, grid: _Grid) -> GaussianRational:
-    """The mean of ``f`` over the M^n grid, read off its tables.
+def _grid_mean(f: tuple, grid: _Grid) -> GaussianRational:
+    """The mean over the M^n grid of the integrand f = (const, axes, coupling)
+    of ``_integrand``, read off its tables.
 
     One circle: the mean of the axis table.  Two: a circular correlation,
     ``_pair_average``.  Three: at each offset d = k_2 - k_1 the second axis
-    folds into the first, which leaves a two-circle correlation per d; the
-    folds share one exponent, so their averages add exactly.  Without axes,
-    the mean of the coupling over the index differences.  The sum stays in
-    integers; the mean times the constant, rounded to prec + 1 bits, is the
-    exact Gaussian dyadic returned.
+    folds into the first, which leaves a two-circle correlation per d, all
+    against one transform of the last axis; the folds share one exponent,
+    so their averages add exactly.  Without axes, the mean of the coupling
+    over the index differences.  The sum stays in integers; the mean times
+    the constant, rounded to prec + 1 bits, is the exact Gaussian dyadic
+    returned.
     """
-    M, n, axes, g, bits = grid.M, len(grid.points), f.axes, f.coupling, grid.bits
+    const, axes, g = f
+    M, n, phases, bits = grid.M, len(grid.points), grid.phases, grid.bits
     log_m = M.bit_length() - 1
     if axes is None:
         (re, im), exp = _total(g), g.exp - (n - 1) * log_m
@@ -846,27 +803,29 @@ def _grid_mean(f: _Integrand, grid: _Grid) -> GaussianRational:
         (x, y), (u, v) = g[0], _total(axes[0])
         re, im = x * u - y * v, x * v + y * u
         exp = g.exp + axes[0].exp - log_m
-    elif n == 2:
-        mean = _pair_average(axes[0], axes[1], g, grid.phases, bits)
-        (re, im), exp = mean[0], mean.exp
     else:
-        a0, a1, a2 = axes
-        rnd = 1 << (bits - 1)
-        re = im = 0
-        for d in range(M):
-            folded = _Block(
-                a0.exp + a1.exp + bits,
-                [
-                    ((x * u - y * v + rnd) >> bits, (x * v + y * u + rnd) >> bits)
-                    for (x, y), (u, v) in zip(a0, a1[d:] + a1[:d])
-                ],
-            )
-            row = _Block(g.exp, g[d * M : (d + 1) * M])
-            mean = _pair_average(folded, a2, row, grid.phases, bits)
-            re += mean[0][0]
-            im += mean[0][1]
-        exp = mean.exp - log_m
-    value = _normalized(_products(f.const, _Block(exp, [(re, im)])), grid.prec)
+        last_hat = _Block(axes[-1].exp, _dft(axes[-1], phases, bits))
+        if n == 2:
+            mean = _pair_average(axes[0], last_hat, g, phases, bits)
+            (re, im), exp = mean[0], mean.exp
+        else:
+            a0, a1 = axes[:2]
+            rnd = 1 << (bits - 1)
+            re = im = 0
+            for d in range(M):
+                folded = _Block(
+                    a0.exp + a1.exp + bits,
+                    [
+                        ((x * u - y * v + rnd) >> bits, (x * v + y * u + rnd) >> bits)
+                        for (x, y), (u, v) in zip(a0, a1[d:] + a1[:d])
+                    ],
+                )
+                row = _Block(g.exp, g[d * M : (d + 1) * M])
+                mean = _pair_average(folded, last_hat, row, phases, bits)
+                re += mean[0][0]
+                im += mean[0][1]
+            exp = mean.exp - log_m
+    value = _normalized(_products(const, _Block(exp, [(re, im)])), grid.prec)
     return _to_exact(value[0], value.exp)
 
 
@@ -874,8 +833,8 @@ def _grid_mean(f: _Integrand, grid: _Grid) -> GaussianRational:
 _last_tables: dict = {}
 
 
-def _extract(build, s, cfg: QuadratureConfig) -> GaussianRational:
-    """Mean of the integrand ``build(s, Q, grid)`` makes over the M^n grid of ``cfg``.
+def _extract(t, s, cfg: QuadratureConfig) -> GaussianRational:
+    """Mean of ``_integrand(t, s, Q, grid)`` over the M^n grid of ``cfg``.
 
     The grid has M^n points, which the traced ``contour.grid_points`` counter
     counts per call.  Their values are read off O(M) table entries per theta
@@ -883,12 +842,12 @@ def _extract(build, s, cfg: QuadratureConfig) -> GaussianRational:
     extraction seed this one's, and this one's replace them once it is done.
     """
     global _last_tables
-    s, Q = _setup(s, cfg.Q)
     cfg.validate_region(s)
+    s = [_gaussian(sj, "s") for sj in s]
     points = [GaussianRational(c) for c in cfg.radii]
     grid = _Grid(cfg.M, points, cfg.precision_bits, _last_tables)
     try:
-        value = _grid_mean(build(s, Q, grid), grid)
+        value = _grid_mean(_integrand(t, s, _gaussian(cfg.Q, "Q"), grid), grid)
     except ZeroDivisionError as exc:
         raise ValueError(
             "integrand denominator vanished on the grid; the radii sit on a zero locus"
@@ -899,7 +858,7 @@ def _extract(build, s, cfg: QuadratureConfig) -> GaussianRational:
 
 def extract_cor42(t: int, s, cfg: QuadratureConfig) -> GaussianRational:
     """Torus extraction of the product-form integrand."""
-    return _extract(lambda s, Q, grid: _cor42(t, s, Q, grid), s, cfg)
+    return _extract(t, s, cfg)
 
 
 def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig) -> GaussianRational:
@@ -911,7 +870,7 @@ def extract_cor43(t: int, s, Q2, cfg: QuadratureConfig) -> GaussianRational:
     number) but does not change the result, as in closed_Ft.
     """
     _check_q2(Q2)
-    return _extract(lambda s, Q, grid: _cor42(t, s, Q, grid), s, cfg)
+    return _extract(t, s, cfg)
 
 
 def extract_bo_determinant(s, Q2, cfg: QuadratureConfig) -> GaussianRational:
@@ -922,7 +881,7 @@ def extract_bo_determinant(s, Q2, cfg: QuadratureConfig) -> GaussianRational:
     nonzero number) but cancels.
     """
     _check_q2(Q2)
-    return _extract(_bo_determinant, s, cfg)
+    return _extract(None, s, cfg)
 
 
 # -- convergence driver --------------------------------------------------------

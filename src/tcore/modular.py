@@ -305,13 +305,17 @@ class Modulus:
     def invert(self, v: int) -> int:
         """1/v mod N.
 
-        NotInvertible names the primes at which v vanishes, unless v
-        vanishes at all of them, which is a ZeroDivisionError.
+        N is squarefree, so gcd(v, N) is the product of the primes at which v
+        vanishes: NotInvertible names it, unless it is N, which is a
+        ZeroDivisionError.
         """
         try:
             return pow(v, -1, self.n)
         except ValueError:
-            return self._invert_by_primes(v)
+            bad = math.gcd(v, self.n)
+            if bad == self.n:
+                raise ZeroDivisionError("inverse of a zero residue") from None
+            raise NotInvertible(bad) from None
 
     def inverses(self, values) -> list[int]:
         """1/v mod N for each int v, by one inverse of their product.
@@ -335,22 +339,6 @@ class Modulus:
             out[i] = inverse * prefix[i] % n
             inverse = inverse * values[i] % n
         return out
-
-    def _invert_by_primes(self, v: int) -> int:
-        """1/v mod N, one prime at a time, which names the primes where v vanishes."""
-        inverses, bad = [], 1
-        for p in self.primes:
-            w = v % p
-            if w:
-                inverses.append(pow(w, -1, p))
-            else:
-                inverses.append(0)
-                bad *= p
-        if bad == 1:
-            return crt(inverses, self.primes)
-        if bad == self.n:
-            raise ZeroDivisionError("inverse of a zero residue")
-        raise NotInvertible(bad)
 
 
 def rational_reconstruct(r: int, n: int, den_bound: int | None = None):
@@ -491,11 +479,14 @@ def _check_rational(run, m: int, check: int, at_check: dict) -> None:
     """ValueError unless every embedding zeta_m -> w^k agrees at the check prime.
 
     A rational coefficient is fixed by every automorphism zeta_m -> zeta_m^k;
-    one that is not rational differs from one of its conjugates, and so mod
-    the check prime, except with probability about 1/check.
+    one that is not rational is moved by some generator of (Z/m)^x, and so
+    differs from that conjugate mod the check prime, except with probability
+    about 1/check.  So the embeddings checked are a generating set, taken
+    least first: each unit k that the units checked so far do not generate.
     """
+    generated = {1}
     for k in range(2, m):
-        if math.gcd(k, m) != 1:
+        if k in generated or math.gcd(k, m) != 1:
             continue
         try:
             other = _residues(run(Modulus(m, [check], k))[1], check)
@@ -507,3 +498,5 @@ def _check_rational(run, m: int, check: int, at_check: dict) -> None:
                     f"the coefficient of Q^{rat_str(QQ(e, 2))} is not rational: the embeddings "
                     f"zeta{m} -> w and zeta{m} -> w^{k} disagree at the check prime"
                 )
+        # the group that generated and k generate: its cosets by the powers of k
+        generated = {g * pow(k, i, m) % m for g in generated for i in range(m)}

@@ -977,11 +977,12 @@ def correlation_expansion(
     if steps > _MAX_STEPS:
         raise _refusal("correlation_expansion", steps, detail)
     l_max = max(l_orders)
-    keys = list(product(*(range(l + 1) for l in l_orders)))
+    # a slot depends only on the multiset of its indices, its kind: the
+    # indices in increasing order
+    kind_of = {key: tuple(sorted(key)) for key in product(*(range(l + 1) for l in l_orders))}
 
-    # prod_j P_(k_j), summed per size, by the multiset of k: its indices in
-    # increasing order
-    kinds = list(dict.fromkeys(tuple(sorted(ks)) for ks in keys))
+    # prod_j P_(k_j), summed per size, by the multiset of k
+    kinds = list(dict.fromkeys(kind_of.values()))
     # the product of a prefix of those indices is its parent prefix's times
     # one P_k, so a core takes one multiplication per prefix
     prefixes = {(): 0}
@@ -1037,15 +1038,8 @@ def correlation_expansion(
         den = math.prod(math.factorial(b) * 2**b * t * lcm for b in key)
         return _divide_by_counts(num, factors, den, q_order)
 
-    # a slot depends only on the multiset of its indices
-    by_multiset: dict = {}
-    table = {}
-    for key in keys:
-        ks = tuple(sorted(key))
-        if ks not in by_multiset:
-            by_multiset[ks] = slot(key)
-        table[key] = by_multiset[ks]
-    return table
+    slots = {ks: slot(ks) for ks in kinds}
+    return {key: slots[ks] for key, ks in kind_of.items()}
 
 
 def is_real_series(series: QSeries) -> bool:

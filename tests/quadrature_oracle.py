@@ -60,13 +60,15 @@ def torus_extract(f, cfg):
         return pairwise_sum(block_sums) / mp.mpf(cfg.M) ** cfg.n
 
 
-def at_point(build, s, w):
-    """The integrand ``build`` makes, at the exact point w: its one-point grid,
-    at mpmath's working precision."""
+def at_point(t, s, Q, w):
+    """The integrand that the extraction of ``t`` (None for all partitions)
+    averages, at the exact point w: its one-point grid, at mpmath's working
+    precision."""
     if len(w) != len(s):
         raise ValueError("one grid coordinate per s value is required")
     grid = contour._Grid(1, [contour._gaussian(wj, "w") for wj in w], mp.mp.prec)
-    return contour._grid_mean(build(grid), grid)
+    s = [contour._gaussian(sj, "s") for sj in s]
+    return contour._grid_mean(contour._integrand(t, s, contour._gaussian(Q, "Q"), grid), grid)
 
 
 def eval_cor42(t: int, s, Q, w):
@@ -75,7 +77,7 @@ def eval_cor42(t: int, s, Q, w):
     Includes the constant prefactor prod_j s_j^(-t/2)/theta(s_j), so the
     torus average of this function is the final value.
     """
-    return at_point(lambda grid: contour._cor42(t, *contour._setup(s, Q), grid), s, w)
+    return at_point(t, s, Q, w)
 
 
 def eval_cor43(t: int, s, Q, Q2, w):
@@ -96,4 +98,4 @@ def eval_bo_determinant(s, Q, Q2, w):
     extract_bo_determinant checks it, and cancels.
     """
     contour._check_q2(Q2)
-    return at_point(lambda grid: contour._bo_determinant(*contour._setup(s, Q), grid), s, w)
+    return at_point(None, s, Q, w)

@@ -295,6 +295,95 @@ def test_a_radius_that_is_not_a_finite_real_number_is_refused_by_name(radii, mes
         contour.QuadratureConfig(M=8, precision_bits=64, radii=radii, Q=NOME)
 
 
+def config(M=8, precision_bits=64, radii=(2,), Q=NOME):
+    return contour.QuadratureConfig(M=M, precision_bits=precision_bits, radii=radii, Q=Q)
+
+
+REFUSALS = {
+    "M=6": (lambda: config(M=6), "M must be a power of two, at least 2"),
+    "M=1": (lambda: config(M=1), "M must be a power of two, at least 2"),
+    "52 bits": (lambda: config(precision_bits=52), "precision_bits must be at least 53"),
+    "no radii": (lambda: config(radii=()), "between 1 and 3 circles supported"),
+    "4 radii": (lambda: config(radii=(5, 4, 3, 2)), "between 1 and 3 circles supported"),
+    "radii rising": (lambda: config(radii=(2, 3)), "radii must be strictly decreasing"),
+    "radii equal": (lambda: config(radii=(3, 3)), "radii must be strictly decreasing"),
+    "innermost 1": (lambda: config(radii=(3, 1)), "the innermost radius must exceed 1"),
+    "|Q| = 1": (lambda: config(Q=-1), "the nome must satisfy \\|Q\\| < 1"),
+    "|Q| > 1": (lambda: config(Q=1 + 1j), "the nome must satisfy \\|Q\\| < 1"),
+    "too few s": (
+        lambda: config(radii=(3, 2)).validate_region((S4,)),
+        "one radius per s value is required",
+    ),
+    "too many s to extract": (
+        lambda: contour.extract_cor42(2, (S4, S94), config()),
+        "one radius per s value is required",
+    ),
+    "4 s in a region": (
+        lambda: contour.QuadratureConfig.for_region((S4,) * 4, NOME),
+        "between 1 and 3 s values supported",
+    ),
+    "no s in a region": (
+        lambda: contour.QuadratureConfig.for_region((), NOME),
+        "between 1 and 3 s values supported",
+    ),
+    "no annuli": (
+        lambda: config(Q=QQ(1, 10)).validate_region((20,)),
+        "no annuli fit between 1 and 1/\\|Q\\| for these s",
+    ),
+    "no annuli in a region": (
+        lambda: contour.QuadratureConfig.for_region((S4, S4), QQ(1, 10)),
+        "no annuli fit between 1 and 1/\\|Q\\| for these s",
+    ),
+    "margin": (
+        lambda: config(radii=(QQ(101, 100),)).validate_region((S4,)),
+        "smallest log-gap 0.00995 is under the safety margin 0.161; respace the radii",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_quadrature_refuses_a_config_or_region_that_cannot_work(case):
+    refused, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        refused()
+
+
+def test_at_q_zero_the_extraction_is_the_constant_term():
+    # Q = 0 leaves only the empty t-core: the region spaces the radii by
+    # log 4 instead of against 1/|Q|, and the extraction converges to
+    # brute_force_Ft at order 0
+    s = (S94, QQ(16, 9))
+    exact = brute_force_Ft(2, s, 0)
+    assert exact.terms == {0: QQ(72, 35)}
+    cfg = contour.QuadratureConfig.for_region(s, 0, M=16, precision_bits=64)
+    outer, inner = cfg.radii
+    assert abs(inner - 4) < 1e-12 and abs(outer - 4 * QQ(16, 9) * 4) < 1e-12
+    result = contour.extract_with_doubling(lambda c: contour.extract_cor42(2, s, c), cfg, 12)
+    assert result.converged, result
+    assert abs(result.value - contour.GaussianRational(QQ(72, 35))) < 1e-17
+
+
+@pytest.mark.parametrize("bits", [69, 96, 200])
+def test_phase_tables_are_the_roots_of_unity_and_nest(bits, monkeypatch):
+    # every entry within 2 units of exp(2 pi i k / M) 2^bits at M = 4096, and
+    # each M-point table the even entries of the 2M-point one, whichever is
+    # built first
+    monkeypatch.setattr(contour, "_phase_tables", {})
+    with mp.workprec(bits + 40):
+        scale = mp.mpf(2) ** bits
+        for k, (x, y) in enumerate(contour._phases(4096, bits)):
+            z = mp.expjpi(mp.mpf(k) / 2048) * scale
+            assert abs(z.real - x) <= 2 and abs(z.imag - y) <= 2, k
+    for M in (1, 2, 4, 8, 64, 512, 2048):
+        contour._phase_tables.clear()
+        small_first = contour._phases(M, bits)
+        doubled = contour._phases(2 * M, bits)
+        contour._phase_tables.clear()
+        assert contour._phases(2 * M, bits) == doubled
+        assert contour._phases(M, bits) == small_first == doubled[::2]
+        assert len(small_first) == M
+
+
 def test_float_and_complex_inputs_are_the_rationals_they_hold():
     cfg = contour.QuadratureConfig.for_region((S4,), NOME, M=8, precision_bits=64)
     values = [contour.extract_cor42(3, (s,), cfg) for s in (S4, 4, 4.0, 4 + 0j)]
@@ -620,7 +709,9 @@ def test_pair_average_matches_the_double_sum(M):
         direct = mp.fsum(
             m1[k1] * m2[k2] * mg[(k2 - k1) % M] for k1 in range(M) for k2 in range(M)
         ) / M**2
-        fast = contour._pair_average(a1, a2, g, contour._phases(M, bits), bits)
+        phases = contour._phases(M, bits)
+        a2_hat = contour._Block(a2.exp, contour._dft(a2, phases, bits))
+        fast = contour._pair_average(a1, a2_hat, g, phases, bits)
         (fast,) = block_values(fast)
         assert abs(fast - direct) < mp.mpf(2) ** -70
 
@@ -636,7 +727,7 @@ def test_three_circle_fold_matches_the_triple_sum(M):
         g, g_mp = random_block(rng, M * M, bits)
         const_block, (const,) = random_block(rng, 1, bits)
 
-        f = contour._Integrand(const_block, list(axes), g)
+        f = (const_block, list(axes), g)
         fast = contour._grid_mean(f, contour._Grid(M, [exact(1)] * 3, 80))
         a0, a1, a2 = axes_mp
         direct = const * mp.fsum(

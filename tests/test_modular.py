@@ -256,15 +256,20 @@ def test_domains_of_different_moduli_do_not_mix():
 def test_invert_by_pow_agrees_with_the_walk_over_the_primes():
     mod = Modulus(6, prime_pool(6, 4))
     for v in (1, 2, mod.n - 1, 3**400 % mod.n, mod.primes[0] + 1, mod.n // 7 + 5):
-        assert mod.invert(v) == mod._invert_by_primes(v)
+        by_primes = modular.crt([pow(v, -1, p) for p in mod.primes], mod.primes)
+        assert mod.invert(v) == by_primes
         assert mod.invert(v) * v % mod.n == 1
     bad = mod.primes[1] * mod.primes[3] * 11
-    for invert in (mod.invert, mod._invert_by_primes):
-        with pytest.raises(NotInvertible) as err:
-            invert(bad)
-        assert err.value.factor == mod.primes[1] * mod.primes[3]
+    with pytest.raises(NotInvertible) as err:
+        mod.invert(bad)
+    assert err.value.factor == mod.primes[1] * mod.primes[3]
+    # a square of a prime of N names that prime once
+    with pytest.raises(NotInvertible) as err:
+        mod.invert(mod.primes[2] ** 2)
+    assert err.value.factor == mod.primes[2]
+    for zero in (0, 2 * mod.n, -mod.n):
         with pytest.raises(ZeroDivisionError):
-            invert(2 * mod.n)
+            mod.invert(zero)
 
 
 def test_a_reduction_is_kept_only_when_it_succeeds():
@@ -513,6 +518,37 @@ def test_lift_of_an_irrational_series_raises_after_one_embedding_sweep():
     with pytest.raises(ValueError, match="not rational"):
         rational_lift(int_run(run), 8)
     assert len(runs) <= 4  # the first run and at most one per embedding k = 3, 5, 7
+
+
+@pytest.mark.parametrize(("m", "generators"), [(81, [2]), (24, [5, 7, 13]), (8, [3, 5])])
+def test_the_rational_check_runs_one_embedding_per_generator(monkeypatch, m, generators):
+    # 3^700 + 2 needs more than the first _START_PRIMES primes, so the lift
+    # checks the embeddings once: a least-first generating set of (Z/m)^x,
+    # not all phi(m) - 1 units other than 1
+    x = QQ(1, 3**700 + 2)
+    embeddings = []
+
+    class Counted(Modulus):
+        def __init__(self, m, primes, k=1):
+            super().__init__(m, primes, k)
+            if k != 1:
+                embeddings.append(k)
+
+    def run(dom):
+        return QSeries(dom, 2, {0: dom.coerce(x), 2: dom.one})
+
+    monkeypatch.setattr(modular, "Modulus", Counted)
+    assert rational_lift(int_run(run), m) == QSeries(QQ_DOMAIN, 2, {0: x, 2: QQ(1)})
+    assert embeddings == generators
+
+
+def test_a_value_fixed_by_the_first_generator_is_refused_by_the_second():
+    # zeta_8 + zeta_8^3 = i sqrt(2) is fixed by zeta -> zeta^3, not by zeta^5
+    def run(dom):
+        return QSeries(dom, 2, {0: dom.root(8, 1) + dom.root(8, 3)})
+
+    with pytest.raises(ValueError, match="zeta8 -> w and zeta8 -> w\\^5 disagree"):
+        rational_lift(int_run(run), 8)
 
 
 def test_lift_of_a_real_irrational_constant_raises():
