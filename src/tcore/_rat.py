@@ -1,10 +1,12 @@
 """Exact rational scalars: fractions.Fraction, pinned here once as QQ so
-that the rest of the package names one rational type; and Scalar, the ring
-plumbing of the package's other scalars."""
+that the rest of the package names one rational type; Scalar, the ring
+plumbing of the package's other scalars; and Record, the base of its
+immutable records."""
 
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from operator import attrgetter
 
 
 def rat(p, q=1):
@@ -63,6 +65,48 @@ def power(base, n: int, one):
         if n:
             base = base * base
     return out
+
+
+class Record:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    A subclass names its two or more fields in ``__slots__`` and sets them
+    in its own ``__init__`` through ``_set``.  Equality, hashing, repr, copying and
+    pickling go by the fields, and the repr reads Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._fields(self))
+        body = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
 
 
 class Scalar:

@@ -72,11 +72,10 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import exp, gcd, hypot, isfinite, isqrt, lcm, log
 
-from tcore._rat import power
+from tcore._rat import Record, power
 from tcore.qseries import check_t
 
 __all__ = [
@@ -101,8 +100,7 @@ _LN2 = log(2)
 # -- exact numbers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
+class GaussianRational(Record):
     """real + i imag with ``Fraction`` parts.
 
     The exact form of the route's inputs and radii, and of its results: an
@@ -112,8 +110,12 @@ class GaussianRational:
     one side of an operator takes it exactly, rounded to mpmath's precision.
     """
 
-    real: Fraction
-    imag: Fraction = Fraction(0)
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: Fraction, imag: Fraction = Fraction(0)):
+        # set directly, not through _set: the arithmetic builds many
+        object.__setattr__(self, "real", real)
+        object.__setattr__(self, "imag", imag)
 
     def __neg__(self) -> GaussianRational:
         return GaussianRational(-self.real, -self.imag)
@@ -141,8 +143,16 @@ class GaussianRational:
     def __pow__(self, n: int) -> GaussianRational:
         return power(self, n, _ONE)
 
+    # the table keys of the quadrature: equality spelled out is cheaper than
+    # the fields through Record's getter, and the hash than Fraction's hash
+    # (equal Fractions have equal terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.real, self.imag) == (other.real, other.imag)
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # cheaper than Fraction's hash; equal Fractions have equal terms
         a, b = self.real, self.imag
         return hash((a.numerator, a.denominator, b.numerator, b.denominator))
 
@@ -472,8 +482,7 @@ def _s_logs(s) -> list:
     return [_log_abs(sj) for sj in values]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(Record):
     """Grid geometry and working precision for a torus extraction.
 
     M points per circle (a power of two, so that doubled grids nest), one
@@ -485,21 +494,17 @@ class QuadratureConfig:
     number, kept as given.
     """
 
-    M: int
-    precision_bits: int
-    radii: tuple
-    Q: object
+    __slots__ = ("M", "precision_bits", "radii", "Q")
 
-    def __post_init__(self):
-        if self.M < 2 or self.M & (self.M - 1):
+    def __init__(self, M: int, precision_bits: int, radii: tuple, Q: object):
+        if M < 2 or M & (M - 1):
             raise ValueError("M must be a power of two, at least 2")
-        if self.precision_bits < 53:
+        if precision_bits < 53:
             raise ValueError("precision_bits must be at least 53")
-        radii = tuple(_gaussian(c, "radii") for c in self.radii)
-        if any(c.imag for c in radii):
-            raise ValueError(f"radii must be real, got {self.radii!r}")
-        radii = tuple(c.real for c in radii)
-        object.__setattr__(self, "radii", radii)
+        exact = tuple(_gaussian(c, "radii") for c in radii)
+        if any(c.imag for c in exact):
+            raise ValueError(f"radii must be real, got {radii!r}")
+        radii = tuple(c.real for c in exact)
         if not 1 <= len(radii) <= _MAX_VARS:
             raise ValueError(
                 f"between 1 and {_MAX_VARS} circles supported "
@@ -509,8 +514,9 @@ class QuadratureConfig:
             raise ValueError("radii must be strictly decreasing")
         if radii[-1] <= 1:
             raise ValueError("the innermost radius must exceed 1")
-        if _norm2(_gaussian(self.Q, "Q")) >= 1:
+        if _norm2(_gaussian(Q, "Q")) >= 1:
             raise ValueError("the nome must satisfy |Q| < 1")
+        self._set(M, precision_bits, radii, Q)
 
     @property
     def n(self) -> int:
@@ -642,10 +648,16 @@ class _Grid:
                     values.append((re, -im))
                     continue
                 re = im = 0
-                for n, a, b in terms:
-                    c, s = phases[n * k % m]
-                    re += a * c - b * s
-                    im += a * s + b * c
+                if real:
+                    for n, a, _ in terms:
+                        c, s = phases[n * k % m]
+                        re += a * c
+                        im += a * s
+                else:
+                    for n, a, b in terms:
+                        c, s = phases[n * k % m]
+                        re += a * c - b * s
+                        im += a * s + b * c
                 values.append(((re + half) >> bits, (im + half) >> bits))
         self.tables[key] = values
         return values
@@ -887,8 +899,7 @@ def extract_bo_determinant(s, Q2, cfg: QuadratureConfig) -> GaussianRational:
 # -- convergence driver --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Record):
     """Outcome of an M-doubling run: the value and how much to trust it.
 
     ``value`` is the last extraction, an exact Gaussian dyadic at the
@@ -896,11 +907,12 @@ class ExtractionResult:
     extractions, as a float.
     """
 
-    value: GaussianRational
-    M: int
-    precision_bits: int
-    converged: bool
-    est_error: float
+    __slots__ = ("value", "M", "precision_bits", "converged", "est_error")
+
+    def __init__(
+        self, value: GaussianRational, M: int, precision_bits: int, converged: bool, est_error: float
+    ):
+        self._set(value, M, precision_bits, converged, est_error)
 
     def as_payload(self) -> dict:
         """JSON-ready summary; withholds the value when not converged."""
@@ -932,7 +944,7 @@ def extract_with_doubling(
     threshold = Fraction(1, 10 ** (target_digits + 5)) ** 2
     value = extract_at(cfg)
     for _ in range(_MAX_DOUBLINGS):
-        cfg = replace(cfg, M=2 * cfg.M)
+        cfg = QuadratureConfig(2 * cfg.M, cfg.precision_bits, cfg.radii, cfg.Q)
         refined = extract_at(cfg)
         diff = refined - value
         value = refined

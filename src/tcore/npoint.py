@@ -19,11 +19,10 @@ form, and the correlation-function extraction with s_j = e^(z_j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from operator import add, sub
 
-from tcore._rat import QQ, rat_str, rational_sqrt
+from tcore._rat import QQ, Record, rat_str, rational_sqrt
 from tcore.modular import rational_lift
 from tcore.partitions import (
     _balanced_options,
@@ -47,20 +46,18 @@ from tcore.symfunc import SpecPoint, _schur_pair_sums, deformation_base
 from tcore.theta import _macmahon_log, bernoulli_numbers
 
 
-@dataclass(frozen=True)
-class SValue:
+class SValue(Record):
     """An evaluation point s > 1 carrying its exact square root."""
 
-    s: QQ
-    sqrt_s: QQ
+    __slots__ = ("s", "sqrt_s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", QQ(self.s))
-        object.__setattr__(self, "sqrt_s", QQ(self.sqrt_s))
-        if self.sqrt_s * self.sqrt_s != self.s:
+    def __init__(self, s: QQ, sqrt_s: QQ):
+        s, sqrt_s = QQ(s), QQ(sqrt_s)
+        if sqrt_s * sqrt_s != s:
             raise ValueError("sqrt_s does not square to s")
-        if self.s <= 1:
+        if s <= 1:
             raise ValueError("s must exceed 1")
+        self._set(s, sqrt_s)
 
     @classmethod
     def of(cls, value) -> "SValue":
@@ -1058,20 +1055,29 @@ def rational_series(series: QSeries) -> QSeries:
     return series.map_coeffs(QQ_DOMAIN.coerce, QQ_DOMAIN)
 
 
-@dataclass(frozen=True)
-class NPointResult:
-    """A computed n-point series plus the metadata that identifies the run."""
+class NPointResult(Record):
+    """A computed n-point series plus the metadata that identifies the run.
 
-    method: str
-    t: int | None
-    n: int
-    s: tuple[SValue, ...]
-    value: object
-    order2: int
-    q2: object = None
-    r: int | None = None
-    elapsed_ms: float | None = None
-    terms: int | None = None  # the labellings a closed sum runs over (closed_term_count)
+    ``terms`` is the number of labellings a closed sum runs over
+    (closed_term_count).
+    """
+
+    __slots__ = ("method", "t", "n", "s", "value", "order2", "q2", "r", "elapsed_ms", "terms")
+
+    def __init__(
+        self,
+        method: str,
+        t: int | None,
+        n: int,
+        s: tuple[SValue, ...],
+        value: object,
+        order2: int,
+        q2: object = None,
+        r: int | None = None,
+        elapsed_ms: float | None = None,
+        terms: int | None = None,
+    ):
+        self._set(method, t, n, s, value, order2, q2, r, elapsed_ms, terms)
 
     def as_payload(self) -> dict:
         series = self.value

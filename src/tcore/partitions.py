@@ -11,8 +11,8 @@ are oracles of that walk, kept with the tests.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from operator import add, itemgetter
-from typing import Iterator
 
 from .qseries import check_int, check_t
 
@@ -21,6 +21,14 @@ def check_partition(parts) -> tuple[int, ...]:
     """Validate and freeze a weakly decreasing tuple of positive ints; a part
     that is not an int is refused, not rounded."""
     lam = tuple(parts)
+    bound = lam[0] if lam else 0
+    for p in lam:
+        if type(p) is not int or not 0 < p <= bound:
+            break
+        bound = p
+    else:
+        return lam
+    # a fault: name the first kind of it, type before sign before order
     for p in lam:
         check_int("each part", p)
     if any(p <= 0 for p in lam):

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
-from tcore._rat import QQ, rat_pow, rat_str
+from tcore._rat import QQ, Record, rat_pow, rat_str
 from tcore.partitions import (
     check_partition,
     conjugate,
@@ -52,20 +51,21 @@ def deformation_base(q) -> QQ:
     return q
 
 
-@dataclass(frozen=True)
-class SpecPoint:
+class SpecPoint(Record):
     """The evaluation point x_i = q^(shift_i - i + 1/2) for i = 1, 2, ...
 
     ``shift`` is a partition, taken as 0 past its length, so the point is
     eventually the plain geometric sequence q^(-i+1/2).
     """
 
-    q: object
-    shift: tuple = ()
+    __slots__ = ("q", "shift")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", deformation_base(self.q))
-        object.__setattr__(self, "shift", check_partition(self.shift))
+    def __init__(self, q: object, shift: tuple = ()):
+        # a Fraction is in lowest terms with a positive denominator, so q > 1
+        # reads off its terms; anything else is converted and checked
+        if not (type(q) is QQ and q.numerator > q.denominator):
+            q = deformation_base(q)
+        self._set(q, check_partition(shift))
 
 
 # Fixed cache bounds.  The h-tables serve skew_schur and topological_vertex:

@@ -10,9 +10,8 @@ instead of a hidden branch cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from tcore._rat import QQ, is_rational, rat, rat_pow, rational_sqrt
+from tcore._rat import QQ, Record, is_rational, rat, rat_pow, rational_sqrt
 from tcore.cyclo import Cyclo
 from tcore.qseries import (
     QQ_DOMAIN,
@@ -84,29 +83,26 @@ def _infer_domain(value):
     raise TypeError(f"no coefficient domain for {value!r}")
 
 
-@dataclass(frozen=True)
-class ThetaArg:
+class ThetaArg(Record):
     """An argument z with a branch of its square root.
 
     ``sqrt_value`` squares to ``value`` exactly and may be omitted for the
     series that never look at it.
     """
 
-    value: object
-    sqrt_value: object = None
-    dom: object = None
+    __slots__ = ("value", "sqrt_value", "dom")
 
-    def __post_init__(self):
-        if self.dom is None:
-            object.__setattr__(self, "dom", _infer_domain(self.value))
-        object.__setattr__(self, "value", self.dom.coerce(self.value))
-        if not self.value:
+    def __init__(self, value: object, sqrt_value: object = None, dom: object = None):
+        if dom is None:
+            dom = _infer_domain(value)
+        value = dom.coerce(value)
+        if not value:
             raise ValueError("theta arguments must be nonzero")
-        if self.sqrt_value is not None:
-            sq = self.dom.coerce(self.sqrt_value)
-            object.__setattr__(self, "sqrt_value", sq)
-            if sq * sq != self.value:
+        if sqrt_value is not None:
+            sqrt_value = dom.coerce(sqrt_value)
+            if sqrt_value * sqrt_value != value:
                 raise ValueError("sqrt_value does not square to value")
+        self._set(value, sqrt_value, dom)
 
     @classmethod
     def scaled_root(cls, scale, t: int = 1, e: int = 0, dom=None):

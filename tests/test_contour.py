@@ -7,7 +7,6 @@ forms, which live here as oracles.
 import functools
 import itertools
 import random
-from dataclasses import replace
 from math import ldexp
 
 import mpmath as mp
@@ -663,7 +662,7 @@ def test_torus_extract_of_the_point_evaluators_matches_the_tables(s, M):
 def test_nested_extraction_equals_a_cold_one(case, monkeypatch):
     s, extract_at, _ = CASES[case]
     coarse = contour.QuadratureConfig.for_region(s, NOME, M=16, precision_bits=64)
-    fine = replace(coarse, M=32)
+    fine = contour.QuadratureConfig(32, coarse.precision_bits, coarse.radii, coarse.Q)
     monkeypatch.setattr(contour, "_last_tables", {})
     cold = extract_at(fine)
     cold_keys = set(contour._last_tables)

@@ -1,9 +1,12 @@
-"""Importing the package loads neither mpmath nor the quadrature route, and
-the quadrature route runs without mpmath."""
+"""Importing the package loads neither mpmath nor the quadrature route, nor
+the slow standard modules behind dataclasses, and the quadrature route runs
+without mpmath."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,3 +39,17 @@ def test_the_quadrature_route_runs_without_mpmath():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "True False"
+
+
+@pytest.mark.parametrize("statement", ["import tcore", "from tcore import contour"])
+def test_import_loads_neither_dataclasses_nor_inspect_nor_typing(statement):
+    # the three took more than half of the package's import time; -S keeps
+    # the site hooks, which may load them on their own, out of the probe
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); {statement}; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

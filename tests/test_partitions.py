@@ -1,5 +1,7 @@
 """Partition combinatorics: hooks, Maya sequences, t-core machinery."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,28 @@ def test_check_partition_refuses_a_part_that_is_not_an_int(parts, kind):
     # a float part was truncated: (2.5,) read as (2,)
     with pytest.raises(ValueError, match=f"^each part must be an int, not {kind}$"):
         check_partition(parts)
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((1, 2, 2.0), "each part must be an int, not float"),
+    ((1, -2, 3), "parts must be positive: (1, -2, 3)"),
+    ((3, 0, 1), "parts must be positive: (3, 0, 1)"),
+    ((2, 3), "parts must be weakly decreasing: (2, 3)"),
+])
+def test_check_partition_names_a_bad_type_before_a_bad_sign_before_a_bad_order(parts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_partition(parts)
+
+
+class _Part(int):
+    pass
+
+
+def test_check_partition_returns_the_parts_as_a_tuple():
+    assert check_partition([3, 3, 1]) == (3, 3, 1)
+    assert check_partition(iter(())) == ()
+    # an int subclass other than bool is an int
+    assert check_partition((_Part(2), 1)) == (2, 1)
 
 
 def test_conjugate_frozen():

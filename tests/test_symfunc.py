@@ -77,6 +77,21 @@ def test_spec_point_validation():
         SpecPoint(4, (1, 2))
 
 
+@pytest.mark.parametrize("q, text", [
+    (QQ(1), "1"), (QQ(1, 2), "1/2"), (QQ(-3, 2), "-3/2"), (1, "1"), (0.5, "1/2"),
+])
+def test_spec_point_refuses_a_base_of_at_most_one_by_its_value(q, text):
+    # a Fraction is read off its terms; other numbers are converted first
+    with pytest.raises(ValueError, match=f"^the deformation base must satisfy q > 1, got {text}$"):
+        SpecPoint(q)
+
+
+def test_spec_point_keeps_a_fraction_base_and_converts_others():
+    q = QQ(9, 4)
+    assert SpecPoint(q).q is q
+    assert SpecPoint(2.25).q == q and type(SpecPoint(2.25).q) is QQ
+
+
 @pytest.mark.parametrize("call", [
     lambda: skew_schur((2.5,), (), SpecPoint(4)),
     lambda: skew_schur((3,), (1.0,), SpecPoint(4)),
