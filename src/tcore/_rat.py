@@ -111,20 +111,25 @@ class Record:
 
 class Scalar:
     """The ring plumbing of the scalars Cyclo, SqrtExt and TaylorZ:
-    immutability, coercion, subtraction, division, the reflected operations
-    and integer powers.
+    immutability, coercion, subtraction, division, the reflected operations,
+    integer powers, copying and pickling.
 
-    A subclass says what is its own: ``_home``, the ring an element lies in
-    (a conductor, a radicand, a domain), ``_KIND``, the name of that home in
-    a mismatch error, and ``_lift(x)``, x of another type as an element of
-    the home of self, or None if it is none; beside them ``__add__``,
-    ``__neg__``, ``__mul__``, ``inverse``, equality, hashing and repr.
+    A subclass names its fields in ``__slots__``, in the order its
+    constructor takes them, and says what else is its own: ``_home``, the
+    ring an element lies in (a conductor, a radicand, a domain), ``_KIND``,
+    the name of that home in a mismatch error, and ``_lift(x)``, x of
+    another type as an element of the home of self, or None if it is none;
+    beside them ``__add__``, ``__neg__``, ``__mul__``, ``inverse``,
+    equality, hashing and repr.
     """
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} elements are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def _coerce(self, other):
         """other in the home of self, or None if it is not a scalar of that ring."""

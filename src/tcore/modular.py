@@ -40,15 +40,15 @@ failed check has one of two causes:
 
 * N is too small for the heights of the coefficients.  N then grows by new
   primes, and the residues already known are kept and combined by CRT.
-* The output is not rational.  A rational value is the same under every
-  embedding zeta_m -> w^k, k coprime to m, so the computation is rerun at p'
-  under each of them; a disagreement is a ValueError.
+* The output is not rational.  An irrational value is moved by some
+  generator of (Z/m)^x, so the computation is rerun at p' under zeta_m -> w^k
+  for each k of a least-first generating set; a disagreement is a ValueError.
 
 A prime that divides a number the computation must invert (the denominator
 of an input, or a value that vanishes at that prime only) shows up as a
 residue that is not invertible mod N.  An inverse is one pow(v, -1, N); when
-that fails, a walk over the primes of N names those where v vanishes, and
-each is dropped for the next prime of the pool before the computation reruns.
+that fails, gcd(v, N) names the primes where v vanishes, and each is
+dropped for the next prime of the pool before the computation reruns.
 A computed residue that vanishes modulo all of N is taken for a true zero
 and behaves as zero does in the exact field; the denominator of an input,
 which is never zero, makes every prime of N bad instead.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, combinations, product
-from operator import add, sub
+from operator import add, mul, sub
 
 from tcore._rat import QQ, Record, rat_str, rational_sqrt
 from tcore.modular import rational_lift
@@ -327,13 +327,15 @@ def _division_steps(t: int | None, order: int) -> int:
     return steps + charge(d, t * d * (d + 1) // 2)
 
 
-def _core_steps(t: int, order: int, sums: int) -> tuple[int, str]:
+def _core_steps(t: int, order: int, sums: int, shared: int = 0) -> tuple[int, str]:
     """The steps of sums t-core averages through order, and what they count:
-    each sum takes a step per charge vector and divides by the count series."""
+    each sum takes a step per charge vector and divides by the count series,
+    and each charge vector takes shared more steps that serve every sum."""
     cores, division = _core_estimate(t, order), _division_steps(t, order)
-    return sums * (cores + division), (
+    return sums * (cores + division) + shared * cores, (
         f"at t = {t}, order {order}, about {cores} charge vectors and {division} steps "
         f"of the division by their counts, for each of {sums} sums"
+        + (f", and {shared} shared products per charge vector" if shared else "")
     )
 
 
@@ -364,11 +366,13 @@ def brute_force_Ft(t: int, s_values, order: int) -> QSeries:
     the heads of the cores, and each end adds its tracks' share; the
     products are summed in integers at each size and divided once by the
     t-core count series, through its sparse product form, so the cores are
-    not counted (see _divide_by_counts).  Averages of more than _MAX_STEPS
-    steps are refused up front.
+    not counted (see _divide_by_counts).  No hook exceeds the size, so t is
+    clamped to order + 1.  Averages of more than _MAX_STEPS steps are
+    refused up front.
     """
     check_t(t)
     check_order(order)
+    t = min(t, max(order + 1, 2))
     svals = s_vector(s_values)
     steps, detail = _core_steps(t, order, 1)
     if steps > _MAX_STEPS:
@@ -891,36 +895,39 @@ def _times_quadratic(poly: list[int], outer: int, middle: int, top: int) -> list
     return out
 
 
-def _multiset_sum(l_orders, weight) -> int:
-    """The sum over the multisets of indices k_j <= l_j, one of each j, of
-    prod_j weight(k_j): sorted, the multisets are the sequences
-    k_1 <= .. <= k_n under the l-orders sorted, summed by their last index."""
-    sums = [1]
+def _multiset_counts(l_orders) -> list[int]:
+    """The number of multisets of indices k_j <= l_j, one of each of the i
+    least l-orders, i = 1..n, the prefixes of i indices of the kinds of
+    correlation_expansion: sorted, they are the sequences k_1 <= .. <= k_i
+    under the l-orders sorted, counted by their last index."""
+    counts, out = [1], []
     for l in sorted(l_orders):
-        below = list(accumulate(sums)) + [sum(sums)] * (l + 1 - len(sums))
-        sums = [weight(k) * s for k, s in enumerate(below)]
-    return sum(sums)
+        counts = list(accumulate(counts)) + [sum(counts)] * (l + 1 - len(counts))
+        out.append(sum(counts))
+    return out
 
 
 def _correlation_steps(t: int, l_orders, q_order: int) -> tuple[int, str]:
-    """The steps of correlation_expansion, and what they count: the weights
-    of one slot per multiset of indices, prod_j (k_j + 1) of them over
-    q_order + 1 sizes, a table entry per slot, (l_max + 1)^2 for the table
-    of Bernoulli weights, and a t-core average (_core_steps) for each
-    multiset.  The averages are counted only when the rest stays within
-    _MAX_STEPS.
+    """The steps of correlation_expansion, and what they count: the
+    (l_max + 1)(l_max + 2)/2 products of each column of weights, of which
+    there are at most t (2 isqrt(2 q_order // t) + 3), since a charge c has
+    t c(c - 1) <= 2 q_order or the same in -c (_track_cost2); a table entry
+    per slot, (l_max + 1)^2 for the weights, and a t-core average
+    (_core_steps) per kind, each charge vector sharing a product per proper
+    prefix of two or more indices.  The averages are counted only when the
+    rest stays within _MAX_STEPS.
     """
     l_max = max(l_orders)
     slots = math.prod(l + 1 for l in l_orders)
-    kinds = _multiset_sum(l_orders, lambda k: 1)
-    steps = _multiset_sum(l_orders, lambda k: k + 1) * (q_order + 1)
-    steps += slots + (l_max + 1) ** 2
+    columns = t * (2 * math.isqrt(2 * q_order // t) + 3)
+    steps = columns * (l_max + 1) * (l_max + 2) // 2 + slots + (l_max + 1) ** 2
     detail = (
-        f"{steps} steps to weigh {kinds} multisets of indices and fill {slots} slots "
+        f"{steps} steps to build at most {columns} columns of weights and fill {slots} slots "
         f"at order {q_order}"
     )
     if steps <= _MAX_STEPS:
-        averages, core_detail = _core_steps(t, q_order, kinds)
+        *prefixes, kinds = _multiset_counts(l_orders)
+        averages, core_detail = _core_steps(t, q_order, kinds, sum(prefixes[1:]))
         steps += averages
         detail = f"{core_detail}, and {detail}"
     return steps, detail
@@ -935,24 +942,26 @@ def correlation_expansion(
     z_1^(l_1 - 1) ... z_n^(l_n - 1).  A t-core with charge vector c has the
     row moment s^(1/2) sum_r s^(r + t c_r) / (s^t - 1), so at s = e^z
 
-        z * moment = [z / (e^(tz) - 1)] * sum_r e^(z a_r / 2),
+        z * moment = sum_r z e^(z a_r / 2) / (e^(tz) - 1),
         a_r = 2r + 1 + 2t c_r,
 
-    an honest Taylor series G(z) = sum_l g_l z^l with
-    g_l = sum_{m + k = l} beta_m P_k(c) / (2^k k!), where
-    z / (e^(tz) - 1) = sum_m beta_m z^m, beta_m = B_m t^(m - 1) / m!, and
-    P_k(c) = sum_r a_r^k.  The Bernoulli factor is the same for every core,
-    so per core only the integer power sums P_k, k <= max l, are kept, and
-    the sums of prod_j P_(k_j) are accumulated for every multi-index
-    k <= l_orders; a product depends only on the multiset of k, and so does
-    a slot on the multiset of its indices.  The walk (_charge_walk) hands
-    over each core's power sums as a head and an end, and each multiset's
-    product is its parent multiset's times one P_k.  Times b! 2^b t and the
-    lcm of the denominators of the Bernoulli numbers, g_b is an integer
-    combination of the P_k, so each slot is one at each size over one
-    denominator, divided by the t-core count series in integers through its
-    sparse product form (see _divide_by_counts), so no core is counted.
-    Tables of more than _MAX_STEPS steps are refused up front
+    an honest Taylor series G(z) = sum_b g_b z^b.  A track's term is
+    x e^(xu) / (e^x - 1) = sum_b B_b(u) x^b / b!, the Bernoulli polynomials
+    at x = tz and u = a_r / (2t), the variable of Bloch and Okounkov's
+    expansion of the all-partitions function (Adv. Math. 149, 2000).  So
+    g_b b! 2^b t L = sum_r w_b(a_r), with L the lcm of the denominators of
+    B_0 .. B_(max l) and the integer column entries
+
+        w_b(a) = L (2t)^b B_b(a / (2t)) = sum_k C(b, k) (2t)^(b - k) L B_(b - k) a^k.
+
+    The walk (_charge_walk) hands over each core's column sums as a head
+    and an end.  A slot depends only on the multiset of its indices, its
+    kind; each kind's product of column sums is its parent prefix's times
+    one sum, and the products are summed per size.  Each slot is its kind's
+    sums over prod_j b_j! 2^(b_j) t L, divided by the t-core count series in
+    integers through its sparse product form (see _divide_by_counts).  No
+    hook of a partition of size n exceeds n, so t is clamped to
+    q_order + 1.  Tables of more than _MAX_STEPS steps are refused up front
     (_correlation_steps).
     """
     check_t(t)
@@ -970,46 +979,27 @@ def correlation_expansion(
         raise ValueError("l-orders must be nonnegative")
     if n == 0:
         return {(): QSeries.one(QQ_DOMAIN, q_order)}
+    t = min(t, max(q_order + 1, 2))
     steps, detail = _correlation_steps(t, l_orders, q_order)
     if steps > _MAX_STEPS:
         raise _refusal("correlation_expansion", steps, detail)
     l_max = max(l_orders)
-    # a slot depends only on the multiset of its indices, its kind: the
-    # indices in increasing order
+    # a kind holds the indices of its slots in increasing order
     kind_of = {key: tuple(sorted(key)) for key in product(*(range(l + 1) for l in l_orders))}
-
-    # prod_j P_(k_j), summed per size, by the multiset of k
     kinds = list(dict.fromkeys(kind_of.values()))
-    # the product of a prefix of those indices is its parent prefix's times
-    # one P_k, so a core takes one multiplication per prefix
-    prefixes = {(): 0}
-    chain = []  # (parent prefix, k) of every nonempty prefix, parents first
+    # the product of a prefix (b,) is the column sum b, so a core takes one
+    # multiplication per prefix of two or more indices
+    prefixes = {(b,): b for b in range(l_max + 1)}
+    chain = []  # (parent prefix, b) of every longer prefix, parents first
     for ks in kinds:
-        for i in range(1, len(ks) + 1):
+        for i in range(2, len(ks) + 1):
             if ks[:i] not in prefixes:
                 prefixes[ks[:i]] = len(prefixes)
                 chain.append((prefixes[ks[:i - 1]], ks[i - 1]))
     full = [prefixes[ks] for ks in kinds]
     by_size = [[0] * len(kinds) for _ in range(q_order + 1)]
 
-    def column(r, c):
-        # a_r^k, k = 1..l_max, for a_r = 2r + 1 + 2t c
-        return tuple((2 * r + 1 + 2 * t * c) ** k for k in range(1, l_max + 1))
-
-    for spent2, head, ends in _charge_walk(t, q_order, column):
-        for cost2, end in ends:
-            power_sums = [t, *map(add, head, end)]  # P_0 .. P_(l_max)
-            products = [1]
-            for parent, k in chain:
-                products.append(products[parent] * power_sums[k])
-            row = by_size[(spent2 + cost2) >> 1]
-            row[:] = map(add, row, map(products.__getitem__, full))
-    moments = {ks: [row[i] for row in by_size] for i, ks in enumerate(kinds)}
-    factors = _count_factors(t, q_order)
-
-    # g_b b! 2^b t L = sum_k weights[b][k] P_k, with L the lcm of the
-    # denominators of B_0 .. B_(l_max): weights[b][k] = C(b, k) (2t)^m L B_m,
-    # m = b - k, an integer
+    # weights[b][k] = C(b, k) (2t)^m L B_m, m = b - k, an integer
     bern = bernoulli_numbers(l_max)
     lcm = math.lcm(*(x.denominator for x in bern))
     scaled = [(2 * t) ** m * int(lcm * x) for m, x in enumerate(bern)]
@@ -1019,23 +1009,23 @@ def correlation_expansion(
         weights.append([c * scaled[b - k] for k, c in enumerate(binomials)])
         binomials = [1, *map(add, binomials, binomials[1:]), 1]
 
-    def slot(key) -> QSeries:
-        # prod_j g_(b_j) as a combination of the moments, one index at a time
-        combination = {(): 1}
-        for b in key:
-            step: dict = {}
-            for ks, w in combination.items():
-                for k, c in enumerate(weights[b]):
-                    if c:
-                        m = tuple(sorted((*ks, k)))
-                        step[m] = step.get(m, 0) + w * c
-            combination = step
-        terms = [(w, moments[ks]) for ks, w in combination.items()]
-        num = [sum(w * row[size] for w, row in terms) for size in range(q_order + 1)]
-        den = math.prod(math.factorial(b) * 2**b * t * lcm for b in key)
-        return _divide_by_counts(num, factors, den, q_order)
+    def column(r, c):
+        # w_b(a), b = 0..l_max, for a = 2r + 1 + 2t c
+        powers = list(accumulate([1] + [2 * r + 1 + 2 * t * c] * l_max, mul))
+        return tuple(sum(map(mul, row, powers)) for row in weights)
 
-    slots = {ks: slot(ks) for ks in kinds}
+    for spent2, head, ends in _charge_walk(t, q_order, column):
+        for cost2, end in ends:
+            products = [*map(add, head, end)]  # g_b b! 2^b t L, b = 0..l_max
+            for parent, b in chain:
+                products.append(products[parent] * products[b])
+            row = by_size[(spent2 + cost2) >> 1]
+            row[:] = map(add, row, map(products.__getitem__, full))
+    factors = _count_factors(t, q_order)
+    slots = {}
+    for i, ks in enumerate(kinds):
+        den = math.prod(math.factorial(b) * 2**b * t * lcm for b in ks)
+        slots[ks] = _divide_by_counts([row[i] for row in by_size], factors, den, q_order)
     return {key: slots[ks] for key, ks in kind_of.items()}
 
 

@@ -70,7 +70,7 @@ def contains(lam, eta) -> bool:
     return len(eta) <= len(lam) and all(e <= l for e, l in zip(eta, lam))
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of n, largest part first, lexicographically descending.
 
     One list is changed in place: each step lowers the last part above 1 by
@@ -81,11 +81,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     if n == 0:
         yield ()
         return
-    top = n if max_part is None else min(max_part, n)
-    if top <= 0:
-        return
     parts: list[int] = []
-    free, size = n, top
+    free, size = n, n
     while True:
         count, rest = divmod(free, size)
         parts += [size] * count
@@ -272,11 +269,12 @@ def t_core_from_charges(t: int, charges) -> tuple[int, ...]:
 
 def enumerate_t_cores(t: int, max_size: int) -> dict[int, list[tuple[int, ...]]]:
     """t-cores grouped by size, 0..max_size, from the charge vectors of the t
-    residue tracks."""
+    residue tracks; no hook exceeds the size, so t is clamped to max_size + 1."""
     check_t(t)
     check_int("max_size", max_size)
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
+    t = min(t, max(max_size + 1, 2))
     out: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(max_size + 1)}
     for charges, size in _charge_vectors(t, max_size):
         out[size].append(t_core_from_charges(t, charges))

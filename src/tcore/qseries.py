@@ -180,6 +180,9 @@ class TaylorDomain(_Domain):
         self.zero = TaylorZ(self, (inner.zero,) * (z_order + 1))
         self.one = TaylorZ(self, (inner.one,) + (inner.zero,) * z_order)
 
+    def __reduce__(self):  # its zero and one hold it: rebuilt, not copied
+        return TaylorDomain, (self.inner, self.z_order)
+
     def root(self, m: int, e: int) -> "TaylorZ":
         return self.coerce(self.inner.root(m, e))
 
@@ -336,6 +339,9 @@ class _Series:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.dom, self.trunc2, self.terms)
 
     @classmethod
     def zero(cls, dom, order):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import time
 from collections import Counter
 from functools import lru_cache
@@ -1285,7 +1286,8 @@ def test_brute_force_at_the_benchmark_orders_equals_the_oracle():
     (lambda: qdeformed_Z_product(2, 10**9), r"166666667166666667000000000 steps"),
     (lambda: correlation_expansion(3, 1, (2,), 10**5), r"about \d+ charge vectors"),
     (lambda: correlation_expansion(6, 2, (100, 100), 400),
-     r"5389731478 steps to weigh 5151 multisets of indices and fill 10201 slots"),
+     r"2404811111 steps.* for each of 5151 sums, and 793052 steps to build at most 150 "
+     r"columns of weights and fill 10201 slots"),
 ], ids=["bloch_okounkov_F", "brute_force_Ft", "qdeformed_Zn_sum", "qdeformed_Z_product",
         "qdeformed_Z_product_huge", "correlation_expansion", "correlation_slots"])
 def test_oversized_enumerations_are_refused_up_front_with_a_count(call, count):
@@ -1653,34 +1655,37 @@ def test_correlation_slots_past_l_256_hold_the_empty_core():
 
 
 def test_correlation_refuses_oversized_tables_up_front(monkeypatch):
-    # (2^17 - 1)(30 + 1) steps to weigh the 17 multisets of sixteen indices
-    # k_j <= 1, each as 2^(number of ones) weights, and 2^16 table entries
-    # exceed the budget; the refusal names them and comes before any average
-    # is divided out
+    # the 2^20 table entries of twenty indices k_j <= 1 exceed the budget on
+    # their own, and so do the 811 * 812 / 2 products of each of the at most
+    # 6 columns of weights at l = 810, where order 0 clamps t to 2; each
+    # refusal names its count and comes before any average is divided out
     def no_table(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(npoint, "_divide_by_counts", no_table)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=(
-        r"would take 4128741 steps.* to weigh 17 multisets of indices and fill 65536 slots"
+        r"would take 1048679 steps.* to build at most 33 columns of weights and fill "
+        r"1048576 slots at order 30$"
     )):
-        correlation_expansion(3, 16, (1,) * 16, 30)
+        correlation_expansion(3, 20, (1,) * 20, 30)
     with pytest.raises(ValueError, match=(
-        r"would take 6631952 steps.* to weigh 2080 multisets of indices and fill 4096 slots"
+        r"would take 2634128 steps.* to build at most 6 columns of weights and fill "
+        r"811 slots at order 0$"
     )):
-        correlation_expansion(3, 2, (63, 63), 2)
+        correlation_expansion(3, 1, (810,), 0)
     assert time.perf_counter() - start < 0.5
 
 
 def test_correlation_weighs_each_multiset_once_and_admits_thirteen_points():
-    # the 14 multisets of (1,) * 13 at order 30 take (2^14 - 1)(30 + 1)
-    # steps of weights, one per multiset and not one per slot, and 2^13 table
-    # entries.  The index-0 factor g_0 is 1, so a slot with one index 1 is
-    # the one-point slot (1,)
+    # the 14 multisets of (1,) * 13 at order 30 are averaged once each, with
+    # 88 products of their proper prefixes per charge vector, beside 33 * 3
+    # products of the columns, 2^13 table entries and 4 weights.  The
+    # index-0 factor g_0 is 1, so a slot with one index 1 is the one-point
+    # slot (1,)
     steps, detail = npoint._correlation_steps(3, (1,) * 13, 30)
-    assert steps == 14 * (37 + 222) + (2**14 - 1) * 31 + 2**13 + 4 == 519_695 <= _MAX_STEPS
-    assert "for each of 14 sums" in detail
+    assert steps == 14 * (37 + 222) + 88 * 37 + 33 * 3 + 2**13 + 4 == 15_177 <= _MAX_STEPS
+    assert "for each of 14 sums, and 88 shared products per charge vector" in detail
     start = time.perf_counter()
     table = correlation_expansion(3, 13, (1,) * 13, 30)
     assert time.perf_counter() - start < 0.5
@@ -1693,22 +1698,132 @@ def test_correlation_weighs_each_multiset_once_and_admits_thirteen_points():
 
 def test_the_correlation_step_budget_admits_the_tables_in_use():
     # the 28 sums of (6, 6) at order 300, each over about 363 charge vectors
-    # and 7931 steps of the division, 462 (300 + 1) weights of the 28
-    # multisets k_1 <= k_2 <= 6, 49 table entries and 49 Bernoulli weights
+    # and 7931 steps of the division, the 7 * 8 / 2 products of each of at
+    # most 93 columns, 49 table entries and 49 Bernoulli weights
     steps, detail = npoint._correlation_steps(3, (6, 6), 300)
-    assert steps == 28 * (363 + 7931) + 462 * 301 + 49 + 49 == 371_392
-    assert "for each of 28 sums" in detail
-    for t, l_orders, q_order in ((7, (4, 4), 100), (3, (12,), 300), (3, (5, 5, 5), 60)):
+    assert steps == 28 * (363 + 7931) + 93 * 28 + 49 + 49 == 234_934
+    assert "for each of 28 sums, and 2702 steps to build at most 93 columns" in detail
+    for t, l_orders, q_order in (
+        (7, (4, 4), 100), (7, (4, 4), 109), (7, (2, 2), 120), (3, (12,), 300), (3, (5, 5, 5), 60),
+        (3, (63, 63), 2), (3, (1,) * 16, 30),
+    ):
         assert npoint._correlation_steps(t, l_orders, q_order)[0] <= _MAX_STEPS
 
 
 @pytest.mark.parametrize("l_orders", [(0,), (5,), (3, 1), (0, 4, 0), (2, 2, 2), (1, 3, 2, 4)])
 def test_multiset_count_counts_the_sorted_index_tuples(l_orders):
+    # the kinds of the slots, and the distinct prefixes of each length
     keys = product(*(range(l + 1) for l in l_orders))
     kinds = {tuple(sorted(ks)) for ks in keys}
-    assert npoint._multiset_sum(l_orders, lambda k: 1) == len(kinds)
-    weights = sum(math.prod(k + 1 for k in ks) for ks in kinds)
-    assert npoint._multiset_sum(l_orders, lambda k: k + 1) == weights
+    counts = npoint._multiset_counts(l_orders)
+    assert counts[-1] == len(kinds)
+    assert counts == [len({ks[:i] for ks in kinds}) for i in range(1, len(l_orders) + 1)]
+
+
+def bernoulli_polynomial(b, x):
+    """B_b(x) = sum_k C(b, k) B_(b - k) x^k, exactly."""
+    numbers = bernoulli_numbers(b)
+    return sum(math.comb(b, k) * numbers[b - k] * x**k for k in range(b + 1))
+
+
+@pytest.mark.parametrize("t", [2, 3, 7])
+def test_correlation_columns_are_scaled_bernoulli_polynomials(t, monkeypatch):
+    # the column of a track with a = 2r + 1 + 2tc holds L (2t)^b B_b(a / 2t),
+    # b <= 12, with L the lcm of the denominators of B_0 .. B_12; the
+    # polynomials are those with B_b(x + 1) - B_b(x) = b x^(b - 1)
+    for b in range(1, 13):
+        for x in (QQ(0), QQ(1, 3), QQ(-5, 2)):
+            assert bernoulli_polynomial(b, x + 1) - bernoulli_polynomial(b, x) == b * x ** (b - 1)
+    columns = []
+    walk = npoint._charge_walk
+
+    def kept_walk(t, order, column):
+        columns.append(column)
+        return walk(t, order, column)
+
+    monkeypatch.setattr(npoint, "_charge_walk", kept_walk)
+    correlation_expansion(t, 1, (12,), t)  # an order of t keeps t unclamped
+    (column,) = columns
+    lcm = math.lcm(*(x.denominator for x in bernoulli_numbers(12)))
+    for r, c in ((0, 0), (t - 1, 0), (1, 2), (0, -3), (t - 1, -1)):
+        a = 2 * r + 1 + 2 * t * c
+        want = tuple(lcm * (2 * t) ** b * bernoulli_polynomial(b, QQ(a, 2 * t)) for b in range(13))
+        assert column(r, c) == want
+
+
+def test_the_tables_the_column_charge_admits_equal_the_cores():
+    # refused while every slot weighed its multiset anew, and now admitted
+    for t, l_orders, q_order in ((3, (63, 63), 2), (3, (1,) * 12, 10)):
+        table = correlation_expansion(t, len(l_orders), l_orders, q_order)
+        assert table == correlation_by_cores(t, l_orders, q_order)
+
+
+def test_the_correlation_products_stay_within_its_steps(monkeypatch):
+    # every integer product of the route, from the columns of weights
+    # through the prefix products to the division by the counts, counted by
+    # an int subclass that the charges and the columns bring in.  The model
+    # is read at the exact count of the charge vectors, not its estimate,
+    # so that the charges per column and per charge vector are what is
+    # checked
+    taken = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal taken
+            taken += 1
+            return Counted(int(self) * int(other))
+
+        def __add__(self, other):
+            return Counted(int(self) + int(other))
+
+        __rmul__, __radd__ = __mul__, __add__
+
+    walk = npoint._charge_walk
+
+    def counted_walk(t, order, column):
+        return walk(t, order, lambda r, c: tuple(map(Counted, column(Counted(r), Counted(c)))))
+
+    monkeypatch.setattr(npoint, "_charge_walk", counted_walk)
+    monkeypatch.setattr(npoint, "_core_estimate",
+                        lambda t, order: sum(1 for _ in _charge_vectors(t, order)))
+    for t, l_orders, q_order in (
+        (7, (4, 4), 60), (7, (2, 2, 2), 40), (7, (1, 1, 1, 1), 50), (6, (2, 2), 70),
+        (5, (3, 3, 3), 20), (3, (40,), 30), (3, (63, 63), 2), (3, (1,) * 13, 30),
+    ):
+        taken = 0
+        correlation_expansion(t, len(l_orders), l_orders, q_order)
+        assert 0 < taken <= npoint._correlation_steps(t, l_orders, q_order)[0]
+
+
+def test_the_column_bound_covers_every_track_option():
+    # t c(c - 1) <= 2 order on every track, or the same in -c: at most
+    # 2 isqrt(2 order // t) + 3 charges a track, 69 columns against 93 at
+    # (3, 300)
+    for t in range(2, 10):
+        for order in (0, 1, 2, 5, 12, 30, 100, 300):
+            detail = npoint._correlation_steps(t, (1,), order)[1]
+            bound = int(re.search(r"at most (\d+) columns", detail).group(1))
+            assert sum(len(opts) for opts in _balanced_options(t, 2 * order)) <= bound
+    assert sum(len(opts) for opts in _balanced_options(3, 600)) == 69
+    assert "at most 93 columns" in npoint._correlation_steps(3, (1,), 300)[1]
+
+
+def test_a_t_past_the_order_is_clamped_to_order_plus_one():
+    # no hook of a partition of size n exceeds n, so at t > order every
+    # partition within the order is a t-core: t = 10^6 is t = 3 at order 2,
+    # with no table of 10^6 tracks
+    for route in (
+        lambda t: brute_force_Ft(t, (S4, S94), 2),
+        lambda t: correlation_expansion(t, 2, (3, 1), 2),
+        lambda t: enumerate_t_cores(t, 2),
+    ):
+        start = time.perf_counter()
+        assert route(10**6) == route(3)
+        assert time.perf_counter() - start < 0.5
+    for order in range(6):
+        svals = s_vector((S4,))
+        for t in range(order + 2, order + 5):
+            assert brute_force_Ft(t, svals, order) == bloch_okounkov_F(svals, order)
 
 
 # -- result payloads --------------------------------------------------------------------

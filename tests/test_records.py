@@ -8,7 +8,10 @@ import pytest
 
 from tcore._rat import QQ
 from tcore.contour import ExtractionResult, GaussianRational, QuadratureConfig
-from tcore.npoint import NPointResult, SValue
+from tcore.cyclo import Cyclo
+from tcore.npoint import NPointResult, SValue, brute_force_Ft
+from tcore.qseries import QQ_DOMAIN, BiSeries, CycloDomain, QSeries, TaylorDomain, TaylorZ
+from tcore.quadext import SqrtExt
 from tcore.symfunc import SpecPoint
 from tcore.theta import ThetaArg
 
@@ -127,3 +130,31 @@ def test_records_normalise_their_fields_on_construction():
     assert QuadratureConfig(8, 64, (2, 1.5), 0.01).radii == (QQ(2), QQ(3, 2))
     assert GaussianRational(QQ(1, 2)).imag == 0
     assert hash(GaussianRational(QQ(3))) == hash(GaussianRational(QQ(6, 2), QQ(0)))
+
+
+# the scalars and series, which are immutable but not records, and the
+# records that hold them
+VALUES = {
+    "Cyclo": lambda: Cyclo(12, (1, QQ(2, 3), 0, -1)),
+    "SqrtExt": lambda: SqrtExt(2, QQ(1, 2), -3),
+    "TaylorZ": lambda: TaylorZ.variable(TaylorDomain(CycloDomain(6), 3)) + 2,
+    "QSeries": lambda: QSeries(QQ_DOMAIN, 4, {0: QQ(1), 3: QQ(-1, 2)}),
+    "QSeries of TaylorZ": lambda: QSeries(
+        TaylorDomain(QQ_DOMAIN, 2), 2, {2: TaylorZ.variable(TaylorDomain(QQ_DOMAIN, 2))}
+    ),
+    "BiSeries": lambda: BiSeries(QQ_DOMAIN, 4, {(0, 2): QQ(3), (2, 2): QQ(-1, 5)}),
+    "ThetaArg over Q(zeta6)": lambda: ThetaArg.scaled_root(4, 3, 1),
+    "NPointResult of a QSeries": lambda: NPointResult(
+        "enumeration", 2, 1, (SValue(4, 2),), brute_force_Ft(2, (4,), 3), 6
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_copy_and_pickle_give_an_equal_scalar_or_series(name):
+    value = VALUES[name]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value
+        dom = getattr(twin, "dom", None)
+        assert dom is None or dom == value.dom
