@@ -63,8 +63,18 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@cache
 def euler_phi(m: int) -> int:
-    return len(cyclotomic_polynomial(m)) - 1
+    """The degree of Q(zeta_m): m times 1 - 1/p over the primes p | m, by
+    trial division, so that no cyclotomic polynomial is built for it."""
+    out, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out -= out // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out - out // rest if rest > 1 else out
 
 
 class Cyclo(Scalar):

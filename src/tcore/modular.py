@@ -23,17 +23,24 @@ A product of residues is one integer product and remainder, where the same
 product in Q(zeta_m) multiplies polynomials with ``Fraction`` coefficients.
 A run works on plain ints: a Modulus holds N, the powers of w and the
 inverses mod N, and the run reduces each sum mod N once and returns its
-coefficients as ints (tcore.npoint._closed_sum).  The tests wrap a Modulus
-as a coefficient domain (tests/residue_ring.py), so that their series code
-runs modulo N as well.
+coefficients as ints (tcore.npoint._closed_sum).  Those products cost about
+the square of the count of primes, so a modulus of more than _RUN_PRIMES
+primes is run in parts of about equal size, joined by CRT.  The tests wrap
+a Modulus as a coefficient domain (tests/residue_ring.py), so that their
+series code runs modulo N as well.
 
-Each coefficient is then rebuilt from its residue mod N by rational
-reconstruction (Wang 1981): the unique a/b with |a|, b <= sqrt(N/2) and
-a = b * residue (mod N), if there is one.  Neighbouring coefficients share
-most of their denominators, so each is first tried as residue * D with D
-the denominator of the coefficient before it: the a/b with b <= 2^64 takes
-a few Euclid steps, and a/(bD) is kept if it passes the check below; only
-otherwise does the balanced reconstruction run.  The result is checked at
+The caller names how many bits of N it expects the output to need, and the
+first N packs that many primes: the closed routes estimate it from the
+heights of their s-values (tcore.npoint._lift_bits).  Each coefficient is
+then rebuilt from its residue mod N by maximal-quotient reconstruction
+(Monagan, ISSAC 2004): the extended Euclidean algorithm on (N, residue)
+stops at its first quotient of at least 2^32, and the a/b it names is the
+coefficient once 2^33 |a| b < N, however unequal a and b are (unless an
+earlier quotient is as large, about 2^-32 a step for a residue).
+Neighbouring coefficients share most of their denominators, so each is
+first tried as residue * D, with D the largest denominator before it: that
+value is a/b with b small, and a/(bD) is kept if it passes the check below;
+only otherwise is the residue itself rebuilt.  The result is checked at
 p', which the reconstruction never saw: a wrongly rebuilt coefficient
 passes with probability about 1/p', that is 2^-61 per coefficient.  A
 failed check has one of two causes:
@@ -64,18 +71,16 @@ from .qseries import QQ_DOMAIN, QSeries
 
 PRIME_BITS = 61
 
-# The first attempt packs this many primes into N.  A coefficient whose
-# numerator and denominator have at most h bits needs N > 2^(2h + 1), so ten
-# primes (610 bits) cover h <= 304: the closed routes through order 16 at
-# s-values of two-digit height stay below 270 bits.  With the series kernels
-# the products of residues, not the interpreter, set the cost of a run: over
-# the benchmark's five closed calls (Python 3.11, one Xeon core), a run modulo
-# these ten primes and the check prime takes 2 to 2.5 times a run modulo one
-# prime, over 21 primes about 4.5 times and over 41 about 13 times.  A first
-# attempt that is too small therefore costs more than its own run.  Finding
+# The first attempt of a caller that names no height packs this many primes
+# into N (610 bits).  The closed routes size their first N from the heights
+# of their s-values instead (tcore.npoint._lift_bits): with the series
+# kernels the products of residues, not the interpreter, set the cost of a
+# run, which grows about linearly in the count of primes, so a first N much
+# larger than the output needs costs in every run, and one too small costs a
+# second run, modulo as many primes again, and the embedding sweep.  Finding
 # the primes does not weigh in: the first primes of the shared pool are
 # tabulated (_SHARED_POOL) and proved with four pow calls each, about 0.05 ms
-# a prime, so the run alone sizes the first attempt.
+# a prime.
 _START_PRIMES = 10
 
 # A pool steps by S >= 2^_STEP_BITS, which exceeds sqrt(p) for every
@@ -341,28 +346,35 @@ class Modulus:
         return out
 
 
-def rational_reconstruct(r: int, n: int, den_bound: int | None = None):
-    """The rational a/b with a = b*r (mod n), 0 < b <= B and |a| <= n/(2B),
-    or None.
+# A quotient of at least 2^_QUOTIENT_BITS stops the reconstruction: a
+# residue of no small fraction gives one with probability about 2^-32 a step
+_QUOTIENT_BITS = 32
 
-    B is ``den_bound``; by default both bounds are sqrt(n/2).  Such an a/b is
-    unique when it exists, and the half-extended Euclidean algorithm on
-    (n, r), stopped at the first remainder within the numerator bound, finds
-    it (Wang 1981).  A small B stops it after a few steps.
+
+def rational_reconstruct(r: int, n: int):
+    """The rational a/b with a = b*r (mod n) that the first large quotient of
+    the extended Euclidean algorithm on (n, r) names, or None.
+
+    Each step keeps r_i = s_i r (mod n), and at the step with r_i = |a| and
+    |s_i| = b the next quotient is about n/(|a| b).  So if r is the residue
+    of a/b with 2^(_QUOTIENT_BITS + 1) |a| b < n, the first quotient of at
+    least 2^_QUOTIENT_BITS follows that step, unless an earlier one is as
+    large by chance, and r_i/s_i is a/b (maximal-quotient reconstruction,
+    Monagan, ISSAC 2004).  Wang's balanced bounds need |a|, b <= sqrt(n/2);
+    here only the product must fit, so a short numerator over a tall
+    denominator takes about half the modulus that they take.
     """
-    if den_bound is None:
-        den_bound = num_bound = math.isqrt(n // 2)
-    else:
-        num_bound = n // (2 * den_bound)
     r0, r1 = n, r % n
+    if not r1:
+        return QQ(0)
     s0, s1 = 0, 1
-    while r1 > num_bound:
+    while r1:
         q = r0 // r1
+        if q >> _QUOTIENT_BITS:
+            return QQ(r1, s1) if math.gcd(r1, s1) == 1 else None
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if abs(s1) > den_bound or math.gcd(r1, s1) != 1:
-        return None
-    return QQ(r1, s1)
+    return None
 
 
 class _Pool:
@@ -378,17 +390,56 @@ class _Pool:
         return out
 
 
+# A run modulo more primes than this is split into runs of about equal size,
+# joined by CRT.  The products of residues cost about the square of the
+# count of primes, and a run's own work, apart from them, about as much as
+# the products of six primes: so per prime a run of six to ten primes is
+# cheapest, one of 16 costs 10 to 20% more and one of 20 up to twice as much
+# (closed sums at t <= 7, n <= 3, order <= 40).
+_RUN_PRIMES = 12
+
+
 def _run_over(run, m: int, primes: list[int], pool: _Pool) -> tuple[int, dict]:
-    """run(Modulus(m, primes)), with the primes found bad swapped out.
+    """run(Modulus(m, primes)), in runs of at most _RUN_PRIMES primes joined
+    by CRT, with the primes found bad swapped out.
 
     ``primes`` is updated in place, so that it names the primes of the result.
     """
+    size = -(-len(primes) // -(-len(primes) // _RUN_PRIMES))
+    chunks = [primes[i:i + size] for i in range(0, len(primes), size)]
+    trunc2, terms = _run_chunk(run, m, chunks[0], pool)
+    modulus = math.prod(chunks[0])
+    for chunk in chunks[1:]:
+        extra_trunc2, extra = _run_chunk(run, m, chunk, pool)
+        if extra_trunc2 != trunc2:
+            raise ArithmeticError("the truncation order differs between moduli")
+        extra_mod = math.prod(chunk)
+        terms = _joined(terms, modulus, extra, extra_mod)
+        modulus *= extra_mod
+    primes[:] = [p for chunk in chunks for p in chunk]
+    return trunc2, terms
+
+
+def _run_chunk(run, m: int, primes: list[int], pool: _Pool) -> tuple[int, dict]:
+    """run(Modulus(m, primes)), each prime found bad swapped for the next of
+    the pool in place."""
     while True:
         try:
             return run(Modulus(m, primes))
         except NotInvertible as bad:
             kept = [p for p in primes if bad.factor % p]
             primes[:] = kept + pool.take(len(primes) - len(kept))
+
+
+def _joined(residues: dict, modulus: int, extra: dict, extra_mod: int) -> dict:
+    """The residues mod modulus * extra_mod, coprime, that reduce to
+    ``residues`` mod modulus and to ``extra`` mod extra_mod (CRT)."""
+    inverse = pow(modulus, -1, extra_mod)
+    return {
+        e: r + modulus * ((extra.get(e, 0) - r) * inverse % extra_mod)
+        for e in residues.keys() | extra.keys()
+        for r in (residues.get(e, 0),)
+    }
 
 
 def _residues(terms: dict, n: int) -> dict[int, int]:
@@ -403,38 +454,35 @@ def _image(x, p: int):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
-# the denominator bound of the carried try in _reconstruct: its Euclidean
-# algorithm stops once the remainders have lost about 65 bits of N, where the
-# balanced reconstruction goes through half of N's bits
-_CARRIED_BOUND = 2**64
-
-
 def _reconstruct(residues: dict, modulus: int, at_check: dict, check: int):
     """Each coefficient rebuilt from its residue mod ``modulus`` and confirmed
     at the prime ``check``, or None if one of them fails.
 
-    The coefficients go by increasing exponent, carrying the last nonzero
-    one's denominator D: a/b = D * residue with b <= _CARRIED_BOUND, and
-    a/(bD) is kept if the check prime agrees.  Else the balanced
-    reconstruction decides.
+    The coefficients go by increasing exponent, carrying D, the largest
+    denominator so far.  The denominators of a series mostly grow with the
+    exponent and share most of their factors, so D * residue is the residue
+    of an a/b with b small, and a/(bD) is kept if the check prime agrees;
+    else the residue itself is rebuilt and checked.  A coefficient whose
+    denominator dips below D leaves it as it was, so the one after it still
+    finds the factors it shares with the larger ones.
     """
     out, carried = {}, 1
     for e in sorted(residues.keys() | at_check.keys()):
         r, seen = residues.get(e, 0), at_check.get(e, 0)
-        value = rational_reconstruct(r * carried % modulus, modulus, _CARRIED_BOUND)
-        if value is not None:
-            value /= carried
-        if value is None or _image(value, check) != seen:
-            value = rational_reconstruct(r, modulus)
-            if value is None or _image(value, check) != seen:
-                return None
-        if value:
-            carried = value.denominator
+        for scale in dict.fromkeys((carried, 1)):  # once when nothing is carried
+            value = rational_reconstruct(r * scale % modulus, modulus)
+            if value is not None:
+                value /= scale
+                if _image(value, check) == seen:
+                    break
+        else:
+            return None
+        carried = max(carried, value.denominator)
         out[e] = value
     return out
 
 
-def rational_lift(run, m: int) -> QSeries:
+def rational_lift(run, m: int, bits: int | None = None) -> QSeries:
     """The rational series that ``run`` computes in Q(zeta_m), over Q.
 
     ``run(mod)`` evaluates one computation modulo a Modulus, with zeta_m
@@ -444,9 +492,14 @@ def rational_lift(run, m: int) -> QSeries:
     be rational, else ValueError; the result is a series over QQ_DOMAIN,
     equal to the same computation over CycloDomain(m) pushed down to Q.
     A wrong coefficient passes the check prime with probability about 2^-61.
+
+    ``bits`` is how many bits of N the caller expects the reconstruction to
+    need; the first N packs ceil(bits / PRIME_BITS) primes, at least one, or
+    _START_PRIMES without an estimate.  N grows while it falls short.
     """
+    first = _START_PRIMES if bits is None else max(1, -(-bits // PRIME_BITS))
     pool = _Pool(m)
-    primes = pool.take(_START_PRIMES + 1)
+    primes = pool.take(first + 1)
     trunc2, terms = _run_over(run, m, primes, pool)
     check = primes.pop()
     at_check = _residues(terms, check)
@@ -466,11 +519,7 @@ def rational_lift(run, m: int) -> QSeries:
         if extra_trunc2 != trunc2:
             raise ArithmeticError("the truncation order differs between moduli")
         extra_mod = math.prod(more)
-        extra_res = _residues(extra, extra_mod)
-        residues = {
-            e: crt((residues.get(e, 0), extra_res.get(e, 0)), (modulus, extra_mod))
-            for e in residues.keys() | extra_res.keys()
-        }
+        residues = _joined(residues, modulus, extra, extra_mod)
         primes += more
         modulus *= extra_mod
 

@@ -29,14 +29,17 @@ from tcore.partitions import (
     _charge_walk,
     _euler_terms,
     _partition_counts,
+    _track_cost2,
     conjugate,
     hook_lengths,
     partitions_of,
 )
 from tcore.qseries import (
+    _MAX_STEPS,
     QQ_DOMAIN,
     BiSeries,
     QSeries,
+    _refusal,
     check_int,
     check_order,
     check_t,
@@ -266,17 +269,6 @@ def _row_walk(order: int, column, start) -> list[int]:
         if 0 < room <= longest:
             totals[order] += math.prod(map(add, sums, cols[row, room]))
     return totals
-
-
-# the most steps a route takes, refused up front with its count: a step is
-# one integer product or sum, of any height
-_MAX_STEPS = 10**6
-
-
-def _refusal(route: str, steps: int | str, detail: str) -> ValueError:
-    return ValueError(
-        f"{route} would take {steps} steps, more than the {_MAX_STEPS} it supports: {detail}"
-    )
 
 
 def _core_estimate(t: int, order: int) -> int:
@@ -631,10 +623,108 @@ def _closed_sum(mod, t: int, svals, order: int, layout) -> tuple[int, dict]:
     return 2 * order, {2 * m: v * scale % N for m, v in enumerate(acc)}
 
 
+def _cheapest_balance(t: int, fixed: tuple[int, int], charge: int) -> float:
+    """The least doubled size at which the tracks other than the two fixed
+    ones carry the charge: its |charge| cheapest unit steps of the right
+    direction, each 2j + 1, with track r stepping up at j = r (mod t) and
+    down at j = t - 1 - r (see _track_cost2); inf if no track is left."""
+    if not charge:
+        return 0
+    if t == 2:
+        return math.inf
+    skip = {r if charge > 0 else t - 1 - r for r in fixed}
+    steps = (2 * j + 1 for j in range(t * abs(charge) + t) if j % t not in skip)
+    return sum(next(steps) for _ in range(abs(charge)))
+
+
+def _largest_part(t: int, order: int) -> int:
+    """The largest part of a t-core of size at most order.
+
+    Track r carrying charge c > 0 has its top bead at r + (c - 1)t (see
+    _track_cost2), and the first part is the top bead plus one, so it is
+    read off the charges that some vector within the size holds
+    (_balanced_options).  No part exceeds the size, so t is clamped to
+    order + 1, as in enumerate_t_cores, where every partition counts.
+    """
+    t = min(t, max(order + 1, 2))
+    if t > order:
+        return order
+    options = _balanced_options(t, 2 * order)
+    return max((r + (c - 1) * t + 1 for r, opts in enumerate(options) for _, c in opts if c > 0),
+               default=0)
+
+
+def _largest_first_hook(t: int, order: int) -> int:
+    """The largest hook h(1, 1) of a t-core of size at most order.
+
+    The length of a partition is minus its lowest hole, which track r
+    carrying charge c < 0 has at r + ct, so h(1, 1), the first part plus
+    the length less one, is the distance from the top bead to the lowest
+    hole (see _largest_part).  It is the largest over the pairs of a bead
+    track and a hole track that the other tracks can balance within the
+    size.
+    """
+    t = min(t, max(order + 1, 2))
+    if t > order:
+        return order
+    budget2 = 2 * order
+    charges = [(r, c) for r, opts in enumerate(_balanced_options(t, budget2)) for _, c in opts]
+    hook = 0
+    for r, c in charges:
+        for r2, c2 in charges:
+            span = r + (c - 1) * t - r2 - c2 * t
+            if c > 0 > c2 and r != r2 and span > hook and (
+                _track_cost2(t, r, c) + _track_cost2(t, r2, c2)
+                + _cheapest_balance(t, (r, r2), -c - c2) <= budget2
+            ):
+                hook = span
+    return hook
+
+
+# bits of N past the estimate of _lift_bits: 33 for the quotient test of
+# the reconstruction, the rest for the integer sums over the cores
+_LIFT_MARGIN = 40
+
+
+def _lift_bits(t: int, svals, order: int) -> int:
+    """The bits of N that the closed sum's reconstruction is expected to need.
+
+    With s_j = P_j/Q_j and M, h the largest part and first hook of a t-core
+    within the order (_largest_part, _largest_first_hook), a coefficient
+    reaches the powers s_j^(1/2 - M) .. s_j^(M - 1/2) over a common
+    denominator, so its numerator, which the reconstruction carrying the
+    denominators must fit, holds about P_j^(2M + 1) for each j, and the gaps
+    P_j - Q_j enter through 1/(s_j - 1).  A prime of both some P_i and some
+    Q_j enters the common denominator through the low powers of s_i and the
+    high powers of s_j together, and one core spans at most h + 1 rows and
+    columns, not 2M: so the gcd of the products of the P and of the Q
+    cancels 2M - h - 1 times.  The estimate
+
+        log2 prod_j P_j^(2M + 1) (P_j - Q_j)^(3/2)
+            - (2M - h - 1) log2 gcd(prod P_j, prod Q_j) + _LIFT_MARGIN
+
+    covered the need of every one of 4,335 closed calls (t = 2..7 and
+    t = order + 1, n <= 3, order <= 40, s-values of 4 to 66 bits, 17 sets
+    of them, six with shared primes), each within a first modulus of at
+    most 1.5 times the need.
+    """
+    nums = [sv.s.numerator for sv in svals]
+    dens = [sv.s.denominator for sv in svals]
+    top = _largest_part(t, order)
+    bits = sum((2 * top + 1) * math.log2(a) + 1.5 * math.log2(a - b) for a, b in zip(nums, dens))
+    shared = math.gcd(math.prod(nums), math.prod(dens))
+    if shared > 1:
+        bits -= (2 * top - _largest_first_hook(t, order) - 1) * math.log2(shared)
+    return math.ceil(bits) + _LIFT_MARGIN
+
+
 def _closed_lift(t: int, svals, order: int) -> QSeries:
-    """The closed sum over Q: _closed_sum modulo primes, through rational_lift."""
+    """The closed sum over Q: _closed_sum modulo primes, through
+    rational_lift, with the first modulus sized by _lift_bits."""
     layout = _closed_layout(t, len(svals))
-    return rational_lift(lambda mod: _closed_sum(mod, t, svals, order, layout), t)
+    return rational_lift(
+        lambda mod: _closed_sum(mod, t, svals, order, layout), t, _lift_bits(t, svals, order)
+    )
 
 
 def closed_Ft(t: int, s_values, Q2, order: int) -> QSeries:

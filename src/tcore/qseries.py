@@ -102,6 +102,17 @@ def check_t(t) -> None:
         raise ValueError("t must be at least 2")
 
 
+# the most steps a route takes, refused up front with its count: a step is
+# one integer product or sum, of any height
+_MAX_STEPS = 10**6
+
+
+def _refusal(route: str, steps: int | str, detail: str) -> ValueError:
+    return ValueError(
+        f"{route} would take {steps} steps, more than the {_MAX_STEPS} it supports: {detail}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # coefficient domains
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 import math
 
 from tcore._rat import QQ, Record, is_rational, rat, rat_pow, rational_sqrt
-from tcore.cyclo import Cyclo
+from tcore.cyclo import Cyclo, euler_phi
 from tcore.qseries import (
+    _MAX_STEPS,
     QQ_DOMAIN,
     BiSeries,
     CycloDomain,
     QSeries,
     TaylorZ,
     _as_exp2,
+    _refusal,
     check_half_order,
     check_int,
     check_order,
@@ -249,7 +251,8 @@ def level_series(t: int, r: int, l: int, order: int) -> QSeries:
 
     so the Q^N coefficient, N >= 1, is the divisor sum
     -sum_{k | N} k^(l-1) (xi^k + (-1)^l xi^(-k)), and the Q^0 term is l! times
-    the z^l coefficient of the first logarithm.
+    the z^l coefficient of the first logarithm.  Series of more than
+    _MAX_STEPS steps are refused up front (_level_steps).
     """
     check_t(t)
     check_int("r", r)
@@ -259,6 +262,12 @@ def level_series(t: int, r: int, l: int, order: int) -> QSeries:
     check_order(order)
     if r % t == 0:
         raise ValueError("the root must be a primitive direction: r not divisible by t")
+    steps = _level_steps(t, l, order)
+    if steps > _MAX_STEPS:
+        raise _refusal(
+            "level_series", steps,
+            f"at t = {t}, l = {l}, order {order}, over Q(zeta{2 * t}) of degree {euler_phi(2 * t)}",
+        )
     m = 2 * t
     dom = CycloDomain(m)
     # the weight of each power zeta_2t^e in each coefficient Q^N
@@ -273,6 +282,25 @@ def level_series(t: int, r: int, l: int, order: int) -> QSeries:
     terms = {2 * n: Cyclo.from_powers(m, weights[n]) for n in range(1, order + 1)}
     terms[0] = _prefactor_term(t, r, l)
     return QSeries(dom, 2 * order, terms)
+
+
+def _level_steps(t: int, l: int, order: int) -> int:
+    """The steps of level_series, with m = 2t: the (order + 1) m weights,
+    the power table of Q(zeta_m) (m rows of phi(m) integers), and
+    Cyclo.from_powers, which builds phi(m) sums for each of the order + 2
+    coefficients and adds phi(m) products for each nonzero weight; and the
+    Q^0 term, with its Bernoulli numbers (about l^2/8 products) and l + 1
+    terms for each of its at most t weights.
+
+    A divisor k of n sets two weights of the row n, so the rows hold at
+    most 2 sum_(k<=order) floor(order/k) nonzero weights, a sum taken in
+    sqrt(order) steps by Dirichlet's hyperbola method.
+    """
+    m, phi = 2 * t, euler_phi(2 * t)
+    root = math.isqrt(order)
+    divisor_pairs = 2 * sum(order // k for k in range(1, root + 1)) - root * root
+    builds = phi * (order + 2 + 2 * divisor_pairs + t)
+    return (order + 1) * m + m * phi + builds + l * l // 8 + t * (l + 1)
 
 
 def _prefactor_term(t: int, r: int, l: int) -> Cyclo:

@@ -33,6 +33,11 @@ def test_cyclotomic_polynomials_frozen():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+@pytest.mark.parametrize("m", [1, 2, 12, 97, 210, 2**7, 3 * 5**3])
+def test_euler_phi_is_the_degree_of_the_cyclotomic_polynomial(m):
+    assert euler_phi(m) == len(cyclotomic_polynomial(m)) - 1
+
+
 def test_root_satisfies_cyclotomic_polynomial():
     for m in CONDUCTORS:
         xi = Cyclo.root(m)

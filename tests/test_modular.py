@@ -15,6 +15,8 @@ from tcore.modular import (
     _SHARED_POOL,
     _SHARED_STEP,
     PRIME_BITS,
+    _QUOTIENT_BITS,
+    _RUN_PRIMES,
     _START_PRIMES,
     Modulus,
     NotInvertible,
@@ -29,7 +31,15 @@ from tcore.modular import (
     rational_lift,
     rational_reconstruct,
 )
-from tcore.npoint import closed_Ft, closed_Ft_r, rational_series, s_vector
+from tcore.npoint import (
+    _largest_first_hook,
+    _largest_part,
+    closed_Ft,
+    closed_Ft_r,
+    rational_series,
+    s_vector,
+)
+from tcore.partitions import enumerate_t_cores
 from tcore.qseries import QQ_DOMAIN, CycloDomain, QSeries, TaylorDomain, qdiv
 from tcore.theta import ThetaArg, vartheta
 
@@ -317,6 +327,30 @@ def test_a_bad_prime_of_a_divisor_is_swapped_out():
 # -- rational reconstruction -------------------------------------------------------
 
 
+def wang_reconstruct(r: int, n: int, den_bound: int | None = None):
+    """The rational a/b with a = b*r (mod n), 0 < b <= B and |a| <= n/(2B),
+    or None: Wang's reconstruction (1981), the oracle of the library's.
+
+    B is ``den_bound``; by default both bounds are sqrt(n/2).  Such an a/b is
+    unique when it exists, and the half-extended Euclidean algorithm on
+    (n, r), stopped at the first remainder within the numerator bound, finds
+    it.
+    """
+    if den_bound is None:
+        den_bound = num_bound = math.isqrt(n // 2)
+    else:
+        num_bound = n // (2 * den_bound)
+    r0, r1 = n, r % n
+    s0, s1 = 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > den_bound or math.gcd(r1, s1) != 1:
+        return None
+    return QQ(r1, s1)
+
+
 big_rationals = st.builds(
     QQ,
     st.integers(min_value=-(2**1000), max_value=2**1000),
@@ -333,7 +367,36 @@ def test_reconstruction_round_trips(x):
     # divides has no residue mod n (the lift drops such primes instead)
     assume(math.gcd(x.denominator, n) == 1)
     r = x.numerator * pow(x.denominator, -1, n) % n
+    assert wang_reconstruct(r, n) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(big_rationals)
+def test_quotient_reconstruction_round_trips(x):
+    # the first large quotient names x once N exceeds 2^33 |a| b, however
+    # unbalanced a and b are
+    need = abs(x.numerator) * x.denominator << (_QUOTIENT_BITS + 1)
+    n = modulus_above(need.bit_length())
+    assume(math.gcd(x.denominator, n) == 1)
+    r = x.numerator * pow(x.denominator, -1, n) % n
     assert rational_reconstruct(r, n) == x
+
+
+def test_quotient_reconstruction_of_a_short_numerator_needs_no_balanced_modulus():
+    # 1/b with a 400-bit b: Wang's bounds need 801 bits, the quotient 434
+    x = QQ(1, 3**252)
+    n = modulus_above(440)
+    r = pow(x.denominator, -1, n)
+    assert wang_reconstruct(r, n) != x
+    assert rational_reconstruct(r, n) == x
+
+
+def test_quotient_reconstruction_of_the_smallest_residues():
+    # 0 takes no step; 1 and -1 stop at the first quotient, about N
+    n = math.prod(prime_pool(4, 2))
+    assert rational_reconstruct(0, n) == 0
+    assert rational_reconstruct(1, n) == 1
+    assert rational_reconstruct(n - 1, n) == -1
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,15 +408,15 @@ def test_bounded_reconstruction_round_trips(count, bound, data):
     a = data.draw(st.integers(min_value=-(n // (2 * bound)), max_value=n // (2 * bound)))
     assume(math.gcd(b, n) == 1)
     r = a * pow(b, -1, n) % n
-    assert rational_reconstruct(r, n, bound) == QQ(a, b)
+    assert wang_reconstruct(r, n, bound) == QQ(a, b)
 
 
 def test_a_bounded_reconstruction_misses_a_taller_denominator():
     n = math.prod(prime_pool(4, 10))
     x = QQ(1, 2**64 + 13)
     r = pow(x.denominator, -1, n)
-    assert rational_reconstruct(r, n, 2**64) is None
-    assert rational_reconstruct(r, n) == x
+    assert wang_reconstruct(r, n, 2**64) is None
+    assert wang_reconstruct(r, n) == x
 
 
 tall_rationals = st.builds(
@@ -376,7 +439,7 @@ def test_reconstruction_misses_when_the_modulus_is_too_small(x):
         n *= p
     assume(math.gcd(x.denominator, n) == 1)
     r = x.numerator * pow(x.denominator, -1, n) % n
-    assert rational_reconstruct(r, n) != x
+    assert wang_reconstruct(r, n) != x
 
 
 def test_lift_grows_the_modulus_until_the_check_prime_agrees():
@@ -392,8 +455,37 @@ def test_lift_grows_the_modulus_until_the_check_prime_agrees():
     lifted = rational_lift(int_run(run), 4)
     assert lifted == QSeries(QQ_DOMAIN, 4, {0: x, 2: QQ(1)})
     # the first N with its check prime, the check prime under zeta -> w^3,
-    # then N grown twice
-    assert runs == [_START_PRIMES + 1, 1, _START_PRIMES, 2 * _START_PRIMES]
+    # then N grown twice, the second time in two runs of ten primes
+    assert runs == [_START_PRIMES + 1, 1, _START_PRIMES, _START_PRIMES, _START_PRIMES]
+
+
+def test_a_run_over_many_primes_is_split_and_joined_by_crt():
+    runs = []
+
+    def run(dom):
+        runs.append(len(dom.mod.primes))
+        return QSeries(dom, 4, {0: dom.coerce(QQ(-(3**200), 7)), 2: dom.one, 4: dom.zero})
+
+    pool = _Pool(4)
+    primes = pool.take(2 * _RUN_PRIMES + 1)
+    got = _run_over(int_run(run), 4, primes, pool)
+    # three runs of nine, nine and seven primes
+    assert len(runs) == 3 and sum(runs) == len(primes) and max(runs) - min(runs) <= 2
+    assert got == int_run(run)(Modulus(4, primes))
+
+
+@pytest.mark.parametrize(
+    ("bits", "first"), [(None, _START_PRIMES), (1, 1), (61, 1), (62, 2), (700, 12)]
+)
+def test_the_first_modulus_packs_the_bits_the_caller_names(bits, first):
+    runs = []
+
+    def run(dom):
+        runs.append(len(dom.mod.primes))
+        return QSeries(dom, 2, {0: dom.coerce(QQ(-7, 3)), 2: dom.one})
+
+    assert rational_lift(int_run(run), 4, bits) == QSeries(QQ_DOMAIN, 2, {0: QQ(-7, 3), 2: QQ(1)})
+    assert sum(runs) == first + 1 and max(runs) <= _RUN_PRIMES  # and the check prime
 
 
 def _residues_and_check(series, primes: int):
@@ -406,14 +498,15 @@ def _residues_and_check(series, primes: int):
     return residues, n, {e: reduce(x, check) for e, x in series.terms.items()}, check
 
 
-def _count_balanced(monkeypatch) -> list:
-    """Record each balanced reconstruction, the fallback of _reconstruct."""
+def _count_fallbacks(monkeypatch) -> list:
+    """Record each reconstruction of _reconstruct: a coefficient takes one,
+    of its carried residue, and one more, of its plain residue, only when the
+    first fails, so the calls past one per coefficient are the fallbacks."""
     calls = []
 
-    def counted(r, n, den_bound=None):
-        if den_bound is None:
-            calls.append(r)
-        return rational_reconstruct(r, n, den_bound)
+    def counted(r, n):
+        calls.append(r)
+        return rational_reconstruct(r, n)
 
     monkeypatch.setattr(modular, "rational_reconstruct", counted)
     return calls
@@ -425,26 +518,111 @@ def _count_balanced(monkeypatch) -> list:
 def test_carried_reconstruction_equals_wang_on_closed_outputs(monkeypatch, t, n, order):
     exact = closed_Ft(t, (S4, S94, S2516)[:n], QQ(5, 3), order)
     residues, n_mod, at_check, check = _residues_and_check(exact, _START_PRIMES)
-    wang = {e: rational_reconstruct(r, n_mod) for e, r in residues.items()}
+    wang = {e: wang_reconstruct(r, n_mod) for e, r in residues.items()}
     assert wang == exact.terms
-    balanced = _count_balanced(monkeypatch)
+    calls = _count_fallbacks(monkeypatch)
     assert _reconstruct(residues, n_mod, at_check, check) == wang
     # the carried denominator serves all but a few coefficients
-    assert len(balanced) <= 2
+    assert len(residues) <= len(calls) <= len(residues) + 2
 
 
 def test_unrelated_denominators_take_the_fallback_and_stay_exact(monkeypatch):
-    # 1/p for distinct primes p > 2^80: a carried p never helps the next one
-    primes, p = [], 2**80
+    # 1/p for distinct primes p > 2^300: the carried value p'/p needs more
+    # than the 610 bits of N, 1/p alone fits, so a carried p never helps
+    primes, p = [], 2**300
     while len(primes) < 12:
         p += 1
         if is_prime_on_13_bases(p):
             primes.append(p)
     series = QSeries(QQ_DOMAIN, 24, {2 * e: QQ(1, p) for e, p in enumerate(primes)})
     residues, n_mod, at_check, check = _residues_and_check(series, _START_PRIMES)
-    balanced = _count_balanced(monkeypatch)
+    calls = _count_fallbacks(monkeypatch)
     assert _reconstruct(residues, n_mod, at_check, check) == series.terms
-    assert len(balanced) == len(primes)
+    # the first coefficient, with nothing carried, has no fallback to take
+    assert len(calls) - len(residues) == len(primes) - 1
+
+
+def test_a_coefficient_with_a_smaller_denominator_keeps_the_carried_one():
+    # the middle coefficient's denominator 1 does not replace p^20, so
+    # (p + 1)^3 / p^22, whose plain residue needs 533 bits of N, is found
+    # at 488 as (p + 1)^3 / p^2 over the carried p^20
+    p = 2**20 + 7
+    series = QSeries(QQ_DOMAIN, 4, {0: QQ(1, p**20), 2: QQ(1), 4: QQ((p + 1) ** 3, p**22)})
+    residues, n_mod, at_check, check = _residues_and_check(series, 8)
+    assert rational_reconstruct(residues[4], n_mod) != series.terms[4]
+    assert _reconstruct(residues, n_mod, at_check, check) == series.terms
+
+
+# -- the first modulus of the closed routes ------------------------------------------
+
+
+def _needed_bits(series) -> int:
+    """The bits of N past which _reconstruct rebuilds every coefficient of
+    an exact series: 2^33 |a| b < N for the carried value a/b = D x, D the
+    largest denominator before x, or for x = a/b itself."""
+    need, carried = 0, 1
+    for _, x in sorted(series.terms.items()):
+        held = [x * carried, x]
+        need = max(need, min(abs(y.numerator).bit_length() + y.denominator.bit_length()
+                             for y in held) + _QUOTIENT_BITS + 1)
+        carried = max(carried, x.denominator)
+    return need
+
+
+SIZED_HEIGHTS = {
+    "low": (S4, S94, S2516),
+    "bench": (QQ(53, 37) ** 2, QQ(59, 41) ** 2, QQ(61, 43) ** 2),
+    "high": (QQ(307, 293) ** 2, QQ(311, 283) ** 2, QQ(313, 277) ** 2),
+    # each numerator a later denominator: the shared primes cancel
+    "shared": (QQ(7, 5) ** 2, QQ(11, 7) ** 2, QQ(13, 11) ** 2),
+}
+SIZED_CALLS = [
+    (t, n, order)
+    for n in (1, 2, 3)
+    for t, order in [(t, order) for t in range(2, 8) for order in (2, 10, 25, 40)]
+    + [(order + 1, order) for order in (3, 8, 14)]
+]
+
+
+@pytest.mark.parametrize("height", SIZED_HEIGHTS)
+def test_the_first_modulus_of_a_closed_call_fits_its_output(monkeypatch, height):
+    # one run per call, modulo no more primes than 1.5 times the bits the
+    # output needs would fill
+    runs = []
+
+    def counted(run, m, primes, pool):
+        runs.append(len(primes) - 1)  # less the check prime
+        return _run_over(run, m, primes, pool)
+
+    monkeypatch.setattr(modular, "_run_over", counted)
+    for t, n, order in SIZED_CALLS:
+        runs.clear()
+        exact = closed_Ft(t, SIZED_HEIGHTS[height][:n], QQ(5, 3), order)
+        need = _needed_bits(exact)
+        assert len(runs) == 1, (t, n, order, runs)
+        assert runs[0] <= math.ceil(1.5 * need / PRIME_BITS), (t, n, order, runs, need)
+
+
+@pytest.mark.parametrize("t", range(2, 9))
+def test_the_largest_part_and_first_hook_of_the_cores(t):
+    for order in range(16):
+        cores = [lam for lams in enumerate_t_cores(t, order).values() for lam in lams if lam]
+        assert _largest_part(t, order) == max((lam[0] for lam in cores), default=0)
+        hooks = [lam[0] + len(lam) - 1 for lam in cores]
+        assert _largest_first_hook(t, order) == max(hooks, default=0), order
+
+
+def test_the_tall_closed_call_that_needed_two_runs_takes_one(monkeypatch):
+    # its coefficients reach 537 bits, so a first N of ten primes fell short
+    runs = []
+
+    def counted(run, m, primes, pool):
+        runs.append(len(primes))
+        return _run_over(run, m, primes, pool)
+
+    monkeypatch.setattr(modular, "_run_over", counted)
+    closed_Ft(3, SIZED_HEIGHTS["bench"], QQ(5, 3), 20)
+    assert len(runs) == 1
 
 
 # -- bad primes and irrational outputs ------------------------------------------------

@@ -22,11 +22,12 @@ def test_one_checked_pass_has_no_problems(workload):
     assert result["problems"] == []
 
 
-def test_one_traced_checked_pass_of_partition_sums_has_no_problems():
-    # the span wrappers refuse a traced name that is gone, so this pass also
-    # guards every name the traced benchmark runs wrap
+@pytest.mark.parametrize("workload", ["closed_theta", "partition_sums", "quadrature"])
+def test_one_traced_checked_pass_has_no_problems(workload):
+    # the span wrappers refuse a traced name that is gone, so these passes
+    # also guard every name the traced benchmark runs wrap
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, str(ROOT / "perfbench" / "onepass.py"), "partition_sums", "7", "1", "1"]
+    cmd = [sys.executable, str(ROOT / "perfbench" / "onepass.py"), workload, "7", "1", "1"]
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300, check=True)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["attempted"] > 0

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from tcore import theta
 from tcore._rat import QQ, rat, rat_pow
 from tcore.cyclo import Cyclo
 from tcore.qseries import (
+    _MAX_STEPS,
     QQ_DOMAIN,
     BiSeries,
     CycloDomain,
@@ -392,6 +394,32 @@ def test_level_series_is_honest_about_truncation(t, r, l):
 def test_level_series_refuses_a_direction_or_weight_that_is_not_an_int(args):
     with pytest.raises(ValueError, match="must be an int"):
         level_series(*args)
+
+
+def test_level_series_refuses_a_large_conductor_up_front():
+    # Q(zeta_200000) has degree 80,000: its power table alone would be
+    # 1.6 * 10^10 integers, so the count is named before anything is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            level_series(10**5, 1, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = theta._level_steps(10**5, 2, 2)
+    assert steps == 3 * 200_000 + 200_000 * 80_000 + 80_000 * (4 + 2 * 3 + 10**5) + 0 + 3 * 10**5
+    assert str(err.value) == (
+        f"level_series would take {steps} steps, more than the {_MAX_STEPS} it supports: "
+        "at t = 100000, l = 2, order 2, over Q(zeta200000) of degree 80000"
+    )
+    assert peak < 100_000
+
+
+def test_the_level_steps_cover_the_tables_and_the_builds():
+    # the benchmark's two series, and the largest t whose table the cap admits
+    assert theta._level_steps(3, 4, 8) == 9 * 6 + 6 * 2 + 2 * (10 + 2 * 20 + 3) + 2 + 15 == 189
+    assert theta._level_steps(4, 3, 6) == 7 * 8 + 8 * 4 + 4 * (8 + 2 * 14 + 4) + 1 + 16 == 265
+    assert theta._level_steps(630, 2, 4) <= _MAX_STEPS < theta._level_steps(700, 2, 4)
 
 
 def test_level_series_t2_matches_classical_combination():
