@@ -395,8 +395,11 @@ class _Pool:
 # count of primes, and a run's own work, apart from them, about as much as
 # the products of six primes: so per prime a run of six to ten primes is
 # cheapest, one of 16 costs 10 to 20% more and one of 20 up to twice as much
-# (closed sums at t <= 7, n <= 3, order <= 40).
-_RUN_PRIMES = 12
+# (closed sums at t <= 7, n <= 3, order <= 40).  The split pays from 14
+# primes on: at (t, n, order) = (7, 3, 40) one run of 13 took 46 ms against
+# 43 ms for runs of 7 and 6, one of 14 took 55 ms against 44 ms.  A small
+# sum, all of whose cost is its own work, pays that work once per run.
+_RUN_PRIMES = 13
 
 
 def _run_over(run, m: int, primes: list[int], pool: _Pool) -> tuple[int, dict]:
@@ -447,13 +450,6 @@ def _residues(terms: dict, n: int) -> dict[int, int]:
     return {e: v % n for e, v in terms.items()}
 
 
-def _image(x, p: int):
-    """A rational as a residue mod the prime p, or None if p divides its denominator."""
-    if x.denominator % p == 0:
-        return None
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def _reconstruct(residues: dict, modulus: int, at_check: dict, check: int):
     """Each coefficient rebuilt from its residue mod ``modulus`` and confirmed
     at the prime ``check``, or None if one of them fails.
@@ -472,13 +468,15 @@ def _reconstruct(residues: dict, modulus: int, at_check: dict, check: int):
         for scale in dict.fromkeys((carried, 1)):  # once when nothing is carried
             value = rational_reconstruct(r * scale % modulus, modulus)
             if value is not None:
-                value /= scale
-                if _image(value, check) == seen:
+                # value / scale = num/den, confirmed at the check prime
+                # without an inverse: num = seen * den there
+                num, den = value.numerator, value.denominator * scale
+                if den % check and (num - seen * den) % check == 0:
                     break
         else:
             return None
+        out[e] = value = QQ(num, den)
         carried = max(carried, value.denominator)
-        out[e] = value
     return out
 
 

@@ -643,10 +643,9 @@ def _largest_part(t: int, order: int) -> int:
     Track r carrying charge c > 0 has its top bead at r + (c - 1)t (see
     _track_cost2), and the first part is the top bead plus one, so it is
     read off the charges that some vector within the size holds
-    (_balanced_options).  No part exceeds the size, so t is clamped to
-    order + 1, as in enumerate_t_cores, where every partition counts.
+    (_balanced_options).  Past t = order every partition of the size is a
+    t-core, as in enumerate_t_cores, and (order) has the largest part.
     """
-    t = min(t, max(order + 1, 2))
     if t > order:
         return order
     options = _balanced_options(t, 2 * order)
@@ -664,7 +663,6 @@ def _largest_first_hook(t: int, order: int) -> int:
     track and a hole track that the other tracks can balance within the
     size.
     """
-    t = min(t, max(order + 1, 2))
     if t > order:
         return order
     budget2 = 2 * order

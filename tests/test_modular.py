@@ -469,13 +469,13 @@ def test_a_run_over_many_primes_is_split_and_joined_by_crt():
     pool = _Pool(4)
     primes = pool.take(2 * _RUN_PRIMES + 1)
     got = _run_over(int_run(run), 4, primes, pool)
-    # three runs of nine, nine and seven primes
+    # three runs of nine primes
     assert len(runs) == 3 and sum(runs) == len(primes) and max(runs) - min(runs) <= 2
     assert got == int_run(run)(Modulus(4, primes))
 
 
 @pytest.mark.parametrize(
-    ("bits", "first"), [(None, _START_PRIMES), (1, 1), (61, 1), (62, 2), (700, 12)]
+    ("bits", "first"), [(None, _START_PRIMES), (1, 1), (61, 1), (62, 2), (700, 12), (800, 14)]
 )
 def test_the_first_modulus_packs_the_bits_the_caller_names(bits, first):
     runs = []
@@ -486,6 +486,9 @@ def test_the_first_modulus_packs_the_bits_the_caller_names(bits, first):
 
     assert rational_lift(int_run(run), 4, bits) == QSeries(QQ_DOMAIN, 2, {0: QQ(-7, 3), 2: QQ(1)})
     assert sum(runs) == first + 1 and max(runs) <= _RUN_PRIMES  # and the check prime
+    # up to _RUN_PRIMES primes with the check prime are one run: split, a
+    # small sum would pay its own work twice
+    assert len(runs) == -(-(first + 1) // _RUN_PRIMES)
 
 
 def _residues_and_check(series, primes: int):
