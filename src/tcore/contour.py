@@ -56,6 +56,18 @@ entries.  The route runs on integers alone:
 - Axis tables are indexed by k_j, coupling tables by k_k - k_i.  (-w)^t
   repeats with period M / gcd(t, M), so an axis table is built at that many
   points and read at index (t / g) k.
+- Two exact identities of the phase table halve the work twice.  Its
+  second half is the negation of its first, so a theta table sums its even
+  and its odd terms apart, and one pair of sums gives entries k and
+  k + m/2.  And its entry m - k is the conjugate of entry k, so a table of
+  real terms (a real nome and a real radius) is conjugate-symmetric; it is
+  marked ``sym`` and sums k <= m/4 alone.  Products and quotients of
+  symmetric tables compute the entries k <= m/2 and copy the conjugates of
+  the rest, and the two-circle mean of symmetric tables packs A1 + i g
+  into one transform.  A complex nome makes every table complex, and a
+  complex s-value some of them: these inputs, and no others, take the
+  general path, which computes every product and quotient and takes three
+  transforms for the two-circle mean.
 - The M-point grid is the even half of the 2M-point grid, and a theta
   table's exponent depends on its terms alone, so the tables nest bit for
   bit: an extraction at 2M takes the even entries of every theta table from
@@ -223,16 +235,37 @@ def _floor_scaled(x: int, den: int, shift: int) -> int:
 
 
 class _Block(list):
-    """Gaussian-integer mantissas (re, im); entry k stands for (re + i im) 2^exp."""
+    """Gaussian-integer mantissas (re, im); entry k stands for (re + i im) 2^exp.
 
-    __slots__ = ("exp",)
+    ``sym`` marks a block that is exactly conjugate-symmetric: entry m - k is
+    the conjugate of entry k, m its length.  The theta tables of real terms
+    are, and so are products and quotients of such blocks; their entries
+    past m / 2 are copied as conjugates, not computed.
+    """
 
-    def __init__(self, exp: int, values=()):
+    __slots__ = ("exp", "sym")
+
+    def __init__(self, exp: int, values=(), sym: bool = False):
         super().__init__(values)
         self.exp = exp
+        self.sym = sym
 
 
 _UNIT = _Block(0, [(1, 0)])
+
+
+def _lead(m: int, sym: bool) -> int:
+    """How many leading entries determine an m-entry block: all of them, or
+    the entries k <= m / 2 of a symmetric one."""
+    return m // 2 + 1 if sym else m
+
+
+def _completed(exp: int, values: list, m: int, sym: bool) -> _Block:
+    """The m-entry block whose leading ``_lead(m, sym)`` entries are ``values``;
+    the conjugates of entries m - k complete a symmetric one."""
+    if sym:
+        values += [(x, -y) for x, y in values[m - len(values) : 0 : -1]]
+    return _Block(exp, values, sym)
 
 
 def _to_exact(value, exp: int) -> GaussianRational:
@@ -250,33 +283,44 @@ def _rounded(re: int, im: int, den: int, bits: int) -> _Block:
 
 
 def _products(a: _Block, b: _Block) -> _Block:
-    return _Block(a.exp + b.exp, [(x * u - y * v, x * v + y * u) for (x, y), (u, v) in zip(a, b)])
+    m, sym = len(a), a.sym and b.sym
+    n = _lead(m, sym)
+    values = [(x * u - y * v, x * v + y * u) for (x, y), (u, v) in zip(a[:n], b[:n])]
+    return _completed(a.exp + b.exp, values, m, sym)
 
 
 def _quotients(num: _Block, den: _Block, bits: int) -> _Block:
     """num_k / den_k, with about ``bits`` fraction bits below the largest quotient.
 
     Each quotient is num conj(den) / |den|^2, scaled by one power of two for
-    the whole table.  A zero denominator raises ZeroDivisionError.
+    the whole table.  A zero denominator raises ZeroDivisionError.  Of two
+    symmetric blocks, the quotients past m / 2 are the conjugates of the
+    rounded ones before, so the quotients are symmetric too.
     """
-    cross = [(x * u + y * v, y * u - x * v, u * u + v * v) for (x, y), (u, v) in zip(num, den)]
+    m, sym = len(num), num.sym and den.sym
+    n = _lead(m, sym)
+    cross = [
+        (x * u + y * v, y * u - x * v, u * u + v * v) for (x, y), (u, v) in zip(num[:n], den[:n])
+    ]
     top = max((abs(re) | abs(im)).bit_length() - norm.bit_length() for re, im, norm in cross)
     shift = bits + 1 - top
     values = [
         (_floor_scaled(re, norm, shift), _floor_scaled(im, norm, shift)) for re, im, norm in cross
     ]
-    return _Block(num.exp - den.exp - shift, values)
+    return _completed(num.exp - den.exp - shift, values, m, sym)
 
 
 def _normalized(block: _Block, bits: int) -> _Block:
     """``block`` rounded to at most ``bits`` + 1 bits in its largest part."""
-    top = max((abs(x) | abs(y)).bit_length() for x, y in block)
+    m, sym = len(block), block.sym
+    lead = block[: _lead(m, sym)]
+    top = max((abs(x) | abs(y)).bit_length() for x, y in lead)
     shift = top - bits - 1
     if shift <= 0:
         return block
     half = 1 << (shift - 1)
-    values = [((x + half) >> shift, (y + half) >> shift) for x, y in block]
-    return _Block(block.exp + shift, values)
+    values = [((x + half) >> shift, (y + half) >> shift) for x, y in lead]
+    return _completed(block.exp + shift, values, m, sym)
 
 
 def _total(block: _Block) -> tuple:
@@ -622,43 +666,64 @@ class _Grid:
         summed.  The exponent and the integer terms depend on (series, r)
         alone and the m-point phases are every (M / m)-th entry of the
         M-point ones, so a reused entry is the one a cold build would make.
-        When the terms are real, the upper half of the table is the
-        conjugate of the lower half; that rule, too, is the same at m and 2m.
+
+        Two exact symmetries of the phase table halve the sums, and neither
+        depends on m.  Its second half is the negation of its first, so with
+        E and O the sums of the even and the odd terms at point k, entry
+        k + m/2 is E - O where entry k is E + O.  And phases[m - j] is the
+        conjugate of phases[j], so when the terms are real, entry m - k is
+        the conjugate of entry k: the upper half of the table is the
+        conjugate of the lower half, and the table is symmetric.  Entry
+        m/2 - k, the conjugate of E - O, then comes with entry k, and the
+        sums run over k <= m/4 alone; for complex terms they run over
+        k < m/2.
         """
         m = self.M if m is None else m
         key = (series.key, r)
         old = self.tables.get(key, self.previous.get(key))
         if old is not None and len(old) >= m:
-            values = _Block(old.exp, old[:: len(old) // m])
+            values = _Block(old.exp, old[:: len(old) // m], old.sym)
         else:
-            step = 0 if old is None else m // len(old)
             phases = self.phases[:: self.M // m]
             exp, terms = series.terms(r)
             real = not any(b for _, _, b in terms)
+            values = _Block(exp, [None] * m, real)
+            if old is not None:
+                values[:: m // len(old)] = old
+            even = [term for term in terms if term[0] % 2 == 0]
+            odd = [term for term in terms if term[0] % 2]
             bits = self.bits
             half = 1 << (bits - 1)
-            values = _Block(exp)
-            for k in range(m):
-                if step and k % step == 0:
-                    values.append(old[k // step])
+            h = m // 2
+            for k in range(h // 2 + 1 if real else max(h, 1)):
+                # entry k, and the entry that E - O gives with it
+                other = h - k if real else h + k
+                if values[k] is not None and values[other] is not None:
                     continue
-                if real and 2 * k > m:
-                    # real terms take conjugate values at conjugate points
+                sums = []
+                for part in (even, odd):
+                    re = im = 0
+                    if real:
+                        for n, a, _ in part:
+                            c, s = phases[n * k % m]
+                            re += a * c
+                            im += a * s
+                    else:
+                        for n, a, b in part:
+                            c, s = phases[n * k % m]
+                            re += a * c - b * s
+                            im += a * s + b * c
+                    sums += (re, im)
+                e_re, e_im, o_re, o_im = sums
+                if values[k] is None:
+                    values[k] = ((e_re + o_re + half) >> bits, (e_im + o_im + half) >> bits)
+                if h and values[other] is None:
+                    im = o_im - e_im if real else e_im - o_im
+                    values[other] = ((e_re - o_re + half) >> bits, (im + half) >> bits)
+            for k in range(h + 1, m):
+                if values[k] is None:
                     re, im = values[m - k]
-                    values.append((re, -im))
-                    continue
-                re = im = 0
-                if real:
-                    for n, a, _ in terms:
-                        c, s = phases[n * k % m]
-                        re += a * c
-                        im += a * s
-                else:
-                    for n, a, b in terms:
-                        c, s = phases[n * k % m]
-                        re += a * c - b * s
-                        im += a * s + b * c
-                values.append(((re + half) >> bits, (im + half) >> bits))
+                    values[k] = (re, -im)
         self.tables[key] = values
         return values
 
@@ -686,7 +751,9 @@ def _t_core_axes(t: int, s, Q: GaussianRational, grid: _Grid) -> list:
     denominator.  The half-powers leave s^(t/2), which cancels against the
     s^(-t/2) of the integrand's constant.  (-c x^k)^t = (-c)^t y^((t/g) k)
     with y = exp(2 pi i g / M), g = gcd(t, M), so each table has M / g
-    entries.
+    entries.  The reading keeps a symmetric ratio symmetric, since the
+    index it reads at -k, -(t / g) k mod M / g, holds the conjugate of the
+    entry it reads at k.
     """
     check_t(t)
     vt = _theta_sum(Q**t, grid.prec)
@@ -697,7 +764,7 @@ def _t_core_axes(t: int, s, Q: GaussianRational, grid: _Grid) -> list:
     for sj, c in zip(s, grid.points):
         z = (-c) ** t
         ratio = _quotients(grid.table(vt, sj**t * z, m), grid.table(vt, z, m), grid.bits)
-        axes.append(_Block(ratio.exp, [ratio[step * k % m] for k in range(M)]))
+        axes.append(_Block(ratio.exp, [ratio[step * k % m] for k in range(M)], ratio.sym))
     return axes
 
 
@@ -728,6 +795,9 @@ def _integrand(t, s, Q: GaussianRational, grid: _Grid) -> tuple:
         rho, si, sk = c[k] / c[i], s[i], s[k]
         a, b, x, y = (grid.table(vt, r) for r in (rho * sk / si, rho, rho / si, rho * sk))
         cross[i, k] = _quotients(_products(a, b), _products(x, y), grid.bits)
+    if n == 2:
+        # one pair: the coupling is its cross table
+        return const, axes, _normalized(cross[0, 1], grid.bits)
     values = []
     for d in itertools.product(range(M), repeat=n - 1):
         kk = (0, *d)
@@ -793,18 +863,43 @@ def _pair_average(axis1: _Block, axis2_hat: _Block, g_table: _Block, phases, bit
     return _Block(g_table.exp + axis1.exp + axis2_hat.exp - 3 * log_m, [(re, im)])
 
 
+def _symmetric_pair_average(
+    axis1: _Block, axis2: _Block, g_table: _Block, phases, bits: int
+) -> _Block:
+    """``_pair_average`` of symmetric A1, A2 and g, by two transforms, not three.
+
+    The transform of a symmetric table is real.  So A1 and g, shifted to
+    one exponent, are packed as A1 + i g into one transform, whose real part
+    is A1^ and whose imaginary part is g^ (the two real transforms for the
+    price of one of Press et al., Numerical Recipes, sec. 12.3), and the
+    sum over j is of real products.
+    """
+    M = len(phases)
+    exp = min(axis1.exp, g_table.exp)
+    s1, sg = axis1.exp - exp, g_table.exp - exp
+    packed = [
+        ((x << s1) - (v << sg), (y << s1) + (u << sg)) for (x, y), (u, v) in zip(axis1, g_table)
+    ]
+    packed_hat = _dft(packed, phases, bits)
+    axis2_hat = _dft(axis2, phases, bits)
+    total = sum(x * y * axis2_hat[-j][0] for j, (x, y) in enumerate(packed_hat))
+    log_m = M.bit_length() - 1
+    return _Block(2 * exp + axis2.exp - 3 * log_m, [(total, 0)])
+
+
 def _grid_mean(f: tuple, grid: _Grid) -> GaussianRational:
     """The mean over the M^n grid of the integrand f = (const, axes, coupling)
     of ``_integrand``, read off its tables.
 
     One circle: the mean of the axis table.  Two: a circular correlation,
-    ``_pair_average``.  Three: at each offset d = k_2 - k_1 the second axis
-    folds into the first, which leaves a two-circle correlation per d, all
-    against one transform of the last axis; the folds share one exponent,
-    so their averages add exactly.  Without axes, the mean of the coupling
-    over the index differences.  The sum stays in integers; the mean times
-    the constant, rounded to prec + 1 bits, is the exact Gaussian dyadic
-    returned.
+    ``_pair_average``, or ``_symmetric_pair_average`` with one transform
+    fewer when its three tables are symmetric.  Three: at each offset
+    d = k_2 - k_1 the second axis folds into the first, which leaves a
+    two-circle correlation per d, all against one transform of the last
+    axis; the folds share one exponent, so their averages add exactly.
+    Without axes, the mean of the coupling over the index differences.  The
+    sum stays in integers; the mean times the constant, rounded to prec + 1
+    bits, is the exact Gaussian dyadic returned.
     """
     const, axes, g = f
     M, n, phases, bits = grid.M, len(grid.points), grid.phases, grid.bits
@@ -815,28 +910,31 @@ def _grid_mean(f: tuple, grid: _Grid) -> GaussianRational:
         (x, y), (u, v) = g[0], _total(axes[0])
         re, im = x * u - y * v, x * v + y * u
         exp = g.exp + axes[0].exp - log_m
+    elif n == 2:
+        a0, a1 = axes
+        if a0.sym and a1.sym and g.sym:
+            mean = _symmetric_pair_average(a0, a1, g, phases, bits)
+        else:
+            mean = _pair_average(a0, _Block(a1.exp, _dft(a1, phases, bits)), g, phases, bits)
+        (re, im), exp = mean[0], mean.exp
     else:
         last_hat = _Block(axes[-1].exp, _dft(axes[-1], phases, bits))
-        if n == 2:
-            mean = _pair_average(axes[0], last_hat, g, phases, bits)
-            (re, im), exp = mean[0], mean.exp
-        else:
-            a0, a1 = axes[:2]
-            rnd = 1 << (bits - 1)
-            re = im = 0
-            for d in range(M):
-                folded = _Block(
-                    a0.exp + a1.exp + bits,
-                    [
-                        ((x * u - y * v + rnd) >> bits, (x * v + y * u + rnd) >> bits)
-                        for (x, y), (u, v) in zip(a0, a1[d:] + a1[:d])
-                    ],
-                )
-                row = _Block(g.exp, g[d * M : (d + 1) * M])
-                mean = _pair_average(folded, last_hat, row, phases, bits)
-                re += mean[0][0]
-                im += mean[0][1]
-            exp = mean.exp - log_m
+        a0, a1 = axes[:2]
+        rnd = 1 << (bits - 1)
+        re = im = 0
+        for d in range(M):
+            folded = _Block(
+                a0.exp + a1.exp + bits,
+                [
+                    ((x * u - y * v + rnd) >> bits, (x * v + y * u + rnd) >> bits)
+                    for (x, y), (u, v) in zip(a0, a1[d:] + a1[:d])
+                ],
+            )
+            row = _Block(g.exp, g[d * M : (d + 1) * M])
+            mean = _pair_average(folded, last_hat, row, phases, bits)
+            re += mean[0][0]
+            im += mean[0][1]
+        exp = mean.exp - log_m
     value = _normalized(_products(const, _Block(exp, [(re, im)])), grid.prec)
     return _to_exact(value[0], value.exp)
 
@@ -934,20 +1032,27 @@ def extract_with_doubling(
     """Double M, at most _MAX_DOUBLINGS times, until two consecutive
     extractions agree.
 
-    ``extract_at`` maps a config to a GaussianRational.  Agreement is
-    demanded five digits beyond the target, so an accepted value has its
-    quadrature error well under the comparison tolerances built on top of
-    it.  When the budget runs out the result reports non-convergence
-    instead of a value.
+    ``extract_at`` maps a config to a GaussianRational, by one of this
+    module's extractions.  Agreement is demanded five digits beyond the
+    target, so an accepted value has its quadrature error well under the
+    comparison tolerances built on top of it.  A t-core axis sees w only
+    through (-w)^t, so a circle of M points has only M / gcd(t, M) distinct
+    axis points, the length of its axis tables.  Two grids of one or two
+    such points can agree to every digit far from the limit, so agreement
+    counts only once the coarser grid has at least four on every circle;
+    until then M doubles on.  When the budget runs out the result reports
+    non-convergence instead of a value.
     """
     # compared exactly, squared: a float threshold underflows past about 320 digits
     threshold = Fraction(1, 10 ** (target_digits + 5)) ** 2
     value = extract_at(cfg)
     for _ in range(_MAX_DOUBLINGS):
+        # the fewest distinct points on a circle of the grid just extracted
+        points = min(map(len, _last_tables.values()), default=cfg.M)
         cfg = QuadratureConfig(2 * cfg.M, cfg.precision_bits, cfg.radii, cfg.Q)
         refined = extract_at(cfg)
         diff = refined - value
         value = refined
-        if _norm2(diff) < threshold:
+        if points >= 4 and _norm2(diff) < threshold:
             return ExtractionResult(value, cfg.M, cfg.precision_bits, True, abs(diff))
     return ExtractionResult(value, cfg.M, cfg.precision_bits, False, abs(diff))

@@ -7,6 +7,7 @@ import itertools
 import mpmath as mp
 
 from tcore import contour
+from tcore.partitions import enumerate_t_cores, partitions_of
 
 
 def pairwise_sum(values):
@@ -58,6 +59,55 @@ def torus_extract(f, cfg):
         if block:
             block_sums.append(pairwise_sum(block))
         return pairwise_sum(block_sums) / mp.mpf(cfg.M) ** cfg.n
+
+
+def grid_table(series, r, m: int, bits: int) -> list:
+    """[series(r x^k) for k < m], x = exp(2 pi i / m), each entry the direct
+    sum of the terms a_n r^n against phases[n k mod m], rounded as
+    ``_Grid.table`` rounds: to the nearest unit of the table's exponent,
+    halves up, except that with real terms the imaginary part of an entry
+    past m / 2 is the negated rounding of its conjugate's."""
+    phases = contour._phases(m, bits)
+    _, terms = series.terms(r)
+    real = not any(b for _, _, b in terms)
+    half = 1 << (bits - 1)
+    values = []
+    for k in range(m):
+        re = im = 0
+        for n, a, b in terms:
+            c, s = phases[n * k % m]
+            re += a * c - b * s
+            im += a * s + b * c
+        if real and 2 * k > m:
+            values.append(((re + half) >> bits, -((half - im) >> bits)))
+        else:
+            values.append(((re + half) >> bits, (im + half) >> bits))
+    return values
+
+
+def average_at(t, s, Q, order: int):
+    """The average the extractions compute, summed at the numeric nome Q and
+    s-values s, complex ones too: over the t-cores (t None: all partitions)
+    of size at most ``order``, the mean of prod_j sum_i s_j^(lambda_i - i + 1/2)
+    weighted by Q^|lambda|.  Each row sum takes its tail past the last row
+    in closed form, s^(1/2 - l) / (s - 1), with the principal s^(1/2)."""
+    if t is None:
+        groups = {size: partitions_of(size) for size in range(order + 1)}
+    else:
+        groups = enumerate_t_cores(t, order)
+    q = mp.mpmathify(contour._gaussian(Q, "Q"))
+    s = [mp.mpmathify(contour._gaussian(sj, "s")) for sj in s]
+    num = den = mp.mpf(0)
+    for size, parts in groups.items():
+        weight = q**size
+        for lam in parts:
+            moments = mp.mpf(1)
+            for sj in s:
+                rows = mp.fsum(sj ** (part - i) for i, part in enumerate(lam, 1))
+                moments *= mp.sqrt(sj) * (rows + sj ** -len(lam) / (sj - 1))
+            num += weight * moments
+            den += weight
+    return num / den
 
 
 def at_point(t, s, Q, w):

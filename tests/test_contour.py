@@ -421,6 +421,90 @@ def test_a_payload_withholds_the_value_when_the_doublings_run_out():
     assert payload["est_error"] == result.est_error
 
 
+# A t-core axis sees w only through (-w)^t, so a circle of M points holds
+# M / gcd(t, M) distinct axis points.  From M = 2 at t = 2 or 4 the first
+# grids hold one or two, and their means agree to every digit while they
+# miss the limit by 2e-7 to 4e-4.  A doubling run must not take that
+# agreement for convergence.
+@pytest.mark.parametrize("s", [S94, QQ(53, 37) ** 2], ids=["9/4", "(53/37)^2"])
+@pytest.mark.parametrize("t", [2, 4])
+def test_grids_of_one_or_two_axis_points_do_not_count_as_converged(t, s):
+    cfg = contour.QuadratureConfig.for_region((s,), NOME, M=2, precision_bits=64)
+    result = contour.extract_with_doubling(lambda c: contour.extract_cor42(t, (s,), c), cfg, 8)
+    value = at_nome(brute_force_Ft(t, (s,), ORDER))
+    miss = abs(result.value - mp.mpf(value.numerator) / value.denominator)
+    assert not result.converged or miss < TOLERANCE, (result, miss)
+    assert result.est_error > miss, (result, miss)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_run_from_wide_grids_stops_at_the_first_agreement(case):
+    # from M = 64, at t <= 3 every circle holds at least 32 axis points, so
+    # the first comparison counts: two extractions
+    s, extract_at, _ = CASES[case]
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.M)
+        return extract_at(cfg)
+
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=64, precision_bits=64)
+    result = contour.extract_with_doubling(counted, cfg, 8)
+    assert result.converged and calls == [64, 128], (result, calls)
+
+
+# -- the general path: a complex nome or s ---------------------------------------
+
+# Real terms make a table conjugate-symmetric, and the extractions build
+# such tables by halves.  A complex nome makes every table complex, and a
+# complex s some of them; these inputs take the general path.  Measured at
+# 64 bits: within 3e-20 of the t-core averages and 2e-18 of the
+# all-partitions ones, whose order-16 tail that is.
+COMPLEX_NOME = contour.GaussianRational(QQ(1, 100), QQ(1, 300))
+COMPLEX_S = contour.GaussianRational(QQ(9, 4), QQ(1, 2))
+GENERAL_CASES = {
+    "cor42 t=2 n=1": (2, (S94,)),
+    "cor42 t=3 n=1": (3, (S4,)),
+    "cor42 t=2 n=2": (2, (S4, S94)),
+    "cor42 t=3 n=2": (3, (S4, S94)),
+    "bo_determinant n=2": (None, (S4, S94)),
+}
+
+
+def extract_general(t, s, cfg):
+    if t is None:
+        return contour.extract_bo_determinant(s, QQ(5, 3), cfg)
+    return contour.extract_cor42(t, s, cfg)
+
+
+@pytest.mark.parametrize("case", GENERAL_CASES)
+def test_a_complex_nome_matches_the_exact_series_at_it(case):
+    t, s = GENERAL_CASES[case]
+    cfg = contour.QuadratureConfig.for_region(s, COMPLEX_NOME, M=32, precision_bits=64)
+    result = contour.extract_with_doubling(lambda c: extract_general(t, s, c), cfg, 8)
+    assert result.converged, result
+    assert not any(table.sym for table in contour._last_tables.values())
+    series = brute_force_Ft(t, s, ORDER) if t else bloch_okounkov_F(s, ORDER)
+    with mp.workprec(80):
+        q = mp.mpmathify(COMPLEX_NOME)
+        value = mp.fsum(mp.mpf(c.numerator) / c.denominator * q ** (e2 // 2)
+                        for e2, c in series.terms.items())
+        assert abs(result.value - value) < TOLERANCE
+
+
+@pytest.mark.parametrize("case", GENERAL_CASES)
+def test_a_complex_s_matches_the_average_at_it(case):
+    t, s = GENERAL_CASES[case]
+    s = (COMPLEX_S, *s[1:])
+    cfg = contour.QuadratureConfig.for_region(s, NOME, M=32, precision_bits=64)
+    result = contour.extract_with_doubling(lambda c: extract_general(t, s, c), cfg, 8)
+    assert result.converged, result
+    assert not all(table.sym for table in contour._last_tables.values())
+    with mp.workprec(80):
+        value = quadrature_oracle.average_at(t, s, NOME, ORDER)
+        assert abs(result.value - value) < TOLERANCE
+
+
 # -- the kernels against their unoptimised forms ---------------------------------
 
 
@@ -602,6 +686,100 @@ def test_grid_tables_equal_the_point_sums_at_80_bits(M):
     check_grid_tables(M, 80, mp.mpf(2) ** -70)
 
 
+@pytest.mark.parametrize("m", [1, 2, 4, 64, 128])
+def test_grid_tables_equal_the_direct_sums_bit_for_bit(m):
+    # built cold and nested from m / 2, against the direct sum of every term
+    # at every point, for real and complex terms; a table of real terms is
+    # marked symmetric and is
+    bits = 80 + contour._GUARD_BITS
+    radii = [exact(QQ(x)) for x in TABLE_RADII] + [exact(3 + 2j) / exact(2)]
+    for Q in (NOME, -NOME, COMPLEX_NOME):
+        series = contour._theta_sum(exact(Q), 80)
+        for r in radii:
+            direct = quadrature_oracle.grid_table(series, r, m, bits)
+            cold = contour._Grid(m, [], 80).table(series, r)
+            coarse = contour._Grid(max(m // 2, 1), [], 80)
+            coarse.table(series, r)
+            nested = contour._Grid(m, [], 80, coarse.tables).table(series, r)
+            assert cold == nested == direct, (Q, r)
+            real = not any(b for _, _, b in series.terms(r)[1])
+            assert cold.sym is nested.sym is real
+            if real:
+                assert all(cold[-k] == (x, -y) for k, (x, y) in enumerate(cold))
+
+
+def test_phase_tables_turn_by_a_half_and_mirror_exactly(monkeypatch):
+    # the identities the tables are built by halves on: phases[k + M/2] is
+    # -phases[k] and phases[M - k] the conjugate of phases[k], exactly, at
+    # M = 4096, whose every (4096 / M)-th entry is the M-point table
+    monkeypatch.setattr(contour, "_phase_tables", {})
+    for bits in range(53, 301):
+        phases = contour._phases(4096, bits)
+        assert all(phases[k + 2048] == (-x, -y) for k, (x, y) in enumerate(phases[:2048])), bits
+        assert all(phases[-k] == (x, -y) for k, (x, y) in enumerate(phases)), bits
+        contour._phase_tables.clear()
+
+
+def test_tables_products_and_quotients_compute_one_entry_per_symmetry_orbit():
+    # products counted by an int subclass that the terms and the mantissas
+    # bring in: a table sums floor(m/4) + 1 entries of real terms, or m/2 of
+    # complex ones, and a product or a quotient of symmetric blocks computes
+    # m/2 + 1 entries, of other blocks m
+    taken = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal taken
+            taken += 1
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    class CountedSum:
+        """A theta sum whose terms count the products they take."""
+
+        def __init__(self, series):
+            self.key, self.series = ("counted", series.key), series
+
+        def terms(self, r):
+            exp, terms = self.series.terms(r)
+            return exp, [(n, Counted(a), Counted(b)) for n, a, b in terms]
+
+    r = exact(QQ(11, 10))
+    for m in (2, 4, 8, 64, 128):
+        for Q, entries, per_term in ((NOME, m // 4 + 1, 2), (COMPLEX_NOME, m // 2, 4)):
+            series = CountedSum(contour._theta_sum(exact(Q), 80))
+            taken = 0
+            table = contour._Grid(m, [], 80).table(series, r)
+            assert taken == entries * per_term * len(series.terms(r)[1]), (m, Q)
+            counted = [(Counted(x), Counted(y)) for x, y in table]
+            block = contour._Block(table.exp, counted, table.sym)
+            computed = m // 2 + 1 if table.sym else m
+            taken = 0
+            product = contour._products(block, block)
+            assert taken == 4 * computed and product.sym is table.sym
+            taken = 0
+            quotient = contour._quotients(block, block, 96)
+            assert taken == 6 * computed and quotient.sym is table.sym
+
+
+def test_a_symmetric_two_circle_mean_takes_two_transforms(monkeypatch):
+    transforms = []
+    dft = contour._dft
+
+    def counted(values, phases, bits):
+        if len(values) == 16:
+            transforms.append(len(values))
+        return dft(values, phases, bits)
+
+    monkeypatch.setattr(contour, "_dft", counted)
+    for Q, count in ((NOME, 2), (COMPLEX_NOME, 3)):
+        transforms.clear()
+        cfg = contour.QuadratureConfig.for_region((S4, S94), Q, M=16, precision_bits=64)
+        contour.extract_cor42(2, (S4, S94), cfg)
+        assert len(transforms) == count, Q
+
+
 def torus_point(cfg, rng):
     """An exact point of the torus of ``cfg``: on each circle a random
     Pythagorean point (p^2 - q^2 + 2 p q i) / (p^2 + q^2), turned by i^k."""
@@ -699,20 +877,41 @@ def random_block(rng, M, bits):
     return block, [mp.mpc(x, y) for x, y in values]
 
 
+def symmetric_block(rng, M, bits):
+    """A random block whose entry M - k is the conjugate of entry k, as
+    ``random_block``."""
+    block, values = random_block(rng, M, bits)
+    for k in range(M // 2 + 1):
+        x, y = block[k]
+        if 2 * k % M == 0:
+            block[k], values[k] = (x, 0), mp.mpc(values[k].real)
+        else:
+            block[-k], values[-k] = (x, -y), mp.conj(values[k])
+    block.sym = True
+    return block, values
+
+
 @pytest.mark.parametrize("M", [2, 4, 8, 16, 32, 64])
 def test_pair_average_matches_the_double_sum(M):
+    # general blocks, and symmetric ones, whose average also takes the
+    # packed transform of _symmetric_pair_average; g at another exponent
+    # than A1, which the packing aligns
     rng = random.Random(M)
     bits = 80 + contour._GUARD_BITS
+    phases = contour._phases(M, bits)
     with mp.workprec(80):
-        (a1, m1), (a2, m2), (g, mg) = (random_block(rng, M, bits) for _ in range(3))
-        direct = mp.fsum(
-            m1[k1] * m2[k2] * mg[(k2 - k1) % M] for k1 in range(M) for k2 in range(M)
-        ) / M**2
-        phases = contour._phases(M, bits)
-        a2_hat = contour._Block(a2.exp, contour._dft(a2, phases, bits))
-        fast = contour._pair_average(a1, a2_hat, g, phases, bits)
-        (fast,) = block_values(fast)
-        assert abs(fast - direct) < mp.mpf(2) ** -70
+        for make in (random_block, symmetric_block):
+            (a1, m1), (a2, m2), (g, mg) = (make(rng, M, b) for b in (bits, bits, bits - 5))
+            direct = mp.fsum(
+                m1[k1] * m2[k2] * mg[(k2 - k1) % M] for k1 in range(M) for k2 in range(M)
+            ) / M**2
+            a2_hat = contour._Block(a2.exp, contour._dft(a2, phases, bits))
+            means = [contour._pair_average(a1, a2_hat, g, phases, bits)]
+            if make is symmetric_block:
+                means.append(contour._symmetric_pair_average(a1, a2, g, phases, bits))
+            for mean in means:
+                (fast,) = block_values(mean)
+                assert abs(fast - direct) < mp.mpf(2) ** -70
 
 
 @pytest.mark.parametrize("M", [4, 8])
